@@ -31,12 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import expr
-from .derivative import generalized_derivative
+from .derivative import scan_derivative
 from .errors import SchemaError
 from .grids import GridSpec
 from .intervals import Annulus, IntervalBox, contains
@@ -119,30 +119,98 @@ class _Worst:
         return self.point is not None
 
 
-def _origin_value_screen(name: str, value_at: Callable, n: int,
-                         time_nodes, failures: list) -> None:
-    origin = (0.0,) * n
+# --- verdict reducers over scan_derivative columns -------------------------
+#
+# Columns have shape (time nodes, nodes); flattened, their order is the
+# scan order (time outer, nodes row-major), so "first in scan order" is
+# the lowest flat index.
+
+def _violations(margin: np.ndarray, counted: np.ndarray,
+                tol: float) -> int:
+    """Counted margins that fail: above ``tol``, NaN or infinite."""
+    return int(np.count_nonzero(
+        counted & ~(np.isfinite(margin) & (margin <= tol))))
+
+
+def _margin_certificate(condition: str, margin: np.ndarray,
+                        counted: np.ndarray, violations: int,
+                        pts: np.ndarray, time_nodes, tol: float,
+                        grid_summary: dict, details: dict,
+                        failures: Sequence[str] = ()) -> Certificate:
+    """Verdict on ``margin <= tol`` at every counted pair, failing closed.
+
+    ``margin`` and ``counted`` are flat in scan order, possibly repeated
+    over an outer index; ``margin`` is overwritten. The witness is the
+    first maximal non-NaN margin, the pair strict improvement in scan
+    order keeps. ``details`` gains ``nonfinite_margins`` when nonzero.
+    """
+    nonfinite = int(np.count_nonzero(counted & ~np.isfinite(margin)))
+    if nonfinite:
+        details["nonfinite_margins"] = nonfinite
+    if failures:
+        details["screen_failures"] = list(failures)
+    margin[~counted | np.isnan(margin)] = -np.inf
+    k = int(np.argmax(margin)) if margin.size else 0
+    point = t = worst = None
+    if margin.size and margin[k] > -np.inf:
+        a, b = divmod(k, len(pts))
+        point, t = tuple(pts[b].tolist()), time_nodes[a % len(time_nodes)]
+        worst = float(margin[k])
+    return Certificate(
+        verdict=CERTIFIED if not violations and not failures else VIOLATED,
+        condition=condition, worst_point=point, worst_t=t,
+        worst_margin=worst, tolerances={"margin_tol": tol},
+        grid_summary=grid_summary, details=details)
+
+
+def _decrease_certificate(condition: str, scan, bound: np.ndarray,
+                          pts: np.ndarray, grid: GridSpec, sys: SystemDef,
+                          reducers, tol: float, details: dict,
+                          failures: Sequence[str]) -> Certificate:
+    """Verdict on ``derivative + bound <= tol``; the scan's value column
+    becomes the margin."""
+    margin = scan.value.ravel()
+    margin += bound.ravel()
+    counted = ~scan.minus_inf.ravel()
+    violations = _violations(margin, counted, tol)
+    details.update(note=_GRID_NOTE,
+                   minus_inf_nodes=int(np.count_nonzero(scan.minus_inf)),
+                   derivative_violations=violations,
+                   reducers=[u.name for u in reducers])
+    return _margin_certificate(condition, margin, counted, violations, pts,
+                               grid.time_nodes, tol, grid.summary(sys.domain),
+                               details, failures)
+
+
+def _first_failure(bad: np.ndarray, column: np.ndarray, pts: np.ndarray,
+                   time_nodes):
+    """``(x, t, value)`` at the first flagged pair in scan order, or None."""
+    if not bad.any():
+        return None
+    a, b = divmod(int(np.argmax(bad)), len(pts))
+    return pts[b].tolist(), time_nodes[a], float(column[a, b])
+
+
+def _origin_value_screen(name: str, value: expr.ScalarExpr, m, time_nodes,
+                         failures: list) -> None:
+    fn = expr.compile_scalar(value)
+    origin = (0.0,) * m.n_in
     for t in time_nodes:
-        v = value_at(origin, t)
+        v = fn(m.env(origin, t))
         if v != 0.0:
             failures.append(
                 f"{name}(0) = {v!r} at t={t!r}, expected exactly 0")
             return
 
 
-def _positive_screen(name: str, value_at: Callable, nodes, time_nodes,
-                     failures: list, strict: bool) -> None:
-    """Require value > 0 (or >= 0 when not strict) at every nonzero node."""
-    for t in time_nodes:
-        for x in nodes:
-            if all(v == 0.0 for v in x):
-                continue
-            v = value_at(x, t)
-            if (v <= 0.0) if strict else (v < 0.0):
-                failures.append(
-                    f"{name}({list(x)}) = {v!r} at t={t!r} fails "
-                    f"{'positivity' if strict else 'nonnegativity'}")
-                return
+def _positive_screen(name: str, column: np.ndarray, pts: np.ndarray,
+                     time_nodes, failures: list) -> None:
+    """Require value > 0 at every nonzero node; NaN fails."""
+    nonzero = np.any(pts != 0.0, axis=1)
+    hit = _first_failure(~(column > 0.0) & nonzero, column, pts, time_nodes)
+    if hit is not None:
+        x, t, v = hit
+        failures.append(f"{name}({x}) = {v!r} at t={t!r} fails positivity")
 
 
 def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
@@ -161,79 +229,41 @@ def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
     """
     grid = grid if grid is not None else sys.require_grid()
     reducers = tuple(sys.reducers if reducers is None else reducers)
-    nodes = grid.nodes(sys.domain)
+    pts = grid.node_array(sys.domain)
     time_nodes = grid.time_nodes
     candidate = sys.candidate
-    bound_fn = expr.compile_scalar(bound)
+    extras = [(bound, sys.inclusion), (candidate.value, candidate.gradient)]
+    if sandwich is not None:
+        extras += [(e, sys.inclusion) for e in sandwich]
+    scan = scan_derivative(candidate, sys.inclusion, reducers, pts,
+                           time_nodes, extras)
+    w, v = scan.extras[:2]
 
     failures: list[str] = []
-    _origin_value_screen(candidate.name, candidate.value_at, sys.n,
+    _origin_value_screen(candidate.name, candidate.value, candidate.gradient,
                          time_nodes, failures)
-    _positive_screen(candidate.name, candidate.value_at, nodes, time_nodes,
-                     failures, strict=True)
-
+    _positive_screen(candidate.name, v, pts, time_nodes, failures)
+    names = ("lower envelope", "upper envelope")
     sandwich_violations = 0
     if sandwich is not None:
-        lower_fn = expr.compile_scalar(sandwich[0])
-        upper_fn = expr.compile_scalar(sandwich[1])
-        def lower_at(x, t):
-            return lower_fn(sys.inclusion.env(x, t))
-        def upper_at(x, t):
-            return upper_fn(sys.inclusion.env(x, t))
-        _origin_value_screen("lower envelope", lower_at, sys.n, time_nodes,
-                             failures)
-        _origin_value_screen("upper envelope", upper_at, sys.n, time_nodes,
-                             failures)
-        _positive_screen("lower envelope", lower_at, nodes, time_nodes,
-                         failures, strict=True)
-        _positive_screen("upper envelope", upper_at, nodes, time_nodes,
-                         failures, strict=True)
-        for t in time_nodes:
-            for x in nodes:
-                v = candidate.value_at(x, t)
-                if not (lower_at(x, t) - tol <= v <= upper_at(x, t) + tol):
-                    sandwich_violations += 1
+        lower, upper = scan.extras[2:]
+        for name, e in zip(names, sandwich):
+            _origin_value_screen(name, e, sys.inclusion, time_nodes, failures)
+        for name, column in zip(names, (lower, upper)):
+            _positive_screen(name, column, pts, time_nodes, failures)
+        sandwich_violations = int(np.count_nonzero(
+            ~((lower - tol <= v) & (v <= upper + tol))))
         if sandwich_violations:
             failures.append(
                 f"candidate escapes the envelopes at {sandwich_violations} "
                 "node/time pairs")
 
-    worst = _Worst()
-    violations = 0
-    minus_inf = 0
-    checked = 0
-    for t in time_nodes:
-        for x in nodes:
-            d = generalized_derivative(candidate, sys.inclusion, reducers,
-                                       x, t)
-            checked += 1
-            if d.is_minus_inf:
-                minus_inf += 1
-                continue
-            margin = d.value + bound_fn(sys.inclusion.env(x, t))
-            worst.offer(margin, x, t)
-            if margin > tol:
-                violations += 1
-
-    verdict = CERTIFIED if not violations and not failures else VIOLATED
-    details = {
-        "note": _GRID_NOTE,
-        "nodes_checked": checked,
-        "minus_inf_nodes": minus_inf,
-        "derivative_violations": violations,
-        "reducers": [u.name for u in reducers],
-    }
+    details = {"nodes_checked": scan.minus_inf.size}
     if sandwich is not None:
         details["sandwich_checked"] = True
         details["sandwich_violations"] = sandwich_violations
-    if failures:
-        details["screen_failures"] = failures
-    return Certificate(
-        verdict=verdict, condition="lyapunov-decrease",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"margin_tol": tol},
-        grid_summary=grid.summary(sys.domain), details=details)
+    return _decrease_certificate("lyapunov-decrease", scan, w, pts, grid, sys,
+                                 reducers, tol, details, failures)
 
 
 def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr,
@@ -242,53 +272,26 @@ def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr,
                          tol: float = 1e-9) -> Certificate:
     """Screen ``derivative <= -bound`` with a positive semidefinite bound.
 
-    Also screens ``bound >= 0`` on the grid. This is the hypothesis that
-    drives asymptotic decay of ``bound(x(t))`` along complete bounded
-    solutions; the simulator's tail check is its trajectory counterpart.
+    Also screens ``bound >= 0`` at every node and time node. This is the
+    hypothesis that drives asymptotic decay of ``bound(x(t))`` along
+    complete bounded solutions; the simulator's tail check is its
+    trajectory counterpart.
     """
     grid = grid if grid is not None else sys.require_grid()
     reducers = tuple(sys.reducers if reducers is None else reducers)
-    nodes = grid.nodes(sys.domain)
+    pts = grid.node_array(sys.domain)
     time_nodes = grid.time_nodes
-    bound_fn = expr.compile_scalar(bound)
+    scan = scan_derivative(sys.candidate, sys.inclusion, reducers, pts,
+                           time_nodes, [(bound, sys.inclusion)])
+    (w,) = scan.extras
 
-    failures: list[str] = []
-    for x in nodes:
-        w = bound_fn(sys.inclusion.env(x, time_nodes[0]))
-        if w < -tol:
-            failures.append(f"bound({list(x)}) = {w!r} is negative")
-            break
-
-    worst = _Worst()
-    violations = 0
-    minus_inf = 0
-    for t in time_nodes:
-        for x in nodes:
-            d = generalized_derivative(sys.candidate, sys.inclusion,
-                                       reducers, x, t)
-            if d.is_minus_inf:
-                minus_inf += 1
-                continue
-            margin = d.value + bound_fn(sys.inclusion.env(x, t))
-            worst.offer(margin, x, t)
-            if margin > tol:
-                violations += 1
-
-    verdict = CERTIFIED if not violations and not failures else VIOLATED
-    details = {
-        "note": _GRID_NOTE,
-        "minus_inf_nodes": minus_inf,
-        "derivative_violations": violations,
-        "reducers": [u.name for u in reducers],
-    }
-    if failures:
-        details["screen_failures"] = failures
-    return Certificate(
-        verdict=verdict, condition="semidefinite-decrease",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"margin_tol": tol},
-        grid_summary=grid.summary(sys.domain), details=details)
+    failures = []
+    hit = _first_failure(~(w >= -tol), w, pts, time_nodes)
+    if hit is not None:
+        x, t, value = hit
+        failures.append(f"bound({x}) = {value!r} at t={t!r} is negative")
+    return _decrease_certificate("semidefinite-decrease", scan, w, pts, grid,
+                                 sys, reducers, tol, {}, failures)
 
 
 @dataclass(frozen=True)
@@ -346,34 +349,20 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
     grid = grid if grid is not None else sys.require_grid()
-    nodes = grid.nodes(sys.domain)
+    pts = grid.node_array(sys.domain)
     t0 = grid.time_nodes[0]
-
-    e_nodes = []
-    worst = _Worst()
-    violations = 0
-    minus_inf = 0
-    for x in nodes:
-        d = generalized_derivative(sys.candidate, sys.inclusion,
-                                   sys.reducers, x, t0)
-        if d.is_minus_inf:
-            minus_inf += 1
-            continue
-        if abs(d.value) <= zero_tol:
-            e_nodes.append(tuple(x))
-        worst.offer(d.value, x, t0)
-        if d.value > tol:
-            violations += 1
-
-    cert = Certificate(
-        verdict=CERTIFIED if not violations else VIOLATED,
-        condition="derivative-nonpositive",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"margin_tol": tol},
-        grid_summary=grid.summary(sys.domain),
-        details={"note": _GRID_NOTE, "minus_inf_nodes": minus_inf,
-                 "derivative_violations": violations})
+    scan = scan_derivative(sys.candidate, sys.inclusion, sys.reducers, pts,
+                           (t0,))
+    d, counted = scan.value[0], ~scan.minus_inf[0]
+    vanishing = pts[counted & (np.abs(d) <= zero_tol)]
+    e_nodes = [tuple(x) for x in vanishing.tolist()]
+    violations = _violations(d, counted, tol)
+    cert = _margin_certificate(
+        "derivative-nonpositive", d, counted, violations, pts, (t0,), tol,
+        grid.summary(sys.domain),
+        {"note": _GRID_NOTE,
+         "minus_inf_nodes": int(np.count_nonzero(scan.minus_inf)),
+         "derivative_violations": violations})
 
     if candidates is None:
         candidates = sys.checks.candidates if sys.checks else ()
@@ -682,38 +671,20 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovProblem,
     """
     grid = grid if grid is not None else sys.require_grid()
     _, x_nodes = matrosov_grid(prob, sys, grid)
+    pts = np.array(x_nodes)
     time_nodes = grid.time_nodes
-    aux_fns = [expr.compile_scalar(y) for y in prob.aux]
-    phi_fns = [expr.compile_scalar(p) for p in prob.phi]
-    x_names = [f"x{i+1}" for i in range(sys.n)]
-    z_names = [f"z{i+1}" for i in range(prob.m)]
-
-    worst = _Worst()
-    violations = 0
-    per_function = [0] * prob.count
-    for j, (w, coll) in enumerate(zip(prob.functions, prob.collections)):
-        for t in time_nodes:
-            for x in x_nodes:
-                d = generalized_derivative(w, sys.inclusion, coll, x, t)
-                if d.is_minus_inf:
-                    continue
-                env = sys.inclusion.env(x, t)
-                z = [fn(env) for fn in phi_fns]
-                yenv = dict(zip(x_names, x))
-                yenv.update(zip(z_names, z))
-                margin = d.value - aux_fns[j](yenv)
-                worst.offer(margin, x, t)
-                if margin > tol:
-                    violations += 1
-                    per_function[j] += 1
-    return Certificate(
-        verdict=CERTIFIED if not violations else VIOLATED,
-        condition="matrosov-derivative-bounds",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"margin_tol": tol},
-        grid_summary={"x_nodes": len(x_nodes),
-                      "time_nodes": list(time_nodes)},
-        details={"note": "informational screen; the chain and constants "
+    z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
+    margins, counted, per_function = [], [], []
+    for w, coll, y in zip(prob.functions, prob.collections, prob.aux):
+        scan = scan_derivative(w, sys.inclusion, coll, pts, time_nodes,
+                               [(expr.substitute(y, z), sys.inclusion)])
+        margins.append((scan.value - scan.extras[0]).ravel())
+        counted.append(~scan.minus_inf.ravel())
+        per_function.append(_violations(margins[-1], counted[-1], tol))
+    return _margin_certificate(
+        "matrosov-derivative-bounds", np.concatenate(margins),
+        np.concatenate(counted), sum(per_function), pts, time_nodes, tol,
+        {"x_nodes": len(x_nodes), "time_nodes": list(time_nodes)},
+        {"note": "informational screen; the chain and constants "
                  "certificates do not depend on it",
-                 "violations_per_function": per_function})
+         "violations_per_function": per_function})

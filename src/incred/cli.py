@@ -10,9 +10,7 @@ negative (VIOLATED, INCONCLUSIVE, or a failed trajectory check), 2 input
 parse error, 3 semantic error.
 
 Runs are deterministic: identical inputs, flags and seed produce
-byte-identical outputs. The environment variable ``INCRED_THREADS``
-caps worker parallelism; the current implementation evaluates
-sequentially (equivalent to a cap of 1) and only validates the value.
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -50,18 +47,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _check_thread_cap() -> None:
-    raw = os.environ.get("INCRED_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(f"INCRED_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SchemaError("INCRED_THREADS must be >= 1")
 
 
 def _load(args) -> SystemDef:
@@ -349,9 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="incred",
         description="Reduced differential inclusions: reduction tables, "
                     "set-valued derivatives, grid certificates, Matrosov "
-                    "chains, and selection-based simulation.",
-        epilog="INCRED_THREADS caps parallelism (current implementation is "
-               "sequential).")
+                    "chains, and selection-based simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -425,7 +408,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_cap()
         return args.func(args)
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=_sys.stderr)

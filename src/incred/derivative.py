@@ -13,6 +13,9 @@ function along a box-valued inclusion are computed in closed form:
 * :func:`baseline_interval_derivative` -- the classical intersection
   derivative ``âˆ©_p p . (F x {1})``, an interval that may be empty.
 
+:func:`scan_derivative` evaluates the generalized derivative, plus any
+extra scalar expressions, at every (time node, node) pair of a grid.
+
 Because gradients and inclusion values are boxes, both bilinear
 optimizations decompose per axis: the max over a rectangle of ``p q`` is
 attained at one of its four corners, and the min over an interval of the
@@ -31,7 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import DimensionMismatchError, EmptySetError, SchemaError
+import numpy as np
+
+from . import expr
+from .expr import _array_max as _max, _array_min as _min
+from .errors import (ArrayHazard, DimensionMismatchError, EmptySetError,
+                     SchemaError)
 from .intervals import Interval, IntervalBox
 from .reduction import reduce_collection, reduce_once
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
@@ -40,7 +48,12 @@ __all__ = [
     "DerivativeValue", "bilinear_maxmax", "bilinear_minmax",
     "generalized_derivative", "baseline_max_derivative",
     "baseline_interval_derivative",
+    "DerivativeScan", "scan_derivative",
 ]
+
+# Nodes per numpy batch in scan_derivative. Bounds the kernel's
+# temporaries to a few hundred kilobytes whatever the grid size.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -207,3 +220,135 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     if sup_lo > inf_hi:
         return DerivativeValue("baseline-interval", Interval.EMPTY)
     return DerivativeValue("baseline-interval", Interval(sup_lo, inf_hi))
+
+
+@dataclass(frozen=True)
+class DerivativeScan:
+    """Per-pair columns of one scan, each of shape (time nodes, nodes).
+
+    ``value`` is the generalized derivative, 0.0 where ``minus_inf``
+    flags the minus-infinity marker; ``extras[k]`` is the k-th extra
+    expression evaluated in its map's environment at every pair.
+    """
+    value: np.ndarray
+    minus_inf: np.ndarray
+    extras: tuple[np.ndarray, ...]
+
+
+def scan_derivative(candidate: RegularFunctionSpec,
+                    inclusion: PiecewiseBoxMap,
+                    reducers: Sequence[RegularFunctionSpec],
+                    nodes, time_nodes: Sequence[float],
+                    extras: Sequence[tuple[expr.ScalarExpr,
+                                           PiecewiseBoxMap]] = (),
+                    ) -> DerivativeScan:
+    """:func:`generalized_derivative` at every (t, x) pair, plus extras.
+
+    ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
+    scalar expression with the map whose environment (parameters) it
+    reads. Nodes are evaluated as numpy arrays in batches of ``_CHUNK``.
+    When any batch meets a hazard (see :class:`ArrayHazard`), the whole
+    scan is recomputed by the pointwise reference, which raises exactly
+    the errors the pointwise API raises; both give bit-identical columns.
+    """
+    pts = np.asarray(nodes, dtype=float)
+    try:
+        return _scan_arrays(candidate, inclusion, reducers, pts, time_nodes,
+                            extras)
+    except ArrayHazard:
+        return _scan_pointwise(candidate, inclusion, reducers, pts,
+                               time_nodes, extras)
+
+
+def _scan_pointwise(candidate, inclusion, reducers, pts, time_nodes,
+                    extras) -> DerivativeScan:
+    fns = [(expr.compile_scalar(e), m) for e, m in extras]
+    shape = (len(time_nodes), len(pts))
+    value = np.zeros(shape)
+    minus_inf = np.zeros(shape, dtype=bool)
+    cols = np.zeros((len(extras),) + shape)
+    for a, t in enumerate(time_nodes):
+        for b, x in enumerate(pts.tolist()):
+            d = generalized_derivative(candidate, inclusion, reducers, x, t)
+            if d.is_minus_inf:
+                minus_inf[a, b] = True
+            else:
+                value[a, b] = d.value
+            for k, (fn, m) in enumerate(fns):
+                cols[k, a, b] = fn(m.env(x, t))
+    return DerivativeScan(value, minus_inf, tuple(cols))
+
+
+def _scan_arrays(candidate, inclusion, reducers, pts, time_nodes,
+                 extras) -> DerivativeScan:
+    n = inclusion.n_out
+    maps = [inclusion, candidate.gradient, *(u.gradient for u in reducers),
+            *(m for _, m in extras)]
+    if (pts.ndim != 2 or any(m.n_in != pts.shape[1] for m in maps)
+            or any(f.n != n or not f.regular for f in reducers)
+            or candidate.n != n):
+        raise ArrayHazard  # the pointwise path raises the matching error
+    fns = [(expr.compile_scalar_array(e), m) for e, m in extras]
+    axes = np.ascontiguousarray(pts.T)
+    shape = (len(time_nodes), len(pts))
+    value = np.zeros(shape)
+    minus_inf = np.zeros(shape, dtype=bool)
+    cols = np.zeros((len(extras),) + shape)
+    with np.errstate(all="ignore"):
+        for a, t in enumerate(time_nodes):
+            for start in range(0, len(pts), _CHUNK):
+                batch = axes[:, start:start + _CHUNK]
+                rows = slice(start, start + batch.shape[1])
+                value[a, rows], minus_inf[a, rows] = _derivative_arrays(
+                    candidate, inclusion, reducers, batch, t)
+                for k, (fn, m) in enumerate(fns):
+                    cols[k, a, rows] = fn(m.env_arrays(batch, t))
+    if not np.isfinite(cols).all():
+        raise ArrayHazard
+    return DerivativeScan(value, minus_inf, tuple(cols))
+
+
+def _gradient_arrays(f: RegularFunctionSpec, batch, t):
+    lo, hi, empty = f.gradient.value_arrays(batch, t)
+    if empty.any():
+        raise ArrayHazard
+    return lo, hi
+
+
+def _derivative_arrays(candidate, inclusion, reducers, batch, t):
+    """Array form of generalized_derivative: the pinch of every reducer,
+    the axiswise intersection, then the bilinear optimization, each with
+    the pointwise code's operation order and Python's max/min tie rule."""
+    lo, hi, minus_inf = inclusion.value_arrays(batch, t)
+    base_lo, base_hi = lo, hi
+    for k, u in enumerate(reducers):
+        g_lo, g_hi = _gradient_arrays(u, batch, t)
+        moving = g_lo != g_hi
+        pinch = moving[:-1]
+        minus_inf = minus_inf | moving[-1] | (
+            pinch & ~((base_lo <= 0.0) & (0.0 <= base_hi))).any(axis=0)
+        r_lo = np.where(pinch, 0.0, base_lo)
+        r_hi = np.where(pinch, 0.0, base_hi)
+        if k == 0:
+            lo, hi = r_lo, r_hi
+        else:
+            lo, hi = _max(lo, r_lo), _min(hi, r_hi)
+            minus_inf = minus_inf | (lo > hi).any(axis=0)
+    p_lo, p_hi = _gradient_arrays(candidate, batch, t)
+    total = 0.0
+    for i in range(len(lo)):
+        if candidate.regular:
+            best = [_max(c * lo[i], c * hi[i])
+                    for c in (p_lo[i], p_hi[i], 0.0)]
+            term = _min(best[0], best[1])
+            straddles = (p_lo[i] < 0.0) & (0.0 < p_hi[i])
+            term = np.where(straddles & (best[2] < term), best[2], term)
+        else:
+            term = p_lo[i] * lo[i]
+            for v in (p_lo[i] * hi[i], p_hi[i] * lo[i], p_hi[i] * hi[i]):
+                term = _max(term, v)
+        total = total + term
+    total = total + (p_lo[-1] if candidate.regular else p_hi[-1])
+    if not np.isfinite(total[~minus_inf]).all():
+        raise ArrayHazard
+    return np.where(minus_inf, 0.0, total), minus_inf

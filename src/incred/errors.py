@@ -16,6 +16,7 @@ class DslSyntaxError(IncredError):
     """Expression text failed to parse. Carries the byte offset."""
 
     def __init__(self, message: str, offset: int, src: str = ""):
+        self.message = message
         self.offset = offset
         self.src = src
         super().__init__(f"{message} (at offset {offset})")
@@ -39,3 +40,12 @@ class SchemaError(IncredError):
 
 class SimulationError(IncredError):
     """Trajectory integration could not proceed."""
+
+
+class ArrayHazard(Exception):
+    """The array evaluator met a row it does not reproduce bit for bit.
+
+    Raised for a near-zero denominator, an inverted interval literal, a
+    non-finite value or an empty gradient piece. Scans catch it and
+    recompute pointwise, so it never escapes the package.
+    """

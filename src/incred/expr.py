@@ -39,6 +39,16 @@ ASTs are immutable; evaluation is pure. ``compile_scalar`` /
 ``compile_set`` / ``compile_guard`` produce plain Python closures with
 semantics identical to the tree-walking evaluators (same operations in
 the same order); grid scans use them as a fast path.
+
+The ``*_array`` compilers emit the same code over numpy arrays of rows:
+variables are arrays (or floats), a set evaluates to ``lo``/``hi``
+endpoint arrays and a guard to a boolean mask. Every row gets the bits
+the scalar closure gives it: ``max``/``min``/``hull`` keep Python's
+first-argument rule on ties and signed zeros, and ``exp``/``sin``/``cos``
+go element by element through :mod:`math`. ``and``/``or`` do not short
+circuit. Where a scalar closure could raise (near-zero denominator,
+inverted interval literal, math range error), the array closure raises
+:class:`~incred.errors.ArrayHazard` for the whole batch instead.
 """
 
 from __future__ import annotations
@@ -48,7 +58,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import DslEvalError, DslSyntaxError
+import numpy as np
+
+from .errors import ArrayHazard, DslEvalError, DslSyntaxError
 from .intervals import Interval
 
 __all__ = [
@@ -59,8 +71,9 @@ __all__ = [
     "parse_scalar", "parse_set", "parse_guard",
     "eval_scalar", "eval_set", "eval_guard",
     "compile_scalar", "compile_set", "compile_guard",
+    "compile_scalar_array", "compile_set_array", "compile_guard_array",
     "pretty_scalar", "pretty_set", "pretty_guard",
-    "free_vars", "DEFAULT_VARIABLES",
+    "free_vars", "substitute", "DEFAULT_VARIABLES",
 ]
 
 DEFAULT_VARIABLES = frozenset({f"x{i}" for i in range(1, 10)} | {"t"})
@@ -606,22 +619,28 @@ def _set_code(node: SetExpr) -> str:
     raise TypeError(f"not a set expression: {node!r}")
 
 
-def _guard_code(node: GuardExpr) -> str:
+_JOINERS = {(AndGuard, False): " and ", (OrGuard, False): " or ",
+            (AndGuard, True): " & ", (OrGuard, True): " | "}
+
+
+def _guard_code(node: GuardExpr, masks: bool = False) -> str:
+    """Guard code with ``and/or/not``, or mask code with ``& | _not``."""
     if isinstance(node, TrueGuard):
         return "True"
     if isinstance(node, Comparison):
         return f"({_scalar_code(node.left)} {node.op} {_scalar_code(node.right)})"
-    if isinstance(node, AndGuard):
-        return "(" + " and ".join(_guard_code(t) for t in node.terms) + ")"
-    if isinstance(node, OrGuard):
-        return "(" + " or ".join(_guard_code(t) for t in node.terms) + ")"
+    if isinstance(node, (AndGuard, OrGuard)):
+        word = _JOINERS[type(node), masks]
+        return "(" + word.join(_guard_code(t, masks) for t in node.terms) + ")"
     if isinstance(node, NotGuard):
+        if masks:
+            return f"_not({_guard_code(node.operand, masks)})"
         return f"(not {_guard_code(node.operand)})"
     raise TypeError(f"not a guard expression: {node!r}")
 
 
-def _build(code: str) -> Callable:
-    return eval(f"lambda _e: {code}", dict(_COMPILE_NS))
+def _build(code: str, namespace: dict = _COMPILE_NS) -> Callable:
+    return eval(f"lambda _e: {code}", dict(namespace))
 
 
 def compile_scalar(node: ScalarExpr) -> Callable[[Mapping[str, float]], float]:
@@ -634,6 +653,86 @@ def compile_set(node: SetExpr) -> Callable[[Mapping[str, float]], Interval]:
 
 def compile_guard(node: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
     return _build(_guard_code(node))
+
+
+# --- compilation to numpy array closures --------------------------------
+
+def _array_max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _array_min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _array_sgn(y):
+    return np.where(y == 0.0, 0.0, np.where(y > 0.0, 1.0, -1.0))
+
+
+def _array_div(a, b):
+    if np.any(np.abs(b) < _DIV_FLOOR):
+        raise ArrayHazard
+    return a / b
+
+
+def _elementwise(fn: Callable[[float], float]) -> Callable:
+    def apply(a):
+        try:
+            if np.ndim(a) == 0:
+                return fn(float(a))
+            return np.array([fn(v) for v in a.tolist()], dtype=float)
+        except (OverflowError, ValueError):
+            raise ArrayHazard from None
+    return apply
+
+
+class _Span:
+    """Endpoint arrays of a set expression over a batch of rows."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    def add(self, other: "_Span") -> "_Span":
+        return _Span(self.lo + other.lo, self.hi + other.hi)
+
+    def scale(self, c) -> "_Span":
+        a = c * self.lo
+        b = c * self.hi
+        return _Span(_array_min(a, b), _array_max(a, b))
+
+
+def _array_interval(lo, hi) -> _Span:
+    if np.any(lo > hi):
+        raise ArrayHazard
+    return _Span(lo, hi)
+
+
+_ARRAY_NS = {
+    "_div": _array_div, "_abs": np.abs, "_max": _array_max,
+    "_min": _array_min, "_sgn": _array_sgn,
+    "_sgn1": lambda y: np.where((-1.0 < y) & (y < 1.0), 0.0, _array_sgn(y)),
+    "_exp": _elementwise(math.exp), "_sin": _elementwise(math.sin),
+    "_cos": _elementwise(math.cos), "_pt": lambda v: _Span(v, v),
+    "_intv": _array_interval,
+    "_hullv": lambda a, b: _Span(_array_min(a, b), _array_max(a, b)),
+    "_not": np.logical_not,
+}
+
+
+def compile_scalar_array(node: ScalarExpr) -> Callable:
+    return _build(_scalar_code(node), _ARRAY_NS)
+
+
+def compile_set_array(node: SetExpr) -> Callable:
+    """Closure returning an object with ``lo`` and ``hi`` endpoint arrays."""
+    return _build(_set_code(node), _ARRAY_NS)
+
+
+def compile_guard_array(node: GuardExpr) -> Callable:
+    return _build(_guard_code(node, masks=True), _ARRAY_NS)
 
 
 # --- free variables -----------------------------------------------------
@@ -675,6 +774,21 @@ def free_vars(node) -> frozenset[str]:
     if isinstance(node, ScaledSet):
         return free_vars(node.coeff) | free_vars(node.operand)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def substitute(node: ScalarExpr,
+               names: Mapping[str, ScalarExpr]) -> ScalarExpr:
+    """``node`` with every variable listed in ``names`` replaced."""
+    if isinstance(node, Var):
+        return names.get(node.name, node)
+    if isinstance(node, Neg):
+        return Neg(substitute(node.operand, names))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, substitute(node.left, names),
+                     substitute(node.right, names))
+    if isinstance(node, Call):
+        return Call(node.func, tuple(substitute(a, names) for a in node.args))
+    return node
 
 
 # --- pretty printers ----------------------------------------------------

@@ -75,6 +75,16 @@ class GridSpec:
         """All grid points in row-major (lexicographic) order."""
         return list(itertools.product(*self.axis_nodes(domain, extra)))
 
+    def node_array(self, domain: IntervalBox) -> np.ndarray:
+        """:meth:`nodes` as an ``(N, dims)`` float array, in the same order.
+
+        The array is the transpose of a C-contiguous ``(dims, N)`` one,
+        so each axis's coordinates are contiguous.
+        """
+        mesh = np.meshgrid(*self.axis_nodes(domain), indexing="ij",
+                           copy=False)
+        return np.stack(mesh).reshape(self.dims, -1).T
+
     def refined(self, factor: int) -> GridSpec:
         """A grid ``factor`` times finer that keeps every existing node."""
         if factor < 1:

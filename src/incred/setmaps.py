@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import (DimensionMismatchError, DslSyntaxError, EmptySetError,
-                     SchemaError)
+from .errors import (ArrayHazard, DimensionMismatchError, DslSyntaxError,
+                     EmptySetError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
 from .grids import GridSpec
 from .intervals import IntervalBox
@@ -64,7 +64,7 @@ class PiecewiseBoxMap:
     """Ordered guarded pieces mapping ``(x, t)`` to a box in ``R^n_out``."""
 
     __slots__ = ("n_in", "n_out", "pieces", "params", "time_dependent",
-                 "_var_names", "_param_fns", "_compiled")
+                 "_var_names", "_param_fns", "_compiled", "_array_compiled")
 
     def __init__(self, n_in: int, n_out: int, pieces: Sequence[Piece],
                  params: ParamTable = ()):
@@ -92,6 +92,7 @@ class PiecewiseBoxMap:
              None if p.values is None
              else tuple(expr.compile_set(v) for v in p.values))
             for p in pieces)
+        self._array_compiled = None
         used = set()
         for p in pieces:
             used |= expr.free_vars(p.guard)
@@ -119,6 +120,61 @@ class PiecewiseBoxMap:
                     return IntervalBox.empty(self.n_out)
                 return IntervalBox(fn(env) for fn in value_fns)
         raise AssertionError("unreachable: otherwise piece is mandatory")
+
+    def env_arrays(self, cols: Sequence[np.ndarray], t: float) -> dict:
+        """:meth:`env` with one array of coordinates per state variable.
+
+        Parameters depend only on ``t`` and are evaluated once, by the
+        scalar closures.
+        """
+        env = self.env((), t)
+        env.update(zip(self._var_names, cols))
+        return env
+
+    def value_arrays(self, cols: Sequence[np.ndarray], t: float):
+        """:meth:`value` at every row of ``cols`` (one array per axis).
+
+        Returns ``(lo, hi, empty)``: endpoint arrays of shape
+        ``(n_out, rows)`` (zeros on empty rows) and the empty-piece mask.
+        Each guard is tested only on the rows no earlier piece matched,
+        and each piece's sets only on its own rows. Raises
+        :class:`ArrayHazard` when an endpoint is not finite.
+        """
+        if self._array_compiled is None:
+            self._array_compiled = tuple(
+                (expr.compile_guard_array(p.guard),
+                 None if p.values is None
+                 else tuple(expr.compile_set_array(v) for v in p.values))
+                for p in self.pieces)
+        rows = len(cols[0])
+        lo = np.zeros((self.n_out, rows))
+        hi = np.zeros((self.n_out, rows))
+        empty = np.zeros(rows, dtype=bool)
+        left = np.arange(rows)
+        env = self.env_arrays(cols, t)
+        for guard_fn, set_fns in self._array_compiled:
+            hit = np.broadcast_to(guard_fn(env), left.shape)
+            mine = left[hit]
+            if set_fns is None:
+                empty[mine] = True
+            elif mine.size:
+                sub = env if mine.size == left.size else _take(env, hit)
+                for j, fn in enumerate(set_fns):
+                    span = fn(sub)
+                    lo[j, mine] = span.lo
+                    hi[j, mine] = span.hi
+            if mine.size == left.size:
+                break
+            env = _take(env, ~hit)
+            left = left[~hit]
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ArrayHazard
+        return lo, hi, empty
+
+
+def _take(env: dict, rows) -> dict:
+    return {k: v[rows] if isinstance(v, np.ndarray) else v
+            for k, v in env.items()}
 
 
 def eval_map(m: PiecewiseBoxMap, x: Sequence[float], t: float) -> IntervalBox:
@@ -359,7 +415,7 @@ def _parse_in(where: str, parse_fn, src, variables):
     try:
         return parse_fn(src, variables)
     except DslSyntaxError as e:
-        raise DslSyntaxError(f"{where}: {e.args[0]}", e.offset, src) from None
+        raise DslSyntaxError(f"{where}: {e.message}", e.offset, src) from None
 
 
 def _float_list(values, length: int, where: str) -> tuple[float, ...]:

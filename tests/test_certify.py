@@ -9,6 +9,21 @@ from incred.derivative import baseline_max_derivative, generalized_derivative
 from incred.errors import SchemaError
 from incred.grids import GridSpec
 from incred.intervals import IntervalBox
+from incred.setmaps import system_from_dict
+
+
+def _decay_1d(value_at_zero: str = "{0}", time_nodes=(0,)):
+    """x' = -x on [-1, 1] with V = x^2/2, so the derivative is -x^2."""
+    return system_from_dict({
+        "n": 1,
+        "F": {"pieces": [{"guard": "x1 == 0", "value": [value_at_zero]},
+                         {"guard": "otherwise", "value": ["{-x1}"]}]},
+        "V": {"value": "0.5*x1*x1", "regular": True,
+              "gradient": [{"guard": "otherwise", "value": ["{x1}", "{0}"]}]},
+        "domain": {"lo": [-1], "hi": [1]},
+        "grid": {"counts": [5], "include": [[0]],
+                 "time_nodes": list(time_nodes)},
+    })
 
 
 class TestGridSpec:
@@ -118,6 +133,19 @@ class TestCertifyLyapunov:
         assert fine.worst_margin >= coarse.worst_margin - 1e-12
 
 
+    def test_nan_derivative_is_a_violation(self):
+        # F = {inf} at the origin and V' = 0 there: the derivative is
+        # 0 * inf = NaN, which must fail closed, not certify.
+        system = _decay_1d("{1e308*10}")
+        cert = certify_lyapunov(system, ex.parse_scalar("x1*x1"))
+        assert cert.verdict == VIOLATED
+        assert cert.details["nonfinite_margins"] == 1
+        assert cert.details["derivative_violations"] == 1
+        clean = certify_lyapunov(_decay_1d(), ex.parse_scalar("x1*x1"))
+        assert clean.verdict == CERTIFIED
+        assert "nonfinite_margins" not in clean.details
+
+
 class TestCertifySemidefinite:
     def test_partial_bound_passes(self, example5):
         cert = certify_semidefinite(example5, example5.checks.semidef_bound)
@@ -144,6 +172,15 @@ class TestCertifySemidefinite:
         cert = certify_semidefinite(example5, ex.parse_scalar("x1"))
         assert cert.verdict == VIOLATED
         assert "screen_failures" in cert.details
+
+    def test_bound_screened_at_every_time_node(self):
+        system = _decay_1d(time_nodes=(0, 5))
+        bound = ex.parse_scalar("x1*x1*(1 - t)")
+        cert = certify_semidefinite(system, bound)
+        assert cert.verdict == VIOLATED
+        assert cert.details["derivative_violations"] == 0
+        assert cert.details["screen_failures"] == [
+            "bound([-1.0]) = -4.0 at t=5.0 is negative"]
 
 
 class TestInvarianceData:

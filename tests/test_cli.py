@@ -57,14 +57,6 @@ class TestExitCodes:
         assert run("certify", "-i", str(tmp_path / "nope.json"),
                    "-o", str(tmp_path)) == 2
 
-    def test_thread_cap_is_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("INCRED_THREADS", "zero")
-        assert run("certify", "-i", fixture_path("example2"),
-                   "-o", str(tmp_path)) == 3
-        monkeypatch.setenv("INCRED_THREADS", "2")
-        assert run("certify", "-i", fixture_path("example2"),
-                   "-o", str(tmp_path)) == 0
-
 
 class TestReduce:
     def test_example1_table_contents(self, tmp_path):

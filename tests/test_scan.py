@@ -1,0 +1,230 @@
+"""The array scan kernel against the pointwise reference evaluator.
+
+``scan_derivative`` evaluates batches of nodes as numpy arrays and falls
+back to the pointwise evaluator when a batch meets a hazard. These tests
+call both evaluators directly: wherever the array path returns, its
+columns must carry the same bits as the pointwise ones, and the public
+kernel must raise exactly what the pointwise evaluator raises.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import incred.derivative as deriv
+import incred.expr as ex
+from incred.certify import (build_matrosov_problem, certify_lyapunov,
+                            certify_semidefinite, invariance_data,
+                            matrosov_derivative_bounds)
+from incred.errors import ArrayHazard
+from incred.fixtures import available_fixtures, load_fixture
+from incred.setmaps import Piece, PiecewiseBoxMap, RegularFunctionSpec
+
+# Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
+COORDS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+PARAMS = (("g", ex.parse_scalar("0.5*exp(-t)")),)
+X1, X2 = ex.Var("x1"), ex.Var("x2")
+
+NUMS = (0.0, -0.0, 0.5, 1.0, -1.0, 3.0)
+LEAVES = [ex.Num(v) for v in NUMS] + [X1, X2, ex.Var("t"), ex.Var("g")]
+UNARY = ("abs", "sgn", "sgn1", "exp", "sin", "cos")
+CMP = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _kind(draw, flat, nested, depth: int) -> str:
+    """A node kind: ``nested`` kinds recurse, so only while depth remains."""
+    return draw(st.sampled_from(flat + (nested if depth > 0 else ())))
+
+
+def _scalar(draw, risky: bool, depth: int = 2):
+    """A scalar expression; ``risky`` adds divisions by arbitrary terms."""
+    kind = _kind(draw, ("leaf",), ("neg", "unary", "minmax", "arith")
+                 + (("div",) if risky else ()), depth)
+    if kind == "leaf":  # 1e308 overflows to inf and exp() to a range error
+        return draw(st.sampled_from(LEAVES + [ex.Num(1e308)] * risky))
+    a = _scalar(draw, risky, depth - 1)
+    if kind == "neg":
+        return ex.Neg(a)
+    if kind == "unary":
+        return ex.Call(draw(st.sampled_from(UNARY)), (a,))
+    b = _scalar(draw, risky, depth - 1)
+    if kind == "minmax":
+        return ex.Call(draw(st.sampled_from(["max", "min"])), (a, b))
+    op = "/" if kind == "div" else draw(st.sampled_from("+-*"))
+    return ex.BinOp(op, a, b)
+
+
+def _guard(draw, risky: bool, depth: int = 1):
+    kind = _kind(draw, ("surface", "compare")
+                 + (("protected-division",) if risky else ()),
+                 ("not", "and", "or"), depth)
+    if kind == "surface":  # exact comparisons hit by grid nodes
+        var = draw(st.sampled_from([X1, X2]))
+        level = ex.Num(draw(st.sampled_from([0.0, 0.5, 1.0])))
+        return ex.Comparison(draw(st.sampled_from(CMP)),
+                             ex.Call("abs", (var,)), level)
+    if kind == "compare":
+        return ex.Comparison(draw(st.sampled_from(CMP)),
+                             _scalar(draw, risky), _scalar(draw, risky))
+    if kind == "protected-division":  # the scalar path short-circuits
+        var = draw(st.sampled_from([X1, X2]))
+        return ex.AndGuard((
+            ex.Comparison("!=", var, ex.Num(0.0)),
+            ex.Comparison(">", ex.BinOp("/", ex.Num(1.0), var), ex.Num(1.0))))
+    if kind == "not":
+        return ex.NotGuard(_guard(draw, risky, depth - 1))
+    terms = (_guard(draw, risky, depth - 1), _guard(draw, risky, depth - 1))
+    return ex.AndGuard(terms) if kind == "and" else ex.OrGuard(terms)
+
+
+def _set(draw, risky: bool, depth: int = 1):
+    kind = _kind(draw, ("point", "ordered", "hull")
+                 + (("literal",) if risky else ()), ("sum", "scaled"), depth)
+    if kind == "point":
+        return ex.SingletonSet(_scalar(draw, risky))
+    if kind == "ordered":
+        a = _scalar(draw, risky)
+        return ex.IntervalSet(ex.BinOp("-", a, ex.Num(1.0)),
+                              ex.BinOp("+", a, ex.Num(1.0)))
+    if kind in ("hull", "literal"):  # a literal inverts on some rows
+        build = ex.HullSet if kind == "hull" else ex.IntervalSet
+        return build(_scalar(draw, risky), _scalar(draw, risky))
+    if kind == "sum":
+        return ex.SumSet((_set(draw, risky, depth - 1),
+                          _set(draw, risky, depth - 1)))
+    return ex.ScaledSet(_scalar(draw, risky, 1), _set(draw, risky, depth - 1))
+
+
+def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool):
+    """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
+
+    With three outputs (a gradient) the last axis is time; it is often
+    degenerate, so reducers do not always empty the reduced set.
+    """
+    def values():
+        out = [_set(draw, risky) for _ in range(n_out)]
+        if n_out == 3 and draw(st.booleans()):
+            out[2] = ex.SingletonSet(draw(st.sampled_from(
+                [ex.Num(0.0), ex.Var("g")])))
+        return tuple(out)
+
+    pieces = []
+    for _ in range(draw(st.integers(0, 2))):
+        empty = empty_pieces and draw(st.integers(0, 3)) == 0
+        pieces.append(Piece(_guard(draw, risky),
+                            None if empty else values()))
+    pieces.append(Piece(ex.TrueGuard(), values()))
+    return PiecewiseBoxMap(2, n_out, pieces, PARAMS)
+
+
+@st.composite
+def cases(draw):
+    """A scan input; half of them free of every array hazard by design."""
+    risky = draw(st.booleans())
+
+    def function(regular):
+        return RegularFunctionSpec("f", 2, ex.Num(0.0),
+                                   _piecewise(draw, risky, 3, risky), regular)
+
+    inclusion = _piecewise(draw, risky, 2, True)
+    return {
+        "candidate": function(draw(st.booleans())),
+        "inclusion": inclusion,
+        "reducers": [function(True) for _ in range(draw(st.integers(0, 2)))],
+        "nodes": draw(st.lists(st.tuples(st.sampled_from(COORDS),
+                                         st.sampled_from(COORDS)),
+                               min_size=1, max_size=12)),
+        "time_nodes": draw(st.lists(st.sampled_from([0.0, 1.0, 5.0]),
+                                    min_size=1, max_size=2)),
+        "extras": [(_scalar(draw, risky), inclusion)
+                   for _ in range(draw(st.integers(0, 2)))],
+        "chunk": draw(st.sampled_from([1, 3, 4096])),
+    }
+
+
+def _bits(columns):
+    return [[struct.pack("d", v) for v in np.ravel(c).tolist()]
+            for c in (columns.value, *columns.extras)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArrayHazard:
+        raise
+    except Exception as e:  # the reference's own error, compared below
+        return type(e), str(e)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return (_bits(a) == _bits(b)
+            and np.array_equal(a.minus_inf, b.minus_inf))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=cases())
+def test_array_scan_is_bit_identical_to_pointwise(case):
+    args = (case["candidate"], case["inclusion"], case["reducers"],
+            np.array(case["nodes"]), case["time_nodes"], case["extras"])
+    saved, deriv._CHUNK = deriv._CHUNK, case["chunk"]
+    try:
+        reference = _outcome(deriv._scan_pointwise, *args)
+        try:
+            fast = deriv._scan_arrays(*args)
+        except ArrayHazard:
+            fast = None
+        public = _outcome(deriv.scan_derivative, *args)
+    finally:
+        deriv._CHUNK = saved
+    if fast is not None:
+        # the array path never returns where the reference raises
+        assert not isinstance(reference, tuple), reference
+        assert _same(fast, reference)
+    assert _same(public, reference)
+
+
+def _fixture_scans(system):
+    """Every check of the CLI that goes through scan_derivative."""
+    runs = []
+    checks = system.checks
+    if checks is not None and checks.decrease_bound is not None:
+        sandwich = None
+        if checks.lower_envelope is not None:
+            sandwich = (checks.lower_envelope, checks.upper_envelope)
+        runs.append(lambda: certify_lyapunov(
+            system, checks.decrease_bound, sandwich=sandwich))
+    if checks is not None and checks.semidef_bound is not None:
+        runs.append(lambda: certify_semidefinite(system, checks.semidef_bound))
+    if not system.time_dependent:
+        runs.append(lambda: invariance_data(system))
+    if system.matrosov is not None:
+        runs.append(lambda: matrosov_derivative_bounds(
+            system, build_matrosov_problem(system)))
+    return runs
+
+
+@pytest.mark.parametrize("name", available_fixtures())
+def test_fixture_scans_take_the_array_path(name, monkeypatch):
+    runs = _fixture_scans(load_fixture(name))
+    assert runs
+
+    def no_fallback(*args):
+        raise AssertionError("the array scan fell back")
+
+    def hazard(*args):
+        raise ArrayHazard
+
+    monkeypatch.setattr(deriv, "_scan_pointwise", no_fallback)
+    fast = [json.dumps(run().to_dict(), sort_keys=True) for run in runs]
+    monkeypatch.undo()
+    monkeypatch.setattr(deriv, "_scan_arrays", hazard)
+    slow = [json.dumps(run().to_dict(), sort_keys=True) for run in runs]
+    assert fast == slow

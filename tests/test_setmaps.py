@@ -242,6 +242,7 @@ class TestSystemLoading:
         with pytest.raises(DslSyntaxError) as err:
             system_from_dict(doc)
         assert "F.pieces[0].value[0]" in str(err.value)
+        assert str(err.value).count("(at offset") == 1
 
     def test_out_of_range_state_variable(self):
         doc = self._minimal()
