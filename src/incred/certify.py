@@ -29,7 +29,6 @@ worst-case tracking uses strict improvement, so reports are byte-stable.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import expr
 from .derivative import scan_derivative
-from .errors import SchemaError
+from .errors import ArrayHazard, SchemaError
 from .grids import GridSpec
 from .intervals import Annulus, IntervalBox, contains
 from .setmaps import RegularFunctionSpec, SystemDef, eval_map
@@ -99,31 +98,12 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-class _Worst:
-    """Deterministic worst-case tracker (strict improvement, scan order)."""
-
-    __slots__ = ("margin", "point", "t")
-
-    def __init__(self):
-        self.margin = -math.inf
-        self.point = None
-        self.t = None
-
-    def offer(self, margin: float, point, t) -> None:
-        if margin > self.margin:
-            self.margin = margin
-            self.point = tuple(point)
-            self.t = t
-
-    def seen(self) -> bool:
-        return self.point is not None
-
-
-# --- verdict reducers over scan_derivative columns -------------------------
+# --- verdict reducers over margin columns ----------------------------------
 #
-# Columns have shape (time nodes, nodes); flattened, their order is the
-# scan order (time outer, nodes row-major), so "first in scan order" is
-# the lowest flat index.
+# Margins are flat in scan order, so "first in scan order" is the lowest
+# flat index. scan_derivative columns have shape (time nodes, nodes):
+# time outer, nodes row-major. Matrosov columns follow the (z, x) rows of
+# _aux_table.
 
 def _violations(margin: np.ndarray, counted: np.ndarray,
                 tol: float) -> int:
@@ -133,16 +113,17 @@ def _violations(margin: np.ndarray, counted: np.ndarray,
 
 
 def _margin_certificate(condition: str, margin: np.ndarray,
-                        counted: np.ndarray, violations: int,
-                        pts: np.ndarray, time_nodes, tol: float,
-                        grid_summary: dict, details: dict,
+                        counted: np.ndarray, violations: int, witness,
+                        tolerances: dict, grid_summary: dict, details: dict,
                         failures: Sequence[str] = ()) -> Certificate:
-    """Verdict on ``margin <= tol`` at every counted pair, failing closed.
+    """Verdict from ``violations`` (see :func:`_violations`) and screen
+    ``failures``, with the worst counted margin as witness.
 
-    ``margin`` and ``counted`` are flat in scan order, possibly repeated
-    over an outer index; ``margin`` is overwritten. The witness is the
-    first maximal non-NaN margin, the pair strict improvement in scan
-    order keeps. ``details`` gains ``nonfinite_margins`` when nonzero.
+    ``margin`` and ``counted`` are flat in scan order; ``margin`` is
+    overwritten. ``witness(k)`` gives the point row and the ``t`` label
+    of flat index ``k``. The witness is the first maximal non-NaN margin,
+    the pair strict improvement in scan order keeps. ``details`` gains
+    ``nonfinite_margins`` when nonzero.
     """
     nonfinite = int(np.count_nonzero(counted & ~np.isfinite(margin)))
     if nonfinite:
@@ -153,14 +134,22 @@ def _margin_certificate(condition: str, margin: np.ndarray,
     k = int(np.argmax(margin)) if margin.size else 0
     point = t = worst = None
     if margin.size and margin[k] > -np.inf:
-        a, b = divmod(k, len(pts))
-        point, t = tuple(pts[b].tolist()), time_nodes[a % len(time_nodes)]
-        worst = float(margin[k])
+        row, t = witness(k)
+        point, worst = tuple(row.tolist()), float(margin[k])
     return Certificate(
         verdict=CERTIFIED if not violations and not failures else VIOLATED,
         condition=condition, worst_point=point, worst_t=t,
-        worst_margin=worst, tolerances={"margin_tol": tol},
+        worst_margin=worst, tolerances=tolerances,
         grid_summary=grid_summary, details=details)
+
+
+def _scan_witness(pts: np.ndarray, time_nodes):
+    """Witness lookup for scan columns flattened time outer, possibly
+    repeated over a further outer index."""
+    def witness(k):
+        a, b = divmod(k, len(pts))
+        return pts[b], time_nodes[a % len(time_nodes)]
+    return witness
 
 
 def _decrease_certificate(condition: str, scan, bound: np.ndarray,
@@ -177,8 +166,9 @@ def _decrease_certificate(condition: str, scan, bound: np.ndarray,
                    minus_inf_nodes=int(np.count_nonzero(scan.minus_inf)),
                    derivative_violations=violations,
                    reducers=[u.name for u in reducers])
-    return _margin_certificate(condition, margin, counted, violations, pts,
-                               grid.time_nodes, tol, grid.summary(sys.domain),
+    return _margin_certificate(condition, margin, counted, violations,
+                               _scan_witness(pts, grid.time_nodes),
+                               {"margin_tol": tol}, grid.summary(sys.domain),
                                details, failures)
 
 
@@ -358,7 +348,8 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
     e_nodes = [tuple(x) for x in vanishing.tolist()]
     violations = _violations(d, counted, tol)
     cert = _margin_certificate(
-        "derivative-nonpositive", d, counted, violations, pts, (t0,), tol,
+        "derivative-nonpositive", d, counted, violations,
+        _scan_witness(pts, (t0,)), {"margin_tol": tol},
         grid.summary(sys.domain),
         {"note": _GRID_NOTE,
          "minus_inf_nodes": int(np.count_nonzero(scan.minus_inf)),
@@ -456,24 +447,69 @@ def matrosov_grid(prob: MatrosovProblem, sys: SystemDef,
     return z_nodes, x_nodes
 
 
-def _aux_rows(prob: MatrosovProblem, z_nodes, x_nodes):
-    """Evaluate Y_1..Y_M at every (z, x) pair, in deterministic order.
+def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
+    """``(points, y)``: the (z, x) rows as an ``(R, m + n)`` array of
+    ``z + x``, x outer and z inner, and Y_1..Y_M there as ``(M, R)``.
 
-    When no auxiliary expression reads z, a single representative z is
-    evaluated (the chain condition is then z-independent).
+    When no Y reads z only the first z is used (the checks are then
+    z-independent). On an ArrayHazard the pointwise reference refills
+    the table row by row and raises the pointwise errors.
     """
-    fns = [expr.compile_scalar(y) for y in prob.aux]
-    z_iter = z_nodes if prob.aux_uses_z() else z_nodes[:1]
-    x_names = [f"x{i+1}" for i in range(len(x_nodes[0]))]
-    z_names = [f"z{i+1}" for i in range(prob.m)]
-    rows = []
-    for x in x_nodes:
-        base = dict(zip(x_names, x))
-        for z in z_iter:
-            env = dict(base)
-            env.update(zip(z_names, z))
-            rows.append((z, x, [fn(env) for fn in fns]))
-    return rows
+    z = np.array(z_nodes if prob.aux_uses_z() else z_nodes[:1],
+                 dtype=float).reshape(-1, prob.m)
+    x = np.array(x_nodes, dtype=float)
+    points = np.hstack([np.tile(z, (len(x), 1)),
+                        np.repeat(x, len(z), axis=0)])
+    names = ([f"z{i+1}" for i in range(prob.m)]
+             + [f"x{i+1}" for i in range(x.shape[1])])
+    try:
+        return points, _aux_arrays(prob.aux, names, points)
+    except ArrayHazard:
+        return points, _aux_pointwise(prob.aux, names, points)
+
+
+def _aux_arrays(aux, names, points) -> np.ndarray:
+    env = dict(zip(names, points.T))
+    y = np.empty((len(aux), len(points)))
+    with np.errstate(all="ignore"):
+        for k, e in enumerate(aux):
+            y[k] = expr.compile_scalar_array(e)(env)
+    if not np.isfinite(y).all():
+        raise ArrayHazard
+    return y
+
+
+def _aux_pointwise(aux, names, points) -> np.ndarray:
+    fns = [expr.compile_scalar(e) for e in aux]
+    y = np.empty((len(aux), len(points)))
+    for r, row in enumerate(points.tolist()):
+        env = dict(zip(names, row))
+        for k, fn in enumerate(fns):
+            y[k, r] = fn(env)
+    return y
+
+
+def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
+    """``(M + 1, R)`` mask: row j flags where Y_1..Y_j all lie within
+    ``eq_tol`` of 0 (row 0 everywhere)."""
+    small = np.abs(y) <= eq_tol
+    return np.vstack([np.ones((1, y.shape[1]), dtype=bool),
+                      np.logical_and.accumulate(small, axis=0)])
+
+
+def _combined_certificate(condition: str, combined: np.ndarray, zeta: float,
+                          M: int, points: np.ndarray, tolerances: dict,
+                          grid_summary: dict, details: dict) -> Certificate:
+    """Verdict on ``Z <= -zeta / 2^(M-1)`` at every (z, x) row, where
+    ``combined`` holds Z; the witness is labelled t = 0.0."""
+    final_bound = -zeta / (2.0 ** (M - 1))
+    margin = combined - final_bound
+    counted = np.ones(margin.size, dtype=bool)
+    violations = _violations(margin, counted, 0.0)
+    details.update(final_bound=final_bound, combination_violations=violations)
+    return _margin_certificate(condition, margin, counted, violations,
+                               lambda k: (points[k], 0.0), tolerances,
+                               grid_summary, details)
 
 
 def matrosov_chain(prob: MatrosovProblem, z_nodes, x_nodes,
@@ -485,35 +521,21 @@ def matrosov_chain(prob: MatrosovProblem, z_nodes, x_nodes,
     the annulus) are applied here. Equality triggers use ``|Y_i| <=
     eq_tol``; the same tolerance bounds the required sign.
     """
-    M = prob.count
-    rows = _aux_rows(prob, z_nodes, x_nodes)
-    worst = _Worst()
-    violations = 0
-    trigger_counts = [0] * (M + 1)
-    for z, x, y in rows:
-        trig = True
-        for j in range(M + 1):
-            if j >= 1:
-                trig = trig and abs(y[j - 1]) <= eq_tol
-            if not trig:
-                break
-            trigger_counts[j] += 1
-            nxt = y[j] if j < M else 1.0
-            margin = nxt - eq_tol
-            worst.offer(margin, z + x, float(j))
-            if margin > 0.0:
-                violations += 1
-    verdict = CERTIFIED if not violations else VIOLATED
-    return Certificate(
-        verdict=verdict, condition="matrosov-chain",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"eq_tol": eq_tol},
-        grid_summary={"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
-        details={"note": _GRID_NOTE + "; worst_t is the chain index j, "
-                 "worst_point is (z, x)",
-                 "trigger_counts": trigger_counts,
-                 "aux_uses_z": prob.aux_uses_z()})
+    points, y = _aux_table(prob, z_nodes, x_nodes)
+    trig = _chain_triggers(y, eq_tol)
+    nxt = np.vstack([y, np.ones((1, y.shape[1]))])
+    # flat index r * (M + 1) + j: row outer, chain index inner
+    margin = (nxt - eq_tol).T.ravel()
+    counted = trig.T.ravel()
+    width = len(trig)
+    return _margin_certificate(
+        "matrosov-chain", margin, counted, _violations(margin, counted, 0.0),
+        lambda k: (points[k // width], float(k % width)), {"eq_tol": eq_tol},
+        {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
+        {"note": _GRID_NOTE + "; worst_t is the chain index j, "
+         "worst_point is (z, x)",
+         "trigger_counts": trig.sum(axis=1).tolist(),
+         "aux_uses_z": prob.aux_uses_z()})
 
 
 @dataclass(frozen=True)
@@ -546,83 +568,62 @@ def matrosov_constants(prob: MatrosovProblem, z_nodes, x_nodes, *,
     ``Z <= -zeta / 2^{M-1}`` at every node.
     """
     M = prob.count
-    rows = _aux_rows(prob, z_nodes, x_nodes)
+    points, y = _aux_table(prob, z_nodes, x_nodes)
+    trig = _chain_triggers(y, eq_tol)
     grid_summary = {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}
+    tolerances = {"eq_tol": eq_tol, "cap": cap}
 
     def inconclusive(reason: str, diagnostics: dict) -> MatrosovConstantsResult:
         cert = Certificate(
             verdict=INCONCLUSIVE, condition="matrosov-constants",
             worst_point=None, worst_t=None, worst_margin=None,
-            tolerances={"eq_tol": eq_tol, "cap": cap},
-            grid_summary=grid_summary,
+            tolerances=tolerances, grid_summary=grid_summary,
             details={"reason": reason, **diagnostics})
         return MatrosovConstantsResult((), None, None, cert)
 
-    triggered = [y for _, _, y in rows
-                 if all(abs(y[i]) <= eq_tol for i in range(M - 1))]
     epsilon = None
-    if triggered:
-        epsilon = -max(y[M - 1] for y in triggered)
+    last = y[M - 1, trig[M - 1]]
+    if last.size:  # the first maximal value, NaN if any
+        epsilon = -float(last[np.argmax(last)])
     if zeta_target is not None:
         zeta = float(zeta_target)
     else:
         if epsilon is None:
             return inconclusive(
                 "no node triggers the full chain; supply zeta_target", {})
-        if epsilon <= 0.0:
+        if not epsilon > 0.0:
             return inconclusive(
                 "triggered nodes do not leave a negative gap "
                 "(is the chain certificate CERTIFIED?)",
                 {"epsilon_estimate": epsilon})
         zeta = epsilon
 
-    running = [y[M - 1] for _, _, y in rows]
+    running = y[M - 1]
     budget = zeta
     constants_rev: list[float] = []
     for level in range(M, 1, -1):
         budget /= 2.0
-        trig_idx = [r for r, (_, _, y) in enumerate(rows)
-                    if all(abs(y[i]) <= eq_tol for i in range(level - 2))]
+        on = trig[level - 2]
+        yl = y[level - 2]
         k = 1.0
-        while True:
-            ok = all(k * rows[r][2][level - 2] + running[r] <= -budget
-                     for r in trig_idx)
-            if ok:
-                break
+        while not np.all(k * yl[on] + running[on] <= -budget):
             k *= 2.0
             if k > cap:
-                worst_r = max(trig_idx,
-                              key=lambda r: rows[r][2][level - 2] + running[r])
+                worst = np.flatnonzero(on)[np.argmax(yl[on] + running[on])]
                 return inconclusive(
                     f"doubling search exceeded the cap at level {level}",
                     {"level": level, "budget": budget,
-                     "worst_point": list(rows[worst_r][0] + rows[worst_r][1]),
+                     "worst_point": points[worst].tolist(),
                      "epsilon_estimate": epsilon, "zeta": zeta})
         constants_rev.append(k)
-        running = [k * rows[r][2][level - 2] + running[r]
-                   for r in range(len(rows))]
+        running = k * yl + running
     constants = tuple(reversed(constants_rev))
 
-    final_bound = -zeta / (2.0 ** (M - 1))
-    worst = _Worst()
-    violations = 0
-    for r, (z, x, _) in enumerate(rows):
-        margin = running[r] - final_bound
-        worst.offer(margin, z + x, 0.0)
-        if margin > 0.0:
-            violations += 1
-    cert = Certificate(
-        verdict=CERTIFIED if not violations else VIOLATED,
-        condition="matrosov-constants",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"eq_tol": eq_tol, "cap": cap},
-        grid_summary=grid_summary,
-        details={"note": _GRID_NOTE + "; worst_point is (z, x), margin is "
-                 "Z - (-zeta / 2^(M-1))",
-                 "final_bound": final_bound,
-                 "combination_violations": violations,
-                 "epsilon_estimate": epsilon})
+    cert = _combined_certificate(
+        "matrosov-constants", running, zeta, M, points, tolerances,
+        grid_summary,
+        {"note": _GRID_NOTE + "; worst_point is (z, x), margin is "
+         "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon})
     return MatrosovConstantsResult(constants, zeta, epsilon, cert)
 
 
@@ -636,27 +637,13 @@ def verify_combined_bound(prob: MatrosovProblem, constants: Sequence[float],
     M = prob.count
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
-    rows = _aux_rows(prob, z_nodes, x_nodes)
-    final_bound = -zeta / (2.0 ** (M - 1))
-    worst = _Worst()
-    violations = 0
-    for z, x, y in rows:
-        combined = y[M - 1]
-        for k, yj in zip(constants, y):
-            combined += k * yj
-        margin = combined - final_bound
-        worst.offer(margin, z + x, 0.0)
-        if margin > 0.0:
-            violations += 1
-    return Certificate(
-        verdict=CERTIFIED if not violations else VIOLATED,
-        condition="matrosov-combined-bound",
-        worst_point=worst.point, worst_t=worst.t,
-        worst_margin=None if not worst.seen() else worst.margin,
-        tolerances={"zeta": zeta},
-        grid_summary={"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
-        details={"final_bound": final_bound,
-                 "combination_violations": violations})
+    points, y = _aux_table(prob, z_nodes, x_nodes)
+    combined = y[M - 1]
+    for k, yj in zip(constants, y):
+        combined = combined + k * yj
+    return _combined_certificate(
+        "matrosov-combined-bound", combined, zeta, M, points, {"zeta": zeta},
+        {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}, {})
 
 
 def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovProblem,
@@ -683,7 +670,8 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovProblem,
         per_function.append(_violations(margins[-1], counted[-1], tol))
     return _margin_certificate(
         "matrosov-derivative-bounds", np.concatenate(margins),
-        np.concatenate(counted), sum(per_function), pts, time_nodes, tol,
+        np.concatenate(counted), sum(per_function),
+        _scan_witness(pts, time_nodes), {"margin_tol": tol},
         {"x_nodes": len(x_nodes), "time_nodes": list(time_nodes)},
         {"note": "informational screen; the chain and constants "
                  "certificates do not depend on it",

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import certify as cert
@@ -55,11 +56,7 @@ def _load(args) -> SystemDef:
         if not system.candidate.regular:
             raise SchemaError(
                 "--baseline needs a regular candidate function")
-        system = SystemDef(
-            n=system.n, inclusion=system.inclusion,
-            candidate=system.candidate, reducers=(system.candidate,),
-            domain=system.domain, params=system.params, grid=system.grid,
-            matrosov=system.matrosov, checks=system.checks, sim=system.sim)
+        system = replace(system, reducers=(system.candidate,))
     if args.grid is not None or args.grid_file is not None:
         if args.grid is not None and args.grid_file is not None:
             raise SchemaError("give at most one of --grid and --grid-file")
@@ -74,11 +71,7 @@ def _load(args) -> SystemDef:
                 doc = json.load(fh)
             doc = doc.get("grid", doc)
             grid = _parse_grid(doc, system.n, "grid")
-        system = SystemDef(
-            n=system.n, inclusion=system.inclusion,
-            candidate=system.candidate, reducers=system.reducers,
-            domain=system.domain, params=system.params, grid=grid,
-            matrosov=system.matrosov, checks=system.checks, sim=system.sim)
+        system = replace(system, grid=grid)
     return system
 
 
@@ -234,7 +227,11 @@ def cmd_simulate(args) -> int:
     system = _load(args)
     sim = system.sim or SimSpec()
     if args.x0 is not None:
-        x0 = tuple(float(v) for v in args.x0.split(","))
+        try:
+            x0 = tuple(float(v) for v in args.x0.split(","))
+        except ValueError:
+            raise SchemaError("--x0: expected comma-separated numbers, got "
+                              f"{args.x0!r}") from None
     elif sim.x0 is not None:
         x0 = sim.x0
     else:

@@ -9,7 +9,8 @@ function along a box-valued inclusion are computed in closed form:
   marker when the reduced set is empty;
 * :func:`baseline_max_derivative` -- the classical "common value"
   derivative: the max of the values attained simultaneously by every
-  gradient element, computed from the candidate's own reduction;
+  gradient element, which is the generalized derivative reduced by the
+  candidate alone;
 * :func:`baseline_interval_derivative` -- the classical intersection
   derivative ``âˆ©_p p . (F x {1})``, an interval that may be empty.
 
@@ -31,7 +32,7 @@ certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ from .expr import _array_max as _max, _array_min as _min
 from .errors import (ArrayHazard, DimensionMismatchError, EmptySetError,
                      SchemaError)
 from .intervals import Interval, IntervalBox
-from .reduction import reduce_collection, reduce_once
+from .reduction import reduce_collection
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
 
 __all__ = [
@@ -167,28 +168,17 @@ def baseline_max_derivative(candidate: RegularFunctionSpec,
     """Max of the common-value derivative set of a regular candidate.
 
     The feasible directions are those of the candidate's own reduction;
-    on them ``p . [q; 1]`` does not depend on ``p``, so the max is
-    evaluated at a single fixed gradient element (the box center).
-    Empty reduction => minus-infinity marker.
-
-    Coincides exactly (same arithmetic, same order) with
-    :func:`generalized_derivative` using the candidate as the only
-    reducer.
+    on them ``p . [q; 1]`` does not depend on ``p``, so the max equals
+    :func:`generalized_derivative` with the candidate as the only
+    reducer, which is what is computed. Empty reduction => minus-infinity
+    marker.
     """
     if not candidate.regular:
         raise SchemaError(
             f"{candidate.name}: the common-value derivative requires a "
             "regular candidate")
-    red = reduce_once(inclusion, candidate, x, t)
-    if red.result.is_empty:
-        return DerivativeValue("baseline-max", None, empty_reduction=True)
-    grad = eval_gradient(candidate, x, t)
-    total = 0.0
-    for pi, qi in zip(grad.axes, red.result.axes):
-        c = pi.center
-        total += max(c * qi.lo, c * qi.hi)
-    total += grad.axes[-1].center
-    return DerivativeValue("baseline-max", total)
+    d = generalized_derivative(candidate, inclusion, (candidate,), x, t)
+    return replace(d, kind="baseline-max")
 
 
 def baseline_interval_derivative(candidate: RegularFunctionSpec,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import SchemaError
 from .intervals import Interval, IntervalBox, direction_axes
@@ -56,31 +56,36 @@ def reduce_once(inclusion: PiecewiseBoxMap, reducer: RegularFunctionSpec,
     The reducer must be flagged regular; reduction by a nonregular
     function is unsound and rejected.
     """
+    return _pinch(eval_map(inclusion, x, t), reducer, x, t)
+
+
+def _pinch(base: IntervalBox, reducer: RegularFunctionSpec,
+           x: Sequence[float], t: float) -> ReducedValue:
+    """:func:`reduce_once` given the inclusion value ``base`` at (x, t)."""
     if not reducer.regular:
         raise SchemaError(
             f"{reducer.name}: reduction requires a regular function")
-    base = eval_map(inclusion, x, t)
-    n = inclusion.n_out
-    grad = eval_gradient(reducer, x, t)
-    axes = direction_axes(grad)
-    time_axis = reducer.n + 1
-    time_obstruction = time_axis in axes
-    constrained = frozenset(i for i in axes if i <= n)
+    axes = direction_axes(eval_gradient(reducer, x, t))
+    time_obstruction = reducer.n + 1 in axes
+    constrained = frozenset(i for i in axes if i <= base.dims)
+    if time_obstruction or base.is_empty or not all(
+            base.axis(i).contains(0.0) for i in constrained):
+        result = IntervalBox.empty(base.dims)
+    else:
+        result = IntervalBox(Interval.point(0.0) if i in constrained else axis
+                             for i, axis in enumerate(base.axes, start=1))
+    return ReducedValue(base, constrained, result, time_obstruction)
 
-    if time_obstruction or base.is_empty:
-        return ReducedValue(base, constrained, IntervalBox.empty(n),
-                            time_obstruction)
 
-    out: list[Interval] = []
-    for i, axis in enumerate(base.axes, start=1):
-        if i in constrained:
-            if not axis.contains(0.0):
-                return ReducedValue(base, constrained,
-                                    IntervalBox.empty(n), False)
-            out.append(Interval.point(0.0))
-        else:
-            out.append(axis)
-    return ReducedValue(base, constrained, IntervalBox(out), False)
+def _intersect(base: IntervalBox, reduced: Iterable[IntervalBox],
+               ) -> IntervalBox:
+    """Intersection of ``reduced`` (``base`` if none), drawn until empty."""
+    acc = None
+    for red in reduced:
+        acc = red if acc is None else acc.intersect(red)
+        if acc.is_empty:
+            return acc
+    return base if acc is None else acc
 
 
 def reduce_collection(inclusion: PiecewiseBoxMap,
@@ -89,17 +94,15 @@ def reduce_collection(inclusion: PiecewiseBoxMap,
     """Intersection of the reductions over a finite collection.
 
     An empty collection imposes no constraint and returns the inclusion
-    value itself.
+    value itself. The inclusion is evaluated once.
     """
-    if not reducers:
-        return eval_map(inclusion, x, t)
-    acc: IntervalBox | None = None
-    for reducer in reducers:
-        red = reduce_once(inclusion, reducer, x, t).result
-        acc = red if acc is None else acc.intersect(red)
-        if acc.is_empty:
-            return acc
-    return acc
+    return _reduce_base(eval_map(inclusion, x, t), reducers, x, t)
+
+
+def _reduce_base(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
+                 x: Sequence[float], t: float) -> IntervalBox:
+    """:func:`reduce_collection` given the inclusion value ``base``."""
+    return _intersect(base, (_pinch(base, u, x, t).result for u in reducers))
 
 
 @dataclass(frozen=True)
@@ -159,14 +162,16 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
                        reducers: Sequence[RegularFunctionSpec],
                        probe_points: Sequence[tuple[Sequence[float], float]],
                        ) -> ReductionTable:
-    """Reduction table at the given ``(x, t)`` probes, in probe order."""
+    """Reduction table at the given ``(x, t)`` probes, in probe order.
+
+    Each probe evaluates the inclusion and every reducer gradient once.
+    """
     rows = []
     for x, t in probe_points:
         base = eval_map(inclusion, x, t)
-        reduced = reduce_collection(inclusion, reducers, x, t)
-        constrained: set[int] = set()
-        for reducer in reducers:
-            constrained |= reduce_once(inclusion, reducer, x, t).constrained_axes
+        pinches = [_pinch(base, u, x, t) for u in reducers]
+        reduced = _intersect(base, (p.result for p in pinches))
+        constrained = set().union(*(p.constrained_axes for p in pinches))
         rows.append(ReductionRow(tuple(float(v) for v in x), float(t),
                                  base, reduced, tuple(sorted(constrained))))
     return ReductionTable(inclusion.n_out, tuple(rows))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -418,13 +419,23 @@ def _parse_in(where: str, parse_fn, src, variables):
         raise DslSyntaxError(f"{where}: {e.message}", e.offset, src) from None
 
 
-def _float_list(values, length: int, where: str) -> tuple[float, ...]:
-    if not isinstance(values, list) or len(values) != length:
-        raise SchemaError(f"{where}: expected a list of {length} numbers")
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: expected numbers") from None
+def _number(value, where: str, kind: type = float):
+    """A JSON number as ``kind``: finite for float, integral for int.
+    Anything else (a boolean, a string, NaN, an infinity) is a
+    SchemaError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) \
+            or not abs(value) <= sys.float_info.max:
+        what = "an integer" if kind is int else "a finite number"
+        raise SchemaError(f"{where}: expected {what}")
+    return kind(value)
+
+
+def _float_list(values, length: int | None, where: str) -> tuple[float, ...]:
+    """A JSON list of numbers, of ``length`` entries unless None."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        count = "" if length is None else f"{length} "
+        raise SchemaError(f"{where}: expected a list of {count}numbers")
+    return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(values))
 
 
 def _parse_pieces(doc, n_out: int, variables, params: ParamTable,
@@ -480,20 +491,23 @@ def _parse_grid(doc, n: int, where: str) -> GridSpec:
         raise SchemaError(f"{where}: give exactly one of 'counts' or 'nodes'")
     if "counts" in doc:
         counts = doc["counts"]
-        if not isinstance(counts, list) or len(counts) != n or \
-                not all(isinstance(c, int) for c in counts):
+        if not isinstance(counts, list) or len(counts) != n:
             raise SchemaError(f"{where}.counts: expected {n} integers")
-        axes = tuple(counts)
+        axes = tuple(_number(c, f"{where}.counts[{i}]", int)
+                     for i, c in enumerate(counts))
     else:
         nodes = doc["nodes"]
         if not isinstance(nodes, list) or len(nodes) != n:
             raise SchemaError(f"{where}.nodes: expected {n} node lists")
-        axes = tuple(tuple(float(v) for v in axis) for axis in nodes)
+        axes = tuple(_float_list(axis, None, f"{where}.nodes[{i}]")
+                     for i, axis in enumerate(nodes))
     include = doc["include"]
     if not isinstance(include, list) or len(include) != n:
         raise SchemaError(f"{where}.include: expected {n} node lists")
-    include = tuple(tuple(float(v) for v in axis) for axis in include)
-    time_nodes = tuple(float(v) for v in doc.get("time_nodes", [0.0]))
+    include = tuple(_float_list(axis, None, f"{where}.include[{i}]")
+                    for i, axis in enumerate(include))
+    time_nodes = _float_list(doc.get("time_nodes", [0.0]), None,
+                             f"{where}.time_nodes")
     return GridSpec(axes, include, time_nodes)
 
 
@@ -501,9 +515,8 @@ def _parse_matrosov(doc, n: int, variables, params: ParamTable,
                     where: str) -> MatrosovData:
     _check_keys(doc, {"delta", "Delta", "gamma", "phi", "W", "Y", "z_counts"},
                 {"delta", "Delta", "gamma", "phi", "W", "Y"}, where)
-    delta = float(doc["delta"])
-    big_delta = float(doc["Delta"])
-    gamma = float(doc["gamma"])
+    delta, big_delta, gamma = (_number(doc[key], f"{where}.{key}")
+                               for key in ("delta", "Delta", "gamma"))
     if not 0 < delta < big_delta:
         raise SchemaError(f"{where}: need 0 < delta < Delta")
     if gamma <= 0:
@@ -563,7 +576,7 @@ def _parse_checks(doc, n: int, variables, where: str) -> CheckSpec:
         semidef_bound=opt("W_semidef"),
         lower_envelope=opt("Wlower"),
         upper_envelope=opt("Wupper"),
-        zero_tol=float(doc.get("zero_tol", 1e-6)),
+        zero_tol=_number(doc.get("zero_tol", 1e-6), f"{where}.zero_tol"),
         candidates=candidates)
 
 
@@ -573,15 +586,18 @@ def _parse_sim(doc, n: int, where: str) -> SimSpec:
     x0 = None
     if "x0" in doc:
         x0 = _float_list(doc["x0"], n, f"{where}.x0")
+
+    def number(key, default, kind=float):
+        return _number(doc.get(key, default), f"{where}.{key}", kind)
     return SimSpec(
         x0=x0,
-        t0=float(doc.get("t0", 0.0)),
-        h=float(doc.get("h", 1e-3)),
-        horizon=float(doc.get("T", 10.0)),
+        t0=number("t0", 0.0),
+        h=number("h", 1e-3),
+        horizon=number("T", 10.0),
         strategy=str(doc.get("strategy", "midpoint")),
-        seed=int(doc.get("seed", 0)),
-        tail_fraction=float(doc.get("tail_fraction", 0.2)),
-        tail_threshold=float(doc.get("tail_threshold", 1e-3)))
+        seed=number("seed", 0, int),
+        tail_fraction=number("tail_fraction", 0.2),
+        tail_threshold=number("tail_threshold", 1e-3))
 
 
 def system_from_dict(doc: dict) -> SystemDef:
@@ -589,7 +605,8 @@ def system_from_dict(doc: dict) -> SystemDef:
         raise SchemaError("system definition must be a JSON object")
     _check_keys(doc, _TOP_KEYS, _REQUIRED_TOP, "system")
     n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= _MAX_STATE_DIM:
+    if isinstance(n, bool) or not isinstance(n, int) \
+            or not 1 <= n <= _MAX_STATE_DIM:
         raise SchemaError(f"n must be an integer in 1..{_MAX_STATE_DIM}")
 
     params_doc = doc.get("params", {})

@@ -37,7 +37,7 @@ import numpy as np
 from . import expr
 from .errors import SchemaError, SimulationError
 from .intervals import IntervalBox, contains
-from .reduction import reduce_collection
+from .reduction import _reduce_base, reduce_collection
 from .setmaps import SystemDef, eval_gradient, eval_map
 
 __all__ = [
@@ -104,7 +104,7 @@ def _select(strategy: SelectionStrategy, sys: SystemDef,
         return tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
                      else ax.hi for ax in fbox.axes)
     # reduced-descent
-    reduced = reduce_collection(sys.inclusion, sys.reducers, x, t)
+    reduced = _reduce_base(fbox, sys.reducers, x, t)
     base = fbox if reduced.is_empty else reduced
     grad_center = eval_gradient(sys.candidate, x, t).center
     q = []

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from incred.cli import main
 from incred.fixtures import fixture_path
 
@@ -56,6 +58,28 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, tmp_path):
         assert run("certify", "-i", str(tmp_path / "nope.json"),
                    "-o", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("block, key, value, argv, named", [
+        ("grid", "time_nodes", ["x"], (), "grid.time_nodes[0]"),
+        ("grid", "include", [[-1, "a"], [0]], (), "grid.include[0][1]"),
+        ("certify", "zero_tol", "abc", (), "certify.zero_tol"),
+        ("simulate", "h", None, (), "simulate.h"),
+        ("simulate", "seed", 1.5, (), "simulate.seed"),
+        (None, "n", True, (), "n must be"),
+        (None, None, None, ("--x0=a,b",), "--x0"),
+    ], ids=["time_nodes", "include", "zero_tol", "h", "seed", "n", "x0"])
+    def test_malformed_value_exits_three(self, tmp_path, capsys, block, key,
+                                         value, argv, named):
+        with open(fixture_path("example3"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if key is not None:
+            (doc[block] if block else doc)[key] = value
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = run("simulate", "-i", str(bad), "-o", str(tmp_path), *argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert named in err and "Traceback" not in err
 
 
 class TestReduce:

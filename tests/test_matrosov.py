@@ -141,6 +141,42 @@ class TestConstants:
         assert len(result.constants) == 2
 
 
+# inf - inf: every Y_1 value is NaN, at x1 = 0 too (inf * 0)
+NAN_Y = "(1e308*10)*x1 - (1e308*10)*x1"
+
+
+def _problem(y_exprs):
+    system = system_from_dict(_matrosov_doc(y_exprs))
+    problem = build_matrosov_problem(system)
+    return (problem, *matrosov_grid(problem, system))
+
+
+class TestNonFiniteBounds:
+    """A NaN Y value never counts as a pass."""
+
+    def test_chain_fails_closed(self):
+        problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
+        cert = matrosov_chain(problem, z_nodes, x_nodes)
+        assert cert.verdict == VIOLATED
+        assert cert.details["nonfinite_margins"] == len(x_nodes)
+        assert cert.worst_margin is None
+
+    def test_constants_fail_closed(self):
+        problem, z_nodes, x_nodes = _problem([NAN_Y])
+        auto = matrosov_constants(problem, z_nodes, x_nodes)
+        assert auto.certificate.verdict != CERTIFIED
+        fixed = matrosov_constants(problem, z_nodes, x_nodes,
+                                   zeta_target=1e-3)
+        assert fixed.certificate.verdict == VIOLATED
+        assert fixed.certificate.details["nonfinite_margins"] == len(x_nodes)
+
+    def test_combined_bound_fails_closed(self):
+        problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
+        cert = verify_combined_bound(problem, (1.0,), 1e-3, z_nodes, x_nodes)
+        assert cert.verdict == VIOLATED
+        assert cert.details["nonfinite_margins"] == len(x_nodes)
+
+
 class TestDerivativeBounds:
     def test_screen_localizes_the_two_mismatch_points(self, annulus_problem):
         # the second comparison function's declared bound fails exactly at

@@ -248,6 +248,21 @@ class TestTabulate:
         assert table.rows == ()
         assert "empty_flag" in table.to_csv().splitlines()[0]
 
+    def test_each_map_evaluated_once_per_probe(self, example3, monkeypatch):
+        # two reducers, so the per-reducer evaluations would show
+        reducers = (example3.reducers[0], example3.candidate)
+        calls = []
+        value = PiecewiseBoxMap.value
+        monkeypatch.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
+            calls.append(m), value(m, x, t))[1])
+        probes = [((1.0, 0.0), 0.0), ((0.5, 0.5), 0.0), ((0.0, 0.0), 0.0)]
+        tabulate_reduction(example3.inclusion, reducers, probes)
+        maps = [example3.inclusion, *(u.gradient for u in reducers)]
+        assert [calls.count(m) for m in maps] == [len(probes)] * 3
+        calls.clear()
+        reduce_collection(example3.inclusion, reducers, (1.0, 0.0), 0.0)
+        assert calls.count(example3.inclusion) == 1
+
     def test_csv_is_deterministic(self, example3):
         probes = [((1.0, 0.0), 0.0), ((0.5, 0.5), 0.0), ((1.0, 1.0), 0.0)]
         t1 = tabulate_reduction(example3.inclusion, example3.reducers, probes)

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import incred.certify as certify
 import incred.derivative as deriv
 import incred.expr as ex
-from incred.certify import (build_matrosov_problem, certify_lyapunov,
-                            certify_semidefinite, invariance_data,
-                            matrosov_derivative_bounds)
+from incred.certify import (MatrosovProblem, build_matrosov_problem,
+                            certify_lyapunov, certify_semidefinite,
+                            invariance_data, matrosov_derivative_bounds)
 from incred.errors import ArrayHazard
 from incred.fixtures import available_fixtures, load_fixture
 from incred.setmaps import Piece, PiecewiseBoxMap, RegularFunctionSpec
@@ -40,18 +41,18 @@ def _kind(draw, flat, nested, depth: int) -> str:
     return draw(st.sampled_from(flat + (nested if depth > 0 else ())))
 
 
-def _scalar(draw, risky: bool, depth: int = 2):
+def _scalar(draw, risky: bool, depth: int = 2, leaves=LEAVES):
     """A scalar expression; ``risky`` adds divisions by arbitrary terms."""
     kind = _kind(draw, ("leaf",), ("neg", "unary", "minmax", "arith")
                  + (("div",) if risky else ()), depth)
     if kind == "leaf":  # 1e308 overflows to inf and exp() to a range error
-        return draw(st.sampled_from(LEAVES + [ex.Num(1e308)] * risky))
-    a = _scalar(draw, risky, depth - 1)
+        return draw(st.sampled_from(leaves + [ex.Num(1e308)] * risky))
+    a = _scalar(draw, risky, depth - 1, leaves)
     if kind == "neg":
         return ex.Neg(a)
     if kind == "unary":
         return ex.Call(draw(st.sampled_from(UNARY)), (a,))
-    b = _scalar(draw, risky, depth - 1)
+    b = _scalar(draw, risky, depth - 1, leaves)
     if kind == "minmax":
         return ex.Call(draw(st.sampled_from(["max", "min"])), (a, b))
     op = "/" if kind == "div" else draw(st.sampled_from("+-*"))
@@ -228,3 +229,70 @@ def test_fixture_scans_take_the_array_path(name, monkeypatch):
     monkeypatch.setattr(deriv, "_scan_arrays", hazard)
     slow = [json.dumps(run().to_dict(), sort_keys=True) for run in runs]
     assert fast == slow
+
+
+# --- the Matrosov Y table -------------------------------------------------
+
+Y_NAMES = ("z1", "x1", "x2")
+Y_LEAVES = [ex.Num(v) for v in NUMS] + [ex.Var(v) for v in Y_NAMES]
+
+
+@st.composite
+def aux_cases(draw):
+    """Y_1..Y_M over (z1, x1, x2) with z and x nodes; half hazard-free."""
+    risky = draw(st.booleans())
+    aux = tuple(_scalar(draw, risky, leaves=Y_LEAVES)
+                for _ in range(draw(st.integers(1, 3))))
+    coord = st.sampled_from(COORDS)
+    z_nodes = draw(st.lists(st.tuples(coord), min_size=1, max_size=4))
+    x_nodes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    return aux, z_nodes, x_nodes
+
+
+def _aux_reference(aux, z_nodes, x_nodes):
+    """Rows x outer, z inner (one z when no Y reads z), then Y row by row
+    with the scalar closures."""
+    if not any("z1" in ex.free_vars(y) for y in aux):
+        z_nodes = z_nodes[:1]
+    rows = [z + x for x in x_nodes for z in z_nodes]
+    fns = [ex.compile_scalar(y) for y in aux]
+    try:
+        y = [[fn(dict(zip(Y_NAMES, row))) for fn in fns] for row in rows]
+    except Exception as e:  # compared with the table's own error below
+        return rows, (type(e), str(e))
+    return rows, np.array(y).reshape(len(rows), len(aux)).T
+
+
+def _table_bits(points, y):
+    return [struct.pack("d", v)
+            for v in np.ravel(points).tolist() + np.ravel(y).tolist()]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=aux_cases())
+def test_array_aux_table_is_bit_identical_to_pointwise(case):
+    aux, z_nodes, x_nodes = case
+    rows, reference = _aux_reference(aux, z_nodes, x_nodes)
+    points = np.array(rows, dtype=float)
+    try:
+        fast = certify._aux_arrays(aux, Y_NAMES, points)
+    except ArrayHazard:
+        fast = None
+    prob = MatrosovProblem(
+        m=1, count=len(aux), functions=(), collections=(), aux=aux,
+        phi=(ex.Num(0.0),), gamma=1.0, delta=0.1, big_delta=2.0,
+        z_counts=(3,))
+    try:
+        public = _table_bits(*certify._aux_table(prob, z_nodes, x_nodes))
+    except Exception as e:
+        public = (type(e), str(e))
+    if isinstance(reference, tuple):
+        # the array path never returns where the reference raises
+        assert fast is None
+        assert public == reference
+    else:
+        expected = _table_bits(points, reference)
+        assert public == expected
+        if fast is not None:
+            assert _table_bits(points, fast) == expected
