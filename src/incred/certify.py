@@ -28,7 +28,6 @@ worst-case tracking uses strict improvement, so reports are byte-stable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 from . import expr
 from .derivative import scan_derivative
 from .errors import ArrayHazard, SchemaError
-from .grids import GridSpec
+from .grids import GridSpec, product_array
 from .intervals import Annulus, IntervalBox, contains
 from .setmaps import RegularFunctionSpec, SystemDef, eval_map
 
@@ -219,7 +218,7 @@ def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
     """
     grid = grid if grid is not None else sys.require_grid()
     reducers = tuple(sys.reducers if reducers is None else reducers)
-    pts = grid.node_array(sys.domain)
+    pts = grid.nodes(sys.domain)
     time_nodes = grid.time_nodes
     candidate = sys.candidate
     extras = [(bound, sys.inclusion), (candidate.value, candidate.gradient)]
@@ -269,7 +268,7 @@ def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr,
     """
     grid = grid if grid is not None else sys.require_grid()
     reducers = tuple(sys.reducers if reducers is None else reducers)
-    pts = grid.node_array(sys.domain)
+    pts = grid.nodes(sys.domain)
     time_nodes = grid.time_nodes
     scan = scan_derivative(sys.candidate, sys.inclusion, reducers, pts,
                            time_nodes, [(bound, sys.inclusion)])
@@ -339,7 +338,7 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
     grid = grid if grid is not None else sys.require_grid()
-    pts = grid.node_array(sys.domain)
+    pts = grid.nodes(sys.domain)
     t0 = grid.time_nodes[0]
     scan = scan_derivative(sys.candidate, sys.inclusion, sys.reducers, pts,
                            (t0,))
@@ -417,23 +416,22 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovProblem:
 
 def matrosov_grid(prob: MatrosovProblem, sys: SystemDef,
                   grid: GridSpec | None = None,
-                  ) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
-    """Grid over ball(0, gamma) x annulus(delta, Delta).
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta).
 
     The state grid reuses the system grid's axes, with the radii
     ``+/-delta``, ``+/-Delta`` and 0 injected on every axis so that the
     closest-to-origin annulus points are hit exactly; nodes outside the
     annulus are dropped. The z grid is uniform per axis over
-    ``[-gamma, gamma]`` filtered to the ball.
+    ``[-gamma, gamma]`` filtered to the ball. Both keep row-major order.
     """
     grid = grid if grid is not None else sys.require_grid()
     extra = tuple(
         (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
         for _ in range(sys.n))
-    annulus = prob.annulus()
-    x_nodes = [x for x in itertools.product(*grid.axis_nodes(sys.domain, extra))
-               if annulus.contains(x)]
-    if not x_nodes:
+    x_nodes = grid.nodes(sys.domain, extra)
+    x_nodes = x_nodes[prob.annulus().contains(x_nodes)]
+    if not len(x_nodes):
         raise SchemaError("no grid nodes fall inside the annulus")
     g = prob.gamma
     z_axes = []
@@ -441,10 +439,8 @@ def matrosov_grid(prob: MatrosovProblem, sys: SystemDef,
         vals = {float(v) for v in np.linspace(-g, g, count)}
         vals.update((-g, 0.0, g))
         z_axes.append(tuple(sorted(vals)))
-    gamma_sq = g * g
-    z_nodes = [z for z in itertools.product(*z_axes)
-               if sum(v * v for v in z) <= gamma_sq]
-    return z_nodes, x_nodes
+    z_nodes = product_array(z_axes)
+    return z_nodes[Annulus(0.0, g).contains(z_nodes)], x_nodes
 
 
 def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
@@ -455,9 +451,9 @@ def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
     z-independent). On an ArrayHazard the pointwise reference refills
     the table row by row and raises the pointwise errors.
     """
-    z = np.array(z_nodes if prob.aux_uses_z() else z_nodes[:1],
-                 dtype=float).reshape(-1, prob.m)
-    x = np.array(x_nodes, dtype=float)
+    z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
+                   dtype=float).reshape(-1, prob.m)
+    x = np.asarray(x_nodes, dtype=float)
     points = np.hstack([np.tile(z, (len(x), 1)),
                         np.repeat(x, len(z), axis=0)])
     names = ([f"z{i+1}" for i in range(prob.m)]
@@ -657,8 +653,7 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovProblem,
     constants certificates do not depend on it.
     """
     grid = grid if grid is not None else sys.require_grid()
-    _, x_nodes = matrosov_grid(prob, sys, grid)
-    pts = np.array(x_nodes)
+    _, pts = matrosov_grid(prob, sys, grid)
     time_nodes = grid.time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
     margins, counted, per_function = [], [], []
@@ -672,7 +667,7 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovProblem,
         "matrosov-derivative-bounds", np.concatenate(margins),
         np.concatenate(counted), sum(per_function),
         _scan_witness(pts, time_nodes), {"margin_tol": tol},
-        {"x_nodes": len(x_nodes), "time_nodes": list(time_nodes)},
+        {"x_nodes": len(pts), "time_nodes": list(time_nodes)},
         {"note": "informational screen; the chain and constants "
                  "certificates do not depend on it",
          "violations_per_function": per_function})

@@ -27,7 +27,7 @@ from . import certify as cert
 from .derivative import (baseline_interval_derivative, baseline_max_derivative,
                          generalized_derivative)
 from .errors import DslSyntaxError, IncredError, SchemaError
-from .grids import GridSpec
+from .grids import GridSpec, product_array
 from .reduction import tabulate_reduction
 from .setmaps import (SimSpec, SystemDef, eval_map, load_system,
                       validate_gradient, _parse_grid)
@@ -51,26 +51,29 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _load(args) -> SystemDef:
+    """The system file, with the --baseline, --grid and --grid-file
+    overrides of subcommands that declare them."""
     system = load_system(args.input)
     if getattr(args, "baseline", False):
         if not system.candidate.regular:
             raise SchemaError(
                 "--baseline needs a regular candidate function")
         system = replace(system, reducers=(system.candidate,))
-    if args.grid is not None or args.grid_file is not None:
-        if args.grid is not None and args.grid_file is not None:
-            raise SchemaError("give at most one of --grid and --grid-file")
-        if args.grid is not None:
-            base = system.grid
-            if base is None:
-                base = GridSpec((args.grid,) * system.n,
-                                ((),) * system.n)
-            grid = base.with_uniform_counts(args.grid)
-        else:
-            with open(args.grid_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            doc = doc.get("grid", doc)
-            grid = _parse_grid(doc, system.n, "grid")
+    count = getattr(args, "grid", None)
+    path = getattr(args, "grid_file", None)
+    if count is not None and path is not None:
+        raise SchemaError("give at most one of --grid and --grid-file")
+    if count is not None:
+        base = system.grid
+        if base is None:
+            base = GridSpec((count,) * system.n, ((),) * system.n)
+        system = replace(system, grid=base.with_uniform_counts(count))
+    elif path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"--grid-file {path}: expected a JSON object")
+        grid = _parse_grid(doc.get("grid", doc), system.n, "grid")
         system = replace(system, grid=grid)
     return system
 
@@ -83,7 +86,7 @@ def _outdir(args) -> Path:
 
 def _report(args, line: str, text: str | None = None) -> None:
     print(line)
-    if args.verbose and text:
+    if text and args.verbose:
         print(text, end="")
 
 
@@ -91,13 +94,14 @@ def cmd_reduce(args) -> int:
     system = _load(args)
     grid = system.require_grid()
     t0 = grid.time_nodes[0]
-    probes = [(x, t0) for x in grid.nodes(system.domain)]
+    probes = ((x.tolist(), t0) for x in grid.nodes(system.domain))
     table = tabulate_reduction(system.inclusion, system.reducers, probes)
     out = _outdir(args)
     _write_text(out / "reduction_table.csv", table.to_csv())
-    _write_text(out / "reduction_table.txt", table.to_text())
+    text = table.to_text()
+    _write_text(out / "reduction_table.txt", text)
     _report(args, f"reduce: {len(table.rows)} probes -> "
-            f"{out / 'reduction_table.csv'}", table.to_text())
+            f"{out / 'reduction_table.csv'}", text)
     return EXIT_OK
 
 
@@ -110,7 +114,7 @@ def cmd_deriv(args) -> int:
     n = system.n
     writer.writerow([f"x{i+1}" for i in range(n)] + ["t", "generalized",
                     "baseline_max", "baseline_lo", "baseline_hi"])
-    for x in grid.nodes(system.domain):
+    for x in grid.nodes(system.domain).tolist():
         gen = generalized_derivative(system.candidate, system.inclusion,
                                      system.reducers, x, t0)
         bmax = baseline_max_derivative(system.candidate, system.inclusion,
@@ -151,10 +155,11 @@ def cmd_certify(args) -> int:
             "certify needs a 'certify' block with a 'W' or 'W_semidef' "
             "expression")
     out = _outdir(args)
+    text = certificate.to_text()
     _write_json(out / "certificate.json", certificate.to_dict())
-    _write_text(out / "certificate.txt", certificate.to_text())
+    _write_text(out / "certificate.txt", text)
     _report(args, f"certify: {certificate.verdict} "
-            f"({out / 'certificate.json'})", certificate.to_text())
+            f"({out / 'certificate.json'})", text)
     return EXIT_OK if certificate.certified else EXIT_NEGATIVE
 
 
@@ -312,7 +317,7 @@ def cmd_validate_gradient(args) -> int:
     return EXIT_OK if all_passed else EXIT_NEGATIVE
 
 
-def _default_probes(system: SystemDef, cap: int = 64) -> list[tuple[float, ...]]:
+def _default_probes(system: SystemDef, cap: int = 64) -> list[list[float]]:
     """Domain corners/center products plus per-axis include coordinates."""
     axes = []
     for i in range(system.n):
@@ -321,9 +326,23 @@ def _default_probes(system: SystemDef, cap: int = 64) -> list[tuple[float, ...]]
         if system.grid is not None:
             vals.update(system.grid.include[i])
         axes.append(sorted(vals))
-    import itertools
-    probes = list(itertools.product(*axes))
-    return probes[:cap]
+    return product_array(axes)[:cap].tolist()
+
+
+# Options several subcommands share; each declares only those it reads.
+_FLAGS = {
+    ("--grid",): dict(type=int, metavar="N",
+                      help="override: uniform N nodes per axis"),
+    ("--grid-file",): dict(metavar="PATH",
+                           help="override: grid block from a JSON file"),
+    ("--tol",): dict(type=float, help="tolerance override (meaning "
+                     "depends on the subcommand)"),
+    ("--seed",): dict(type=int, help="random seed"),
+    ("--baseline",): dict(action="store_true", help="use the candidate "
+                          "function as the only reducer"),
+    ("--verbose", "-v"): dict(action="store_true",
+                              help="also print the text report"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,52 +353,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "chains, and selection-based simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, func, help, flags):
+        """A subparser with --input, --out and the named ``_FLAGS``."""
+        # no abbreviations: "--grid" must not stand for "--grid-file"
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--input", "-i", required=True,
                        help="system definition JSON file")
         p.add_argument("--out", "-o", default="out",
                        help="output directory (default: ./out)")
-        p.add_argument("--grid", type=int, default=None, metavar="N",
-                       help="override: uniform N nodes per axis")
-        p.add_argument("--grid-file", default=None, metavar="PATH",
-                       help="override: grid block from a JSON file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override (meaning depends on the "
-                            "subcommand)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed where applicable")
-        p.add_argument("--baseline", action="store_true",
-                       help="use the candidate function as the only reducer")
-        p.add_argument("--verbose", "-v", action="store_true")
+        for names, kwargs in _FLAGS.items():
+            if names[0] in flags.split():
+                p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("reduce", help="tabulate the reduced inclusion")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
+    subcommand("reduce", cmd_reduce, "tabulate the reduced inclusion",
+               "--grid --grid-file --baseline --verbose")
+    subcommand("deriv", cmd_deriv, "tabulate derivative values",
+               "--grid --grid-file --baseline")
+    subcommand("certify", cmd_certify, "grid-certify the decrease condition",
+               "--grid --grid-file --tol --baseline --verbose")
+    subcommand("invariance", cmd_invariance, "vanishing set and equilibrium "
+               "screening (autonomous)",
+               "--grid --grid-file --tol --baseline --verbose")
 
-    p = sub.add_parser("deriv", help="tabulate derivative values")
-    common(p)
-    p.set_defaults(func=cmd_deriv)
-
-    p = sub.add_parser("certify", help="grid-certify the decrease condition")
-    common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("invariance", help="vanishing set and equilibrium "
-                       "screening (autonomous)")
-    common(p)
-    p.set_defaults(func=cmd_invariance)
-
-    p = sub.add_parser("matrosov", help="Matrosov chain and constants")
-    common(p)
+    p = subcommand("matrosov", cmd_matrosov, "Matrosov chain and constants",
+                   "--grid --grid-file --tol --verbose")
     p.add_argument("--zeta-target", type=float, default=None,
                    help="override the estimated decay level")
     p.add_argument("--verify-factor", type=int, default=10,
                    help="refinement factor for the verification grid "
                         "(default 10; 1 disables)")
-    p.set_defaults(func=cmd_matrosov)
 
-    p = sub.add_parser("simulate", help="integrate a trajectory and check it")
-    common(p)
+    p = subcommand("simulate", cmd_simulate,
+                   "integrate a trajectory and check it",
+                   "--tol --seed --baseline")
     p.add_argument("--x0", default=None,
                    help="initial state, comma separated")
     p.add_argument("--t0", type=float, default=None)
@@ -388,16 +396,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default=None,
                    choices=["midpoint", "reduced-descent", "random-extreme"])
     p.add_argument("--tail-fraction", type=float, default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate-gradient",
-                       help="finite-difference check of declared gradients")
-    common(p)
+    p = subcommand("validate-gradient", cmd_validate_gradient,
+                   "finite-difference check of declared gradients",
+                   "--grid-file --seed --baseline")
     p.add_argument("--radius", type=float, default=2e-5,
                    help="sampling ball radius (default 2e-5)")
     p.add_argument("--samples", type=int, default=200,
                    help="samples per probe point (default 200)")
-    p.set_defaults(func=cmd_validate_gradient)
     return parser
 
 
@@ -409,10 +415,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=_sys.stderr)
         return EXIT_PARSE
-    except DslSyntaxError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as e:
+    except (DslSyntaxError, FileNotFoundError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_PARSE
     except IncredError as e:

@@ -88,13 +88,6 @@ class DerivativeValue:
         up = self.upper()
         return True if up is None else up <= bound + tol
 
-    def describe(self) -> str:
-        if self.value is None:
-            return "-inf"
-        if isinstance(self.value, Interval):
-            return "empty" if self.value.is_empty else repr(self.value)
-        return repr(self.value)
-
 
 def _check_pq(p: IntervalBox, q: IntervalBox) -> None:
     if p.dims != q.dims + 1:

@@ -23,7 +23,8 @@ class DslSyntaxError(IncredError):
 
 
 class DslEvalError(IncredError):
-    """Expression evaluation failed (division by a near-zero denominator)."""
+    """Expression evaluation failed: division by a near-zero denominator,
+    an inverted interval literal, or exp/sin/cos without a finite value."""
 
 
 class DimensionMismatchError(IncredError):

@@ -117,9 +117,21 @@ def _hull_value(a: float, b: float) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
+def _checked_math(name: str) -> Callable[[float], float]:
+    """``math.<name>``, raising DslEvalError where it has no finite value."""
+    fn = getattr(math, name)
+
+    def call(v: float) -> float:
+        try:
+            return fn(v)
+        except (OverflowError, ValueError):
+            raise DslEvalError(f"{name}({v!r}) has no finite value") from None
+    return call
+
+
 _FUNCTION_IMPL: dict[str, Callable] = {
     "abs": abs, "max": max, "min": min, "sgn": _sgn, "sgn1": _sgn1,
-    "exp": math.exp, "sin": math.sin, "cos": math.cos,
+    **{name: _checked_math(name) for name in ("exp", "sin", "cos")},
 }
 
 
@@ -570,16 +582,11 @@ def eval_guard(node: GuardExpr, env: Mapping[str, float]) -> bool:
 
 # --- compilation to Python closures ------------------------------------
 
+# compiled code calls function ``f`` as ``_f``
 _COMPILE_NS = {
-    "_div": _checked_div, "_abs": abs, "_max": max, "_min": min,
-    "_sgn": _sgn, "_sgn1": _sgn1, "_exp": math.exp, "_sin": math.sin,
-    "_cos": math.cos, "_pt": Interval.point, "_intv": _interval_value,
+    **{f"_{name}": fn for name, fn in _FUNCTION_IMPL.items()},
+    "_div": _checked_div, "_pt": Interval.point, "_intv": _interval_value,
     "_hullv": _hull_value,
-}
-
-_FUNC_CODE = {
-    "abs": "_abs", "max": "_max", "min": "_min", "sgn": "_sgn",
-    "sgn1": "_sgn1", "exp": "_exp", "sin": "_sin", "cos": "_cos",
 }
 
 
@@ -598,7 +605,7 @@ def _scalar_code(node: ScalarExpr) -> str:
         return f"({a} {node.op} {b})"
     if isinstance(node, Call):
         args = ", ".join(_scalar_code(a) for a in node.args)
-        return f"{_FUNC_CODE[node.func]}({args})"
+        return f"_{node.func}({args})"
     raise TypeError(f"not a scalar expression: {node!r}")
 
 

@@ -6,12 +6,12 @@ explicit list of nodes or a uniform count over the domain box; the
 annulus radii) that uniform spacing would miss. Guard comparisons are
 exact, so guard-surface nodes must be supplied verbatim here; they are
 merged and deduplicated by exact float equality and therefore survive
-into the final node lists unchanged.
+into the final nodes unchanged. Nodes are an ``(N, dims)`` float array in
+row-major order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,18 @@ import numpy as np
 from .errors import SchemaError
 from .intervals import IntervalBox
 
-__all__ = ["GridSpec"]
+__all__ = ["GridSpec", "product_array"]
+
+
+def product_array(axes) -> np.ndarray:
+    """The Cartesian product of per-axis node lists as an ``(N, len(axes))``
+    float array in row-major (lexicographic) order.
+
+    The array is the transpose of a C-contiguous ``(len(axes), N)`` one,
+    so each axis's coordinates are contiguous.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(mesh).reshape(len(axes), -1).T
 
 
 @dataclass(frozen=True)
@@ -71,19 +82,9 @@ class GridSpec:
 
     def nodes(self, domain: IntervalBox,
               extra: tuple[tuple[float, ...], ...] | None = None,
-              ) -> list[tuple[float, ...]]:
-        """All grid points in row-major (lexicographic) order."""
-        return list(itertools.product(*self.axis_nodes(domain, extra)))
-
-    def node_array(self, domain: IntervalBox) -> np.ndarray:
-        """:meth:`nodes` as an ``(N, dims)`` float array, in the same order.
-
-        The array is the transpose of a C-contiguous ``(dims, N)`` one,
-        so each axis's coordinates are contiguous.
-        """
-        mesh = np.meshgrid(*self.axis_nodes(domain), indexing="ij",
-                           copy=False)
-        return np.stack(mesh).reshape(self.dims, -1).T
+              ) -> np.ndarray:
+        """All grid points as an ``(N, dims)`` array in row-major order."""
+        return product_array(self.axis_nodes(domain, extra))
 
     def refined(self, factor: int) -> GridSpec:
         """A grid ``factor`` times finer that keeps every existing node."""

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatchError, EmptySetError
 
 __all__ = [
@@ -398,8 +400,9 @@ def box_hausdorff(a: IntervalBox, b: IntervalBox) -> float:
 class Annulus:
     """Closed Euclidean annulus ``inner <= |x| <= outer`` around the origin.
 
-    Membership compares squared norms so that points constructed from the
-    radii themselves (e.g. ``(inner, 0)``) test as members exactly.
+    Membership compares squared norms, accumulated axis by axis, so that
+    points constructed from the radii themselves (e.g. ``(inner, 0)``)
+    test as members exactly.
     """
 
     __slots__ = ("inner", "outer")
@@ -414,11 +417,16 @@ class Annulus:
         self.inner = inner
         self.outer = outer
 
-    def contains(self, p: Sequence[float]) -> bool:
+    def contains(self, p):
+        """Membership of one point, or a boolean mask over the rows of an
+        ``(N, n)`` array."""
+        p = np.asarray(p, dtype=float)
         sq = 0.0
-        for v in p:
-            sq += v * v
-        return self.inner * self.inner <= sq <= self.outer * self.outer
+        for i in range(p.shape[-1]):
+            sq = sq + p[..., i] * p[..., i]
+        inside = (self.inner * self.inner <= sq) \
+            & (sq <= self.outer * self.outer)
+        return bool(inside) if p.ndim == 1 else inside
 
     def __repr__(self) -> str:
         return f"Annulus({self.inner}, {self.outer})"

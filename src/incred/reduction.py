@@ -160,7 +160,7 @@ class ReductionTable:
 
 def tabulate_reduction(inclusion: PiecewiseBoxMap,
                        reducers: Sequence[RegularFunctionSpec],
-                       probe_points: Sequence[tuple[Sequence[float], float]],
+                       probe_points: Iterable[tuple[Sequence[float], float]],
                        ) -> ReductionTable:
     """Reduction table at the given ``(x, t)`` probes, in probe order.
 

@@ -402,6 +402,8 @@ _REQUIRED_TOP = {"n", "F", "V", "domain"}
 
 def _check_keys(d: dict, allowed: set[str], required: set[str],
                 where: str) -> None:
+    if not isinstance(d, dict):
+        raise SchemaError(f"{where}: expected an object")
     unknown = set(d) - allowed
     if unknown:
         raise SchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -445,8 +447,6 @@ def _parse_pieces(doc, n_out: int, variables, params: ParamTable,
     pieces = []
     for k, entry in enumerate(doc):
         pw = f"{where}[{k}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{pw}: expected an object")
         _check_keys(entry, {"guard", "value"}, {"guard", "value"}, pw)
         guard = _parse_in(f"{pw}.guard", expr.parse_guard, entry["guard"],
                           variables)
@@ -467,8 +467,6 @@ def _parse_pieces(doc, n_out: int, variables, params: ParamTable,
 def _parse_function(doc, n: int, variables, params: ParamTable,
                     where: str, default_name: str,
                     allow_collection: bool = False) -> RegularFunctionSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object")
     keys = {"name", "value", "gradient", "regular"}
     if allow_collection:
         keys.add("U")
@@ -651,9 +649,13 @@ def system_from_dict(doc: dict) -> SystemDef:
     if not isinstance(dom_doc, dict):
         raise SchemaError("domain: expected an object with 'lo' and 'hi'")
     _check_keys(dom_doc, {"lo", "hi"}, {"lo", "hi"}, "domain")
-    domain = IntervalBox.from_bounds(
-        _float_list(dom_doc["lo"], n, "domain.lo"),
-        _float_list(dom_doc["hi"], n, "domain.hi"))
+    lo = _float_list(dom_doc["lo"], n, "domain.lo")
+    hi = _float_list(dom_doc["hi"], n, "domain.hi")
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if a > b:
+            raise SchemaError(f"domain.lo[{i}] = {a!r} is above "
+                              f"domain.hi[{i}] = {b!r}")
+    domain = IntervalBox.from_bounds(lo, hi)
 
     grid = _parse_grid(doc["grid"], n, "grid") if "grid" in doc else None
     matrosov = (_parse_matrosov(doc["matrosov"], n, variables, params_t,

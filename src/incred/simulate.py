@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -176,11 +176,7 @@ class MembershipReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps, "violations": self.violations,
-            "fraction": self.fraction, "max_distance": self.max_distance,
-            "tol": self.tol, "budget": self.budget, "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_reduction_membership(traj: Trajectory, sys: SystemDef,
@@ -223,13 +219,7 @@ class DescentReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bound_violations": self.bound_violations,
-            "monotonicity_violations": self.monotonicity_violations,
-            "max_rate_gap": self.max_rate_gap,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_lyapunov_descent(traj: Trajectory, sys: SystemDef,
@@ -274,11 +264,7 @@ class TailReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "tail_max": self.tail_max, "tail_start": self.tail_start,
-            "tail_fraction": self.tail_fraction,
-            "threshold": self.threshold, "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_partial_convergence(traj: Trajectory, sys: SystemDef,

@@ -18,6 +18,20 @@ def out_files(path):
     return sorted(p.name for p in path.iterdir())
 
 
+# flags a subcommand does not read, so it does not declare them
+_UNREAD_FLAGS = [
+    *((c, ("--seed", "1")) for c in ("reduce", "deriv", "certify",
+                                     "invariance", "matrosov")),
+    *((c, ("--tol", "0.1")) for c in ("reduce", "deriv",
+                                      "validate-gradient")),
+    *((c, ("-v",)) for c in ("deriv", "simulate", "validate-gradient")),
+    ("simulate", ("--grid", "5")),
+    ("simulate", ("--grid-file", "grid.json")),
+    ("validate-gradient", ("--grid", "5")),
+    ("matrosov", ("--baseline",)),
+]
+
+
 class TestExitCodes:
     def test_certified_run_exits_zero(self, tmp_path):
         code = run("certify", "-i", fixture_path("example2"),
@@ -67,7 +81,10 @@ class TestExitCodes:
         ("simulate", "seed", 1.5, (), "simulate.seed"),
         (None, "n", True, (), "n must be"),
         (None, None, None, ("--x0=a,b",), "--x0"),
-    ], ids=["time_nodes", "include", "zero_tol", "h", "seed", "n", "x0"])
+        ("domain", "lo", [3, -2], (), "domain.lo[0] = 3.0 is above"),
+        (None, "grid", 5, (), "grid: expected an object"),
+    ], ids=["time_nodes", "include", "zero_tol", "h", "seed", "n", "x0",
+            "domain", "grid"])
     def test_malformed_value_exits_three(self, tmp_path, capsys, block, key,
                                          value, argv, named):
         with open(fixture_path("example3"), "r", encoding="utf-8") as fh:
@@ -80,6 +97,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("grid_doc, f_value, named", [
+        ([1, 2], None, "grid.json: expected a JSON object"),
+        (None, "{exp(1000*x1)}", "exp(2000.0) has no finite value"),
+    ], ids=["grid_file_not_object", "exp_overflow"])
+    def test_hostile_input_exits_three(self, tmp_path, capsys, grid_doc,
+                                       f_value, named):
+        with open(fixture_path("example1"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        argv = []
+        if grid_doc is not None:
+            gridfile = tmp_path / "grid.json"
+            gridfile.write_text(json.dumps(grid_doc), encoding="utf-8")
+            argv = ["--grid-file", str(gridfile)]
+        if f_value is not None:
+            doc["F"]["pieces"][0]["value"] = [f_value]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run("reduce", "-i", str(system), "-o", str(tmp_path / "out"),
+                   *argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                             ids=[f"{c} {f[0]}" for c, f in _UNREAD_FLAGS])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "-i", fixture_path("example6"),
+                "-o", str(tmp_path), *flag)
+        assert exc.value.code == 2
 
 
 class TestReduce:

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import incred.expr as ex
-from incred.errors import DslEvalError, DslSyntaxError
+from incred.errors import ArrayHazard, DslEvalError, DslSyntaxError
 from incred.fixtures import available_fixtures, fixture_path
 from incred.intervals import Interval
 
@@ -56,6 +57,21 @@ class TestScalar:
             ev("1/x1", x1=0.0)
         with pytest.raises(DslEvalError):
             ev("1/x1", x1=1e-301)
+
+    @pytest.mark.parametrize("src, x1, message", [
+        ("exp(1000*x1)", 1.0, "exp(1000.0) has no finite value"),
+        ("sin(x1*1e308*10)", 1.0, "sin(inf) has no finite value"),
+        ("cos(x1*1e308*10)", -1.0, "cos(-inf) has no finite value"),
+    ])
+    def test_transcendental_without_finite_value(self, src, x1, message):
+        node = ex.parse_scalar(src)
+        for fn in (lambda env: ex.eval_scalar(node, env),
+                   ex.compile_scalar(node)):
+            with pytest.raises(DslEvalError, match=re.escape(message)):
+                fn({"x1": x1})
+        # the array path leaves the row to the pointwise reference
+        with pytest.raises(ArrayHazard), np.errstate(all="ignore"):
+            ex.compile_scalar_array(node)({"x1": np.array([x1])})
 
 
 class TestScalarErrors:

@@ -186,6 +186,25 @@ class TestAnnulus:
         assert not ann.contains((0.05, 0.05))
         assert not ann.contains((2.0, 0.5))
 
+    def test_array_form_is_a_row_mask(self):
+        ann = Annulus(0.1, 2.0)
+        pts = [(0.1, 0.0), (0.0, -0.1), (-2.0, 0.0), (0.0, 2.0), (1.0, 1.0),
+               (0.05, 0.05), (2.0, 0.5), (-0.0, 0.0)]
+        expected = [True, True, True, True, True, False, False, False]
+        mask = ann.contains(np.array(pts))
+        assert mask.dtype == bool and mask.shape == (len(pts),)
+        assert mask.tolist() == expected
+        singles = [ann.contains(p) for p in pts]
+        assert singles == expected
+        assert all(type(v) is bool for v in singles)
+
+    def test_array_form_hits_radii_in_three_dimensions(self):
+        ann = Annulus(0.1, 2.0)
+        radii = [(0.0, 0.0, 0.1), (0.0, -0.1, 0.0), (2.0, 0.0, 0.0),
+                 (0.0, 0.0, -2.0)]
+        assert ann.contains(np.array(radii)).all()
+        assert ann.contains(np.empty((0, 3))).shape == (0,)
+
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
             Annulus(-0.1, 1.0)

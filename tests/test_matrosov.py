@@ -1,5 +1,7 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from incred.certify import (CERTIFIED, INCONCLUSIVE, VIOLATED,
@@ -37,15 +39,64 @@ def _matrosov_doc(y_exprs, delta=0.1, big=2.0, gamma=1.0, phi=("0",),
     return doc
 
 
+def _reference_grid(problem, system, grid):
+    """``matrosov_grid`` as lists of tuples: ``itertools.product`` of the
+    axes, filtered point by point with the scalar squared-norm test."""
+    def inside(p, inner, outer):
+        sq = 0.0
+        for v in p:
+            sq += v * v
+        return inner * inner <= sq <= outer * outer
+
+    extra = tuple((problem.delta, -problem.delta, problem.big_delta,
+                   -problem.big_delta, 0.0) for _ in range(system.n))
+    x_nodes = [x for x in itertools.product(
+        *grid.axis_nodes(system.domain, extra))
+        if inside(x, problem.delta, problem.big_delta)]
+    g = problem.gamma
+    z_axes = []
+    for count in problem.z_counts:
+        vals = {float(v) for v in np.linspace(-g, g, count)}
+        vals.update((-g, 0.0, g))
+        z_axes.append(sorted(vals))
+    z_nodes = [z for z in itertools.product(*z_axes) if inside(z, 0.0, g)]
+    return z_nodes, x_nodes
+
+
 class TestGrid:
     def test_annulus_filter_and_radius_nodes(self, annulus_problem):
         system, problem, z_nodes, x_nodes = annulus_problem
         ann = problem.annulus()
-        assert all(ann.contains(x) for x in x_nodes)
-        assert (0.1, 0.0) in x_nodes and (-0.1, 0.0) in x_nodes
-        assert (2.0, 0.0) in x_nodes
-        assert all(abs(z[0]) <= 1.0 for z in z_nodes)
-        assert (0.0,) in z_nodes and (1.0,) in z_nodes
+        x_rows = list(map(tuple, x_nodes.tolist()))
+        z_rows = list(map(tuple, z_nodes.tolist()))
+        assert all(ann.contains(x) for x in x_rows)
+        assert (0.1, 0.0) in x_rows and (-0.1, 0.0) in x_rows
+        assert (2.0, 0.0) in x_rows
+        assert all(abs(z[0]) <= 1.0 for z in z_rows)
+        assert (0.0,) in z_rows and (1.0,) in z_rows
+
+    @pytest.mark.parametrize("source, factor", [
+        *((name, f) for name in ("example6", "example6_broken_y2")
+          for f in (1, 3, 10)),
+        ("m2", 1), ("m3", 3),
+    ])
+    def test_matches_the_product_reference(self, source, factor):
+        if source == "m2":
+            system = system_from_dict(_matrosov_doc(
+                ["-x1*x1"], phi=("0", "x1"), z_counts=[4, 5]))
+        elif source == "m3":
+            system = system_from_dict(_matrosov_doc(
+                ["-x1*x1"], phi=("0", "x1", "x2"), z_counts=[3, 4, 6]))
+        else:
+            system = load_fixture(source)
+        problem = build_matrosov_problem(system)
+        grid = system.grid.refined(factor)
+        z_nodes, x_nodes = matrosov_grid(problem, system, grid)
+        z_ref, x_ref = _reference_grid(problem, system, grid)
+        for got, ref, width in ((z_nodes, z_ref, problem.m),
+                                (x_nodes, x_ref, system.n)):
+            assert got.shape == (len(ref), width)
+            assert got.tobytes() == np.array(ref, dtype=float).tobytes()
 
     def test_inverted_radii_rejected(self):
         with pytest.raises(SchemaError):
