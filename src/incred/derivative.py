@@ -42,7 +42,8 @@ from .expr import _array_max as _max, _array_min as _min
 from .errors import (ArrayHazard, DimensionMismatchError, EmptySetError,
                      SchemaError)
 from .intervals import Interval, IntervalBox
-from .reduction import reduce_collection
+from .reduction import (_chunks, _gradient_arrays, _reduce_arrays,
+                        reduce_collection)
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
 
 __all__ = [
@@ -51,11 +52,6 @@ __all__ = [
     "baseline_interval_derivative",
     "DerivativeScan", "scan_derivative",
 ]
-
-# Nodes per numpy batch in scan_derivative. Bounds the kernel's
-# temporaries to a few hundred kilobytes whatever the grid size.
-_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class DerivativeValue:
@@ -229,7 +225,8 @@ def scan_derivative(candidate: RegularFunctionSpec,
 
     ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
     scalar expression with the map whose environment (parameters) it
-    reads. Nodes are evaluated as numpy arrays in batches of ``_CHUNK``.
+    reads. Nodes are evaluated as numpy arrays in batches of
+    ``reduction._CHUNK``.
     When any batch meets a hazard (see :class:`ArrayHazard`), the whole
     scan is recomputed by the pointwise reference, which raises exactly
     the errors the pointwise API raises; both give bit-identical columns.
@@ -279,9 +276,8 @@ def _scan_arrays(candidate, inclusion, reducers, pts, time_nodes,
     cols = np.zeros((len(extras),) + shape)
     with np.errstate(all="ignore"):
         for a, t in enumerate(time_nodes):
-            for start in range(0, len(pts), _CHUNK):
-                batch = axes[:, start:start + _CHUNK]
-                rows = slice(start, start + batch.shape[1])
+            for rows in _chunks(len(pts)):
+                batch = axes[:, rows]
                 value[a, rows], minus_inf[a, rows] = _derivative_arrays(
                     candidate, inclusion, reducers, batch, t)
                 for k, (fn, m) in enumerate(fns):
@@ -291,32 +287,13 @@ def _scan_arrays(candidate, inclusion, reducers, pts, time_nodes,
     return DerivativeScan(value, minus_inf, tuple(cols))
 
 
-def _gradient_arrays(f: RegularFunctionSpec, batch, t):
-    lo, hi, empty = f.gradient.value_arrays(batch, t)
-    if empty.any():
-        raise ArrayHazard
-    return lo, hi
-
-
 def _derivative_arrays(candidate, inclusion, reducers, batch, t):
-    """Array form of generalized_derivative: the pinch of every reducer,
-    the axiswise intersection, then the bilinear optimization, each with
-    the pointwise code's operation order and Python's max/min tie rule."""
+    """Array form of generalized_derivative: the reduction kernel, then
+    the bilinear optimization with the pointwise code's operation order
+    and Python's max/min tie rule."""
     lo, hi, minus_inf = inclusion.value_arrays(batch, t)
-    base_lo, base_hi = lo, hi
-    for k, u in enumerate(reducers):
-        g_lo, g_hi = _gradient_arrays(u, batch, t)
-        moving = g_lo != g_hi
-        pinch = moving[:-1]
-        minus_inf = minus_inf | moving[-1] | (
-            pinch & ~((base_lo <= 0.0) & (0.0 <= base_hi))).any(axis=0)
-        r_lo = np.where(pinch, 0.0, base_lo)
-        r_hi = np.where(pinch, 0.0, base_hi)
-        if k == 0:
-            lo, hi = r_lo, r_hi
-        else:
-            lo, hi = _max(lo, r_lo), _min(hi, r_hi)
-            minus_inf = minus_inf | (lo > hi).any(axis=0)
+    lo, hi, minus_inf, _ = _reduce_arrays(lo, hi, minus_inf, reducers,
+                                          batch, t)
     p_lo, p_hi = _gradient_arrays(candidate, batch, t)
     total = 0.0
     for i in range(len(lo)):

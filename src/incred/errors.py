@@ -24,7 +24,8 @@ class DslSyntaxError(IncredError):
 
 class DslEvalError(IncredError):
     """Expression evaluation failed: division by a near-zero denominator,
-    an inverted interval literal, or exp/sin/cos without a finite value."""
+    an inverted interval literal, exp/sin/cos without a finite value, or
+    a set value with a NaN endpoint."""
 
 
 class DimensionMismatchError(IncredError):

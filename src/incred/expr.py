@@ -36,7 +36,8 @@ and ``sgn(y)`` elsewhere. Division by a denominator smaller than 1e-300
 in magnitude raises instead of returning inf.
 
 ASTs are immutable; evaluation is pure. ``compile_scalar`` /
-``compile_set`` / ``compile_guard`` produce plain Python closures with
+``compile_set`` (``compile_sets`` for several sets at once) /
+``compile_guard`` produce plain Python closures with
 semantics identical to the tree-walking evaluators (same operations in
 the same order); grid scans use them as a fast path.
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -70,7 +71,7 @@ __all__ = [
     "Comparison", "AndGuard", "OrGuard", "NotGuard", "TrueGuard",
     "parse_scalar", "parse_set", "parse_guard",
     "eval_scalar", "eval_set", "eval_guard",
-    "compile_scalar", "compile_set", "compile_guard",
+    "compile_scalar", "compile_set", "compile_sets", "compile_guard",
     "compile_scalar_array", "compile_set_array", "compile_guard_array",
     "pretty_scalar", "pretty_set", "pretty_guard",
     "free_vars", "substitute", "DEFAULT_VARIABLES",
@@ -535,6 +536,13 @@ def eval_scalar(node: ScalarExpr, env: Mapping[str, float]) -> float:
 
 
 def eval_set(node: SetExpr, env: Mapping[str, float]) -> Interval:
+    try:
+        return _eval_set(node, env)
+    except ValueError:
+        raise _nan_endpoint(node, env) from None
+
+
+def _eval_set(node: SetExpr, env: Mapping[str, float]) -> Interval:
     if isinstance(node, SingletonSet):
         return Interval.point(eval_scalar(node.value, env))
     if isinstance(node, IntervalSet):
@@ -544,13 +552,26 @@ def eval_set(node: SetExpr, env: Mapping[str, float]) -> Interval:
         return _hull_value(eval_scalar(node.a, env),
                            eval_scalar(node.b, env))
     if isinstance(node, SumSet):
-        acc = eval_set(node.terms[0], env)
+        acc = _eval_set(node.terms[0], env)
         for term in node.terms[1:]:
-            acc = acc.add(eval_set(term, env))
+            acc = acc.add(_eval_set(term, env))
         return acc
     if isinstance(node, ScaledSet):
-        return eval_set(node.operand, env).scale(eval_scalar(node.coeff, env))
+        return _eval_set(node.operand, env).scale(
+            eval_scalar(node.coeff, env))
     raise TypeError(f"not a set expression: {node!r}")
+
+
+def _nan_endpoint(node: SetExpr, env: Mapping[str, float]) -> DslEvalError:
+    """The error for a set expression whose value has a NaN endpoint.
+
+    ``Interval`` raises ValueError for NaN endpoints; within set
+    evaluation that is its only ValueError, because inverted literals
+    raise DslEvalError before an interval is built.
+    """
+    x = tuple(env[f"x{i}"] for i in range(1, 10) if f"x{i}" in env)
+    return DslEvalError(f"set expression {pretty_set(node)} has a NaN "
+                        f"endpoint at x={x}, t={env.get('t')!r}")
 
 
 def eval_guard(node: GuardExpr, env: Mapping[str, float]) -> bool:
@@ -655,7 +676,28 @@ def compile_scalar(node: ScalarExpr) -> Callable[[Mapping[str, float]], float]:
 
 
 def compile_set(node: SetExpr) -> Callable[[Mapping[str, float]], Interval]:
-    return _build(_set_code(node))
+    sets = compile_sets((node,))
+    return lambda env: sets(env)[0]
+
+
+def compile_sets(nodes: Sequence[SetExpr],
+                 ) -> Callable[[Mapping[str, float]], tuple[Interval, ...]]:
+    """One closure returning the values of ``nodes``, evaluated in order.
+
+    A NaN endpoint raises the DslEvalError :func:`eval_set` raises for
+    the first set that has one.
+    """
+    nodes = tuple(nodes)
+    sets = _build("(" + "".join(f"{_set_code(n)}, " for n in nodes) + ")")
+
+    def checked(env: Mapping[str, float]) -> tuple[Interval, ...]:
+        try:
+            return sets(env)
+        except ValueError:
+            for node in nodes:  # the first with a NaN endpoint raises
+                eval_set(node, env)
+            raise
+    return checked
 
 
 def compile_guard(node: GuardExpr) -> Callable[[Mapping[str, float]], bool]:

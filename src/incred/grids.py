@@ -12,6 +12,7 @@ row-major order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,20 @@ import numpy as np
 from .errors import SchemaError
 from .intervals import IntervalBox
 
-__all__ = ["GridSpec", "product_array"]
+__all__ = ["GridSpec", "product_array", "MAX_ITEMS", "check_size"]
+
+# The most node-time pairs a grid may have and the most steps a
+# simulation may take. 1001^2 nodes at 6 time nodes, the most any bundled
+# system declares, is 6.0e6.
+MAX_ITEMS = 10_000_000
+
+
+def check_size(count, what: str) -> None:
+    """SchemaError unless ``count`` is at most :data:`MAX_ITEMS`; callers
+    check before they allocate anything of that size."""
+    if not count <= MAX_ITEMS:
+        raise SchemaError(f"{what}: {count} exceeds the limit of "
+                          f"{MAX_ITEMS}")
 
 
 def product_array(axes) -> np.ndarray:
@@ -83,13 +97,27 @@ class GridSpec:
     def nodes(self, domain: IntervalBox,
               extra: tuple[tuple[float, ...], ...] | None = None,
               ) -> np.ndarray:
-        """All grid points as an ``(N, dims)`` array in row-major order."""
+        """All grid points as an ``(N, dims)`` array in row-major order.
+
+        Raises SchemaError before building anything when the grid has
+        more than :data:`MAX_ITEMS` node-time pairs, counting each axis
+        as its uniform count or node-list length.
+        """
+        self._check_size([ax if isinstance(ax, int) else len(ax)
+                          for ax in self.axes])
         return product_array(self.axis_nodes(domain, extra))
+
+    def _check_size(self, sizes: list[int]) -> None:
+        check_size(math.prod(sizes) * len(self.time_nodes),
+                   f"grid node-time pairs ({' x '.join(map(str, sizes))} "
+                   f"nodes x {len(self.time_nodes)} time nodes)")
 
     def refined(self, factor: int) -> GridSpec:
         """A grid ``factor`` times finer that keeps every existing node."""
         if factor < 1:
             raise SchemaError("refinement factor must be >= 1")
+        self._check_size([((ax if isinstance(ax, int) else len(ax)) - 1)
+                          * factor + 1 for ax in self.axes])
         axes = []
         for ax in self.axes:
             if isinstance(ax, int):

@@ -14,16 +14,22 @@ worked systems reproduce their case tables with zero slack.
 Reducing by a *collection* of functions intersects the individual
 reductions axiswise. Collections are finite lists here; every shipped
 system uses one or two functions.
+
+The same pinch and intersection also run on numpy arrays of nodes
+(:func:`_reduce_arrays`), for the reduction table here and for the
+derivative scan in :mod:`incred.derivative`; the pointwise functions
+remain the reference they are tested against and fall back to.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import SchemaError
+import numpy as np
+
+from .errors import ArrayHazard, SchemaError
+from .expr import _array_max as _max, _array_min as _min
 from .intervals import Interval, IntervalBox, direction_axes
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -105,6 +111,58 @@ def _reduce_base(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
     return _intersect(base, (_pinch(base, u, x, t).result for u in reducers))
 
 
+
+
+# Nodes per numpy batch in the array evaluators (here and in
+# derivative.scan_derivative), and rows per report chunk. Bounds the
+# temporaries to a few hundred kilobytes whatever the grid size.
+_CHUNK = 4096
+
+
+def _chunks(count: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_CHUNK`` rows covering ``count``."""
+    for start in range(0, count, _CHUNK):
+        yield slice(start, min(start + _CHUNK, count))
+
+
+def _gradient_arrays(f: RegularFunctionSpec, batch, t):
+    """Declared gradient endpoint arrays; an empty piece is a hazard."""
+    lo, hi, empty = f.gradient.value_arrays(batch, t)
+    if empty.any():
+        raise ArrayHazard
+    return lo, hi
+
+
+def _reduce_arrays(lo, hi, empty, reducers, batch, t):
+    """Array form of :func:`_pinch` by every reducer and :func:`_intersect`.
+
+    ``lo``, ``hi`` (``(n, rows)``) and ``empty`` are the inclusion value
+    on the batch. Each reducer pinches the state axes its gradient moves
+    along to 0 and empties rows where such an axis excludes 0 or the time
+    axis moves; the pinched boxes are intersected axiswise in reducer
+    order with Python's max/min tie rule. Returns the reduced ``(lo, hi,
+    empty)``, whose endpoints mean nothing on empty rows, and the mask of
+    state axes some reducer constrains.
+    """
+    base_lo, base_hi = lo, hi
+    constrained = np.zeros(lo.shape, dtype=bool)
+    for k, u in enumerate(reducers):
+        g_lo, g_hi = _gradient_arrays(u, batch, t)
+        moving = g_lo != g_hi
+        pinch = moving[:-1]
+        constrained |= pinch
+        empty = empty | moving[-1] | (
+            pinch & ~((base_lo <= 0.0) & (0.0 <= base_hi))).any(axis=0)
+        r_lo = np.where(pinch, 0.0, base_lo)
+        r_hi = np.where(pinch, 0.0, base_hi)
+        if k == 0:
+            lo, hi = r_lo, r_hi
+        else:
+            lo, hi = _max(lo, r_lo), _min(hi, r_hi)
+            empty = empty | (lo > hi).any(axis=0)
+    return lo, hi, empty, constrained
+
+
 @dataclass(frozen=True)
 class ReductionRow:
     x: tuple[float, ...]
@@ -114,64 +172,192 @@ class ReductionRow:
     constrained_axes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionTable:
-    n: int
-    rows: tuple[ReductionRow, ...]
+    """The inclusion and its reduction at N nodes and one time, as columns.
+
+    ``x`` holds the nodes, one per row. ``base_lo``/``base_hi`` and
+    ``lo``/``hi`` are ``(n, N)`` endpoint arrays of the inclusion value
+    and of its reduction, 0.0 on the rows that ``base_empty`` and
+    ``empty`` flag as empty; ``constrained`` is the ``(n, N)`` mask of the
+    state axes some reducer pinches.
+    """
+    x: np.ndarray
+    t: float
+    base_lo: np.ndarray
+    base_hi: np.ndarray
+    base_empty: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray
+    constrained: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.base_lo)
+
+    @property
+    def rows(self) -> tuple[ReductionRow, ...]:
+        """The table as one :class:`ReductionRow` per node."""
+        def box(lo, hi, empty):
+            if empty:
+                return IntervalBox.empty(self.n)
+            return IntervalBox.from_bounds(lo, hi)
+
+        return tuple(
+            ReductionRow(tuple(x), self.t, box(b_lo, b_hi, b_empty),
+                         box(lo, hi, empty),
+                         tuple(i for i, c in enumerate(axes, 1) if c))
+            for x, b_lo, b_hi, b_empty, lo, hi, empty, axes in zip(
+                self.x.tolist(), self.base_lo.T.tolist(),
+                self.base_hi.T.tolist(), self.base_empty.tolist(),
+                self.lo.T.tolist(), self.hi.T.tolist(), self.empty.tolist(),
+                self.constrained.T.tolist()))
+
+    def report_chunks(self) -> Iterator[tuple[str, str]]:
+        """The CSV and text reports as ``(csv, text)`` pieces: the CSV
+        header, then ``_CHUNK`` rows at a time, each column formatted
+        with ``repr`` as a whole."""
+        n = self.n
+        yield ",".join(
+            [f"x{i+1}" for i in range(n)] + ["t"]
+            + [f"{k}{i+1}" for k in ("F_lo", "F_hi", "Fred_lo", "Fred_hi")
+               for i in range(n)] + ["empty_flag"]) + "\n", ""
+        if not len(self.x):
+            yield "", "\n"  # the text report of no rows is one newline
+            return
+        csv_row = "{},%s,{},{},{}\n" % repr(self.t)
+        text_row = "x=({}) t=%s  F={}  reduced={}  pinched_axes={}\n" \
+            % repr(self.t)
+        no_cells = "," * (2 * n - 1)
+        k = self.x.shape[1]
+        for rows in _chunks(len(self.x)):
+            cells = _reprs(np.concatenate([
+                self.x[rows].T, self.base_lo[:, rows], self.base_hi[:, rows],
+                self.lo[:, rows], self.hi[:, rows]]))
+            xs = cells[:k]
+            base_csv, base_text = _box_cells(
+                cells[k:k + n], cells[k + n:k + 2 * n], self.base_empty[rows],
+                no_cells, f"IntervalBox.empty({n})")
+            red_csv, red_text = _box_cells(
+                cells[k + 2 * n:k + 3 * n], cells[k + 3 * n:],
+                self.empty[rows], no_cells, "empty")
+            flags = ["1" if e else "0" for e in self.empty[rows].tolist()]
+            yield ("".join(map(csv_row.format, map(",".join, zip(*xs)),
+                               base_csv, red_csv, flags)),
+                   "".join(map(text_row.format, map(", ".join, zip(*xs)),
+                               base_text, red_text,
+                               _axis_labels(self.constrained[:, rows]))))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = [f"x{i+1}" for i in range(self.n)] + ["t"]
-        header += [f"F_lo{i+1}" for i in range(self.n)]
-        header += [f"F_hi{i+1}" for i in range(self.n)]
-        header += [f"Fred_lo{i+1}" for i in range(self.n)]
-        header += [f"Fred_hi{i+1}" for i in range(self.n)]
-        header.append("empty_flag")
-        writer.writerow(header)
-        for row in self.rows:
-            cells = [repr(v) for v in row.x] + [repr(row.t)]
-            if row.base.is_empty:
-                cells += [""] * (2 * self.n)
-            else:
-                cells += [repr(v) for v in row.base.lo_corner()]
-                cells += [repr(v) for v in row.base.hi_corner()]
-            if row.reduced.is_empty:
-                cells += [""] * (2 * self.n)
-                cells.append("1")
-            else:
-                cells += [repr(v) for v in row.reduced.lo_corner()]
-                cells += [repr(v) for v in row.reduced.hi_corner()]
-                cells.append("0")
-            writer.writerow(cells)
-        return buf.getvalue()
+        return "".join(csv for csv, _ in self.report_chunks())
 
     def to_text(self) -> str:
-        lines = []
-        for row in self.rows:
-            x_str = ", ".join(repr(v) for v in row.x)
-            reduced = "empty" if row.reduced.is_empty else repr(row.reduced)
-            constrained = (",".join(map(str, row.constrained_axes))
-                           if row.constrained_axes else "-")
-            lines.append(f"x=({x_str}) t={row.t!r}  F={row.base!r}  "
-                         f"reduced={reduced}  pinched_axes={constrained}")
-        return "\n".join(lines) + "\n"
+        return "".join(text for _, text in self.report_chunks())
+
+
+def _reprs(values: np.ndarray) -> list[list[str]]:
+    """``repr`` of every float of a 2-D array, as nested lists.
+
+    Each distinct bit pattern is formatted once; keying by bits, not by
+    value, keeps 0.0 and -0.0 apart.
+    """
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[where.reshape(values.shape)].tolist()
+
+
+def _box_cells(lo_s, hi_s, empty, no_cells: str, no_box: str,
+               ) -> tuple[list[str], list[str]]:
+    """Per row of the endpoint ``repr`` lists (one list per axis): the CSV
+    cells (lo corner, then hi corner) and the box ``repr``; ``no_cells``
+    and ``no_box`` on the rows ``empty`` flags."""
+    cells = list(map(",".join, zip(*lo_s, *hi_s)))
+    boxes = list(map("x".join, zip(*(map("[{}, {}]".format, a, b)
+                                      for a, b in zip(lo_s, hi_s)))))
+    for k in np.flatnonzero(empty).tolist():
+        cells[k] = no_cells
+        boxes[k] = no_box
+    return cells, boxes
+
+
+def _axis_labels(mask) -> list[str]:
+    """Per column of an ``(n, rows)`` mask: its 1-based set axes joined
+    by commas, or ``-`` when there are none."""
+    names = [[str(i) if c else "" for c in row]
+             for i, row in enumerate(mask.tolist(), 1)]
+    return [",".join(filter(None, parts)) or "-" for parts in zip(*names)]
+
+
+def _table_columns(n: int, count: int):
+    """Zeroed columns of a :class:`ReductionTable`, in field order."""
+    return (np.zeros((n, count)), np.zeros((n, count)),
+            np.zeros(count, dtype=bool), np.zeros((n, count)),
+            np.zeros((n, count)), np.zeros(count, dtype=bool),
+            np.zeros((n, count), dtype=bool))
 
 
 def tabulate_reduction(inclusion: PiecewiseBoxMap,
                        reducers: Sequence[RegularFunctionSpec],
-                       probe_points: Iterable[tuple[Sequence[float], float]],
-                       ) -> ReductionTable:
-    """Reduction table at the given ``(x, t)`` probes, in probe order.
+                       nodes, t: float) -> ReductionTable:
+    """Reduction table at every node at time ``t``, in node order.
 
-    Each probe evaluates the inclusion and every reducer gradient once.
+    ``nodes`` is an ``(N, n)`` array-like of points. Nodes are evaluated
+    as numpy arrays in batches of ``_CHUNK``, the inclusion and each
+    reducer gradient once per batch. When any batch meets a hazard (see
+    :class:`ArrayHazard`), the whole table is recomputed by the pointwise
+    reference, which raises exactly the errors the pointwise API raises;
+    both give bit-identical columns.
     """
-    rows = []
-    for x, t in probe_points:
+    pts = np.asarray(nodes, dtype=float)
+    try:
+        return _tabulate_arrays(inclusion, reducers, pts, float(t))
+    except ArrayHazard:
+        return _tabulate_pointwise(inclusion, reducers, pts, float(t))
+
+
+def _tabulate_pointwise(inclusion, reducers, pts, t) -> ReductionTable:
+    """The reference: the inclusion and each reducer gradient evaluated
+    once per node by the scalar closures."""
+    cols = _table_columns(inclusion.n_out, len(pts))
+    base_lo, base_hi, base_empty, lo, hi, empty, constrained = cols
+    for b, x in enumerate(pts.tolist()):
         base = eval_map(inclusion, x, t)
         pinches = [_pinch(base, u, x, t) for u in reducers]
         reduced = _intersect(base, (p.result for p in pinches))
-        constrained = set().union(*(p.constrained_axes for p in pinches))
-        rows.append(ReductionRow(tuple(float(v) for v in x), float(t),
-                                 base, reduced, tuple(sorted(constrained))))
-    return ReductionTable(inclusion.n_out, tuple(rows))
+        for p in pinches:
+            constrained[[i - 1 for i in p.constrained_axes], b] = True
+        for box, box_lo, box_hi, box_empty in (
+                (base, base_lo, base_hi, base_empty),
+                (reduced, lo, hi, empty)):
+            if box.is_empty:
+                box_empty[b] = True
+            else:
+                box_lo[:, b] = box.lo_corner()
+                box_hi[:, b] = box.hi_corner()
+    return ReductionTable(pts, t, *cols)
+
+
+def _tabulate_arrays(inclusion, reducers, pts, t) -> ReductionTable:
+    n = inclusion.n_out
+    maps = [inclusion, *(u.gradient for u in reducers)]
+    if (pts.ndim != 2 or any(m.n_in != pts.shape[1] for m in maps)
+            or any(u.n != n or not u.regular for u in reducers)):
+        raise ArrayHazard  # the pointwise path raises the matching error
+    cols = _table_columns(n, len(pts))
+    base_lo, base_hi, base_empty, lo, hi, empty, constrained = cols
+    axes = np.ascontiguousarray(pts.T)
+    with np.errstate(all="ignore"):
+        for rows in _chunks(len(pts)):
+            batch = axes[:, rows]
+            b_lo, b_hi, b_empty = inclusion.value_arrays(batch, t)
+            r_lo, r_hi, r_empty, r_axes = _reduce_arrays(
+                b_lo, b_hi, b_empty, reducers, batch, t)
+            base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
+            base_empty[rows] = b_empty
+            lo[:, rows] = np.where(r_empty, 0.0, r_lo)
+            hi[:, rows] = np.where(r_empty, 0.0, r_hi)
+            empty[rows] = r_empty
+            constrained[:, rows] = r_axes
+    return ReductionTable(pts, t, *cols)

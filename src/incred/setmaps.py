@@ -91,7 +91,7 @@ class PiecewiseBoxMap:
         self._compiled = tuple(
             (expr.compile_guard(p.guard),
              None if p.values is None
-             else tuple(expr.compile_set(v) for v in p.values))
+             else expr.compile_sets(p.values))
             for p in pieces)
         self._array_compiled = None
         used = set()
@@ -115,11 +115,11 @@ class PiecewiseBoxMap:
             raise DimensionMismatchError(
                 f"point has {len(x)} coordinates, map expects {self.n_in}")
         env = self.env(x, t)
-        for guard_fn, value_fns in self._compiled:
+        for guard_fn, values_fn in self._compiled:
             if guard_fn(env):
-                if value_fns is None:
+                if values_fn is None:
                     return IntervalBox.empty(self.n_out)
-                return IntervalBox(fn(env) for fn in value_fns)
+                return IntervalBox(values_fn(env))
         raise AssertionError("unreachable: otherwise piece is mandatory")
 
     def env_arrays(self, cols: Sequence[np.ndarray], t: float) -> dict:

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import expr
 from .errors import SchemaError, SimulationError
+from .grids import check_size
 from .intervals import IntervalBox, contains
 from .reduction import _reduce_base, reduce_collection
 from .setmaps import SystemDef, eval_gradient, eval_map
@@ -136,7 +137,9 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
     if not contains(sys.domain, x):
         raise SimulationError(f"x0 {x} lies outside the domain box")
 
-    n_steps = int(round((horizon - t0) / h))
+    count = (horizon - t0) / h
+    check_size(count, "simulation steps (T - t0)/h")
+    n_steps = int(round(count))
     if n_steps < 1:
         raise SchemaError("horizon is shorter than one step")
     rng = (np.random.default_rng(strategy.seed)

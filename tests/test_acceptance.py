@@ -35,8 +35,9 @@ def _report(n, text):
 
 
 def test_criterion_1_reduction_table_is_exact(example1):
-    probes = [((float(x),), 0.0) for x in (-2, -1, -0.5, 0, 0.5, 1, 2)]
-    table = tabulate_reduction(example1.inclusion, example1.reducers, probes)
+    nodes = [(float(x),) for x in (-2, -1, -0.5, 0, 0.5, 1, 2)]
+    table = tabulate_reduction(example1.inclusion, example1.reducers, nodes,
+                               0.0)
     expected = {
         -2.0: Interval(-2, -2), -1.0: Interval(0, 0),
         -0.5: Interval(-2, -2), 0.0: None, 0.5: Interval(-2, -2),
@@ -88,10 +89,10 @@ def test_criterion_2_planar_derivative_closed_form(example2):
 
 
 def test_criterion_3_invariance_example(example3):
-    probes = [((1.0, 0.0), 0.0), ((-1.0, 0.0), 0.0), ((1.0, 1.0), 0.0),
-              ((-1.0, 1.0), 0.0), ((1.0, -1.0), 0.0), ((-1.0, -1.0), 0.0),
-              ((0.5, 0.5), 0.0), ((-0.3, 0.7), 0.0), ((2.0, 0.0), 0.0)]
-    table = tabulate_reduction(example3.inclusion, example3.reducers, probes)
+    nodes = [(1.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
+             (-1.0, -1.0), (0.5, 0.5), (-0.3, 0.7), (2.0, 0.0)]
+    table = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
+                               0.0)
     rows = {row.x: row for row in table.rows}
     assert rows[(1.0, 0.0)].reduced == box((0.0, 0.0), (-1.5, -0.5))
     assert rows[(-1.0, 0.0)].reduced == box((0.0, 0.0), (0.5, 1.5))

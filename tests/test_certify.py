@@ -3,10 +3,12 @@ import math
 import pytest
 
 import incred.expr as ex
+import incred.grids as grids
 from incred.certify import (CERTIFIED, VIOLATED, certify_lyapunov,
                             certify_semidefinite, invariance_data)
 from incred.derivative import baseline_max_derivative, generalized_derivative
 from incred.errors import SchemaError
+from incred.fixtures import available_fixtures, load_fixture
 from incred.grids import GridSpec
 from incred.intervals import IntervalBox
 from incred.setmaps import system_from_dict
@@ -27,6 +29,16 @@ def _decay_1d(value_at_zero: str = "{0}", time_nodes=(0,)):
 
 
 class TestGridSpec:
+    def test_size_limit_admits_fine_grids_and_every_fixture(self,
+                                                           monkeypatch):
+        # nodes() checks the size, then would build the product
+        monkeypatch.setattr(grids, "product_array", lambda axes: len(axes))
+        for name in available_fixtures():
+            system = load_fixture(name)
+            grid = system.require_grid()
+            for g in (grid, grid.refined(10), grid.with_uniform_counts(1001)):
+                assert g.nodes(system.domain) == system.n
+
     def test_include_nodes_survive_verbatim(self, example2):
         nodes = example2.grid.axis_nodes(example2.domain)
         for axis in nodes:

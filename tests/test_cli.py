@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, argv, named", [
+        ("example3", ("reduce", "--grid", "100000"),
+         f"(100000 x 100000 nodes x 1 time nodes): {100000 ** 2 * 1} "),
+        ("example6", ("certify", "--grid", "100000"),
+         f"(100000 x 100000 nodes x 3 time nodes): {100000 ** 2 * 3} "),
+        ("example6", ("matrosov", "--verify-factor", "1000000"),
+         f"x 3 time nodes): {(50 * 1000000 + 1) ** 2 * 3} "),
+        ("example3", ("simulate", "--T", "1e300"),
+         f"(T - t0)/h: {(1e300 - 0.0) / 0.001!r} "),
+    ], ids=["reduce", "certify", "matrosov", "simulate"])
+    def test_oversized_run_exits_three(self, tmp_path, capsys, monkeypatch,
+                                       name, argv, named):
+        import incred.simulate
+        from incred.grids import GridSpec
+
+        axis_nodes = GridSpec.axis_nodes
+
+        def small_axes(grid, *args):
+            sizes = [ax if isinstance(ax, int) else len(ax)
+                     for ax in grid.axes]
+            assert math.prod(sizes) <= 10 ** 6, "large grid built"
+            return axis_nodes(grid, *args)
+
+        def no_step(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(GridSpec, "axis_nodes", small_axes)
+        monkeypatch.setattr(incred.simulate, "eval_map", no_step)
+        code = run(argv[0], "-i", fixture_path(name), "-o", str(tmp_path),
+                   *argv[1:])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert named + "exceeds the limit of 10000000" in err
+
+    @pytest.mark.parametrize("command", ["reduce", "certify"])
+    def test_nan_set_endpoint_exits_three(self, tmp_path, capsys, command):
+        with open(fixture_path("example1"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["F"]["pieces"][0]["value"] = ["{(1e308*10) - (1e308*10)}"]
+        doc["certify"]["W"] = "x1*x1"
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command, "-i", str(system), "-o", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert ("set expression {1e+308*10 - 1e+308*10} has a NaN endpoint "
+                "at x=(-2.0,), t=0.0") in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
                              ids=[f"{c} {f[0]}" for c, f in _UNREAD_FLAGS])

@@ -121,6 +121,17 @@ class TestSet:
         with pytest.raises(DslEvalError):
             evset("[x1, 0]", x1=1.0)
 
+    @pytest.mark.parametrize("src", [
+        "{(1e308*10) - (1e308*10)}", "{1e308*10} + {-1e308*10}",
+        "[(1e308*10) - (1e308*10), 1]", "(1e308*10)*[0, 1]"])
+    def test_nan_endpoint_is_an_eval_error(self, src):
+        node = ex.parse_set(src)
+        message = (f"set expression {ex.pretty_set(node)} has a NaN "
+                   "endpoint at x=(1.0,), t=0.5")
+        for fn in (lambda env: ex.eval_set(node, env), ex.compile_set(node)):
+            with pytest.raises(DslEvalError, match=re.escape(message)):
+                fn({"x1": 1.0, "t": 0.5})
+
     def test_parenthesized_coefficient(self):
         assert evset("(x1 + 1)*[0, 1]", x1=1.0) == Interval(0, 2)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import incred.expr as ex
+import incred.reduction as red
 from incred.errors import SchemaError
 from incred.intervals import Interval, IntervalBox, box_hausdorff
 from incred.reduction import reduce_collection, reduce_once, tabulate_reduction
@@ -232,9 +233,9 @@ class TestBruteForceOracle:
 
 class TestTabulate:
     def test_example1_table(self, example1):
-        probes = [((x,), 0.0) for x in (-2, -1, -0.5, 0, 0.5, 1, 2)]
+        nodes = [(x,) for x in (-2, -1, -0.5, 0, 0.5, 1, 2)]
         table = tabulate_reduction(example1.inclusion, example1.reducers,
-                                   probes)
+                                   nodes, 0.0)
         assert len(table.rows) == 7
         by_x = {row.x[0]: row for row in table.rows}
         assert by_x[1.0].reduced == box((0, 0))
@@ -244,28 +245,42 @@ class TestTabulate:
             assert by_x[x].reduced == by_x[x].base
 
     def test_empty_probe_list(self, example1):
-        table = tabulate_reduction(example1.inclusion, example1.reducers, [])
+        table = tabulate_reduction(example1.inclusion, example1.reducers, [],
+                                   0.0)
         assert table.rows == ()
         assert "empty_flag" in table.to_csv().splitlines()[0]
 
     def test_each_map_evaluated_once_per_probe(self, example3, monkeypatch):
         # two reducers, so the per-reducer evaluations would show
         reducers = (example3.reducers[0], example3.candidate)
+        maps = [example3.inclusion, *(u.gradient for u in reducers)]
+        nodes = np.array([(1.0, 0.0), (0.5, 0.5), (0.0, 0.0)])
         calls = []
         value = PiecewiseBoxMap.value
         monkeypatch.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
             calls.append(m), value(m, x, t))[1])
-        probes = [((1.0, 0.0), 0.0), ((0.5, 0.5), 0.0), ((0.0, 0.0), 0.0)]
-        tabulate_reduction(example3.inclusion, reducers, probes)
-        maps = [example3.inclusion, *(u.gradient for u in reducers)]
-        assert [calls.count(m) for m in maps] == [len(probes)] * 3
+        red._tabulate_pointwise(example3.inclusion, reducers, nodes, 0.0)
+        assert [calls.count(m) for m in maps] == [len(nodes)] * 3
         calls.clear()
         reduce_collection(example3.inclusion, reducers, (1.0, 0.0), 0.0)
         assert calls.count(example3.inclusion) == 1
 
+        # the array path: once per chunk, and never pointwise
+        calls.clear()
+        value_arrays = PiecewiseBoxMap.value_arrays
+        monkeypatch.setattr(PiecewiseBoxMap, "value_arrays", lambda m, c, t: (
+            calls.append(m), value_arrays(m, c, t))[1])
+        for chunk, batches in ((4096, 1), (2, 2), (1, 3)):
+            monkeypatch.setattr(red, "_CHUNK", chunk)
+            tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
+            assert [calls.count(m) for m in maps] == [batches] * 3
+            calls.clear()
+
     def test_csv_is_deterministic(self, example3):
-        probes = [((1.0, 0.0), 0.0), ((0.5, 0.5), 0.0), ((1.0, 1.0), 0.0)]
-        t1 = tabulate_reduction(example3.inclusion, example3.reducers, probes)
-        t2 = tabulate_reduction(example3.inclusion, example3.reducers, probes)
+        nodes = [(1.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+        t1 = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
+                                0.0)
+        t2 = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
+                                0.0)
         assert t1.to_csv() == t2.to_csv()
         assert t1.to_csv().count("\n") == 4

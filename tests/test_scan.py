@@ -1,12 +1,15 @@
-"""The array scan kernel against the pointwise reference evaluator.
+"""The array evaluators against the pointwise reference evaluators.
 
-``scan_derivative`` evaluates batches of nodes as numpy arrays and falls
-back to the pointwise evaluator when a batch meets a hazard. These tests
-call both evaluators directly: wherever the array path returns, its
-columns must carry the same bits as the pointwise ones, and the public
-kernel must raise exactly what the pointwise evaluator raises.
+``scan_derivative``, ``tabulate_reduction`` and the Matrosov Y table
+evaluate batches of nodes as numpy arrays and fall back to the pointwise
+evaluator when a batch meets a hazard. These tests call both evaluators
+directly: wherever the array path returns, its columns must carry the
+same bits as the pointwise ones, and the public function must raise
+exactly what the pointwise evaluator raises.
 """
 
+import csv
+import io
 import json
 import struct
 
@@ -18,11 +21,13 @@ from hypothesis import strategies as st
 import incred.certify as certify
 import incred.derivative as deriv
 import incred.expr as ex
+import incred.reduction as red
 from incred.certify import (MatrosovProblem, build_matrosov_problem,
                             certify_lyapunov, certify_semidefinite,
                             invariance_data, matrosov_derivative_bounds)
+from incred.cli import main
 from incred.errors import ArrayHazard
-from incred.fixtures import available_fixtures, load_fixture
+from incred.fixtures import available_fixtures, fixture_path, load_fixture
 from incred.setmaps import Piece, PiecewiseBoxMap, RegularFunctionSpec
 
 # Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
@@ -100,15 +105,17 @@ def _set(draw, risky: bool, depth: int = 1):
     return ex.ScaledSet(_scalar(draw, risky, 1), _set(draw, risky, depth - 1))
 
 
-def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool):
+def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
+               still=(True, False)):
     """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
 
     With three outputs (a gradient) the last axis is time; it is often
-    degenerate, so reducers do not always empty the reduced set.
+    degenerate (when a draw from ``still`` is True), so reducers do not
+    always empty the reduced set.
     """
     def values():
         out = [_set(draw, risky) for _ in range(n_out)]
-        if n_out == 3 and draw(st.booleans()):
+        if n_out == 3 and draw(st.sampled_from(still)):
             out[2] = ex.SingletonSet(draw(st.sampled_from(
                 [ex.Num(0.0), ex.Var("g")])))
         return tuple(out)
@@ -175,7 +182,7 @@ def _same(a, b) -> bool:
 def test_array_scan_is_bit_identical_to_pointwise(case):
     args = (case["candidate"], case["inclusion"], case["reducers"],
             np.array(case["nodes"]), case["time_nodes"], case["extras"])
-    saved, deriv._CHUNK = deriv._CHUNK, case["chunk"]
+    saved, red._CHUNK = red._CHUNK, case["chunk"]
     try:
         reference = _outcome(deriv._scan_pointwise, *args)
         try:
@@ -184,7 +191,7 @@ def test_array_scan_is_bit_identical_to_pointwise(case):
             fast = None
         public = _outcome(deriv.scan_derivative, *args)
     finally:
-        deriv._CHUNK = saved
+        red._CHUNK = saved
     if fast is not None:
         # the array path never returns where the reference raises
         assert not isinstance(reference, tuple), reference
@@ -229,6 +236,133 @@ def test_fixture_scans_take_the_array_path(name, monkeypatch):
     monkeypatch.setattr(deriv, "_scan_arrays", hazard)
     slow = [json.dumps(run().to_dict(), sort_keys=True) for run in runs]
     assert fast == slow
+
+
+# --- the reduction table ---------------------------------------------------
+
+@st.composite
+def table_cases(draw):
+    """A reduction-table input; half of them free of every array hazard.
+
+    Inclusion values are often widened by [-2, 2], so that pinches keep
+    some rows nonempty. Risky cases add non-regular reducers and, rarely,
+    three-coordinate nodes for two-variable maps.
+    """
+    risky = draw(st.booleans())
+
+    def widened(value):
+        if draw(st.booleans()):
+            return value
+        return ex.SumSet((value, ex.IntervalSet(ex.Num(-2.0), ex.Num(2.0))))
+
+    def reducer():
+        regular = not risky or draw(st.integers(0, 7)) > 0
+        gradient = _piecewise(draw, risky, 3, risky, (True,) * 7 + (False,))
+        return RegularFunctionSpec("u", 2, ex.Num(0.0), gradient, regular)
+
+    width = 3 if risky and draw(st.integers(0, 9)) == 0 else 2
+    return {
+        "inclusion": PiecewiseBoxMap(2, 2, [
+            Piece(p.guard, p.values and tuple(map(widened, p.values)))
+            for p in _piecewise(draw, risky, 2, True).pieces], PARAMS),
+        "reducers": [reducer() for _ in range(draw(st.integers(1, 3)))],
+        "nodes": draw(st.lists(st.tuples(*[st.sampled_from(COORDS)] * width),
+                               min_size=1, max_size=12)),
+        "t": draw(st.sampled_from([0.0, -0.0, 1.0, 5.0])),
+        "chunk": draw(st.sampled_from([1, 3, 4096])),
+    }
+
+
+def _row_reports(table):
+    """CSV and text reports built row by row from ``table.rows``."""
+    n = table.n
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x{i+1}" for i in range(n)] + ["t"]
+                    + [f"{k}{i+1}" for k in ("F_lo", "F_hi", "Fred_lo",
+                                            "Fred_hi") for i in range(n)]
+                    + ["empty_flag"])
+    lines = []
+    for row in table.rows:
+        cells = [repr(v) for v in row.x] + [repr(row.t)]
+        for b in (row.base, row.reduced):
+            cells += ([""] * (2 * n) if b.is_empty else
+                      [repr(v) for v in b.lo_corner() + b.hi_corner()])
+        writer.writerow(cells + ["1" if row.reduced.is_empty else "0"])
+        x_str = ", ".join(repr(v) for v in row.x)
+        reduced = "empty" if row.reduced.is_empty else repr(row.reduced)
+        axes = ",".join(map(str, row.constrained_axes)) or "-"
+        lines.append(f"x=({x_str}) t={row.t!r}  F={row.base!r}  "
+                     f"reduced={reduced}  pinched_axes={axes}")
+    return buf.getvalue(), "\n".join(lines) + "\n"
+
+
+def _table_key(table) -> dict:
+    columns = (table.x, [table.t], table.base_lo, table.base_hi, table.lo,
+               table.hi)
+    return {"bits": [struct.pack("d", v) for c in columns
+                     for v in np.ravel(c).tolist()],
+            "flags": (table.base_empty.tolist(), table.empty.tolist(),
+                      table.constrained.tolist()),
+            "reports": (table.to_csv(), table.to_text())}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=table_cases())
+def test_array_table_is_bit_identical_to_pointwise(case):
+    args = (case["inclusion"], case["reducers"], np.array(case["nodes"]),
+            case["t"])
+    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    try:
+        reference = _outcome(
+            lambda *a: _table_key(red._tabulate_pointwise(*a)), *args)
+        try:
+            fast = _table_key(red._tabulate_arrays(*args))
+        except ArrayHazard:
+            fast = None
+        public = _outcome(
+            lambda *a: _table_key(red.tabulate_reduction(*a)), *args)
+        if not isinstance(reference, tuple):
+            rows = _row_reports(red._tabulate_pointwise(*args))
+    finally:
+        red._CHUNK = saved
+    if fast is not None:
+        # the array path never returns where the reference raises
+        assert not isinstance(reference, tuple), reference
+        assert fast == reference
+    assert public == reference
+    if not isinstance(reference, tuple):
+        assert reference["reports"] == rows
+
+
+@pytest.mark.parametrize("name", available_fixtures())
+def test_fixture_tables_take_the_array_path(name, tmp_path, monkeypatch):
+    system = load_fixture(name)
+
+    def no_fallback(*args):
+        raise AssertionError("the array table fell back")
+
+    monkeypatch.setattr(red, "_tabulate_pointwise", no_fallback)
+    flags = [[]] + [["--baseline"]] * system.candidate.regular
+    for extra in flags:
+        assert main(["reduce", "-i", str(fixture_path(name)),
+                     "-o", str(tmp_path), *extra]) == 0
+
+
+@pytest.mark.parametrize("name", ["example2", "example3", "example6"])
+def test_fine_grid_reports_equal_the_pointwise_table(name, tmp_path):
+    assert main(["reduce", "-i", str(fixture_path(name)), "--grid", "201",
+                 "-o", str(tmp_path)]) == 0
+    system = load_fixture(name)
+    grid = system.require_grid().with_uniform_counts(201)
+    table = red._tabulate_pointwise(system.inclusion, system.reducers,
+                                    grid.nodes(system.domain),
+                                    grid.time_nodes[0])
+    for path, report in (("reduction_table.csv", table.to_csv()),
+                         ("reduction_table.txt", table.to_text())):
+        assert (tmp_path / path).read_bytes() == report.encode()
 
 
 # --- the Matrosov Y table -------------------------------------------------
