@@ -19,8 +19,8 @@ from .errors import (DimensionMismatchError, DslEvalError, DslSyntaxError,
                      EmptySetError, IncredError, SchemaError, SimulationError)
 from .fixtures import available_fixtures, fixture_path, load_fixture
 from .grids import GridSpec
-from .intervals import (Annulus, Interval, IntervalBox, box_hausdorff,
-                        contains, direction_axes, minkowski_sum, scale)
+from .intervals import (Annulus, Interval, IntervalBox, contains,
+                        direction_axes)
 from .reduction import (ReducedValue, ReductionTable, reduce_collection,
                         reduce_once, tabulate_reduction)
 from .setmaps import (CheckSpec, GradientValidationReport, MatrosovData,

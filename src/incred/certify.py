@@ -28,6 +28,7 @@ worst-case tracking uses strict improvement, so reports are byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,8 +37,9 @@ import numpy as np
 from . import expr
 from .derivative import scan_derivative
 from .errors import ArrayHazard, SchemaError
-from .grids import GridSpec, product_array
+from .grids import GridSpec, check_size, product_array
 from .intervals import Annulus, IntervalBox, contains
+from .reduction import _fill
 from .setmaps import RegularFunctionSpec, SystemDef, eval_map
 
 __all__ = [
@@ -433,6 +435,8 @@ def matrosov_grid(prob: MatrosovProblem, sys: SystemDef,
     x_nodes = x_nodes[prob.annulus().contains(x_nodes)]
     if not len(x_nodes):
         raise SchemaError("no grid nodes fall inside the annulus")
+    check_size(math.prod(prob.z_counts), "matrosov z nodes (z_counts "
+               f"{' x '.join(map(str, prob.z_counts))})")
     g = prob.gamma
     z_axes = []
     for count in prob.z_counts:
@@ -448,41 +452,40 @@ def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
     ``z + x``, x outer and z inner, and Y_1..Y_M there as ``(M, R)``.
 
     When no Y reads z only the first z is used (the checks are then
-    z-independent). On an ArrayHazard the pointwise reference refills
-    the table row by row and raises the pointwise errors.
+    z-independent). Rows are evaluated as numpy arrays in batches; a
+    batch that meets a hazard is refilled row by row by the scalar
+    closures, which raise the pointwise errors.
     """
     z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
                    dtype=float).reshape(-1, prob.m)
     x = np.asarray(x_nodes, dtype=float)
+    check_size(len(x) * len(z), f"matrosov (z, x) rows ({len(z)} z nodes "
+               f"x {len(x)} x nodes)")
     points = np.hstack([np.tile(z, (len(x), 1)),
                         np.repeat(x, len(z), axis=0)])
     names = ([f"z{i+1}" for i in range(prob.m)]
              + [f"x{i+1}" for i in range(x.shape[1])])
-    try:
-        return points, _aux_arrays(prob.aux, names, points)
-    except ArrayHazard:
-        return points, _aux_pointwise(prob.aux, names, points)
+    y = np.empty((len(prob.aux), len(points)))
+    array_fns = [expr.compile_scalar_array(e) for e in prob.aux]
+    scalar_fns = []  # compiled on the first pointwise row
 
+    def arrays(rows):
+        env = dict(zip(names, points[rows].T))
+        block = np.empty((len(array_fns), rows.stop - rows.start))
+        for k, fn in enumerate(array_fns):
+            block[k] = fn(env)
+        if not np.isfinite(block).all():
+            raise ArrayHazard
+        y[:, rows] = block
 
-def _aux_arrays(aux, names, points) -> np.ndarray:
-    env = dict(zip(names, points.T))
-    y = np.empty((len(aux), len(points)))
-    with np.errstate(all="ignore"):
-        for k, e in enumerate(aux):
-            y[k] = expr.compile_scalar_array(e)(env)
-    if not np.isfinite(y).all():
-        raise ArrayHazard
-    return y
+    def pointwise(r):
+        if not scalar_fns:
+            scalar_fns.extend(expr.compile_scalar(e) for e in prob.aux)
+        env = dict(zip(names, points[r].tolist()))
+        y[:, r] = [fn(env) for fn in scalar_fns]
 
-
-def _aux_pointwise(aux, names, points) -> np.ndarray:
-    fns = [expr.compile_scalar(e) for e in aux]
-    y = np.empty((len(aux), len(points)))
-    for r, row in enumerate(points.tolist()):
-        env = dict(zip(names, row))
-        for k, fn in enumerate(fns):
-            y[k, r] = fn(env)
-    return y
+    _fill(len(points), arrays, pointwise)
+    return points, y
 
 
 def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:

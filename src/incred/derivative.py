@@ -42,8 +42,8 @@ from .expr import _array_max as _max, _array_min as _min
 from .errors import (ArrayHazard, DimensionMismatchError, EmptySetError,
                      SchemaError)
 from .intervals import Interval, IntervalBox
-from .reduction import (_chunks, _gradient_arrays, _reduce_arrays,
-                        reduce_collection)
+from .reduction import (_fill, _gradient_arrays, _node_array,
+                        _reduce_arrays, reduce_collection)
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
 
 __all__ = [
@@ -225,65 +225,55 @@ def scan_derivative(candidate: RegularFunctionSpec,
 
     ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
     scalar expression with the map whose environment (parameters) it
-    reads. Nodes are evaluated as numpy arrays in batches of
-    ``reduction._CHUNK``.
-    When any batch meets a hazard (see :class:`ArrayHazard`), the whole
-    scan is recomputed by the pointwise reference, which raises exactly
-    the errors the pointwise API raises; both give bit-identical columns.
+    reads. For each time node in turn, nodes are evaluated as numpy
+    arrays in batches of ``reduction._CHUNK``; a batch that meets a
+    hazard (see :class:`ArrayHazard`) is refilled node by node by the
+    pointwise reference, which raises exactly the errors the pointwise
+    API raises.
     """
-    pts = np.asarray(nodes, dtype=float)
-    try:
-        return _scan_arrays(candidate, inclusion, reducers, pts, time_nodes,
-                            extras)
-    except ArrayHazard:
-        return _scan_pointwise(candidate, inclusion, reducers, pts,
-                               time_nodes, extras)
-
-
-def _scan_pointwise(candidate, inclusion, reducers, pts, time_nodes,
-                    extras) -> DerivativeScan:
-    fns = [(expr.compile_scalar(e), m) for e, m in extras]
-    shape = (len(time_nodes), len(pts))
-    value = np.zeros(shape)
-    minus_inf = np.zeros(shape, dtype=bool)
-    cols = np.zeros((len(extras),) + shape)
-    for a, t in enumerate(time_nodes):
-        for b, x in enumerate(pts.tolist()):
-            d = generalized_derivative(candidate, inclusion, reducers, x, t)
-            if d.is_minus_inf:
-                minus_inf[a, b] = True
-            else:
-                value[a, b] = d.value
-            for k, (fn, m) in enumerate(fns):
-                cols[k, a, b] = fn(m.env(x, t))
-    return DerivativeScan(value, minus_inf, tuple(cols))
-
-
-def _scan_arrays(candidate, inclusion, reducers, pts, time_nodes,
-                 extras) -> DerivativeScan:
+    pts = _node_array(nodes, inclusion.n_in)
     n = inclusion.n_out
     maps = [inclusion, candidate.gradient, *(u.gradient for u in reducers),
             *(m for _, m in extras)]
-    if (pts.ndim != 2 or any(m.n_in != pts.shape[1] for m in maps)
-            or any(f.n != n or not f.regular for f in reducers)
-            or candidate.n != n):
-        raise ArrayHazard  # the pointwise path raises the matching error
-    fns = [(expr.compile_scalar_array(e), m) for e, m in extras]
+    ready = (all(m.n_in == pts.shape[-1] for m in maps)
+             and all(f.n == n and f.regular for f in reducers)
+             and candidate.n == n)
+    array_fns = [(expr.compile_scalar_array(e), m) for e, m in extras]
+    scalar_fns = []  # compiled on the first pointwise row
     axes = np.ascontiguousarray(pts.T)
     shape = (len(time_nodes), len(pts))
     value = np.zeros(shape)
     minus_inf = np.zeros(shape, dtype=bool)
     cols = np.zeros((len(extras),) + shape)
-    with np.errstate(all="ignore"):
-        for a, t in enumerate(time_nodes):
-            for rows in _chunks(len(pts)):
-                batch = axes[:, rows]
-                value[a, rows], minus_inf[a, rows] = _derivative_arrays(
-                    candidate, inclusion, reducers, batch, t)
-                for k, (fn, m) in enumerate(fns):
-                    cols[k, a, rows] = fn(m.env_arrays(batch, t))
-    if not np.isfinite(cols).all():
-        raise ArrayHazard
+
+    for a, t in enumerate(time_nodes):
+        def arrays(rows):
+            if not ready:
+                raise ArrayHazard  # pointwise rows raise the error
+            batch = axes[:, rows]
+            d_value, d_minus_inf = _derivative_arrays(
+                candidate, inclusion, reducers, batch, t)
+            extra = [fn(m.env_arrays(batch, t)) for fn, m in array_fns]
+            if not all(np.isfinite(c).all() for c in extra):
+                raise ArrayHazard
+            value[a, rows], minus_inf[a, rows] = d_value, d_minus_inf
+            for k, c in enumerate(extra):
+                cols[k, a, rows] = c
+
+        def pointwise(b):
+            if not scalar_fns:
+                scalar_fns.extend((expr.compile_scalar(e), m)
+                                  for e, m in extras)
+            x = pts[b].tolist()
+            d = generalized_derivative(candidate, inclusion, reducers, x, t)
+            if d.is_minus_inf:
+                minus_inf[a, b] = True
+            else:
+                value[a, b] = d.value
+            for k, (fn, m) in enumerate(scalar_fns):
+                cols[k, a, b] = fn(m.env(x, t))
+
+        _fill(len(pts), arrays, pointwise)
     return DerivativeScan(value, minus_inf, tuple(cols))
 
 

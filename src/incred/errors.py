@@ -48,6 +48,7 @@ class ArrayHazard(Exception):
     """The array evaluator met a row it does not reproduce bit for bit.
 
     Raised for a near-zero denominator, an inverted interval literal, a
-    non-finite value or an empty gradient piece. Scans catch it and
-    recompute pointwise, so it never escapes the package.
+    NaN or infinite value or an empty gradient piece. ``reduction._fill``
+    catches it and refills only the chunk that raised it pointwise, so it
+    never escapes the package.
     """

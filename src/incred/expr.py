@@ -115,6 +115,8 @@ def _interval_value(lo: float, hi: float) -> Interval:
 
 
 def _hull_value(a: float, b: float) -> Interval:
+    if math.isnan(a) or math.isnan(b):  # min/max skip a NaN b
+        raise ValueError("interval endpoints must not be NaN")
     return Interval(min(a, b), max(a, b))
 
 
@@ -565,9 +567,9 @@ def _eval_set(node: SetExpr, env: Mapping[str, float]) -> Interval:
 def _nan_endpoint(node: SetExpr, env: Mapping[str, float]) -> DslEvalError:
     """The error for a set expression whose value has a NaN endpoint.
 
-    ``Interval`` raises ValueError for NaN endpoints; within set
-    evaluation that is its only ValueError, because inverted literals
-    raise DslEvalError before an interval is built.
+    ``Interval``, ``Interval.scale`` and hulls raise ValueError for NaN
+    endpoints; within set evaluation that is the only ValueError, because
+    inverted literals raise DslEvalError before an interval is built.
     """
     x = tuple(env[f"x{i}"] for i in range(1, 10) if f"x{i}" in env)
     return DslEvalError(f"set expression {pretty_set(node)} has a NaN "
@@ -748,15 +750,19 @@ class _Span:
         return _Span(self.lo + other.lo, self.hi + other.hi)
 
     def scale(self, c) -> "_Span":
-        a = c * self.lo
-        b = c * self.hi
-        return _Span(_array_min(a, b), _array_max(a, b))
+        return _array_hull(c * self.lo, c * self.hi)
 
 
 def _array_interval(lo, hi) -> _Span:
     if np.any(lo > hi):
         raise ArrayHazard
     return _Span(lo, hi)
+
+
+def _array_hull(a, b) -> _Span:
+    if np.isnan(a).any() or np.isnan(b).any():  # np.where skips a NaN b
+        raise ArrayHazard
+    return _Span(_array_min(a, b), _array_max(a, b))
 
 
 _ARRAY_NS = {
@@ -766,7 +772,7 @@ _ARRAY_NS = {
     "_exp": _elementwise(math.exp), "_sin": _elementwise(math.sin),
     "_cos": _elementwise(math.cos), "_pt": lambda v: _Span(v, v),
     "_intv": _array_interval,
-    "_hullv": lambda a, b: _Span(_array_min(a, b), _array_max(a, b)),
+    "_hullv": _array_hull,
     "_not": np.logical_not,
 }
 

@@ -31,11 +31,8 @@ __all__ = [
     "EMPTY_INTERVAL",
     "IntervalBox",
     "Annulus",
-    "minkowski_sum",
-    "scale",
     "contains",
     "direction_axes",
-    "box_hausdorff",
 ]
 
 
@@ -84,21 +81,11 @@ class Interval:
         return self._lo == self._hi
 
     @property
-    def width(self) -> float:
-        return self._hi - self._lo
-
-    @property
     def center(self) -> float:
         return (self._lo + self._hi) / 2.0
 
     def contains(self, v: float) -> bool:
         return self._lo <= v <= self._hi
-
-    def encloses(self, other: Interval) -> bool:
-        """True iff ``other`` is a subset of this interval."""
-        if other.is_empty:
-            return True
-        return self._lo <= other.lo and other.hi <= self._hi
 
     def add(self, other: Interval) -> Interval:
         """Minkowski sum of two intervals."""
@@ -111,6 +98,8 @@ class Interval:
     def scale(self, c: float) -> Interval:
         a = c * self._lo
         b = c * self._hi
+        if math.isnan(a) or math.isnan(b):  # min/max skip a NaN b
+            raise ValueError("interval endpoints must not be NaN")
         return Interval(min(a, b), max(a, b))
 
     def intersect(self, other: Interval) -> Interval:
@@ -164,18 +153,11 @@ class _EmptyInterval(Interval):
         return False
 
     @property
-    def width(self) -> float:
-        raise EmptySetError("the empty interval has no width")
-
-    @property
     def center(self) -> float:
         raise EmptySetError("the empty interval has no center")
 
     def contains(self, v: float) -> bool:
         return False
-
-    def encloses(self, other: Interval) -> bool:
-        return other.is_empty
 
     def add(self, other: Interval) -> Interval:
         return EMPTY_INTERVAL
@@ -268,28 +250,6 @@ class IntervalBox:
     def hi_corner(self) -> tuple[float, ...]:
         return tuple(a.hi for a in self._axes)
 
-    def vertices(self) -> Iterator[tuple[float, ...]]:
-        """All corner points (2^k of them, fewer when axes are degenerate)."""
-        if self.is_empty:
-            return
-        def rec(i: int, prefix: tuple[float, ...]) -> Iterator[tuple[float, ...]]:
-            if i == len(self._axes):
-                yield prefix
-                return
-            ax = self._axes[i]
-            yield from rec(i + 1, prefix + (ax.lo,))
-            if not ax.is_degenerate:
-                yield from rec(i + 1, prefix + (ax.hi,))
-        yield from rec(0, ())
-
-    def encloses(self, other: IntervalBox) -> bool:
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        self._check_dims(other)
-        return all(a.encloses(b) for a, b in zip(self._axes, other.axes))
-
     def intersect(self, other: IntervalBox) -> IntervalBox:
         self._check_dims(other)
         if self.is_empty or other.is_empty:
@@ -346,21 +306,6 @@ class IntervalBox:
         return "x".join(repr(a) for a in self._axes)
 
 
-def minkowski_sum(a: IntervalBox, b: IntervalBox) -> IntervalBox:
-    """Componentwise interval sum; empty if either operand is empty."""
-    a._check_dims(b)
-    if a.is_empty or b.is_empty:
-        return IntervalBox.empty(a.dims)
-    return IntervalBox(x.add(y) for x, y in zip(a.axes, b.axes))
-
-
-def scale(c: float, b: IntervalBox) -> IntervalBox:
-    """Scalar multiple of a box (axiswise, endpoints reordered)."""
-    if b.is_empty:
-        return b
-    return IntervalBox(a.scale(c) for a in b.axes)
-
-
 def contains(b: IntervalBox, p: Sequence[float]) -> bool:
     """Membership test, decided axis by axis; the empty box contains nothing."""
     if b.is_empty:
@@ -381,20 +326,6 @@ def direction_axes(b: IntervalBox) -> frozenset[int]:
     if b.is_empty:
         raise EmptySetError("direction_axes is undefined for the empty box")
     return frozenset(i + 1 for i, ax in enumerate(b.axes) if not ax.is_degenerate)
-
-
-def box_hausdorff(a: IntervalBox, b: IntervalBox) -> float:
-    """Hausdorff distance between boxes in the max norm on endpoints.
-
-    Returns inf when exactly one side is empty, 0.0 when both are.
-    """
-    a._check_dims(b)
-    if a.is_empty or b.is_empty:
-        return 0.0 if (a.is_empty and b.is_empty) else math.inf
-    worst = 0.0
-    for x, y in zip(a.axes, b.axes):
-        worst = max(worst, abs(x.lo - y.lo), abs(x.hi - y.hi))
-    return worst
 
 
 class Annulus:

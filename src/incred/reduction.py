@@ -18,17 +18,18 @@ system uses one or two functions.
 The same pinch and intersection also run on numpy arrays of nodes
 (:func:`_reduce_arrays`), for the reduction table here and for the
 derivative scan in :mod:`incred.derivative`; the pointwise functions
-remain the reference they are tested against and fall back to.
+remain the reference they are tested against and that :func:`_fill`
+falls back to, one chunk at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArrayHazard, SchemaError
+from .errors import ArrayHazard, DimensionMismatchError, SchemaError
 from .expr import _array_max as _max, _array_min as _min
 from .intervals import Interval, IntervalBox, direction_axes
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
@@ -123,6 +124,37 @@ def _chunks(count: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_CHUNK`` rows covering ``count``."""
     for start in range(0, count, _CHUNK):
         yield slice(start, min(start + _CHUNK, count))
+
+
+def _fill(count: int, arrays: Callable[[slice], None],
+          pointwise: Callable[[int], None]) -> None:
+    """Fill ``count`` rows: ``arrays(rows)`` on each :func:`_chunks` slice
+    in order, and ``pointwise(r)`` on each row of a slice whose array
+    fill raises :class:`ArrayHazard`.
+
+    ``arrays`` writes its slice only once nothing in it can raise, and
+    ``pointwise`` is the reference. A slice that passes the array fill
+    never raises pointwise, so the first error raised is the first error
+    of an all-pointwise fill, and the columns carry the same bits.
+    """
+    with np.errstate(all="ignore"):
+        for rows in _chunks(count):
+            try:
+                arrays(rows)
+            except ArrayHazard:
+                for r in range(rows.start, rows.stop):
+                    pointwise(r)
+
+
+def _node_array(nodes, n: int) -> np.ndarray:
+    """``nodes`` as a float array, which must be ``(N, n)``-shaped unless
+    it is empty; a row's width is checked where the row is evaluated."""
+    pts = np.asarray(nodes, dtype=float)
+    if pts.ndim != 2 and pts.size:
+        raise DimensionMismatchError(
+            f"nodes must be an (N, {n}) array of points, got shape "
+            f"{pts.shape}")
+    return pts
 
 
 def _gradient_arrays(f: RegularFunctionSpec, batch, t):
@@ -290,14 +322,6 @@ def _axis_labels(mask) -> list[str]:
     return [",".join(filter(None, parts)) or "-" for parts in zip(*names)]
 
 
-def _table_columns(n: int, count: int):
-    """Zeroed columns of a :class:`ReductionTable`, in field order."""
-    return (np.zeros((n, count)), np.zeros((n, count)),
-            np.zeros(count, dtype=bool), np.zeros((n, count)),
-            np.zeros((n, count)), np.zeros(count, dtype=bool),
-            np.zeros((n, count), dtype=bool))
-
-
 def tabulate_reduction(inclusion: PiecewiseBoxMap,
                        reducers: Sequence[RegularFunctionSpec],
                        nodes, t: float) -> ReductionTable:
@@ -305,24 +329,38 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
 
     ``nodes`` is an ``(N, n)`` array-like of points. Nodes are evaluated
     as numpy arrays in batches of ``_CHUNK``, the inclusion and each
-    reducer gradient once per batch. When any batch meets a hazard (see
-    :class:`ArrayHazard`), the whole table is recomputed by the pointwise
-    reference, which raises exactly the errors the pointwise API raises;
-    both give bit-identical columns.
+    reducer gradient once per batch; a batch that meets a hazard (see
+    :class:`ArrayHazard`) is refilled node by node by the pointwise
+    reference, which raises exactly the errors the pointwise API raises.
     """
-    pts = np.asarray(nodes, dtype=float)
-    try:
-        return _tabulate_arrays(inclusion, reducers, pts, float(t))
-    except ArrayHazard:
-        return _tabulate_pointwise(inclusion, reducers, pts, float(t))
+    pts = _node_array(nodes, inclusion.n_in)
+    t = float(t)
+    n = inclusion.n_out
+    base_lo, base_hi, lo, hi = (np.zeros((n, len(pts))) for _ in range(4))
+    base_empty, empty = (np.zeros(len(pts), dtype=bool) for _ in range(2))
+    constrained = np.zeros((n, len(pts)), dtype=bool)
+    axes = np.ascontiguousarray(pts.T)
+    ready = (all(m.n_in == pts.shape[-1] for m in
+                 (inclusion, *(u.gradient for u in reducers)))
+             and all(u.n == n and u.regular for u in reducers))
 
+    def arrays(rows):
+        if not ready:
+            raise ArrayHazard  # the pointwise rows raise the matching error
+        batch = axes[:, rows]
+        b_lo, b_hi, b_empty = inclusion.value_arrays(batch, t)
+        r_lo, r_hi, r_empty, r_axes = _reduce_arrays(
+            b_lo, b_hi, b_empty, reducers, batch, t)
+        base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
+        base_empty[rows] = b_empty
+        lo[:, rows] = np.where(r_empty, 0.0, r_lo)
+        hi[:, rows] = np.where(r_empty, 0.0, r_hi)
+        empty[rows] = r_empty
+        constrained[:, rows] = r_axes
 
-def _tabulate_pointwise(inclusion, reducers, pts, t) -> ReductionTable:
-    """The reference: the inclusion and each reducer gradient evaluated
-    once per node by the scalar closures."""
-    cols = _table_columns(inclusion.n_out, len(pts))
-    base_lo, base_hi, base_empty, lo, hi, empty, constrained = cols
-    for b, x in enumerate(pts.tolist()):
+    def pointwise(b):
+        # the inclusion and each reducer gradient once per node
+        x = pts[b].tolist()
         base = eval_map(inclusion, x, t)
         pinches = [_pinch(base, u, x, t) for u in reducers]
         reduced = _intersect(base, (p.result for p in pinches))
@@ -336,28 +374,7 @@ def _tabulate_pointwise(inclusion, reducers, pts, t) -> ReductionTable:
             else:
                 box_lo[:, b] = box.lo_corner()
                 box_hi[:, b] = box.hi_corner()
-    return ReductionTable(pts, t, *cols)
 
-
-def _tabulate_arrays(inclusion, reducers, pts, t) -> ReductionTable:
-    n = inclusion.n_out
-    maps = [inclusion, *(u.gradient for u in reducers)]
-    if (pts.ndim != 2 or any(m.n_in != pts.shape[1] for m in maps)
-            or any(u.n != n or not u.regular for u in reducers)):
-        raise ArrayHazard  # the pointwise path raises the matching error
-    cols = _table_columns(n, len(pts))
-    base_lo, base_hi, base_empty, lo, hi, empty, constrained = cols
-    axes = np.ascontiguousarray(pts.T)
-    with np.errstate(all="ignore"):
-        for rows in _chunks(len(pts)):
-            batch = axes[:, rows]
-            b_lo, b_hi, b_empty = inclusion.value_arrays(batch, t)
-            r_lo, r_hi, r_empty, r_axes = _reduce_arrays(
-                b_lo, b_hi, b_empty, reducers, batch, t)
-            base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
-            base_empty[rows] = b_empty
-            lo[:, rows] = np.where(r_empty, 0.0, r_lo)
-            hi[:, rows] = np.where(r_empty, 0.0, r_hi)
-            empty[rows] = r_empty
-            constrained[:, rows] = r_axes
-    return ReductionTable(pts, t, *cols)
+    _fill(len(pts), arrays, pointwise)
+    return ReductionTable(pts, t, base_lo, base_hi, base_empty, lo, hi,
+                          empty, constrained)

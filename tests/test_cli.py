@@ -156,6 +156,51 @@ class TestExitCodes:
         assert code == 3
         assert named + "exceeds the limit of 10000000" in err
 
+    @pytest.mark.parametrize("phi, z_counts, y1", [
+        (["0", "0"], [10 ** 4, 10 ** 4], None),
+        (["0"], [5001], "-2*x2*x2 + 0*z1"),
+    ], ids=["z_nodes", "zx_rows"])
+    def test_oversized_matrosov_exits_three(self, tmp_path, capsys,
+                                            monkeypatch, phi, z_counts, y1):
+        import numpy as np
+
+        import incred.certify as cert
+        from incred.setmaps import load_system
+
+        with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["matrosov"].update(phi=phi, z_counts=z_counts)
+        if y1 is not None:  # one Y reads z, so every z node is tabulated
+            doc["matrosov"]["Y"][0] = y1
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        if y1 is None:
+            named = (f"matrosov z nodes (z_counts 10000 x 10000): "
+                     f"{10 ** 8} ")
+        else:
+            sys_def = load_system(str(system))
+            z, x = cert.matrosov_grid(cert.build_matrosov_problem(sys_def),
+                                      sys_def)
+            named = (f"matrosov (z, x) rows ({len(z)} z nodes x {len(x)} "
+                     f"x nodes): {len(z) * len(x)} ")
+
+        product_array, tile = cert.product_array, np.tile
+
+        def small_product(axes):
+            assert math.prod(map(len, axes)) <= 10 ** 6, "large grid built"
+            return product_array(axes)
+
+        def small_tile(a, reps):
+            assert len(a) * reps[0] <= 10 ** 6, "large table built"
+            return tile(a, reps)
+
+        monkeypatch.setattr(cert, "product_array", small_product)
+        monkeypatch.setattr(np, "tile", small_tile)
+        code = run("matrosov", "-i", str(system), "-o", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert named + "exceeds the limit of 10000000" in err
+
     @pytest.mark.parametrize("command", ["reduce", "certify"])
     def test_nan_set_endpoint_exits_three(self, tmp_path, capsys, command):
         with open(fixture_path("example1"), "r", encoding="utf-8") as fh:

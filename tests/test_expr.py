@@ -8,6 +8,7 @@ import incred.expr as ex
 from incred.errors import ArrayHazard, DslEvalError, DslSyntaxError
 from incred.fixtures import available_fixtures, fixture_path
 from incred.intervals import Interval
+from incred.setmaps import Piece, PiecewiseBoxMap
 
 
 def ev(src, **env):
@@ -123,7 +124,8 @@ class TestSet:
 
     @pytest.mark.parametrize("src", [
         "{(1e308*10) - (1e308*10)}", "{1e308*10} + {-1e308*10}",
-        "[(1e308*10) - (1e308*10), 1]", "(1e308*10)*[0, 1]"])
+        "[(1e308*10) - (1e308*10), 1]", "(1e308*10)*[0, 1]",
+        "0*[1, 1e308*10]", "hull(0, (1e308*10) - (1e308*10))"])
     def test_nan_endpoint_is_an_eval_error(self, src):
         node = ex.parse_set(src)
         message = (f"set expression {ex.pretty_set(node)} has a NaN "
@@ -131,6 +133,17 @@ class TestSet:
         for fn in (lambda env: ex.eval_set(node, env), ex.compile_set(node)):
             with pytest.raises(DslEvalError, match=re.escape(message)):
                 fn({"x1": 1.0, "t": 0.5})
+        # the array closure raises (scaled sets and hulls, whose min/max
+        # would skip a NaN) or keeps the NaN, which value_arrays rejects
+        try:
+            span = ex.compile_set_array(node)({"x1": np.ones(2), "t": 0.5})
+        except ArrayHazard:
+            pass
+        else:
+            assert np.isnan([span.lo, span.hi]).any()
+        m = PiecewiseBoxMap(1, 1, [Piece(ex.TrueGuard(), (node,))])
+        with pytest.raises(ArrayHazard):
+            m.value_arrays([np.ones(2)], 0.5)
 
     def test_parenthesized_coefficient(self):
         assert evset("(x1 + 1)*[0, 1]", x1=1.0) == Interval(0, 2)

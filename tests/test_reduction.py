@@ -1,12 +1,15 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
 import incred.expr as ex
 import incred.reduction as red
-from incred.errors import SchemaError
-from incred.intervals import Interval, IntervalBox, box_hausdorff
+from incred.derivative import scan_derivative
+from incred.errors import DimensionMismatchError, SchemaError
+from incred.intervals import Interval, IntervalBox
 from incred.reduction import reduce_collection, reduce_once, tabulate_reduction
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             eval_map)
@@ -31,6 +34,15 @@ def constant_spec(grad_box: IntervalBox, name="u", regular=True,
 
 def box(*bounds):
     return IntervalBox(Interval(lo, hi) for lo, hi in bounds)
+
+
+def corner_distance(a: IntervalBox, b: IntervalBox) -> float:
+    """Largest endpoint difference of two boxes; inf when exactly one is
+    empty, 0.0 when both are."""
+    if a.is_empty or b.is_empty:
+        return 0.0 if a.is_empty and b.is_empty else math.inf
+    return max(abs(u - v) for u, v in zip(a.lo_corner() + a.hi_corner(),
+                                          b.lo_corner() + b.hi_corner()))
 
 
 class TestReduceOnce:
@@ -118,7 +130,7 @@ class TestReduceCollection:
                 base = eval_map(system.inclusion, x, t)
                 red = reduce_collection(system.inclusion, system.reducers, x,
                                         t)
-                assert base.encloses(red)
+                assert base.intersect(red) == red
 
     def test_monotone_in_the_collection(self, example6):
         pyramid = example6.matrosov.collections[1][0]
@@ -136,7 +148,7 @@ class TestReduceCollection:
         for x in probes:
             out_small = reduce_collection(example6.inclusion, small, x, 0.7)
             out_large = reduce_collection(example6.inclusion, large, x, 0.7)
-            assert out_small.encloses(out_large)
+            assert out_small.intersect(out_large) == out_large
             if out_small != out_large:
                 shrank += 1
         assert shrank >= 3  # the larger collection actually bites somewhere
@@ -227,7 +239,7 @@ class TestBruteForceOracle:
             rv = reduce_once(constant_map(fbox), constant_spec(gbox),
                              (0.0,) * n, 0.0)
             hull = reduction_oracle_hull(fbox, gbox, rng)
-            assert box_hausdorff(rv.result, hull) <= 1e-6, \
+            assert corner_distance(rv.result, hull) <= 1e-6, \
                 (case, fbox, gbox, rv.result, hull)
 
 
@@ -250,6 +262,18 @@ class TestTabulate:
         assert table.rows == ()
         assert "empty_flag" in table.to_csv().splitlines()[0]
 
+    @pytest.mark.parametrize("nodes", [[0.5], 0.5, [[[0.5]]]])
+    def test_nodes_must_be_a_two_dimensional_array(self, example1, nodes):
+        calls = (
+            lambda: tabulate_reduction(example1.inclusion, example1.reducers,
+                                       nodes, 0.0),
+            lambda: scan_derivative(example1.candidate, example1.inclusion,
+                                    example1.reducers, nodes, (0.0,)))
+        for call in calls:
+            with pytest.raises(DimensionMismatchError,
+                               match=re.escape("an (N, 1) array")):
+                call()
+
     def test_each_map_evaluated_once_per_probe(self, example3, monkeypatch):
         # two reducers, so the per-reducer evaluations would show
         reducers = (example3.reducers[0], example3.candidate)
@@ -259,7 +283,10 @@ class TestTabulate:
         value = PiecewiseBoxMap.value
         monkeypatch.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
             calls.append(m), value(m, x, t))[1])
-        red._tabulate_pointwise(example3.inclusion, reducers, nodes, 0.0)
+        with monkeypatch.context() as mp:  # every node through the reference
+            mp.setattr(red, "_fill", lambda count, arrays, pointwise: [
+                pointwise(r) for r in range(count)])
+            tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
         assert [calls.count(m) for m in maps] == [len(nodes)] * 3
         calls.clear()
         reduce_collection(example3.inclusion, reducers, (1.0, 0.0), 0.0)

@@ -1,11 +1,11 @@
 """The array evaluators against the pointwise reference evaluators.
 
 ``scan_derivative``, ``tabulate_reduction`` and the Matrosov Y table
-evaluate batches of nodes as numpy arrays and fall back to the pointwise
-evaluator when a batch meets a hazard. These tests call both evaluators
-directly: wherever the array path returns, its columns must carry the
-same bits as the pointwise ones, and the public function must raise
-exactly what the pointwise evaluator raises.
+evaluate batches of nodes as numpy arrays through ``reduction._fill``,
+which refills a batch that meets a hazard node by node with the
+pointwise reference. These tests compare each public function with the
+same call forced through the pointwise rows alone: the columns must carry
+the same bits, and the errors must be the same.
 """
 
 import csv
@@ -64,6 +64,15 @@ def _scalar(draw, risky: bool, depth: int = 2, leaves=LEAVES):
     return ex.BinOp(op, a, b)
 
 
+def _protected_division(draw):
+    """``x != 0 and 1/x > 1``: the scalar path short-circuits where x is 0,
+    the array path meets a hazard on those rows only."""
+    var = draw(st.sampled_from([X1, X2]))
+    return ex.AndGuard((
+        ex.Comparison("!=", var, ex.Num(0.0)),
+        ex.Comparison(">", ex.BinOp("/", ex.Num(1.0), var), ex.Num(1.0))))
+
+
 def _guard(draw, risky: bool, depth: int = 1):
     kind = _kind(draw, ("surface", "compare")
                  + (("protected-division",) if risky else ()),
@@ -76,11 +85,8 @@ def _guard(draw, risky: bool, depth: int = 1):
     if kind == "compare":
         return ex.Comparison(draw(st.sampled_from(CMP)),
                              _scalar(draw, risky), _scalar(draw, risky))
-    if kind == "protected-division":  # the scalar path short-circuits
-        var = draw(st.sampled_from([X1, X2]))
-        return ex.AndGuard((
-            ex.Comparison("!=", var, ex.Num(0.0)),
-            ex.Comparison(">", ex.BinOp("/", ex.Num(1.0), var), ex.Num(1.0))))
+    if kind == "protected-division":
+        return _protected_division(draw)
     if kind == "not":
         return ex.NotGuard(_guard(draw, risky, depth - 1))
     terms = (_guard(draw, risky, depth - 1), _guard(draw, risky, depth - 1))
@@ -109,7 +115,9 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
                still=(True, False)):
     """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
 
-    With three outputs (a gradient) the last axis is time; it is often
+    Half of the maps, risky or not, start with a piece guarded by a
+    protected division, so that a hazard sits on a few rows only. With
+    three outputs (a gradient) the last axis is time; it is often
     degenerate (when a draw from ``still`` is True), so reducers do not
     always empty the reduced set.
     """
@@ -125,13 +133,16 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
         empty = empty_pieces and draw(st.integers(0, 3)) == 0
         pieces.append(Piece(_guard(draw, risky),
                             None if empty else values()))
+    if draw(st.booleans()):
+        pieces.insert(0, Piece(_protected_division(draw), values()))
     pieces.append(Piece(ex.TrueGuard(), values()))
     return PiecewiseBoxMap(2, n_out, pieces, PARAMS)
 
 
 @st.composite
 def cases(draw):
-    """A scan input; half of them free of every array hazard by design."""
+    """A scan input; half of them free of every pointwise error by design,
+    so that their hazards come from protected divisions alone."""
     risky = draw(st.booleans())
 
     def function(regular):
@@ -152,6 +163,39 @@ def cases(draw):
                    for _ in range(draw(st.integers(0, 2)))],
         "chunk": draw(st.sampled_from([1, 3, 4096])),
     }
+
+
+FILLS = (red, deriv, certify)  # every module that binds reduction._fill
+
+
+def _pointwise_fill(count, arrays, pointwise):
+    """A ``reduction._fill`` that fills every row with the pointwise rows."""
+    for r in range(count):
+        pointwise(r)
+
+
+def _pointwise_only(monkeypatch):
+    for module in FILLS:
+        monkeypatch.setattr(module, "_fill", _pointwise_fill)
+
+
+def _arrays_only(monkeypatch):
+    """Make any pointwise row fail: every chunk must pass the array fill."""
+    fill = red._fill
+
+    def no_fallback(r):
+        raise AssertionError(f"row {r} fell back to the pointwise path")
+
+    for module in FILLS:
+        monkeypatch.setattr(module, "_fill", lambda count, arrays, _: fill(
+            count, arrays, no_fallback))
+
+
+def _forced(fn, *args):
+    """``fn(*args)`` with every row filled pointwise, or its error."""
+    with pytest.MonkeyPatch.context() as mp:
+        _pointwise_only(mp)
+        return _outcome(fn, *args)
 
 
 def _bits(columns):
@@ -184,18 +228,10 @@ def test_array_scan_is_bit_identical_to_pointwise(case):
             np.array(case["nodes"]), case["time_nodes"], case["extras"])
     saved, red._CHUNK = red._CHUNK, case["chunk"]
     try:
-        reference = _outcome(deriv._scan_pointwise, *args)
-        try:
-            fast = deriv._scan_arrays(*args)
-        except ArrayHazard:
-            fast = None
+        reference = _forced(deriv.scan_derivative, *args)
         public = _outcome(deriv.scan_derivative, *args)
     finally:
         red._CHUNK = saved
-    if fast is not None:
-        # the array path never returns where the reference raises
-        assert not isinstance(reference, tuple), reference
-        assert _same(fast, reference)
     assert _same(public, reference)
 
 
@@ -223,26 +259,57 @@ def _fixture_scans(system):
 def test_fixture_scans_take_the_array_path(name, monkeypatch):
     runs = _fixture_scans(load_fixture(name))
     assert runs
-
-    def no_fallback(*args):
-        raise AssertionError("the array scan fell back")
-
-    def hazard(*args):
-        raise ArrayHazard
-
-    monkeypatch.setattr(deriv, "_scan_pointwise", no_fallback)
+    _arrays_only(monkeypatch)
     fast = [json.dumps(run().to_dict(), sort_keys=True) for run in runs]
     monkeypatch.undo()
-    monkeypatch.setattr(deriv, "_scan_arrays", hazard)
+    _pointwise_only(monkeypatch)
     slow = [json.dumps(run().to_dict(), sort_keys=True) for run in runs]
     assert fast == slow
+
+
+def test_a_hazard_refills_only_its_own_chunks(tmp_path, monkeypatch):
+    """example2 behind a front piece ``x1 != 0 and 1/x1 > 100``: the array
+    guard divides by x1 on every row, so the rows with x1 == 0 are array
+    hazards, while the scalar guard short-circuits there."""
+    with open(fixture_path("example2"), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["F"]["pieces"].insert(0, {"guard": "x1 != 0 and 1/x1 > 100",
+                                  "value": ["{-x1 + x2}", "{-x1 - x2}"]})
+    path = tmp_path / "cliff.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(red, "_CHUNK", 16)
+    system = load_fixture("example2")
+    nodes = system.require_grid().with_uniform_counts(11).nodes(
+        system.domain).tolist()
+    zero_chunks = {k // 16 for k, x in enumerate(nodes) if x[0] == 0.0}
+    assert len(nodes) // 16 > len(zero_chunks) > 0
+
+    def reports(command, label):
+        out = tmp_path / f"{command}-{label}"
+        assert main([command, "-i", str(path), "--grid", "11",
+                     "-o", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    for command in ("certify", "reduce"):
+        with monkeypatch.context() as mp:
+            _pointwise_only(mp)
+            forced = reports(command, "forced")
+        seen = []
+        value = PiecewiseBoxMap.value
+        with monkeypatch.context() as mp:
+            mp.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
+                seen.append(list(x)), value(m, x, t))[1])
+            mixed = reports(command, "mixed")
+        assert mixed == forced
+        assert seen  # the hazard rows ran pointwise, and nothing else did
+        assert {nodes.index(x) // 16 for x in seen} == zero_chunks
 
 
 # --- the reduction table ---------------------------------------------------
 
 @st.composite
 def table_cases(draw):
-    """A reduction-table input; half of them free of every array hazard.
+    """A reduction-table input; half of them free of every pointwise error.
 
     Inclusion values are often widened by [-2, 2], so that pinches keep
     some rows nonempty. Risky cases add non-regular reducers and, rarely,
@@ -316,35 +383,21 @@ def test_array_table_is_bit_identical_to_pointwise(case):
             case["t"])
     saved, red._CHUNK = red._CHUNK, case["chunk"]
     try:
-        reference = _outcome(
-            lambda *a: _table_key(red._tabulate_pointwise(*a)), *args)
-        try:
-            fast = _table_key(red._tabulate_arrays(*args))
-        except ArrayHazard:
-            fast = None
-        public = _outcome(
-            lambda *a: _table_key(red.tabulate_reduction(*a)), *args)
-        if not isinstance(reference, tuple):
-            rows = _row_reports(red._tabulate_pointwise(*args))
+        reference = _forced(red.tabulate_reduction, *args)
+        public = _outcome(red.tabulate_reduction, *args)
     finally:
         red._CHUNK = saved
-    if fast is not None:
-        # the array path never returns where the reference raises
-        assert not isinstance(reference, tuple), reference
-        assert fast == reference
-    assert public == reference
-    if not isinstance(reference, tuple):
-        assert reference["reports"] == rows
+    if isinstance(reference, tuple):
+        assert public == reference
+    else:
+        assert _table_key(public) == _table_key(reference)
+        assert _table_key(reference)["reports"] == _row_reports(reference)
 
 
 @pytest.mark.parametrize("name", available_fixtures())
 def test_fixture_tables_take_the_array_path(name, tmp_path, monkeypatch):
     system = load_fixture(name)
-
-    def no_fallback(*args):
-        raise AssertionError("the array table fell back")
-
-    monkeypatch.setattr(red, "_tabulate_pointwise", no_fallback)
+    _arrays_only(monkeypatch)
     flags = [[]] + [["--baseline"]] * system.candidate.regular
     for extra in flags:
         assert main(["reduce", "-i", str(fixture_path(name)),
@@ -357,9 +410,9 @@ def test_fine_grid_reports_equal_the_pointwise_table(name, tmp_path):
                  "-o", str(tmp_path)]) == 0
     system = load_fixture(name)
     grid = system.require_grid().with_uniform_counts(201)
-    table = red._tabulate_pointwise(system.inclusion, system.reducers,
-                                    grid.nodes(system.domain),
-                                    grid.time_nodes[0])
+    table = _forced(red.tabulate_reduction, system.inclusion,
+                    system.reducers, grid.nodes(system.domain),
+                    grid.time_nodes[0])
     for path, report in (("reduction_table.csv", table.to_csv()),
                          ("reduction_table.txt", table.to_text())):
         assert (tmp_path / path).read_bytes() == report.encode()
@@ -373,14 +426,21 @@ Y_LEAVES = [ex.Num(v) for v in NUMS] + [ex.Var(v) for v in Y_NAMES]
 
 @st.composite
 def aux_cases(draw):
-    """Y_1..Y_M over (z1, x1, x2) with z and x nodes; half hazard-free."""
+    """Y_1..Y_M over (z1, x1, x2) with z and x nodes, and a chunk size.
+
+    Half of them are free of every pointwise error. Half end with
+    ``1e308*x1*2``, infinite (an array hazard) only where ``|x1| >= 1``.
+    """
     risky = draw(st.booleans())
     aux = tuple(_scalar(draw, risky, leaves=Y_LEAVES)
                 for _ in range(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        aux += (ex.BinOp("*", ex.BinOp("*", ex.Num(1e308), X1),
+                         ex.Num(2.0)),)
     coord = st.sampled_from(COORDS)
     z_nodes = draw(st.lists(st.tuples(coord), min_size=1, max_size=4))
     x_nodes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
-    return aux, z_nodes, x_nodes
+    return aux, z_nodes, x_nodes, draw(st.sampled_from([1, 3, 4096]))
 
 
 def _aux_reference(aux, z_nodes, x_nodes):
@@ -397,7 +457,10 @@ def _aux_reference(aux, z_nodes, x_nodes):
     return rows, np.array(y).reshape(len(rows), len(aux)).T
 
 
-def _table_bits(points, y):
+def _table_bits(table):
+    if isinstance(table, tuple) and isinstance(table[0], type):
+        return table  # an error
+    points, y = table
     return [struct.pack("d", v)
             for v in np.ravel(points).tolist() + np.ravel(y).tolist()]
 
@@ -406,27 +469,22 @@ def _table_bits(points, y):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=aux_cases())
 def test_array_aux_table_is_bit_identical_to_pointwise(case):
-    aux, z_nodes, x_nodes = case
-    rows, reference = _aux_reference(aux, z_nodes, x_nodes)
-    points = np.array(rows, dtype=float)
-    try:
-        fast = certify._aux_arrays(aux, Y_NAMES, points)
-    except ArrayHazard:
-        fast = None
+    aux, z_nodes, x_nodes, chunk = case
     prob = MatrosovProblem(
         m=1, count=len(aux), functions=(), collections=(), aux=aux,
         phi=(ex.Num(0.0),), gamma=1.0, delta=0.1, big_delta=2.0,
         z_counts=(3,))
+    args = (prob, z_nodes, x_nodes)
+    saved, red._CHUNK = red._CHUNK, chunk
     try:
-        public = _table_bits(*certify._aux_table(prob, z_nodes, x_nodes))
-    except Exception as e:
-        public = (type(e), str(e))
-    if isinstance(reference, tuple):
-        # the array path never returns where the reference raises
-        assert fast is None
-        assert public == reference
+        reference = _forced(certify._aux_table, *args)
+        public = _outcome(certify._aux_table, *args)
+    finally:
+        red._CHUNK = saved
+    assert _table_bits(public) == _table_bits(reference)
+    rows, expected = _aux_reference(aux, z_nodes, x_nodes)
+    if isinstance(expected, tuple):
+        assert reference == expected
     else:
-        expected = _table_bits(points, reference)
-        assert public == expected
-        if fast is not None:
-            assert _table_bits(points, fast) == expected
+        assert _table_bits(reference) == _table_bits(
+            (np.array(rows, dtype=float), expected))

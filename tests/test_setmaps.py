@@ -173,7 +173,7 @@ class TestValidateGradient:
         hull = rep.estimate_hull.axes[0]
         assert hull.lo == pytest.approx(1.0, abs=1e-6)
         assert hull.hi == pytest.approx(2.0, abs=1e-6)
-        assert rep.declared.axes[0].inflate(1e-4).encloses(hull)
+        assert rep.declared.axes[0].inflate(1e-4).intersect(hull) == hull
 
     def test_preconditions(self, example1):
         with pytest.raises(SchemaError):
