@@ -36,10 +36,10 @@ import numpy as np
 
 from . import expr
 from .derivative import scan_derivative
-from .errors import ArrayHazard, SchemaError
+from .errors import SchemaError
 from .grids import GridSpec, check_size, product_array
 from .intervals import Annulus, IntervalBox, contains
-from .reduction import _fill
+from .reduction import _columns
 from .setmaps import RegularFunctionSpec, SystemDef, eval_map
 
 __all__ = [
@@ -452,9 +452,7 @@ def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
     ``z + x``, x outer and z inner, and Y_1..Y_M there as ``(M, R)``.
 
     When no Y reads z only the first z is used (the checks are then
-    z-independent). Rows are evaluated as numpy arrays in batches; a
-    batch that meets a hazard is refilled row by row by the scalar
-    closures, which raise the pointwise errors.
+    z-independent). The Y columns come from ``reduction._columns``.
     """
     z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
                    dtype=float).reshape(-1, prob.m)
@@ -465,26 +463,9 @@ def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
                         np.repeat(x, len(z), axis=0)])
     names = ([f"z{i+1}" for i in range(prob.m)]
              + [f"x{i+1}" for i in range(x.shape[1])])
-    y = np.empty((len(prob.aux), len(points)))
-    array_fns = [expr.compile_scalar_array(e) for e in prob.aux]
-    scalar_fns = []  # compiled on the first pointwise row
-
-    def arrays(rows):
-        env = dict(zip(names, points[rows].T))
-        block = np.empty((len(array_fns), rows.stop - rows.start))
-        for k, fn in enumerate(array_fns):
-            block[k] = fn(env)
-        if not np.isfinite(block).all():
-            raise ArrayHazard
-        y[:, rows] = block
-
-    def pointwise(r):
-        if not scalar_fns:
-            scalar_fns.extend(expr.compile_scalar(e) for e in prob.aux)
-        env = dict(zip(names, points[r].tolist()))
-        y[:, r] = [fn(env) for fn in scalar_fns]
-
-    _fill(len(points), arrays, pointwise)
+    y = _columns(prob.aux, len(points),
+                 lambda rows: dict(zip(names, points[rows].T)),
+                 lambda r: dict(zip(names, points[r].tolist())))
     return points, y
 
 

@@ -30,7 +30,7 @@ from .derivative import (baseline_interval_derivative, baseline_max_derivative,
 from .errors import DslSyntaxError, IncredError, SchemaError
 from .grids import GridSpec, product_array
 from .reduction import tabulate_reduction
-from .setmaps import (SimSpec, SystemDef, eval_map, load_system,
+from .setmaps import (SimSpec, SystemDef, load_system,
                       validate_gradient, _parse_grid)
 from .simulate import (SelectionStrategy, check_lyapunov_descent,
                        check_partial_convergence, check_reduction_membership,
@@ -260,15 +260,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     write_trajectory_csv(traj, out / "trajectory.csv")
 
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        scale = 0.0
-        for step in traj.steps:
-            fbox = eval_map(system.inclusion, step.x, step.t)
-            scale = max(scale, fbox.max_vertex_norm())
-        tol = 1e-2 * max(1.0, scale)
-    membership = check_reduction_membership(traj, system, tol)
+    membership = check_reduction_membership(traj, system, args.tol)
 
     diagnostics = {
         "x0": list(x0), "t0": t0, "h": h, "T": horizon,
@@ -292,7 +284,7 @@ def cmd_simulate(args) -> int:
         passed = passed and tail.passed
     diagnostics["checks_passed"] = passed
     _write_json(out / "diagnostics.json", diagnostics)
-    _report(args, f"simulate: {len(traj.steps)} steps, final norm "
+    _report(args, f"simulate: {len(traj.rows)} steps, final norm "
             f"{traj.final_norm:.6g}, checks_passed={passed} "
             f"({out / 'diagnostics.json'})")
     return EXIT_OK if passed else EXIT_NEGATIVE

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import expr
 from .errors import ArrayHazard, DimensionMismatchError, SchemaError
 from .expr import _array_max as _max, _array_min as _min
 from .intervals import Interval, IntervalBox, direction_axes
@@ -146,6 +147,34 @@ def _fill(count: int, arrays: Callable[[slice], None],
                     pointwise(r)
 
 
+def _columns(nodes: Sequence, count: int, env_arrays: Callable,
+             env: Callable) -> np.ndarray:
+    """``(len(nodes), count)``: the scalar expressions on ``env_arrays(rows)``
+    by :func:`_fill`; a batch with a hazard or a non-finite value is
+    refilled on ``env(r)`` by the scalar closures."""
+    out = np.empty((len(nodes), count))
+    array_fns = [expr.compile_scalar_array(e) for e in nodes]
+    scalar_fns = []  # compiled on the first pointwise row
+
+    def arrays(rows):
+        block = np.empty((len(nodes), rows.stop - rows.start))
+        batch_env = env_arrays(rows)
+        for k, fn in enumerate(array_fns):
+            block[k] = fn(batch_env)
+        if not np.isfinite(block).all():
+            raise ArrayHazard
+        out[:, rows] = block
+
+    def pointwise(r):
+        if not scalar_fns:
+            scalar_fns.extend(expr.compile_scalar(e) for e in nodes)
+        row_env = env(r)
+        out[:, r] = [fn(row_env) for fn in scalar_fns]
+
+    _fill(count, arrays, pointwise)
+    return out
+
+
 def _node_array(nodes, n: int) -> np.ndarray:
     """``nodes`` as a float array, which must be ``(N, n)``-shaped unless
     it is empty; a row's width is checked where the row is evaluated."""
@@ -206,16 +235,17 @@ class ReductionRow:
 
 @dataclass(frozen=True, eq=False)
 class ReductionTable:
-    """The inclusion and its reduction at N nodes and one time, as columns.
+    """The inclusion and its reduction at N nodes, as columns.
 
-    ``x`` holds the nodes, one per row. ``base_lo``/``base_hi`` and
+    ``x`` holds the nodes, one per row, and ``t`` their time: one float,
+    or an ``(N,)`` array of one time per row. ``base_lo``/``base_hi`` and
     ``lo``/``hi`` are ``(n, N)`` endpoint arrays of the inclusion value
     and of its reduction, 0.0 on the rows that ``base_empty`` and
     ``empty`` flag as empty; ``constrained`` is the ``(n, N)`` mask of the
     state axes some reducer pinches.
     """
     x: np.ndarray
-    t: float
+    t: float | np.ndarray
     base_lo: np.ndarray
     base_hi: np.ndarray
     base_empty: np.ndarray
@@ -237,11 +267,13 @@ class ReductionTable:
             return IntervalBox.from_bounds(lo, hi)
 
         return tuple(
-            ReductionRow(tuple(x), self.t, box(b_lo, b_hi, b_empty),
+            ReductionRow(tuple(x), t, box(b_lo, b_hi, b_empty),
                          box(lo, hi, empty),
                          tuple(i for i, c in enumerate(axes, 1) if c))
-            for x, b_lo, b_hi, b_empty, lo, hi, empty, axes in zip(
-                self.x.tolist(), self.base_lo.T.tolist(),
+            for x, t, b_lo, b_hi, b_empty, lo, hi, empty, axes in zip(
+                self.x.tolist(),
+                np.broadcast_to(self.t, len(self.x)).tolist(),
+                self.base_lo.T.tolist(),
                 self.base_hi.T.tolist(), self.base_empty.tolist(),
                 self.lo.T.tolist(), self.hi.T.tolist(), self.empty.tolist(),
                 self.constrained.T.tolist()))
@@ -249,7 +281,9 @@ class ReductionTable:
     def report_chunks(self) -> Iterator[tuple[str, str]]:
         """The CSV and text reports as ``(csv, text)`` pieces: the CSV
         header, then ``_CHUNK`` rows at a time, each column formatted
-        with ``repr`` as a whole."""
+        with ``repr`` as a whole. The reports state one time."""
+        if np.ndim(self.t):
+            raise ValueError("a table with one time per row has no report")
         n = self.n
         yield ",".join(
             [f"x{i+1}" for i in range(n)] + ["t"]
@@ -275,9 +309,9 @@ class ReductionTable:
                 cells[k + 2 * n:k + 3 * n], cells[k + 3 * n:],
                 self.empty[rows], no_cells, "empty")
             flags = ["1" if e else "0" for e in self.empty[rows].tolist()]
-            yield ("".join(map(csv_row.format, map(",".join, zip(*xs)),
-                               base_csv, red_csv, flags)),
-                   "".join(map(text_row.format, map(", ".join, zip(*xs)),
+            yield ("".join(map(csv_row.format, _joined(xs), base_csv,
+                               red_csv, flags)),
+                   "".join(map(text_row.format, _joined(xs, ", "),
                                base_text, red_text,
                                _axis_labels(self.constrained[:, rows]))))
 
@@ -300,12 +334,17 @@ def _reprs(values: np.ndarray) -> list[list[str]]:
     return text[where.reshape(values.shape)].tolist()
 
 
+def _joined(cells: list[list[str]], sep: str = ",") -> Iterator[str]:
+    """Rows of per-column cell lists, each row joined by ``sep``."""
+    return map(sep.join, zip(*cells))
+
+
 def _box_cells(lo_s, hi_s, empty, no_cells: str, no_box: str,
                ) -> tuple[list[str], list[str]]:
     """Per row of the endpoint ``repr`` lists (one list per axis): the CSV
     cells (lo corner, then hi corner) and the box ``repr``; ``no_cells``
     and ``no_box`` on the rows ``empty`` flags."""
-    cells = list(map(",".join, zip(*lo_s, *hi_s)))
+    cells = list(_joined(lo_s + hi_s))
     boxes = list(map("x".join, zip(*(map("[{}, {}]".format, a, b)
                                       for a, b in zip(lo_s, hi_s)))))
     for k in np.flatnonzero(empty).tolist():
@@ -324,17 +363,21 @@ def _axis_labels(mask) -> list[str]:
 
 def tabulate_reduction(inclusion: PiecewiseBoxMap,
                        reducers: Sequence[RegularFunctionSpec],
-                       nodes, t: float) -> ReductionTable:
+                       nodes, t) -> ReductionTable:
     """Reduction table at every node at time ``t``, in node order.
 
-    ``nodes`` is an ``(N, n)`` array-like of points. Nodes are evaluated
+    ``nodes`` is an ``(N, n)`` array-like of points, and ``t`` one time or
+    an ``(N,)`` array-like of one time per node. Nodes are evaluated
     as numpy arrays in batches of ``_CHUNK``, the inclusion and each
     reducer gradient once per batch; a batch that meets a hazard (see
     :class:`ArrayHazard`) is refilled node by node by the pointwise
     reference, which raises exactly the errors the pointwise API raises.
     """
     pts = _node_array(nodes, inclusion.n_in)
-    t = float(t)
+    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    if np.ndim(t) and t.shape != (len(pts),):
+        raise DimensionMismatchError(
+            f"t must be one time or one per node, got shape {t.shape}")
     n = inclusion.n_out
     base_lo, base_hi, lo, hi = (np.zeros((n, len(pts))) for _ in range(4))
     base_empty, empty = (np.zeros(len(pts), dtype=bool) for _ in range(2))
@@ -347,10 +390,10 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
     def arrays(rows):
         if not ready:
             raise ArrayHazard  # the pointwise rows raise the matching error
-        batch = axes[:, rows]
-        b_lo, b_hi, b_empty = inclusion.value_arrays(batch, t)
+        batch, t_rows = axes[:, rows], t[rows] if np.ndim(t) else t
+        b_lo, b_hi, b_empty = inclusion.value_arrays(batch, t_rows)
         r_lo, r_hi, r_empty, r_axes = _reduce_arrays(
-            b_lo, b_hi, b_empty, reducers, batch, t)
+            b_lo, b_hi, b_empty, reducers, batch, t_rows)
         base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
         base_empty[rows] = b_empty
         lo[:, rows] = np.where(r_empty, 0.0, r_lo)
@@ -360,9 +403,9 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
 
     def pointwise(b):
         # the inclusion and each reducer gradient once per node
-        x = pts[b].tolist()
-        base = eval_map(inclusion, x, t)
-        pinches = [_pinch(base, u, x, t) for u in reducers]
+        x, t_b = pts[b].tolist(), float(t[b]) if np.ndim(t) else t
+        base = eval_map(inclusion, x, t_b)
+        pinches = [_pinch(base, u, x, t_b) for u in reducers]
         reduced = _intersect(base, (p.result for p in pinches))
         for p in pinches:
             constrained[[i - 1 for i in p.constrained_axes], b] = True

@@ -51,8 +51,8 @@ _MAX_STATE_DIM = 9  # variable names x1..x9
 ParamTable = tuple[tuple[str, ScalarExpr], ...]
 
 
-def _compile_params(params: ParamTable):
-    return tuple((name, expr.compile_scalar(node)) for name, node in params)
+def _compile_params(params: ParamTable, build=expr.compile_scalar):
+    return tuple((name, build(node)) for name, node in params)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class PiecewiseBoxMap:
     """Ordered guarded pieces mapping ``(x, t)`` to a box in ``R^n_out``."""
 
     __slots__ = ("n_in", "n_out", "pieces", "params", "time_dependent",
-                 "_var_names", "_param_fns", "_compiled", "_array_compiled")
+                 "_var_names", "_param_fns", "_compiled", "_array_compiled",
+                 "_param_array_fns")
 
     def __init__(self, n_in: int, n_out: int, pieces: Sequence[Piece],
                  params: ParamTable = ()):
@@ -93,7 +94,7 @@ class PiecewiseBoxMap:
              None if p.values is None
              else expr.compile_sets(p.values))
             for p in pieces)
-        self._array_compiled = None
+        self._array_compiled = self._param_array_fns = None
         used = set()
         for p in pieces:
             used |= expr.free_vars(p.guard)
@@ -122,17 +123,23 @@ class PiecewiseBoxMap:
                 return IntervalBox(values_fn(env))
         raise AssertionError("unreachable: otherwise piece is mandatory")
 
-    def env_arrays(self, cols: Sequence[np.ndarray], t: float) -> dict:
+    def env_arrays(self, cols: Sequence[np.ndarray], t) -> dict:
         """:meth:`env` with one array of coordinates per state variable.
 
-        Parameters depend only on ``t`` and are evaluated once, by the
-        scalar closures.
+        ``t`` is one time, whose parameters the scalar closures evaluate
+        once, or an array of one time per row for the array closures.
         """
-        env = self.env((), t)
+        per_row = isinstance(t, np.ndarray)
+        if per_row and self._param_array_fns is None:  # compiled on first use
+            self._param_array_fns = _compile_params(self.params,
+                                                    expr.compile_scalar_array)
+        env = {"t": t} if per_row else self.env((), t)
+        for name, fn in self._param_array_fns if per_row else ():
+            env[name] = fn(env)
         env.update(zip(self._var_names, cols))
         return env
 
-    def value_arrays(self, cols: Sequence[np.ndarray], t: float):
+    def value_arrays(self, cols: Sequence[np.ndarray], t):
         """:meth:`value` at every row of ``cols`` (one array per axis).
 
         Returns ``(lo, hi, empty)``: endpoint arrays of shape

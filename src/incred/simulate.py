@@ -21,25 +21,30 @@ Post-hoc checks turn the structural guarantees into trajectory reports:
 membership of difference quotients in the reduced inclusion (isolated
 guard crossings are budgeted, 1% by default), first-order decrease of
 the candidate against a declared bound, and tail convergence of a
-semidefinite observable.
+semidefinite observable. The integrator is sequential and scalar; it
+stores one ``t, x, q, V`` row per step in an array, and the checks run
+as numpy columns over those rows (a reduction table with one time per
+row, and array closures), with the scalar closures redoing any batch
+that meets a hazard. A NaN never passes a check. The CSV is written
+``_CHUNK`` rows at a time.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import expr
 from .errors import SchemaError, SimulationError
+from .expr import _array_max as _max
 from .grids import check_size
 from .intervals import IntervalBox, contains
-from .reduction import _reduce_base, reduce_collection
-from .setmaps import SystemDef, eval_gradient, eval_map
+from .reduction import (_chunks, _columns, _joined, _reduce_base, _reprs,
+                        tabulate_reduction)
+from .setmaps import PiecewiseBoxMap, SystemDef, eval_gradient, eval_map
 
 __all__ = [
     "SelectionStrategy", "StepSample", "Trajectory", "integrate",
@@ -64,21 +69,20 @@ class SelectionStrategy:
                 f"{', '.join(_STRATEGY_KINDS)}")
 
 
-@dataclass(frozen=True)
-class StepSample:
-    t: float
-    x: tuple[float, ...]
-    q: tuple[float, ...]
-    v: float
+StepSample = NamedTuple("StepSample", [  # one row of Trajectory.steps
+    ("t", float), ("x", tuple), ("q", tuple), ("v", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """``rows`` holds one ``t, x1..xn, q1..qn, V`` row per step, as an
+    ``(N, 2n + 2)`` array; the final state, which no step leaves, is in
+    the ``final_*`` fields."""
     t0: float
     h: float
     horizon: float
     strategy: SelectionStrategy
-    steps: tuple[StepSample, ...]
+    rows: np.ndarray
     final_t: float
     final_x: tuple[float, ...]
     final_v: float
@@ -88,11 +92,16 @@ class Trajectory:
     def final_norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.final_x))
 
-    def states(self) -> list[tuple[float, ...]]:
-        return [s.x for s in self.steps] + [self.final_x]
+    @property
+    def steps(self) -> tuple[StepSample, ...]:
+        n = len(self.final_x)
+        return tuple(StepSample(r[0], tuple(r[1:n + 1]), tuple(r[n + 1:-1]),
+                                r[-1]) for r in self.rows.tolist())
 
-    def values(self) -> list[float]:
-        return [s.v for s in self.steps] + [self.final_v]
+    def states(self) -> np.ndarray:
+        """``(N + 1, n)``: the state of every step, then the final one."""
+        return np.vstack([self.rows[:, 1:len(self.final_x) + 1],
+                          [self.final_x]])
 
 
 def _select(strategy: SelectionStrategy, sys: SystemDef,
@@ -108,15 +117,8 @@ def _select(strategy: SelectionStrategy, sys: SystemDef,
     reduced = _reduce_base(fbox, sys.reducers, x, t)
     base = fbox if reduced.is_empty else reduced
     grad_center = eval_gradient(sys.candidate, x, t).center
-    q = []
-    for p, ax in zip(grad_center, base.axes):
-        if p > 0.0:
-            q.append(ax.lo)
-        elif p < 0.0:
-            q.append(ax.hi)
-        else:
-            q.append(ax.center)
-    return tuple(q)
+    return tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center
+                 for p, ax in zip(grad_center, base.axes))
 
 
 def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
@@ -145,9 +147,7 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
     rng = (np.random.default_rng(strategy.seed)
            if strategy.kind == "random-extreme" else None)
 
-    steps: list[StepSample] = []
-    exited = False
-    t = t0
+    flat: list[float] = []  # the rows, one after another
     for k in range(n_steps):
         t = t0 + k * h
         fbox = eval_map(sys.inclusion, x, t)
@@ -156,20 +156,25 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
                 f"inclusion is empty at x={x}, t={t}; cannot select a "
                 "velocity (modeling error)")
         q = _select(strategy, sys, fbox, x, t, rng)
-        steps.append(StepSample(t, x, q, sys.candidate.value_at(x, t)))
+        flat.extend((t, *x, *q, sys.candidate.value_at(x, t)))
         x = tuple(xi + h * qi for xi, qi in zip(x, q))
         t = t0 + (k + 1) * h
         if not contains(sys.domain, x):
-            exited = True
             break
     return Trajectory(
-        t0=t0, h=h, horizon=horizon, strategy=strategy, steps=tuple(steps),
+        t0=t0, h=h, horizon=horizon, strategy=strategy,
+        rows=np.array(flat).reshape(-1, 2 * sys.n + 2),
         final_t=t, final_x=x, final_v=sys.candidate.value_at(x, t),
-        exited=exited)
+        exited=not contains(sys.domain, x))
+
+
+class _Report:
+    def to_dict(self) -> dict:  # nonfinite only when it is nonzero
+        return {k: v for k, v in asdict(self).items() if k != "nonfinite" or v}
 
 
 @dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(_Report):
     n_steps: int
     violations: int
     fraction: float
@@ -177,54 +182,53 @@ class MembershipReport:
     tol: float
     budget: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    nonfinite: int = 0
 
 
+@np.errstate(all="ignore")  # NaN and inf are counted, not warned
 def check_reduction_membership(traj: Trajectory, sys: SystemDef,
-                               tol: float, budget: float = 0.01,
-                               ) -> MembershipReport:
+                               tol: float | None = None,
+                               budget: float = 0.01) -> MembershipReport:
     """Distance of difference quotients to the reduced inclusion.
 
     For each step, measures the Euclidean distance from
     ``(x_{k+1} - x_k) / h`` to the reduced box at ``(x_k, t_k)``
-    (infinite when the reduction is empty) and reports the fraction of
-    steps beyond ``tol``. The pass budget (default 1%) encodes that the
-    reduction constrains velocities only for almost all times: isolated
-    guard crossings may violate it.
+    (infinite when the reduction is empty, and NaN counted in
+    ``nonfinite``) and reports the fraction of steps not within ``tol``,
+    by default 1% of F's largest vertex norm (at least 0.01). The pass
+    budget (default 1%) encodes that the reduction constrains velocities
+    only for almost all times: isolated guard crossings may violate it.
     """
-    states = traj.states()
-    violations = 0
-    max_distance = 0.0
-    for k, step in enumerate(traj.steps):
-        dq = tuple((nxt - cur) / traj.h
-                   for nxt, cur in zip(states[k + 1], step.x))
-        reduced = reduce_collection(sys.inclusion, sys.reducers, step.x,
-                                    step.t)
-        dist = reduced.distance_to(dq)
-        if dist > tol:
-            violations += 1
-        if dist != math.inf:
-            max_distance = max(max_distance, dist)
-    n = len(traj.steps)
-    fraction = violations / n if n else 0.0
-    return MembershipReport(n, violations, fraction, max_distance, tol,
-                            budget, fraction <= budget)
+    x = traj.states()
+    table = tabulate_reduction(sys.inclusion, sys.reducers, x[:-1],
+                               traj.rows[:, 0])
+    if tol is None:  # IntervalBox.max_vertex_norm, axis by axis
+        scale = np.sqrt(sum(_max(lo * lo, hi * hi) for lo, hi in
+                            zip(table.base_lo, table.base_hi)))
+        tol = 1e-2 * max(1.0, float(np.max(scale, initial=0.0)))
+    acc = 0.0  # IntervalBox.distance_to, axis by axis
+    for lo, hi, v in zip(table.lo, table.hi, ((x[1:] - x[:-1]) / traj.h).T):
+        gap = _max(_max(lo - v, v - hi), 0.0)
+        acc = acc + gap * gap
+    dist = np.where(table.empty, np.inf, np.sqrt(acc))
+    violations = int(np.count_nonzero(~(dist <= tol)))
+    fraction = violations / len(dist) if len(dist) else 0.0
+    return MembershipReport(
+        len(dist), violations, fraction, _first_max(dist[dist != np.inf], 0.0),
+        tol, budget, fraction <= budget, int(np.isnan(dist).sum()))
 
 
 @dataclass(frozen=True)
-class DescentReport:
+class DescentReport(_Report):
     bound_violations: int
     monotonicity_violations: int
     max_rate_gap: float
     slack: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    nonfinite: int = 0
 
 
+@np.errstate(all="ignore")  # NaN and inf are counted, not warned
 def check_lyapunov_descent(traj: Trajectory, sys: SystemDef,
                            bound: expr.ScalarExpr) -> DescentReport:
     """First-order decrease of the candidate against ``-bound``.
@@ -234,40 +238,28 @@ def check_lyapunov_descent(traj: Trajectory, sys: SystemDef,
     nonincrease of the sampled values up to the same slack.
     ``max_rate_gap`` is the worst per-step value of
     ``delta V / h + bound(x_k)``; halving h should roughly halve it on
-    smooth stretches.
+    smooth stretches. A step with a non-finite bound or V is ``nonfinite``
+    and violates the bound.
     """
-    bound_fn = expr.compile_scalar(bound)
-    values = traj.values()
-    h = traj.h
-    slack = 10.0 * h * h
-    bound_violations = 0
-    monotonicity_violations = 0
-    max_rate_gap = -math.inf
-    for k, step in enumerate(traj.steps):
-        dv = values[k + 1] - values[k]
-        w = bound_fn(sys.inclusion.env(step.x, step.t))
-        if dv > -h * w + slack:
-            bound_violations += 1
-        if dv > slack:
-            monotonicity_violations += 1
-        max_rate_gap = max(max_rate_gap, dv / h + w)
-    return DescentReport(
-        bound_violations=bound_violations,
-        monotonicity_violations=monotonicity_violations,
-        max_rate_gap=max_rate_gap, slack=slack,
-        passed=bound_violations == 0 and monotonicity_violations == 0)
+    v = np.append(traj.rows[:, -1], traj.final_v)
+    h, dv, slack = traj.h, v[1:] - v[:-1], 10.0 * traj.h * traj.h
+    w = _column(bound, sys.inclusion, traj.states()[:-1], traj.rows[:, 0])
+    nonfinite = ~(np.isfinite(w) & np.isfinite(v[1:]) & np.isfinite(v[:-1]))
+    bound_bad = int((~(dv <= -h * w + slack) | nonfinite).sum())
+    mono_bad = int((~(dv <= slack)).sum())
+    gap = _first_max(dv / h + w, -math.inf)
+    return DescentReport(bound_bad, mono_bad, gap, slack,
+                         bound_bad == mono_bad == 0, int(nonfinite.sum()))
 
 
 @dataclass(frozen=True)
-class TailReport:
+class TailReport(_Report):
     tail_max: float
     tail_start: int
     tail_fraction: float
     threshold: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    nonfinite: int = 0
 
 
 def check_partial_convergence(traj: Trajectory, sys: SystemDef,
@@ -278,18 +270,43 @@ def check_partial_convergence(traj: Trajectory, sys: SystemDef,
 
     A finite-horizon proxy for asymptotic decay: PASS when the maximum
     of ``observable(x_k)`` over the last ``tail_fraction`` of samples
-    stays below the threshold.
+    stays below the threshold and none is NaN or infinite (``nonfinite``).
     """
     if not 0.0 < tail_fraction < 1.0:
         raise SchemaError("tail_fraction must lie strictly between 0 and 1")
-    fn = expr.compile_scalar(observable)
-    states = traj.states()
-    times = [s.t for s in traj.steps] + [traj.final_t]
-    start = len(states) - max(1, math.ceil(tail_fraction * len(states)))
-    tail_max = max(fn(sys.inclusion.env(x, t))
-                   for x, t in zip(states[start:], times[start:]))
+    x = traj.states()
+    start = len(x) - max(1, math.ceil(tail_fraction * len(x)))
+    tail = _column(observable, sys.inclusion, x[start:],
+                   np.append(traj.rows[:, 0], traj.final_t)[start:])
+    tail_max, nonfinite = _first_max(tail, -math.inf), (~np.isfinite(tail))
     return TailReport(tail_max, start, tail_fraction, threshold,
-                      tail_max < threshold)
+                      tail_max < threshold and not nonfinite.any(),
+                      int(nonfinite.sum()))
+
+
+def _column(node: expr.ScalarExpr, m: PiecewiseBoxMap, x, t) -> np.ndarray:
+    """``node`` in ``m``'s environment at the rows ``(x[r], t[r])``."""
+    cols = np.ascontiguousarray(x.T)
+    return _columns([node], len(x),
+                    lambda rows: m.env_arrays(cols[:, rows], t[rows]),
+                    lambda r: m.env(x[r].tolist(), float(t[r])))[0]
+
+
+def _first_max(values: np.ndarray, start: float) -> float:
+    """``max(start, *values)``: the first of equal maxima, never a NaN."""
+    top = values[values > start]
+    return float(top[(top == top.max()).argmax()]) if top.size else start
+
+
+def _csv_chunks(traj: Trajectory) -> Iterator[str]:
+    """:func:`trajectory_csv` in pieces of ``_CHUNK`` rows."""
+    n = len(traj.final_x)
+    yield ",".join(["t"] + [f"x{i+1}" for i in range(n)]
+                   + [f"q{i+1}" for i in range(n)] + ["V"]) + "\n"
+    for rows in _chunks(len(traj.rows)):
+        yield "\n".join(_joined(_reprs(traj.rows[rows].T))) + "\n"
+    yield ",".join([repr(traj.final_t), *map(repr, traj.final_x),
+                    *[""] * n, repr(traj.final_v)]) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -298,20 +315,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     The final state appears as a last row with empty selection cells (no
     step leaves it).
     """
-    n = len(traj.final_x)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (["t"] + [f"x{i+1}" for i in range(n)]
-              + [f"q{i+1}" for i in range(n)] + ["V"])
-    writer.writerow(header)
-    for s in traj.steps:
-        writer.writerow([repr(s.t)] + [repr(v) for v in s.x]
-                        + [repr(v) for v in s.q] + [repr(s.v)])
-    writer.writerow([repr(traj.final_t)] + [repr(v) for v in traj.final_x]
-                    + [""] * n + [repr(traj.final_v)])
-    return buf.getvalue()
+    return "".join(_csv_chunks(traj))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trajectory_csv(traj))
+        fh.writelines(_csv_chunks(traj))

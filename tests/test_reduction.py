@@ -303,6 +303,56 @@ class TestTabulate:
             assert [calls.count(m) for m in maps] == [batches] * 3
             calls.clear()
 
+    def test_per_row_time_is_one_scalar_call_per_row(self, example4,
+                                                      monkeypatch):
+        # example4's F and its reducer read the parameter g = 0.5*exp(-t)
+        grid = example4.require_grid().with_uniform_counts(9)
+        nodes = grid.nodes(example4.domain)
+        rng = np.random.default_rng(7)
+        times = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 0.3],
+                           size=len(nodes))
+        columns = ("base_lo", "base_hi", "base_empty", "lo", "hi", "empty",
+                   "constrained")
+        for chunk in (1, 7, 4096):
+            red._CHUNK, saved = chunk, red._CHUNK
+            try:
+                table = tabulate_reduction(example4.inclusion,
+                                           example4.reducers, nodes, times)
+            finally:
+                red._CHUNK = saved
+            assert table.t.tolist() == times.tolist()
+            for b, (x, t) in enumerate(zip(nodes, times.tolist())):
+                one = tabulate_reduction(example4.inclusion,
+                                         example4.reducers, [x], t)
+                for name in columns:
+                    got = getattr(table, name)[..., b]
+                    want = getattr(one, name)[..., 0]
+                    assert got.tobytes() == want.tobytes(), (name, b)
+            assert [row.t for row in table.rows] == times.tolist()
+
+        def no_fallback(r):
+            raise AssertionError(f"row {r} fell back to the pointwise path")
+
+        fill = red._fill  # and the per-row table took the array path
+        monkeypatch.setattr(red, "_fill", lambda count, arrays, _: fill(
+            count, arrays, no_fallback))
+        tabulate_reduction(example4.inclusion, example4.reducers, nodes,
+                           times)
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0] * 4, [[0.0, 1.0, 2.0]]])
+    def test_per_row_time_needs_one_time_per_node(self, example4, times):
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape("one time or one per node")):
+            tabulate_reduction(example4.inclusion, example4.reducers,
+                               [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)], times)
+
+    def test_per_row_time_table_has_no_report(self, example4):
+        table = tabulate_reduction(example4.inclusion, example4.reducers,
+                                   [(0.5, 0.5), (1.0, 0.0)], [0.0, 1.0])
+        for report in (table.to_csv, table.to_text):
+            with pytest.raises(ValueError, match="one time per row"):
+                report()
+
     def test_csv_is_deterministic(self, example3):
         nodes = [(1.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
         t1 = tabulate_reduction(example3.inclusion, example3.reducers, nodes,

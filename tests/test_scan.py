@@ -1,17 +1,19 @@
 """The array evaluators against the pointwise reference evaluators.
 
-``scan_derivative``, ``tabulate_reduction`` and the Matrosov Y table
-evaluate batches of nodes as numpy arrays through ``reduction._fill``,
-which refills a batch that meets a hazard node by node with the
-pointwise reference. These tests compare each public function with the
-same call forced through the pointwise rows alone: the columns must carry
-the same bits, and the errors must be the same.
+``scan_derivative``, ``tabulate_reduction``, the Matrosov Y table and
+the trajectory checks evaluate batches of nodes as numpy arrays through
+``reduction._fill``, which refills a batch that meets a hazard node by
+node with the pointwise reference. These tests compare each public
+function with the same call forced through the pointwise rows alone: the
+columns must carry the same bits, and the errors must be the same.
 """
 
 import csv
 import io
 import json
+import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +30,13 @@ from incred.certify import (MatrosovProblem, build_matrosov_problem,
 from incred.cli import main
 from incred.errors import ArrayHazard
 from incred.fixtures import available_fixtures, fixture_path, load_fixture
-from incred.setmaps import Piece, PiecewiseBoxMap, RegularFunctionSpec
+from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
+                            eval_map)
+from incred.simulate import (DescentReport, MembershipReport,
+                             SelectionStrategy, TailReport, Trajectory,
+                             check_lyapunov_descent,
+                             check_partial_convergence,
+                             check_reduction_membership, trajectory_csv)
 
 # Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
 COORDS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
@@ -165,7 +173,7 @@ def cases(draw):
     }
 
 
-FILLS = (red, deriv, certify)  # every module that binds reduction._fill
+FILLS = (red, deriv)  # every module that binds reduction._fill
 
 
 def _pointwise_fill(count, arrays, pointwise):
@@ -488,3 +496,155 @@ def test_array_aux_table_is_bit_identical_to_pointwise(case):
     else:
         assert _table_bits(reference) == _table_bits(
             (np.array(rows, dtype=float), expected))
+
+
+# --- the trajectory checks ------------------------------------------------
+
+@st.composite
+def trajectory_cases(draw):
+    """A trajectory of rows ``t, x1, x2, q1, q2, V`` on the grid coordinates,
+    with F, reducers, a descent bound and a tail observable that read the
+    time through ``t`` and ``g``. Half of them are free of every pointwise
+    error; a quarter have infinite coordinates. A third of the bounds
+    divide by ``x1`` (an error on x1 == 0 rows, met by both paths) and a
+    third add ``1e308*x1*2`` (infinite, an array hazard, where
+    ``|x1| >= 1``)."""
+    risky = draw(st.booleans())
+    # an infinite coordinate makes inf - inf difference quotients
+    coord = st.sampled_from(COORDS + (float("inf"),) * (
+        risky and draw(st.booleans())))
+    steps = draw(st.integers(1, 12))
+    x = draw(st.lists(st.tuples(coord, coord), min_size=steps + 1,
+                      max_size=steps + 1))
+    t0, h = draw(st.sampled_from([0.0, 1.0, 5.0])), draw(
+        st.sampled_from([0.25, 1.0]))
+    v = draw(st.lists(st.sampled_from(NUMS + (float("nan"), float("inf"))),
+                      min_size=steps + 1, max_size=steps + 1))
+    q = draw(st.lists(st.tuples(coord, coord), min_size=steps,
+                      max_size=steps))
+    rows = np.array([(t0 + k * h, *x[k], *q[k], v[k])
+                     for k in range(steps)])
+    traj = Trajectory(t0, h, t0 + steps * h, SelectionStrategy(), rows,
+                      t0 + steps * h, x[-1], v[-1], False)
+    bound = _scalar(draw, risky)
+    tail = draw(st.sampled_from(["divide", "overflow", None]))
+    if tail == "divide":
+        bound = ex.BinOp("+", bound, ex.BinOp("/", X2, X1))
+    elif tail == "overflow":
+        bound = ex.BinOp("+", bound, ex.BinOp(
+            "*", ex.BinOp("*", ex.Num(1e308), X1), ex.Num(2.0)))
+    system = SimpleNamespace(
+        inclusion=_piecewise(draw, risky, 2, True),
+        reducers=[RegularFunctionSpec("u", 2, ex.Num(0.0),
+                                      _piecewise(draw, risky, 3, risky), True)
+                  for _ in range(draw(st.integers(0, 2)))])
+    return {"traj": traj, "system": system, "bound": bound,
+            "observable": draw(st.sampled_from([bound, _scalar(draw, risky)])),
+            "tol": draw(st.sampled_from([None, 0.0, 0.5])),
+            "tail_fraction": draw(st.sampled_from([0.2, 0.5, 0.9])),
+            "chunk": draw(st.sampled_from([1, 3, 4096]))}
+
+
+def _checks(case):
+    """The three trajectory reports (or each one's error) and the CSV."""
+    traj, system = case["traj"], case["system"]
+    return [
+        _report_key(_outcome(check_reduction_membership, traj, system,
+                             case["tol"])),
+        _report_key(_outcome(check_lyapunov_descent, traj, system,
+                             case["bound"])),
+        _report_key(_outcome(check_partial_convergence, traj, system,
+                             case["observable"], case["tail_fraction"])),
+        trajectory_csv(traj)]
+
+
+def _report_key(report):
+    if isinstance(report, tuple):
+        return report  # an error
+    return {k: struct.pack("d", v) if isinstance(v, float) else v
+            for k, v in report.to_dict().items()}
+
+
+def _scalar_checks(case):
+    """The reports by the pointwise API, step by step (None where it
+    raises), and the CSV by ``csv.writer``, row by row."""
+    traj, sys = case["traj"], case["system"]
+    inf, nan_safe_max = float("inf"), lambda vals, start: max([start, *vals])
+    states, h = traj.states().tolist(), traj.h
+    out = []
+    try:
+        dists = [red.reduce_collection(sys.inclusion, sys.reducers, s.x,
+                                       s.t).distance_to(
+                     [(b - a) / h for a, b in zip(s.x, states[k + 1])])
+                 for k, s in enumerate(traj.steps)]
+        tol = case["tol"]
+        if tol is None:
+            scale = max(eval_map(sys.inclusion, s.x, s.t).max_vertex_norm()
+                        for s in traj.steps)
+            tol = 1e-2 * max(1.0, scale)
+        bad = sum(not d <= tol for d in dists)
+        out.append(MembershipReport(
+            len(dists), bad, bad / len(dists),
+            nan_safe_max([d for d in dists if d != inf], 0.0), tol, 0.01,
+            bad / len(dists) <= 0.01, sum(d != d for d in dists)))
+    except Exception:
+        out.append(None)
+    try:
+        fn = ex.compile_scalar(case["bound"])
+        values = traj.rows[:, -1].tolist() + [traj.final_v]
+        slack = 10.0 * h * h
+        w = [fn(sys.inclusion.env(s.x, s.t)) for s in traj.steps]
+        dv = [b - a for a, b in zip(values, values[1:])]
+        odd = [not all(map(math.isfinite, (wk, a, b)))
+               for wk, a, b in zip(w, values, values[1:])]
+        bound_bad = sum(not d <= -h * wk + slack or o
+                        for d, wk, o in zip(dv, w, odd))
+        mono_bad = sum(not d <= slack for d in dv)
+        out.append(DescentReport(
+            bound_bad, mono_bad,
+            nan_safe_max([d / h + wk for d, wk in zip(dv, w)], -inf), slack,
+            bound_bad == 0 and mono_bad == 0, sum(odd)))
+    except Exception:
+        out.append(None)
+    try:
+        fn = ex.compile_scalar(case["observable"])
+        times = traj.rows[:, 0].tolist() + [traj.final_t]
+        start = len(states) - max(
+            1, math.ceil(case["tail_fraction"] * len(states)))
+        tail = [fn(sys.inclusion.env(x, t))
+                for x, t in zip(states[start:], times[start:])]
+        top, odd = nan_safe_max(tail, -inf), sum(
+            not math.isfinite(v) for v in tail)
+        out.append(TailReport(top, start, case["tail_fraction"], 1e-3,
+                              top < 1e-3 and not odd, odd))
+    except Exception:
+        out.append(None)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x1", "x2", "q1", "q2", "V"])
+    for s in traj.steps:
+        writer.writerow([repr(v) for v in (s.t, *s.x, *s.q, s.v)])
+    writer.writerow([repr(traj.final_t), *map(repr, traj.final_x), "", "",
+                     repr(traj.final_v)])
+    return [None if r is None else _report_key(r) for r in out] + [
+        buf.getvalue()]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=trajectory_cases())
+def test_array_trajectory_checks_are_bit_identical_to_pointwise(case):
+    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _pointwise_only(mp)
+            reference = _checks(case)
+        public = _checks(case)
+    finally:
+        red._CHUNK = saved
+    assert public == reference
+    # the pointwise API agrees wherever it does not raise
+    for got, want in zip(public, _scalar_checks(case)):
+        if want is not None and not isinstance(got, tuple):
+            assert got == want

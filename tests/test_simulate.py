@@ -203,6 +203,60 @@ class TestTail:
                                       ex.parse_scalar("0"), 1.5)
 
 
+class TestFailClosed:
+    """A NaN never passes a trajectory check."""
+
+    def test_nan_bound_is_a_descent_violation(self, example3):
+        traj = integrate(example3, (1.0, 0.0), 0.0, 0.01, 1.0,
+                         SelectionStrategy("reduced-descent"))
+        report = check_lyapunov_descent(
+            traj, example3, ex.parse_scalar("(1e308*10) - (1e308*10)"))
+        steps = len(traj.steps)
+        assert not report.passed
+        assert report.bound_violations == report.nonfinite == steps
+        assert report.to_dict()["nonfinite"] == steps
+
+    def test_nan_in_the_tail_fails(self, example3):
+        # NaN (inf*0) where x1 <= 0.8, after a finite start of the tail
+        traj = integrate(example3, (1.0, 0.0), 0.0, 0.01, 1.0,
+                         SelectionStrategy("reduced-descent"))
+        observable = ex.parse_scalar("min(1e308*10*max(x1 - 0.8, 0), 0)")
+        report = check_partial_convergence(traj, example3, observable, 0.5)
+        tail = traj.states()[report.tail_start:, 0]
+        assert tail[0] > 0.8
+        assert report.nonfinite == int((tail <= 0.8).sum()) > 0
+        assert report.tail_max == 0.0 and not report.passed
+
+    def test_nan_distance_is_a_membership_violation(self):
+        # the midpoint of [-inf, inf] is NaN, so is the difference quotient
+        system = system_from_dict({
+            "n": 1,
+            "F": {"pieces": [{"guard": "otherwise",
+                              "value": ["[-1e308*10, 1e308*10]"]}]},
+            "V": {"value": "x1*x1",
+                  "gradient": [{"guard": "otherwise",
+                                "value": ["{2*x1}", "{0}"]}],
+                  "regular": True},
+            "domain": {"lo": [-1], "hi": [1]},
+        })
+        traj = integrate(system, (0.5,), 0.0, 0.01, 1.0, SelectionStrategy())
+        assert traj.exited and len(traj.steps) == 1
+        for tol in (None, 1.0):
+            report = check_reduction_membership(traj, system, tol)
+            assert report.violations == report.nonfinite == 1
+            assert not report.passed and report.max_distance == 0.0
+
+    def test_finite_reports_have_no_nonfinite_key(self, example3):
+        traj = integrate(example3, (1.0, 0.0), 0.0, 0.01, 1.0,
+                         SelectionStrategy("reduced-descent"))
+        w = ex.parse_scalar("x1*x1")
+        for report in (check_reduction_membership(traj, example3),
+                       check_lyapunov_descent(traj, example3, w),
+                       check_partial_convergence(traj, example3, w, 0.5)):
+            assert report.nonfinite == 0
+            assert "nonfinite" not in report.to_dict()
+
+
 def test_csv_layout(trivial_zero):
     traj = integrate(trivial_zero, (0.3, -0.2), 0.0, 0.25, 1.0,
                      SelectionStrategy())
