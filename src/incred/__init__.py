@@ -7,11 +7,11 @@ invariance / Matrosov conditions on grids, and integrating
 selection-based trajectories.
 """
 
-from .certify import (Certificate, InvarianceReport, MatrosovProblem,
-                      build_matrosov_problem, certify_lyapunov,
-                      certify_semidefinite, invariance_data, matrosov_chain,
-                      matrosov_constants, matrosov_derivative_bounds,
-                      matrosov_grid, verify_combined_bound)
+from .certify import (Certificate, InvarianceReport, build_matrosov_problem,
+                      certify_lyapunov, certify_semidefinite, invariance_data,
+                      matrosov_chain, matrosov_constants,
+                      matrosov_derivative_bounds, matrosov_grid,
+                      verify_combined_bound)
 from .derivative import (DerivativeValue, baseline_interval_derivative,
                          baseline_max_derivative, bilinear_maxmax,
                          bilinear_minmax, generalized_derivative)

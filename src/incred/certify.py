@@ -40,13 +40,13 @@ from .errors import SchemaError
 from .grids import GridSpec, check_size, product_array
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _columns
-from .setmaps import RegularFunctionSpec, SystemDef, eval_map
+from .setmaps import MatrosovData, RegularFunctionSpec, SystemDef, eval_map
 
 __all__ = [
     "CERTIFIED", "VIOLATED", "INCONCLUSIVE", "GridSpec",
     "Certificate", "certify_lyapunov", "certify_semidefinite",
     "InvarianceReport", "CandidateCheck", "invariance_data",
-    "MatrosovProblem", "build_matrosov_problem", "matrosov_grid",
+    "build_matrosov_problem", "matrosov_grid",
     "matrosov_chain", "matrosov_constants", "MatrosovConstantsResult",
     "verify_combined_bound", "matrosov_derivative_bounds",
 ]
@@ -370,36 +370,8 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
 # --- Matrosov machinery --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrosovProblem:
-    """Matrosov data bound to an annulus, ready for grid checks.
-
-    ``aux`` are the bound expressions Y_1..Y_M over ``(z, x)``; the
-    conventions Y_0 = 0 and Y_{M+1} = 1 are applied by the checkers, not
-    stored. ``functions``/``collections`` pair each comparison function
-    with its reducer collection for the informational derivative-bound
-    screen.
-    """
-    m: int
-    count: int
-    functions: tuple[RegularFunctionSpec, ...]
-    collections: tuple[tuple[RegularFunctionSpec, ...], ...]
-    aux: tuple[expr.ScalarExpr, ...]
-    phi: tuple[expr.ScalarExpr, ...]
-    gamma: float
-    delta: float
-    big_delta: float
-    z_counts: tuple[int, ...]
-
-    def annulus(self) -> Annulus:
-        return Annulus(self.delta, self.big_delta)
-
-    def aux_uses_z(self) -> bool:
-        zvars = {f"z{i+1}" for i in range(self.m)}
-        return any(expr.free_vars(y) & zvars for y in self.aux)
-
-
-def build_matrosov_problem(sys: SystemDef) -> MatrosovProblem:
+def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
+    """The system's Matrosov block, once its annulus lies in the domain."""
     data = sys.matrosov
     if data is None:
         raise SchemaError("the system definition has no matrosov block")
@@ -409,14 +381,10 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovProblem:
                 "the annulus must lie inside the domain box "
                 f"(need every axis to cover [-{data.big_delta}, "
                 f"{data.big_delta}])")
-    return MatrosovProblem(
-        m=len(data.phi), count=len(data.aux), functions=data.functions,
-        collections=data.collections, aux=data.aux, phi=data.phi,
-        gamma=data.gamma, delta=data.delta, big_delta=data.big_delta,
-        z_counts=data.z_counts)
+    return data
 
 
-def matrosov_grid(prob: MatrosovProblem, sys: SystemDef,
+def matrosov_grid(prob: MatrosovData, sys: SystemDef,
                   grid: GridSpec | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta).
@@ -447,7 +415,7 @@ def matrosov_grid(prob: MatrosovProblem, sys: SystemDef,
     return z_nodes[Annulus(0.0, g).contains(z_nodes)], x_nodes
 
 
-def _aux_table(prob: MatrosovProblem, z_nodes, x_nodes):
+def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
     """``(points, y)``: the (z, x) rows as an ``(R, m + n)`` array of
     ``z + x``, x outer and z inner, and Y_1..Y_M there as ``(M, R)``.
 
@@ -492,7 +460,7 @@ def _combined_certificate(condition: str, combined: np.ndarray, zeta: float,
                                grid_summary, details)
 
 
-def matrosov_chain(prob: MatrosovProblem, z_nodes, x_nodes,
+def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
                    eq_tol: float = 1e-6) -> Certificate:
     """Screen the nested chain: Y_1..Y_j all ~ 0 forces Y_{j+1} <= 0.
 
@@ -534,7 +502,7 @@ class MatrosovConstantsResult:
         }
 
 
-def matrosov_constants(prob: MatrosovProblem, z_nodes, x_nodes, *,
+def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
                        zeta_target: float | None = None,
                        eq_tol: float = 1e-6,
                        cap: float = 2.0 ** 20) -> MatrosovConstantsResult:
@@ -607,7 +575,7 @@ def matrosov_constants(prob: MatrosovProblem, z_nodes, x_nodes, *,
     return MatrosovConstantsResult(constants, zeta, epsilon, cert)
 
 
-def verify_combined_bound(prob: MatrosovProblem, constants: Sequence[float],
+def verify_combined_bound(prob: MatrosovData, constants: Sequence[float],
                           zeta: float, z_nodes, x_nodes) -> Certificate:
     """Re-check ``Z = sum K_j Y_j + Y_M <= -zeta / 2^(M-1)`` on a grid.
 
@@ -626,7 +594,7 @@ def verify_combined_bound(prob: MatrosovProblem, constants: Sequence[float],
         {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}, {})
 
 
-def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovProblem,
+def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData,
                                grid: GridSpec | None = None,
                                tol: float = 1e-9) -> Certificate:
     """Screen the per-function derivative bounds on the annulus.

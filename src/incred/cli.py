@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("validate-gradient", cmd_validate_gradient,
                    "finite-difference check of declared gradients",
-                   "--grid-file --seed --baseline")
+                   "--grid-file --seed")
     p.add_argument("--radius", type=float, default=2e-5,
                    help="sampling ball radius (default 2e-5)")
     p.add_argument("--samples", type=int, default=200,

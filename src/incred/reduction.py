@@ -11,11 +11,12 @@ inclusion value is pinched to ``{0}`` when it contains 0 and the result
 is empty otherwise. No tolerance is involved, which is what lets the
 worked systems reproduce their case tables with zero slack.
 
-Reducing by a *collection* of functions intersects the individual
-reductions axiswise. Collections are finite lists here; every shipped
-system uses one or two functions.
+Reducing by a *collection* intersects the single reductions, which for
+boxes is one pinch on the union of the state axes the gradients move
+along; any moving time axis empties the result. Every reducer's gradient
+is evaluated, even where another one already empties the set.
 
-The same pinch and intersection also run on numpy arrays of nodes
+The same rule also runs on numpy arrays of nodes
 (:func:`_reduce_arrays`), for the reduction table here and for the
 derivative scan in :mod:`incred.derivative`; the pointwise functions
 remain the reference they are tested against and that :func:`_fill`
@@ -25,13 +26,12 @@ falls back to, one chunk at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import expr
 from .errors import ArrayHazard, DimensionMismatchError, SchemaError
-from .expr import _array_max as _max, _array_min as _min
 from .intervals import Interval, IntervalBox, direction_axes
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -44,10 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReducedValue:
-    """Result of reducing one inclusion value by one regular function.
+    """Result of reducing one inclusion value by regular functions.
 
-    ``constrained_axes`` holds the 1-based state axes pinched to zero;
-    ``time_obstruction`` is True when the gradient's time axis was
+    ``constrained_axes`` holds the 1-based state axes some reducer's
+    gradient moves along; they are pinched to zero together, once.
+    ``time_obstruction`` is True when some gradient's time axis was
     nondegenerate, which empties the result regardless of the base box.
     Whenever ``result`` is nonempty it is a subset of ``base``.
     """
@@ -64,36 +65,7 @@ def reduce_once(inclusion: PiecewiseBoxMap, reducer: RegularFunctionSpec,
     The reducer must be flagged regular; reduction by a nonregular
     function is unsound and rejected.
     """
-    return _pinch(eval_map(inclusion, x, t), reducer, x, t)
-
-
-def _pinch(base: IntervalBox, reducer: RegularFunctionSpec,
-           x: Sequence[float], t: float) -> ReducedValue:
-    """:func:`reduce_once` given the inclusion value ``base`` at (x, t)."""
-    if not reducer.regular:
-        raise SchemaError(
-            f"{reducer.name}: reduction requires a regular function")
-    axes = direction_axes(eval_gradient(reducer, x, t))
-    time_obstruction = reducer.n + 1 in axes
-    constrained = frozenset(i for i in axes if i <= base.dims)
-    if time_obstruction or base.is_empty or not all(
-            base.axis(i).contains(0.0) for i in constrained):
-        result = IntervalBox.empty(base.dims)
-    else:
-        result = IntervalBox(Interval.point(0.0) if i in constrained else axis
-                             for i, axis in enumerate(base.axes, start=1))
-    return ReducedValue(base, constrained, result, time_obstruction)
-
-
-def _intersect(base: IntervalBox, reduced: Iterable[IntervalBox],
-               ) -> IntervalBox:
-    """Intersection of ``reduced`` (``base`` if none), drawn until empty."""
-    acc = None
-    for red in reduced:
-        acc = red if acc is None else acc.intersect(red)
-        if acc.is_empty:
-            return acc
-    return base if acc is None else acc
+    return _reduce(eval_map(inclusion, x, t), (reducer,), x, t)
 
 
 def reduce_collection(inclusion: PiecewiseBoxMap,
@@ -104,15 +76,30 @@ def reduce_collection(inclusion: PiecewiseBoxMap,
     An empty collection imposes no constraint and returns the inclusion
     value itself. The inclusion is evaluated once.
     """
-    return _reduce_base(eval_map(inclusion, x, t), reducers, x, t)
+    return _reduce(eval_map(inclusion, x, t), reducers, x, t).result
 
 
-def _reduce_base(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
-                 x: Sequence[float], t: float) -> IntervalBox:
-    """:func:`reduce_collection` given the inclusion value ``base``."""
-    return _intersect(base, (_pinch(base, u, x, t).result for u in reducers))
-
-
+def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
+            x: Sequence[float], t: float) -> ReducedValue:
+    """``base``, the inclusion value at (x, t), pinched once on the union
+    of the state axes the reducers' gradients move along. Each reducer is
+    checked to be regular and its gradient evaluated, in order."""
+    axes, time_obstruction = frozenset(), False
+    for u in reducers:
+        if not u.regular:
+            raise SchemaError(
+                f"{u.name}: reduction requires a regular function")
+        moving = direction_axes(eval_gradient(u, x, t))
+        time_obstruction |= u.n + 1 in moving
+        axes |= moving
+    constrained = frozenset(i for i in axes if i <= base.dims)
+    if time_obstruction or base.is_empty or not all(
+            base.axis(i).contains(0.0) for i in constrained):
+        result = IntervalBox.empty(base.dims)
+    else:
+        result = IntervalBox(Interval.point(0.0) if i in constrained else axis
+                             for i, axis in enumerate(base.axes, start=1))
+    return ReducedValue(base, constrained, result, time_obstruction)
 
 
 # Nodes per numpy batch in the array evaluators (here and in
@@ -195,33 +182,24 @@ def _gradient_arrays(f: RegularFunctionSpec, batch, t):
 
 
 def _reduce_arrays(lo, hi, empty, reducers, batch, t):
-    """Array form of :func:`_pinch` by every reducer and :func:`_intersect`.
+    """Array form of :func:`_reduce`.
 
     ``lo``, ``hi`` (``(n, rows)``) and ``empty`` are the inclusion value
-    on the batch. Each reducer pinches the state axes its gradient moves
-    along to 0 and empties rows where such an axis excludes 0 or the time
-    axis moves; the pinched boxes are intersected axiswise in reducer
-    order with Python's max/min tie rule. Returns the reduced ``(lo, hi,
+    on the batch. The state axes some reducer's gradient moves along are
+    pinched to 0 together; a row is emptied where a pinched axis excludes
+    0 or some gradient's time axis moves. Returns the reduced ``(lo, hi,
     empty)``, whose endpoints mean nothing on empty rows, and the mask of
-    state axes some reducer constrains.
+    pinched state axes.
     """
-    base_lo, base_hi = lo, hi
     constrained = np.zeros(lo.shape, dtype=bool)
-    for k, u in enumerate(reducers):
+    for u in reducers:
         g_lo, g_hi = _gradient_arrays(u, batch, t)
         moving = g_lo != g_hi
-        pinch = moving[:-1]
-        constrained |= pinch
-        empty = empty | moving[-1] | (
-            pinch & ~((base_lo <= 0.0) & (0.0 <= base_hi))).any(axis=0)
-        r_lo = np.where(pinch, 0.0, base_lo)
-        r_hi = np.where(pinch, 0.0, base_hi)
-        if k == 0:
-            lo, hi = r_lo, r_hi
-        else:
-            lo, hi = _max(lo, r_lo), _min(hi, r_hi)
-            empty = empty | (lo > hi).any(axis=0)
-    return lo, hi, empty, constrained
+        constrained |= moving[:-1]
+        empty = empty | moving[-1]
+    empty = empty | (constrained & ~((lo <= 0.0) & (0.0 <= hi))).any(axis=0)
+    return (np.where(constrained, 0.0, lo), np.where(constrained, 0.0, hi),
+            empty, constrained)
 
 
 @dataclass(frozen=True)
@@ -404,14 +382,11 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
     def pointwise(b):
         # the inclusion and each reducer gradient once per node
         x, t_b = pts[b].tolist(), float(t[b]) if np.ndim(t) else t
-        base = eval_map(inclusion, x, t_b)
-        pinches = [_pinch(base, u, x, t_b) for u in reducers]
-        reduced = _intersect(base, (p.result for p in pinches))
-        for p in pinches:
-            constrained[[i - 1 for i in p.constrained_axes], b] = True
+        rv = _reduce(eval_map(inclusion, x, t_b), reducers, x, t_b)
+        constrained[[i - 1 for i in rv.constrained_axes], b] = True
         for box, box_lo, box_hi, box_empty in (
-                (base, base_lo, base_hi, base_empty),
-                (reduced, lo, hi, empty)):
+                (rv.base, base_lo, base_hi, base_empty),
+                (rv.result, lo, hi, empty)):
             if box.is_empty:
                 box_empty[b] = True
             else:

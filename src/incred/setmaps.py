@@ -37,7 +37,7 @@ from .errors import (ArrayHazard, DimensionMismatchError, DslSyntaxError,
                      EmptySetError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
 from .grids import GridSpec
-from .intervals import IntervalBox
+from .intervals import Annulus, IntervalBox
 
 __all__ = [
     "Piece", "PiecewiseBoxMap", "RegularFunctionSpec", "MatrosovData",
@@ -346,6 +346,21 @@ class MatrosovData:
     functions: tuple["RegularFunctionSpec", ...]
     collections: tuple[tuple["RegularFunctionSpec", ...], ...]
     z_counts: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.phi)
+
+    @property
+    def count(self) -> int:
+        return len(self.aux)
+
+    def annulus(self) -> Annulus:
+        return Annulus(self.delta, self.big_delta)
+
+    def aux_uses_z(self) -> bool:
+        zvars = {f"z{i+1}" for i in range(self.m)}
+        return any(expr.free_vars(y) & zvars for y in self.aux)
 
 
 @dataclass(frozen=True)

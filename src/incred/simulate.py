@@ -42,7 +42,7 @@ from .errors import SchemaError, SimulationError
 from .expr import _array_max as _max
 from .grids import check_size
 from .intervals import IntervalBox, contains
-from .reduction import (_chunks, _columns, _joined, _reduce_base, _reprs,
+from .reduction import (_chunks, _columns, _joined, _reduce, _reprs,
                         tabulate_reduction)
 from .setmaps import PiecewiseBoxMap, SystemDef, eval_gradient, eval_map
 
@@ -114,7 +114,7 @@ def _select(strategy: SelectionStrategy, sys: SystemDef,
         return tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
                      else ax.hi for ax in fbox.axes)
     # reduced-descent
-    reduced = _reduce_base(fbox, sys.reducers, x, t)
+    reduced = _reduce(fbox, sys.reducers, x, t).result
     base = fbox if reduced.is_empty else reduced
     grad_center = eval_gradient(sys.candidate, x, t).center
     return tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center

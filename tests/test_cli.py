@@ -30,6 +30,7 @@ _UNREAD_FLAGS = [
     ("simulate", ("--grid-file", "grid.json")),
     ("validate-gradient", ("--grid", "5")),
     ("matrosov", ("--baseline",)),
+    ("validate-gradient", ("--baseline",)),
 ]
 
 
@@ -214,6 +215,37 @@ class TestExitCodes:
         assert code == 3
         assert ("set expression {1e+308*10 - 1e+308*10} has a NaN endpoint "
                 "at x=(-2.0,), t=0.0") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command",
+                             ["certify", "reduce", "deriv", "simulate"])
+    def test_failing_reducer_behind_an_emptying_one_exits_three(
+            self, tmp_path, capsys, command):
+        # U1 empties the reduced set at every node (F = {-x1} excludes 0);
+        # U2's gradient divides by zero. Every path evaluates both.
+        def function(name, value, gradient):
+            return {"name": name, "value": value, "regular": True,
+                    "gradient": [{"guard": "otherwise",
+                                  "value": [gradient, "{0}"]}]}
+
+        doc = {
+            "n": 1,
+            "F": {"pieces": [{"guard": "otherwise", "value": ["{-x1}"]}]},
+            "V": function("V", "x1*x1", "{2*x1}"),
+            "U": [function("U1", "0", "[-1, 1]"),
+                  function("U2", "0", "{1/(x1 - x1)}")],
+            "domain": {"lo": [0.1], "hi": [1]},
+            "grid": {"nodes": [[0.25, 0.5, 0.75]], "include": [[]]},
+            "certify": {"W": "x1*x1"},
+            "simulate": {"x0": [0.5], "h": 0.1, "T": 0.5,
+                         "strategy": "reduced-descent"},
+        }
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command, "-i", str(system), "-o", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "division by near-zero denominator" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,

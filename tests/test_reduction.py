@@ -4,11 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incred.expr as ex
 import incred.reduction as red
 from incred.derivative import scan_derivative
-from incred.errors import DimensionMismatchError, SchemaError
+from incred.errors import DimensionMismatchError, DslEvalError, SchemaError
 from incred.intervals import Interval, IntervalBox
 from incred.reduction import reduce_collection, reduce_once, tabulate_reduction
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
@@ -164,6 +166,63 @@ class TestReduceCollection:
                 base = eval_map(system.inclusion, x, 0.0)
                 assert reduce_collection(system.inclusion, (smooth,), x,
                                          0.0) == base
+
+
+# Axis values for random maps over (x1, x2): constants, values that pass
+# through 0 on guard coordinates, and a division that raises at x1 = 0.
+F_AXES = ("{0}", "{-x1}", "{x2 - x1}", "[-1, 1]", "[0, 2]", "[-abs(x2), 0]")
+GRADIENT_AXES = ("{0}", "{1}", "{x1}", "[-1, 1]", "[-abs(x1), abs(x1)]",
+                 "hull(0, sgn(x2))", "{1/x1}")
+TIME_AXES = ("{0}", "{0}", "{t}", "[0, 1]")
+
+
+def one_piece(*values):
+    return PiecewiseBoxMap(2, len(values), [Piece(
+        ex.TrueGuard(), tuple(ex.parse_set(v) for v in values))])
+
+
+@st.composite
+def reduction_cases(draw):
+    """An inclusion over (x1, x2), 0-3 reducers (one in eight not flagged
+    regular), a point on guard coordinates and a time."""
+    inclusion = one_piece(*draw(st.lists(st.sampled_from(F_AXES),
+                                         min_size=2, max_size=2)))
+    reducers = [
+        RegularFunctionSpec(
+            f"u{k}", 2, ex.Num(0.0), one_piece(
+                *draw(st.lists(st.sampled_from(GRADIENT_AXES),
+                               min_size=2, max_size=2)),
+                draw(st.sampled_from(TIME_AXES))),
+            draw(st.sampled_from((True,) * 7 + (False,))))
+        for k in range(draw(st.integers(0, 3)))]
+    coords = st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.5, 1.0))
+    return (inclusion, reducers, (draw(coords), draw(coords)),
+            draw(st.sampled_from((0.0, 0.5))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reduction_cases())
+def test_one_pinch_is_the_intersection_of_single_reductions(case):
+    inclusion, reducers, x, t = case
+    base = eval_map(inclusion, x, t)
+    try:
+        singles = [reduce_once(inclusion, u, x, t) for u in reducers]
+    except (DslEvalError, SchemaError) as err:
+        # the first reducer that fails fails the collection, in order
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            red._reduce(base, reducers, x, t)
+        return
+    out = red._reduce(base, reducers, x, t)
+    expected = base
+    for single in singles:
+        expected = expected.intersect(single.result)
+    assert out.result == expected
+    assert out.base == base
+    assert out.constrained_axes == frozenset().union(
+        *(single.constrained_axes for single in singles))
+    assert out.time_obstruction == any(
+        single.time_obstruction for single in singles)
+    assert reduce_collection(inclusion, reducers, x, t) == expected
 
 
 def reduction_oracle_hull(fbox, gbox, rng):

@@ -24,14 +24,14 @@ import incred.certify as certify
 import incred.derivative as deriv
 import incred.expr as ex
 import incred.reduction as red
-from incred.certify import (MatrosovProblem, build_matrosov_problem,
-                            certify_lyapunov, certify_semidefinite,
-                            invariance_data, matrosov_derivative_bounds)
+from incred.certify import (build_matrosov_problem, certify_lyapunov,
+                            certify_semidefinite, invariance_data,
+                            matrosov_derivative_bounds)
 from incred.cli import main
 from incred.errors import ArrayHazard
 from incred.fixtures import available_fixtures, fixture_path, load_fixture
-from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
-                            eval_map)
+from incred.setmaps import (MatrosovData, Piece, PiecewiseBoxMap,
+                            RegularFunctionSpec, eval_map)
 from incred.simulate import (DescentReport, MembershipReport,
                              SelectionStrategy, TailReport, Trajectory,
                              check_lyapunov_descent,
@@ -478,10 +478,9 @@ def _table_bits(table):
 @given(case=aux_cases())
 def test_array_aux_table_is_bit_identical_to_pointwise(case):
     aux, z_nodes, x_nodes, chunk = case
-    prob = MatrosovProblem(
-        m=1, count=len(aux), functions=(), collections=(), aux=aux,
-        phi=(ex.Num(0.0),), gamma=1.0, delta=0.1, big_delta=2.0,
-        z_counts=(3,))
+    prob = MatrosovData(
+        delta=0.1, big_delta=2.0, gamma=1.0, phi=(ex.Num(0.0),), aux=aux,
+        functions=(), collections=(), z_counts=(3,))
     args = (prob, z_nodes, x_nodes)
     saved, red._CHUNK = red._CHUNK, chunk
     try:
