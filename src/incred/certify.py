@@ -405,12 +405,11 @@ def matrosov_grid(prob: MatrosovData, sys: SystemDef,
         raise SchemaError("no grid nodes fall inside the annulus")
     check_size(math.prod(prob.z_counts), "matrosov z nodes (z_counts "
                f"{' x '.join(map(str, prob.z_counts))})")
-    g = prob.gamma
-    z_axes = []
+    g, z_axes = prob.gamma, []
     for count in prob.z_counts:
-        vals = {float(v) for v in np.linspace(-g, g, count)}
-        vals.update((-g, 0.0, g))
-        z_axes.append(tuple(sorted(vals)))
+        # sorted, each value at its first occurrence's bits (0.0 or -0.0)
+        vals = np.concatenate([np.linspace(-g, g, count), (-g, 0.0, g)])
+        z_axes.append(vals[np.unique(vals, return_index=True)[1]])
     z_nodes = product_array(z_axes)
     return z_nodes[Annulus(0.0, g).contains(z_nodes)], x_nodes
 

@@ -32,6 +32,7 @@ certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import expr
 from .expr import _array_max as _max, _array_min as _min
-from .errors import (ArrayHazard, DimensionMismatchError, EmptySetError,
-                     SchemaError)
+from .errors import (ArrayHazard, DimensionMismatchError, DslEvalError,
+                     EmptySetError, SchemaError)
 from .intervals import Interval, IntervalBox
 from .reduction import (_fill, _gradient_arrays, _node_array,
                         _reduce_arrays, reduce_collection)
@@ -186,16 +187,21 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     base = eval_map(inclusion, x, t)
     if base.is_empty:
         return DerivativeValue("baseline-interval", Interval.EMPTY)
-    sup_lo = 0.0
-    inf_hi = 0.0
+    sup_lo, inf_hi, nan = 0.0, 0.0, False
     for pi, qi in zip(grad.axes, base.axes):
         candidates = [pi.lo, pi.hi]
         if pi.lo < 0.0 < pi.hi:
             candidates.append(0.0)
-        sup_lo += max(min(c * qi.lo, c * qi.hi) for c in candidates)
-        inf_hi += min(max(c * qi.lo, c * qi.hi) for c in candidates)
+        # min and max drop a NaN (0 * inf) unless it comes first
+        products = [(c * qi.lo, c * qi.hi) for c in candidates]
+        nan |= any(math.isnan(v) for pair in products for v in pair)
+        sup_lo += max(map(min, products))
+        inf_hi += min(map(max, products))
     sup_lo += grad.axes[-1].hi
     inf_hi += grad.axes[-1].lo
+    if nan or math.isnan(sup_lo) or math.isnan(inf_hi):
+        raise DslEvalError(f"{candidate.name}: the baseline interval "
+                           f"derivative is NaN at x={tuple(x)}, t={t}")
     if sup_lo > inf_hi:
         return DerivativeValue("baseline-interval", Interval.EMPTY)
     return DerivativeValue("baseline-interval", Interval(sup_lo, inf_hi))

@@ -24,8 +24,8 @@ class DslSyntaxError(IncredError):
 
 class DslEvalError(IncredError):
     """Expression evaluation failed: division by a near-zero denominator,
-    an inverted interval literal, exp/sin/cos without a finite value, or
-    a set value with a NaN endpoint."""
+    an inverted interval literal, exp/sin/cos without a finite value, or a
+    NaN set endpoint, baseline derivative or finite-difference estimate."""
 
 
 class DimensionMismatchError(IncredError):

@@ -55,6 +55,7 @@ inverted interval literal, math range error), the array closure raises
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -135,6 +136,13 @@ def _checked_math(name: str) -> Callable[[float], float]:
 _FUNCTION_IMPL: dict[str, Callable] = {
     "abs": abs, "max": max, "min": min, "sgn": _sgn, "sgn1": _sgn1,
     **{name: _checked_math(name) for name in ("exp", "sin", "cos")},
+}
+
+# the tree-walking evaluators' binary and comparison operators
+_OPERATORS: dict[str, Callable] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _checked_div, "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 
@@ -522,15 +530,8 @@ def eval_scalar(node: ScalarExpr, env: Mapping[str, float]) -> float:
     if isinstance(node, Neg):
         return -eval_scalar(node.operand, env)
     if isinstance(node, BinOp):
-        a = eval_scalar(node.left, env)
-        b = eval_scalar(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return _checked_div(a, b)
+        return _OPERATORS[node.op](eval_scalar(node.left, env),
+                                   eval_scalar(node.right, env))
     if isinstance(node, Call):
         args = [eval_scalar(a, env) for a in node.args]
         return _FUNCTION_IMPL[node.func](*args)
@@ -580,20 +581,8 @@ def eval_guard(node: GuardExpr, env: Mapping[str, float]) -> bool:
     if isinstance(node, TrueGuard):
         return True
     if isinstance(node, Comparison):
-        a = eval_scalar(node.left, env)
-        b = eval_scalar(node.right, env)
-        op = node.op
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
+        return _OPERATORS[node.op](eval_scalar(node.left, env),
+                                   eval_scalar(node.right, env))
     if isinstance(node, AndGuard):
         return all(eval_guard(t, env) for t in node.terms)
     if isinstance(node, OrGuard):

@@ -258,8 +258,15 @@ class ReductionTable:
 
     def report_chunks(self) -> Iterator[tuple[str, str]]:
         """The CSV and text reports as ``(csv, text)`` pieces: the CSV
-        header, then ``_CHUNK`` rows at a time, each column formatted
-        with ``repr`` as a whole. The reports state one time."""
+        header, then ``_CHUNK`` rows at a time. The reports state one time.
+
+        Each report's chunk is a C-ordered ``(rows, cells)`` object array
+        of finished text pieces, separators included, joined once. The
+        value pieces come from role tables such as ``r + ","`` or ``"[" +
+        r`` over the chunk's distinct reprs (see :func:`_reprs`), indexed
+        by ``np.unique``'s inverse; fixed text fills constant columns, and
+        the cells of an empty box are overwritten by masked assignment.
+        """
         if np.ndim(self.t):
             raise ValueError("a table with one time per row has no report")
         n = self.n
@@ -270,28 +277,47 @@ class ReductionTable:
         if not len(self.x):
             yield "", "\n"  # the text report of no rows is one newline
             return
-        csv_row = "{},%s,{},{},{}\n" % repr(self.t)
-        text_row = "x=({}) t=%s  F={}  reduced={}  pinched_axes={}\n" \
-            % repr(self.t)
-        no_cells = "," * (2 * n - 1)
-        k = self.x.shape[1]
+        t, k = repr(self.t), self.x.shape[1]
+        # a pinched_axes label per bit code of the mask (n <= 9: 512 at most)
+        bits = 1 << np.arange(n)
+        labels = "  pinched_axes=" + np.array(
+            [",".join(str(i + 1) for i in range(n) if c >> i & 1) or "-"
+             for c in range(1 << n)], dtype=object) + "\n"
         for rows in _chunks(len(self.x)):
-            cells = _reprs(np.concatenate([
+            text, where = _reprs(np.concatenate([
                 self.x[rows].T, self.base_lo[:, rows], self.base_hi[:, rows],
                 self.lo[:, rows], self.hi[:, rows]]))
-            xs = cells[:k]
-            base_csv, base_text = _box_cells(
-                cells[k:k + n], cells[k + n:k + 2 * n], self.base_empty[rows],
-                no_cells, f"IntervalBox.empty({n})")
-            red_csv, red_text = _box_cells(
-                cells[k + 2 * n:k + 3 * n], cells[k + 3 * n:],
-                self.empty[rows], no_cells, "empty")
-            flags = ["1" if e else "0" for e in self.empty[rows].tolist()]
-            yield ("".join(map(csv_row.format, _joined(xs), base_csv,
-                               red_csv, flags)),
-                   "".join(map(text_row.format, _joined(xs, ", "),
-                               base_text, red_text,
-                               _axis_labels(self.constrained[:, rows]))))
+            where = where.T  # per row: x, then F_lo, F_hi, Fred_lo, Fred_hi
+            base_empty, empty = self.base_empty[rows], self.empty[rows]
+            # x1,...,t,F_lo1,...,F_hi1,...,Fred_lo1,...,Fred_hi1,...,empty_flag
+            comma = text + ","
+            cells = np.empty((len(where), k + 4 * n + 2), dtype=object)
+            cells[:, :k], cells[:, k] = comma[where[:, :k]], t + ","
+            cells[:, k + 1:-1] = comma[where[:, k:]]
+            cells[base_empty, k + 1:k + 1 + 2 * n] = ","
+            cells[empty, k + 1 + 2 * n:-1] = ","
+            cells[:, -1] = np.where(empty, "1\n", "0\n")
+            csv = "".join(cells.ravel().tolist())
+            del cells, comma  # before the text cells are built
+            # x=(x1, ...) t=...  F=[lo1, hi1]x...  reduced=...  pinched_axes=
+            cells = np.empty((len(where), k + 4 * n + 4), dtype=object)
+            cells[:, 0], cells[:, 1] = "x=(", text[where[:, 0]]
+            cells[:, 2:k + 1] = (", " + text)[where[:, 1:k]]
+            cells[:, k + 1] = f") t={t}  F="
+            cells[:, k + 2 + 2 * n] = "  reduced="
+            first, inner, last = ("[" + text, ", " + text + "]x[",
+                                  ", " + text + "]")
+            for c, w, box_empty, no_box in (
+                    (k + 2, k, base_empty, f"IntervalBox.empty({n})"),
+                    (k + 3 + 2 * n, k + 2 * n, empty, "empty")):
+                # a lo cell and a hi cell per axis
+                box, lo, hi = (cells[:, c:c + 2 * n], where[:, w:w + n],
+                               where[:, w + n:w + 2 * n])
+                box[:, 0], box[:, 2::2] = first[lo[:, 0]], text[lo[:, 1:]]
+                box[:, 1:-1:2], box[:, -1] = inner[hi[:, :-1]], last[hi[:, -1]]
+                box[box_empty, 0], box[box_empty, 1:] = no_box, ""
+            cells[:, -1] = labels[bits @ self.constrained[:, rows]]
+            yield csv, "".join(cells.ravel().tolist())
 
     def to_csv(self) -> str:
         return "".join(csv for csv, _ in self.report_chunks())
@@ -300,8 +326,9 @@ class ReductionTable:
         return "".join(text for _, text in self.report_chunks())
 
 
-def _reprs(values: np.ndarray) -> list[list[str]]:
-    """``repr`` of every float of a 2-D array, as nested lists.
+def _reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each distinct float of ``values`` (an object array) and,
+    shaped like ``values``, the index of each float's ``repr`` in it.
 
     Each distinct bit pattern is formatted once; keying by bits, not by
     value, keeps 0.0 and -0.0 apart.
@@ -309,34 +336,7 @@ def _reprs(values: np.ndarray) -> list[list[str]]:
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())),
                     dtype=object)
-    return text[where.reshape(values.shape)].tolist()
-
-
-def _joined(cells: list[list[str]], sep: str = ",") -> Iterator[str]:
-    """Rows of per-column cell lists, each row joined by ``sep``."""
-    return map(sep.join, zip(*cells))
-
-
-def _box_cells(lo_s, hi_s, empty, no_cells: str, no_box: str,
-               ) -> tuple[list[str], list[str]]:
-    """Per row of the endpoint ``repr`` lists (one list per axis): the CSV
-    cells (lo corner, then hi corner) and the box ``repr``; ``no_cells``
-    and ``no_box`` on the rows ``empty`` flags."""
-    cells = list(_joined(lo_s + hi_s))
-    boxes = list(map("x".join, zip(*(map("[{}, {}]".format, a, b)
-                                      for a, b in zip(lo_s, hi_s)))))
-    for k in np.flatnonzero(empty).tolist():
-        cells[k] = no_cells
-        boxes[k] = no_box
-    return cells, boxes
-
-
-def _axis_labels(mask) -> list[str]:
-    """Per column of an ``(n, rows)`` mask: its 1-based set axes joined
-    by commas, or ``-`` when there are none."""
-    names = [[str(i) if c else "" for c in row]
-             for i, row in enumerate(mask.tolist(), 1)]
-    return [",".join(filter(None, parts)) or "-" for parts in zip(*names)]
+    return text, where.reshape(values.shape)
 
 
 def tabulate_reduction(inclusion: PiecewiseBoxMap,

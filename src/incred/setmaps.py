@@ -33,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import (ArrayHazard, DimensionMismatchError, DslSyntaxError,
-                     EmptySetError, SchemaError)
+from .errors import (ArrayHazard, DimensionMismatchError, DslEvalError,
+                     DslSyntaxError, EmptySetError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
 from .grids import GridSpec
 from .intervals import Annulus, IntervalBox
@@ -314,6 +314,9 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
             vf = f.value_at(fwd[:n], fwd[n])
             vb = f.value_at(bwd[:n], bwd[n])
             estimate.append((vf - vb) / (2.0 * step))
+        if any(map(math.isnan, estimate)):  # min and max would drop it
+            raise DslEvalError(f"{f.name}: a finite-difference gradient "
+                               f"estimate is NaN near x={tuple(x)}, t={t}")
         if all(iv.lo <= e <= iv.hi for e, iv in zip(estimate, inflated.axes)):
             inside += 1
         for j, e in enumerate(estimate):
@@ -588,9 +591,11 @@ def _parse_checks(doc, n: int, variables, where: str) -> CheckSpec:
             return None
         return _parse_in(f"{where}.{key}", expr.parse_scalar, doc[key],
                          variables)
-    candidates = tuple(
-        _float_list(c, n, f"{where}.candidates[{k}]")
-        for k, c in enumerate(doc.get("candidates", [])))
+    candidates = doc.get("candidates", [])
+    if not isinstance(candidates, list):
+        raise SchemaError(f"{where}.candidates: expected a list of points")
+    candidates = tuple(_float_list(c, n, f"{where}.candidates[{k}]")
+                       for k, c in enumerate(candidates))
     return CheckSpec(
         decrease_bound=opt("W"),
         semidef_bound=opt("W_semidef"),

@@ -42,7 +42,7 @@ from .errors import SchemaError, SimulationError
 from .expr import _array_max as _max
 from .grids import check_size
 from .intervals import IntervalBox, contains
-from .reduction import (_chunks, _columns, _joined, _reduce, _reprs,
+from .reduction import (_chunks, _columns, _reduce, _reprs,
                         tabulate_reduction)
 from .setmaps import PiecewiseBoxMap, SystemDef, eval_gradient, eval_map
 
@@ -304,7 +304,8 @@ def _csv_chunks(traj: Trajectory) -> Iterator[str]:
     yield ",".join(["t"] + [f"x{i+1}" for i in range(n)]
                    + [f"q{i+1}" for i in range(n)] + ["V"]) + "\n"
     for rows in _chunks(len(traj.rows)):
-        yield "\n".join(_joined(_reprs(traj.rows[rows].T))) + "\n"
+        text, where = _reprs(traj.rows[rows])
+        yield "\n".join(map(",".join, text[where].tolist())) + "\n"
     yield ",".join([repr(traj.final_t), *map(repr, traj.final_x),
                     *[""] * n, repr(traj.final_v)]) + "\n"
 

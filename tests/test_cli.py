@@ -217,6 +217,33 @@ class TestExitCodes:
                 "at x=(-2.0,), t=0.0") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("deriv", lambda d: d["F"]["pieces"][0].update(
+            value=["[-1e308*10, 1]"]),
+         "quad_half_1d: the baseline interval derivative is NaN at "
+         "x=(0.0,), t=0.0"),
+        ("validate-gradient", lambda d: d["grid"].update(
+            include=[[1e308]]),
+         "quad_half_1d: a finite-difference gradient estimate is NaN near "
+         "x=(1e+308,), t=0.0"),
+        ("certify", lambda d: d["certify"].update(candidates=1.0),
+         "certify.candidates: expected a list of points"),
+    ], ids=["deriv-infinite-F", "validate-gradient-huge-probe",
+            "candidates-not-a-list"])
+    def test_fuzz_found_crash_exits_three(self, tmp_path, capsys, command,
+                                          edit, message):
+        with open(fixture_path("example1"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.setdefault("certify", {"W": "x1*x1"})
+        edit(doc)
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command, "-i", str(system), "-o", str(tmp_path / "out"),
+                   *(["--grid", "3"] if command == "deriv" else []))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
+
     @pytest.mark.parametrize("command",
                              ["certify", "reduce", "deriv", "simulate"])
     def test_failing_reducer_behind_an_emptying_one_exits_three(

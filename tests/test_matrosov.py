@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ class TestGrid:
                                 (x_nodes, x_ref, system.n)):
             assert got.shape == (len(ref), width)
             assert got.tobytes() == np.array(ref, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.1, 0.3, 2.5, 1e-300, 3e150])
+    def test_z_axis_matches_the_set_reference(self, annulus_problem, gamma):
+        """Each z axis is the sorted set of the linspace and (-g, 0, g),
+        compared bit for bit, so also in which zero it keeps."""
+        system, problem, _, _ = annulus_problem
+        for count in range(1, 51):
+            prob = replace(problem, gamma=gamma, z_counts=(count,))
+            z_nodes, _ = matrosov_grid(prob, system)
+            vals = {float(v) for v in np.linspace(-gamma, gamma, count)}
+            vals.update((-gamma, 0.0, gamma))
+            assert z_nodes.shape == (len(vals), 1)
+            assert z_nodes.tobytes() == np.array(sorted(vals)).tobytes()
 
     def test_inverted_radii_rejected(self):
         with pytest.raises(SchemaError):

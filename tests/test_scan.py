@@ -412,7 +412,8 @@ def test_fixture_tables_take_the_array_path(name, tmp_path, monkeypatch):
                      "-o", str(tmp_path), *extra]) == 0
 
 
-@pytest.mark.parametrize("name", ["example2", "example3", "example6"])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                  "example6"])
 def test_fine_grid_reports_equal_the_pointwise_table(name, tmp_path):
     assert main(["reduce", "-i", str(fixture_path(name)), "--grid", "201",
                  "-o", str(tmp_path)]) == 0
@@ -424,6 +425,73 @@ def test_fine_grid_reports_equal_the_pointwise_table(name, tmp_path):
     for path, report in (("reduction_table.csv", table.to_csv()),
                          ("reduction_table.txt", table.to_text())):
         assert (tmp_path / path).read_bytes() == report.encode()
+
+
+# Endpoints with both zeros, infinities and the extreme magnitudes.
+ENDPOINTS = (0.0, -0.0, 0.5, -2.5, 1e308, 5e-324, float("inf"),
+             float("-inf"))
+
+
+def _table(n, x, t, base, reduced, constrained):
+    """A ReductionTable from per-row ``(lo, hi)`` corner pairs, ``None``
+    for an empty box, with 0.0 endpoints on empty rows as
+    ``tabulate_reduction`` stores them."""
+    def columns(boxes):
+        lo = np.array([b[0] if b else (0.0,) * n for b in boxes]).T
+        hi = np.array([b[1] if b else (0.0,) * n for b in boxes]).T
+        return (lo.reshape(n, len(boxes)), hi.reshape(n, len(boxes)),
+                np.array([b is None for b in boxes], dtype=bool))
+    return red.ReductionTable(np.array(x, dtype=float).reshape(len(x), n),
+                              t, *columns(base), *columns(reduced),
+                              np.array(constrained, dtype=bool).reshape(
+                                  len(x), n).T)
+
+
+@st.composite
+def report_cases(draw):
+    """A table of 1 to 3 axes over 1 to 9 rows, whose F is sometimes empty
+    and whose reduction is empty more often, and a chunk size."""
+    n, rows = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    value = st.sampled_from(ENDPOINTS)
+
+    def box():
+        pairs = [sorted(draw(st.tuples(value, value))) for _ in range(n)]
+        return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+
+    base = [box() if draw(st.integers(0, 3)) else None for _ in range(rows)]
+    reduced = [b and draw(st.booleans()) and box() or None for b in base]
+    return (_table(n, [draw(st.tuples(*[value] * n)) for _ in range(rows)],
+                   draw(st.sampled_from([0.0, -0.0, 1.0, 1e-300])), base,
+                   reduced, [draw(st.tuples(*[st.booleans()] * n))
+                             for _ in range(rows)]),
+            draw(st.sampled_from([1, 3, 4096])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=report_cases())
+def test_reports_equal_the_row_by_row_reports(case):
+    table, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(red, "_CHUNK", chunk)
+        assert (table.to_csv(), table.to_text()) == _row_reports(table)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_all_empty_chunk_reports_equal_the_row_by_row_reports(
+        n, monkeypatch):
+    """Chunks of 3 rows: the middle chunk has an empty F or an empty
+    reduction on every row, the others none."""
+    lo, hi = (-0.0,) * n, (float("inf"),) * n
+    base = [(lo, hi)] * 3 + [None, (lo, hi), None] + [(lo, hi)] * 2
+    reduced = base[:3] + [None] * 3 + base[6:]
+    constrained = [(True,) * n, (False,) * n] * 4
+    table = _table(n, [(float(r),) * n for r in range(8)], 0.0, base,
+                   reduced, constrained)
+    monkeypatch.setattr(red, "_CHUNK", 3)
+    csv_text, text = table.to_csv(), table.to_text()
+    assert (csv_text, text) == _row_reports(table)
+    assert f"F=IntervalBox.empty({n})  reduced=empty" in text
+    assert "," * (4 * n + 1) + "1\n" in csv_text  # F and reduction blank
 
 
 # --- the Matrosov Y table -------------------------------------------------
