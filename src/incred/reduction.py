@@ -310,7 +310,6 @@ class ReductionTable:
             for c, w, box_empty, no_box in (
                     (k + 2, k, base_empty, f"IntervalBox.empty({n})"),
                     (k + 3 + 2 * n, k + 2 * n, empty, "empty")):
-                # a lo cell and a hi cell per axis
                 box, lo, hi = (cells[:, c:c + 2 * n], where[:, w:w + n],
                                where[:, w + n:w + 2 * n])
                 box[:, 0], box[:, 2::2] = first[lo[:, 0]], text[lo[:, 1:]]

@@ -304,8 +304,9 @@ def _csv_chunks(traj: Trajectory) -> Iterator[str]:
     yield ",".join(["t"] + [f"x{i+1}" for i in range(n)]
                    + [f"q{i+1}" for i in range(n)] + ["V"]) + "\n"
     for rows in _chunks(len(traj.rows)):
-        text, where = _reprs(traj.rows[rows])
-        yield "\n".join(map(",".join, text[where].tolist())) + "\n"
+        # one expression, so no chunk's reprs outlive it
+        yield "\n".join(map(",".join, zip(*np.take(
+            *_reprs(traj.rows[rows].T)).tolist()))) + "\n"
     yield ",".join([repr(traj.final_t), *map(repr, traj.final_x),
                     *[""] * n, repr(traj.final_v)]) + "\n"
 

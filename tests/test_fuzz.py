@@ -97,7 +97,7 @@ def _at(doc, path):
     return doc
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(doc=mutated(), command=st.sampled_from(sorted(ARGS)))
