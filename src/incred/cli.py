@@ -28,7 +28,7 @@ from . import certify as cert
 from .derivative import (baseline_interval_derivative, baseline_max_derivative,
                          generalized_derivative)
 from .errors import DslSyntaxError, IncredError, SchemaError
-from .grids import GridSpec, product_array
+from .grids import GridSpec
 from .reduction import tabulate_reduction
 from .setmaps import (SimSpec, SystemDef, load_system,
                       validate_gradient, _parse_grid)
@@ -317,15 +317,12 @@ def cmd_validate_gradient(args) -> int:
 
 
 def _default_probes(system: SystemDef, cap: int = 64) -> list[list[float]]:
-    """Domain corners/center products plus per-axis include coordinates."""
-    axes = []
-    for i in range(system.n):
-        iv = system.domain.axes[i]
-        vals = {iv.lo, iv.center, iv.hi}
-        if system.grid is not None:
-            vals.update(system.grid.include[i])
-        axes.append(sorted(vals))
-    return product_array(axes)[:cap].tolist()
+    """The first ``cap`` nodes of the grid whose axes are each domain
+    axis's ends and center plus the system grid's include coordinates."""
+    include = system.grid.include if system.grid else ((),) * system.n
+    probes = GridSpec(tuple((iv.lo, iv.center, iv.hi)
+                            for iv in system.domain.axes), include)
+    return probes.nodes(system.domain)[:cap].tolist()
 
 
 # Options several subcommands share; each declares only those it reads.

@@ -95,20 +95,39 @@ def _check_pq(p: IntervalBox, q: IntervalBox) -> None:
         raise EmptySetError("bilinear optimization needs non-empty boxes")
 
 
+def _products(pi: Interval, qi: Interval,
+              breakpoint: bool) -> list[tuple[float, float]]:
+    """``(c * qi.lo, c * qi.hi)`` for each endpoint c of ``pi``, and c = 0
+    if ``breakpoint`` and ``pi`` straddles 0. A NaN product (0 * inf)
+    raises DslEvalError, as min and max drop a NaN unless it comes first."""
+    cs = [pi.lo, pi.hi]
+    if breakpoint and pi.lo < 0.0 < pi.hi:
+        cs.append(0.0)
+    products = [(c * qi.lo, c * qi.hi) for c in cs]
+    if any(math.isnan(v) for pair in products for v in pair):
+        raise DslEvalError("a bilinear endpoint product is NaN (0 * inf)")
+    return products
+
+
+def _not_nan(total: float) -> float:
+    if math.isnan(total):
+        raise DslEvalError("a bilinear optimum is NaN (inf - inf)")
+    return total
+
+
 def bilinear_maxmax(p: IntervalBox, q: IntervalBox) -> float:
     """max over ``(p, q)`` in P x Q of ``p . [q; 1]``.
 
     P lives in ``R^{n+1}`` (time axis last), Q in ``R^n``. Separable per
     axis: each term is the max of the four endpoint products, and the
-    time axis contributes its upper endpoint.
+    time axis contributes its upper endpoint. A NaN product or sum raises
+    DslEvalError.
     """
     _check_pq(p, q)
     total = 0.0
     for pi, qi in zip(p.axes, q.axes):
-        total += max(pi.lo * qi.lo, pi.lo * qi.hi,
-                     pi.hi * qi.lo, pi.hi * qi.hi)
-    total += p.axes[-1].hi
-    return total
+        total += max(v for pair in _products(pi, qi, False) for v in pair)
+    return _not_nan(total + p.axes[-1].hi)
 
 
 def bilinear_minmax(p: IntervalBox, q: IntervalBox) -> float:
@@ -118,17 +137,13 @@ def bilinear_minmax(p: IntervalBox, q: IntervalBox) -> float:
     p_time``; each summand is convex piecewise-linear in ``p_i`` with its
     breakpoint at 0, so the outer min evaluates the endpoints of ``P_i``
     plus 0 when P_i straddles it. The time axis contributes its lower
-    endpoint.
+    endpoint. A NaN product or sum raises DslEvalError.
     """
     _check_pq(p, q)
     total = 0.0
     for pi, qi in zip(p.axes, q.axes):
-        candidates = [pi.lo, pi.hi]
-        if pi.lo < 0.0 < pi.hi:
-            candidates.append(0.0)
-        total += min(max(c * qi.lo, c * qi.hi) for c in candidates)
-    total += p.axes[-1].lo
-    return total
+        total += min(map(max, _products(pi, qi, True)))
+    return _not_nan(total + p.axes[-1].lo)
 
 
 def generalized_derivative(candidate: RegularFunctionSpec,
@@ -145,10 +160,12 @@ def generalized_derivative(candidate: RegularFunctionSpec,
     if reduced.is_empty:
         return DerivativeValue("generalized", None, empty_reduction=True)
     grad = eval_gradient(candidate, x, t)
-    if candidate.regular:
-        value = bilinear_minmax(grad, reduced)
-    else:
-        value = bilinear_maxmax(grad, reduced)
+    optimum = bilinear_minmax if candidate.regular else bilinear_maxmax
+    try:
+        value = optimum(grad, reduced)
+    except DslEvalError:
+        raise DslEvalError(f"{candidate.name}: the generalized derivative "
+                           f"is NaN at x={tuple(x)}, t={t}") from None
     return DerivativeValue("generalized", value)
 
 
@@ -187,21 +204,18 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     base = eval_map(inclusion, x, t)
     if base.is_empty:
         return DerivativeValue("baseline-interval", Interval.EMPTY)
-    sup_lo, inf_hi, nan = 0.0, 0.0, False
-    for pi, qi in zip(grad.axes, base.axes):
-        candidates = [pi.lo, pi.hi]
-        if pi.lo < 0.0 < pi.hi:
-            candidates.append(0.0)
-        # min and max drop a NaN (0 * inf) unless it comes first
-        products = [(c * qi.lo, c * qi.hi) for c in candidates]
-        nan |= any(math.isnan(v) for pair in products for v in pair)
-        sup_lo += max(map(min, products))
-        inf_hi += min(map(max, products))
-    sup_lo += grad.axes[-1].hi
-    inf_hi += grad.axes[-1].lo
-    if nan or math.isnan(sup_lo) or math.isnan(inf_hi):
-        raise DslEvalError(f"{candidate.name}: the baseline interval "
-                           f"derivative is NaN at x={tuple(x)}, t={t}")
+    sup_lo, inf_hi = 0.0, 0.0
+    try:
+        for pi, qi in zip(grad.axes, base.axes):
+            products = _products(pi, qi, True)
+            sup_lo += max(map(min, products))
+            inf_hi += min(map(max, products))
+        sup_lo = _not_nan(sup_lo + grad.axes[-1].hi)
+        inf_hi = _not_nan(inf_hi + grad.axes[-1].lo)
+    except DslEvalError:
+        raise DslEvalError(
+            f"{candidate.name}: the baseline interval derivative is NaN "
+            f"at x={tuple(x)}, t={t}") from None
     if sup_lo > inf_hi:
         return DerivativeValue("baseline-interval", Interval.EMPTY)
     return DerivativeValue("baseline-interval", Interval(sup_lo, inf_hi))

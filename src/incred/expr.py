@@ -36,10 +36,9 @@ and ``sgn(y)`` elsewhere. Division by a denominator smaller than 1e-300
 in magnitude raises instead of returning inf.
 
 ASTs are immutable; evaluation is pure. ``compile_scalar`` /
-``compile_set`` (``compile_sets`` for several sets at once) /
-``compile_guard`` produce plain Python closures with
-semantics identical to the tree-walking evaluators (same operations in
-the same order); grid scans use them as a fast path.
+``compile_sets`` (all sets of a piece at once) / ``compile_guard``
+produce plain Python closures: the package's pointwise evaluators, and
+the reference the array closures are tested against.
 
 The ``*_array`` compilers emit the same code over numpy arrays of rows:
 variables are arrays (or floats), a set evaluates to ``lo``/``hi``
@@ -55,9 +54,8 @@ inverted interval literal, math range error), the array closure raises
 from __future__ import annotations
 
 import math
-import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -71,8 +69,7 @@ __all__ = [
     "SingletonSet", "IntervalSet", "HullSet", "SumSet", "ScaledSet",
     "Comparison", "AndGuard", "OrGuard", "NotGuard", "TrueGuard",
     "parse_scalar", "parse_set", "parse_guard",
-    "eval_scalar", "eval_set", "eval_guard",
-    "compile_scalar", "compile_set", "compile_sets", "compile_guard",
+    "compile_scalar", "compile_sets", "compile_guard",
     "compile_scalar_array", "compile_set_array", "compile_guard_array",
     "pretty_scalar", "pretty_set", "pretty_guard",
     "free_vars", "substitute", "DEFAULT_VARIABLES",
@@ -115,12 +112,6 @@ def _interval_value(lo: float, hi: float) -> Interval:
     return Interval(lo, hi)
 
 
-def _hull_value(a: float, b: float) -> Interval:
-    if math.isnan(a) or math.isnan(b):  # min/max skip a NaN b
-        raise ValueError("interval endpoints must not be NaN")
-    return Interval(min(a, b), max(a, b))
-
-
 def _checked_math(name: str) -> Callable[[float], float]:
     """``math.<name>``, raising DslEvalError where it has no finite value."""
     fn = getattr(math, name)
@@ -131,19 +122,6 @@ def _checked_math(name: str) -> Callable[[float], float]:
         except (OverflowError, ValueError):
             raise DslEvalError(f"{name}({v!r}) has no finite value") from None
     return call
-
-
-_FUNCTION_IMPL: dict[str, Callable] = {
-    "abs": abs, "max": max, "min": min, "sgn": _sgn, "sgn1": _sgn1,
-    **{name: _checked_math(name) for name in ("exp", "sin", "cos")},
-}
-
-# the tree-walking evaluators' binary and comparison operators
-_OPERATORS: dict[str, Callable] = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": _checked_div, "==": operator.eq, "!=": operator.ne,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
 
 
 # --- AST nodes ---------------------------------------------------------
@@ -520,91 +498,21 @@ def parse_guard(src: str, variables: Iterable[str] | None = None) -> GuardExpr:
     return node
 
 
-# --- tree-walking evaluators -------------------------------------------
-
-def eval_scalar(node: ScalarExpr, env: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_scalar(node.operand, env)
-    if isinstance(node, BinOp):
-        return _OPERATORS[node.op](eval_scalar(node.left, env),
-                                   eval_scalar(node.right, env))
-    if isinstance(node, Call):
-        args = [eval_scalar(a, env) for a in node.args]
-        return _FUNCTION_IMPL[node.func](*args)
-    raise TypeError(f"not a scalar expression: {node!r}")
-
-
-def eval_set(node: SetExpr, env: Mapping[str, float]) -> Interval:
-    try:
-        return _eval_set(node, env)
-    except ValueError:
-        raise _nan_endpoint(node, env) from None
-
-
-def _eval_set(node: SetExpr, env: Mapping[str, float]) -> Interval:
-    if isinstance(node, SingletonSet):
-        return Interval.point(eval_scalar(node.value, env))
-    if isinstance(node, IntervalSet):
-        return _interval_value(eval_scalar(node.lo, env),
-                               eval_scalar(node.hi, env))
-    if isinstance(node, HullSet):
-        return _hull_value(eval_scalar(node.a, env),
-                           eval_scalar(node.b, env))
-    if isinstance(node, SumSet):
-        acc = _eval_set(node.terms[0], env)
-        for term in node.terms[1:]:
-            acc = acc.add(_eval_set(term, env))
-        return acc
-    if isinstance(node, ScaledSet):
-        return _eval_set(node.operand, env).scale(
-            eval_scalar(node.coeff, env))
-    raise TypeError(f"not a set expression: {node!r}")
-
-
-def _nan_endpoint(node: SetExpr, env: Mapping[str, float]) -> DslEvalError:
-    """The error for a set expression whose value has a NaN endpoint.
-
-    ``Interval``, ``Interval.scale`` and hulls raise ValueError for NaN
-    endpoints; within set evaluation that is the only ValueError, because
-    inverted literals raise DslEvalError before an interval is built.
-    """
-    x = tuple(env[f"x{i}"] for i in range(1, 10) if f"x{i}" in env)
-    return DslEvalError(f"set expression {pretty_set(node)} has a NaN "
-                        f"endpoint at x={x}, t={env.get('t')!r}")
-
-
-def eval_guard(node: GuardExpr, env: Mapping[str, float]) -> bool:
-    if isinstance(node, TrueGuard):
-        return True
-    if isinstance(node, Comparison):
-        return _OPERATORS[node.op](eval_scalar(node.left, env),
-                                   eval_scalar(node.right, env))
-    if isinstance(node, AndGuard):
-        return all(eval_guard(t, env) for t in node.terms)
-    if isinstance(node, OrGuard):
-        return any(eval_guard(t, env) for t in node.terms)
-    if isinstance(node, NotGuard):
-        return not eval_guard(node.operand, env)
-    raise TypeError(f"not a guard expression: {node!r}")
-
-
 # --- compilation to Python closures ------------------------------------
 
 # compiled code calls function ``f`` as ``_f``
 _COMPILE_NS = {
-    **{f"_{name}": fn for name, fn in _FUNCTION_IMPL.items()},
+    "_abs": abs, "_max": max, "_min": min, "_sgn": _sgn, "_sgn1": _sgn1,
+    **{f"_{name}": _checked_math(name) for name in ("exp", "sin", "cos")},
     "_div": _checked_div, "_pt": Interval.point, "_intv": _interval_value,
-    "_hullv": _hull_value,
+    "_hullv": Interval.hull,
 }
 
 
 def _scalar_code(node: ScalarExpr) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        return repr(node.value) if math.isfinite(node.value) \
+            else f"float('{node.value}')"  # a literal such as 1e999 is inf
     if isinstance(node, Var):
         return f"_e[{node.name!r}]"
     if isinstance(node, Neg):
@@ -666,17 +574,21 @@ def compile_scalar(node: ScalarExpr) -> Callable[[Mapping[str, float]], float]:
     return _build(_scalar_code(node))
 
 
-def compile_set(node: SetExpr) -> Callable[[Mapping[str, float]], Interval]:
-    sets = compile_sets((node,))
-    return lambda env: sets(env)[0]
+def _nan_endpoint(node: SetExpr, env: Mapping[str, float]) -> DslEvalError:
+    """The error for a set expression whose value has a NaN endpoint: the
+    only ValueError in set evaluation, raised by ``Interval`` and its
+    ``scale`` and ``hull`` (inverted literals raise DslEvalError)."""
+    x = tuple(env[f"x{i}"] for i in range(1, 10) if f"x{i}" in env)
+    return DslEvalError(f"set expression {pretty_set(node)} has a NaN "
+                        f"endpoint at x={x}, t={env.get('t')!r}")
 
 
 def compile_sets(nodes: Sequence[SetExpr],
                  ) -> Callable[[Mapping[str, float]], tuple[Interval, ...]]:
     """One closure returning the values of ``nodes``, evaluated in order.
 
-    A NaN endpoint raises the DslEvalError :func:`eval_set` raises for
-    the first set that has one.
+    A NaN endpoint raises a DslEvalError naming the first set that has
+    one: each set's own code runs again, in order, until one raises.
     """
     nodes = tuple(nodes)
     sets = _build("(" + "".join(f"{_set_code(n)}, " for n in nodes) + ")")
@@ -685,8 +597,11 @@ def compile_sets(nodes: Sequence[SetExpr],
         try:
             return sets(env)
         except ValueError:
-            for node in nodes:  # the first with a NaN endpoint raises
-                eval_set(node, env)
+            for node in nodes:
+                try:
+                    _build(_set_code(node))(env)
+                except ValueError:
+                    raise _nan_endpoint(node, env) from None
             raise
     return checked
 
@@ -782,42 +697,17 @@ def compile_guard_array(node: GuardExpr) -> Callable:
 # --- free variables -----------------------------------------------------
 
 def free_vars(node) -> frozenset[str]:
-    if isinstance(node, Num) or isinstance(node, TrueGuard):
-        return frozenset()
+    """The variable names ``node`` reads: a ``Var`` is a leaf, any other
+    node the union over its child nodes."""
     if isinstance(node, Var):
         return frozenset({node.name})
-    if isinstance(node, Neg):
-        return free_vars(node.operand)
-    if isinstance(node, NotGuard):
-        return free_vars(node.operand)
-    if isinstance(node, BinOp):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Comparison):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Call):
-        out: frozenset[str] = frozenset()
-        for a in node.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(node, (AndGuard, OrGuard)):
-        out = frozenset()
-        for t in node.terms:
-            out |= free_vars(t)
-        return out
-    if isinstance(node, SingletonSet):
-        return free_vars(node.value)
-    if isinstance(node, IntervalSet):
-        return free_vars(node.lo) | free_vars(node.hi)
-    if isinstance(node, HullSet):
-        return free_vars(node.a) | free_vars(node.b)
-    if isinstance(node, SumSet):
-        out = frozenset()
-        for t in node.terms:
-            out |= free_vars(t)
-        return out
-    if isinstance(node, ScaledSet):
-        return free_vars(node.coeff) | free_vars(node.operand)
-    raise TypeError(f"not an expression node: {node!r}")
+    out: frozenset[str] = frozenset()
+    for field in fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(child):
+                out |= free_vars(child)
+    return out
 
 
 def substitute(node: ScalarExpr,
@@ -838,7 +728,7 @@ def substitute(node: ScalarExpr,
 # --- pretty printers ----------------------------------------------------
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # inf has no int
         return str(int(v))
     return repr(v)
 

@@ -74,21 +74,21 @@ class GridSpec:
                    ) -> tuple[tuple[float, ...], ...]:
         """Sorted, deduplicated node list per axis.
 
-        ``extra`` appends further exact coordinates per axis (used by the
-        annulus grids to pin the radii).
+        Explicit and ``include`` nodes outside the domain raise
+        SchemaError. ``extra`` appends further exact coordinates per axis
+        (used by the annulus grids to pin the radii).
         """
         if domain.dims != self.dims:
             raise SchemaError(
                 f"grid has {self.dims} axes but domain has {domain.dims}")
         out = []
-        for i, ax in enumerate(self.axes):
+        for i, (ax, iv) in enumerate(zip(self.axes, domain.axes)):
             if isinstance(ax, int):
-                iv = domain.axes[i]
                 base = [float(v) for v in np.linspace(iv.lo, iv.hi, ax)]
             else:
-                base = [float(v) for v in ax]
+                base = _in_domain(ax, iv, i)
             merged = set(base)
-            merged.update(float(v) for v in self.include[i])
+            merged.update(_in_domain(self.include[i], iv, i))
             if extra is not None:
                 merged.update(float(v) for v in extra[i])
             out.append(tuple(sorted(merged)))
@@ -142,3 +142,12 @@ class GridSpec:
             "total_nodes": int(np.prod([len(a) for a in nodes])),
             "time_nodes": list(self.time_nodes),
         }
+
+
+def _in_domain(values, iv, i: int) -> list[float]:
+    out = [float(v) for v in values]
+    for v in out:
+        if not iv.lo <= v <= iv.hi:
+            raise SchemaError(f"grid: the x{i + 1} node {v!r} lies outside "
+                              f"the domain [{iv.lo!r}, {iv.hi!r}]")
+    return out

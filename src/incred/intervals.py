@@ -63,6 +63,14 @@ class Interval:
         """Degenerate interval ``[v, v]``."""
         return cls(v, v)
 
+    @classmethod
+    def hull(cls, a: float, b: float) -> Interval:
+        """``[min(a, b), max(a, b)]``; a NaN raises ValueError even where
+        ``min``/``max`` would skip it (as they do a NaN ``b``)."""
+        if math.isnan(a) or math.isnan(b):
+            raise ValueError("interval endpoints must not be NaN")
+        return cls(min(a, b), max(a, b))
+
     @property
     def lo(self) -> float:
         return self._lo
@@ -96,11 +104,7 @@ class Interval:
     __add__ = add
 
     def scale(self, c: float) -> Interval:
-        a = c * self._lo
-        b = c * self._hi
-        if math.isnan(a) or math.isnan(b):  # min/max skip a NaN b
-            raise ValueError("interval endpoints must not be NaN")
-        return Interval(min(a, b), max(a, b))
+        return Interval.hull(c * self._lo, c * self._hi)
 
     def intersect(self, other: Interval) -> Interval:
         if other.is_empty:

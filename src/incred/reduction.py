@@ -277,46 +277,50 @@ class ReductionTable:
         if not len(self.x):
             yield "", "\n"  # the text report of no rows is one newline
             return
-        t, k = repr(self.t), self.x.shape[1]
         # a pinched_axes label per bit code of the mask (n <= 9: 512 at most)
-        bits = 1 << np.arange(n)
         labels = "  pinched_axes=" + np.array(
             [",".join(str(i + 1) for i in range(n) if c >> i & 1) or "-"
              for c in range(1 << n)], dtype=object) + "\n"
         for rows in _chunks(len(self.x)):
-            text, where = _reprs(np.concatenate([
-                self.x[rows].T, self.base_lo[:, rows], self.base_hi[:, rows],
-                self.lo[:, rows], self.hi[:, rows]]))
-            where = where.T  # per row: x, then F_lo, F_hi, Fred_lo, Fred_hi
-            base_empty, empty = self.base_empty[rows], self.empty[rows]
-            # x1,...,t,F_lo1,...,F_hi1,...,Fred_lo1,...,Fred_hi1,...,empty_flag
-            comma = text + ","
-            cells = np.empty((len(where), k + 4 * n + 2), dtype=object)
-            cells[:, :k], cells[:, k] = comma[where[:, :k]], t + ","
-            cells[:, k + 1:-1] = comma[where[:, k:]]
-            cells[base_empty, k + 1:k + 1 + 2 * n] = ","
-            cells[empty, k + 1 + 2 * n:-1] = ","
-            cells[:, -1] = np.where(empty, "1\n", "0\n")
-            csv = "".join(cells.ravel().tolist())
-            del cells, comma  # before the text cells are built
-            # x=(x1, ...) t=...  F=[lo1, hi1]x...  reduced=...  pinched_axes=
-            cells = np.empty((len(where), k + 4 * n + 4), dtype=object)
-            cells[:, 0], cells[:, 1] = "x=(", text[where[:, 0]]
-            cells[:, 2:k + 1] = (", " + text)[where[:, 1:k]]
-            cells[:, k + 1] = f") t={t}  F="
-            cells[:, k + 2 + 2 * n] = "  reduced="
-            first, inner, last = ("[" + text, ", " + text + "]x[",
-                                  ", " + text + "]")
-            for c, w, box_empty, no_box in (
-                    (k + 2, k, base_empty, f"IntervalBox.empty({n})"),
-                    (k + 3 + 2 * n, k + 2 * n, empty, "empty")):
-                box, lo, hi = (cells[:, c:c + 2 * n], where[:, w:w + n],
-                               where[:, w + n:w + 2 * n])
-                box[:, 0], box[:, 2::2] = first[lo[:, 0]], text[lo[:, 1:]]
-                box[:, 1:-1:2], box[:, -1] = inner[hi[:, :-1]], last[hi[:, -1]]
-                box[box_empty, 0], box[box_empty, 1:] = no_box, ""
-            cells[:, -1] = labels[bits @ self.constrained[:, rows]]
-            yield csv, "".join(cells.ravel().tolist())
+            yield self._report_chunk(rows, labels)
+
+    def _report_chunk(self, rows: slice, labels) -> tuple[str, str]:
+        """The CSV and text of one chunk of rows. A function of its own, so
+        that none of its arrays outlives the chunk in the generator."""
+        n, t, k = self.n, repr(self.t), self.x.shape[1]
+        text, where = _reprs(np.concatenate([
+            self.x[rows].T, self.base_lo[:, rows], self.base_hi[:, rows],
+            self.lo[:, rows], self.hi[:, rows]]))
+        where = where.T  # per row: x, then F_lo, F_hi, Fred_lo, Fred_hi
+        base_empty, empty = self.base_empty[rows], self.empty[rows]
+        # x1,...,t,F_lo1,...,F_hi1,...,Fred_lo1,...,Fred_hi1,...,empty_flag
+        comma = text + ","
+        cells = np.empty((len(where), k + 4 * n + 2), dtype=object)
+        cells[:, :k], cells[:, k] = comma[where[:, :k]], t + ","
+        cells[:, k + 1:-1] = comma[where[:, k:]]
+        cells[base_empty, k + 1:k + 1 + 2 * n] = ","
+        cells[empty, k + 1 + 2 * n:-1] = ","
+        cells[:, -1] = np.where(empty, "1\n", "0\n")
+        csv = "".join(cells.ravel().tolist())
+        del cells, comma  # before the text cells are built
+        # x=(x1, ...) t=...  F=[lo1, hi1]x...  reduced=...  pinched_axes=
+        cells = np.empty((len(where), k + 4 * n + 4), dtype=object)
+        cells[:, 0], cells[:, 1] = "x=(", text[where[:, 0]]
+        cells[:, 2:k + 1] = (", " + text)[where[:, 1:k]]
+        cells[:, k + 1] = f") t={t}  F="
+        cells[:, k + 2 + 2 * n] = "  reduced="
+        first, inner, last = ("[" + text, ", " + text + "]x[",
+                              ", " + text + "]")
+        for c, w, box_empty, no_box in (
+                (k + 2, k, base_empty, f"IntervalBox.empty({n})"),
+                (k + 3 + 2 * n, k + 2 * n, empty, "empty")):
+            box, lo, hi = (cells[:, c:c + 2 * n], where[:, w:w + n],
+                           where[:, w + n:w + 2 * n])
+            box[:, 0], box[:, 2::2] = first[lo[:, 0]], text[lo[:, 1:]]
+            box[:, 1:-1:2], box[:, -1] = inner[hi[:, :-1]], last[hi[:, -1]]
+            box[box_empty, 0], box[box_empty, 1:] = no_box, ""
+        cells[:, -1] = labels[(1 << np.arange(n)) @ self.constrained[:, rows]]
+        return csv, "".join(cells.ravel().tolist())
 
     def to_csv(self) -> str:
         return "".join(csv for csv, _ in self.report_chunks())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -7,18 +8,19 @@ import incred.grids as grids
 from incred.certify import (CERTIFIED, VIOLATED, certify_lyapunov,
                             certify_semidefinite, invariance_data)
 from incred.derivative import baseline_max_derivative, generalized_derivative
-from incred.errors import SchemaError
+from incred.errors import DslEvalError, SchemaError
 from incred.fixtures import available_fixtures, load_fixture
 from incred.grids import GridSpec
 from incred.intervals import IntervalBox
 from incred.setmaps import system_from_dict
 
 
-def _decay_1d(value_at_zero: str = "{0}", time_nodes=(0,)):
-    """x' = -x on [-1, 1] with V = x^2/2, so the derivative is -x^2."""
+def _decay_1d(value_at_zero: str = "{0}", time_nodes=(0,), at="0"):
+    """x' = -x on [-1, 1] with V = x^2/2, so the derivative is -x^2;
+    F is ``value_at_zero`` at x1 == ``at`` instead."""
     return system_from_dict({
         "n": 1,
-        "F": {"pieces": [{"guard": "x1 == 0", "value": [value_at_zero]},
+        "F": {"pieces": [{"guard": f"x1 == {at}", "value": [value_at_zero]},
                          {"guard": "otherwise", "value": ["{-x1}"]}]},
         "V": {"value": "0.5*x1*x1", "regular": True,
               "gradient": [{"guard": "otherwise", "value": ["{x1}", "{0}"]}]},
@@ -91,8 +93,8 @@ class TestCertifyLyapunov:
         x, t = cert.worst_point, cert.worst_t
         d = baseline_max_derivative(example2_baseline.candidate,
                                     example2_baseline.inclusion, x, t)
-        w = ex.eval_scalar(example2_baseline.checks.decrease_bound,
-                           example2_baseline.inclusion.env(x, t))
+        w = ex.compile_scalar(example2_baseline.checks.decrease_bound)(
+            example2_baseline.inclusion.env(x, t))
         assert d.value + w == pytest.approx(cert.worst_margin, abs=1e-12)
         assert d.value + w > 1e-9
 
@@ -145,11 +147,15 @@ class TestCertifyLyapunov:
         assert fine.worst_margin >= coarse.worst_margin - 1e-12
 
 
-    def test_nan_derivative_is_a_violation(self):
+    def test_nan_derivative_is_an_error_and_inf_a_violation(self):
         # F = {inf} at the origin and V' = 0 there: the derivative is
         # 0 * inf = NaN, which must fail closed, not certify.
-        system = _decay_1d("{1e308*10}")
-        cert = certify_lyapunov(system, ex.parse_scalar("x1*x1"))
+        with pytest.raises(DslEvalError, match=re.escape(
+                "the generalized derivative is NaN at x=(0.0,), t=0")):
+            certify_lyapunov(_decay_1d("{1e308*10}"), ex.parse_scalar("x1*x1"))
+        # at x1 = 0.5, V' = 0.5: the derivative is inf, a counted violation
+        cert = certify_lyapunov(_decay_1d("{1e308*10}", at="0.5"),
+                                ex.parse_scalar("x1*x1"))
         assert cert.verdict == VIOLATED
         assert cert.details["nonfinite_margins"] == 1
         assert cert.details["derivative_violations"] == 1

@@ -220,12 +220,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, edit, message", [
         ("deriv", lambda d: d["F"]["pieces"][0].update(
             value=["[-1e308*10, 1]"]),
-         "quad_half_1d: the baseline interval derivative is NaN at "
+         "quad_half_1d: the generalized derivative is NaN at "
          "x=(0.0,), t=0.0"),
-        ("validate-gradient", lambda d: d["grid"].update(
-            include=[[1e308]]),
+        ("validate-gradient", lambda d: (d["domain"].update(hi=[1e308]),
+                                         d["grid"].update(include=[[1e308]])),
          "quad_half_1d: a finite-difference gradient estimate is NaN near "
-         "x=(1e+308,), t=0.0"),
+         "x=(5e+307,), t=0.0"),
         ("certify", lambda d: d["certify"].update(candidates=1.0),
          "certify.candidates: expected a list of points"),
     ], ids=["deriv-infinite-F", "validate-gradient-huge-probe",
@@ -243,6 +243,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert message in err
+
+    @pytest.mark.parametrize("command", ["certify", "deriv"])
+    def test_nan_generalized_derivative_exits_three(self, tmp_path, capsys,
+                                                    command):
+        # no reducer: at x = 0 the gradient {0} meets F's -inf endpoint
+        with open(fixture_path("example1"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["F"]["pieces"][0]["value"] = ["[-1e308*10, 1]"]
+        doc.update(U=[], certify={"W": "x1*x1"})
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command, "-i", str(system), "-o", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert ("quad_half_1d: the generalized derivative is NaN at "
+                "x=(0.0,), t=0.0") in err
+
+    @pytest.mark.parametrize("command, grid, where", [
+        ("reduce", None, "include"), ("validate-gradient", None, "include"),
+        ("reduce", {"nodes": [[-2, 1e308]], "include": [[]]}, "nodes"),
+        ("reduce", {"counts": [5], "include": [[0, 1e308]]}, "include"),
+    ], ids=["reduce-include", "validate-gradient-include",
+            "grid-file-nodes", "grid-file-include"])
+    def test_grid_node_outside_the_domain_exits_three(
+            self, tmp_path, capsys, command, grid, where):
+        with open(fixture_path("example1"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if grid is None:
+            doc["grid"]["include"] = [[1e308]]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "-i", str(system), "-o", str(tmp_path / "out")]
+        if grid is not None:
+            gridfile = tmp_path / "grid.json"
+            gridfile.write_text(json.dumps({"grid": grid}), encoding="utf-8")
+            argv += ["--grid-file", str(gridfile)]
+        assert run(*argv) == 3
+        assert ("grid: the x1 node 1e+308 lies outside the domain "
+                "[-3.0, 3.0]") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command",
                              ["certify", "reduce", "deriv", "simulate"])

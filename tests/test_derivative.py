@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from incred.derivative import (baseline_interval_derivative,
                                baseline_max_derivative, bilinear_maxmax,
                                bilinear_minmax, generalized_derivative)
-from incred.errors import DimensionMismatchError, EmptySetError, SchemaError
+from incred.errors import (DimensionMismatchError, DslEvalError,
+                           EmptySetError, SchemaError)
 from incred.intervals import Interval, IntervalBox
 
 from test_reduction import box, constant_map, constant_spec
@@ -91,6 +93,16 @@ class TestBilinearOptimizers:
         with pytest.raises(DimensionMismatchError):
             bilinear_minmax(box((0, 1)), box((0, 1)))
 
+    @pytest.mark.parametrize("optimizer, p1", [
+        (bilinear_minmax, (-1, 1)), (bilinear_minmax, (0, 1)),
+        (bilinear_maxmax, (0, 1))], ids=["minmax-straddling", "minmax",
+                                         "maxmax"])
+    def test_nan_endpoint_product_is_an_eval_error(self, optimizer, p1):
+        # 0 * -inf is NaN; min and max drop it unless it comes first, so
+        # minmax would give 1.0 on P1 = [-1, 1], where the value is 0
+        with pytest.raises(DslEvalError, match="endpoint product is NaN"):
+            optimizer(box(p1, (0, 0)), box((-math.inf, 1)))
+
     def test_oracle_agreement_on_random_boxes(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
@@ -150,6 +162,13 @@ class TestGeneralizedDerivative:
         d_non = generalized_derivative(nonreg, inclusion, (), (0.0,), 0.0)
         assert d_reg.value == bilinear_minmax(grad, fbox) == -2.0
         assert d_non.value == bilinear_maxmax(grad, fbox) == 3.0
+
+    def test_nan_value_names_the_candidate_and_point(self):
+        inclusion = constant_map(box((-math.inf, 1)))
+        v = constant_spec(box((0, 1), (0, 0)), name="V")
+        with pytest.raises(DslEvalError, match=re.escape(
+                "V: the generalized derivative is NaN at x=(0.5,), t=0.0")):
+            generalized_derivative(v, inclusion, (), (0.5,), 0.0)
 
 
 class TestBaselines:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -12,15 +13,15 @@ from incred.setmaps import Piece, PiecewiseBoxMap
 
 
 def ev(src, **env):
-    return ex.eval_scalar(ex.parse_scalar(src), env)
+    return ex.compile_scalar(ex.parse_scalar(src))(env)
 
 
 def evset(src, **env):
-    return ex.eval_set(ex.parse_set(src), env)
+    return ex.compile_sets((ex.parse_set(src),))(env)[0]
 
 
 def evguard(src, **env):
-    return ex.eval_guard(ex.parse_guard(src), env)
+    return ex.compile_guard(ex.parse_guard(src))(env)
 
 
 class TestScalar:
@@ -66,13 +67,19 @@ class TestScalar:
     ])
     def test_transcendental_without_finite_value(self, src, x1, message):
         node = ex.parse_scalar(src)
-        for fn in (lambda env: ex.eval_scalar(node, env),
-                   ex.compile_scalar(node)):
-            with pytest.raises(DslEvalError, match=re.escape(message)):
-                fn({"x1": x1})
+        with pytest.raises(DslEvalError, match=re.escape(message)):
+            ex.compile_scalar(node)({"x1": x1})
         # the array path leaves the row to the pointwise reference
         with pytest.raises(ArrayHazard), np.errstate(all="ignore"):
             ex.compile_scalar_array(node)({"x1": np.array([x1])})
+
+
+    def test_overflowing_literal_is_inf(self):
+        node = ex.parse_scalar("1e999 - x1")
+        assert ex.compile_scalar(node)({"x1": 1.0}) == math.inf
+        assert ex.compile_scalar_array(node)({"x1": np.ones(2)}).tolist() \
+            == [math.inf, math.inf]
+        assert ex.pretty_scalar(node) == "inf - x1"
 
 
 class TestScalarErrors:
@@ -125,14 +132,14 @@ class TestSet:
     @pytest.mark.parametrize("src", [
         "{(1e308*10) - (1e308*10)}", "{1e308*10} + {-1e308*10}",
         "[(1e308*10) - (1e308*10), 1]", "(1e308*10)*[0, 1]",
-        "0*[1, 1e308*10]", "hull(0, (1e308*10) - (1e308*10))"])
+        "0*[1, 1e308*10]", "hull(0, (1e308*10) - (1e308*10))",
+        "{1e999 - 1e999}"])
     def test_nan_endpoint_is_an_eval_error(self, src):
         node = ex.parse_set(src)
         message = (f"set expression {ex.pretty_set(node)} has a NaN "
                    "endpoint at x=(1.0,), t=0.5")
-        for fn in (lambda env: ex.eval_set(node, env), ex.compile_set(node)):
-            with pytest.raises(DslEvalError, match=re.escape(message)):
-                fn({"x1": 1.0, "t": 0.5})
+        with pytest.raises(DslEvalError, match=re.escape(message)):
+            ex.compile_sets((node,))({"x1": 1.0, "t": 0.5})
         # the array closure raises (scaled sets and hulls, whose min/max
         # would skip a NaN) or keeps the NaN, which value_arrays rejects
         try:
@@ -144,6 +151,18 @@ class TestSet:
         m = PiecewiseBoxMap(1, 1, [Piece(ex.TrueGuard(), (node,))])
         with pytest.raises(ArrayHazard):
             m.value_arrays([np.ones(2)], 0.5)
+
+    @pytest.mark.parametrize("srcs, named", [
+        (["{x1}", "{(1e308*10) - (1e308*10)}", "[0, 1]"], 1),
+        (["{x1}", "[0, 1]", "0*[1, 1e308*10]"], 2),
+        (["0*[1, 1e308*10]", "{(1e308*10) - (1e308*10)}"], 0),
+    ])
+    def test_nan_endpoint_names_the_first_nan_set(self, srcs, named):
+        nodes = [ex.parse_set(src) for src in srcs]
+        message = (f"set expression {ex.pretty_set(nodes[named])} has a NaN "
+                   "endpoint at x=(1.0,), t=0.5")
+        with pytest.raises(DslEvalError, match=re.escape(message)):
+            ex.compile_sets(nodes)({"x1": 1.0, "t": 0.5})
 
     def test_parenthesized_coefficient(self):
         assert evset("(x1 + 1)*[0, 1]", x1=1.0) == Interval(0, 2)
@@ -300,7 +319,46 @@ class TestRoundTrip:
         assert mutations > 100
 
 
-# --- compiled evaluators match the tree walk -----------------------------
+# --- compiled closures match Python's evaluation of the source ----------
+
+def _sgn(y):
+    return 0.0 if y == 0.0 else (1.0 if y > 0.0 else -1.0)
+
+
+# the DSL's precedence and and/or/not are Python's, so Python evaluates
+# scalar and guard source text as written
+PY_FUNCTIONS = {"abs": abs, "max": max, "min": min, "sgn": _sgn,
+                "sgn1": lambda y: 0.0 if -1.0 < y < 1.0 else _sgn(y),
+                "exp": math.exp, "sin": math.sin, "cos": math.cos}
+
+
+def py_eval(src, env):
+    return eval(src, {"__builtins__": {}, **PY_FUNCTIONS}, dict(env))
+
+
+def _set_reference(node, env):
+    """``(lo, hi)`` of a set by interval arithmetic written out here, on
+    compiled scalar leaves."""
+    def scalar(e):
+        return ex.compile_scalar(e)(env)
+
+    if isinstance(node, ex.SingletonSet):
+        return scalar(node.value), scalar(node.value)
+    if isinstance(node, ex.IntervalSet):
+        return scalar(node.lo), scalar(node.hi)
+    if isinstance(node, ex.HullSet):
+        a, b = scalar(node.a), scalar(node.b)
+        return min(a, b), max(a, b)
+    if isinstance(node, ex.SumSet):
+        lo, hi = _set_reference(node.terms[0], env)
+        for term in node.terms[1:]:
+            t_lo, t_hi = _set_reference(term, env)
+            lo, hi = lo + t_lo, hi + t_hi
+        return lo, hi
+    lo, hi = _set_reference(node.operand, env)
+    c = scalar(node.coeff)
+    return min(c * lo, c * hi), max(c * lo, c * hi)
+
 
 class TestCompiled:
     def test_scalar_equivalence(self):
@@ -308,12 +366,11 @@ class TestCompiled:
         scalars, _, _ = _fixture_strings()
         issue_vars = set(ex.DEFAULT_VARIABLES) | {"g", "gdot", "z1"}
         for src in set(scalars) | set(EXTRA_SCALARS):
-            node = ex.parse_scalar(src, issue_vars)
-            fn = ex.compile_scalar(node)
+            fn = ex.compile_scalar(ex.parse_scalar(src, issue_vars))
             for _ in range(20):
                 env = {v: float(rng.uniform(-3, 3)) for v in issue_vars}
                 env["x4"] = float(rng.uniform(1, 2))  # avoid division guards
-                assert fn(env) == ex.eval_scalar(node, env)
+                assert repr(fn(env)) == repr(float(py_eval(src, env))), src
 
     def test_set_and_guard_equivalence(self):
         rng = np.random.default_rng(1)
@@ -321,16 +378,18 @@ class TestCompiled:
         issue_vars = set(ex.DEFAULT_VARIABLES) | {"g", "gdot"}
         for src in set(sets) | set(EXTRA_SETS):
             node = ex.parse_set(src, issue_vars)
-            fn = ex.compile_set(node)
+            fn = ex.compile_sets((node,))
             for _ in range(20):
                 env = {v: float(rng.uniform(-3, 3)) for v in issue_vars}
-                assert fn(env) == ex.eval_set(node, env)
+                iv = fn(env)[0]
+                assert (repr(iv.lo), repr(iv.hi)) == tuple(
+                    map(repr, _set_reference(node, env))), src
         for src in set(guards) | set(EXTRA_GUARDS):
-            node = ex.parse_guard(src, issue_vars)
-            fn = ex.compile_guard(node)
+            fn = ex.compile_guard(ex.parse_guard(src, issue_vars))
             for _ in range(20):
                 env = {v: float(rng.uniform(-3, 3)) for v in issue_vars}
-                assert fn(env) == ex.eval_guard(node, env)
+                expected = True if src == "otherwise" else py_eval(src, env)
+                assert fn(env) is expected, src
 
 
 # --- set evaluation equals the hull of sampled realizations ---------------
@@ -345,19 +404,21 @@ def _realize(node, env, rng):
             return hi
         return lo + (hi - lo) * rng.random()
 
+    def scalar(e):
+        return ex.compile_scalar(e)(env)
+
     if isinstance(node, ex.SingletonSet):
-        return ex.eval_scalar(node.value, env)
+        return scalar(node.value)
     if isinstance(node, ex.IntervalSet):
-        return pick(ex.eval_scalar(node.lo, env), ex.eval_scalar(node.hi, env))
+        return pick(scalar(node.lo), scalar(node.hi))
     if isinstance(node, ex.HullSet):
-        a = ex.eval_scalar(node.a, env)
-        b = ex.eval_scalar(node.b, env)
+        a = scalar(node.a)
+        b = scalar(node.b)
         return pick(min(a, b), max(a, b))
     if isinstance(node, ex.SumSet):
         return sum(_realize(t, env, rng) for t in node.terms)
     if isinstance(node, ex.ScaledSet):
-        return ex.eval_scalar(node.coeff, env) * _realize(node.operand, env,
-                                                          rng)
+        return scalar(node.coeff) * _realize(node.operand, env, rng)
     raise AssertionError(node)
 
 
@@ -372,7 +433,7 @@ class TestRealizationHull:
             for src in srcs:
                 node = ex.parse_set(src, issue_vars)
                 env = {v: float(rng.uniform(-2, 2)) for v in issue_vars}
-                iv = ex.eval_set(node, env)
+                iv = ex.compile_sets((node,))(env)[0]
                 samples = [_realize(node, env, rng) for _ in range(1000)]
                 assert min(samples) >= iv.lo - 1e-9
                 assert max(samples) <= iv.hi + 1e-9
