@@ -204,6 +204,28 @@ def _positive_screen(name: str, column: np.ndarray, pts: np.ndarray,
         failures.append(f"{name}({x}) = {v!r} at t={t!r} fails positivity")
 
 
+def _sandwich_screen(sys: SystemDef,
+                     sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr],
+                     columns, pts: np.ndarray, time_nodes, tol: float,
+                     failures: list, details: dict) -> None:
+    """Screen ``lower <= V <= upper`` within ``tol`` at every pair, and
+    each envelope for exactly 0 at the origin and positive at nonzero
+    nodes. ``columns`` are the scan's V, lower and upper columns."""
+    v, lower, upper = columns
+    names = ("lower envelope", "upper envelope")
+    for name, e in zip(names, sandwich):
+        _origin_value_screen(name, e, sys.inclusion, time_nodes, failures)
+    for name, column in zip(names, (lower, upper)):
+        _positive_screen(name, column, pts, time_nodes, failures)
+    violations = int(np.count_nonzero(
+        ~((lower - tol <= v) & (v <= upper + tol))))
+    if violations:
+        failures.append(f"candidate escapes the envelopes at {violations} "
+                        "node/time pairs")
+    details["sandwich_checked"] = True
+    details["sandwich_violations"] = violations
+
+
 def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
                      grid: GridSpec | None = None, *,
                      reducers: Sequence[RegularFunctionSpec] | None = None,
@@ -234,25 +256,10 @@ def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
     _origin_value_screen(candidate.name, candidate.value, candidate.gradient,
                          time_nodes, failures)
     _positive_screen(candidate.name, v, pts, time_nodes, failures)
-    names = ("lower envelope", "upper envelope")
-    sandwich_violations = 0
-    if sandwich is not None:
-        lower, upper = scan.extras[2:]
-        for name, e in zip(names, sandwich):
-            _origin_value_screen(name, e, sys.inclusion, time_nodes, failures)
-        for name, column in zip(names, (lower, upper)):
-            _positive_screen(name, column, pts, time_nodes, failures)
-        sandwich_violations = int(np.count_nonzero(
-            ~((lower - tol <= v) & (v <= upper + tol))))
-        if sandwich_violations:
-            failures.append(
-                f"candidate escapes the envelopes at {sandwich_violations} "
-                "node/time pairs")
-
     details = {"nodes_checked": scan.minus_inf.size}
     if sandwich is not None:
-        details["sandwich_checked"] = True
-        details["sandwich_violations"] = sandwich_violations
+        _sandwich_screen(sys, sandwich, scan.extras[1:], pts, time_nodes,
+                         tol, failures, details)
     return _decrease_certificate("lyapunov-decrease", scan, w, pts, grid, sys,
                                  reducers, tol, details, failures)
 
@@ -260,29 +267,40 @@ def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
 def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr,
                          grid: GridSpec | None = None, *,
                          reducers: Sequence[RegularFunctionSpec] | None = None,
+                         sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr] | None = None,
                          tol: float = 1e-9) -> Certificate:
     """Screen ``derivative <= -bound`` with a positive semidefinite bound.
 
-    Also screens ``bound >= 0`` at every node and time node. This is the
-    hypothesis that drives asymptotic decay of ``bound(x(t))`` along
-    complete bounded solutions; the simulator's tail check is its
-    trajectory counterpart.
+    Also screens ``bound >= 0`` at every node and time node, and the
+    envelopes of ``sandwich=(lower, upper)`` as :func:`certify_lyapunov`
+    does. This is the hypothesis that drives asymptotic decay of
+    ``bound(x(t))`` along complete bounded solutions; the simulator's
+    tail check is its trajectory counterpart.
     """
     grid = grid if grid is not None else sys.require_grid()
     reducers = tuple(sys.reducers if reducers is None else reducers)
     pts = grid.nodes(sys.domain)
     time_nodes = grid.time_nodes
-    scan = scan_derivative(sys.candidate, sys.inclusion, reducers, pts,
-                           time_nodes, [(bound, sys.inclusion)])
-    (w,) = scan.extras
+    candidate = sys.candidate
+    extras = [(bound, sys.inclusion)]
+    if sandwich is not None:
+        extras += [(candidate.value, candidate.gradient)]
+        extras += [(e, sys.inclusion) for e in sandwich]
+    scan = scan_derivative(candidate, sys.inclusion, reducers, pts,
+                           time_nodes, extras)
+    w = scan.extras[0]
 
     failures = []
     hit = _first_failure(~(w >= -tol), w, pts, time_nodes)
     if hit is not None:
         x, t, value = hit
         failures.append(f"bound({x}) = {value!r} at t={t!r} is negative")
+    details: dict = {}
+    if sandwich is not None:
+        _sandwich_screen(sys, sandwich, scan.extras[1:], pts, time_nodes,
+                         tol, failures, details)
     return _decrease_certificate("semidefinite-decrease", scan, w, pts, grid,
-                                 sys, reducers, tol, {}, failures)
+                                 sys, reducers, tol, details, failures)
 
 
 @dataclass(frozen=True)

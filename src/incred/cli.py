@@ -131,7 +131,7 @@ def cmd_deriv(args) -> int:
         row = [repr(v) for v in x] + [repr(t0)]
         row.append("-inf" if gen.is_minus_inf else repr(gen.value))
         row.append("-inf" if bmax.is_minus_inf else repr(bmax.value))
-        if bint.value.is_empty:
+        if bint.value is None:
             row += ["", ""]
         else:
             row += [repr(bint.value.lo), repr(bint.value.hi)]
@@ -147,16 +147,12 @@ def cmd_certify(args) -> int:
     checks = system.checks
     tol = args.tol if args.tol is not None else 1e-9
     if checks is not None and checks.decrease_bound is not None:
-        bound = checks.decrease_bound
-        sandwich = None
-        if checks.lower_envelope is not None and \
-                checks.upper_envelope is not None:
-            sandwich = (checks.lower_envelope, checks.upper_envelope)
-        certificate = cert.certify_lyapunov(system, bound, tol=tol,
-                                            sandwich=sandwich)
+        certificate = cert.certify_lyapunov(system, checks.decrease_bound,
+                                            tol=tol, sandwich=checks.sandwich)
     elif checks is not None and checks.semidef_bound is not None:
         certificate = cert.certify_semidefinite(system, checks.semidef_bound,
-                                                tol=tol)
+                                                tol=tol,
+                                                sandwich=checks.sandwich)
     else:
         raise SchemaError(
             "certify needs a 'certify' block with a 'W' or 'W_semidef' "

@@ -12,7 +12,7 @@ function along a box-valued inclusion are computed in closed form:
   gradient element, which is the generalized derivative reduced by the
   candidate alone;
 * :func:`baseline_interval_derivative` -- the classical intersection
-  derivative ``âˆ©_p p . (F x {1})``, an interval that may be empty.
+  derivative ``∩_p p . (F x {1})``, an interval, or None when empty.
 
 :func:`scan_derivative` evaluates the generalized derivative, plus any
 extra scalar expressions, at every (time node, node) pair of a grid.
@@ -62,7 +62,7 @@ class DerivativeValue:
     ``"baseline-interval"``. For the scalar kinds ``value`` is a float,
     or None as the minus-infinity marker (empty reduced set, flagged by
     ``empty_reduction``). For the interval kind ``value`` is an
-    :class:`Interval`, possibly empty.
+    :class:`Interval`, or None when the intersection is empty.
     """
     kind: str
     value: Union[float, Interval, None]
@@ -74,10 +74,8 @@ class DerivativeValue:
 
     def upper(self) -> float | None:
         """Largest value, or None when the set is empty / minus infinity."""
-        if self.value is None:
-            return None
         if isinstance(self.value, Interval):
-            return None if self.value.is_empty else self.value.hi
+            return self.value.hi
         return self.value
 
     def leq(self, bound: float, tol: float = 0.0) -> bool:
@@ -203,7 +201,7 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     grad = eval_gradient(candidate, x, t)
     base = eval_map(inclusion, x, t)
     if base.is_empty:
-        return DerivativeValue("baseline-interval", Interval.EMPTY)
+        return DerivativeValue("baseline-interval", None)
     sup_lo, inf_hi = 0.0, 0.0
     try:
         for pi, qi in zip(grad.axes, base.axes):
@@ -216,9 +214,8 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
         raise DslEvalError(
             f"{candidate.name}: the baseline interval derivative is NaN "
             f"at x={tuple(x)}, t={t}") from None
-    if sup_lo > inf_hi:
-        return DerivativeValue("baseline-interval", Interval.EMPTY)
-    return DerivativeValue("baseline-interval", Interval(sup_lo, inf_hi))
+    value = None if sup_lo > inf_hi else Interval(sup_lo, inf_hi)
+    return DerivativeValue("baseline-interval", value)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Closed intervals, axis-aligned boxes, and annuli.
 
-Every set value in this package is an axis-aligned product of closed
-intervals, possibly empty or degenerate: inclusion values, declared
-gradient boxes, and reduced direction sets are all boxes. Emptiness is a
-canonical distinguished state (never encoded as inverted endpoints), and
-degeneracy is exact equality of endpoints, because the systems of
-interest are defined with exactly representable constants.
+Every set value in this package is a box, an axis-aligned product of
+closed intervals, possibly degenerate: inclusion values, declared
+gradient boxes, and reduced direction sets are all boxes. An interval is
+never empty. Emptiness belongs to the box: :meth:`IntervalBox.empty` is
+the one empty set value, which keeps only its dimension (never encoded
+as inverted endpoints). Degeneracy is exact equality of endpoints,
+because the systems of interest are defined with exactly representable
+constants.
 
 Axis indices reported by :func:`direction_axes` (and consumed elsewhere)
 are 1-based, matching the variable names ``x1..xn``; a box of dimension
@@ -20,7 +22,7 @@ slot in behind the same operations.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .errors import DimensionMismatchError, EmptySetError
 
 __all__ = [
     "Interval",
-    "EMPTY_INTERVAL",
     "IntervalBox",
     "Annulus",
     "contains",
@@ -37,16 +38,9 @@ __all__ = [
 
 
 class Interval:
-    """A closed real interval ``[lo, hi]`` with ``lo <= hi``.
-
-    The empty interval is the module-level singleton
-    :data:`EMPTY_INTERVAL` (also reachable as ``Interval.EMPTY``); it has
-    no endpoints and accessing them raises :class:`EmptySetError`.
-    """
+    """A closed real interval ``[lo, hi]`` with ``lo <= hi``, never empty."""
 
     __slots__ = ("_lo", "_hi")
-
-    EMPTY: "Interval"  # assigned after _EmptyInterval is defined
 
     def __init__(self, lo: float, hi: float):
         lo = float(lo)
@@ -80,25 +74,21 @@ class Interval:
         return self._hi
 
     @property
-    def is_empty(self) -> bool:
-        return False
-
-    @property
     def is_degenerate(self) -> bool:
         """True iff ``lo == hi`` (exact comparison)."""
         return self._lo == self._hi
 
     @property
     def center(self) -> float:
-        return (self._lo + self._hi) / 2.0
+        """``(lo + hi) / 2``, or ``lo/2 + hi/2`` where the sum overflows."""
+        c = (self._lo + self._hi) / 2.0
+        return c if math.isfinite(c) else self._lo / 2.0 + self._hi / 2.0
 
     def contains(self, v: float) -> bool:
         return self._lo <= v <= self._hi
 
     def add(self, other: Interval) -> Interval:
         """Minkowski sum of two intervals."""
-        if other.is_empty:
-            return EMPTY_INTERVAL
         return Interval(self._lo + other.lo, self._hi + other.hi)
 
     __add__ = add
@@ -106,23 +96,12 @@ class Interval:
     def scale(self, c: float) -> Interval:
         return Interval.hull(c * self._lo, c * self._hi)
 
-    def intersect(self, other: Interval) -> Interval:
-        if other.is_empty:
-            return EMPTY_INTERVAL
-        lo = max(self._lo, other.lo)
-        hi = min(self._hi, other.hi)
-        if lo > hi:
-            return EMPTY_INTERVAL
-        return Interval(lo, hi)
-
     def inflate(self, margin: float) -> Interval:
         return Interval(self._lo - margin, self._hi + margin)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
         return self._lo == other.lo and self._hi == other.hi
 
     def __hash__(self) -> int:
@@ -132,83 +111,31 @@ class Interval:
         return f"[{self._lo}, {self._hi}]"
 
 
-class _EmptyInterval(Interval):
-    """Canonical empty interval; see :class:`Interval`."""
-
-    __slots__ = ()
-
-    def __init__(self):  # no endpoints to store
-        pass
-
-    @property
-    def lo(self) -> float:
-        raise EmptySetError("the empty interval has no endpoints")
-
-    @property
-    def hi(self) -> float:
-        raise EmptySetError("the empty interval has no endpoints")
-
-    @property
-    def is_empty(self) -> bool:
-        return True
-
-    @property
-    def is_degenerate(self) -> bool:
-        return False
-
-    @property
-    def center(self) -> float:
-        raise EmptySetError("the empty interval has no center")
-
-    def contains(self, v: float) -> bool:
-        return False
-
-    def add(self, other: Interval) -> Interval:
-        return EMPTY_INTERVAL
-
-    __add__ = add
-
-    def scale(self, c: float) -> Interval:
-        return EMPTY_INTERVAL
-
-    def intersect(self, other: Interval) -> Interval:
-        return EMPTY_INTERVAL
-
-    def inflate(self, margin: float) -> Interval:
-        return EMPTY_INTERVAL
-
-    def __hash__(self) -> int:
-        return hash("empty-interval")
-
-    def __repr__(self) -> str:
-        return "Interval.EMPTY"
-
-
-EMPTY_INTERVAL = _EmptyInterval()
-Interval.EMPTY = EMPTY_INTERVAL
-
-
 class IntervalBox:
     """Axis-aligned product of closed intervals in ``R^k``.
 
-    A box is empty iff any axis is empty; the canonical empty box of a
-    given dimension has every axis empty (:meth:`empty`). Boxes are
-    immutable and shareable across threads.
+    The empty box of a dimension (:meth:`empty`) has no axes: reading
+    them, its corners or its center raises :class:`EmptySetError`. Boxes
+    are immutable and shareable across threads.
     """
 
-    __slots__ = ("_axes",)
+    __slots__ = ("_axes", "_dims")
 
     def __init__(self, axes: Iterable[Interval]):
         axes = tuple(axes)
         if not axes:
             raise ValueError("a box needs at least one axis")
-        if any(a.is_empty for a in axes):
-            axes = (EMPTY_INTERVAL,) * len(axes)
         self._axes = axes
+        self._dims = len(axes)
 
     @classmethod
     def empty(cls, dims: int) -> IntervalBox:
-        return cls((EMPTY_INTERVAL,) * dims)
+        if dims < 1:
+            raise ValueError("a box needs at least one axis")
+        box = object.__new__(cls)
+        box._axes = None
+        box._dims = dims
+        return box
 
     @classmethod
     def point(cls, coords: Sequence[float]) -> IntervalBox:
@@ -222,43 +149,43 @@ class IntervalBox:
 
     @property
     def dims(self) -> int:
-        return len(self._axes)
+        return self._dims
 
     @property
     def axes(self) -> tuple[Interval, ...]:
+        if self._axes is None:
+            raise EmptySetError("the empty box has no axes")
         return self._axes
 
     @property
     def is_empty(self) -> bool:
-        return self._axes[0].is_empty
+        return self._axes is None
 
     def axis(self, i: int) -> Interval:
         """Axis by 1-based index."""
-        return self._axes[i - 1]
-
-    def __getitem__(self, i: int) -> Interval:
-        return self._axes[i]
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self._axes)
+        return self.axes[i - 1]
 
     @property
     def center(self) -> tuple[float, ...]:
-        if self.is_empty:
-            raise EmptySetError("the empty box has no center")
-        return tuple(a.center for a in self._axes)
+        return tuple(a.center for a in self.axes)
 
     def lo_corner(self) -> tuple[float, ...]:
-        return tuple(a.lo for a in self._axes)
+        return tuple(a.lo for a in self.axes)
 
     def hi_corner(self) -> tuple[float, ...]:
-        return tuple(a.hi for a in self._axes)
+        return tuple(a.hi for a in self.axes)
 
     def intersect(self, other: IntervalBox) -> IntervalBox:
-        self._check_dims(other)
+        if self.dims != other.dims:
+            raise DimensionMismatchError(
+                f"box dimensions differ: {self.dims} vs {other.dims}")
         if self.is_empty or other.is_empty:
             return IntervalBox.empty(self.dims)
-        return IntervalBox(a.intersect(b) for a, b in zip(self._axes, other.axes))
+        lo = [max(a.lo, b.lo) for a, b in zip(self._axes, other.axes)]
+        hi = [min(a.hi, b.hi) for a, b in zip(self._axes, other.axes)]
+        if any(a > b for a, b in zip(lo, hi)):
+            return IntervalBox.empty(self.dims)
+        return IntervalBox.from_bounds(lo, hi)
 
     def inflate(self, margin: float) -> IntervalBox:
         if self.is_empty:
@@ -287,19 +214,10 @@ class IntervalBox:
             acc += max(ax.lo * ax.lo, ax.hi * ax.hi)
         return math.sqrt(acc)
 
-    def _check_dims(self, other: IntervalBox) -> None:
-        if self.dims != other.dims:
-            raise DimensionMismatchError(
-                f"box dimensions differ: {self.dims} vs {other.dims}")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalBox):
             return NotImplemented
-        if self.dims != other.dims:
-            return False
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
-        return self._axes == other.axes
+        return self._dims == other._dims and self._axes == other._axes
 
     def __hash__(self) -> int:
         return hash(self._axes)

@@ -375,6 +375,13 @@ class CheckSpec:
     zero_tol: float = 1e-6
     candidates: tuple[tuple[float, ...], ...] = ()
 
+    @property
+    def sandwich(self) -> tuple[ScalarExpr, ScalarExpr] | None:
+        """``(lower, upper)`` envelopes, or None when neither is given."""
+        if self.lower_envelope is None:
+            return None
+        return (self.lower_envelope, self.upper_envelope)
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -586,6 +593,10 @@ def _parse_matrosov(doc, n: int, variables, params: ParamTable,
 def _parse_checks(doc, n: int, variables, where: str) -> CheckSpec:
     _check_keys(doc, {"W", "W_semidef", "Wlower", "Wupper", "zero_tol",
                       "candidates"}, set(), where)
+    if ("Wlower" in doc) != ("Wupper" in doc):
+        missing = "Wupper" if "Wlower" in doc else "Wlower"
+        raise SchemaError(f"{where}: missing key '{missing}' (the sandwich "
+                          "envelopes come as a pair)")
     def opt(key):
         if key not in doc:
             return None

@@ -170,6 +170,32 @@ class TestCertifySemidefinite:
         assert cert.verdict == CERTIFIED
         assert cert.worst_margin <= 1e-9
 
+    def test_sandwich_of_example5(self, example5):
+        checks = example5.checks
+        cert = certify_semidefinite(example5, checks.semidef_bound,
+                                    sandwich=checks.sandwich)
+        assert cert.verdict == CERTIFIED
+        assert cert.details["sandwich_checked"] is True
+        assert cert.details["sandwich_violations"] == 0
+        plain = certify_semidefinite(example5, checks.semidef_bound)
+        assert "sandwich_checked" not in plain.details
+        assert plain.worst_margin == cert.worst_margin
+
+    def test_sandwich_screens_match_certify_lyapunov(self, example5):
+        # one helper screens the envelopes for both decrease checks
+        lower, upper = (ex.parse_scalar("x1*x1"),
+                        ex.parse_scalar("x1*x1 + x2*x2 - 1"))
+        semi = certify_semidefinite(example5, example5.checks.semidef_bound,
+                                    sandwich=(lower, upper))
+        lyap = certify_lyapunov(example5, example5.checks.semidef_bound,
+                                sandwich=(lower, upper))
+        assert semi.verdict == VIOLATED
+        assert semi.details["sandwich_violations"] \
+            == lyap.details["sandwich_violations"] > 0
+        envelope_failures = [f for f in lyap.details["screen_failures"]
+                             if "envelope" in f]
+        assert semi.details["screen_failures"] == envelope_failures
+
     def test_zero_bound_trivially_certified(self, trivial_zero):
         cert = certify_semidefinite(trivial_zero, ex.parse_scalar("0"))
         assert cert.verdict == CERTIFIED

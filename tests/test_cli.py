@@ -226,10 +226,20 @@ class TestExitCodes:
                                          d["grid"].update(include=[[1e308]])),
          "quad_half_1d: a finite-difference gradient estimate is NaN near "
          "x=(5e+307,), t=0.0"),
+        ("validate-gradient", lambda d: (
+            d["domain"].update(lo=[1e308], hi=[1.7e308]),
+            d["grid"].update(include=[[]])),
+         "quad_half_1d: a finite-difference gradient estimate is NaN near "
+         "x=(1e+308,), t=0.0"),
         ("certify", lambda d: d["certify"].update(candidates=1.0),
          "certify.candidates: expected a list of points"),
+        ("certify", lambda d: d["certify"].update(Wlower="x1*x1"),
+         "certify: missing key 'Wupper'"),
+        ("certify", lambda d: d["certify"].update(Wupper="x1*x1"),
+         "certify: missing key 'Wlower'"),
     ], ids=["deriv-infinite-F", "validate-gradient-huge-probe",
-            "candidates-not-a-list"])
+            "validate-gradient-overflowing-center", "candidates-not-a-list",
+            "lone-lower-envelope", "lone-upper-envelope"])
     def test_fuzz_found_crash_exits_three(self, tmp_path, capsys, command,
                                           edit, message):
         with open(fixture_path("example1"), "r", encoding="utf-8") as fh:
@@ -406,6 +416,24 @@ class TestCertify:
                    "-o", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert doc["condition"] == "semidefinite-decrease"
+        assert doc["details"]["sandwich_checked"] is True
+        assert doc["details"]["sandwich_violations"] == 0
+
+    def test_semidefinite_block_screens_the_envelopes(self, tmp_path):
+        # V = x1^2 + (1 + g) x2^2 exceeds the upper envelope x1^2 + x2^2
+        # wherever x2 != 0
+        with open(fixture_path("example5"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["certify"]["Wupper"] = "x1*x1 + x2*x2"
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("certify", "-i", str(system), "-o", str(tmp_path)) == 1
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["verdict"] == "VIOLATED"
+        assert cert["details"]["derivative_violations"] == 0
+        assert cert["details"]["sandwich_violations"] > 0
+        assert any("escapes the envelopes" in f
+                   for f in cert["details"]["screen_failures"])
 
 
 class TestInvariance:

@@ -214,7 +214,7 @@ class TestBaselines:
         d = baseline_interval_derivative(
             constant_spec(grad, name="s"), constant_map(box((1, 1))), (0.0,),
             0.0)
-        assert d.value.is_empty
+        assert d.value is None
         assert d.upper() is None
 
     def test_interval_derivative_sampled_oracle(self):
@@ -246,7 +246,7 @@ class TestBaselines:
                 M = sum(max(pi * qi.lo, pi * qi.hi)
                         for pi, qi in zip(p, fbox.axes)) + p[-1]
                 lo, hi = max(lo, m), min(hi, M)
-            if d.value.is_empty:
+            if d.value is None:
                 assert lo > hi - 1e-9
             else:
                 assert d.value.lo == pytest.approx(lo, abs=1e-9)
@@ -301,6 +301,6 @@ class TestOrderingProperties:
                                                  system.inclusion, x, 0.0)
                 interval = baseline_interval_derivative(
                     system.candidate, system.inclusion, x, 0.0)
-                if common.is_minus_inf or interval.value.is_empty:
+                if common.is_minus_inf or interval.value is None:
                     continue
                 assert common.value <= interval.value.hi + 1e-12

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -394,6 +395,10 @@ class TestCompiled:
 
 # --- set evaluation equals the hull of sampled realizations ---------------
 
+# AST nodes are hashable; the test realizes each set about a million times
+_compiled_scalar = functools.lru_cache(maxsize=None)(ex.compile_scalar)
+
+
 def _realize(node, env, rng):
     """One admissible element of the set, endpoint-biased."""
     def pick(lo, hi):
@@ -405,7 +410,7 @@ def _realize(node, env, rng):
         return lo + (hi - lo) * rng.random()
 
     def scalar(e):
-        return ex.compile_scalar(e)(env)
+        return _compiled_scalar(e)(env)
 
     if isinstance(node, ex.SingletonSet):
         return scalar(node.value)

@@ -1,32 +1,44 @@
-"""Mutated fixture files through the CLI, in process, on tiny grids.
+"""Mutated fixture files through the CLI, in process, on small grids.
 
 Whatever a system file holds, a run ends in exit 0, 1, 2 or 3; it never
 ends in a Python traceback, whose exit code 1 would read as an analysis
 result. Exit 1 comes only with the subcommand's verdict line.
+
+Each case runs twice, with chunks of 3 rows so that one grid mixes
+array-filled and pointwise-refilled chunks: once as it is, and once with
+every fill sending all rows pointwise. The two runs must agree on the
+exit code, stdout, stderr and every report byte.
 """
 
 import contextlib
 import copy
 import io
 import json
+import shutil
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from incred import derivative, reduction
 from incred.cli import main
 from incred.fixtures import available_fixtures, fixture_path
 
-# small grids and few steps, so that one case takes milliseconds
+# small grids and few steps, so that one case takes milliseconds; the
+# grid subcommands also get --grid 5 to 9
 ARGS = {
-    "reduce": ["--grid", "3"],
-    "deriv": ["--grid", "3"],
-    "certify": ["--grid", "3"],
-    "invariance": ["--grid", "3"],
-    "matrosov": ["--grid", "3", "--verify-factor", "1"],
+    "reduce": [],
+    "deriv": [],
+    "certify": [],
+    "invariance": [],
+    "matrosov": ["--verify-factor", "1"],
     "simulate": ["--h", "0.1", "--T", "0.3"],
     "validate-gradient": ["--samples", "10"],
 }
+GRID_COMMANDS = {"reduce", "deriv", "certify", "invariance", "matrosov"}
 
 HOSTILE = [
     None, True, 0, 1, -1, 2, 7, 0.0, -0.0, 1e-300, 0.5, -2.0, 1e308,
@@ -97,20 +109,64 @@ def _at(doc, path):
     return doc
 
 
+def _all_pointwise(count, arrays, pointwise):
+    """``reduction._fill`` with every row sent to the pointwise reference."""
+    with np.errstate(all="ignore"):
+        for r in range(count):
+            pointwise(r)
+
+
+def _run(argv, out_dir: Path, pointwise: bool):
+    """Exit code, stdout, stderr and the report files of one CLI call."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    fill = _all_pointwise if pointwise else reduction._fill
+    with mock.patch.object(reduction, "_CHUNK", 3), \
+            mock.patch.object(reduction, "_fill", fill), \
+            mock.patch.object(derivative, "_fill", fill), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    reports = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))} \
+        if out_dir.is_dir() else {}
+    return code, out.getvalue(), err.getvalue(), reports
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
-@given(doc=mutated(), command=st.sampled_from(sorted(ARGS)))
-def test_mutated_fixture_exits_cleanly(doc, command, tmp_path):
+@given(doc=mutated(), command=st.sampled_from(sorted(ARGS)),
+       grid=st.integers(5, 9))
+def test_mutated_fixture_exits_cleanly(doc, command, grid, tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "-i", str(path), "-o", str(tmp_path / "out"),
-                     *ARGS[command]])
+    argv = [command, "-i", str(path), "-o", str(tmp_path / "out"),
+            *ARGS[command]]
+    if command in GRID_COMMANDS:
+        argv += ["--grid", str(grid)]
+    code, out, err, reports = _run(argv, tmp_path / "out", pointwise=False)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert "Traceback" not in out + err
     if code == 1:
-        assert out.getvalue().startswith(f"{command}: ")
+        assert out.startswith(f"{command}: ")
     if code in (2, 3):
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
+    if command in GRID_COMMANDS:  # the others fill no rows
+        assert _run(argv, tmp_path / "out", pointwise=True) \
+            == (code, out, err, reports)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_signed_zero_ties_agree_with_the_pointwise_path(name, tmp_path):
+    """F with ``max(-0.0, x1)`` and ``min(-0.0, x2)`` for x1 and x2: at a
+    zero node both ties must keep their first argument's sign, as
+    Python's ``max`` and ``min`` do, whichever path fills the row."""
+    doc = copy.deepcopy(FIXTURES[name])
+    doc["F"] = json.loads(json.dumps(doc["F"]).replace(
+        "x1", "max(-0.0, x1)").replace("x2", "min(-0.0, x2)"))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("reduce", "certify"):
+        argv = [command, "-i", str(path), "-o", str(tmp_path / "out"),
+                "--grid", "5"]
+        assert _run(argv, tmp_path / "out", pointwise=False) \
+            == _run(argv, tmp_path / "out", pointwise=True)

@@ -6,6 +6,7 @@ from incred.intervals import (Annulus, Interval, IntervalBox, contains,
                               direction_axes)
 
 TOL = 1e-9
+MAX = 1.7976931348623157e308
 
 
 def box(*bounds):
@@ -27,23 +28,65 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(float("nan"), 1.0)
 
-    def test_empty_is_canonical(self):
-        e = Interval.EMPTY
-        assert e.is_empty
-        assert not e.contains(0.0)
-        with pytest.raises(EmptySetError):
-            e.lo
-        with pytest.raises(EmptySetError):
-            e.hi
-        assert (e + Interval(0, 1)).is_empty
-        assert e.scale(2.0).is_empty
-        assert e.intersect(Interval(0, 1)).is_empty
-        assert e == Interval.EMPTY
-        assert e != Interval(0.0, 0.0)
-
     def test_intersection(self):
-        assert Interval(0, 2).intersect(Interval(1, 3)) == Interval(1, 2)
-        assert Interval(0, 1).intersect(Interval(2, 3)).is_empty
+        assert box((0, 2), (0, 1)).intersect(box((1, 3), (0, 1))) \
+            == box((1, 2), (0, 1))
+        assert box((0, 1), (0, 1)).intersect(box((2, 3), (0, 1))) \
+            == IntervalBox.empty(2)
+        assert box((0, 1)).intersect(IntervalBox.empty(1)).is_empty
+
+    def test_center(self):
+        assert Interval(-1.0, 3.0).center == 1.0
+        assert Interval(0.1, 0.2).center == (0.1 + 0.2) / 2.0
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -5e-324, 1e308, 1.7e308,
+                                   -1.7e308, 2.5])
+    def test_center_of_a_point_is_the_point(self, v):
+        c = Interval.point(v).center
+        assert c == v and repr(c) == repr(v)
+
+    @pytest.mark.parametrize("lo, hi, center", [
+        (1e308, 1.7e308, 1.35e308),
+        (-1.7e308, -1e308, -1.35e308),
+        (1.7e308, MAX, 1.7e308 / 2 + MAX / 2),
+    ])
+    def test_center_does_not_overflow(self, lo, hi, center):
+        c = Interval(lo, hi).center
+        assert c == center and lo <= c <= hi
+
+
+class TestEmptyBox:
+    """``IntervalBox.empty``, the package's only empty set value."""
+
+    def test_has_no_axes_corners_or_center(self):
+        e = IntervalBox.empty(2)
+        assert e.is_empty and e.dims == 2
+        for read in (lambda: e.axes, lambda: e.axis(1), e.lo_corner,
+                     e.hi_corner, lambda: e.center):
+            with pytest.raises(EmptySetError):
+                read()
+
+    def test_equality_hash_and_repr(self):
+        assert IntervalBox.empty(2) == IntervalBox.empty(2)
+        assert IntervalBox.empty(2) != IntervalBox.empty(3)
+        assert IntervalBox.empty(1) != box((0, 0))
+        assert box((0, 0)) != IntervalBox.empty(1)
+        assert hash(IntervalBox.empty(2)) == hash(IntervalBox.empty(2))
+        assert len({IntervalBox.empty(2), IntervalBox.empty(2),
+                    IntervalBox.empty(3)}) == 2
+        assert repr(IntervalBox.empty(3)) == "IntervalBox.empty(3)"
+
+    def test_needs_a_dimension(self):
+        with pytest.raises(ValueError):
+            IntervalBox.empty(0)
+
+    def test_set_operations(self):
+        e = IntervalBox.empty(2)
+        assert e.inflate(1.0) == e
+        assert e.distance_to((0.0, 0.0)) == float("inf")
+        assert e.max_vertex_norm() == 0.0
+        with pytest.raises(DimensionMismatchError):
+            e.intersect(IntervalBox.empty(3))
 
 
 class TestMinkowskiSum:
@@ -67,10 +110,6 @@ class TestMinkowskiSum:
         assert out.lo == pytest.approx(sums.min(), abs=TOL)
         assert out.hi == pytest.approx(sums.max(), abs=TOL)
         assert out == Interval(2, 6)
-
-    def test_empty_propagates(self):
-        assert Interval.EMPTY.add(Interval(0, 1)).is_empty
-        assert Interval(0, 1).add(Interval.EMPTY).is_empty
 
     def test_random_membership_and_vertices(self):
         rng = np.random.default_rng(7)
@@ -109,9 +148,6 @@ class TestScale:
             rhs = iv.scale(c * d)
             assert abs(lhs.lo - rhs.lo) <= TOL
             assert abs(lhs.hi - rhs.hi) <= TOL
-
-    def test_empty(self):
-        assert Interval.EMPTY.scale(2.0).is_empty
 
 
 class TestContains:

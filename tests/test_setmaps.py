@@ -173,7 +173,8 @@ class TestValidateGradient:
         hull = rep.estimate_hull.axes[0]
         assert hull.lo == pytest.approx(1.0, abs=1e-6)
         assert hull.hi == pytest.approx(2.0, abs=1e-6)
-        assert rep.declared.axes[0].inflate(1e-4).intersect(hull) == hull
+        declared = rep.declared.axes[0].inflate(1e-4)
+        assert declared.lo <= hull.lo and hull.hi <= declared.hi
 
     def test_preconditions(self, example1):
         with pytest.raises(SchemaError):
