@@ -449,7 +449,7 @@ def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
     names = ([f"z{i+1}" for i in range(prob.m)]
              + [f"x{i+1}" for i in range(x.shape[1])])
     y = _columns(prob.aux, len(points),
-                 lambda rows: dict(zip(names, points[rows].T)),
+                 lambda rows: (dict(zip(names, points[rows].T)), False),
                  lambda r: dict(zip(names, points[r].tolist())))
     return points, y
 

@@ -14,8 +14,8 @@ function along a box-valued inclusion are computed in closed form:
 * :func:`baseline_interval_derivative` -- the classical intersection
   derivative ``∩_p p . (F x {1})``, an interval, or None when empty.
 
-:func:`scan_derivative` evaluates the generalized derivative, plus any
-extra scalar expressions, at every (time node, node) pair of a grid.
+:func:`scan_derivative` gives the generalized derivative and any extras at
+every (time node, node) pair of a grid as arrays, flagged rows pointwise.
 
 Because gradients and inclusion values are boxes, both bilinear
 optimizations decompose per axis: the max over a rectangle of ``p q`` is
@@ -40,8 +40,8 @@ import numpy as np
 
 from . import expr
 from .expr import _array_max as _max, _array_min as _min
-from .errors import (ArrayHazard, DimensionMismatchError, DslEvalError,
-                     EmptySetError, SchemaError)
+from .errors import (DimensionMismatchError, DslEvalError, EmptySetError,
+                     SchemaError)
 from .intervals import Interval, IntervalBox
 from .reduction import (_fill, _gradient_arrays, _node_array,
                         _reduce_arrays, reduce_collection)
@@ -243,10 +243,9 @@ def scan_derivative(candidate: RegularFunctionSpec,
     ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
     scalar expression with the map whose environment (parameters) it
     reads. For each time node in turn, nodes are evaluated as numpy
-    arrays in batches of ``reduction._CHUNK``; a batch that meets a
-    hazard (see :class:`ArrayHazard`) is refilled node by node by the
-    pointwise reference, which raises exactly the errors the pointwise
-    API raises.
+    arrays in batches of ``reduction._CHUNK``; the nodes the arrays flag
+    (see ``reduction._fill``) are refilled one by one by the pointwise
+    reference, which raises exactly the errors the pointwise API raises.
     """
     pts = _node_array(nodes, inclusion.n_in)
     n = inclusion.n_out
@@ -265,17 +264,14 @@ def scan_derivative(candidate: RegularFunctionSpec,
 
     for a, t in enumerate(time_nodes):
         def arrays(rows):
-            if not ready:
-                raise ArrayHazard  # pointwise rows raise the error
+            if not ready:  # the pointwise rows raise the error
+                return np.ones(rows.stop - rows.start, dtype=bool)
             batch = axes[:, rows]
-            d_value, d_minus_inf = _derivative_arrays(
+            value[a, rows], minus_inf[a, rows], bad = _derivative_arrays(
                 candidate, inclusion, reducers, batch, t)
-            extra = [fn(m.env_arrays(batch, t)) for fn, m in array_fns]
-            if not all(np.isfinite(c).all() for c in extra):
-                raise ArrayHazard
-            value[a, rows], minus_inf[a, rows] = d_value, d_minus_inf
-            for k, c in enumerate(extra):
-                cols[k, a, rows] = c
+            for k, (fn, m) in enumerate(array_fns):
+                cols[k, a, rows] = fn(m.env_arrays(batch, t)[0])
+            return bad | ~np.isfinite(cols[:, a, rows]).all(axis=0)
 
         def pointwise(b):
             if not scalar_fns:
@@ -283,10 +279,8 @@ def scan_derivative(candidate: RegularFunctionSpec,
                                   for e, m in extras)
             x = pts[b].tolist()
             d = generalized_derivative(candidate, inclusion, reducers, x, t)
-            if d.is_minus_inf:
-                minus_inf[a, b] = True
-            else:
-                value[a, b] = d.value
+            minus_inf[a, b] = d.is_minus_inf
+            value[a, b] = 0.0 if d.is_minus_inf else d.value
             for k, (fn, m) in enumerate(scalar_fns):
                 cols[k, a, b] = fn(m.env(x, t))
 
@@ -297,11 +291,11 @@ def scan_derivative(candidate: RegularFunctionSpec,
 def _derivative_arrays(candidate, inclusion, reducers, batch, t):
     """Array form of generalized_derivative: the reduction kernel, then
     the bilinear optimization with the pointwise code's operation order
-    and Python's max/min tie rule."""
-    lo, hi, minus_inf = inclusion.value_arrays(batch, t)
-    lo, hi, minus_inf, _ = _reduce_arrays(lo, hi, minus_inf, reducers,
-                                          batch, t)
-    p_lo, p_hi = _gradient_arrays(candidate, batch, t)
+    and Python's max/min tie rule; a non-finite value is a bad row."""
+    lo, hi, minus_inf, bad = inclusion.value_arrays(batch, t)
+    lo, hi, minus_inf, _, bad = _reduce_arrays(lo, hi, minus_inf, bad,
+                                               reducers, batch, t)
+    p_lo, p_hi, p_bad = _gradient_arrays(candidate, batch, t)
     total = 0.0
     for i in range(len(lo)):
         if candidate.regular:
@@ -316,6 +310,5 @@ def _derivative_arrays(candidate, inclusion, reducers, batch, t):
                 term = _max(term, v)
         total = total + term
     total = total + (p_lo[-1] if candidate.regular else p_hi[-1])
-    if not np.isfinite(total[~minus_inf]).all():
-        raise ArrayHazard
-    return np.where(minus_inf, 0.0, total), minus_inf
+    bad = bad | p_bad | ~(np.isfinite(total) | minus_inf)
+    return np.where(minus_inf, 0.0, total), minus_inf, bad

@@ -43,12 +43,3 @@ class SchemaError(IncredError):
 class SimulationError(IncredError):
     """Trajectory integration could not proceed."""
 
-
-class ArrayHazard(Exception):
-    """The array evaluator met a row it does not reproduce bit for bit.
-
-    Raised for a near-zero denominator, an inverted interval literal, a
-    NaN or infinite value or an empty gradient piece. ``reduction._fill``
-    catches it and refills only the chunk that raised it pointwise, so it
-    never escapes the package.
-    """

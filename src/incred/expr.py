@@ -42,13 +42,13 @@ the reference the array closures are tested against.
 
 The ``*_array`` compilers emit the same code over numpy arrays of rows:
 variables are arrays (or floats), a set evaluates to ``lo``/``hi``
-endpoint arrays and a guard to a boolean mask. Every row gets the bits
-the scalar closure gives it: ``max``/``min``/``hull`` keep Python's
+endpoint arrays and a guard to a mask. Every row gets the bits the
+scalar closure gives it: ``max``/``min``/``hull`` keep Python's
 first-argument rule on ties and signed zeros, and ``exp``/``sin``/``cos``
 go element by element through :mod:`math`. ``and``/``or`` do not short
-circuit. Where a scalar closure could raise (near-zero denominator,
-inverted interval literal, math range error), the array closure raises
-:class:`~incred.errors.ArrayHazard` for the whole batch instead.
+circuit. Where a scalar closure could raise, the row gets NaN, which
+``max``/``min``/``sgn``/``hull`` keep; a comparison that reads it leaves
+the row undecided (mask 1.0/0.0, NaN there) for the scalar closures.
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ArrayHazard, DslEvalError, DslSyntaxError
+from .errors import DslEvalError, DslSyntaxError
 from .intervals import Interval
 
 __all__ = [
@@ -546,19 +547,25 @@ def _set_code(node: SetExpr) -> str:
     raise TypeError(f"not a set expression: {node!r}")
 
 
-_JOINERS = {(AndGuard, False): " and ", (OrGuard, False): " or ",
-            (AndGuard, True): " & ", (OrGuard, True): " | "}
+# the calls whose array code gives a row NaN where the scalar code raises
+_POISONS = re.compile(r"_(div|exp|sin|cos)\(")
 
 
 def _guard_code(node: GuardExpr, masks: bool = False) -> str:
-    """Guard code with ``and/or/not``, or mask code with ``& | _not``."""
+    """Guard code with ``and/or/not``, or mask code (see ``_ARRAY_NS``)."""
     if isinstance(node, TrueGuard):
         return "True"
     if isinstance(node, Comparison):
-        return f"({_scalar_code(node.left)} {node.op} {_scalar_code(node.right)})"
+        a, b = _scalar_code(node.left), _scalar_code(node.right)
+        if masks and _POISONS.search(a + b):
+            return f"_cmp({a}, {b}, lambda a, b: a {node.op} b)"
+        return f"({a} {node.op} {b})"
     if isinstance(node, (AndGuard, OrGuard)):
-        word = _JOINERS[type(node), masks]
-        return "(" + word.join(_guard_code(t, masks) for t in node.terms) + ")"
+        terms = [_guard_code(t, masks) for t in node.terms]
+        word = "and" if isinstance(node, AndGuard) else "or"
+        if masks:
+            return reduce(lambda a, b: f"_{word}({a}, {b})", terms)
+        return "(" + f" {word} ".join(terms) + ")"
     if isinstance(node, NotGuard):
         if masks:
             return f"_not({_guard_code(node.operand, masks)})"
@@ -613,6 +620,7 @@ def compile_guard(node: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
 # --- compilation to numpy array closures --------------------------------
 
 def _array_max(a, b):
+    """Python's ``max(a, b)`` on each row, which drops a NaN ``b``."""
     return np.where(b > a, b, a)
 
 
@@ -620,25 +628,35 @@ def _array_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _array_sgn(y):
-    return np.where(y == 0.0, 0.0, np.where(y > 0.0, 1.0, -1.0))
+def _nan_max(a, b):  # keeps a NaN b, so that a NaN row stays NaN
+    return np.where((b > a) | (b != b), b, a)
+
+
+def _nan_min(a, b):
+    return np.where((b < a) | (b != b), b, a)
 
 
 def _array_div(a, b):
-    if np.any(np.abs(b) < _DIV_FLOOR):
-        raise ArrayHazard
-    return a / b
+    """``a / b``, NaN where ``|b| < 1e-300`` (the scalar code raises)."""
+    near_zero = np.abs(b) < _DIV_FLOOR
+    return np.where(near_zero, np.nan, np.divide(a, b)) if near_zero.any() \
+        else a / b
 
 
 def _elementwise(fn: Callable[[float], float]) -> Callable:
-    def apply(a):
+    """``fn`` on each row, NaN where it has no finite value."""
+    def value(v: float) -> float:
         try:
-            if np.ndim(a) == 0:
-                return fn(float(a))
-            return np.array([fn(v) for v in a.tolist()], dtype=float)
+            return fn(v)
         except (OverflowError, ValueError):
-            raise ArrayHazard from None
-    return apply
+            return math.nan
+    return np.vectorize(value, otypes=[float])
+
+
+def _array_compare(a, b, op: Callable):
+    """``op(a, b)`` as a mask, NaN (undecided) where ``a`` or ``b`` is."""
+    nan = np.isnan(a) | np.isnan(b)
+    return np.where(nan, np.nan, op(a, b)) if nan.any() else op(a, b)
 
 
 class _Span:
@@ -658,26 +676,26 @@ class _Span:
 
 
 def _array_interval(lo, hi) -> _Span:
-    if np.any(lo > hi):
-        raise ArrayHazard
-    return _Span(lo, hi)
+    """``[lo, hi]``, NaN where ``lo > hi`` (the scalar code raises)."""
+    inverted = lo > hi
+    return _Span(np.where(inverted, np.nan, lo) if np.any(inverted) else lo,
+                 hi)
 
 
 def _array_hull(a, b) -> _Span:
-    if np.isnan(a).any() or np.isnan(b).any():  # np.where skips a NaN b
-        raise ArrayHazard
-    return _Span(_array_min(a, b), _array_max(a, b))
+    return _Span(_nan_min(a, b), _nan_max(a, b))
 
 
 _ARRAY_NS = {
-    "_div": _array_div, "_abs": np.abs, "_max": _array_max,
-    "_min": _array_min, "_sgn": _array_sgn,
-    "_sgn1": lambda y: np.where((-1.0 < y) & (y < 1.0), 0.0, _array_sgn(y)),
+    "_div": _array_div, "_abs": np.abs, "_max": _nan_max, "_min": _nan_min,
+    "_sgn": np.sign,  # NaN stays NaN, and sign(-0.0) is 0.0
+    "_sgn1": lambda y: np.where((-1.0 < y) & (y < 1.0), 0.0, np.sign(y)),
     "_exp": _elementwise(math.exp), "_sin": _elementwise(math.sin),
     "_cos": _elementwise(math.cos), "_pt": lambda v: _Span(v, v),
-    "_intv": _array_interval,
-    "_hullv": _array_hull,
-    "_not": np.logical_not,
+    "_intv": _array_interval, "_hullv": _array_hull,
+    "_cmp": _array_compare, "_and": np.minimum, "_or": np.maximum,
+    "_not": lambda m: 1.0 - m if np.asarray(m).dtype.kind == "f"
+    else np.logical_not(m),  # an undecided (NaN) row stays undecided
 }
 
 

@@ -19,8 +19,8 @@ is evaluated, even where another one already empties the set.
 The same rule also runs on numpy arrays of nodes
 (:func:`_reduce_arrays`), for the reduction table here and for the
 derivative scan in :mod:`incred.derivative`; the pointwise functions
-remain the reference they are tested against and that :func:`_fill`
-falls back to, one chunk at a time.
+remain the reference they are tested against, and :func:`_fill` runs
+them on the rows the arrays flag.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import expr
-from .errors import ArrayHazard, DimensionMismatchError, SchemaError
+from .errors import DimensionMismatchError, SchemaError
 from .intervals import Interval, IntervalBox, direction_axes
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -114,43 +114,36 @@ def _chunks(count: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK, count))
 
 
-def _fill(count: int, arrays: Callable[[slice], None],
+def _fill(count: int, arrays: Callable[[slice], np.ndarray],
           pointwise: Callable[[int], None]) -> None:
     """Fill ``count`` rows: ``arrays(rows)`` on each :func:`_chunks` slice
-    in order, and ``pointwise(r)`` on each row of a slice whose array
-    fill raises :class:`ArrayHazard`.
-
-    ``arrays`` writes its slice only once nothing in it can raise, and
-    ``pointwise`` is the reference. A slice that passes the array fill
-    never raises pointwise, so the first error raised is the first error
-    of an all-pointwise fill, and the columns carry the same bits.
+    in order writes the slice and returns the mask of rows it may not
+    reproduce; ``pointwise(r)``, the reference, then rewrites every column
+    of each flagged row, in order. Every row whose pointwise fill could
+    raise is flagged, so the first error raised is the first error of an
+    all-pointwise fill, and the columns carry the same bits.
     """
     with np.errstate(all="ignore"):
         for rows in _chunks(count):
-            try:
-                arrays(rows)
-            except ArrayHazard:
-                for r in range(rows.start, rows.stop):
-                    pointwise(r)
+            for r in (np.flatnonzero(arrays(rows)) + rows.start).tolist():
+                pointwise(r)
 
 
 def _columns(nodes: Sequence, count: int, env_arrays: Callable,
              env: Callable) -> np.ndarray:
-    """``(len(nodes), count)``: the scalar expressions on ``env_arrays(rows)``
-    by :func:`_fill`; a batch with a hazard or a non-finite value is
-    refilled on ``env(r)`` by the scalar closures."""
+    """``(len(nodes), count)``: the scalar expressions by :func:`_fill`.
+    ``env_arrays(rows)`` gives a chunk's environment and its bad rows; a
+    bad row or one with a non-finite value is refilled on ``env(r)`` by
+    the scalar closures."""
     out = np.empty((len(nodes), count))
     array_fns = [expr.compile_scalar_array(e) for e in nodes]
     scalar_fns = []  # compiled on the first pointwise row
 
     def arrays(rows):
-        block = np.empty((len(nodes), rows.stop - rows.start))
-        batch_env = env_arrays(rows)
+        batch_env, bad = env_arrays(rows)
         for k, fn in enumerate(array_fns):
-            block[k] = fn(batch_env)
-        if not np.isfinite(block).all():
-            raise ArrayHazard
-        out[:, rows] = block
+            out[k, rows] = fn(batch_env)
+        return bad | ~np.isfinite(out[:, rows]).all(axis=0)
 
     def pointwise(r):
         if not scalar_fns:
@@ -174,32 +167,32 @@ def _node_array(nodes, n: int) -> np.ndarray:
 
 
 def _gradient_arrays(f: RegularFunctionSpec, batch, t):
-    """Declared gradient endpoint arrays; an empty piece is a hazard."""
-    lo, hi, empty = f.gradient.value_arrays(batch, t)
-    if empty.any():
-        raise ArrayHazard
-    return lo, hi
+    """Declared gradient endpoint arrays and the bad rows: those of
+    :meth:`~PiecewiseBoxMap.value_arrays`, and an empty piece."""
+    lo, hi, empty, bad = f.gradient.value_arrays(batch, t)
+    return lo, hi, bad | empty
 
 
-def _reduce_arrays(lo, hi, empty, reducers, batch, t):
+def _reduce_arrays(lo, hi, empty, bad, reducers, batch, t):
     """Array form of :func:`_reduce`.
 
-    ``lo``, ``hi`` (``(n, rows)``) and ``empty`` are the inclusion value
-    on the batch. The state axes some reducer's gradient moves along are
-    pinched to 0 together; a row is emptied where a pinched axis excludes
-    0 or some gradient's time axis moves. Returns the reduced ``(lo, hi,
-    empty)``, whose endpoints mean nothing on empty rows, and the mask of
-    pinched state axes.
+    ``lo``, ``hi`` (``(n, rows)``), ``empty`` and ``bad`` are the
+    inclusion value on the batch. The state axes some reducer's gradient
+    moves along are pinched to 0 together; a row is emptied where a
+    pinched axis excludes 0 or some gradient's time axis moves. Returns
+    the reduced ``(lo, hi, empty)`` (endpoints mean nothing on empty
+    rows), the pinched-axes mask, and ``bad`` | the reducers' bad rows.
     """
     constrained = np.zeros(lo.shape, dtype=bool)
     for u in reducers:
-        g_lo, g_hi = _gradient_arrays(u, batch, t)
+        g_lo, g_hi, g_bad = _gradient_arrays(u, batch, t)
         moving = g_lo != g_hi
         constrained |= moving[:-1]
         empty = empty | moving[-1]
+        bad = bad | g_bad
     empty = empty | (constrained & ~((lo <= 0.0) & (0.0 <= hi))).any(axis=0)
     return (np.where(constrained, 0.0, lo), np.where(constrained, 0.0, hi),
-            empty, constrained)
+            empty, constrained, bad)
 
 
 @dataclass(frozen=True)
@@ -350,9 +343,9 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
     ``nodes`` is an ``(N, n)`` array-like of points, and ``t`` one time or
     an ``(N,)`` array-like of one time per node. Nodes are evaluated
     as numpy arrays in batches of ``_CHUNK``, the inclusion and each
-    reducer gradient once per batch; a batch that meets a hazard (see
-    :class:`ArrayHazard`) is refilled node by node by the pointwise
-    reference, which raises exactly the errors the pointwise API raises.
+    reducer gradient once per batch; the nodes the arrays flag (see
+    :func:`_fill`) are refilled one by one by the pointwise reference,
+    which raises exactly the errors the pointwise API raises.
     """
     pts = _node_array(nodes, inclusion.n_in)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
@@ -369,32 +362,31 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
              and all(u.n == n and u.regular for u in reducers))
 
     def arrays(rows):
-        if not ready:
-            raise ArrayHazard  # the pointwise rows raise the matching error
+        if not ready:  # the pointwise rows raise the matching error
+            return np.ones(rows.stop - rows.start, dtype=bool)
         batch, t_rows = axes[:, rows], t[rows] if np.ndim(t) else t
-        b_lo, b_hi, b_empty = inclusion.value_arrays(batch, t_rows)
-        r_lo, r_hi, r_empty, r_axes = _reduce_arrays(
-            b_lo, b_hi, b_empty, reducers, batch, t_rows)
+        b_lo, b_hi, b_empty, b_bad = inclusion.value_arrays(batch, t_rows)
+        r_lo, r_hi, r_empty, r_axes, bad = _reduce_arrays(
+            b_lo, b_hi, b_empty, b_bad, reducers, batch, t_rows)
         base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
         base_empty[rows] = b_empty
         lo[:, rows] = np.where(r_empty, 0.0, r_lo)
         hi[:, rows] = np.where(r_empty, 0.0, r_hi)
         empty[rows] = r_empty
         constrained[:, rows] = r_axes
+        return bad
 
     def pointwise(b):
         # the inclusion and each reducer gradient once per node
         x, t_b = pts[b].tolist(), float(t[b]) if np.ndim(t) else t
         rv = _reduce(eval_map(inclusion, x, t_b), reducers, x, t_b)
-        constrained[[i - 1 for i in rv.constrained_axes], b] = True
+        constrained[:, b] = [i in rv.constrained_axes for i in range(1, n + 1)]
         for box, box_lo, box_hi, box_empty in (
                 (rv.base, base_lo, base_hi, base_empty),
                 (rv.result, lo, hi, empty)):
-            if box.is_empty:
-                box_empty[b] = True
-            else:
-                box_lo[:, b] = box.lo_corner()
-                box_hi[:, b] = box.hi_corner()
+            box_empty[b] = box.is_empty
+            box_lo[:, b] = 0.0 if box.is_empty else box.lo_corner()
+            box_hi[:, b] = 0.0 if box.is_empty else box.hi_corner()
 
     _fill(len(pts), arrays, pointwise)
     return ReductionTable(pts, t, base_lo, base_hi, base_empty, lo, hi,

@@ -33,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import (ArrayHazard, DimensionMismatchError, DslEvalError,
-                     DslSyntaxError, EmptySetError, SchemaError)
+from .errors import (DimensionMismatchError, DslEvalError, DslSyntaxError,
+                     EmptySetError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
 from .grids import GridSpec
 from .intervals import Annulus, IntervalBox
@@ -123,8 +123,8 @@ class PiecewiseBoxMap:
                 return IntervalBox(values_fn(env))
         raise AssertionError("unreachable: otherwise piece is mandatory")
 
-    def env_arrays(self, cols: Sequence[np.ndarray], t) -> dict:
-        """:meth:`env` with one array of coordinates per state variable.
+    def env_arrays(self, cols: Sequence[np.ndarray], t):
+        """:meth:`env` with an array per axis, and its NaN-parameter rows.
 
         ``t`` is one time, whose parameters the scalar closures evaluate
         once, or an array of one time per row for the array closures.
@@ -134,19 +134,22 @@ class PiecewiseBoxMap:
             self._param_array_fns = _compile_params(self.params,
                                                     expr.compile_scalar_array)
         env = {"t": t} if per_row else self.env((), t)
+        bad = np.zeros(len(cols[0]), dtype=bool)
         for name, fn in self._param_array_fns if per_row else ():
             env[name] = fn(env)
+            bad |= np.isnan(env[name])
         env.update(zip(self._var_names, cols))
-        return env
+        return env, bad
 
     def value_arrays(self, cols: Sequence[np.ndarray], t):
         """:meth:`value` at every row of ``cols`` (one array per axis).
 
-        Returns ``(lo, hi, empty)``: endpoint arrays of shape
-        ``(n_out, rows)`` (zeros on empty rows) and the empty-piece mask.
-        Each guard is tested only on the rows no earlier piece matched,
-        and each piece's sets only on its own rows. Raises
-        :class:`ArrayHazard` when an endpoint is not finite.
+        Returns ``(lo, hi, empty, bad)``: endpoint arrays of shape
+        ``(n_out, rows)`` (zeros on empty rows), the empty-piece mask and
+        the rows to redo pointwise: a NaN parameter, an undecided guard
+        (see :mod:`incred.expr`; it takes its piece) or a non-finite
+        endpoint. Each guard is tested only on the rows no earlier piece
+        matched, and each piece's sets only on its own rows.
         """
         if self._array_compiled is None:
             self._array_compiled = tuple(
@@ -159,9 +162,12 @@ class PiecewiseBoxMap:
         hi = np.zeros((self.n_out, rows))
         empty = np.zeros(rows, dtype=bool)
         left = np.arange(rows)
-        env = self.env_arrays(cols, t)
+        env, bad = self.env_arrays(cols, t)
         for guard_fn, set_fns in self._array_compiled:
             hit = np.broadcast_to(guard_fn(env), left.shape)
+            if hit.dtype.kind == "f":
+                bad[left[np.isnan(hit)]] = True
+                hit = hit != 0.0
             mine = left[hit]
             if set_fns is None:
                 empty[mine] = True
@@ -176,8 +182,8 @@ class PiecewiseBoxMap:
             env = _take(env, ~hit)
             left = left[~hit]
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ArrayHazard
-        return lo, hi, empty
+            bad |= ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0)
+        return lo, hi, empty, bad
 
 
 def _take(env: dict, rows) -> dict:

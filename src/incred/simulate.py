@@ -24,8 +24,8 @@ the candidate against a declared bound, and tail convergence of a
 semidefinite observable. The integrator is sequential and scalar; it
 stores one ``t, x, q, V`` row per step in an array, and the checks run
 as numpy columns over those rows (a reduction table with one time per
-row, and array closures), with the scalar closures redoing any batch
-that meets a hazard. A NaN never passes a check. The CSV is written
+row, and array closures), with the scalar closures redoing each row
+the arrays flag. A NaN never passes a check. The CSV is written
 ``_CHUNK`` rows at a time.
 """
 

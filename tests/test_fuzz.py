@@ -5,9 +5,9 @@ ends in a Python traceback, whose exit code 1 would read as an analysis
 result. Exit 1 comes only with the subcommand's verdict line.
 
 Each case runs twice, with chunks of 3 rows so that one grid mixes
-array-filled and pointwise-refilled chunks: once as it is, and once with
-every fill sending all rows pointwise. The two runs must agree on the
-exit code, stdout, stderr and every report byte.
+array-filled chunks and rows refilled pointwise: once as it is, and once
+with every fill sending all rows pointwise. The two runs must agree on
+the exit code, stdout, stderr and every report byte.
 """
 
 import contextlib
@@ -170,3 +170,39 @@ def test_signed_zero_ties_agree_with_the_pointwise_path(name, tmp_path):
                 "--grid", "5"]
         assert _run(argv, tmp_path / "out", pointwise=False) \
             == _run(argv, tmp_path / "out", pointwise=True)
+
+
+# example2 with a division or an overflowing exp where the array path could
+# lose its NaN: in a max, min, sgn or hull, or in a comparison, which reads
+# a NaN as False. The scalar path raises on the x2 == 0 rows (or the
+# x2 > 0.5 rows), exit 3, except in the last form, whose short circuit
+# saves it.
+HIDDEN_HAZARDS = [
+    ("value", "{max(x1, 1/x2)}", 3),
+    ("value", "{-x1 + sgn(1/x2)}", 3),
+    ("value", "hull(-x1, 1/x2)", 3),
+    ("guard", "min(x1, 1/x2) > 5", 3),
+    ("guard", "1/x2 > 100", 3),
+    ("guard", "x2 > 0.5 and exp(1000*x2) > 1", 3),
+    ("guard", "not (x2 == 0 or 1/x2 < 3)", 0),
+]
+
+
+@pytest.mark.parametrize("where, form, code", HIDDEN_HAZARDS)
+def test_a_hidden_hazard_agrees_with_the_pointwise_path(where, form, code,
+                                                         tmp_path):
+    doc = copy.deepcopy(FIXTURES["example2"])
+    pieces = doc["F"]["pieces"]
+    if where == "value":
+        pieces[0]["value"][0] = form
+    else:
+        pieces.insert(0, {"guard": form,
+                          "value": ["{-x1 + x2}", "{-x1 - x2}"]})
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("reduce", "certify", "deriv"):
+        argv = [command, "-i", str(path), "-o", str(tmp_path / "out"),
+                "--grid", "31"]
+        run = _run(argv, tmp_path / "out", pointwise=False)
+        assert run[0] == code
+        assert run == _run(argv, tmp_path / "out", pointwise=True)

@@ -2,8 +2,8 @@
 
 ``scan_derivative``, ``tabulate_reduction``, the Matrosov Y table and
 the trajectory checks evaluate batches of nodes as numpy arrays through
-``reduction._fill``, which refills a batch that meets a hazard node by
-node with the pointwise reference. These tests compare each public
+``reduction._fill``, which refills the rows the arrays flag one by one
+with the pointwise reference. These tests compare each public
 function with the same call forced through the pointwise rows alone: the
 columns must carry the same bits, and the errors must be the same.
 """
@@ -28,7 +28,6 @@ from incred.certify import (build_matrosov_problem, certify_lyapunov,
                             certify_semidefinite, invariance_data,
                             matrosov_derivative_bounds)
 from incred.cli import main
-from incred.errors import ArrayHazard
 from incred.fixtures import available_fixtures, fixture_path, load_fixture
 from incred.setmaps import (MatrosovData, Piece, PiecewiseBoxMap,
                             RegularFunctionSpec, eval_map)
@@ -54,12 +53,24 @@ def _kind(draw, flat, nested, depth: int) -> str:
     return draw(st.sampled_from(flat + (nested if depth > 0 else ())))
 
 
+def _wrapped_division(draw, var):
+    """``1/var`` bare or inside max, min or sgn, which must keep its NaN."""
+    inv = ex.BinOp("/", ex.Num(1.0), var)
+    return draw(st.sampled_from([inv, ex.Call("sgn", (inv,)),
+                                 ex.Call("max", (X1, inv)),
+                                 ex.Call("min", (inv, X2))]))
+
+
 def _scalar(draw, risky: bool, depth: int = 2, leaves=LEAVES):
-    """A scalar expression; ``risky`` adds divisions by arbitrary terms."""
-    kind = _kind(draw, ("leaf",), ("neg", "unary", "minmax", "arith")
+    """A scalar expression; ``risky`` adds divisions by arbitrary terms and
+    by a grid coordinate, often wrapped (see :func:`_wrapped_division`)."""
+    kind = _kind(draw, ("leaf",) + (("wrapped",) if risky else ()),
+                 ("neg", "unary", "minmax", "arith")
                  + (("div",) if risky else ()), depth)
     if kind == "leaf":  # 1e308 overflows to inf and exp() to a range error
         return draw(st.sampled_from(leaves + [ex.Num(1e308)] * risky))
+    if kind == "wrapped":
+        return _wrapped_division(draw, draw(st.sampled_from([X1, X2])))
     a = _scalar(draw, risky, depth - 1, leaves)
     if kind == "neg":
         return ex.Neg(a)
@@ -73,12 +84,23 @@ def _scalar(draw, risky: bool, depth: int = 2, leaves=LEAVES):
 
 
 def _protected_division(draw):
-    """``x != 0 and 1/x > 1``: the scalar path short-circuits where x is 0,
-    the array path meets a hazard on those rows only."""
+    """A guard whose scalar form short-circuits before it divides by a zero
+    coordinate (``x != 0 and 1/x > 1``, ``x == 0 or ...``, ``not (x == 0
+    or ...)``, the division often wrapped) or before ``exp(1000*x)``
+    overflows (``x < 1 and ...``). The array form flags those rows only."""
     var = draw(st.sampled_from([X1, X2]))
-    return ex.AndGuard((
-        ex.Comparison("!=", var, ex.Num(0.0)),
-        ex.Comparison(">", ex.BinOp("/", ex.Num(1.0), var), ex.Num(1.0))))
+    hazard, kind = _wrapped_division(draw, var), draw(
+        st.sampled_from(["and", "or", "not", "exp"]))
+    if kind == "exp":
+        overflow = ex.Call("exp", (ex.BinOp("*", ex.Num(1e3), var),))
+        return ex.AndGuard((ex.Comparison("<", var, ex.Num(1.0)),
+                            ex.Comparison(">", overflow, ex.Num(1.0))))
+    if kind == "and":
+        return ex.AndGuard((ex.Comparison("!=", var, ex.Num(0.0)),
+                            ex.Comparison(">", hazard, ex.Num(1.0))))
+    unless_zero = ex.OrGuard((ex.Comparison("==", var, ex.Num(0.0)),
+                              ex.Comparison("<", hazard, ex.Num(1.0))))
+    return unless_zero if kind == "or" else ex.NotGuard(unless_zero)
 
 
 def _guard(draw, risky: bool, depth: int = 1):
@@ -124,7 +146,7 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
     """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
 
     Half of the maps, risky or not, start with a piece guarded by a
-    protected division, so that a hazard sits on a few rows only. With
+    protected division, so that flagged rows sit among array rows. With
     three outputs (a gradient) the last axis is time; it is often
     degenerate (when a draw from ``still`` is True), so reducers do not
     always empty the reduced set.
@@ -150,7 +172,7 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
 @st.composite
 def cases(draw):
     """A scan input; half of them free of every pointwise error by design,
-    so that their hazards come from protected divisions alone."""
+    so that their flagged rows come from protected divisions alone."""
     risky = draw(st.booleans())
 
     def function(regular):
@@ -214,8 +236,6 @@ def _bits(columns):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ArrayHazard:
-        raise
     except Exception as e:  # the reference's own error, compared below
         return type(e), str(e)
 
@@ -275,13 +295,15 @@ def test_fixture_scans_take_the_array_path(name, monkeypatch):
     assert fast == slow
 
 
-def test_a_hazard_refills_only_its_own_chunks(tmp_path, monkeypatch):
-    """example2 behind a front piece ``x1 != 0 and 1/x1 > 100``: the array
-    guard divides by x1 on every row, so the rows with x1 == 0 are array
-    hazards, while the scalar guard short-circuits there."""
+@pytest.mark.parametrize("var", ["x1", "x2"])
+def test_a_hazard_refills_only_its_own_rows(var, tmp_path, monkeypatch):
+    """example2 behind a front piece ``x != 0 and 1/x > 100``: the array
+    guard divides by x on every row, so it flags the rows with x == 0,
+    while the scalar guard short-circuits there. The x1 == 0 rows fill a
+    few chunks of 16, the x2 == 0 rows sit in every chunk."""
     with open(fixture_path("example2"), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["F"]["pieces"].insert(0, {"guard": "x1 != 0 and 1/x1 > 100",
+    doc["F"]["pieces"].insert(0, {"guard": f"{var} != 0 and 1/{var} > 100",
                                   "value": ["{-x1 + x2}", "{-x1 - x2}"]})
     path = tmp_path / "cliff.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -289,8 +311,11 @@ def test_a_hazard_refills_only_its_own_chunks(tmp_path, monkeypatch):
     system = load_fixture("example2")
     nodes = system.require_grid().with_uniform_counts(11).nodes(
         system.domain).tolist()
-    zero_chunks = {k // 16 for k, x in enumerate(nodes) if x[0] == 0.0}
-    assert len(nodes) // 16 > len(zero_chunks) > 0
+    axis = int(var[1:]) - 1
+    zero_rows = {k for k, x in enumerate(nodes) if x[axis] == 0.0}
+    chunks, zero_chunks = -(-len(nodes) // 16), {k // 16 for k in zero_rows}
+    assert len(zero_chunks) == chunks if var == "x2" \
+        else 0 < len(zero_chunks) < chunks
 
     def reports(command, label):
         out = tmp_path / f"{command}-{label}"
@@ -309,8 +334,8 @@ def test_a_hazard_refills_only_its_own_chunks(tmp_path, monkeypatch):
                 seen.append(list(x)), value(m, x, t))[1])
             mixed = reports(command, "mixed")
         assert mixed == forced
-        assert seen  # the hazard rows ran pointwise, and nothing else did
-        assert {nodes.index(x) // 16 for x in seen} == zero_chunks
+        # the flagged rows ran pointwise, and nothing else did
+        assert {nodes.index(x) for x in seen} == zero_rows
 
 
 # --- the reduction table ---------------------------------------------------
