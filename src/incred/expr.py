@@ -46,9 +46,9 @@ endpoint arrays and a guard to a mask. Every row gets the bits the
 scalar closure gives it: ``max``/``min``/``hull`` keep Python's
 first-argument rule on ties and signed zeros, and ``exp``/``sin``/``cos``
 go element by element through :mod:`math`. ``and``/``or`` do not short
-circuit. Where a scalar closure could raise, the row gets NaN, which
-``max``/``min``/``sgn``/``hull`` keep; a comparison that reads it leaves
-the row undecided (mask 1.0/0.0, NaN there) for the scalar closures.
+circuit. Where a scalar closure could raise, the row gets NaN, which the
+array ``max``/``min``/``sgn``/``sgn1``/``hull`` keep, and a comparison on
+a ``_POISONS`` call leaves it undecided (mask 1.0/0.0, NaN on that row).
 """
 
 from __future__ import annotations
@@ -547,10 +547,6 @@ def _set_code(node: SetExpr) -> str:
     raise TypeError(f"not a set expression: {node!r}")
 
 
-# the calls whose array code gives a row NaN where the scalar code raises
-_POISONS = re.compile(r"_(div|exp|sin|cos)\(")
-
-
 def _guard_code(node: GuardExpr, masks: bool = False) -> str:
     """Guard code with ``and/or/not``, or mask code (see ``_ARRAY_NS``)."""
     if isinstance(node, TrueGuard):
@@ -697,6 +693,8 @@ _ARRAY_NS = {
     "_not": lambda m: 1.0 - m if np.asarray(m).dtype.kind == "f"
     else np.logical_not(m),  # an undecided (NaN) row stays undecided
 }
+# the calls whose array form can give a row a NaN that the scalar code lacks
+_POISONS = re.compile(r"_(div|exp|sin|cos|max|min|sgn|sgn1)\(")
 
 
 def compile_scalar_array(node: ScalarExpr) -> Callable:

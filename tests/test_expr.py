@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import re
@@ -74,7 +75,6 @@ class TestScalar:
         with np.errstate(all="ignore"):
             value = ex.compile_scalar_array(node)({"x1": np.array([x1])})
         assert np.isnan(value).tolist() == [True]
-
 
     def test_overflowing_literal_is_inf(self):
         node = ex.parse_scalar("1e999 - x1")
@@ -197,6 +197,41 @@ class TestGuard:
     def test_division_error_propagates(self):
         with pytest.raises(DslEvalError):
             evguard("1/x1 > 0", x1=0.0)
+
+    @pytest.mark.parametrize("src", ["sgn(x2*1e999) < 0",
+                                     "sgn1(x2*1e999) < 0",
+                                     "max(x1, x2*1e999) > 0",
+                                     "min(x1, x2*1e999) < 5"])
+    def test_a_dropped_nan_leaves_the_row_undecided(self, src):
+        # 0*1e999 is NaN on both paths; the scalar sgn, sgn1, max and min
+        # drop it and take the piece, the array ones keep it
+        assert evguard(src, x1=1.0, x2=0.0)
+        env = {"x1": np.ones(2), "x2": np.array([0.0, 1.0])}
+        with np.errstate(all="ignore"):
+            mask = ex.compile_guard_array(ex.parse_guard(src))(env)
+        assert np.isnan(mask).tolist() == [True, False]
+
+    @pytest.mark.parametrize("name", ["abs", "max", "min", "sgn", "sgn1",
+                                      "exp", "sin", "cos", "div"])
+    def test_poisons_are_the_calls_that_can_disagree(self, name):
+        """A comparison reads a call through ``_cmp`` (NaN rows undecided)
+        exactly when the call's scalar code raises, or gives other bits
+        than its array code, on some row."""
+        scalar, array = ex._COMPILE_NS[f"_{name}"], ex._ARRAY_NS[f"_{name}"]
+        edges = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-301, 0.5,
+                 1.0, -1.0, 1e3)
+        agree = True
+        for args in itertools.product(edges, repeat=2 if name in
+                                      ("max", "min", "div") else 1):
+            try:
+                want = scalar(*args)
+            except DslEvalError:
+                agree = False
+                continue
+            with np.errstate(all="ignore"):
+                got = array(*(np.array([a]) for a in args))
+            agree &= repr(float(got[0])) == repr(want)
+        assert bool(ex._POISONS.search(f"_{name}(")) is not agree
 
 
 # --- round-trip corpus ---------------------------------------------------

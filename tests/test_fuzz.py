@@ -175,8 +175,9 @@ def test_signed_zero_ties_agree_with_the_pointwise_path(name, tmp_path):
 # example2 with a division or an overflowing exp where the array path could
 # lose its NaN: in a max, min, sgn or hull, or in a comparison, which reads
 # a NaN as False. The scalar path raises on the x2 == 0 rows (or the
-# x2 > 0.5 rows), exit 3, except in the last form, whose short circuit
-# saves it.
+# x2 > 0.5 rows), exit 3, except in the short-circuit form. In the last two
+# forms 0*1e999 is NaN on both paths, but the scalar sgn and max drop it
+# and take the front piece there, exit 0.
 HIDDEN_HAZARDS = [
     ("value", "{max(x1, 1/x2)}", 3),
     ("value", "{-x1 + sgn(1/x2)}", 3),
@@ -185,6 +186,8 @@ HIDDEN_HAZARDS = [
     ("guard", "1/x2 > 100", 3),
     ("guard", "x2 > 0.5 and exp(1000*x2) > 1", 3),
     ("guard", "not (x2 == 0 or 1/x2 < 3)", 0),
+    ("guard", "sgn(x2*1e999) < 0", 0),
+    ("guard", "max(x1, x2*1e999) > 0", 0),
 ]
 
 

@@ -53,24 +53,29 @@ def _kind(draw, flat, nested, depth: int) -> str:
     return draw(st.sampled_from(flat + (nested if depth > 0 else ())))
 
 
-def _wrapped_division(draw, var):
-    """``1/var`` bare or inside max, min or sgn, which must keep its NaN."""
-    inv = ex.BinOp("/", ex.Num(1.0), var)
-    return draw(st.sampled_from([inv, ex.Call("sgn", (inv,)),
-                                 ex.Call("max", (X1, inv)),
-                                 ex.Call("min", (inv, X2))]))
+def _wrapped_hazard(draw, var, kinds=("div", "nan")):
+    """``1/var`` (the scalar code raises at ``var == 0``) or ``var*1e999``
+    (NaN there on both paths), bare or inside max, min, sgn or sgn1,
+    which must keep its NaN where the scalar code drops it."""
+    hazard = ex.BinOp("/", ex.Num(1.0), var) \
+        if draw(st.sampled_from(kinds)) == "div" \
+        else ex.BinOp("*", var, ex.Num(math.inf))
+    return draw(st.sampled_from([hazard, ex.Call("sgn", (hazard,)),
+                                 ex.Call("sgn1", (hazard,)),
+                                 ex.Call("max", (X1, hazard)),
+                                 ex.Call("min", (hazard, X2))]))
 
 
 def _scalar(draw, risky: bool, depth: int = 2, leaves=LEAVES):
     """A scalar expression; ``risky`` adds divisions by arbitrary terms and
-    by a grid coordinate, often wrapped (see :func:`_wrapped_division`)."""
+    the hazards of :func:`_wrapped_hazard` at a zero grid coordinate."""
     kind = _kind(draw, ("leaf",) + (("wrapped",) if risky else ()),
                  ("neg", "unary", "minmax", "arith")
                  + (("div",) if risky else ()), depth)
     if kind == "leaf":  # 1e308 overflows to inf and exp() to a range error
         return draw(st.sampled_from(leaves + [ex.Num(1e308)] * risky))
     if kind == "wrapped":
-        return _wrapped_division(draw, draw(st.sampled_from([X1, X2])))
+        return _wrapped_hazard(draw, draw(st.sampled_from([X1, X2])))
     a = _scalar(draw, risky, depth - 1, leaves)
     if kind == "neg":
         return ex.Neg(a)
@@ -83,14 +88,19 @@ def _scalar(draw, risky: bool, depth: int = 2, leaves=LEAVES):
     return ex.BinOp(op, a, b)
 
 
-def _protected_division(draw):
-    """A guard whose scalar form short-circuits before it divides by a zero
-    coordinate (``x != 0 and 1/x > 1``, ``x == 0 or ...``, ``not (x == 0
-    or ...)``, the division often wrapped) or before ``exp(1000*x)``
-    overflows (``x < 1 and ...``). The array form flags those rows only."""
-    var = draw(st.sampled_from([X1, X2]))
-    hazard, kind = _wrapped_division(draw, var), draw(
-        st.sampled_from(["and", "or", "not", "exp"]))
+def _hazard_guard(draw):
+    """A guard whose scalar form short-circuits before the hazard of
+    :func:`_wrapped_hazard` at a zero coordinate (``x != 0 and h > 1``,
+    ``x == 0 or h < 1``, ``not (x == 0 or h < 1)``) or before
+    ``exp(1000*x)`` overflows (``x < 1 and ...``), or that compares an
+    unprotected ``x*1e999`` hazard, which raises on neither path, with 0.
+    The array form flags those rows only."""
+    var, kind = draw(st.sampled_from([X1, X2])), draw(
+        st.sampled_from(["and", "or", "not", "exp", "nan"]))
+    hazard = _wrapped_hazard(draw, var, ("nan",) if kind == "nan"
+                             else ("div", "nan"))
+    if kind == "nan":
+        return ex.Comparison(draw(st.sampled_from(CMP)), hazard, ex.Num(0.0))
     if kind == "exp":
         overflow = ex.Call("exp", (ex.BinOp("*", ex.Num(1e3), var),))
         return ex.AndGuard((ex.Comparison("<", var, ex.Num(1.0)),
@@ -105,7 +115,7 @@ def _protected_division(draw):
 
 def _guard(draw, risky: bool, depth: int = 1):
     kind = _kind(draw, ("surface", "compare")
-                 + (("protected-division",) if risky else ()),
+                 + (("hazard-guard",) if risky else ()),
                  ("not", "and", "or"), depth)
     if kind == "surface":  # exact comparisons hit by grid nodes
         var = draw(st.sampled_from([X1, X2]))
@@ -115,8 +125,8 @@ def _guard(draw, risky: bool, depth: int = 1):
     if kind == "compare":
         return ex.Comparison(draw(st.sampled_from(CMP)),
                              _scalar(draw, risky), _scalar(draw, risky))
-    if kind == "protected-division":
-        return _protected_division(draw)
+    if kind == "hazard-guard":
+        return _hazard_guard(draw)
     if kind == "not":
         return ex.NotGuard(_guard(draw, risky, depth - 1))
     terms = (_guard(draw, risky, depth - 1), _guard(draw, risky, depth - 1))
@@ -145,8 +155,8 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
                still=(True, False)):
     """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
 
-    Half of the maps, risky or not, start with a piece guarded by a
-    protected division, so that flagged rows sit among array rows. With
+    Half of the maps, risky or not, start with a piece guarded by
+    :func:`_hazard_guard`, so that flagged rows sit among array rows. With
     three outputs (a gradient) the last axis is time; it is often
     degenerate (when a draw from ``still`` is True), so reducers do not
     always empty the reduced set.
@@ -164,7 +174,7 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
         pieces.append(Piece(_guard(draw, risky),
                             None if empty else values()))
     if draw(st.booleans()):
-        pieces.insert(0, Piece(_protected_division(draw), values()))
+        pieces.insert(0, Piece(_hazard_guard(draw), values()))
     pieces.append(Piece(ex.TrueGuard(), values()))
     return PiecewiseBoxMap(2, n_out, pieces, PARAMS)
 
@@ -172,7 +182,7 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
 @st.composite
 def cases(draw):
     """A scan input; half of them free of every pointwise error by design,
-    so that their flagged rows come from protected divisions alone."""
+    so that their flagged rows come from hazard guards alone."""
     risky = draw(st.booleans())
 
     def function(regular):
