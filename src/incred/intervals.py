@@ -45,9 +45,9 @@ class Interval:
     def __init__(self, lo: float, hi: float):
         lo = float(lo)
         hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if lo > hi:
+        if not lo <= hi:  # a NaN endpoint, or inverted ones
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("interval endpoints must not be NaN")
             raise ValueError(f"inverted interval endpoints [{lo}, {hi}]")
         self._lo = lo
         self._hi = hi

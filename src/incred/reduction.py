@@ -32,7 +32,7 @@ import numpy as np
 
 from . import expr
 from .errors import DimensionMismatchError, SchemaError
-from .intervals import Interval, IntervalBox, direction_axes
+from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
 
@@ -81,25 +81,37 @@ def reduce_collection(inclusion: PiecewiseBoxMap,
 
 def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
             x: Sequence[float], t: float) -> ReducedValue:
-    """``base``, the inclusion value at (x, t), pinched once on the union
-    of the state axes the reducers' gradients move along. Each reducer is
-    checked to be regular and its gradient evaluated, in order."""
-    axes, time_obstruction = frozenset(), False
+    """:func:`_pinch` of ``base``, the inclusion value at (x, t)."""
+    result, pinched, obstructed = _pinch(
+        None if base.is_empty else base.axes, base.dims, reducers,
+        lambda u: eval_gradient(u, x, t).axes)
+    return ReducedValue(base, frozenset(pinched), IntervalBox.empty(
+        base.dims) if result is None else IntervalBox(result), obstructed)
+
+
+def _pinch(base: tuple[Interval, ...] | None, dims: int,
+           reducers: Sequence[RegularFunctionSpec], gradient: Callable):
+    """The one reduction rule: ``base``, an inclusion value's ``dims`` axes
+    (None if empty), pinched to {0} on the state axes that each regular
+    reducer's ``gradient(u)``, in order, moves along; and the axes pinched."""
+    pinched, time_obstruction = set(), False
     for u in reducers:
         if not u.regular:
             raise SchemaError(
                 f"{u.name}: reduction requires a regular function")
-        moving = direction_axes(eval_gradient(u, x, t))
-        time_obstruction |= u.n + 1 in moving
-        axes |= moving
-    constrained = frozenset(i for i in axes if i <= base.dims)
-    if time_obstruction or base.is_empty or not all(
-            base.axis(i).contains(0.0) for i in constrained):
-        result = IntervalBox.empty(base.dims)
-    else:
-        result = IntervalBox(Interval.point(0.0) if i in constrained else axis
-                             for i, axis in enumerate(base.axes, start=1))
-    return ReducedValue(base, constrained, result, time_obstruction)
+        for i, axis in enumerate(gradient(u), start=1):
+            if not axis.is_degenerate:  # a direction the gradient moves in
+                time_obstruction |= i == u.n + 1
+                if i <= dims:
+                    pinched.add(i)
+    if time_obstruction or base is None:
+        return None, pinched, time_obstruction
+    result = list(base)
+    for i in pinched:
+        if not result[i - 1].contains(0.0):
+            return None, pinched, time_obstruction
+        result[i - 1] = Interval.point(0.0)
+    return result, pinched, time_obstruction
 
 
 # Nodes per numpy batch in the array evaluators (here and in

@@ -37,7 +37,7 @@ from .errors import (DimensionMismatchError, DslEvalError, DslSyntaxError,
                      EmptySetError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
 from .grids import GridSpec
-from .intervals import Annulus, IntervalBox
+from .intervals import Annulus, Interval, IntervalBox
 
 __all__ = [
     "Piece", "PiecewiseBoxMap", "RegularFunctionSpec", "MatrosovData",
@@ -65,8 +65,8 @@ class PiecewiseBoxMap:
     """Ordered guarded pieces mapping ``(x, t)`` to a box in ``R^n_out``."""
 
     __slots__ = ("n_in", "n_out", "pieces", "params", "time_dependent",
-                 "_var_names", "_param_fns", "_compiled", "_array_compiled",
-                 "_param_array_fns")
+                 "_var_names", "_param_fns", "_first", "_sets",
+                 "_array_compiled", "_param_array_fns")
 
     def __init__(self, n_in: int, n_out: int, pieces: Sequence[Piece],
                  params: ParamTable = ()):
@@ -89,11 +89,13 @@ class PiecewiseBoxMap:
         self.params = params
         self._var_names = tuple(f"x{i+1}" for i in range(n_in))
         self._param_fns = _compile_params(params)
-        self._compiled = tuple(
-            (expr.compile_guard(p.guard),
-             None if p.values is None
-             else expr.compile_sets(p.values))
-            for p in pieces)
+        exec("def first(_e):\n" + "".join(  # the first piece whose guard holds
+            f" if {expr._guard_code(p.guard)}: return {k}\n"
+            for k, p in enumerate(pieces[:-1]))
+            + f" return {len(pieces) - 1}", chain := dict(expr._COMPILE_NS))
+        self._first = chain["first"]
+        self._sets = tuple(None if p.values is None
+                           else expr.compile_sets(p.values) for p in pieces)
         self._array_compiled = self._param_array_fns = None
         used = set()
         for p in pieces:
@@ -115,13 +117,14 @@ class PiecewiseBoxMap:
         if len(x) != self.n_in:
             raise DimensionMismatchError(
                 f"point has {len(x)} coordinates, map expects {self.n_in}")
-        env = self.env(x, t)
-        for guard_fn, values_fn in self._compiled:
-            if guard_fn(env):
-                if values_fn is None:
-                    return IntervalBox.empty(self.n_out)
-                return IntervalBox(values_fn(env))
-        raise AssertionError("unreachable: otherwise piece is mandatory")
+        spans = self.spans(self.env(x, t))
+        return IntervalBox.empty(self.n_out) if spans is None \
+            else IntervalBox(spans)
+
+    def spans(self, env: dict[str, float]) -> tuple[Interval, ...] | None:
+        """:meth:`value`'s axes in the point's :meth:`env`; None if empty."""
+        sets = self._sets[self._first(env)]
+        return None if sets is None else sets(env)
 
     def env_arrays(self, cols: Sequence[np.ndarray], t):
         """:meth:`env` with an array per axis, and its NaN-parameter rows.

@@ -21,12 +21,12 @@ Post-hoc checks turn the structural guarantees into trajectory reports:
 membership of difference quotients in the reduced inclusion (isolated
 guard crossings are budgeted, 1% by default), first-order decrease of
 the candidate against a declared bound, and tail convergence of a
-semidefinite observable. The integrator is sequential and scalar; it
-stores one ``t, x, q, V`` row per step in an array, and the checks run
-as numpy columns over those rows (a reduction table with one time per
-row, and array closures), with the scalar closures redoing each row
-the arrays flag. A NaN never passes a check. The CSV is written
-``_CHUNK`` rows at a time.
+semidefinite observable. The integrator is sequential and scalar: a step
+builds one env per parameter table, reads each map's first matching piece
+as intervals and pinches them by ``reduction._pinch``. The checks run as
+numpy columns over its ``t, x, q, V`` rows (a reduction table with one
+time per row, and array closures), the scalar closures redoing each row
+the arrays flag. A NaN never passes a check. The CSV is written in chunks.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from . import expr
 from .errors import SchemaError, SimulationError
 from .expr import _array_max as _max
 from .grids import check_size
-from .intervals import IntervalBox, contains
-from .reduction import (_chunks, _columns, _reduce, _reprs,
-                        tabulate_reduction)
-from .setmaps import PiecewiseBoxMap, SystemDef, eval_gradient, eval_map
+from .intervals import contains
+from .reduction import _chunks, _columns, _pinch, _reprs, tabulate_reduction
+from .setmaps import PiecewiseBoxMap, SystemDef, eval_gradient
 
 __all__ = [
     "SelectionStrategy", "StepSample", "Trajectory", "integrate",
@@ -104,23 +103,6 @@ class Trajectory:
                           [self.final_x]])
 
 
-def _select(strategy: SelectionStrategy, sys: SystemDef,
-            fbox: IntervalBox, x: Sequence[float], t: float,
-            rng: np.random.Generator | None) -> tuple[float, ...]:
-    if strategy.kind == "midpoint":
-        return fbox.center
-    if strategy.kind == "random-extreme":
-        assert rng is not None
-        return tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
-                     else ax.hi for ax in fbox.axes)
-    # reduced-descent
-    reduced = _reduce(fbox, sys.reducers, x, t).result
-    base = fbox if reduced.is_empty else reduced
-    grad_center = eval_gradient(sys.candidate, x, t).center
-    return tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center
-                 for p, ax in zip(grad_center, base.axes))
-
-
 def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
               horizon: float, strategy: SelectionStrategy) -> Trajectory:
     """Forward-Euler selection integration from ``x0`` up to ``horizon``.
@@ -129,9 +111,12 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
     the domain box. An empty inclusion value at a reached state is a
     modeling error and raises.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise SchemaError("step size h must be positive")
-    if horizon <= t0:
+    for name, value in (("start time t0", t0), ("horizon T", horizon)):
+        if not math.isfinite(value):
+            raise SchemaError(f"{name} must be finite, got {value!r}")
+    if not horizon > t0:
         raise SchemaError("horizon must exceed the start time")
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
@@ -147,16 +132,41 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
     rng = (np.random.default_rng(strategy.seed)
            if strategy.kind == "random-extreme" else None)
 
+    F, V, kind = sys.inclusion, sys.candidate, strategy.kind
+    keys: dict = {}  # a step builds one env per (n_in, params) in use
+    slot = {m: keys.setdefault((m.n_in, m.params), len(keys))
+            for m in (F, V.gradient, *(u.gradient for u in sys.reducers))}
+
+    def env(m: PiecewiseBoxMap) -> dict:
+        i = slot[m]
+        if envs[i] is None:  # m.value raises a wrong dimension's error
+            envs[i] = (m.env if m.n_in == sys.n else m.value)(x, t)
+        return envs[i]
+
+    def gradient(u) -> tuple:  # eval_gradient raises on an empty piece
+        axes = u.gradient.spans(env(u.gradient))
+        return eval_gradient(u, x, t).axes if axes is None else axes
+
     flat: list[float] = []  # the rows, one after another
     for k in range(n_steps):
-        t = t0 + k * h
-        fbox = eval_map(sys.inclusion, x, t)
-        if fbox.is_empty:
+        t, envs = t0 + k * h, [None] * len(keys)
+        f = F.spans(env(F))
+        if f is None:
             raise SimulationError(
                 f"inclusion is empty at x={x}, t={t}; cannot select a "
                 "velocity (modeling error)")
-        q = _select(strategy, sys, fbox, x, t, rng)
-        flat.extend((t, *x, *q, sys.candidate.value_at(x, t)))
+        if kind == "midpoint":
+            q = tuple(ax.center for ax in f)
+        elif kind == "random-extreme":
+            q = tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
+                      else ax.hi for ax in f)
+        else:  # reduced-descent: the reduced set, or F where it is empty
+            base = _pinch(f, len(f), sys.reducers, gradient)[0] or f
+            q = tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center
+                      for p, ax in zip([g.center for g in gradient(V)],
+                                       base))
+        v = V._value_fn(envs[slot[V.gradient]] or V.gradient.env(x, t))
+        flat.extend((t, *x, *q, v))  # v is V.value_at(x, t)
         x = tuple(xi + h * qi for xi, qi in zip(x, q))
         t = t0 + (k + 1) * h
         if not contains(sys.domain, x):

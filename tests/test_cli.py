@@ -135,8 +135,8 @@ class TestExitCodes:
     ], ids=["reduce", "certify", "matrosov", "simulate"])
     def test_oversized_run_exits_three(self, tmp_path, capsys, monkeypatch,
                                        name, argv, named):
-        import incred.simulate
         from incred.grids import GridSpec
+        from incred.setmaps import PiecewiseBoxMap
 
         axis_nodes = GridSpec.axis_nodes
 
@@ -150,7 +150,7 @@ class TestExitCodes:
             raise AssertionError("simulation started")
 
         monkeypatch.setattr(GridSpec, "axis_nodes", small_axes)
-        monkeypatch.setattr(incred.simulate, "eval_map", no_step)
+        monkeypatch.setattr(PiecewiseBoxMap, "spans", no_step)
         code = run(argv[0], "-i", fixture_path(name), "-o", str(tmp_path),
                    *argv[1:])
         err = capsys.readouterr().err

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import incred.expr as ex
-from incred.errors import (DimensionMismatchError, DslSyntaxError,
-                           EmptySetError, SchemaError)
+from incred.errors import (DimensionMismatchError, DslEvalError,
+                           DslSyntaxError, EmptySetError, SchemaError)
 from incred.intervals import Interval, IntervalBox
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             eval_gradient, eval_map, system_from_dict,
@@ -55,6 +57,35 @@ class TestPiecewiseBoxMap:
     def test_component_count_checked(self):
         with pytest.raises(SchemaError):
             PiecewiseBoxMap(2, 2, _pieces(("otherwise", ["{0}"])))
+
+    def test_guard_chain_stops_at_the_first_match(self):
+        m = PiecewiseBoxMap(1, 1, _pieces(
+            ("x1 == 0", ["{1}"]),
+            ("1/x1 > 0", ["{2}"]),  # would divide by zero at x1 == 0
+            ("otherwise", ["{3}"]),
+        ))
+        assert eval_map(m, (0.0,), 0.0) == IntervalBox.point((1.0,))
+        assert eval_map(m, (-1.0,), 0.0) == IntervalBox.point((3.0,))
+
+    def test_guard_chain_raises_the_guard_error(self):
+        guard = "1/x1 > 0"
+        m = PiecewiseBoxMap(1, 1, _pieces(
+            ("x1 > 0", ["{1}"]), (guard, ["{2}"]), ("otherwise", ["{3}"])))
+        with pytest.raises(DslEvalError) as expected:
+            ex.compile_guard(ex.parse_guard(guard))({"x1": 0.0, "t": 0.0})
+        with pytest.raises(DslEvalError,
+                           match=f"^{re.escape(str(expected.value))}$"):
+            eval_map(m, (0.0,), 0.0)
+
+    def test_nan_endpoint_names_the_first_nan_set_of_its_piece(self):
+        nan = "{x1*1e999 - 1e999}"  # NaN at x1 == 1 only
+        m = PiecewiseBoxMap(1, 3, _pieces(
+            ("x1 < 0", ["{0}", "{0}", "{0}"]),
+            ("otherwise", ["{x1}", nan, "{(1e308*10) - (1e308*10)}"])))
+        message = (f"set expression {ex.pretty_set(ex.parse_set(nan))} has "
+                   "a NaN endpoint at x=(1.0,), t=0.0")
+        with pytest.raises(DslEvalError, match=f"^{re.escape(message)}$"):
+            eval_map(m, (1.0,), 0.0)
 
     def test_dimension_mismatch_at_eval(self):
         m = PiecewiseBoxMap(2, 2, _pieces(("otherwise", ["{0}", "{0}"])))

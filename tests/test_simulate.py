@@ -1,15 +1,28 @@
 import math
+import re
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import incred.expr as ex
+import incred.reduction as red
+from incred.cli import main
 from incred.errors import SchemaError, SimulationError
-from incred.intervals import contains
-from incred.setmaps import eval_map, system_from_dict
-from incred.simulate import (SelectionStrategy, check_lyapunov_descent,
+from incred.fixtures import fixture_path
+from incred.intervals import IntervalBox, contains
+from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
+                            SystemDef, eval_gradient, eval_map,
+                            system_from_dict)
+from incred.simulate import (SelectionStrategy, Trajectory,
+                             check_lyapunov_descent,
                              check_partial_convergence,
                              check_reduction_membership, integrate,
                              trajectory_csv)
+
+from test_scan import COORDS, _outcome, _piecewise, _scalar
 
 
 def test_strategy_kinds_validated():
@@ -32,6 +45,29 @@ class TestIntegratePreconditions:
         with pytest.raises(SimulationError):
             integrate(example2, (5.0, 0.0), 0.0, 1e-3, 1.0,
                       SelectionStrategy())
+
+    @pytest.mark.parametrize("t0, h, horizon, message", [
+        (0.0, math.nan, 1.0, "step size h must be positive"),
+        (math.nan, 1e-3, 1.0, "start time t0 must be finite, got nan"),
+        (0.0, 1e-3, math.nan, "horizon T must be finite, got nan"),
+        (-math.inf, 1e-3, 1.0, "start time t0 must be finite, got -inf"),
+        (0.0, 1e-3, math.inf, "horizon T must be finite, got inf"),
+    ])
+    def test_nonfinite_argument_is_named(self, example2, t0, h, horizon,
+                                         message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            integrate(example2, (0.5, 0.5), t0, h, horizon,
+                      SelectionStrategy())
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--h=nan", "step size h must be positive"),
+        ("--T=nan", "horizon T must be finite, got nan"),
+        ("--t0=nan", "start time t0 must be finite, got nan")])
+    def test_nan_argument_exits_three(self, tmp_path, capsys, flag, message):
+        code = main(["simulate", "-i", str(fixture_path("example3")), flag,
+                     "-o", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestIntegrate:
@@ -264,3 +300,101 @@ def test_csv_layout(trivial_zero):
     assert lines[0] == "t,x1,x2,q1,q2,V"
     assert len(lines) == 1 + len(traj.steps) + 1
     assert lines[-1].split(",")[3] == ""  # no selection on the final row
+
+
+# --- the integrator against its former per-step loop ----------------------
+
+def _boxed_integrate(system, x0, t0, h, horizon, strategy):
+    """The reference: the integrator's loop on boxes, one environment per
+    evaluation (eval_map, then _reduce, eval_gradient and the selection),
+    for arguments that pass integrate's checks."""
+    rng = (np.random.default_rng(strategy.seed)
+           if strategy.kind == "random-extreme" else None)
+    x, flat = tuple(x0), []
+    for k in range(int(round((horizon - t0) / h))):
+        t = t0 + k * h
+        fbox = eval_map(system.inclusion, x, t)
+        if fbox.is_empty:
+            raise SimulationError(
+                f"inclusion is empty at x={x}, t={t}; cannot select a "
+                "velocity (modeling error)")
+        if strategy.kind == "midpoint":
+            q = fbox.center
+        elif strategy.kind == "random-extreme":
+            q = tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
+                      else ax.hi for ax in fbox.axes)
+        else:
+            reduced = red._reduce(fbox, system.reducers, x, t).result
+            base = fbox if reduced.is_empty else reduced
+            p = eval_gradient(system.candidate, x, t).center
+            q = tuple(ax.lo if c > 0.0 else ax.hi if c < 0.0 else ax.center
+                      for c, ax in zip(p, base.axes))
+        flat.extend((t, *x, *q, system.candidate.value_at(x, t)))
+        x = tuple(xi + h * qi for xi, qi in zip(x, q))
+        t = t0 + (k + 1) * h
+        if not contains(system.domain, x):
+            break
+    return Trajectory(t0, h, horizon, strategy,
+                      np.array(flat).reshape(-1, 2 * system.n + 2), t, x,
+                      system.candidate.value_at(x, t),
+                      not contains(system.domain, x))
+
+
+# a second parameter table, so that some maps need an env of their own
+OTHER_PARAMS = (("g", ex.parse_scalar("t - 1")),)
+# a function of x1 alone: its gradient map rejects a point of the plane
+ONE_D = RegularFunctionSpec("w", 1, ex.Var("x1"), PiecewiseBoxMap(
+    1, 2, [Piece(ex.TrueGuard(), (ex.SingletonSet(ex.Num(0.0)),) * 2)]),
+    True)
+
+
+@st.composite
+def integrate_cases(draw):
+    """A system over (x1, x2) from the scan generators, with risky
+    guards, empty pieces and parameters of t; some reducers are not
+    regular, some gradients read another parameter table, and a few
+    functions have the wrong dimension. The runs are a few steps long."""
+    risky = draw(st.booleans())
+
+    def function(name, regular):
+        if draw(st.integers(0, 15)) == 0:
+            return ONE_D
+        gradient = _piecewise(draw, risky, 3, draw(st.booleans()))
+        if draw(st.booleans()):
+            gradient = PiecewiseBoxMap(2, 3, gradient.pieces, OTHER_PARAMS)
+        return RegularFunctionSpec(name, 2, _scalar(draw, risky), gradient,
+                                   regular)
+
+    system = SystemDef(
+        n=2, inclusion=_piecewise(draw, risky, 2, True),
+        candidate=function("V", True),
+        reducers=tuple(function(f"U{k + 1}", draw(st.integers(0, 5)) > 0)
+                       for k in range(draw(st.integers(0, 2)))),
+        domain=IntervalBox.from_bounds((-2.0, -2.0), (2.0, 2.0)))
+    t0, h = draw(st.sampled_from([0.0, 1.0])), draw(
+        st.sampled_from([0.25, 0.5, 1.0]))
+    return (system, draw(st.tuples(st.sampled_from(COORDS),
+                                   st.sampled_from(COORDS))),
+            t0, h, t0 + h * draw(st.integers(1, 6)),
+            SelectionStrategy(draw(st.sampled_from(
+                ["midpoint", "reduced-descent", "random-extreme"])),
+                draw(st.integers(0, 3))))
+
+
+def _run_key(result):
+    """The rows' bytes and the final fields' bits, or an error."""
+    if isinstance(result, tuple):
+        return result
+    return (result.rows.shape, result.rows.tobytes(),
+            struct.pack("d", result.final_t),
+            struct.pack(f"{len(result.final_x)}d", *result.final_x),
+            struct.pack("d", result.final_v), result.exited)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=integrate_cases())
+def test_integrate_is_bit_identical_to_the_boxed_loop(case):
+    assert _run_key(_outcome(integrate, *case)) == _run_key(
+        _outcome(_boxed_integrate, *case))
