@@ -4,31 +4,47 @@ Library plus CLI for pruning infeasible directions from box-valued
 differential inclusions with locally Lipschitz regular functions,
 evaluating set-valued derivatives in closed form, certifying decrease /
 invariance / Matrosov conditions on grids, and integrating
-selection-based trajectories.
+selection-based trajectories. ``import incred`` imports no submodule:
+each exported name imports its own on first access (PEP 562).
 """
 
-from .certify import (Certificate, InvarianceReport, build_matrosov_problem,
-                      certify_lyapunov, certify_semidefinite, invariance_data,
-                      matrosov_chain, matrosov_constants,
-                      matrosov_derivative_bounds, matrosov_grid,
-                      verify_combined_bound)
-from .derivative import (DerivativeValue, baseline_interval_derivative,
-                         baseline_max_derivative, bilinear_maxmax,
-                         bilinear_minmax, generalized_derivative)
-from .errors import (DimensionMismatchError, DslEvalError, DslSyntaxError,
-                     EmptySetError, IncredError, SchemaError, SimulationError)
-from .fixtures import available_fixtures, fixture_path, load_fixture
-from .grids import GridSpec
-from .intervals import (Annulus, Interval, IntervalBox, contains,
-                        direction_axes)
-from .reduction import (ReducedValue, ReductionTable, reduce_collection,
-                        reduce_once, tabulate_reduction)
-from .setmaps import (CheckSpec, GradientValidationReport, MatrosovData,
-                      Piece, PiecewiseBoxMap, RegularFunctionSpec, SimSpec,
-                      SystemDef, eval_gradient, eval_map, load_system,
-                      system_from_dict, validate_gradient)
-from .simulate import (SelectionStrategy, Trajectory, check_lyapunov_descent,
-                       check_partial_convergence, check_reduction_membership,
-                       integrate)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {name: module for module, names in {
+    "certify": "Certificate InvarianceReport build_matrosov_problem "
+               "certify_lyapunov certify_semidefinite invariance_data "
+               "matrosov_chain matrosov_constants matrosov_derivative_bounds "
+               "matrosov_grid verify_combined_bound",
+    "derivative": "DerivativeValue baseline_interval_derivative "
+                  "baseline_max_derivative bilinear_maxmax bilinear_minmax "
+                  "generalized_derivative",
+    "errors": "DimensionMismatchError DslEvalError DslSyntaxError "
+              "EmptySetError IncredError SchemaError SimulationError",
+    "fixtures": "available_fixtures fixture_path load_fixture",
+    "grids": "GridSpec",
+    "intervals": "Annulus Interval IntervalBox contains direction_axes",
+    "reduction": "ReducedValue ReductionTable reduce_collection reduce_once "
+                 "tabulate_reduction",
+    "setmaps": "CheckSpec GradientValidationReport MatrosovData Piece "
+               "PiecewiseBoxMap RegularFunctionSpec SimSpec SystemDef "
+               "eval_gradient eval_map load_system system_from_dict "
+               "validate_gradient",
+    "simulate": "SelectionStrategy Trajectory check_lyapunov_descent "
+                "check_partial_convergence check_reduction_membership "
+                "integrate",
+}.items() for name in names.split()}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    # not cached here, so a patch of the submodule's binding shows at once
+    if name in _EXPORTS:
+        return getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

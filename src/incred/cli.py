@@ -24,17 +24,11 @@ import sys as _sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import certify as cert
-from .derivative import (baseline_interval_derivative, baseline_max_derivative,
-                         generalized_derivative)
 from .errors import DslSyntaxError, IncredError, SchemaError
 from .grids import GridSpec
-from .reduction import tabulate_reduction
 from .setmaps import (SimSpec, SystemDef, load_system,
                       validate_gradient, _parse_grid)
-from .simulate import (SelectionStrategy, check_lyapunov_descent,
-                       check_partial_convergence, check_reduction_membership,
-                       integrate, write_trajectory_csv)
+# each subcommand imports the analysis modules it uses, and only those
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -92,6 +86,7 @@ def _report(args, line: str, text: str | None = None) -> None:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import tabulate_reduction
     system = _load(args)
     grid = system.require_grid()
     table = tabulate_reduction(system.inclusion, system.reducers,
@@ -113,6 +108,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_deriv(args) -> int:
+    from .derivative import (baseline_interval_derivative,
+                             baseline_max_derivative, generalized_derivative)
     system = _load(args)
     grid = system.require_grid()
     t0 = grid.time_nodes[0]
@@ -143,6 +140,7 @@ def cmd_deriv(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import certify as cert
     system = _load(args)
     checks = system.checks
     tol = args.tol if args.tol is not None else 1e-9
@@ -167,6 +165,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    from . import certify as cert
     system = _load(args)
     zero_tol = args.tol
     if zero_tol is None:
@@ -188,6 +187,7 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_matrosov(args) -> int:
+    from . import certify as cert
     system = _load(args)
     problem = cert.build_matrosov_problem(system)
     grid = system.require_grid()
@@ -232,6 +232,9 @@ def cmd_matrosov(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import (SelectionStrategy, integrate, write_trajectory_csv,
+                           check_lyapunov_descent, check_partial_convergence,
+                           check_reduction_membership)
     system = _load(args)
     sim = system.sim or SimSpec()
     if args.x0 is not None:

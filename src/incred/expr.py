@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -127,93 +127,109 @@ def _checked_math(name: str) -> Callable[[float], float]:
 
 # --- AST nodes ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """An immutable record of the ``fields`` its subclass names, kept in one
+    slotted tuple: compared and hashed by type and values, dataclass repr."""
+
+    __slots__ = ("_values",)
+
+    def __init_subclass__(cls, fields: tuple[str, ...] = ()):
+        cls._fields = fields
+        for i, name in enumerate(fields):
+            setattr(cls, name, property(lambda self, i=i: self._values[i]))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {self._fields}")
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self._values == other._values
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):  # copy and pickle without __setattr__
+        return type(self), self._values
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values)) + ")"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(_Node, fields=("value",)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ScalarExpr"
+class Var(_Node, fields=("name",)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "ScalarExpr"
-    right: "ScalarExpr"
+class Neg(_Node, fields=("operand",)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple["ScalarExpr", ...]
+class BinOp(_Node, fields=("op", "left", "right")):
+    __slots__ = ()  # op is one of + - * /
+
+
+class Call(_Node, fields=("func", "args")):
+    __slots__ = ()  # args: a tuple of ScalarExpr
 
 
 ScalarExpr = Union[Num, Var, Neg, BinOp, Call]
 
 
-@dataclass(frozen=True)
-class SingletonSet:
-    value: ScalarExpr
+class SingletonSet(_Node, fields=("value",)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    lo: ScalarExpr
-    hi: ScalarExpr
+class IntervalSet(_Node, fields=("lo", "hi")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HullSet:
-    a: ScalarExpr
-    b: ScalarExpr
+class HullSet(_Node, fields=("a", "b")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SumSet:
-    terms: tuple["SetExpr", ...]
+class SumSet(_Node, fields=("terms",)):
+    __slots__ = ()  # a tuple of SetExpr
 
 
-@dataclass(frozen=True)
-class ScaledSet:
-    coeff: ScalarExpr
-    operand: "SetExpr"
+class ScaledSet(_Node, fields=("coeff", "operand")):
+    __slots__ = ()
 
 
 SetExpr = Union[SingletonSet, IntervalSet, HullSet, SumSet, ScaledSet]
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # == != < <= > >=
-    left: ScalarExpr
-    right: ScalarExpr
+class Comparison(_Node, fields=("op", "left", "right")):
+    __slots__ = ()  # op is one of == != < <= > >=
 
 
-@dataclass(frozen=True)
-class AndGuard:
-    terms: tuple["GuardExpr", ...]
+class AndGuard(_Node, fields=("terms",)):
+    __slots__ = ()  # a tuple of GuardExpr
 
 
-@dataclass(frozen=True)
-class OrGuard:
-    terms: tuple["GuardExpr", ...]
+class OrGuard(_Node, fields=("terms",)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotGuard:
-    operand: "GuardExpr"
+class NotGuard(_Node, fields=("operand",)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrueGuard:
+class TrueGuard(_Node):
     """The catch-all guard, written ``otherwise``."""
+
+    __slots__ = ()
 
 
 GuardExpr = Union[Comparison, AndGuard, OrGuard, NotGuard, TrueGuard]
@@ -221,11 +237,8 @@ GuardExpr = Union[Comparison, AndGuard, OrGuard, NotGuard, TrueGuard]
 
 # --- tokenizer ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+class _Token(_Node, fields=("kind", "text", "pos")):
+    __slots__ = ()
 
 
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -311,6 +324,15 @@ class _Parser:
         if self.peek().kind != "end":
             self.fail(f"unexpected trailing input {self.peek().text!r}")
 
+    def joined(self, parse, kind: str, text: str, node_type):
+        """``parse`` items separated by the token ``text``: the one item,
+        or a ``node_type`` of them all."""
+        terms = [parse()]
+        while self.peek().kind == kind and self.peek().text == text:
+            self.advance()
+            terms.append(parse())
+        return terms[0] if len(terms) == 1 else node_type(tuple(terms))
+
     # scalar grammar
 
     def scalar(self) -> ScalarExpr:
@@ -373,13 +395,7 @@ class _Parser:
     # set grammar
 
     def set_expr(self) -> SetExpr:
-        terms = [self.set_atom()]
-        while self.peek().kind == "op" and self.peek().text == "+":
-            self.advance()
-            terms.append(self.set_atom())
-        if len(terms) == 1:
-            return terms[0]
-        return SumSet(tuple(terms))
+        return self.joined(self.set_atom, "op", "+", SumSet)
 
     def set_atom(self) -> SetExpr:
         tok = self.peek()
@@ -427,22 +443,10 @@ class _Parser:
     # guard grammar
 
     def guard(self) -> GuardExpr:
-        terms = [self.guard_and()]
-        while self.peek().kind == "ident" and self.peek().text == "or":
-            self.advance()
-            terms.append(self.guard_and())
-        if len(terms) == 1:
-            return terms[0]
-        return OrGuard(tuple(terms))
+        return self.joined(self.guard_and, "ident", "or", OrGuard)
 
     def guard_and(self) -> GuardExpr:
-        terms = [self.guard_unary()]
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            self.advance()
-            terms.append(self.guard_unary())
-        if len(terms) == 1:
-            return terms[0]
-        return AndGuard(tuple(terms))
+        return self.joined(self.guard_unary, "ident", "and", AndGuard)
 
     def guard_unary(self) -> GuardExpr:
         tok = self.peek()
@@ -559,8 +563,8 @@ def _guard_code(node: GuardExpr, masks: bool = False) -> str:
     if isinstance(node, (AndGuard, OrGuard)):
         terms = [_guard_code(t, masks) for t in node.terms]
         word = "and" if isinstance(node, AndGuard) else "or"
-        if masks:
-            return reduce(lambda a, b: f"_{word}({a}, {b})", terms)
+        if masks:  # one n-ary call: nesting would hit the parser's limit
+            return f"_{word}(" + ", ".join(terms) + ")"
         return "(" + f" {word} ".join(terms) + ")"
     if isinstance(node, NotGuard):
         if masks:
@@ -689,7 +693,8 @@ _ARRAY_NS = {
     "_exp": _elementwise(math.exp), "_sin": _elementwise(math.sin),
     "_cos": _elementwise(math.cos), "_pt": lambda v: _Span(v, v),
     "_intv": _array_interval, "_hullv": _array_hull,
-    "_cmp": _array_compare, "_and": np.minimum, "_or": np.maximum,
+    "_cmp": _array_compare, "_and": lambda *m: reduce(np.minimum, m),
+    "_or": lambda *m: reduce(np.maximum, m),
     "_not": lambda m: 1.0 - m if np.asarray(m).dtype.kind == "f"
     else np.logical_not(m),  # an undecided (NaN) row stays undecided
 }
@@ -718,10 +723,9 @@ def free_vars(node) -> frozenset[str]:
     if isinstance(node, Var):
         return frozenset({node.name})
     out: frozenset[str] = frozenset()
-    for field in fields(node):
-        value = getattr(node, field.name)
+    for value in node._values:
         for child in value if isinstance(value, tuple) else (value,):
-            if is_dataclass(child):
+            if isinstance(child, _Node):
                 out |= free_vars(child)
     return out
 
@@ -731,13 +735,10 @@ def substitute(node: ScalarExpr,
     """``node`` with every variable listed in ``names`` replaced."""
     if isinstance(node, Var):
         return names.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(substitute(node.operand, names))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, names),
-                     substitute(node.right, names))
-    if isinstance(node, Call):
-        return Call(node.func, tuple(substitute(a, names) for a in node.args))
+    if isinstance(node, (Neg, BinOp, Call)):  # op and func map to themselves
+        return type(node)(*(tuple(substitute(a, names) for a in v)
+                            if isinstance(v, tuple) else substitute(v, names)
+                            for v in node._values))
     return node
 
 

@@ -1,7 +1,9 @@
+import copy
 import functools
 import itertools
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -211,6 +213,23 @@ class TestGuard:
             mask = ex.compile_guard_array(ex.parse_guard(src))(env)
         assert np.isnan(mask).tolist() == [True, False]
 
+    def test_and_or_masks_are_left_folds(self):
+        # one n-ary _and/_or call gives the bits of the nested fold,
+        # undecided (NaN) rows included
+        env = {"x1": np.array([0.0, 1.0, 2.0, -1.0]),
+               "x2": np.array([0.0, 1.0, 0.0, 1.0])}
+        a, b, c, d = ["x1 > 0", "max(x1, x2*1e999) > 0", "x2 < 1",
+                      "x1 == 0"]
+        with np.errstate(all="ignore"):
+            m = {g: ex.compile_guard_array(ex.parse_guard(g))(env)
+                 for g in (a, b, c, d)}
+            got = ex.compile_guard_array(ex.parse_guard(
+                f"{a} and {b} and {c} or {d} or {c}"))(env)
+        want = np.maximum(np.maximum(np.minimum(np.minimum(m[a], m[b]), m[c]),
+                                     m[d]), m[c])
+        assert np.isnan(want).any()
+        assert np.array_equal(got, want, equal_nan=True)
+
     @pytest.mark.parametrize("name", ["abs", "max", "min", "sgn", "sgn1",
                                       "exp", "sin", "cos", "div"])
     def test_poisons_are_the_calls_that_can_disagree(self, name):
@@ -349,6 +368,84 @@ class TestRoundTrip:
                 with pytest.raises(DslSyntaxError):
                     parser(mutated, issue_vars)
         assert mutations > 100
+
+
+# --- AST nodes ------------------------------------------------------------
+
+# parsed fixture-style expressions and the repr a frozen dataclass gives them
+NODE_REPRS = [
+    (ex.parse_scalar, "-x1 + 2*max(x2, 0.5)",
+     "BinOp(op='+', left=Neg(operand=Var(name='x1')), right=BinOp(op='*', "
+     "left=Num(value=2.0), right=Call(func='max', args=(Var(name='x2'), "
+     "Num(value=0.5)))))"),
+    (ex.parse_scalar, "x1/(t - 1)",
+     "BinOp(op='/', left=Var(name='x1'), right=BinOp(op='-', "
+     "left=Var(name='t'), right=Num(value=1.0)))"),
+    (ex.parse_set, "hull(0, x1) + 2*[x1, 1]",
+     "SumSet(terms=(HullSet(a=Num(value=0.0), b=Var(name='x1')), "
+     "ScaledSet(coeff=Num(value=2.0), operand=IntervalSet("
+     "lo=Var(name='x1'), hi=Num(value=1.0)))))"),
+    (ex.parse_set, "{sgn1(x2)}",
+     "SingletonSet(value=Call(func='sgn1', args=(Var(name='x2'),)))"),
+    (ex.parse_guard, "x1 > 0 and not (x2 <= 1) or t < 2",
+     "OrGuard(terms=(AndGuard(terms=(Comparison(op='>', left=Var(name='x1'), "
+     "right=Num(value=0.0)), NotGuard(operand=Comparison(op='<=', "
+     "left=Var(name='x2'), right=Num(value=1.0))))), Comparison(op='<', "
+     "left=Var(name='t'), right=Num(value=2.0))))"),
+    (ex.parse_guard, "otherwise", "TrueGuard()"),
+    (ex._tokenize, "x1 >= 2",
+     "[_Token(kind='ident', text='x1', pos=0), _Token(kind='cmp', "
+     "text='>=', pos=3), _Token(kind='num', text='2', pos=6), "
+     "_Token(kind='end', text='', pos=7)]"),
+]
+
+# an identifier that is not a function name or a keyword is a variable
+_IDENT = re.compile(r"(?<![\w.])[A-Za-z_]\w*(?!\w|\s*\()")
+_KEYWORDS = {"and", "or", "not", "otherwise"}
+
+
+class TestNodes:
+    @pytest.mark.parametrize("parse, src, want", NODE_REPRS)
+    def test_repr_is_the_dataclass_form(self, parse, src, want):
+        assert repr(parse(src)) == want
+
+    def test_equality_is_type_strict(self):
+        a, b = ex.parse_guard("x1 > 0"), ex.parse_guard("x2 < 1")
+        assert ex.AndGuard((a, b)) != ex.OrGuard((a, b))
+        assert ex.Num(1.0) != ex.Var("x1")
+        assert ex.Num(1.0) != 1.0 and ex.TrueGuard() == ex.TrueGuard()
+        assert ex.AndGuard((a, b)) == ex.AndGuard((a, b))
+
+    def test_equal_nodes_hash_equal(self):
+        for parse, src, _ in NODE_REPRS[:-1]:
+            one, two = parse(src), parse(src)
+            assert one is not two and one == two and hash(one) == hash(two)
+        assert len({ex.parse_scalar("x1*x1"), ex.parse_scalar("x1 * x1")}) == 1
+
+    def test_nodes_are_immutable_and_copyable(self):
+        node = ex.parse_scalar("x1 - 2")
+        with pytest.raises(AttributeError):
+            node.op = "+"
+        with pytest.raises(AttributeError):
+            del node.left
+        with pytest.raises(AttributeError):
+            node.extra = 1  # slotted: no instance dict either
+        assert copy.deepcopy(node) == node
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert ex.pretty_scalar(node) == "x1 - 2"
+
+    def test_free_vars_on_every_fixture_expression(self):
+        scalars, sets, guards = _fixture_strings()
+        names = set(ex.DEFAULT_VARIABLES) | {"g", "gdot", "z1"}
+        cases = ([(s, ex.parse_scalar) for s in scalars]
+                 + [(s, ex.parse_set) for s in sets]
+                 + [(s, ex.parse_guard) for s in guards])
+        for src, parse in cases:
+            want = set(_IDENT.findall(src)) - _KEYWORDS
+            assert ex.free_vars(parse(src, names)) == want, src
+        assert ex.free_vars(ex.parse_set("hull(t, 1) + x2*[g, 1]", names)) \
+            == {"t", "x2", "g"}
+        assert ex.free_vars(ex.parse_guard("otherwise")) == frozenset()
 
 
 # --- compiled closures match Python's evaluation of the source ----------

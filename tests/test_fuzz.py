@@ -209,3 +209,26 @@ def test_a_hidden_hazard_agrees_with_the_pointwise_path(where, form, code,
         run = _run(argv, tmp_path / "out", pointwise=False)
         assert run[0] == code
         assert run == _run(argv, tmp_path / "out", pointwise=True)
+
+
+def test_a_guard_of_three_hundred_terms_compiles_on_the_array_path(tmp_path):
+    """example1 with a first F piece behind 300 ``x1 != k`` terms joined by
+    ``and``: the mask code is one n-ary ``_and`` call, not 299 nested ones
+    (which Python's parser rejects), and the x1 == 0 row still falls
+    through to the fixture's own pieces."""
+    doc = copy.deepcopy(FIXTURES["example1"])
+    guard = " and ".join(f"x1 != {k}" for k in [0, *range(10, 309)])
+    doc["F"]["pieces"].insert(0, {"guard": guard, "value": ["{-x1}"]})
+    doc["certify"]["W"] = "0.5*x1*x1"
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = {}
+    for command in ("reduce", "certify"):
+        argv = [command, "-i", str(path), "-o", str(tmp_path / "out"),
+                "--grid", "5"]
+        runs[command] = _run(argv, tmp_path / "out", pointwise=False)
+        assert runs[command][0] == 0, runs[command][2]
+        assert runs[command] == _run(argv, tmp_path / "out", pointwise=True)
+    text = runs["reduce"][3]["reduction_table.txt"].decode()
+    assert "x=(0.0) t=0.0  F=[-2.0, -2.0]" in text  # the fixture's piece
+    assert "x=(1.5) t=0.0  F=[-1.5, -1.5]" in text  # the new first piece
