@@ -40,7 +40,8 @@ from .errors import SchemaError
 from .grids import GridSpec, check_size, product_array
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _columns
-from .setmaps import MatrosovData, RegularFunctionSpec, SystemDef, eval_map
+from .setmaps import (CheckSpec, MatrosovData, RegularFunctionSpec,
+                      SystemDef, eval_map)
 
 __all__ = [
     "CERTIFIED", "VIOLATED", "INCONCLUSIVE", "GridSpec",
@@ -57,6 +58,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _GRID_NOTE = ("certified on grid: finite screening of a universally "
               "quantified hypothesis, not a proof")
+_CONSTANT_CAP = 2.0 ** 20  # where matrosov_constants' doubling gives up
 
 
 @dataclass(frozen=True)
@@ -342,7 +344,7 @@ class InvarianceReport:
 
 
 def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
-                    zero_tol: float = 1e-6,
+                    zero_tol: float | None = None,
                     candidates: Sequence[Sequence[float]] | None = None,
                     tol: float = 1e-9) -> InvarianceReport:
     """Discrete data for invariance-principle arguments.
@@ -352,12 +354,16 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
     vanishing set), a semidefiniteness certificate ``derivative <= 0``,
     and equilibrium screening of user-proposed candidate points: a
     trajectory can sit at ``x`` forever only if ``0 in F(x)``.
+    ``zero_tol`` and ``candidates`` default to the system's ``certify``
+    block (1e-6 and none without one).
 
     Autonomous systems only.
     """
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
     grid = grid if grid is not None else sys.require_grid()
+    checks = sys.checks or CheckSpec()
+    zero_tol = checks.zero_tol if zero_tol is None else zero_tol
     pts = grid.nodes(sys.domain)
     t0 = grid.time_nodes[0]
     scan = scan_derivative(sys.candidate, sys.inclusion, sys.reducers, pts,
@@ -374,15 +380,13 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
          "minus_inf_nodes": int(np.count_nonzero(scan.minus_inf)),
          "derivative_violations": violations})
 
-    if candidates is None:
-        candidates = sys.checks.candidates if sys.checks else ()
-    checks = []
+    screened = []
     zero = (0.0,) * sys.n
-    for point in candidates:
+    for point in checks.candidates if candidates is None else candidates:
         fbox = eval_map(sys.inclusion, point, t0)
-        checks.append(CandidateCheck(tuple(float(v) for v in point),
-                                     contains(fbox, zero), fbox))
-    return InvarianceReport(tuple(e_nodes), cert, tuple(checks), zero_tol)
+        screened.append(CandidateCheck(tuple(float(v) for v in point),
+                                       contains(fbox, zero), fbox))
+    return InvarianceReport(tuple(e_nodes), cert, tuple(screened), zero_tol)
 
 
 # --- Matrosov machinery --------------------------------------------------
@@ -521,8 +525,7 @@ class MatrosovConstantsResult:
 
 def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
                        zeta_target: float | None = None,
-                       eq_tol: float = 1e-6,
-                       cap: float = 2.0 ** 20) -> MatrosovConstantsResult:
+                       eq_tol: float = 1e-6) -> MatrosovConstantsResult:
     """Combination constants K_1..K_{M-1} and the decay level zeta.
 
     zeta defaults to the discrete estimate of the guaranteed gap: the
@@ -536,7 +539,7 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     points, y = _aux_table(prob, z_nodes, x_nodes)
     trig = _chain_triggers(y, eq_tol)
     grid_summary = {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}
-    tolerances = {"eq_tol": eq_tol, "cap": cap}
+    tolerances = {"eq_tol": eq_tol, "cap": _CONSTANT_CAP}
 
     def inconclusive(reason: str, diagnostics: dict) -> MatrosovConstantsResult:
         cert = Certificate(
@@ -573,7 +576,7 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
         k = 1.0
         while not np.all(k * yl[on] + running[on] <= -budget):
             k *= 2.0
-            if k > cap:
+            if k > _CONSTANT_CAP:
                 worst = np.flatnonzero(on)[np.argmax(yl[on] + running[on])]
                 return inconclusive(
                     f"doubling search exceeded the cap at level {level}",

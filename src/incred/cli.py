@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import DslSyntaxError, IncredError, SchemaError
 from .grids import GridSpec
 from .setmaps import (SimSpec, SystemDef, load_system,
-                      validate_gradient, _parse_grid)
+                      validate_gradient, _parse_grid, _STRATEGY_KINDS)
 # each subcommand imports the analysis modules it uses, and only those
 
 EXIT_OK = 0
@@ -77,6 +77,11 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _tol(args, name: str) -> dict:
+    """``{name: --tol}``; empty without --tol, so the library default holds."""
+    return {} if args.tol is None else {name: args.tol}
 
 
 def _report(args, line: str, text: str | None = None) -> None:
@@ -143,18 +148,16 @@ def cmd_certify(args) -> int:
     from . import certify as cert
     system = _load(args)
     checks = system.checks
-    tol = args.tol if args.tol is not None else 1e-9
     if checks is not None and checks.decrease_bound is not None:
-        certificate = cert.certify_lyapunov(system, checks.decrease_bound,
-                                            tol=tol, sandwich=checks.sandwich)
+        check, bound = cert.certify_lyapunov, checks.decrease_bound
     elif checks is not None and checks.semidef_bound is not None:
-        certificate = cert.certify_semidefinite(system, checks.semidef_bound,
-                                                tol=tol,
-                                                sandwich=checks.sandwich)
+        check, bound = cert.certify_semidefinite, checks.semidef_bound
     else:
         raise SchemaError(
             "certify needs a 'certify' block with a 'W' or 'W_semidef' "
             "expression")
+    certificate = check(system, bound, sandwich=checks.sandwich,
+                        **_tol(args, "tol"))
     out = _outdir(args)
     text = certificate.to_text()
     _write_json(out / "certificate.json", certificate.to_dict())
@@ -166,11 +169,7 @@ def cmd_certify(args) -> int:
 
 def cmd_invariance(args) -> int:
     from . import certify as cert
-    system = _load(args)
-    zero_tol = args.tol
-    if zero_tol is None:
-        zero_tol = system.checks.zero_tol if system.checks else 1e-6
-    report = cert.invariance_data(system, zero_tol=zero_tol)
+    report = cert.invariance_data(_load(args), **_tol(args, "zero_tol"))
     out = _outdir(args)
     _write_json(out / "invariance.json", report.to_dict())
     lines = [report.semidefinite.to_text(),
@@ -191,15 +190,15 @@ def cmd_matrosov(args) -> int:
     system = _load(args)
     problem = cert.build_matrosov_problem(system)
     grid = system.require_grid()
-    eq_tol = args.tol if args.tol is not None else 1e-6
+    eq_tol = _tol(args, "eq_tol")
     z_nodes, x_nodes = cert.matrosov_grid(problem, system, grid)
-    chain = cert.matrosov_chain(problem, z_nodes, x_nodes, eq_tol=eq_tol)
+    chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
     result = None
     verify = None
     if chain.certified:
         result = cert.matrosov_constants(problem, z_nodes, x_nodes,
                                          zeta_target=args.zeta_target,
-                                         eq_tol=eq_tol)
+                                         **eq_tol)
         if result.certificate.certified and args.verify_factor > 1:
             fine = grid.refined(args.verify_factor)
             zf, xf = cert.matrosov_grid(problem, system, fine)
@@ -236,33 +235,30 @@ def cmd_simulate(args) -> int:
                            check_lyapunov_descent, check_partial_convergence,
                            check_reduction_membership)
     system = _load(args)
-    sim = system.sim or SimSpec()
+    flags = {"t0": args.t0, "h": args.h, "horizon": args.T,
+             "strategy": args.strategy, "seed": args.seed,
+             "tail_fraction": args.tail_fraction}  # SimSpec field -> flag
+    sim = replace(system.sim or SimSpec(),
+                  **{k: v for k, v in flags.items() if v is not None})
     if args.x0 is not None:
         try:
-            x0 = tuple(float(v) for v in args.x0.split(","))
+            sim = replace(sim, x0=tuple(map(float, args.x0.split(","))))
         except ValueError:
             raise SchemaError("--x0: expected comma-separated numbers, got "
                               f"{args.x0!r}") from None
-    elif sim.x0 is not None:
-        x0 = sim.x0
-    else:
+    if sim.x0 is None:
         raise SchemaError("simulate needs --x0 or a 'simulate' block "
                           "with an 'x0' entry")
-    t0 = args.t0 if args.t0 is not None else sim.t0
-    h = args.h if args.h is not None else sim.h
-    horizon = args.T if args.T is not None else sim.horizon
-    strategy = SelectionStrategy(
-        kind=args.strategy if args.strategy else sim.strategy,
-        seed=args.seed if args.seed is not None else sim.seed)
+    strategy = SelectionStrategy(kind=sim.strategy, seed=sim.seed)
 
-    traj = integrate(system, x0, t0, h, horizon, strategy)
+    traj = integrate(system, sim.x0, sim.t0, sim.h, sim.horizon, strategy)
     out = _outdir(args)
     write_trajectory_csv(traj, out / "trajectory.csv")
 
     membership = check_reduction_membership(traj, system, args.tol)
 
     diagnostics = {
-        "x0": list(x0), "t0": t0, "h": h, "T": horizon,
+        "x0": list(sim.x0), "t0": sim.t0, "h": sim.h, "T": sim.horizon,
         "strategy": strategy.kind, "seed": strategy.seed,
         "final_t": traj.final_t, "final_x": list(traj.final_x),
         "final_norm": traj.final_norm, "exited": traj.exited,
@@ -275,10 +271,8 @@ def cmd_simulate(args) -> int:
         diagnostics["descent"] = descent.to_dict()
         passed = passed and descent.passed
     if checks is not None and checks.semidef_bound is not None:
-        tail_fraction = (args.tail_fraction if args.tail_fraction is not None
-                         else sim.tail_fraction)
         tail = check_partial_convergence(traj, system, checks.semidef_bound,
-                                         tail_fraction, sim.tail_threshold)
+                                         sim.tail_fraction, sim.tail_threshold)
         diagnostics["tail"] = tail.to_dict()
         passed = passed and tail.passed
     diagnostics["checks_passed"] = passed
@@ -315,13 +309,13 @@ def cmd_validate_gradient(args) -> int:
     return EXIT_OK if all_passed else EXIT_NEGATIVE
 
 
-def _default_probes(system: SystemDef, cap: int = 64) -> list[list[float]]:
-    """The first ``cap`` nodes of the grid whose axes are each domain
-    axis's ends and center plus the system grid's include coordinates."""
+def _default_probes(system: SystemDef) -> list[list[float]]:
+    """The first 64 nodes of the grid whose axes are each domain axis's
+    ends and center plus the system grid's include coordinates."""
     include = system.grid.include if system.grid else ((),) * system.n
     probes = GridSpec(tuple((iv.lo, iv.center, iv.hi)
                             for iv in system.domain.axes), include)
-    return probes.nodes(system.domain)[:cap].tolist()
+    return probes.nodes(system.domain)[:64].tolist()
 
 
 # Options several subcommands share; each declares only those it reads.
@@ -388,8 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--h", type=float, default=None, help="step size")
     p.add_argument("--T", type=float, default=None, help="final time")
-    p.add_argument("--strategy", default=None,
-                   choices=["midpoint", "reduced-descent", "random-extreme"])
+    p.add_argument("--strategy", default=None, choices=_STRATEGY_KINDS)
     p.add_argument("--tail-fraction", type=float, default=None)
 
     p = subcommand("validate-gradient", cmd_validate_gradient,

@@ -196,20 +196,19 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     ``[m(p), M(p)]`` with ``m, M`` the axiswise min/max products plus the
     time component; the intersection over the gradient box is
     ``[sup_p m(p), inf_p M(p)]``, each optimum separable per axis with
-    endpoint-or-zero candidates. Empty when the sup exceeds the inf.
+    endpoint-or-zero candidates, and ``inf_p M(p)`` is
+    :func:`bilinear_minmax`. Empty when the sup exceeds the inf.
     """
     grad = eval_gradient(candidate, x, t)
     base = eval_map(inclusion, x, t)
     if base.is_empty:
         return DerivativeValue("baseline-interval", None)
-    sup_lo, inf_hi = 0.0, 0.0
+    sup_lo = 0.0
     try:
+        inf_hi = bilinear_minmax(grad, base)
         for pi, qi in zip(grad.axes, base.axes):
-            products = _products(pi, qi, True)
-            sup_lo += max(map(min, products))
-            inf_hi += min(map(max, products))
+            sup_lo += max(map(min, _products(pi, qi, True)))
         sup_lo = _not_nan(sup_lo + grad.axes[-1].hi)
-        inf_hi = _not_nan(inf_hi + grad.axes[-1].lo)
     except DslEvalError:
         raise DslEvalError(
             f"{candidate.name}: the baseline interval derivative is NaN "

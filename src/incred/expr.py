@@ -57,7 +57,7 @@ import math
 import re
 from dataclasses import FrozenInstanceError
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -87,6 +87,11 @@ _FUNCTION_ARITY = {
 
 _DIV_FLOOR = 1e-300
 
+# bounds on brackets, calls and ``not`` nested in the text, and on the
+# syntax tree's depth (a chain of k terms is k deep): the parser, compiled
+# code (200 parentheses) and tree walks stay within Python's limits
+_MAX_NESTING, _MAX_DEPTH = 32, 256
+
 
 def _sgn(y: float) -> float:
     if y == 0.0:
@@ -100,10 +105,10 @@ def _sgn1(y: float) -> float:
     return _sgn(y)
 
 
-def _checked_div(a: float, b: float) -> float:
+def _checked_den(b: float) -> float:
     if abs(b) < _DIV_FLOOR:
         raise DslEvalError(f"division by near-zero denominator {b!r}")
-    return a / b
+    return b
 
 
 def _interval_value(lo: float, hi: float) -> Interval:
@@ -237,70 +242,42 @@ GuardExpr = Union[Comparison, AndGuard, OrGuard, NotGuard, TrueGuard]
 
 # --- tokenizer ---------------------------------------------------------
 
-class _Token(_Node, fields=("kind", "text", "pos")):
-    __slots__ = ()
+_Token = NamedTuple("_Token", [("kind", str), ("text", str), ("pos", int)])
 
 
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-_PUNCT = {
-    "(": "lparen", ")": "rparen", "{": "lbrace", "}": "rbrace",
-    "[": "lbracket", "]": "rbracket", ",": "comma",
-}
+# one named alternative per token kind, tried in order, after any spaces
+_TOKEN_RE = re.compile(r"\s*(?:%s)" % "|".join(f"(?P<{k}>{p})" for k, p in (
+    ("num", r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"),
+    ("ident", r"[A-Za-z_][A-Za-z_0-9]*"), ("op", r"[-+*/]"),
+    ("cmp", r"[=!<>]=|[<>]"), ("stray", r"[=!]"),
+    ("lparen", r"\("), ("rparen", r"\)"), ("lbrace", r"\{"), ("rbrace", r"\}"),
+    ("lbracket", r"\["), ("rbracket", r"\]"), ("comma", ","),
+    ("unexpected", "."))), re.DOTALL)
+_LEX_ERRORS = {"stray": "stray", "unexpected": "unexpected character"}
 
 
 def _tokenize(src: str) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            toks.append(_Token(_PUNCT[c], c, i))
-            i += 1
-            continue
-        if c in "+-*/":
-            toks.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c in "=!<>":
-            two = src[i:i + 2]
-            if two in ("==", "!=", "<=", ">="):
-                toks.append(_Token("cmp", two, i))
-                i += 2
-                continue
-            if c in "<>":
-                toks.append(_Token("cmp", c, i))
-                i += 1
-                continue
-            raise DslSyntaxError(f"stray {c!r}", i, src)
-        m = _NUM_RE.match(src, i)
-        if m:
-            toks.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            toks.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise DslSyntaxError(f"unexpected character {c!r}", i, src)
-    toks.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(src.rstrip()):  # each match ends in a token
+        kind = m.lastgroup
+        text, pos = m.group(kind), m.start(kind)
+        if kind in _LEX_ERRORS:
+            raise DslSyntaxError(f"{_LEX_ERRORS[kind]} {text!r}", pos, src)
+        toks.append(_Token(kind, text, pos))
+    toks.append(_Token("end", "", len(src)))
     return toks
 
 
 # --- parser ------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, src: str, variables: frozenset[str]):
+    def __init__(self, src: str, variables: Iterable[str] | None):
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
-        self.variables = variables
+        self.variables = DEFAULT_VARIABLES if variables is None \
+            else frozenset(variables)
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -310,19 +287,22 @@ class _Parser:
         self.i += 1
         return tok
 
-    def fail(self, msg: str) -> None:
-        raise DslSyntaxError(msg, self.peek().pos, self.src)
+    def error(self, msg: str) -> DslSyntaxError:
+        return DslSyntaxError(msg, self.peek().pos, self.src)
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self.fail(f"expected {want!r}, found {tok.text!r}")
+    def expect(self, kind: str) -> _Token:
+        if self.peek().kind != kind:
+            raise self.error(f"expected {kind!r}, found {self.peek().text!r}")
         return self.advance()
 
-    def expect_end(self) -> None:
-        if self.peek().kind != "end":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+    def inner(self, parse):
+        """``parse()`` one nesting level deeper: every recursion does this."""
+        if self.depth == _MAX_NESTING:  # no backtracking catches this
+            raise RecursionError
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def joined(self, parse, kind: str, text: str, node_type):
         """``parse`` items separated by the token ``text``: the one item,
@@ -333,21 +313,21 @@ class _Parser:
             terms.append(parse())
         return terms[0] if len(terms) == 1 else node_type(tuple(terms))
 
+    def chain(self, parse, ops: str) -> ScalarExpr:
+        """``parse`` items separated by operators in ``ops``, as
+        left-associative BinOps."""
+        node = parse()
+        while self.peek().kind == "op" and self.peek().text in ops:
+            node = BinOp(self.advance().text, node, parse())
+        return node
+
     # scalar grammar
 
     def scalar(self) -> ScalarExpr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+        return self.chain(self.term, "+-")
 
     def term(self) -> ScalarExpr:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
+        return self.chain(self.factor, "*/")
 
     def factor(self) -> ScalarExpr:
         if self.peek().kind == "op" and self.peek().text == "-":
@@ -362,23 +342,23 @@ class _Parser:
             return Num(float(tok.text))
         if tok.kind == "lparen":
             self.advance()
-            node = self.scalar()
+            node = self.inner(self.scalar)
             self.expect("rparen")
             return node
         if tok.kind == "ident":
             name = tok.text
             if name in _RESERVED:
-                self.fail(f"reserved word {name!r} is not a scalar")
+                raise self.error(f"reserved word {name!r} is not a scalar")
             self.advance()
             if self.peek().kind == "lparen":
                 if name not in _FUNCTION_ARITY:
                     raise DslSyntaxError(
                         f"unknown function {name!r}", tok.pos, self.src)
                 self.advance()
-                args = [self.scalar()]
+                args = [self.inner(self.scalar)]
                 while self.peek().kind == "comma":
                     self.advance()
-                    args.append(self.scalar())
+                    args.append(self.inner(self.scalar))
                 self.expect("rparen")
                 if len(args) != _FUNCTION_ARITY[name]:
                     raise DslSyntaxError(
@@ -389,8 +369,7 @@ class _Parser:
                 raise DslSyntaxError(
                     f"unknown identifier {name!r}", tok.pos, self.src)
             return Var(name)
-        self.fail(f"expected a scalar atom, found {tok.text!r}")
-        raise AssertionError  # unreachable
+        raise self.error(f"expected a scalar atom, found {tok.text!r}")
 
     # set grammar
 
@@ -401,29 +380,29 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lbrace":
             self.advance()
-            value = self.scalar()
+            value = self.inner(self.scalar)
             self.expect("rbrace")
             return SingletonSet(value)
         if tok.kind == "lbracket":
             self.advance()
-            lo = self.scalar()
+            lo = self.inner(self.scalar)
             self.expect("comma")
-            hi = self.scalar()
+            hi = self.inner(self.scalar)
             self.expect("rbracket")
             return IntervalSet(lo, hi)
         if tok.kind == "ident" and tok.text == "hull":
             self.advance()
             self.expect("lparen")
-            a = self.scalar()
+            a = self.inner(self.scalar)
             self.expect("comma")
-            b = self.scalar()
+            b = self.inner(self.scalar)
             self.expect("rparen")
             return HullSet(a, b)
         if tok.kind == "lparen":
-            mark = self.i
+            mark = self.i, self.depth
             try:
                 self.advance()
-                inner = self.set_expr()
+                inner = self.inner(self.set_expr)
                 self.expect("rparen")
                 if self.peek().kind == "op" and self.peek().text == "*":
                     # a parenthesized set cannot be a multiplier; reparse
@@ -432,15 +411,20 @@ class _Parser:
                                          self.peek().pos, self.src)
                 return inner
             except DslSyntaxError:
-                self.i = mark
+                self.i, self.depth = mark
         coeff = self.factor()
         if self.peek().kind == "op" and self.peek().text == "*":
             self.advance()
-            return ScaledSet(coeff, self.set_atom())
-        self.fail("expected a set atom")
-        raise AssertionError  # unreachable
+            return ScaledSet(coeff, self.inner(self.set_atom))
+        raise self.error("expected a set atom")
 
     # guard grammar
+
+    def guard_or_otherwise(self) -> GuardExpr:
+        if self.peek().kind == "ident" and self.peek().text == "otherwise":
+            self.advance()
+            return TrueGuard()
+        return self.guard()
 
     def guard(self) -> GuardExpr:
         return self.joined(self.guard_and, "ident", "or", OrGuard)
@@ -452,55 +436,57 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "not":
             self.advance()
-            return NotGuard(self.guard_unary())
+            return NotGuard(self.inner(self.guard_unary))
         if tok.kind == "lparen":
-            mark = self.i
+            mark = self.i, self.depth
             try:
                 self.advance()
-                inner = self.guard()
+                inner = self.inner(self.guard)
                 self.expect("rparen")
                 return inner
             except DslSyntaxError:
-                self.i = mark
+                self.i, self.depth = mark
         return self.comparison()
 
     def comparison(self) -> GuardExpr:
         left = self.scalar()
-        tok = self.peek()
-        if tok.kind != "cmp":
-            self.fail(f"expected a comparison operator, found {tok.text!r}")
-        self.advance()
-        right = self.scalar()
-        return Comparison(tok.text, left, right)
+        if self.peek().kind != "cmp":
+            raise self.error("expected a comparison operator, found "
+                             f"{self.peek().text!r}")
+        return Comparison(self.advance().text, left, self.scalar())
 
 
-def _varset(variables: Iterable[str] | None) -> frozenset[str]:
-    return DEFAULT_VARIABLES if variables is None else frozenset(variables)
+def _parse(src: str, variables: Iterable[str] | None, rule):
+    p = _Parser(src, variables)
+    try:
+        node = rule(p)
+    except RecursionError:
+        raise DslSyntaxError(f"more than {_MAX_NESTING} nested brackets, "
+                             "function calls, scaled sets or 'not'",
+                             p.peek().pos, src) from None
+    if p.peek().kind != "end":
+        raise p.error(f"unexpected trailing input {p.peek().text!r}")
+    if len(p.toks) > _MAX_DEPTH:  # each node has a token of its own
+        level, depth = [node], 0  # the tree's depth, level by level
+        while level:
+            depth += 1
+            level = [c for n in level for c in _children(n)]
+        if depth > _MAX_DEPTH:
+            raise DslSyntaxError(
+                f"syntax tree deeper than {_MAX_DEPTH} levels", 0, src)
+    return node
 
 
 def parse_scalar(src: str, variables: Iterable[str] | None = None) -> ScalarExpr:
-    p = _Parser(src, _varset(variables))
-    node = p.scalar()
-    p.expect_end()
-    return node
+    return _parse(src, variables, _Parser.scalar)
 
 
 def parse_set(src: str, variables: Iterable[str] | None = None) -> SetExpr:
-    p = _Parser(src, _varset(variables))
-    node = p.set_expr()
-    p.expect_end()
-    return node
+    return _parse(src, variables, _Parser.set_expr)
 
 
 def parse_guard(src: str, variables: Iterable[str] | None = None) -> GuardExpr:
-    p = _Parser(src, _varset(variables))
-    if p.peek().kind == "ident" and p.peek().text == "otherwise":
-        p.advance()
-        p.expect_end()
-        return TrueGuard()
-    node = p.guard()
-    p.expect_end()
-    return node
+    return _parse(src, variables, _Parser.guard_or_otherwise)
 
 
 # --- compilation to Python closures ------------------------------------
@@ -509,7 +495,7 @@ def parse_guard(src: str, variables: Iterable[str] | None = None) -> GuardExpr:
 _COMPILE_NS = {
     "_abs": abs, "_max": max, "_min": min, "_sgn": _sgn, "_sgn1": _sgn1,
     **{f"_{name}": _checked_math(name) for name in ("exp", "sin", "cos")},
-    "_div": _checked_div, "_pt": Interval.point, "_intv": _interval_value,
+    "_den": _checked_den, "_pt": Interval.point, "_intv": _interval_value,
     "_hullv": Interval.hull,
 }
 
@@ -522,12 +508,13 @@ def _scalar_code(node: ScalarExpr) -> str:
         return f"_e[{node.name!r}]"
     if isinstance(node, Neg):
         return f"(-{_scalar_code(node.operand)})"
-    if isinstance(node, BinOp):
-        a = _scalar_code(node.left)
-        b = _scalar_code(node.right)
-        if node.op == "/":
-            return f"_div({a}, {b})"
-        return f"({a} {node.op} {b})"
+    if isinstance(node, BinOp):  # a chain a + b - c, or a * b / c, flat
+        ops, terms = ("+-" if node.op in "+-" else "*/"), []
+        while isinstance(node, BinOp) and node.op in ops:
+            op, b = node.op, _scalar_code(node.right)
+            terms.append(f"/ _den({b})" if op == "/" else f"{op} {b}")
+            node = node.left
+        return f"({_scalar_code(node)} " + " ".join(reversed(terms)) + ")"
     if isinstance(node, Call):
         args = ", ".join(_scalar_code(a) for a in node.args)
         return f"_{node.func}({args})"
@@ -636,11 +623,10 @@ def _nan_min(a, b):
     return np.where((b < a) | (b != b), b, a)
 
 
-def _array_div(a, b):
-    """``a / b``, NaN where ``|b| < 1e-300`` (the scalar code raises)."""
+def _array_den(b):
+    """``b``, NaN where ``|b| < 1e-300`` (the scalar code raises)."""
     near_zero = np.abs(b) < _DIV_FLOOR
-    return np.where(near_zero, np.nan, np.divide(a, b)) if near_zero.any() \
-        else a / b
+    return np.where(near_zero, np.nan, b) if near_zero.any() else b
 
 
 def _elementwise(fn: Callable[[float], float]) -> Callable:
@@ -687,7 +673,7 @@ def _array_hull(a, b) -> _Span:
 
 
 _ARRAY_NS = {
-    "_div": _array_div, "_abs": np.abs, "_max": _nan_max, "_min": _nan_min,
+    "_den": _array_den, "_abs": np.abs, "_max": _nan_max, "_min": _nan_min,
     "_sgn": np.sign,  # NaN stays NaN, and sign(-0.0) is 0.0
     "_sgn1": lambda y: np.where((-1.0 < y) & (y < 1.0), 0.0, np.sign(y)),
     "_exp": _elementwise(math.exp), "_sin": _elementwise(math.sin),
@@ -699,7 +685,7 @@ _ARRAY_NS = {
     else np.logical_not(m),  # an undecided (NaN) row stays undecided
 }
 # the calls whose array form can give a row a NaN that the scalar code lacks
-_POISONS = re.compile(r"_(div|exp|sin|cos|max|min|sgn|sgn1)\(")
+_POISONS = re.compile(r"_(den|exp|sin|cos|max|min|sgn|sgn1)\(")
 
 
 def compile_scalar_array(node: ScalarExpr) -> Callable:
@@ -717,16 +703,20 @@ def compile_guard_array(node: GuardExpr) -> Callable:
 
 # --- free variables -----------------------------------------------------
 
+def _children(node: _Node) -> list[_Node]:
+    return [child for value in node._values
+            for child in (value if isinstance(value, tuple) else (value,))
+            if isinstance(child, _Node)]
+
+
 def free_vars(node) -> frozenset[str]:
     """The variable names ``node`` reads: a ``Var`` is a leaf, any other
     node the union over its child nodes."""
     if isinstance(node, Var):
         return frozenset({node.name})
     out: frozenset[str] = frozenset()
-    for value in node._values:
-        for child in value if isinstance(value, tuple) else (value,):
-            if isinstance(child, _Node):
-                out |= free_vars(child)
+    for child in _children(node):
+        out |= free_vars(child)
     return out
 
 

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _MAX_STATE_DIM = 9  # variable names x1..x9
+_STRATEGY_KINDS = ("midpoint", "reduced-descent", "random-extreme")  # SimSpec
+_INFLATE = 1e-4  # validate_gradient's margin around the declared box
+_PASS_FRACTION = 0.99  # and the share of estimates it needs inside it
 
 ParamTable = tuple[tuple[str, ScalarExpr], ...]
 
@@ -274,7 +277,6 @@ class GradientValidationReport:
 
 def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
                       radius: float, samples: int, *, seed: int = 0,
-                      inflate: float = 1e-4, threshold: float = 0.99,
                       ) -> GradientValidationReport:
     """Cross-check a declared gradient against finite differences.
 
@@ -282,8 +284,8 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     around ``(x, t)`` in ``R^{n+1}``, estimates the classical gradient at
     each by central differences with step ``radius / 100``, and reports
     the fraction of estimates inside the *declared* box at ``(x, t)``
-    inflated by ``inflate``, together with the hull of the estimates.
-    PASS requires the fraction to reach ``threshold``.
+    inflated by 1e-4, together with the hull of the estimates. PASS
+    requires the fraction to reach 0.99.
 
     Near kink surfaces the difference quotient straddles two smooth
     pieces and lands between their slopes, which is inside the declared
@@ -296,6 +298,8 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
         raise SchemaError("validate_gradient requires radius > 0")
     if samples < 10:
         raise SchemaError("validate_gradient requires samples >= 10")
+    if seed < 0:
+        raise SchemaError(f"validate_gradient requires seed >= 0, got {seed}")
     n = f.n
     dims = n + 1
     center = np.array([float(v) for v in x] + [float(t)])
@@ -307,7 +311,7 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     points = center + directions / norms[:, None] * radii[:, None]
 
     declared = eval_gradient(f, x, t)
-    inflated = declared.inflate(inflate)
+    inflated = declared.inflate(_INFLATE)
     step = radius / 100.0
 
     inside = 0
@@ -338,7 +342,7 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
         name=f.name, point=tuple(float(v) for v in x), t=float(t),
         radius=radius, step=step, samples=samples, fraction_inside=fraction,
         estimate_hull=hull, declared=declared,
-        passed=fraction >= threshold)
+        passed=fraction >= _PASS_FRACTION)
 
 
 @dataclass(frozen=True)
@@ -621,28 +625,24 @@ def _parse_checks(doc, n: int, variables, where: str) -> CheckSpec:
         semidef_bound=opt("W_semidef"),
         lower_envelope=opt("Wlower"),
         upper_envelope=opt("Wupper"),
-        zero_tol=_number(doc.get("zero_tol", 1e-6), f"{where}.zero_tol"),
+        zero_tol=_number(doc.get("zero_tol", CheckSpec.zero_tol),
+                         f"{where}.zero_tol"),
         candidates=candidates)
 
 
 def _parse_sim(doc, n: int, where: str) -> SimSpec:
-    _check_keys(doc, {"x0", "t0", "h", "T", "strategy", "seed",
-                      "tail_fraction", "tail_threshold"}, set(), where)
-    x0 = None
+    """The ``simulate`` block; SimSpec holds the default of each key."""
+    numbers = ("t0", "h", "T", "seed", "tail_fraction", "tail_threshold")
+    _check_keys(doc, {"x0", "strategy", *numbers}, set(), where)
+    spec = {}
     if "x0" in doc:
-        x0 = _float_list(doc["x0"], n, f"{where}.x0")
-
-    def number(key, default, kind=float):
-        return _number(doc.get(key, default), f"{where}.{key}", kind)
-    return SimSpec(
-        x0=x0,
-        t0=number("t0", 0.0),
-        h=number("h", 1e-3),
-        horizon=number("T", 10.0),
-        strategy=str(doc.get("strategy", "midpoint")),
-        seed=number("seed", 0, int),
-        tail_fraction=number("tail_fraction", 0.2),
-        tail_threshold=number("tail_threshold", 1e-3))
+        spec["x0"] = _float_list(doc["x0"], n, f"{where}.x0")
+    if "strategy" in doc:
+        spec["strategy"] = str(doc["strategy"])
+    for key in filter(doc.__contains__, numbers):
+        spec["horizon" if key == "T" else key] = _number(
+            doc[key], f"{where}.{key}", int if key == "seed" else float)
+    return SimSpec(**spec)
 
 
 def system_from_dict(doc: dict) -> SystemDef:
@@ -659,13 +659,10 @@ def system_from_dict(doc: dict) -> SystemDef:
         raise SchemaError("params: expected an object of name -> expression")
     state_vars = {f"x{i+1}" for i in range(n)} | {"t"}
     params: list[tuple[str, ScalarExpr]] = []
-    reserved_pattern = re.compile(r"^[xz]\d+$")
     for name in sorted(params_doc):
         if not name.isidentifier() or name == "t" \
-                or reserved_pattern.match(name) \
-                or name in {"and", "or", "not", "hull", "otherwise"} \
-                or name in {"abs", "max", "min", "sgn", "sgn1", "exp",
-                            "sin", "cos"}:
+                or re.match(r"[xz]\d+$", name) or name in expr._RESERVED \
+                or name in expr._FUNCTION_ARITY:
             raise SchemaError(f"params: invalid parameter name {name!r}")
         params.append((name, _parse_in(f"params.{name}", expr.parse_scalar,
                                        params_doc[name], {"t"})))

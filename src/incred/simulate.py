@@ -19,7 +19,7 @@ Selection strategies:
 
 Post-hoc checks turn the structural guarantees into trajectory reports:
 membership of difference quotients in the reduced inclusion (isolated
-guard crossings are budgeted, 1% by default), first-order decrease of
+guard crossings are budgeted, 1% of the steps), first-order decrease of
 the candidate against a declared bound, and tail convergence of a
 semidefinite observable. The integrator is sequential and scalar: a step
 builds one env per parameter table, reads each map's first matching piece
@@ -43,7 +43,8 @@ from .expr import _array_max as _max
 from .grids import check_size
 from .intervals import contains
 from .reduction import _chunks, _columns, _pinch, _reprs, tabulate_reduction
-from .setmaps import PiecewiseBoxMap, SystemDef, eval_gradient
+from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SystemDef,
+                      eval_gradient)
 
 __all__ = [
     "SelectionStrategy", "StepSample", "Trajectory", "integrate",
@@ -53,7 +54,7 @@ __all__ = [
     "write_trajectory_csv", "trajectory_csv",
 ]
 
-_STRATEGY_KINDS = ("midpoint", "reduced-descent", "random-extreme")
+_BUDGET = 0.01  # the share of steps allowed outside the membership tol
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ class SelectionStrategy:
             raise SchemaError(
                 f"unknown strategy {self.kind!r}; pick one of "
                 f"{', '.join(_STRATEGY_KINDS)}")
+        if self.seed < 0:
+            raise SchemaError(f"strategy seed must be >= 0, got {self.seed}")
 
 
 StepSample = NamedTuple("StepSample", [  # one row of Trajectory.steps
@@ -197,8 +200,7 @@ class MembershipReport(_Report):
 
 @np.errstate(all="ignore")  # NaN and inf are counted, not warned
 def check_reduction_membership(traj: Trajectory, sys: SystemDef,
-                               tol: float | None = None,
-                               budget: float = 0.01) -> MembershipReport:
+                               tol: float | None = None) -> MembershipReport:
     """Distance of difference quotients to the reduced inclusion.
 
     For each step, measures the Euclidean distance from
@@ -206,8 +208,9 @@ def check_reduction_membership(traj: Trajectory, sys: SystemDef,
     (infinite when the reduction is empty, and NaN counted in
     ``nonfinite``) and reports the fraction of steps not within ``tol``,
     by default 1% of F's largest vertex norm (at least 0.01). The pass
-    budget (default 1%) encodes that the reduction constrains velocities
-    only for almost all times: isolated guard crossings may violate it.
+    budget of 1% of the steps encodes that the reduction constrains
+    velocities only for almost all times: isolated guard crossings may
+    violate it.
     """
     x = traj.states()
     table = tabulate_reduction(sys.inclusion, sys.reducers, x[:-1],
@@ -225,7 +228,7 @@ def check_reduction_membership(traj: Trajectory, sys: SystemDef,
     fraction = violations / len(dist) if len(dist) else 0.0
     return MembershipReport(
         len(dist), violations, fraction, _first_max(dist[dist != np.inf], 0.0),
-        tol, budget, fraction <= budget, int(np.isnan(dist).sum()))
+        tol, _BUDGET, fraction <= _BUDGET, int(np.isnan(dist).sum()))
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,28 @@ class TestExitCodes:
         assert code == 3
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, name, argv, block_seed", [
+        ("simulate", "example3", ("--x0=0.5,0.5", "--strategy",
+                                  "random-extreme", "--seed", "-1"), None),
+        ("simulate", "example3", ("--x0=0.5,0.5", "--strategy",
+                                  "random-extreme"), -5),
+        ("validate-gradient", "example2", ("--seed", "-1"), None),
+    ], ids=["simulate_flag", "simulate_block", "validate_gradient"])
+    def test_negative_seed_exits_three(self, tmp_path, capsys, command, name,
+                                       argv, block_seed):
+        with open(fixture_path(name), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if block_seed is not None:
+            doc.setdefault("simulate", {})["seed"] = block_seed
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command, "-i", str(system), "-o", str(tmp_path / "out"),
+                   *argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "seed" in err and f">= 0, got {block_seed or -1}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("grid_doc, f_value, named", [
         ([1, 2], None, "grid.json: expected a JSON object"),
         (None, "{exp(1000*x1)}", "exp(2000.0) has no finite value"),
@@ -447,6 +469,22 @@ class TestInvariance:
         assert not verdicts[(1.0, 0.0)]
         assert doc["semidefinite"]["verdict"] == "CERTIFIED"
         assert doc["e_node_count"] > 0
+
+    def test_library_and_cli_read_the_system_zero_tol(self, tmp_path):
+        from incred import invariance_data, load_system
+        with open(fixture_path("example2"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["certify"]["zero_tol"] = 0.5
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("invariance", "-i", str(system),
+                   "-o", str(tmp_path / "out")) == 0
+        cli = json.loads((tmp_path / "out" / "invariance.json").read_text())
+        lib = invariance_data(load_system(system))
+        assert lib.zero_tol == cli["zero_tol"] == 0.5
+        assert len(lib.e_nodes) == cli["e_node_count"] == 241
+        assert len(invariance_data(load_system(system),
+                                   zero_tol=1e-6).e_nodes) == 1
 
 
 class TestMatrosov:

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incred.derivative import (baseline_interval_derivative,
                                baseline_max_derivative, bilinear_maxmax,
@@ -171,7 +173,55 @@ class TestGeneralizedDerivative:
             generalized_derivative(v, inclusion, (), (0.5,), 0.0)
 
 
+def _interval_reference(grad, fbox):
+    """``(lo, hi)`` of the intersection derivative by the per-axis loop it
+    used before its upper end came from bilinear_minmax; None when empty.
+    A NaN product or sum raises DslEvalError."""
+    sup_lo = inf_hi = 0.0
+    for pi, qi in zip(grad.axes, fbox.axes):
+        cs = [pi.lo, pi.hi] + ([0.0] if pi.lo < 0.0 < pi.hi else [])
+        products = [(c * qi.lo, c * qi.hi) for c in cs]
+        if any(math.isnan(v) for pair in products for v in pair):
+            raise DslEvalError("NaN product")
+        sup_lo += max(map(min, products))
+        inf_hi += min(map(max, products))
+    sup_lo, inf_hi = sup_lo + grad.axes[-1].hi, inf_hi + grad.axes[-1].lo
+    if math.isnan(sup_lo) or math.isnan(inf_hi):
+        raise DslEvalError("NaN sum")
+    return None if sup_lo > inf_hi else (sup_lo, inf_hi)
+
+
+# signed zeros and infinities, where the bits of min, max and sums differ
+ENDPOINTS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -2.5]) \
+    | st.floats(-3.0, 3.0)
+
+
+def boxes(dims):
+    return st.lists(st.tuples(ENDPOINTS, ENDPOINTS).map(sorted),
+                    min_size=dims, max_size=dims).map(lambda b: box(*b))
+
+
 class TestBaselines:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(boxes(n + 1), boxes(n))))
+    def test_interval_derivative_upper_end_is_bilinear_minmax(self, pq):
+        grad, fbox = pq
+        spec, fmap = constant_spec(grad, name="s"), constant_map(fbox)
+        x = (0.0,) * fbox.dims
+        try:
+            want = _interval_reference(grad, fbox)
+        except DslEvalError:
+            with pytest.raises(DslEvalError, match=re.escape(
+                    "s: the baseline interval derivative is NaN at x=")):
+                baseline_interval_derivative(spec, fmap, x, 0.0)
+            return
+        d = baseline_interval_derivative(spec, fmap, x, 0.0)
+        got = None if d.value is None else (d.value.lo, d.value.hi)
+        assert repr(got) == repr(want)
+        if want is not None:
+            assert repr(d.value.hi) == repr(bilinear_minmax(grad, fbox))
+
     def test_common_value_max_at_corner(self, example2):
         d = baseline_max_derivative(example2.candidate, example2.inclusion,
                                     (1.0, 1.0), 0.0)

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incred.expr as ex
 from incred.errors import DslEvalError, DslSyntaxError
@@ -231,7 +233,7 @@ class TestGuard:
         assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("name", ["abs", "max", "min", "sgn", "sgn1",
-                                      "exp", "sin", "cos", "div"])
+                                      "exp", "sin", "cos", "den"])
     def test_poisons_are_the_calls_that_can_disagree(self, name):
         """A comparison reads a call through ``_cmp`` (NaN rows undecided)
         exactly when the call's scalar code raises, or gives other bits
@@ -241,7 +243,7 @@ class TestGuard:
                  1.0, -1.0, 1e3)
         agree = True
         for args in itertools.product(edges, repeat=2 if name in
-                                      ("max", "min", "div") else 1):
+                                      ("max", "min") else 1):
             try:
                 want = scalar(*args)
             except DslEvalError:
@@ -446,6 +448,129 @@ class TestNodes:
         assert ex.free_vars(ex.parse_set("hull(t, 1) + x2*[g, 1]", names)) \
             == {"t", "x2", "g"}
         assert ex.free_vars(ex.parse_guard("otherwise")) == frozenset()
+
+
+class TestNestingLimits:
+    """Text nests at most ``_MAX_NESTING`` deep and a syntax tree is at
+    most ``_MAX_DEPTH`` deep; beyond either the parser raises a
+    DslSyntaxError, never a RecursionError or Python's SyntaxError."""
+
+    # each form nests its argument one level deeper; the last opens the
+    # most parentheses per level in the compiled code (5)
+    SCALAR_LEVELS = ["({})", "abs({})", "2/-({}) - 3", "max(-{}*x1, 1)",
+                     "1 + 2/-abs({})*3"]
+
+    @pytest.mark.parametrize("form", SCALAR_LEVELS)
+    def test_scalar_at_the_limit_compiles_and_one_more_is_rejected(self,
+                                                                   form):
+        src = "x1"
+        for _ in range(ex._MAX_NESTING):
+            src = form.format(src)
+        node = ex.parse_scalar(src)
+        with np.errstate(all="ignore"):
+            ex.compile_scalar(node)({"x1": 0.5})
+            ex.compile_scalar_array(node)({"x1": np.array([0.5, 2.0])})
+        with pytest.raises(DslSyntaxError, match="more than 32 nested"):
+            ex.parse_scalar(form.format(src))
+
+    @pytest.mark.parametrize("parse, src", [
+        (ex.parse_guard, "not " * 33 + "x1 > 0"),
+        (ex.parse_guard, "(" * 33 + "x1 > 0" + ")" * 33),
+        (ex.parse_guard, "not (x1 > 1 or " * 33 + "x1 > 0" + ")" * 33),
+        (ex.parse_set, "2*" * 33 + "[0, 1]"),
+        (ex.parse_set, "{" + "(" * 32 + "x1" + ")" * 32 + "}"),
+    ])
+    def test_deeper_guards_and_sets_are_rejected(self, parse, src):
+        with pytest.raises(DslSyntaxError, match="more than 32 nested"):
+            parse(src)
+
+    def test_a_chain_at_the_depth_limit_compiles_flat(self):
+        node = ex.parse_set("{" + " - ".join(["x1"] * 255) + "}")
+        assert ex.compile_sets((node,))({"x1": 1.0})[0] == Interval.point(
+            1.0 - 254.0)
+        assert ex.compile_set_array(node)({"x1": np.ones(2)}).lo.tolist() \
+            == [-253.0, -253.0]
+        assert ex.parse_scalar("x1" + " / x1" * 255)  # tree depth 256
+        with pytest.raises(DslSyntaxError, match="tree deeper than 256"):
+            ex.parse_scalar("x1" + " * x1" * 256)
+
+
+# --- tokenizer ------------------------------------------------------------
+
+_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_PUNCT = {
+    "(": "lparen", ")": "rparen", "{": "lbrace", "}": "rbrace",
+    "[": "lbracket", "]": "rbracket", ",": "comma",
+}
+
+
+def reference_tokenize(src):
+    """The per-character tokenizer that the one-pattern lexer replaced."""
+    toks = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _PUNCT:
+            toks.append(ex._Token(_PUNCT[c], c, i))
+            i += 1
+            continue
+        if c in "+-*/":
+            toks.append(ex._Token("op", c, i))
+            i += 1
+            continue
+        if c in "=!<>":
+            two = src[i:i + 2]
+            if two in ("==", "!=", "<=", ">="):
+                toks.append(ex._Token("cmp", two, i))
+                i += 2
+                continue
+            if c in "<>":
+                toks.append(ex._Token("cmp", c, i))
+                i += 1
+                continue
+            raise DslSyntaxError(f"stray {c!r}", i, src)
+        m = _NUM_RE.match(src, i)
+        if m:
+            toks.append(ex._Token("num", m.group(), i))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(src, i)
+        if m:
+            toks.append(ex._Token("ident", m.group(), i))
+            i = m.end()
+            continue
+        raise DslSyntaxError(f"unexpected character {c!r}", i, src)
+    toks.append(ex._Token("end", "", n))
+    return toks
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except DslSyntaxError as e:
+        return e.message, e.offset
+
+
+# the DSL's own lexemes, junk characters, Unicode whitespace and digits
+LEXEMES = ["x1", "t", "g_2", "and", "not", "hull", "0", "12", "0.5", ".5",
+           "1.", "1e5", "2E-3", "1e", "e", ".", "+", "-", "*", "/", "(",
+           ")", "[", "]", "{", "}", ",", "==", "!=", "<=", ">=", "<", ">",
+           "=", "!", "=>", " ", "\t", "\n", "\x0b", "\u00a0", "\u2003",
+           "\u0663", "\u0967", "\U0001d7d7", "\u00e9", "$", "\x00", "\x85"]
+
+
+class TestTokenizer:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(LEXEMES) | st.characters(),
+                    max_size=16).map("".join))
+    def test_matches_the_per_character_reference(self, src):
+        assert _tokens_or_error(ex._tokenize, src) \
+            == _tokens_or_error(reference_tokenize, src)
 
 
 # --- compiled closures match Python's evaluation of the source ----------

@@ -232,3 +232,35 @@ def test_a_guard_of_three_hundred_terms_compiles_on_the_array_path(tmp_path):
     text = runs["reduce"][3]["reduction_table.txt"].decode()
     assert "x=(0.0) t=0.0  F=[-2.0, -2.0]" in text  # the fixture's piece
     assert "x=(1.5) t=0.0  F=[-1.5, -1.5]" in text  # the new first piece
+
+
+# example1 with one long or deeply nested expression: a sum of 250 terms
+# compiles to one flat chain; the rest exceed the documented limits
+LONG_AND_DEEP = [
+    ("value", "{" + " + ".join(["x1"] * 250) + "}", 0, None),
+    ("value", "{" + " + ".join(["x1"] * 1200) + "}", 2,
+     "F.pieces[0].value[0]: syntax tree deeper than 256 levels"),
+    ("value", "{" + "(" * 250 + "x1" + ")" * 250 + "}", 2,
+     "F.pieces[0].value[0]: more than 32 nested brackets"),
+    ("guard", "not " * 250 + "abs(x1) != 1", 2,
+     "F.pieces[0].guard: more than 32 nested brackets"),
+]
+
+
+@pytest.mark.parametrize("where, form, code, message", LONG_AND_DEEP,
+                         ids=["sum250", "sum1200", "paren250", "not250"])
+def test_a_long_or_deep_expression_never_ends_in_a_traceback(
+        where, form, code, message, tmp_path):
+    doc = copy.deepcopy(FIXTURES["example1"])
+    piece = doc["F"]["pieces"][0]
+    piece[where] = [form] if where == "value" else form
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["reduce", "-i", str(path), "-o", str(tmp_path / "out"),
+            "--grid", "5"]
+    run = _run(argv, tmp_path / "out", pointwise=False)
+    assert run[0] == code and "Traceback" not in run[1] + run[2]
+    if message is None:
+        assert run == _run(argv, tmp_path / "out", pointwise=True)
+    else:
+        assert run[2].startswith(f"error: {message}")
