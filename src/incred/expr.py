@@ -8,7 +8,7 @@ environment mapping variable names to floats:
   exp, sin, cos``;
 * set expressions -- interval-valued: singletons ``{expr}``, interval
   literals ``[lo, hi]``, ``hull(a, b)``, Minkowski sums ``A + B`` and
-  scalar multiples ``c * A``;
+  scalar multiples ``c * A``; a set evaluates to a ``(lo, hi)`` pair;
 * guards -- comparisons combined with ``and`` / ``or`` / ``not``. The
   word ``otherwise`` by itself is the catch-all guard.
 
@@ -38,10 +38,11 @@ in magnitude raises instead of returning inf.
 ASTs are immutable; evaluation is pure. ``compile_scalar`` /
 ``compile_sets`` (all sets of a piece at once) / ``compile_guard``
 produce plain Python closures: the package's pointwise evaluators, and
-the reference the array closures are tested against.
+the reference the array closures are tested against. A NaN set endpoint
+raises; a sum is one call, which evaluates every term before it adds.
 
 The ``*_array`` compilers emit the same code over numpy arrays of rows:
-variables are arrays (or floats), a set evaluates to ``lo``/``hi``
+variables are arrays (or floats), a set evaluates to ``(lo, hi)``
 endpoint arrays and a guard to a mask. Every row gets the bits the
 scalar closure gives it: ``max``/``min``/``hull`` keep Python's
 first-argument rule on ties and signed zeros, and ``exp``/``sin``/``cos``
@@ -62,7 +63,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DslEvalError, DslSyntaxError
-from .intervals import Interval
 
 __all__ = [
     "ScalarExpr", "SetExpr", "GuardExpr",
@@ -111,11 +111,29 @@ def _checked_den(b: float) -> float:
     return b
 
 
-def _interval_value(lo: float, hi: float) -> Interval:
+def _pair(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)``; a NaN endpoint raises ValueError (see compile_sets)."""
+    if lo != lo or hi != hi:
+        raise ValueError("a set endpoint is NaN")
+    return lo, hi
+
+
+def _interval_value(lo: float, hi: float) -> tuple[float, float]:
     if lo > hi:
         raise DslEvalError(
             f"interval literal evaluated with lo > hi ({lo} > {hi})")
-    return Interval(lo, hi)
+    return _pair(lo, hi)
+
+
+def _hull_value(a: float, b: float) -> tuple[float, float]:
+    """``(min(a, b), max(a, b))``; a NaN raises even where min/max skip it."""
+    _pair(a, b)
+    return min(a, b), max(a, b)
+
+
+def _add(s: tuple, t: tuple) -> tuple:
+    """The Minkowski sum of two ``(lo, hi)`` pairs."""
+    return s[0] + t[0], s[1] + t[1]
 
 
 def _checked_math(name: str) -> Callable[[float], float]:
@@ -495,8 +513,10 @@ def parse_guard(src: str, variables: Iterable[str] | None = None) -> GuardExpr:
 _COMPILE_NS = {
     "_abs": abs, "_max": max, "_min": min, "_sgn": _sgn, "_sgn1": _sgn1,
     **{f"_{name}": _checked_math(name) for name in ("exp", "sin", "cos")},
-    "_den": _checked_den, "_pt": Interval.point, "_intv": _interval_value,
-    "_hullv": Interval.hull,
+    "_den": _checked_den, "_pt": lambda v: _pair(v, v),
+    "_intv": _interval_value, "_hullv": _hull_value,
+    "_scale": lambda s, c: _hull_value(c * s[0], c * s[1]),
+    "_sum": lambda *terms: _pair(*reduce(_add, terms)),
 }
 
 
@@ -528,13 +548,10 @@ def _set_code(node: SetExpr) -> str:
         return f"_intv({_scalar_code(node.lo)}, {_scalar_code(node.hi)})"
     if isinstance(node, HullSet):
         return f"_hullv({_scalar_code(node.a)}, {_scalar_code(node.b)})"
-    if isinstance(node, SumSet):
-        code = _set_code(node.terms[0])
-        for term in node.terms[1:]:
-            code = f"{code}.add({_set_code(term)})"
-        return code
-    if isinstance(node, ScaledSet):
-        return f"{_set_code(node.operand)}.scale({_scalar_code(node.coeff)})"
+    if isinstance(node, SumSet):  # one n-ary call, as _and/_or in masks
+        return "_sum(" + ", ".join(map(_set_code, node.terms)) + ")"
+    if isinstance(node, ScaledSet):  # the operand first, then the factor
+        return f"_scale({_set_code(node.operand)}, {_scalar_code(node.coeff)})"
     raise TypeError(f"not a set expression: {node!r}")
 
 
@@ -569,17 +586,16 @@ def compile_scalar(node: ScalarExpr) -> Callable[[Mapping[str, float]], float]:
 
 
 def _nan_endpoint(node: SetExpr, env: Mapping[str, float]) -> DslEvalError:
-    """The error for a set expression whose value has a NaN endpoint: the
-    only ValueError in set evaluation, raised by ``Interval`` and its
-    ``scale`` and ``hull`` (inverted literals raise DslEvalError)."""
+    """The error for a set value with a NaN endpoint: the only ValueError
+    in set evaluation, raised by ``_pair``."""
     x = tuple(env[f"x{i}"] for i in range(1, 10) if f"x{i}" in env)
     return DslEvalError(f"set expression {pretty_set(node)} has a NaN "
                         f"endpoint at x={x}, t={env.get('t')!r}")
 
 
-def compile_sets(nodes: Sequence[SetExpr],
-                 ) -> Callable[[Mapping[str, float]], tuple[Interval, ...]]:
-    """One closure returning the values of ``nodes``, evaluated in order.
+def compile_sets(nodes: Sequence[SetExpr]) -> Callable[
+        [Mapping[str, float]], tuple[tuple[float, float], ...]]:
+    """One closure returning the ``(lo, hi)`` values of ``nodes``, in order.
 
     A NaN endpoint raises a DslEvalError naming the first set that has
     one: each set's own code runs again, in order, until one raises.
@@ -587,7 +603,7 @@ def compile_sets(nodes: Sequence[SetExpr],
     nodes = tuple(nodes)
     sets = _build("(" + "".join(f"{_set_code(n)}, " for n in nodes) + ")")
 
-    def checked(env: Mapping[str, float]) -> tuple[Interval, ...]:
+    def checked(env: Mapping[str, float]) -> tuple[tuple[float, float], ...]:
         try:
             return sets(env)
         except ValueError:
@@ -645,31 +661,14 @@ def _array_compare(a, b, op: Callable):
     return np.where(nan, np.nan, op(a, b)) if nan.any() else op(a, b)
 
 
-class _Span:
-    """Endpoint arrays of a set expression over a batch of rows."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
-    def add(self, other: "_Span") -> "_Span":
-        return _Span(self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, c) -> "_Span":
-        return _array_hull(c * self.lo, c * self.hi)
-
-
-def _array_interval(lo, hi) -> _Span:
+def _array_interval(lo, hi) -> tuple:
     """``[lo, hi]``, NaN where ``lo > hi`` (the scalar code raises)."""
     inverted = lo > hi
-    return _Span(np.where(inverted, np.nan, lo) if np.any(inverted) else lo,
-                 hi)
+    return np.where(inverted, np.nan, lo) if np.any(inverted) else lo, hi
 
 
-def _array_hull(a, b) -> _Span:
-    return _Span(_nan_min(a, b), _nan_max(a, b))
+def _array_hull(a, b) -> tuple:
+    return _nan_min(a, b), _nan_max(a, b)
 
 
 _ARRAY_NS = {
@@ -677,8 +676,10 @@ _ARRAY_NS = {
     "_sgn": np.sign,  # NaN stays NaN, and sign(-0.0) is 0.0
     "_sgn1": lambda y: np.where((-1.0 < y) & (y < 1.0), 0.0, np.sign(y)),
     "_exp": _elementwise(math.exp), "_sin": _elementwise(math.sin),
-    "_cos": _elementwise(math.cos), "_pt": lambda v: _Span(v, v),
+    "_cos": _elementwise(math.cos), "_pt": lambda v: (v, v),
     "_intv": _array_interval, "_hullv": _array_hull,
+    "_scale": lambda s, c: _array_hull(c * s[0], c * s[1]),
+    "_sum": lambda *terms: reduce(_add, terms),  # NaN stays on its row
     "_cmp": _array_compare, "_and": lambda *m: reduce(np.minimum, m),
     "_or": lambda *m: reduce(np.maximum, m),
     "_not": lambda m: 1.0 - m if np.asarray(m).dtype.kind == "f"
@@ -693,7 +694,7 @@ def compile_scalar_array(node: ScalarExpr) -> Callable:
 
 
 def compile_set_array(node: SetExpr) -> Callable:
-    """Closure returning an object with ``lo`` and ``hi`` endpoint arrays."""
+    """Closure returning a pair of ``lo`` and ``hi`` endpoint arrays."""
     return _build(_set_code(node), _ARRAY_NS)
 
 

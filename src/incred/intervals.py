@@ -2,12 +2,14 @@
 
 Every set value in this package is a box, an axis-aligned product of
 closed intervals, possibly degenerate: inclusion values, declared
-gradient boxes, and reduced direction sets are all boxes. An interval is
-never empty. Emptiness belongs to the box: :meth:`IntervalBox.empty` is
-the one empty set value, which keeps only its dimension (never encoded
-as inverted endpoints). Degeneracy is exact equality of endpoints,
-because the systems of interest are defined with exactly representable
-constants.
+gradient boxes, and reduced direction sets are all boxes. Below the
+public API a box is a tuple of ``(lo, hi)`` float pairs, one per axis;
+the objects here are built only where a public function returns one.
+An interval is never empty. Emptiness belongs to the box:
+:meth:`IntervalBox.empty` is the one empty set value, which keeps only
+its dimension (never encoded as inverted endpoints). Degeneracy is
+exact equality of endpoints, because the systems of interest are
+defined with exactly representable constants.
 
 Axis indices reported by :func:`direction_axes` (and consumed elsewhere)
 are 1-based, matching the variable names ``x1..xn``; a box of dimension
@@ -37,6 +39,12 @@ __all__ = [
 ]
 
 
+def center(lo: float, hi: float) -> float:
+    """``(lo + hi) / 2``, or ``lo/2 + hi/2`` where the sum overflows."""
+    c = (lo + hi) / 2.0
+    return c if math.isfinite(c) else lo / 2.0 + hi / 2.0
+
+
 class Interval:
     """A closed real interval ``[lo, hi]`` with ``lo <= hi``, never empty."""
 
@@ -51,19 +59,6 @@ class Interval:
             raise ValueError(f"inverted interval endpoints [{lo}, {hi}]")
         self._lo = lo
         self._hi = hi
-
-    @classmethod
-    def point(cls, v: float) -> Interval:
-        """Degenerate interval ``[v, v]``."""
-        return cls(v, v)
-
-    @classmethod
-    def hull(cls, a: float, b: float) -> Interval:
-        """``[min(a, b), max(a, b)]``; a NaN raises ValueError even where
-        ``min``/``max`` would skip it (as they do a NaN ``b``)."""
-        if math.isnan(a) or math.isnan(b):
-            raise ValueError("interval endpoints must not be NaN")
-        return cls(min(a, b), max(a, b))
 
     @property
     def lo(self) -> float:
@@ -80,21 +75,10 @@ class Interval:
 
     @property
     def center(self) -> float:
-        """``(lo + hi) / 2``, or ``lo/2 + hi/2`` where the sum overflows."""
-        c = (self._lo + self._hi) / 2.0
-        return c if math.isfinite(c) else self._lo / 2.0 + self._hi / 2.0
+        return center(self._lo, self._hi)
 
     def contains(self, v: float) -> bool:
         return self._lo <= v <= self._hi
-
-    def add(self, other: Interval) -> Interval:
-        """Minkowski sum of two intervals."""
-        return Interval(self._lo + other.lo, self._hi + other.hi)
-
-    __add__ = add
-
-    def scale(self, c: float) -> Interval:
-        return Interval.hull(c * self._lo, c * self._hi)
 
     def inflate(self, margin: float) -> Interval:
         return Interval(self._lo - margin, self._hi + margin)
@@ -139,7 +123,7 @@ class IntervalBox:
 
     @classmethod
     def point(cls, coords: Sequence[float]) -> IntervalBox:
-        return cls(Interval.point(c) for c in coords)
+        return cls(Interval(c, c) for c in coords)
 
     @classmethod
     def from_bounds(cls, lo: Sequence[float], hi: Sequence[float]) -> IntervalBox:
@@ -160,10 +144,6 @@ class IntervalBox:
     @property
     def is_empty(self) -> bool:
         return self._axes is None
-
-    def axis(self, i: int) -> Interval:
-        """Axis by 1-based index."""
-        return self.axes[i - 1]
 
     @property
     def center(self) -> tuple[float, ...]:

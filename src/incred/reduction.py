@@ -32,7 +32,7 @@ import numpy as np
 
 from . import expr
 from .errors import DimensionMismatchError, SchemaError
-from .intervals import Interval, IntervalBox
+from .intervals import IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
 
@@ -82,25 +82,30 @@ def reduce_collection(inclusion: PiecewiseBoxMap,
 def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
             x: Sequence[float], t: float) -> ReducedValue:
     """:func:`_pinch` of ``base``, the inclusion value at (x, t)."""
+    def spans(box):
+        return tuple(zip(box.lo_corner(), box.hi_corner()))
+
     result, pinched, obstructed = _pinch(
-        None if base.is_empty else base.axes, base.dims, reducers,
-        lambda u: eval_gradient(u, x, t).axes)
+        None if base.is_empty else spans(base), base.dims, reducers,
+        lambda u: spans(eval_gradient(u, x, t)))
     return ReducedValue(base, frozenset(pinched), IntervalBox.empty(
-        base.dims) if result is None else IntervalBox(result), obstructed)
+        base.dims) if result is None else IntervalBox.from_bounds(
+            *zip(*result)), obstructed)
 
 
-def _pinch(base: tuple[Interval, ...] | None, dims: int,
+def _pinch(base: Sequence[tuple[float, float]] | None, dims: int,
            reducers: Sequence[RegularFunctionSpec], gradient: Callable):
-    """The one reduction rule: ``base``, an inclusion value's ``dims`` axes
-    (None if empty), pinched to {0} on the state axes that each regular
-    reducer's ``gradient(u)``, in order, moves along; and the axes pinched."""
+    """The one reduction rule: ``base``, an inclusion value's ``dims``
+    ``(lo, hi)`` axes (None if empty), pinched to {0} on the state axes
+    that each regular reducer's ``gradient(u)`` axes, in order, move
+    along; and the axes pinched."""
     pinched, time_obstruction = set(), False
     for u in reducers:
         if not u.regular:
             raise SchemaError(
                 f"{u.name}: reduction requires a regular function")
-        for i, axis in enumerate(gradient(u), start=1):
-            if not axis.is_degenerate:  # a direction the gradient moves in
+        for i, (lo, hi) in enumerate(gradient(u), start=1):
+            if lo != hi:  # a direction the gradient moves in
                 time_obstruction |= i == u.n + 1
                 if i <= dims:
                     pinched.add(i)
@@ -108,9 +113,9 @@ def _pinch(base: tuple[Interval, ...] | None, dims: int,
         return None, pinched, time_obstruction
     result = list(base)
     for i in pinched:
-        if not result[i - 1].contains(0.0):
+        if not result[i - 1][0] <= 0.0 <= result[i - 1][1]:
             return None, pinched, time_obstruction
-        result[i - 1] = Interval.point(0.0)
+        result[i - 1] = (0.0, 0.0)
     return result, pinched, time_obstruction
 
 

@@ -122,10 +122,11 @@ class PiecewiseBoxMap:
                 f"point has {len(x)} coordinates, map expects {self.n_in}")
         spans = self.spans(self.env(x, t))
         return IntervalBox.empty(self.n_out) if spans is None \
-            else IntervalBox(spans)
+            else IntervalBox(Interval(lo, hi) for lo, hi in spans)
 
-    def spans(self, env: dict[str, float]) -> tuple[Interval, ...] | None:
-        """:meth:`value`'s axes in the point's :meth:`env`; None if empty."""
+    def spans(self, env: dict[str, float]) -> tuple[tuple, ...] | None:
+        """:meth:`value`'s axes as ``(lo, hi)`` pairs in the point's
+        :meth:`env`; None if empty."""
         sets = self._sets[self._first(env)]
         return None if sets is None else sets(env)
 
@@ -180,9 +181,7 @@ class PiecewiseBoxMap:
             elif mine.size:
                 sub = env if mine.size == left.size else _take(env, hit)
                 for j, fn in enumerate(set_fns):
-                    span = fn(sub)
-                    lo[j, mine] = span.lo
-                    hi[j, mine] = span.hi
+                    lo[j, mine], hi[j, mine] = fn(sub)
             if mine.size == left.size:
                 break
             env = _take(env, ~hit)

@@ -23,10 +23,11 @@ guard crossings are budgeted, 1% of the steps), first-order decrease of
 the candidate against a declared bound, and tail convergence of a
 semidefinite observable. The integrator is sequential and scalar: a step
 builds one env per parameter table, reads each map's first matching piece
-as intervals and pinches them by ``reduction._pinch``. The checks run as
-numpy columns over its ``t, x, q, V`` rows (a reduction table with one
-time per row, and array closures), the scalar closures redoing each row
-the arrays flag. A NaN never passes a check. The CSV is written in chunks.
+as ``(lo, hi)`` float pairs, pinches them by ``reduction._pinch`` and
+builds no interval or box. The checks run as numpy columns over its
+``t, x, q, V`` rows (a reduction table with one time per row, and array
+closures), the scalar closures redoing each row the arrays flag. A NaN
+never passes a check. The CSV is written in chunks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import expr
 from .errors import SchemaError, SimulationError
 from .expr import _array_max as _max
 from .grids import check_size
-from .intervals import contains
+from .intervals import center
 from .reduction import _chunks, _columns, _pinch, _reprs, tabulate_reduction
 from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SystemDef,
                       eval_gradient)
@@ -124,7 +125,12 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
         raise SchemaError(f"x0 has {len(x)} coordinates, system has {sys.n}")
-    if not contains(sys.domain, x):
+    domain = tuple(zip(sys.domain.lo_corner(), sys.domain.hi_corner()))
+
+    def inside(x) -> bool:
+        return all(lo <= v <= hi for v, (lo, hi) in zip(x, domain))
+
+    if not inside(x):
         raise SimulationError(f"x0 {x} lies outside the domain box")
 
     count = (horizon - t0) / h
@@ -147,8 +153,7 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
         return envs[i]
 
     def gradient(u) -> tuple:  # eval_gradient raises on an empty piece
-        axes = u.gradient.spans(env(u.gradient))
-        return eval_gradient(u, x, t).axes if axes is None else axes
+        return u.gradient.spans(env(u.gradient)) or eval_gradient(u, x, t)
 
     flat: list[float] = []  # the rows, one after another
     for k in range(n_steps):
@@ -159,26 +164,26 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
                 f"inclusion is empty at x={x}, t={t}; cannot select a "
                 "velocity (modeling error)")
         if kind == "midpoint":
-            q = tuple(ax.center for ax in f)
+            q = tuple(center(lo, hi) for lo, hi in f)
         elif kind == "random-extreme":
-            q = tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
-                      else ax.hi for ax in f)
+            q = tuple(lo if (lo == hi or rng.integers(2) == 0) else hi
+                      for lo, hi in f)
         else:  # reduced-descent: the reduced set, or F where it is empty
             base = _pinch(f, len(f), sys.reducers, gradient)[0] or f
-            q = tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center
-                      for p, ax in zip([g.center for g in gradient(V)],
-                                       base))
+            q = tuple(lo if p > 0.0 else hi if p < 0.0 else center(lo, hi)
+                      for p, (lo, hi) in zip([center(*g) for g in gradient(V)],
+                                             base))
         v = V._value_fn(envs[slot[V.gradient]] or V.gradient.env(x, t))
         flat.extend((t, *x, *q, v))  # v is V.value_at(x, t)
         x = tuple(xi + h * qi for xi, qi in zip(x, q))
         t = t0 + (k + 1) * h
-        if not contains(sys.domain, x):
+        if not inside(x):
             break
     return Trajectory(
         t0=t0, h=h, horizon=horizon, strategy=strategy,
         rows=np.array(flat).reshape(-1, 2 * sys.n + 2),
         final_t=t, final_x=x, final_v=sys.candidate.value_at(x, t),
-        exited=not contains(sys.domain, x))
+        exited=not inside(x))
 
 
 class _Report:

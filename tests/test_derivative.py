@@ -255,7 +255,7 @@ class TestBaselines:
         d = baseline_interval_derivative(
             constant_spec(grad, name="s"), constant_map(fbox), (0.0, 0.0),
             0.0)
-        assert d.value == Interval.point(0.7 * 2 - 0.2 * 5)
+        assert d.value == Interval(0.7 * 2 - 0.2 * 5, 0.7 * 2 - 0.2 * 5)
 
     def test_interval_derivative_empty_intersection(self):
         # gradient [-1,1], singleton direction {1}: the per-element values

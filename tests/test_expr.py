@@ -5,16 +5,16 @@ import json
 import math
 import pickle
 import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incred.expr as ex
 from incred.errors import DslEvalError, DslSyntaxError
 from incred.fixtures import available_fixtures, fixture_path
-from incred.intervals import Interval
 from incred.setmaps import Piece, PiecewiseBoxMap
 
 
@@ -120,16 +120,16 @@ class TestScalarErrors:
 
 class TestSet:
     def test_singleton_plus_interval(self):
-        assert evset("{-x1 + x2} + [-1, 1]", x1=1.0, x2=0.0) == Interval(-2, 0)
+        assert evset("{-x1 + x2} + [-1, 1]", x1=1.0, x2=0.0) == (-2.0, 0.0)
 
     def test_singleton_zero(self):
-        assert evset("{0}") == Interval(0, 0)
+        assert evset("{0}") == (0.0, 0.0)
 
     def test_scaled_hull(self):
-        assert evset("x2*hull(0, sgn(x1))", x1=2.0, x2=3.0) == Interval(0, 3)
+        assert evset("x2*hull(0, sgn(x1))", x1=2.0, x2=3.0) == (0.0, 3.0)
 
     def test_hull_orders_endpoints(self):
-        assert evset("hull(1, -1)") == Interval(-1, 1)
+        assert evset("hull(1, -1)") == (-1.0, 1.0)
 
     def test_interval_literal_inverted_is_an_error(self):
         with pytest.raises(DslEvalError):
@@ -148,8 +148,8 @@ class TestSet:
             ex.compile_sets((node,))({"x1": 1.0, "t": 0.5})
         # the array closure keeps the NaN (scaled sets and hulls too, whose
         # min/max would skip it), and value_arrays flags the rows as bad
-        span = ex.compile_set_array(node)({"x1": np.ones(2), "t": 0.5})
-        assert np.isnan([span.lo, span.hi]).any()
+        lo, hi = ex.compile_set_array(node)({"x1": np.ones(2), "t": 0.5})
+        assert np.isnan([lo, hi]).any()
         m = PiecewiseBoxMap(1, 1, [Piece(ex.TrueGuard(), (node,))])
         assert m.value_arrays([np.ones(2)], 0.5)[3].tolist() == [True, True]
 
@@ -166,10 +166,10 @@ class TestSet:
             ex.compile_sets(nodes)({"x1": 1.0, "t": 0.5})
 
     def test_parenthesized_coefficient(self):
-        assert evset("(x1 + 1)*[0, 1]", x1=1.0) == Interval(0, 2)
+        assert evset("(x1 + 1)*[0, 1]", x1=1.0) == (0.0, 2.0)
 
     def test_negative_coefficient(self):
-        assert evset("-2*[1, 2]") == Interval(-4, -2)
+        assert evset("-2*[1, 2]") == (-4.0, -2.0)
 
     def test_bare_scalar_is_not_a_set(self):
         with pytest.raises(DslSyntaxError):
@@ -486,9 +486,8 @@ class TestNestingLimits:
 
     def test_a_chain_at_the_depth_limit_compiles_flat(self):
         node = ex.parse_set("{" + " - ".join(["x1"] * 255) + "}")
-        assert ex.compile_sets((node,))({"x1": 1.0})[0] == Interval.point(
-            1.0 - 254.0)
-        assert ex.compile_set_array(node)({"x1": np.ones(2)}).lo.tolist() \
+        assert ex.compile_sets((node,))({"x1": 1.0})[0] == (-253.0, -253.0)
+        assert ex.compile_set_array(node)({"x1": np.ones(2)})[0].tolist() \
             == [-253.0, -253.0]
         assert ex.parse_scalar("x1" + " / x1" * 255)  # tree depth 256
         with pytest.raises(DslSyntaxError, match="tree deeper than 256"):
@@ -592,26 +591,43 @@ def py_eval(src, env):
 
 def _set_reference(node, env):
     """``(lo, hi)`` of a set by interval arithmetic written out here, on
-    compiled scalar leaves."""
+    compiled scalar leaves, raising where interval objects did: ValueError
+    on a NaN endpoint of each value built, singleton, literal, hull,
+    scaled set and every partial Minkowski sum, and DslEvalError on an
+    inverted literal or a failing scalar leaf. A scaled set evaluates its
+    operand before its coefficient, and a sum all its terms before it
+    adds."""
     def scalar(e):
-        return ex.compile_scalar(e)(env)
+        return _compiled_scalar(e)(env)
+
+    def checked(lo, hi):
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("NaN endpoint")
+        return lo, hi
+
+    def hull(a, b):
+        checked(a, b)  # min and max would drop a NaN b
+        return min(a, b), max(a, b)
 
     if isinstance(node, ex.SingletonSet):
-        return scalar(node.value), scalar(node.value)
+        return checked(scalar(node.value), scalar(node.value))
     if isinstance(node, ex.IntervalSet):
-        return scalar(node.lo), scalar(node.hi)
+        lo, hi = scalar(node.lo), scalar(node.hi)
+        if lo > hi:
+            raise DslEvalError(
+                f"interval literal evaluated with lo > hi ({lo} > {hi})")
+        return checked(lo, hi)
     if isinstance(node, ex.HullSet):
-        a, b = scalar(node.a), scalar(node.b)
-        return min(a, b), max(a, b)
+        return hull(scalar(node.a), scalar(node.b))
     if isinstance(node, ex.SumSet):
-        lo, hi = _set_reference(node.terms[0], env)
-        for term in node.terms[1:]:
-            t_lo, t_hi = _set_reference(term, env)
-            lo, hi = lo + t_lo, hi + t_hi
+        terms = [_set_reference(term, env) for term in node.terms]
+        lo, hi = terms[0]
+        for t_lo, t_hi in terms[1:]:
+            lo, hi = checked(lo + t_lo, hi + t_hi)
         return lo, hi
     lo, hi = _set_reference(node.operand, env)
     c = scalar(node.coeff)
-    return min(c * lo, c * hi), max(c * lo, c * hi)
+    return hull(c * lo, c * hi)
 
 
 class TestCompiled:
@@ -635,8 +651,7 @@ class TestCompiled:
             fn = ex.compile_sets((node,))
             for _ in range(20):
                 env = {v: float(rng.uniform(-3, 3)) for v in issue_vars}
-                iv = fn(env)[0]
-                assert (repr(iv.lo), repr(iv.hi)) == tuple(
+                assert tuple(map(repr, fn(env)[0])) == tuple(
                     map(repr, _set_reference(node, env))), src
         for src in set(guards) | set(EXTRA_GUARDS):
             fn = ex.compile_guard(ex.parse_guard(src, issue_vars))
@@ -644,6 +659,91 @@ class TestCompiled:
                 env = {v: float(rng.uniform(-3, 3)) for v in issue_vars}
                 expected = True if src == "otherwise" else py_eval(src, env)
                 assert fn(env) is expected, src
+
+
+# scalar leaves with signed zeros and rounding, and hostile ones with
+# infinities, overflow to inf, inf - inf cancellations and denominators
+# near 0; the coordinates of an env come from the matching value list
+SAFE_LEAVES = ["x1", "-x2", "0", "-0.0", "0.1", "x1/3", "2.5", "x2*0.7"]
+HOSTILE_LEAVES = ["1e999", "-1e999", "1e308*10", "x1*1e308*10",
+                  "(1e308*10) - (1e308*10)", "x2 - x2*1e308*10", "1/x1",
+                  "1/(x2 - 1e-300)"]
+SAFE_VALUES = [0.5, -2.0, 1 / 3, 0.1, 7.0, 1e308]
+HOSTILE_VALUES = [0.0, -0.0, 1e-301, 1e-300, -1e-300, math.inf, -math.inf]
+
+
+@st.composite
+def set_cases(draw):
+    """The source of a sum of 1 to 300 terms, each one of up to four
+    nested set atoms, and an env: half the cases draw from the hostile
+    leaves and values too."""
+    hostile = draw(st.booleans())
+    leaf = st.sampled_from(SAFE_LEAVES + HOSTILE_LEAVES * hostile)
+    value = st.sampled_from(SAFE_VALUES + HOSTILE_VALUES * hostile)
+    two = st.tuples(leaf, leaf)
+    atoms = st.recursive(st.one_of(
+        leaf.map("{{{}}}".format), two.map(lambda p: "[{}, {}]".format(*p)),
+        two.map(lambda p: "hull({}, {})".format(*p))),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(
+                lambda terms: "(" + " + ".join(terms) + ")"),
+            st.tuples(leaf, inner).map(lambda p: "({})*{}".format(*p))),
+        max_leaves=6)
+    pool, count = draw(st.lists(atoms, min_size=1, max_size=4)), draw(
+        st.integers(1, 300))
+    terms = draw(st.lists(st.sampled_from(pool), min_size=count,
+                          max_size=count))
+    return " + ".join(terms), {"x1": draw(value), "x2": draw(value),
+                               "t": 0.5}
+
+
+def _bits_or_error(evaluate, node, env):
+    """The bits of a set value, or the error, as compile_sets reports it."""
+    try:
+        return tuple(struct.pack("d", v) for v in evaluate(node, env))
+    except ValueError:
+        x = (env["x1"], env["x2"])
+        return DslEvalError, (f"set expression {ex.pretty_set(node)} has a "
+                              f"NaN endpoint at x={x}, t={env['t']!r}")
+    except DslEvalError as e:
+        return DslEvalError, str(e)
+
+
+class TestSetDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(case=set_cases())
+    @example(case=("(0)*[-2.5, x1]", {"x1": 0.5, "x2": 0.5, "t": 0.5}))
+    @example(case=("{(1e308*10) - (1e308*10)}", {"x1": 0.5, "x2": 0.5,
+                                                  "t": 0.5}))
+    def test_compiled_sets_match_the_reference(self, case):
+        """``compile_sets`` gives the reference's bits, or its error; the
+        array closure gives the row the same bits, or a non-finite
+        endpoint (a row to redo pointwise)."""
+        src, env = case
+        node = ex.parse_set(src)
+        want = _bits_or_error(_set_reference, node, env)
+        got = _bits_or_error(
+            lambda n, e: ex.compile_sets((n,))(e)[0], node, env)
+        assert got == want
+        with np.errstate(all="ignore"):
+            row = [float(np.broadcast_to(v, 1)[0]) for v in
+                   ex.compile_set_array(node)(
+                       {k: np.array([v]) for k, v in env.items()})]
+        if all(map(math.isfinite, row)):
+            assert tuple(struct.pack("d", v) for v in row) == want
+        else:
+            assert want[0] is DslEvalError or not all(
+                math.isfinite(struct.unpack("d", v)[0]) for v in want)
+
+    def test_a_sum_evaluates_every_term_before_it_adds(self):
+        """A term that raises reports its own error, even after a partial
+        sum that is NaN (inf + -inf)."""
+        node = ex.parse_set("{1e308*10} + {-1e308*10} + {1/x1}")
+        with pytest.raises(DslEvalError,
+                           match=re.escape("near-zero denominator 0.0")):
+            ex.compile_sets((node,))({"x1": 0.0, "t": 0.5})
+        with pytest.raises(DslEvalError, match="has a NaN endpoint"):
+            ex.compile_sets((node,))({"x1": 1.0, "t": 0.5})
 
 
 # --- set evaluation equals the hull of sampled realizations ---------------
@@ -691,12 +791,12 @@ class TestRealizationHull:
             for src in srcs:
                 node = ex.parse_set(src, issue_vars)
                 env = {v: float(rng.uniform(-2, 2)) for v in issue_vars}
-                iv = ex.compile_sets((node,))(env)[0]
+                lo, hi = ex.compile_sets((node,))(env)[0]
                 samples = [_realize(node, env, rng) for _ in range(1000)]
-                assert min(samples) >= iv.lo - 1e-9
-                assert max(samples) <= iv.hi + 1e-9
-                assert min(samples) <= iv.lo + 1e-9
-                assert max(samples) >= iv.hi - 1e-9
+                assert min(samples) >= lo - 1e-9
+                assert max(samples) <= hi + 1e-9
+                assert min(samples) <= lo + 1e-9
+                assert max(samples) >= hi - 1e-9
                 points += 1
                 if points >= 1000:
                     break

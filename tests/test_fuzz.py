@@ -234,10 +234,13 @@ def test_a_guard_of_three_hundred_terms_compiles_on_the_array_path(tmp_path):
     assert "x=(1.5) t=0.0  F=[-1.5, -1.5]" in text  # the new first piece
 
 
-# example1 with one long or deeply nested expression: a sum of 250 terms
-# compiles to one flat chain; the rest exceed the documented limits
+# example1 with one long or deeply nested expression: a scalar sum of 250
+# terms compiles to one flat chain and a set sum of 300 or 2,000 terms to
+# one n-ary call; the rest exceed the documented limits
 LONG_AND_DEEP = [
     ("value", "{" + " + ".join(["x1"] * 250) + "}", 0, None),
+    ("value", " + ".join(["{x1}"] * 300), 0, None),
+    ("value", " + ".join(["{x1}"] * 2000), 0, None),
     ("value", "{" + " + ".join(["x1"] * 1200) + "}", 2,
      "F.pieces[0].value[0]: syntax tree deeper than 256 levels"),
     ("value", "{" + "(" * 250 + "x1" + ")" * 250 + "}", 2,
@@ -248,7 +251,8 @@ LONG_AND_DEEP = [
 
 
 @pytest.mark.parametrize("where, form, code, message", LONG_AND_DEEP,
-                         ids=["sum250", "sum1200", "paren250", "not250"])
+                         ids=["sum250", "setsum300", "setsum2000", "sum1200",
+                              "paren250", "not250"])
 def test_a_long_or_deep_expression_never_ends_in_a_traceback(
         where, form, code, message, tmp_path):
     doc = copy.deepcopy(FIXTURES["example1"])

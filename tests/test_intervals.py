@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from incred import expr
 from incred.errors import DimensionMismatchError, EmptySetError
 from incred.intervals import (Annulus, Interval, IntervalBox, contains,
                               direction_axes)
@@ -13,12 +14,17 @@ def box(*bounds):
     return IntervalBox(Interval(lo, hi) for lo, hi in bounds)
 
 
+def evset(src, **env):
+    """The ``(lo, hi)`` value of a compiled set expression."""
+    return expr.compile_sets((expr.parse_set(src),))(env)[0]
+
+
 class TestInterval:
     def test_construction_and_degeneracy(self):
         iv = Interval(-1.0, 1.0)
         assert iv.lo == -1.0 and iv.hi == 1.0
         assert not iv.is_degenerate
-        assert Interval.point(3.0).is_degenerate
+        assert Interval(3.0, 3.0).is_degenerate
 
     def test_inverted_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -42,7 +48,7 @@ class TestInterval:
     @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -5e-324, 1e308, 1.7e308,
                                    -1.7e308, 2.5])
     def test_center_of_a_point_is_the_point(self, v):
-        c = Interval.point(v).center
+        c = Interval(v, v).center
         assert c == v and repr(c) == repr(v)
 
     @pytest.mark.parametrize("lo, hi, center", [
@@ -61,8 +67,8 @@ class TestEmptyBox:
     def test_has_no_axes_corners_or_center(self):
         e = IntervalBox.empty(2)
         assert e.is_empty and e.dims == 2
-        for read in (lambda: e.axes, lambda: e.axis(1), e.lo_corner,
-                     e.hi_corner, lambda: e.center):
+        for read in (lambda: e.axes, e.lo_corner, e.hi_corner,
+                     lambda: e.center):
             with pytest.raises(EmptySetError):
                 read()
 
@@ -90,64 +96,61 @@ class TestEmptyBox:
 
 
 class TestMinkowskiSum:
-    """``Interval.add``, the Minkowski sum behind sums of set values."""
+    """The Minkowski sum of set values, ``A + B``, on ``(lo, hi)`` pairs."""
 
     def test_singleton_plus_interval(self):
-        # {-1} + [-1, 1] = [-2, 0]
-        assert Interval(-1, -1).add(Interval(-1, 1)) == Interval(-2, 0)
+        assert evset("{-1} + [-1, 1]") == (-2.0, 0.0)
 
     def test_additive_identity(self):
-        iv = Interval(-1, 2)
-        assert Interval.point(0.0).add(iv) == iv
+        assert evset("{0} + [-1, 2]") == (-1.0, 2.0)
 
     def test_against_sampled_hull(self):
         # brute force: hull of pairwise sums over a dense sample
-        a, b = Interval(-1, 2), Interval(3, 4)
-        xs = np.linspace(a.lo, a.hi, 100)
-        ys = np.linspace(b.lo, b.hi, 100)
+        xs = np.linspace(-1, 2, 100)
+        ys = np.linspace(3, 4, 100)
         sums = xs[:, None] + ys[None, :]
-        out = a.add(b)
-        assert out.lo == pytest.approx(sums.min(), abs=TOL)
-        assert out.hi == pytest.approx(sums.max(), abs=TOL)
-        assert out == Interval(2, 6)
+        lo, hi = evset("[-1, 2] + [3, 4]")
+        assert lo == pytest.approx(sums.min(), abs=TOL)
+        assert hi == pytest.approx(sums.max(), abs=TOL)
+        assert (lo, hi) == (2.0, 6.0)
 
     def test_random_membership_and_vertices(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             lo_a, lo_b = rng.uniform(-5, 5, 2)
             w_a, w_b = rng.uniform(0, 3, 2)
-            a, b = Interval(lo_a, lo_a + w_a), Interval(lo_b, lo_b + w_b)
-            s = a.add(b)
+            a, b = (lo_a, lo_a + w_a), (lo_b, lo_b + w_b)
+            lo, hi = evset("[x1, x2] + [x3, x4]", x1=a[0], x2=a[1],
+                           x3=b[0], x4=b[1])
             for _ in range(25):
-                assert s.contains(rng.uniform(a.lo, a.hi)
-                                  + rng.uniform(b.lo, b.hi))
+                assert lo <= rng.uniform(*a) + rng.uniform(*b) <= hi
             # the endpoints of the sum are sums of endpoints
-            assert abs(s.lo - (a.lo + b.lo)) <= TOL
-            assert abs(s.hi - (a.hi + b.hi)) <= TOL
+            assert abs(lo - (a[0] + b[0])) <= TOL
+            assert abs(hi - (a[1] + b[1])) <= TOL
 
 
 class TestScale:
-    """``Interval.scale``, behind scaled set values."""
+    """Scaled set values, ``c*A``, on ``(lo, hi)`` pairs."""
 
     def test_reflection(self):
-        assert Interval(2, 3).scale(-1.0) == Interval(-3, -2)
+        assert evset("-1*[2, 3]") == (-3.0, -2.0)
 
     def test_annihilator(self):
-        assert Interval(-5, 7).scale(0.0) == Interval(0, 0)
+        assert evset("0*[-5, 7]") == (0.0, 0.0)
 
     def test_half(self):
-        assert Interval(-1, 1).scale(0.5) == Interval(-0.5, 0.5)
+        assert evset("0.5*[-1, 1]") == (-0.5, 0.5)
 
     def test_composition(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             c, d = rng.uniform(-3, 3, 2)
             lo = rng.uniform(-10, 10)
-            iv = Interval(lo, lo + rng.uniform(0, 5))
-            lhs = iv.scale(d).scale(c)
-            rhs = iv.scale(c * d)
-            assert abs(lhs.lo - rhs.lo) <= TOL
-            assert abs(lhs.hi - rhs.hi) <= TOL
+            env = dict(x1=c, x2=d, x3=lo, x4=lo + rng.uniform(0, 5))
+            lhs = evset("x1*(x2*[x3, x4])", **env)
+            rhs = evset("(x1*x2)*[x3, x4]", **env)
+            assert abs(lhs[0] - rhs[0]) <= TOL
+            assert abs(lhs[1] - rhs[1]) <= TOL
 
 
 class TestContains:

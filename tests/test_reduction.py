@@ -259,7 +259,9 @@ def reduction_oracle_hull(fbox, gbox, rng):
     pick = rng.integers(0, 2, size=(2, need, gbox.dims))
     pairs.extend(zip(np.where(pick[0] == 0, lo, hi),
                      np.where(pick[1] == 0, lo, hi)))
-    deltas = np.array([a - b for a, b in pairs])  # (200, n+1)
+    # the distinct differences, at most (200, n+1): a duplicate pair
+    # leaves the max spread as it is
+    deltas = np.unique([a - b for a, b in pairs], axis=0)
 
     spread = np.abs(deltas[:, :n] @ q.T + deltas[:, n:].sum(axis=1)[:, None])
     accepted = q[spread.max(axis=0) <= 1e-7]
