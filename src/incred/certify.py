@@ -40,8 +40,7 @@ from .errors import SchemaError
 from .grids import GridSpec, check_size, product_array
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _columns
-from .setmaps import (CheckSpec, MatrosovData, RegularFunctionSpec,
-                      SystemDef, eval_map)
+from .setmaps import CheckSpec, MatrosovData, SystemDef, eval_map
 
 __all__ = [
     "CERTIFIED", "VIOLATED", "INCONCLUSIVE", "GridSpec",
@@ -59,6 +58,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _GRID_NOTE = ("certified on grid: finite screening of a universally "
               "quantified hypothesis, not a proof")
 _CONSTANT_CAP = 2.0 ** 20  # where matrosov_constants' doubling gives up
+_TOL = 1e-9     # default margin tolerance of the derivative screens
+_EQ_TOL = 1e-6  # default |Y_i| <= eq_tol trigger of the Matrosov checks
 
 
 @dataclass(frozen=True)
@@ -155,26 +156,6 @@ def _scan_witness(pts: np.ndarray, time_nodes):
     return witness
 
 
-def _decrease_certificate(condition: str, scan, bound: np.ndarray,
-                          pts: np.ndarray, grid: GridSpec, sys: SystemDef,
-                          reducers, tol: float, details: dict,
-                          failures: Sequence[str]) -> Certificate:
-    """Verdict on ``derivative + bound <= tol``; the scan's value column
-    becomes the margin."""
-    margin = scan.value.ravel()
-    margin += bound.ravel()
-    counted = ~scan.minus_inf.ravel()
-    violations = _violations(margin, counted, tol)
-    details.update(note=_GRID_NOTE,
-                   minus_inf_nodes=int(np.count_nonzero(scan.minus_inf)),
-                   derivative_violations=violations,
-                   reducers=[u.name for u in reducers])
-    return _margin_certificate(condition, margin, counted, violations,
-                               _scan_witness(pts, grid.time_nodes),
-                               {"margin_tol": tol}, grid.summary(sys.domain),
-                               details, failures)
-
-
 def _first_failure(bad: np.ndarray, column: np.ndarray, pts: np.ndarray,
                    time_nodes):
     """``(x, t, value)`` at the first flagged pair in scan order, or None."""
@@ -228,11 +209,57 @@ def _sandwich_screen(sys: SystemDef,
     details["sandwich_violations"] = violations
 
 
-def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
-                     grid: GridSpec | None = None, *,
-                     reducers: Sequence[RegularFunctionSpec] | None = None,
+def _decrease_check(sys: SystemDef, bound: expr.ScalarExpr,
+                    sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr] | None,
+                    tol: float, definite: bool) -> Certificate:
+    """Screen ``derivative + bound <= tol`` on the system's grid with its
+    reducers, after the positive-definite candidate screen (``definite``)
+    or the ``bound >= 0`` screen, and the envelope screen."""
+    grid = sys.require_grid()
+    pts = grid.nodes(sys.domain)
+    time_nodes = grid.time_nodes
+    candidate = sys.candidate
+    extras = [(bound, sys.inclusion)]
+    if definite or sandwich is not None:
+        extras += [(candidate.value, candidate.gradient)]
+    extras += [(e, sys.inclusion) for e in sandwich or ()]
+    scan = scan_derivative(candidate, sys.inclusion, sys.reducers, pts,
+                           time_nodes, extras)
+    w = scan.extras[0]
+
+    failures: list[str] = []
+    details: dict = {}
+    if definite:
+        _origin_value_screen(candidate.name, candidate.value,
+                             candidate.gradient, time_nodes, failures)
+        _positive_screen(candidate.name, scan.extras[1], pts, time_nodes,
+                         failures)
+        details["nodes_checked"] = scan.minus_inf.size
+    else:
+        hit = _first_failure(~(w >= -tol), w, pts, time_nodes)
+        if hit is not None:
+            x, t, value = hit
+            failures.append(f"bound({x}) = {value!r} at t={t!r} is negative")
+    if sandwich is not None:
+        _sandwich_screen(sys, sandwich, scan.extras[1:], pts, time_nodes,
+                         tol, failures, details)
+    margin = scan.value.ravel()
+    margin += w.ravel()
+    counted = ~scan.minus_inf.ravel()
+    violations = _violations(margin, counted, tol)
+    details.update(note=_GRID_NOTE,
+                   minus_inf_nodes=int(np.count_nonzero(scan.minus_inf)),
+                   derivative_violations=violations,
+                   reducers=[u.name for u in sys.reducers])
+    return _margin_certificate(
+        "lyapunov-decrease" if definite else "semidefinite-decrease",
+        margin, counted, violations, _scan_witness(pts, time_nodes),
+        {"margin_tol": tol}, grid.summary(sys.domain), details, failures)
+
+
+def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr, *,
                      sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr] | None = None,
-                     tol: float = 1e-9) -> Certificate:
+                     tol: float = _TOL) -> Certificate:
     """Screen ``derivative <= -bound`` at every grid node and time node.
 
     The candidate is screened for positive definiteness on the grid
@@ -240,37 +267,16 @@ def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr,
     With ``sandwich=(lower, upper)`` the time-uniform envelopes
     ``lower(x) <= V(x, t) <= upper(x)`` are screened as well, both
     envelopes being positive definite. A minus-infinity derivative
-    (empty reduced set) passes the decrease test vacuously.
+    (empty reduced set) passes the decrease test vacuously. The grid and
+    reducers are the system's: screen others on
+    ``dataclasses.replace(sys, grid=..., reducers=...)``.
     """
-    grid = grid if grid is not None else sys.require_grid()
-    reducers = tuple(sys.reducers if reducers is None else reducers)
-    pts = grid.nodes(sys.domain)
-    time_nodes = grid.time_nodes
-    candidate = sys.candidate
-    extras = [(bound, sys.inclusion), (candidate.value, candidate.gradient)]
-    if sandwich is not None:
-        extras += [(e, sys.inclusion) for e in sandwich]
-    scan = scan_derivative(candidate, sys.inclusion, reducers, pts,
-                           time_nodes, extras)
-    w, v = scan.extras[:2]
-
-    failures: list[str] = []
-    _origin_value_screen(candidate.name, candidate.value, candidate.gradient,
-                         time_nodes, failures)
-    _positive_screen(candidate.name, v, pts, time_nodes, failures)
-    details = {"nodes_checked": scan.minus_inf.size}
-    if sandwich is not None:
-        _sandwich_screen(sys, sandwich, scan.extras[1:], pts, time_nodes,
-                         tol, failures, details)
-    return _decrease_certificate("lyapunov-decrease", scan, w, pts, grid, sys,
-                                 reducers, tol, details, failures)
+    return _decrease_check(sys, bound, sandwich, tol, definite=True)
 
 
-def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr,
-                         grid: GridSpec | None = None, *,
-                         reducers: Sequence[RegularFunctionSpec] | None = None,
+def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr, *,
                          sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr] | None = None,
-                         tol: float = 1e-9) -> Certificate:
+                         tol: float = _TOL) -> Certificate:
     """Screen ``derivative <= -bound`` with a positive semidefinite bound.
 
     Also screens ``bound >= 0`` at every node and time node, and the
@@ -279,30 +285,7 @@ def certify_semidefinite(sys: SystemDef, bound: expr.ScalarExpr,
     ``bound(x(t))`` along complete bounded solutions; the simulator's
     tail check is its trajectory counterpart.
     """
-    grid = grid if grid is not None else sys.require_grid()
-    reducers = tuple(sys.reducers if reducers is None else reducers)
-    pts = grid.nodes(sys.domain)
-    time_nodes = grid.time_nodes
-    candidate = sys.candidate
-    extras = [(bound, sys.inclusion)]
-    if sandwich is not None:
-        extras += [(candidate.value, candidate.gradient)]
-        extras += [(e, sys.inclusion) for e in sandwich]
-    scan = scan_derivative(candidate, sys.inclusion, reducers, pts,
-                           time_nodes, extras)
-    w = scan.extras[0]
-
-    failures = []
-    hit = _first_failure(~(w >= -tol), w, pts, time_nodes)
-    if hit is not None:
-        x, t, value = hit
-        failures.append(f"bound({x}) = {value!r} at t={t!r} is negative")
-    details: dict = {}
-    if sandwich is not None:
-        _sandwich_screen(sys, sandwich, scan.extras[1:], pts, time_nodes,
-                         tol, failures, details)
-    return _decrease_certificate("semidefinite-decrease", scan, w, pts, grid,
-                                 sys, reducers, tol, details, failures)
+    return _decrease_check(sys, bound, sandwich, tol, definite=False)
 
 
 @dataclass(frozen=True)
@@ -343,10 +326,8 @@ class InvarianceReport:
         }
 
 
-def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
-                    zero_tol: float | None = None,
-                    candidates: Sequence[Sequence[float]] | None = None,
-                    tol: float = 1e-9) -> InvarianceReport:
+def invariance_data(sys: SystemDef, *, zero_tol: float | None = None,
+                    tol: float = _TOL) -> InvarianceReport:
     """Discrete data for invariance-principle arguments.
 
     Returns the grid nodes where the generalized derivative is finite
@@ -354,14 +335,14 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
     vanishing set), a semidefiniteness certificate ``derivative <= 0``,
     and equilibrium screening of user-proposed candidate points: a
     trajectory can sit at ``x`` forever only if ``0 in F(x)``.
-    ``zero_tol`` and ``candidates`` default to the system's ``certify``
-    block (1e-6 and none without one).
+    ``zero_tol`` defaults to that of the system's ``certify`` block,
+    whose ``candidates`` are screened (1e-6 and none without one).
 
     Autonomous systems only.
     """
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
-    grid = grid if grid is not None else sys.require_grid()
+    grid = sys.require_grid()
     checks = sys.checks or CheckSpec()
     zero_tol = checks.zero_tol if zero_tol is None else zero_tol
     pts = grid.nodes(sys.domain)
@@ -382,7 +363,7 @@ def invariance_data(sys: SystemDef, grid: GridSpec | None = None, *,
 
     screened = []
     zero = (0.0,) * sys.n
-    for point in checks.candidates if candidates is None else candidates:
+    for point in checks.candidates:
         fbox = eval_map(sys.inclusion, point, t0)
         screened.append(CandidateCheck(tuple(float(v) for v in point),
                                        contains(fbox, zero), fbox))
@@ -482,7 +463,7 @@ def _combined_certificate(condition: str, combined: np.ndarray, zeta: float,
 
 
 def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
-                   eq_tol: float = 1e-6) -> Certificate:
+                   eq_tol: float = _EQ_TOL) -> Certificate:
     """Screen the nested chain: Y_1..Y_j all ~ 0 forces Y_{j+1} <= 0.
 
     The conventions Y_0 = 0 (so Y_1 <= 0 must hold unconditionally) and
@@ -525,7 +506,7 @@ class MatrosovConstantsResult:
 
 def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
                        zeta_target: float | None = None,
-                       eq_tol: float = 1e-6) -> MatrosovConstantsResult:
+                       eq_tol: float = _EQ_TOL) -> MatrosovConstantsResult:
     """Combination constants K_1..K_{M-1} and the decay level zeta.
 
     zeta defaults to the discrete estimate of the guaranteed gap: the
@@ -533,8 +514,12 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     all vanish within ``eq_tol``. Each constant is then found by
     doubling from 1 (cap ``2**20``) until the partial combination meets
     its halved budget on its trigger set; the final certificate checks
-    ``Z <= -zeta / 2^{M-1}`` at every node.
+    ``Z <= -zeta / 2^{M-1}`` at every node. A given ``zeta_target``
+    must be finite and > 0.
     """
+    if zeta_target is not None and not 0.0 < zeta_target < math.inf:
+        raise SchemaError(
+            f"zeta_target must be finite and > 0, got {zeta_target!r}")
     M = prob.count
     points, y = _aux_table(prob, z_nodes, x_nodes)
     trig = _chain_triggers(y, eq_tol)
@@ -614,9 +599,8 @@ def verify_combined_bound(prob: MatrosovData, constants: Sequence[float],
         {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}, {})
 
 
-def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData,
-                               grid: GridSpec | None = None,
-                               tol: float = 1e-9) -> Certificate:
+def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
+                               tol: float = _TOL) -> Certificate:
     """Screen the per-function derivative bounds on the annulus.
 
     For each comparison function W_j, checks ``derivative of W_j along
@@ -624,9 +608,8 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData,
     at annulus nodes and time nodes. Informational: the chain and
     constants certificates do not depend on it.
     """
-    grid = grid if grid is not None else sys.require_grid()
-    _, pts = matrosov_grid(prob, sys, grid)
-    time_nodes = grid.time_nodes
+    _, pts = matrosov_grid(prob, sys)
+    time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
     margins, counted, per_function = [], [], []
     for w, coll, y in zip(prob.functions, prob.collections, prob.aux):

@@ -193,18 +193,17 @@ def cmd_matrosov(args) -> int:
     eq_tol = _tol(args, "eq_tol")
     z_nodes, x_nodes = cert.matrosov_grid(problem, system, grid)
     chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
-    result = None
-    verify = None
+    result = verify = None
     if chain.certified:
         result = cert.matrosov_constants(problem, z_nodes, x_nodes,
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
-        if result.certificate.certified and args.verify_factor > 1:
+        if result.certificate.certified and args.verify_factor != 1:
             fine = grid.refined(args.verify_factor)
             zf, xf = cert.matrosov_grid(problem, system, fine)
             verify = cert.verify_combined_bound(
                 problem, result.constants, result.zeta, zf, xf)
-    bounds = cert.matrosov_derivative_bounds(system, problem, grid)
+    bounds = cert.matrosov_derivative_bounds(system, problem)
     doc = {"chain": chain.to_dict(),
            "constants": None if result is None else result.to_dict(),
            "verification": None if verify is None else verify.to_dict(),

@@ -36,7 +36,7 @@ from . import expr
 from .errors import (DimensionMismatchError, DslEvalError, DslSyntaxError,
                      EmptySetError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
-from .grids import GridSpec
+from .grids import GridSpec, check_size
 from .intervals import Annulus, Interval, IntervalBox
 
 __all__ = [
@@ -293,10 +293,13 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     from one, otherwise one-sided samples legitimately disagree with the
     box declared at the probe.
     """
-    if radius <= 0:
-        raise SchemaError("validate_gradient requires radius > 0")
+    step = radius / 100.0
+    if not 0.0 < step < math.inf:
+        raise SchemaError("validate_gradient requires a finite radius > 0 "
+                          f"with radius/100 > 0, got {radius!r}")
     if samples < 10:
         raise SchemaError("validate_gradient requires samples >= 10")
+    check_size(samples, "validate_gradient samples")
     if seed < 0:
         raise SchemaError(f"validate_gradient requires seed >= 0, got {seed}")
     n = f.n
@@ -311,7 +314,6 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
 
     declared = eval_gradient(f, x, t)
     inflated = declared.inflate(_INFLATE)
-    step = radius / 100.0
 
     inside = 0
     lo = [math.inf] * dims

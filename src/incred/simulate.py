@@ -44,8 +44,8 @@ from .expr import _array_max as _max
 from .grids import check_size
 from .intervals import center
 from .reduction import _chunks, _columns, _pinch, _reprs, tabulate_reduction
-from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SystemDef,
-                      eval_gradient)
+from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SimSpec,
+                      SystemDef, eval_gradient)
 
 __all__ = [
     "SelectionStrategy", "StepSample", "Trajectory", "integrate",
@@ -283,7 +283,8 @@ class TailReport(_Report):
 def check_partial_convergence(traj: Trajectory, sys: SystemDef,
                               observable: expr.ScalarExpr,
                               tail_fraction: float,
-                              threshold: float = 1e-3) -> TailReport:
+                              threshold: float = SimSpec.tail_threshold,
+                              ) -> TailReport:
     """Max of an observable over the final stretch of the trajectory.
 
     A finite-horizon proxy for asymptotic decay: PASS when the maximum

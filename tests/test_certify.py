@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -128,8 +129,8 @@ class TestCertifyLyapunov:
     def test_candidate_as_reducer_reproduces_the_baseline_verdict(
             self, example2, example2_baseline):
         bound = example2.checks.decrease_bound
-        via_override = certify_lyapunov(example2, bound,
-                                        reducers=(example2.candidate,))
+        via_override = certify_lyapunov(
+            replace(example2, reducers=(example2.candidate,)), bound)
         via_fixture = certify_lyapunov(example2_baseline, bound)
         assert via_override.verdict == via_fixture.verdict == VIOLATED
         assert via_override.worst_margin == via_fixture.worst_margin
@@ -139,9 +140,10 @@ class TestCertifyLyapunov:
             self, example2_baseline):
         bound = example2_baseline.checks.decrease_bound
         coarse_grid = example2_baseline.grid.with_uniform_counts(11)
-        coarse = certify_lyapunov(example2_baseline, bound, coarse_grid)
-        fine = certify_lyapunov(example2_baseline, bound,
-                                coarse_grid.refined(3))
+        coarse = certify_lyapunov(
+            replace(example2_baseline, grid=coarse_grid), bound)
+        fine = certify_lyapunov(
+            replace(example2_baseline, grid=coarse_grid.refined(3)), bound)
         assert coarse.verdict == VIOLATED
         assert fine.verdict == VIOLATED
         assert fine.worst_margin >= coarse.worst_margin - 1e-12
@@ -249,8 +251,9 @@ class TestInvarianceData:
 
     def test_everything_is_an_equilibrium_for_the_zero_field(
             self, trivial_zero):
-        report = invariance_data(
-            trivial_zero, candidates=[(0.0, 0.0), (0.5, -0.5), (1.0, 1.0)])
+        checks = replace(trivial_zero.checks,
+                         candidates=[(0.0, 0.0), (0.5, -0.5), (1.0, 1.0)])
+        report = invariance_data(replace(trivial_zero, checks=checks))
         assert report.semidefinite.verdict == CERTIFIED
         assert len(report.e_nodes) == 11 * 11
         assert all(c.is_equilibrium for c in report.candidates)

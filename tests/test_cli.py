@@ -224,6 +224,40 @@ class TestExitCodes:
         assert code == 3
         assert named + "exceeds the limit of 10000000" in err
 
+    @pytest.mark.parametrize("value, shown", [
+        ("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_zeta_target_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                     value, shown):
+        # a level <= 0 would certify Z <= +0.5 or Z <= -0.0, not decay
+        code = run("matrosov", "-i", fixture_path("example6"),
+                   "-o", str(tmp_path), "--verify-factor", "1",
+                   f"--zeta-target={value}")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: zeta_target must be finite and > 0, got {shown}\n")
+
+    @pytest.mark.parametrize("factor", ["0", "-3"])
+    def test_verify_factor_below_one_exits_three(self, tmp_path, capsys,
+                                                 factor):
+        # only 1 disables the verification grid
+        code = run("matrosov", "-i", fixture_path("example6"),
+                   "-o", str(tmp_path), f"--verify-factor={factor}")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: refinement factor must be >= 1\n")
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "1e-323"])
+    def test_radius_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                radius):
+        # a RuntimeWarning is an error under pytest, so nothing reaches
+        # stderr but the one error line; 1e-323 / 100 is a zero step
+        code = run("validate-gradient", "-i", fixture_path("example2"),
+                   "-o", str(tmp_path), f"--radius={radius}")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: validate_gradient requires a finite radius > 0 with "
+            f"radius/100 > 0, got {float(radius)!r}\n")
+
     @pytest.mark.parametrize("command", ["reduce", "certify"])
     def test_nan_set_endpoint_exits_three(self, tmp_path, capsys, command):
         with open(fixture_path("example1"), "r", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import incred.expr as ex
+import incred.grids as grids
 from incred.errors import (DimensionMismatchError, DslEvalError,
                            DslSyntaxError, EmptySetError, SchemaError)
 from incred.intervals import Interval, IntervalBox
@@ -214,6 +215,17 @@ class TestValidateGradient:
         with pytest.raises(SchemaError):
             validate_gradient(example1.candidate, (0.0,), 0.0, radius=0.1,
                               samples=5)
+
+    def test_sample_count_is_bounded_before_allocation(self, example1,
+                                                       monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(SchemaError, match=re.escape(
+                f"validate_gradient samples: {grids.MAX_ITEMS + 1} exceeds")):
+            validate_gradient(example1.candidate, (0.0,), 0.0, radius=0.1,
+                              samples=grids.MAX_ITEMS + 1)
 
     def test_all_fixture_functions_at_probe_points(
             self, example1, example2, example4, example6):
