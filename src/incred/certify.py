@@ -40,7 +40,7 @@ from .errors import SchemaError
 from .grids import GridSpec, check_size, product_array
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _columns
-from .setmaps import CheckSpec, MatrosovData, SystemDef, eval_map
+from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
 
 __all__ = [
     "CERTIFIED", "VIOLATED", "INCONCLUSIVE", "GridSpec",
@@ -215,7 +215,7 @@ def _decrease_check(sys: SystemDef, bound: expr.ScalarExpr,
     """Screen ``derivative + bound <= tol`` on the system's grid with its
     reducers, after the positive-definite candidate screen (``definite``)
     or the ``bound >= 0`` screen, and the envelope screen."""
-    grid = sys.require_grid()
+    tol, grid = _number(tol, "tol"), sys.require_grid()
     pts = grid.nodes(sys.domain)
     time_nodes = grid.time_nodes
     candidate = sys.candidate
@@ -342,9 +342,10 @@ def invariance_data(sys: SystemDef, *, zero_tol: float | None = None,
     """
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
-    grid = sys.require_grid()
+    grid, tol = sys.require_grid(), _number(tol, "tol")
     checks = sys.checks or CheckSpec()
-    zero_tol = checks.zero_tol if zero_tol is None else zero_tol
+    zero_tol = _number(checks.zero_tol if zero_tol is None else zero_tol,
+                       "zero_tol")
     pts = grid.nodes(sys.domain)
     t0 = grid.time_nodes[0]
     scan = scan_derivative(sys.candidate, sys.inclusion, sys.reducers, pts,
@@ -442,7 +443,7 @@ def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
 def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
     """``(M + 1, R)`` mask: row j flags where Y_1..Y_j all lie within
     ``eq_tol`` of 0 (row 0 everywhere)."""
-    small = np.abs(y) <= eq_tol
+    small = np.abs(y) <= _number(eq_tol, "eq_tol")
     return np.vstack([np.ones((1, y.shape[1]), dtype=bool),
                       np.logical_and.accumulate(small, axis=0)])
 
@@ -504,6 +505,12 @@ class MatrosovConstantsResult:
         }
 
 
+def _check_zeta_target(zeta_target: float | None) -> None:
+    if zeta_target is not None and not 0.0 < zeta_target < math.inf:
+        raise SchemaError(
+            f"zeta_target must be finite and > 0, got {zeta_target!r}")
+
+
 def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
                        zeta_target: float | None = None,
                        eq_tol: float = _EQ_TOL) -> MatrosovConstantsResult:
@@ -517,9 +524,7 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     ``Z <= -zeta / 2^{M-1}`` at every node. A given ``zeta_target``
     must be finite and > 0.
     """
-    if zeta_target is not None and not 0.0 < zeta_target < math.inf:
-        raise SchemaError(
-            f"zeta_target must be finite and > 0, got {zeta_target!r}")
+    _check_zeta_target(zeta_target)
     M = prob.count
     points, y = _aux_table(prob, z_nodes, x_nodes)
     trig = _chain_triggers(y, eq_tol)
@@ -608,6 +613,7 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
     at annulus nodes and time nodes. Informational: the chain and
     constants certificates do not depend on it.
     """
+    tol = _number(tol, "tol")
     _, pts = matrosov_grid(prob, sys)
     time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}

@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import DslSyntaxError, IncredError, SchemaError
 from .grids import GridSpec
 from .setmaps import (SimSpec, SystemDef, load_system,
-                      validate_gradient, _parse_grid, _STRATEGY_KINDS)
+                      validate_gradient, _number, _parse_grid, _STRATEGY_KINDS)
 # each subcommand imports the analysis modules it uses, and only those
 
 EXIT_OK = 0
@@ -80,8 +80,8 @@ def _outdir(args) -> Path:
 
 
 def _tol(args, name: str) -> dict:
-    """``{name: --tol}``; empty without --tol, so the library default holds."""
-    return {} if args.tol is None else {name: args.tol}
+    """``{name: --tol}``, a finite number, or ``{}`` to keep the default."""
+    return {} if args.tol is None else {name: _number(args.tol, "--tol")}
 
 
 def _report(args, line: str, text: str | None = None) -> None:
@@ -190,7 +190,9 @@ def cmd_matrosov(args) -> int:
     system = _load(args)
     problem = cert.build_matrosov_problem(system)
     grid = system.require_grid()
-    eq_tol = _tol(args, "eq_tol")
+    eq_tol = _tol(args, "eq_tol")  # every flag is checked before the chain
+    cert._check_zeta_target(args.zeta_target)
+    fine = grid.refined(args.verify_factor)
     z_nodes, x_nodes = cert.matrosov_grid(problem, system, grid)
     chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
     result = verify = None
@@ -199,7 +201,6 @@ def cmd_matrosov(args) -> int:
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
         if result.certificate.certified and args.verify_factor != 1:
-            fine = grid.refined(args.verify_factor)
             zf, xf = cert.matrosov_grid(problem, system, fine)
             verify = cert.verify_combined_bound(
                 problem, result.constants, result.zeta, zf, xf)
@@ -233,7 +234,7 @@ def cmd_simulate(args) -> int:
     from .simulate import (SelectionStrategy, integrate, write_trajectory_csv,
                            check_lyapunov_descent, check_partial_convergence,
                            check_reduction_membership)
-    system = _load(args)
+    system, tol = _load(args), _tol(args, "tol")
     flags = {"t0": args.t0, "h": args.h, "horizon": args.T,
              "strategy": args.strategy, "seed": args.seed,
              "tail_fraction": args.tail_fraction}  # SimSpec field -> flag
@@ -254,7 +255,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     write_trajectory_csv(traj, out / "trajectory.csv")
 
-    membership = check_reduction_membership(traj, system, args.tol)
+    membership = check_reduction_membership(traj, system, **tol)
 
     diagnostics = {
         "x0": list(sim.x0), "t0": sim.t0, "h": sim.h, "T": sim.horizon,

@@ -541,7 +541,23 @@ def _scalar_code(node: ScalarExpr) -> str:
     raise TypeError(f"not a scalar expression: {node!r}")
 
 
-def _set_code(node: SetExpr) -> str:
+def _set_code(node: SetExpr, to: tuple[str, str] | None = None) -> str:
+    """An expression for ``node``'s ``(lo, hi)`` pair, or, given ``to``,
+    lines that set those two local names to its endpoints. They raise
+    where the expression does: a singleton or a sum runs ``_intv`` on
+    endpoints that fail ``lo <= hi`` (a NaN); other sets keep their call."""
+    if to is not None:
+        lo, hi = to
+        if isinstance(node, SingletonSet):
+            code = f"{lo} = {hi} = {_scalar_code(node.value)}\n"
+        elif isinstance(node, SumSet):  # adds left to right, as _sum does
+            code, part = _set_code(node.terms[0], to), (lo + "_", hi + "_")
+            for term in node.terms[1:]:
+                code += (_set_code(term, part)
+                         + f"{lo} += {part[0]}; {hi} += {part[1]}\n")
+        else:
+            code = f"{lo}, {hi} = {_set_code(node)}\n"
+        return code + f"if not {lo} <= {hi}: _intv({lo}, {hi})\n"
     if isinstance(node, SingletonSet):
         return f"_pt({_scalar_code(node.value)})"
     if isinstance(node, IntervalSet):

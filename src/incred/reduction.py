@@ -32,7 +32,7 @@ import numpy as np
 
 from . import expr
 from .errors import DimensionMismatchError, SchemaError
-from .intervals import IntervalBox
+from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
 
@@ -81,42 +81,24 @@ def reduce_collection(inclusion: PiecewiseBoxMap,
 
 def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
             x: Sequence[float], t: float) -> ReducedValue:
-    """:func:`_pinch` of ``base``, the inclusion value at (x, t)."""
-    def spans(box):
-        return tuple(zip(box.lo_corner(), box.hi_corner()))
-
-    result, pinched, obstructed = _pinch(
-        None if base.is_empty else spans(base), base.dims, reducers,
-        lambda u: spans(eval_gradient(u, x, t)))
-    return ReducedValue(base, frozenset(pinched), IntervalBox.empty(
-        base.dims) if result is None else IntervalBox.from_bounds(
-            *zip(*result)), obstructed)
-
-
-def _pinch(base: Sequence[tuple[float, float]] | None, dims: int,
-           reducers: Sequence[RegularFunctionSpec], gradient: Callable):
-    """The one reduction rule: ``base``, an inclusion value's ``dims``
-    ``(lo, hi)`` axes (None if empty), pinched to {0} on the state axes
-    that each regular reducer's ``gradient(u)`` axes, in order, move
-    along; and the axes pinched."""
-    pinched, time_obstruction = set(), False
+    """The one reduction rule: ``base`` (F at x, t) pinched to {0} on the
+    state axes that each regular reducer's gradient, in order, moves along."""
+    pinched, obstructed = set(), False
     for u in reducers:
         if not u.regular:
             raise SchemaError(
                 f"{u.name}: reduction requires a regular function")
-        for i, (lo, hi) in enumerate(gradient(u), start=1):
-            if lo != hi:  # a direction the gradient moves in
-                time_obstruction |= i == u.n + 1
-                if i <= dims:
+        for i, ax in enumerate(eval_gradient(u, x, t).axes, start=1):
+            if not ax.is_degenerate:  # a direction the gradient moves in
+                obstructed |= i == u.n + 1
+                if i <= base.dims:
                     pinched.add(i)
-    if time_obstruction or base is None:
-        return None, pinched, time_obstruction
-    result = list(base)
-    for i in pinched:
-        if not result[i - 1][0] <= 0.0 <= result[i - 1][1]:
-            return None, pinched, time_obstruction
-        result[i - 1] = (0.0, 0.0)
-    return result, pinched, time_obstruction
+    empty = obstructed or base.is_empty or not all(
+        base.axes[i - 1].contains(0.0) for i in pinched)
+    return ReducedValue(base, frozenset(pinched), IntervalBox.empty(
+        base.dims) if empty else IntervalBox(
+            Interval(0.0, 0.0) if i in pinched else ax
+            for i, ax in enumerate(base.axes, start=1)), obstructed)
 
 
 # Nodes per numpy batch in the array evaluators (here and in

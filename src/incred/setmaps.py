@@ -120,15 +120,9 @@ class PiecewiseBoxMap:
         if len(x) != self.n_in:
             raise DimensionMismatchError(
                 f"point has {len(x)} coordinates, map expects {self.n_in}")
-        spans = self.spans(self.env(x, t))
-        return IntervalBox.empty(self.n_out) if spans is None \
-            else IntervalBox(Interval(lo, hi) for lo, hi in spans)
-
-    def spans(self, env: dict[str, float]) -> tuple[tuple, ...] | None:
-        """:meth:`value`'s axes as ``(lo, hi)`` pairs in the point's
-        :meth:`env`; None if empty."""
-        sets = self._sets[self._first(env)]
-        return None if sets is None else sets(env)
+        sets = self._sets[self._first(env := self.env(x, t))]
+        return IntervalBox.empty(self.n_out) if sets is None \
+            else IntervalBox(Interval(lo, hi) for lo, hi in sets(env))
 
     def env_arrays(self, cols: Sequence[np.ndarray], t):
         """:meth:`env` with an array per axis, and its NaN-parameter rows.
@@ -407,6 +401,11 @@ class SimSpec:
     seed: int = 0
     tail_fraction: float = 0.2
     tail_threshold: float = 1e-3
+
+    def __post_init__(self):  # checked whether a W_semidef block uses it
+        if not 0.0 < self.tail_fraction < 1.0:
+            raise SchemaError(
+                "tail_fraction must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)

@@ -21,31 +21,32 @@ Post-hoc checks turn the structural guarantees into trajectory reports:
 membership of difference quotients in the reduced inclusion (isolated
 guard crossings are budgeted, 1% of the steps), first-order decrease of
 the candidate against a declared bound, and tail convergence of a
-semidefinite observable. The integrator is sequential and scalar: a step
-builds one env per parameter table, reads each map's first matching piece
-as ``(lo, hi)`` float pairs, pinches them by ``reduction._pinch`` and
-builds no interval or box. The checks run as numpy columns over its
-``t, x, q, V`` rows (a reduction table with one time per row, and array
-closures), the scalar closures redoing each row the arrays flag. A NaN
-never passes a check. The CSV is written in chunks.
+semidefinite observable. The integrator is one loop generated per call,
+with every guard chain inline, set endpoints as float locals and one env
+per parameter table; a step that raises, or meets a NaN endpoint or an
+empty piece, is redone by the boxed public calls. The checks run as
+numpy columns over its ``t, x, q, V`` rows (a reduction table with one
+time per row, and array closures), the scalar closures redoing each row
+the arrays flag. A NaN never passes a check. The CSV is written in chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, NamedTuple, Sequence
+from textwrap import indent
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import expr
-from .errors import SchemaError, SimulationError
+from .errors import EmptySetError, SchemaError, SimulationError
 from .expr import _array_max as _max
 from .grids import check_size
-from .intervals import center
-from .reduction import _chunks, _columns, _pinch, _reprs, tabulate_reduction
+from .intervals import center, contains
+from .reduction import _chunks, _columns, _reduce, _reprs, tabulate_reduction
 from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SimSpec,
-                      SystemDef, eval_gradient)
+                      SystemDef, _number, eval_gradient, eval_map)
 
 __all__ = [
     "SelectionStrategy", "StepSample", "Trajectory", "integrate",
@@ -125,12 +126,7 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
         raise SchemaError(f"x0 has {len(x)} coordinates, system has {sys.n}")
-    domain = tuple(zip(sys.domain.lo_corner(), sys.domain.hi_corner()))
-
-    def inside(x) -> bool:
-        return all(lo <= v <= hi for v, (lo, hi) in zip(x, domain))
-
-    if not inside(x):
+    if not contains(sys.domain, x):
         raise SimulationError(f"x0 {x} lies outside the domain box")
 
     count = (horizon - t0) / h
@@ -140,50 +136,100 @@ def integrate(sys: SystemDef, x0: Sequence[float], t0: float, h: float,
         raise SchemaError("horizon is shorter than one step")
     rng = (np.random.default_rng(strategy.seed)
            if strategy.kind == "random-extreme" else None)
-
-    F, V, kind = sys.inclusion, sys.candidate, strategy.kind
-    keys: dict = {}  # a step builds one env per (n_in, params) in use
-    slot = {m: keys.setdefault((m.n_in, m.params), len(keys))
-            for m in (F, V.gradient, *(u.gradient for u in sys.reducers))}
-
-    def env(m: PiecewiseBoxMap) -> dict:
-        i = slot[m]
-        if envs[i] is None:  # m.value raises a wrong dimension's error
-            envs[i] = (m.env if m.n_in == sys.n else m.value)(x, t)
-        return envs[i]
-
-    def gradient(u) -> tuple:  # eval_gradient raises on an empty piece
-        return u.gradient.spans(env(u.gradient)) or eval_gradient(u, x, t)
-
-    flat: list[float] = []  # the rows, one after another
-    for k in range(n_steps):
-        t, envs = t0 + k * h, [None] * len(keys)
-        f = F.spans(env(F))
-        if f is None:
-            raise SimulationError(
-                f"inclusion is empty at x={x}, t={t}; cannot select a "
-                "velocity (modeling error)")
-        if kind == "midpoint":
-            q = tuple(center(lo, hi) for lo, hi in f)
-        elif kind == "random-extreme":
-            q = tuple(lo if (lo == hi or rng.integers(2) == 0) else hi
-                      for lo, hi in f)
-        else:  # reduced-descent: the reduced set, or F where it is empty
-            base = _pinch(f, len(f), sys.reducers, gradient)[0] or f
-            q = tuple(lo if p > 0.0 else hi if p < 0.0 else center(lo, hi)
-                      for p, (lo, hi) in zip([center(*g) for g in gradient(V)],
-                                             base))
-        v = V._value_fn(envs[slot[V.gradient]] or V.gradient.env(x, t))
-        flat.extend((t, *x, *q, v))  # v is V.value_at(x, t)
-        x = tuple(xi + h * qi for xi, qi in zip(x, q))
-        t = t0 + (k + 1) * h
-        if not inside(x):
-            break
+    k, x, exited, flat = _kernel(sys, strategy.kind, t0, h, n_steps, rng)(x)
+    t = t0 + k * h
     return Trajectory(
         t0=t0, h=h, horizon=horizon, strategy=strategy,
         rows=np.array(flat).reshape(-1, 2 * sys.n + 2),
         final_t=t, final_x=x, final_v=sys.candidate.value_at(x, t),
-        exited=not inside(x))
+        exited=exited)
+
+
+def _boxed_step(sys: SystemDef, kind: str, rng, x, t) -> tuple:
+    """The selection and V's value at ``(x, t)`` by ``eval_map``, ``_reduce``,
+    ``eval_gradient`` and ``value_at``, raising what they raise."""
+    fbox = eval_map(sys.inclusion, x, t)
+    if fbox.is_empty:
+        raise SimulationError(
+            f"inclusion is empty at x={x}, t={t}; cannot select a "
+            "velocity (modeling error)")
+    if kind == "midpoint":
+        q = fbox.center
+    elif kind == "random-extreme":
+        q = tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
+                  else ax.hi for ax in fbox.axes)
+    else:  # the reduced set, or F where it is empty
+        base = _reduce(fbox, sys.reducers, x, t).result
+        q = tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center
+                  for p, ax in zip(eval_gradient(sys.candidate, x, t).center,
+                                   (fbox if base.is_empty else base).axes))
+    return q, sys.candidate.value_at(x, t)
+
+
+def _kernel(sys: SystemDef, kind: str, t0: float, h: float, n_steps: int,
+            rng) -> Callable:
+    """``run(x)``: :func:`integrate`'s steps from ``x`` as one generated
+    loop, which returns the step count, the last state, whether it left
+    the domain and the rows, one after another. A step that raises, or
+    meets a NaN endpoint, an inverted literal or an empty piece, is redone
+    by :func:`_boxed_step`; so is every step if a map it reads takes
+    another dimension or a reducer it reads is not regular."""
+    F, V, axes = sys.inclusion, sys.candidate, range(1, sys.n + 1)
+    reducers = sys.reducers if kind == "reduced-descent" else ()
+    maps = (F, V.gradient, *(u.gradient for u in reducers))
+    tables = list(dict.fromkeys(m.params for m in maps))  # one env each
+    xs, qs = ("".join(f"{c}{i}, " for i in axes) for c in "xq")
+    step = f"({qs}), v = _redo(({xs}), t)\n"  # the boxed calls' step
+
+    def sets(m, name):  # m's guard chain, its sets as {name}l{i}, {name}h{i}
+        return f"_e = _e{tables.index(m.params)}\n" + "".join(
+            f"{'el' * (k > 0)}if {expr._guard_code(p.guard)}:\n" + indent(
+                "raise _Empty\n" if p.values is None else "".join(
+                    expr._set_code(s, (f"{name}l{i}", f"{name}h{i}"))
+                    for i, s in enumerate(p.values, 1)), " ")
+            for k, p in enumerate(m.pieces))
+
+    if all(m.n_in == sys.n for m in maps) and all(u.regular for u in reducers):
+        body = "".join(f"_e = _e{j} = {{'t': t, " + "".join(
+            f"'x{i}': x{i}, " for i in axes) + "}\n" + "".join(
+            f"_e[{name!r}] = {expr._scalar_code(p)}\n" for name, p in table)
+            for j, table in enumerate(tables)) + sets(F, "f")
+        if kind == "midpoint":
+            q = [f"_center(fl{i}, fh{i})" for i in axes]
+        elif kind == "random-extreme":
+            # only V runs after the draws, and its error recurs in the redo
+            q = [f"fl{i} if fl{i} == fh{i} or _draw(2) == 0 else fh{i}"
+                 for i in axes]
+        else:  # _reduce's pinch on the reducers' moving axes, then V's
+            body += "".join(sets(u.gradient, f"u{r}_") for r, u in enumerate(
+                reducers)) + sets(V.gradient, "v")
+            moves = [" or ".join(f"u{r}_l{i} != u{r}_h{i}" for r in range(
+                len(reducers))) or "False" for i in range(sys.n + 2)]
+            body += f"red = not ({moves[-1]})" + "".join(
+                f" and (not ({moves[i]}) or fl{i} <= 0.0 <= fh{i})"
+                for i in axes) + "\n"
+            q = [f"0.0 if red and ({moves[i]}) else fl{i} if (p := _center("
+                 f"vl{i}, vh{i})) > 0.0 else fh{i} if p < 0.0 else "
+                 f"_center(fl{i}, fh{i})" for i in axes]
+        body += "".join(f"q{i} = {c}\n" for i, c in zip(axes, q)) + (
+            f"_e = _e{tables.index(V.gradient.params)}\n"
+            f"v = {expr._scalar_code(V.value)}\n")
+        step = f"try:\n{indent(body, ' ')}except Exception:\n {step}"
+    inside = " and ".join(f"{expr._scalar_code(expr.Num(ax.lo))} <= x{i} <= "
+                          f"{expr._scalar_code(expr.Num(ax.hi))}"
+                          for i, ax in zip(axes, sys.domain.axes))
+    code = (f"def run(x):\n flat, ({xs}) = [], x\n"
+            f" for k in range({n_steps}):\n"
+            f"  t = _t0 + k * _h\n{indent(step, '  ')}"
+            f"  flat += (t, {xs}{qs}v)\n"
+            + "".join(f"  x{i} = x{i} + _h * q{i}\n" for i in axes)
+            + f"  if not ({inside}):\n   return k + 1, ({xs}), True, flat\n"
+            f" return {n_steps}, ({xs}), False, flat\n")
+    namespace = dict(expr._COMPILE_NS, _center=center, _Empty=EmptySetError,
+                     _t0=t0, _h=h, _draw=rng and rng.integers,
+                     _redo=lambda x, t: _boxed_step(sys, kind, rng, x, t))
+    exec(code, namespace)
+    return namespace["run"]
 
 
 class _Report:
@@ -217,6 +263,7 @@ def check_reduction_membership(traj: Trajectory, sys: SystemDef,
     velocities only for almost all times: isolated guard crossings may
     violate it.
     """
+    tol = tol if tol is None else _number(tol, "tol")
     x = traj.states()
     table = tabulate_reduction(sys.inclusion, sys.reducers, x[:-1],
                                traj.rows[:, 0])
@@ -291,8 +338,7 @@ def check_partial_convergence(traj: Trajectory, sys: SystemDef,
     of ``observable(x_k)`` over the last ``tail_fraction`` of samples
     stays below the threshold and none is NaN or infinite (``nonfinite``).
     """
-    if not 0.0 < tail_fraction < 1.0:
-        raise SchemaError("tail_fraction must lie strictly between 0 and 1")
+    SimSpec(tail_fraction=tail_fraction)  # raises on a value out of range
     x = traj.states()
     start = len(x) - max(1, math.ceil(tail_fraction * len(x)))
     tail = _column(observable, sys.inclusion, x[start:],

@@ -266,3 +266,43 @@ class TestInvarianceData:
     def test_nonautonomous_rejected(self, example4):
         with pytest.raises(SchemaError):
             invariance_data(example4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, keyword", [
+    ("certify_lyapunov", "tol"), ("certify_semidefinite", "tol"),
+    ("invariance_data", "tol"), ("invariance_data", "zero_tol"),
+    ("matrosov_chain", "eq_tol"), ("matrosov_constants", "eq_tol"),
+    ("matrosov_derivative_bounds", "tol"),
+    ("check_reduction_membership", "tol")])
+def test_tolerance_keywords_must_be_finite(call, keyword, value):
+    # the library's rule for the values the CLI's --tol passes on
+    import incred.certify as cert
+    from incred.simulate import (SelectionStrategy,
+                                 check_reduction_membership, integrate)
+
+    example6 = load_fixture("example6")
+    problem = cert.build_matrosov_problem(example6)
+    nodes = cert.matrosov_grid(problem, example6)
+    example2 = load_fixture("example2_baseline")
+    bound = example2.checks.decrease_bound
+    calls = {
+        "certify_lyapunov": lambda **kw: certify_lyapunov(example2, bound,
+                                                          **kw),
+        "certify_semidefinite": lambda **kw: certify_semidefinite(
+            example2, bound, **kw),
+        "invariance_data": lambda **kw: invariance_data(example2, **kw),
+        "matrosov_chain": lambda **kw: cert.matrosov_chain(problem, *nodes,
+                                                           **kw),
+        "matrosov_constants": lambda **kw: cert.matrosov_constants(
+            problem, *nodes, **kw),
+        "matrosov_derivative_bounds": lambda **kw:
+            cert.matrosov_derivative_bounds(example6, problem, **kw),
+        "check_reduction_membership": lambda **kw:
+            check_reduction_membership(integrate(
+                example2, (0.5, 0.5), 0.0, 0.1, 1.0, SelectionStrategy()),
+                example2, **kw),
+    }
+    with pytest.raises(SchemaError,
+                       match=f"^{keyword}: expected a finite number$"):
+        calls[call](**{keyword: value})

@@ -157,8 +157,8 @@ class TestExitCodes:
     ], ids=["reduce", "certify", "matrosov", "simulate"])
     def test_oversized_run_exits_three(self, tmp_path, capsys, monkeypatch,
                                        name, argv, named):
+        import incred.simulate
         from incred.grids import GridSpec
-        from incred.setmaps import PiecewiseBoxMap
 
         axis_nodes = GridSpec.axis_nodes
 
@@ -172,7 +172,7 @@ class TestExitCodes:
             raise AssertionError("simulation started")
 
         monkeypatch.setattr(GridSpec, "axis_nodes", small_axes)
-        monkeypatch.setattr(PiecewiseBoxMap, "spans", no_step)
+        monkeypatch.setattr(incred.simulate, "_kernel", no_step)
         code = run(argv[0], "-i", fixture_path(name), "-o", str(tmp_path),
                    *argv[1:])
         err = capsys.readouterr().err
@@ -245,6 +245,43 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: refinement factor must be >= 1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, name", [
+        ("certify", "example2_baseline"), ("invariance", "example2_baseline"),
+        ("matrosov", "example6"), ("simulate", "example3")])
+    def test_nonfinite_tol_exits_three(self, tmp_path, capsys, command, name,
+                                       value):
+        # example2_baseline is VIOLATED: an infinite tol would certify it
+        code = run(command, "-i", fixture_path(name), "-o", str(tmp_path),
+                   f"--tol={value}")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: --tol: expected a finite number\n")
+        assert not list(tmp_path.iterdir())  # checked before any analysis
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--verify-factor=-3", "refinement factor must be >= 1"),
+        ("--zeta-target=nan", "zeta_target must be finite and > 0, got nan")])
+    def test_bad_matrosov_flag_exits_three_whatever_the_verdict(
+            self, tmp_path, capsys, flag, message):
+        # the chain of example6_broken_y2 is VIOLATED, so the analysis
+        # reads neither flag
+        code = run("matrosov", "-i", fixture_path("example6_broken_y2"),
+                   "-o", str(tmp_path), flag)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "0", "1", "inf"])
+    @pytest.mark.parametrize("name", ["example3", "example4"])
+    def test_bad_tail_fraction_exits_three_whatever_the_checks(
+            self, tmp_path, capsys, name, value):
+        # neither system has a W_semidef bound, so no tail check runs
+        code = run("simulate", "-i", fixture_path(name), "-o", str(tmp_path),
+                   f"--tail-fraction={value}")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: tail_fraction must lie strictly between 0 and 1\n")
 
     @pytest.mark.parametrize("radius", ["nan", "inf", "1e-323"])
     def test_radius_must_be_finite_and_positive(self, tmp_path, capsys,

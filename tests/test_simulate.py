@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 import incred.expr as ex
 import incred.reduction as red
 from incred.cli import main
-from incred.errors import SchemaError, SimulationError
-from incred.fixtures import fixture_path
+from incred.errors import (DimensionMismatchError, DslEvalError,
+                           EmptySetError, SchemaError, SimulationError)
+from incred.fixtures import fixture_path, load_fixture
 from incred.intervals import IntervalBox, contains
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             SystemDef, eval_gradient, eval_map,
@@ -398,3 +400,142 @@ def _run_key(result):
 def test_integrate_is_bit_identical_to_the_boxed_loop(case):
     assert _run_key(_outcome(integrate, *case)) == _run_key(
         _outcome(_boxed_integrate, *case))
+
+
+SIM_FIXTURES = ("example2", "example3", "example4", "example5", "example6",
+                "example6_broken_y2", "trivial_zero")
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "reduced-descent",
+                                  "random-extreme"])
+@pytest.mark.parametrize("name", SIM_FIXTURES)
+def test_fixture_runs_are_bit_identical_to_the_boxed_loop(name, kind):
+    # each fixture's own simulate block, its horizon cut to 2,000 steps;
+    # example3's x0 = (1, 0) starts on a guard surface
+    system = load_fixture(name)
+    sim = system.sim
+    case = (system, sim.x0, sim.t0, sim.h,
+            min(sim.horizon, sim.t0 + 2000 * sim.h),
+            SelectionStrategy(kind, sim.seed))
+    assert _run_key(_outcome(integrate, *case)) == _run_key(
+        _outcome(_boxed_integrate, *case))
+
+
+def _system(f_pieces, *, n=1, reducers=(), params=None, v_value="x1*x1"):
+    """A system on [-2, 2]^n from piece lists; V's gradient is ``{2*x1}``
+    on the first axis, and each reducer's value is ``x1``."""
+    doc = {"n": n, "F": {"pieces": f_pieces},
+           "V": {"value": v_value, "regular": True,
+                 "gradient": [{"guard": "otherwise",
+                               "value": ["{2*x1}"] + ["{0}"] * n}]},
+           "U": [{"value": "x1", "gradient": g, "regular": True}
+                 for g in reducers],
+           "domain": {"lo": [-2] * n, "hi": [2] * n},
+           "params": params or {}}
+    return system_from_dict(doc)
+
+
+def _when(guard, value, otherwise):
+    return [{"guard": guard, "value": value},
+            {"guard": "otherwise", "value": otherwise}]
+
+
+def _both(system, kind, x0=(1.0,), horizon=3.0, h=0.1, seed=0):
+    """``integrate`` and the boxed loop on one case: their run keys."""
+    case = (system, x0, 0.0, h, horizon, SelectionStrategy(kind, seed))
+    return (_run_key(_outcome(integrate, *case)),
+            _run_key(_outcome(_boxed_integrate, *case)))
+
+
+KINDS = ["midpoint", "reduced-descent", "random-extreme"]
+
+
+class TestHandBack:
+    """Steps the generated loop hands back to the boxed calls: every
+    error is the boxed loop's, and so is every row before it."""
+
+    def test_nan_set_before_a_division_by_zero(self):
+        # below x1 = 0.5 the first set is NaN and the second divides by 0
+        system = _system(_when("x1 > 0.5", ["{-1}", "{0}"], [
+            "{(1e308*10) - (1e308*10)}", "{1/x2}"]), n=2)
+        fast, boxed = _both(system, "midpoint", x0=(1.0, 0.0))
+        assert fast == boxed
+        assert fast[0] is DslEvalError
+        assert fast[1].startswith("set expression {1e+308*10 - 1e+308*10} "
+                                  "has a NaN endpoint at x=(0.")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inverted_literal_mid_trajectory(self, kind):
+        # [0, x1] turns inverted once x1 < 0, several steps in
+        fast, boxed = _both(_system([{"guard": "otherwise",
+                                      "value": ["{-1} + [0, x1]"]}]), kind)
+        assert fast == boxed
+        assert fast[0] is DslEvalError and "lo > hi" in fast[1]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inclusion_empties_after_some_steps(self, kind):
+        fast, boxed = _both(_system(_when("x1 < 0.5", "empty", ["{-1}"])),
+                            kind)
+        assert fast == boxed
+        assert fast[0] is SimulationError and "t=0.0;" not in fast[1]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_gradient_piece(self, kind):
+        # read by reduced-descent only: the others run on
+        gradient = _when("x1 < 0.5", "empty", ["{1}", "{0}"])
+        fast, boxed = _both(_system([{"guard": "otherwise",
+                                      "value": ["{-1}"]}],
+                                    reducers=[gradient]), kind)
+        assert fast == boxed
+        assert (fast[0] is EmptySetError) == (kind == "reduced-descent")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_regular_reducer(self, kind):
+        system = _system([{"guard": "otherwise", "value": ["[-1, 0]"]}],
+                         reducers=[[{"guard": "otherwise",
+                                     "value": ["[0, 1]", "{0}"]}]])
+        u = system.reducers[0]
+        system = dataclasses.replace(system, reducers=(RegularFunctionSpec(
+            u.name, u.n, u.value, u.gradient, False),))
+        fast, boxed = _both(system, kind)
+        assert fast == boxed
+        if kind == "reduced-descent":
+            assert fast == (SchemaError, "U1: reduction requires a regular "
+                            "function")
+        else:
+            assert len(fast) == 6  # a run, not an error
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_parameter(self, kind):
+        # a NaN guard comparison is false; a NaN set endpoint raises
+        params = {"g": "(1e308*10) - (1e308*10)"}
+        runs = [_both(_system(_when("g > 0", ["{1}"], ["{-x1}"]),
+                              params=params), kind),
+                _both(_system([{"guard": "otherwise", "value": ["{g}"]}],
+                              params=params), kind)]
+        assert [fast == boxed for fast, boxed in runs] == [True, True]
+        assert len(runs[0][0]) == 6 and runs[1][0][0] is DslEvalError
+
+    def test_map_of_another_dimension(self):
+        # V reads x1 only: midpoint runs, reduced-descent reads its gradient
+        system = dataclasses.replace(load_fixture("example2"),
+                                     candidate=ONE_D)
+        for kind in KINDS:
+            fast, boxed = _both(system, kind, x0=(0.5, 0.5), horizon=1.0)
+            assert fast == boxed
+            assert (fast[0] is DimensionMismatchError) == (
+                kind == "reduced-descent")
+
+    def test_random_extreme_error_in_v(self):
+        # exp overflows once x1 > 709.79/1000, after draws that add 0.01 or
+        # 0.03 a step; the message holds x1, so equal errors mean equal
+        # draws up to that step
+        system = _system([{"guard": "otherwise",
+                           "value": ["[0.02, 0.06]"]}], v_value="exp(1000*x1)")
+        for seed in range(4):
+            short = _both(system, "random-extreme", x0=(0.5,), horizon=2.0,
+                          h=0.5, seed=seed)
+            fast, boxed = _both(system, "random-extreme", x0=(0.5,),
+                                horizon=20.0, h=0.5, seed=seed)
+            assert short[0] == short[1] and len(short[0]) == 6
+            assert fast == boxed and fast[0] is DslEvalError
