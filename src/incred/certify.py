@@ -28,18 +28,19 @@ worst-case tracking uses strict improvement, so reports are byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import expr
+from . import expr, reduction
 from .derivative import scan_derivative
 from .errors import SchemaError
-from .grids import GridSpec, check_size, product_array
+from .grids import GridSpec, check_size
 from .intervals import Annulus, IntervalBox, contains
-from .reduction import _columns
+from .reduction import _chunks, _columns
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
 
 __all__ = [
@@ -107,7 +108,7 @@ class Certificate:
 # Margins are flat in scan order, so "first in scan order" is the lowest
 # flat index. scan_derivative columns have shape (time nodes, nodes):
 # time outer, nodes row-major. Matrosov columns follow the (z, x) rows of
-# _aux_table.
+# _row_chunks.
 
 def _violations(margin: np.ndarray, counted: np.ndarray,
                 tol: float) -> int:
@@ -388,56 +389,141 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
     return data
 
 
+# Node sets stream as (chunks, count): ``chunks`` yields the nodes in order
+# as (dims, k) column arrays, ``count`` of them in all.
+
+def _region_masks(axes, region: Annulus):
+    """The row-major product of ``axes``, at most ``_CHUNK`` nodes at a
+    time: whole runs of the last axis, or pieces of one. Yields ``(lead,
+    tail, inside)``: the runs' other coordinates by index arithmetic on
+    the run index, the last axis's piece, and the ``(runs, len(tail))``
+    mask of ``region``, squares summed axis by axis as in ``contains``."""
+    *head, last = [np.asarray(a, dtype=float) for a in axes]
+    runs, size = math.prod(map(len, head)), reduction._CHUNK
+    per, width = max(1, size // len(last)), min(size, len(last))
+    for start in range(0, runs, per):
+        run = np.arange(start, min(start + per, runs))
+        lead, sq = np.empty((len(head), len(run))), np.zeros(len(run))
+        for i in range(len(head) - 1, -1, -1):
+            run, j = np.divmod(run, len(head[i]))
+            lead[i] = head[i][j]
+        for coord in lead:
+            sq = sq + coord * coord
+        for piece in range(0, len(last), width):
+            tail = last[piece:piece + width]
+            yield lead, tail, region.contains_sq(sq[:, None] + tail * tail)
+
+
+def _region_chunks(axes, region: Annulus) -> Iterator[np.ndarray]:
+    """The nodes of :func:`_region_masks` in ``region``, as ``(len(axes),
+    k)`` arrays in row-major order."""
+    for lead, tail, inside in _region_masks(axes, region):
+        nodes = np.empty((len(lead) + 1, lead.shape[1], len(tail)))
+        nodes[:-1], nodes[-1] = lead[:, :, None], tail
+        yield nodes.reshape(len(nodes), -1).compress(inside.ravel(), axis=1)
+
+
+def _stacked(chunks, width: int) -> np.ndarray:
+    """``(width, k)`` chunks as one ``(N, width)`` array of rows."""
+    return np.concatenate([np.empty((width, 0)), *chunks], axis=1).T
+
+
+def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
+    """The grid's nodes in annulus(delta, Delta) as ``(chunks, count)``,
+    counted by a pass of the annulus test alone. Every axis gains the
+    radii ``+/-delta``, ``+/-Delta`` and 0, so that the closest-to-origin
+    annulus points are hit exactly."""
+    grid = grid if grid is not None else sys.require_grid()
+    radii = (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
+    axes = grid.checked_axes(sys.domain, (radii,) * sys.n)
+    count = sum(int(np.count_nonzero(inside))
+                for *_, inside in _region_masks(axes, prob.annulus()))
+    if not count:
+        raise SchemaError("no grid nodes fall inside the annulus")
+    return _region_chunks(axes, prob.annulus()), count
+
+
+def _matrosov_nodes(prob: MatrosovData, sys: SystemDef, grid=None,
+                    every_z: bool = True):
+    """:func:`matrosov_grid`; unless ``every_z`` or some Y reads z, the z
+    nodes are the first one repeated (a broadcast view): the checks then
+    read only the first, and the reports only the count. That count and
+    first node come from the products of each axis's parts, so no z axis
+    is built with its injected values."""
+    x_nodes = _stacked(_annulus_nodes(prob, sys, grid)[0], sys.n)
+    check_size(math.prod(prob.z_counts), "matrosov z nodes (z_counts "
+               f"{' x '.join(map(str, prob.z_counts))})")
+    g, parts, ball = prob.gamma, [], Annulus(0.0, prob.gamma)
+    for count in prob.z_counts:  # per axis: the linspace, what -g, 0, g add
+        vals = np.linspace(-g, g, count)
+        if (vals[1:] > vals[:-1]).all():  # distinct and sorted
+            new = [v for v in (-g, 0.0, g)
+                   if v not in vals[np.searchsorted(vals, v):][:1]]
+        else:  # sorted, each value at its first occurrence's bits
+            vals, new = np.concatenate([vals, (-g, 0.0, g)]), []
+            vals = vals[np.unique(vals, return_index=True)[1]]
+        parts.append((vals, np.array(new)))
+    if every_z or prob.aux_uses_z():
+        axes = [np.insert(a, np.searchsorted(a, b), b) for a, b in parts]
+        return _stacked(_region_chunks(axes, ball), prob.m), x_nodes
+    count, first = 0, None  # the products of the parts tile the z grid
+    for axes in itertools.product(*parts):
+        if not all(map(len, axes)):
+            continue
+        for z in _region_chunks(axes, ball):  # first: the least in row order
+            if z.size and (first is None or tuple(z[:, 0]) < tuple(first)):
+                first = z[:, 0]
+            count += z.shape[1]
+    return np.broadcast_to(first, (count, prob.m)), x_nodes
+
+
 def matrosov_grid(prob: MatrosovData, sys: SystemDef,
                   grid: GridSpec | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta).
+    """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta),
+    both row-major: the x nodes of :func:`_annulus_nodes`, and per z axis
+    uniform nodes over ``[-gamma, gamma]`` and -gamma, 0, gamma, filtered
+    to the ball. Both stack the chunks that the Matrosov checks stream."""
+    return _matrosov_nodes(prob, sys, grid)
 
-    The state grid reuses the system grid's axes, with the radii
-    ``+/-delta``, ``+/-Delta`` and 0 injected on every axis so that the
-    closest-to-origin annulus points are hit exactly; nodes outside the
-    annulus are dropped. The z grid is uniform per axis over
-    ``[-gamma, gamma]`` filtered to the ball. Both keep row-major order.
+
+def _row_chunks(prob: MatrosovData, z_nodes, x_chunks, x_count: int):
+    """The (z, x) rows, x outer and z inner, as ``(points, y)`` per chunk
+    of at most ``_CHUNK`` rows: the ``(m + n, k)`` columns of ``z + x`` and
+    Y_1..Y_M there as ``(M, k)`` by ``reduction._columns``.
+
+    When no Y reads z only the first z is used (the checks are then
+    z-independent). The row count is checked before any Y is evaluated.
     """
-    grid = grid if grid is not None else sys.require_grid()
-    extra = tuple(
-        (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
-        for _ in range(sys.n))
-    x_nodes = grid.nodes(sys.domain, extra)
-    x_nodes = x_nodes[prob.annulus().contains(x_nodes)]
-    if not len(x_nodes):
-        raise SchemaError("no grid nodes fall inside the annulus")
-    check_size(math.prod(prob.z_counts), "matrosov z nodes (z_counts "
-               f"{' x '.join(map(str, prob.z_counts))})")
-    g, z_axes = prob.gamma, []
-    for count in prob.z_counts:
-        # sorted, each value at its first occurrence's bits (0.0 or -0.0)
-        vals = np.concatenate([np.linspace(-g, g, count), (-g, 0.0, g)])
-        z_axes.append(vals[np.unique(vals, return_index=True)[1]])
-    z_nodes = product_array(z_axes)
-    return z_nodes[Annulus(0.0, g).contains(z_nodes)], x_nodes
+    z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
+                   dtype=float).reshape(-1, prob.m).T
+    check_size(x_count * z.shape[1], f"matrosov (z, x) rows ({z.shape[1]} "
+               f"z nodes x {x_count} x nodes)")
+    fill = _columns(prob.aux)
+    nz = z.shape[1]
+    for x in x_chunks:
+        names = ([f"z{i+1}" for i in range(prob.m)]
+                 + [f"x{i+1}" for i in range(len(x))])
+        for rows in _chunks(x.shape[1] * nz):
+            lo, hi = rows.start // nz, -(-rows.stop // nz)  # the x nodes met
+            points = np.empty((len(z) + len(x), hi - lo, nz))
+            points[:len(z)], points[len(z):] = z[:, None], x[:, lo:hi, None]
+            points = points.reshape(len(points), -1)[
+                :, rows.start - lo * nz:rows.stop - lo * nz]
+            yield points, fill(
+                points.shape[1],
+                lambda r: (dict(zip(names, points[:, r])), False),
+                lambda r: dict(zip(names, points[:, r].tolist())))
 
 
 def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
-    """``(points, y)``: the (z, x) rows as an ``(R, m + n)`` array of
-    ``z + x``, x outer and z inner, and Y_1..Y_M there as ``(M, R)``.
-
-    When no Y reads z only the first z is used (the checks are then
-    z-independent). The Y columns come from ``reduction._columns``.
-    """
-    z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
-                   dtype=float).reshape(-1, prob.m)
+    """``(points, y)``: :func:`_row_chunks` stacked, as an ``(R, m + n)``
+    array of ``z + x`` and Y_1..Y_M there as ``(M, R)``."""
     x = np.asarray(x_nodes, dtype=float)
-    check_size(len(x) * len(z), f"matrosov (z, x) rows ({len(z)} z nodes "
-               f"x {len(x)} x nodes)")
-    points = np.hstack([np.tile(z, (len(x), 1)),
-                        np.repeat(x, len(z), axis=0)])
-    names = ([f"z{i+1}" for i in range(prob.m)]
-             + [f"x{i+1}" for i in range(x.shape[1])])
-    y = _columns(prob.aux, len(points),
-                 lambda rows: (dict(zip(names, points[rows].T)), False),
-                 lambda r: dict(zip(names, points[r].tolist())))
-    return points, y
+    table = list(_row_chunks(prob, z_nodes, (x[r].T for r in _chunks(len(x))),
+                             len(x)))
+    return (_stacked((points for points, _ in table), prob.m + x.shape[1]),
+            _stacked((y for _, y in table), prob.count).T)
 
 
 def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
@@ -448,19 +534,30 @@ def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
                       np.logical_and.accumulate(small, axis=0)])
 
 
-def _combined_certificate(condition: str, combined: np.ndarray, zeta: float,
-                          M: int, points: np.ndarray, tolerances: dict,
-                          grid_summary: dict, details: dict) -> Certificate:
-    """Verdict on ``Z <= -zeta / 2^(M-1)`` at every (z, x) row, where
-    ``combined`` holds Z; the witness is labelled t = 0.0."""
+def _combined_certificate(condition: str, chunks, zeta: float, M: int,
+                          tolerances: dict, grid_summary: dict,
+                          details: dict) -> Certificate:
+    """Verdict on ``Z <= -zeta / 2^(M-1)`` at every (z, x) row, reduced a
+    chunk at a time: ``chunks`` yields Z and its ``(m + n, k)`` points in
+    row order. The witness is labelled t = 0.0."""
     final_bound = -zeta / (2.0 ** (M - 1))
-    margin = combined - final_bound
-    counted = np.ones(margin.size, dtype=bool)
-    violations = _violations(margin, counted, 0.0)
+    violations = nonfinite = 0
+    worst = None  # as _margin_certificate picks it, over all chunks
+    for combined, points in chunks:
+        margin = combined - final_bound
+        violations += _violations(margin, True, 0.0)
+        if bad := margin.size - int(np.count_nonzero(np.isfinite(margin))):
+            nonfinite += bad
+            margin[np.isnan(margin)] = -np.inf
+        k = int(np.argmax(margin)) if margin.size else 0
+        if margin.size and margin[k] > (worst[1] if worst else -np.inf):
+            worst = (points[:, k], float(margin[k]))
     details.update(final_bound=final_bound, combination_violations=violations)
-    return _margin_certificate(condition, margin, counted, violations,
-                               lambda k: (points[k], 0.0), tolerances,
-                               grid_summary, details)
+    if nonfinite:
+        details["nonfinite_margins"] = nonfinite
+    return Certificate(CERTIFIED if not violations else VIOLATED, condition,
+                       worst and tuple(worst[0].tolist()), worst and 0.0,
+                       worst and worst[1], tolerances, grid_summary, details)
 
 
 def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
@@ -578,7 +675,7 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     constants = tuple(reversed(constants_rev))
 
     cert = _combined_certificate(
-        "matrosov-constants", running, zeta, M, points, tolerances,
+        "matrosov-constants", [(running, points.T)], zeta, M, tolerances,
         grid_summary,
         {"note": _GRID_NOTE + "; worst_point is (z, x), margin is "
          "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon})
@@ -587,21 +684,35 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
 
 def verify_combined_bound(prob: MatrosovData, constants: Sequence[float],
                           zeta: float, z_nodes, x_nodes) -> Certificate:
-    """Re-check ``Z = sum K_j Y_j + Y_M <= -zeta / 2^(M-1)`` on a grid.
+    """Re-check ``Z = Y_M + sum K_j Y_j <= -zeta / 2^(M-1)`` on a grid,
+    a chunk of rows at a time (see :func:`_combined_bound`).
 
     Used to confirm searched constants on a finer verification grid than
     the one that produced them.
     """
+    x = np.asarray(x_nodes, dtype=float)
+    return _combined_bound(prob, constants, zeta, z_nodes,
+                           (x[r].T for r in _chunks(len(x))), len(x))
+
+
+def _combined_bound(prob: MatrosovData, constants: Sequence[float],
+                    zeta: float, z_nodes, x_chunks, x_count: int):
+    """:func:`verify_combined_bound` on streamed x nodes: no array outlives
+    a chunk of :func:`_row_chunks`, so memory does not grow with the grid."""
     M = prob.count
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
-    points, y = _aux_table(prob, z_nodes, x_nodes)
-    combined = y[M - 1]
-    for k, yj in zip(constants, y):
-        combined = combined + k * yj
+
+    def combined():
+        for points, y in _row_chunks(prob, z_nodes, x_chunks, x_count):
+            with np.errstate(all="ignore"):  # NaN and inf are counted
+                z = y[M - 1]
+                for k, yj in zip(constants, y):
+                    z = z + k * yj
+            yield z, points
     return _combined_certificate(
-        "matrosov-combined-bound", combined, zeta, M, points, {"zeta": zeta},
-        {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}, {})
+        "matrosov-combined-bound", combined(), zeta, M, {"zeta": zeta},
+        {"z_nodes": len(z_nodes), "x_nodes": x_count}, {})
 
 
 def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
@@ -614,7 +725,7 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
     constants certificates do not depend on it.
     """
     tol = _number(tol, "tol")
-    _, pts = matrosov_grid(prob, sys)
+    pts = _stacked(_annulus_nodes(prob, sys)[0], sys.n)  # no z grid
     time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
     margins, counted, per_function = [], [], []

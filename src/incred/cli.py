@@ -193,7 +193,7 @@ def cmd_matrosov(args) -> int:
     eq_tol = _tol(args, "eq_tol")  # every flag is checked before the chain
     cert._check_zeta_target(args.zeta_target)
     fine = grid.refined(args.verify_factor)
-    z_nodes, x_nodes = cert.matrosov_grid(problem, system, grid)
+    z_nodes, x_nodes = cert._matrosov_nodes(problem, system, every_z=False)
     chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
     result = verify = None
     if chain.certified:
@@ -201,9 +201,9 @@ def cmd_matrosov(args) -> int:
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
         if result.certificate.certified and args.verify_factor != 1:
-            zf, xf = cert.matrosov_grid(problem, system, fine)
-            verify = cert.verify_combined_bound(
-                problem, result.constants, result.zeta, zf, xf)
+            verify = cert._combined_bound(  # streamed: no fine grid is built
+                problem, result.constants, result.zeta, z_nodes,
+                *cert._annulus_nodes(problem, system, fine))
     bounds = cert.matrosov_derivative_bounds(system, problem)
     doc = {"chain": chain.to_dict(),
            "constants": None if result is None else result.to_dict(),

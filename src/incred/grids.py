@@ -94,18 +94,18 @@ class GridSpec:
             out.append(tuple(sorted(merged)))
         return tuple(out)
 
-    def nodes(self, domain: IntervalBox,
-              extra: tuple[tuple[float, ...], ...] | None = None,
-              ) -> np.ndarray:
-        """All grid points as an ``(N, dims)`` array in row-major order.
+    def nodes(self, domain: IntervalBox) -> np.ndarray:
+        """All grid points as an ``(N, dims)`` array in row-major order,
+        built after the size check of :meth:`checked_axes`."""
+        return product_array(self.checked_axes(domain))
 
-        Raises SchemaError before building anything when the grid has
-        more than :data:`MAX_ITEMS` node-time pairs, counting each axis
-        as its uniform count or node-list length.
-        """
+    def checked_axes(self, domain: IntervalBox, extra=None):
+        """:meth:`axis_nodes`, after a SchemaError when the grid has more
+        than :data:`MAX_ITEMS` node-time pairs, counting each axis as its
+        uniform count or node-list length."""
         self._check_size([ax if isinstance(ax, int) else len(ax)
                           for ax in self.axes])
-        return product_array(self.axis_nodes(domain, extra))
+        return self.axis_nodes(domain, extra)
 
     def _check_size(self, sizes: list[int]) -> None:
         check_size(math.prod(sizes) * len(self.time_nodes),

@@ -257,9 +257,13 @@ class Annulus:
         sq = 0.0
         for i in range(p.shape[-1]):
             sq = sq + p[..., i] * p[..., i]
-        inside = (self.inner * self.inner <= sq) \
-            & (sq <= self.outer * self.outer)
+        inside = self.contains_sq(sq)
         return bool(inside) if p.ndim == 1 else inside
+
+    def contains_sq(self, sq):
+        """Membership by squared norm, summed as :meth:`contains` sums it."""
+        return (self.inner * self.inner <= sq) \
+            & (sq <= self.outer * self.outer)
 
     def __repr__(self) -> str:
         return f"Annulus({self.inner}, {self.outer})"

@@ -128,30 +128,33 @@ def _fill(count: int, arrays: Callable[[slice], np.ndarray],
                 pointwise(r)
 
 
-def _columns(nodes: Sequence, count: int, env_arrays: Callable,
-             env: Callable) -> np.ndarray:
-    """``(len(nodes), count)``: the scalar expressions by :func:`_fill`.
-    ``env_arrays(rows)`` gives a chunk's environment and its bad rows; a
-    bad row or one with a non-finite value is refilled on ``env(r)`` by
-    the scalar closures."""
-    out = np.empty((len(nodes), count))
+def _columns(nodes: Sequence) -> Callable:
+    """``fill(count, env_arrays, env)``: the ``(len(nodes), count)``
+    columns of the scalar expressions by :func:`_fill`, compiled once for
+    every fill. ``env_arrays(rows)`` gives a chunk's environment and its
+    bad rows; a bad row or one with a non-finite value is refilled on
+    ``env(r)`` by the scalar closures."""
     array_fns = [expr.compile_scalar_array(e) for e in nodes]
     scalar_fns = []  # compiled on the first pointwise row
 
-    def arrays(rows):
-        batch_env, bad = env_arrays(rows)
-        for k, fn in enumerate(array_fns):
-            out[k, rows] = fn(batch_env)
-        return bad | ~np.isfinite(out[:, rows]).all(axis=0)
+    def fill(count: int, env_arrays: Callable, env: Callable) -> np.ndarray:
+        out = np.empty((len(nodes), count))
 
-    def pointwise(r):
-        if not scalar_fns:
-            scalar_fns.extend(expr.compile_scalar(e) for e in nodes)
-        row_env = env(r)
-        out[:, r] = [fn(row_env) for fn in scalar_fns]
+        def arrays(rows):
+            batch_env, bad = env_arrays(rows)
+            for k, fn in enumerate(array_fns):
+                out[k, rows] = fn(batch_env)
+            return bad | ~np.isfinite(out[:, rows]).all(axis=0)
 
-    _fill(count, arrays, pointwise)
-    return out
+        def pointwise(r):
+            if not scalar_fns:
+                scalar_fns.extend(expr.compile_scalar(e) for e in nodes)
+            row_env = env(r)
+            out[:, r] = [fn(row_env) for fn in scalar_fns]
+
+        _fill(count, arrays, pointwise)
+        return out
+    return fill
 
 
 def _node_array(nodes, n: int) -> np.ndarray:

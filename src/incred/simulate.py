@@ -352,9 +352,9 @@ def check_partial_convergence(traj: Trajectory, sys: SystemDef,
 def _column(node: expr.ScalarExpr, m: PiecewiseBoxMap, x, t) -> np.ndarray:
     """``node`` in ``m``'s environment at the rows ``(x[r], t[r])``."""
     cols = np.ascontiguousarray(x.T)
-    return _columns([node], len(x),
-                    lambda rows: m.env_arrays(cols[:, rows], t[rows]),
-                    lambda r: m.env(x[r].tolist(), float(t[r])))[0]
+    return _columns([node])(len(x),
+                            lambda rows: m.env_arrays(cols[:, rows], t[rows]),
+                            lambda r: m.env(x[r].tolist(), float(t[r])))[0]
 
 
 def _first_max(values: np.ndarray, start: float) -> float:

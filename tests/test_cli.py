@@ -207,18 +207,17 @@ class TestExitCodes:
             named = (f"matrosov (z, x) rows ({len(z)} z nodes x {len(x)} "
                      f"x nodes): {len(z) * len(x)} ")
 
-        product_array, tile = cert.product_array, np.tile
+        linspace = np.linspace
 
-        def small_product(axes):
-            assert math.prod(map(len, axes)) <= 10 ** 6, "large grid built"
-            return product_array(axes)
+        def small_axis(start, stop, num, *args, **kwargs):
+            assert num <= 10 ** 6, "large z axis built"
+            return linspace(start, stop, num, *args, **kwargs)
 
-        def small_tile(a, reps):
-            assert len(a) * reps[0] <= 10 ** 6, "large table built"
-            return tile(a, reps)
+        def no_y(nodes):
+            raise AssertionError("Y evaluated before the size check")
 
-        monkeypatch.setattr(cert, "product_array", small_product)
-        monkeypatch.setattr(np, "tile", small_tile)
+        monkeypatch.setattr(np, "linspace", small_axis)
+        monkeypatch.setattr(cert, "_columns", no_y)
         code = run("matrosov", "-i", str(system), "-o", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 3

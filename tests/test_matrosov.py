@@ -1,10 +1,16 @@
 import itertools
 import json
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import incred.certify as certify
+import incred.reduction as red
 from incred.certify import (CERTIFIED, INCONCLUSIVE, VIOLATED,
                             build_matrosov_problem, matrosov_chain,
                             matrosov_constants, matrosov_derivative_bounds,
@@ -111,6 +117,27 @@ class TestGrid:
             vals.update((-gamma, 0.0, gamma))
             assert z_nodes.shape == (len(vals), 1)
             assert z_nodes.tobytes() == np.array(sorted(vals)).tobytes()
+
+    @pytest.mark.parametrize("phi, z_counts, gamma", [
+        (("0",), [5], 1.0), (("0",), [2], 0.3), (("0",), [50], 3e150),
+        (("0",), [8], 1e-300), (("0",), [5], 5e-324),
+        (("0", "x1"), [4, 5], 1.0),
+        (("0", "x1"), [2, 2], 2.5), (("0", "x1", "x2"), [3, 4, 6], 0.1),
+    ])
+    def test_z_count_and_first_node_match_the_full_grid(self, phi, z_counts,
+                                                        gamma):
+        """Where no Y reads z, ``matrosov`` keeps the z count and the first
+        z node only, from the products of each axis's parts."""
+        system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=phi,
+                                                gamma=gamma,
+                                                z_counts=z_counts))
+        problem = build_matrosov_problem(system)
+        z_nodes, x_nodes = matrosov_grid(problem, system)
+        z_kept, x_kept = certify._matrosov_nodes(problem, system,
+                                                 every_z=False)
+        assert z_kept.shape == z_nodes.shape
+        assert z_kept[:1].tobytes() == z_nodes[:1].tobytes()
+        assert x_kept.tobytes() == x_nodes.tobytes()
 
     def test_inverted_radii_rejected(self):
         with pytest.raises(SchemaError):
@@ -260,3 +287,156 @@ class TestDerivativeBounds:
         system, problem, _, _ = annulus_problem
         cert = matrosov_derivative_bounds(system, problem)
         assert cert.details["violations_per_function"][0] == 0
+
+
+# --- the streamed verification against the whole-table path ---------------
+
+def _whole_table(prob, z_nodes, x_nodes):
+    """The (z, x) rows as one ``(R, m + n)`` array and Y there as ``(M, R)``:
+    the whole-table construction the chunked rows replaced."""
+    z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
+                   dtype=float).reshape(-1, prob.m)
+    x = np.asarray(x_nodes, dtype=float)
+    points = np.hstack([np.tile(z, (len(x), 1)),
+                        np.repeat(x, len(z), axis=0)])
+    names = ([f"z{i+1}" for i in range(prob.m)]
+             + [f"x{i+1}" for i in range(x.shape[1])])
+    y = red._columns(prob.aux)(
+        len(points), lambda rows: (dict(zip(names, points[rows].T)), False),
+        lambda r: dict(zip(names, points[r].tolist())))
+    return points, y
+
+
+def _whole_table_bound(prob, constants, zeta, z_nodes, x_nodes):
+    """``verify_combined_bound`` on the whole table, one margin array. An
+    overflowing or NaN Z is counted, not warned."""
+    M = prob.count
+    points, y = _whole_table(prob, z_nodes, x_nodes)
+    combined = y[M - 1]
+    with np.errstate(all="ignore"):
+        for k, yj in zip(constants, y):
+            combined = combined + k * yj
+    final_bound = -zeta / (2.0 ** (M - 1))
+    margin = combined - final_bound
+    counted = np.ones(margin.size, dtype=bool)
+    violations = certify._violations(margin, counted, 0.0)
+    return certify._margin_certificate(
+        "matrosov-combined-bound", margin, counted, violations,
+        lambda k: (points[k], 0.0), {"zeta": zeta},
+        {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
+        {"final_bound": final_bound, "combination_violations": violations})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # compared with the reference's own error
+        return type(e), str(e)
+
+
+def _key(outcome):
+    """A certificate's dict with its witness as bits, or an error."""
+    if isinstance(outcome, tuple):
+        return outcome
+    d = outcome.to_dict()
+    d["worst_point"] = [struct.pack("d", v) for v in d["worst_point"] or ()]
+    d["worst_margin"] = struct.pack("d", d["worst_margin"] or 0.0)
+    return d
+
+
+# NaN where |x1| >= 0.9 (inf - inf); +-inf there; a near-zero denominator
+# (an error) at every node with x1 == 0 or x2 == 0, in many chunks
+Y_HAZARDS = ("1e308*x1*2 - 1e308*x1*2", "1e308*x1*2", "1/(x1*x2)",
+             "-1/(x1 - 0.5)")
+Y_PLAIN = ("-1", "-x1*x1 - x2*x2", "-2*x2*x2", "0.25 - x1*x1")
+
+
+@st.composite
+def combined_cases(draw):
+    """A Matrosov block on example6 with drawn Y, z grid, state grid,
+    refinement and chunk size, and the constants and zeta to verify."""
+    m = draw(st.sampled_from([1, 2]))
+    z_reads = [f"-z{i+1}*z{i+1}" for i in range(m)] + ["x1*z1 - 1"]
+    pool = Y_PLAIN + Y_HAZARDS + tuple(z_reads)
+    y = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    doc = _matrosov_doc(y, phi=("0", "x1")[:m],
+                        z_counts=draw(st.lists(st.integers(2, 5),
+                                               min_size=m, max_size=m)))
+    doc["grid"]["counts"] = [draw(st.integers(2, 6))] * 2
+    constants = tuple(draw(st.sampled_from([0.5, 1.0, 3.0, 1e308]))
+                      for _ in range(len(y) - 1))
+    return (doc, draw(st.sampled_from([1, 2, 3])),
+            draw(st.sampled_from([2, 3, 5, 7, 64, 4096])), constants,
+            draw(st.sampled_from([1e-3, 0.5, 4.0])))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=combined_cases())
+def test_streamed_verification_equals_the_whole_table(case):
+    """verify_combined_bound, and the stream ``matrosov`` runs on a refined
+    grid, give the whole-table certificate, witness bits included, or its
+    error, whatever the chunk size: grids smaller than one chunk, (z, x)
+    blocks and grid runs split across chunks, NaN, infinite and raising
+    rows, and ties for the worst margin across chunks."""
+    doc, factor, chunk, constants, zeta = case
+    system = system_from_dict(doc)
+    problem = build_matrosov_problem(system)
+    grid = system.grid.refined(factor)
+    z_ref, x_ref = _reference_grid(problem, system, grid)
+    saved, red._CHUNK = red._CHUNK, chunk
+    try:
+        expected = _outcome(_whole_table_bound, problem, constants, zeta,
+                            z_ref, x_ref)
+        public = _outcome(verify_combined_bound, problem, constants, zeta,
+                          z_ref, x_ref)
+        z_nodes = certify._matrosov_nodes(problem, system, grid,
+                                          every_z=False)[0]
+        streamed = _outcome(
+            lambda: certify._combined_bound(
+                problem, constants, zeta, z_nodes,
+                *certify._annulus_nodes(problem, system, grid)))
+        table = _outcome(certify._aux_table, problem, z_ref, x_ref)
+        whole = _outcome(_whole_table, problem, z_ref, x_ref)
+    finally:
+        red._CHUNK = saved
+    assert _key(public) == _key(expected)
+    assert _key(streamed) == _key(expected)
+    if isinstance(whole[0], type):  # an error
+        assert table == whole
+    else:
+        for got, ref in zip(table, whole):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_a_tie_across_chunks_keeps_the_earlier_row(monkeypatch):
+    system = system_from_dict(_matrosov_doc(["-1"]))
+    problem = build_matrosov_problem(system)
+    z_nodes, x_nodes = matrosov_grid(problem, system)
+    monkeypatch.setattr(red, "_CHUNK", 5)
+    cert = verify_combined_bound(problem, (), 1.0, z_nodes, x_nodes)
+    assert cert.worst_margin == 0.0
+    assert cert.worst_point == tuple(z_nodes[0]) + tuple(x_nodes[0])
+
+
+def test_the_fine_grid_is_never_built():
+    """The verification ``matrosov`` runs streams the refined grid: its
+    allocations stay far below one fine (z, x) table at factor 10."""
+    system = load_fixture("example6")
+    problem = build_matrosov_problem(system)
+    z_nodes, x_nodes = certify._matrosov_nodes(problem, system,
+                                               every_z=False)
+    result = matrosov_constants(problem, z_nodes, x_nodes)
+    fine = system.grid.refined(10)
+    tracemalloc.start()
+    try:
+        cert = certify._combined_bound(
+            problem, result.constants, result.zeta, z_nodes,
+            *certify._annulus_nodes(problem, system, fine))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = cert.grid_summary["x_nodes"]
+    assert cert.verdict == CERTIFIED and rows > 100_000
+    assert peak < rows * 8  # one float column of the table is rows * 8
