@@ -49,7 +49,8 @@ __all__ = [
     "InvarianceReport", "CandidateCheck", "invariance_data",
     "build_matrosov_problem", "matrosov_grid",
     "matrosov_chain", "matrosov_constants", "MatrosovConstantsResult",
-    "verify_combined_bound", "matrosov_derivative_bounds",
+    "verify_combined_bound", "verify_bound_on_grid",
+    "matrosov_derivative_bounds",
 ]
 
 CERTIFIED = "CERTIFIED"
@@ -117,6 +118,16 @@ def _violations(margin: np.ndarray, counted: np.ndarray,
         counted & ~(np.isfinite(margin) & (margin <= tol))))
 
 
+def _worst_margin(margin: np.ndarray, counted: np.ndarray):
+    """``(nonfinite, k)``: how many counted margins are NaN or infinite,
+    and the flat index of the first maximal non-NaN counted margin (None
+    when there is none). ``margin`` is overwritten."""
+    nonfinite = int(np.count_nonzero(counted & ~np.isfinite(margin)))
+    margin[~counted | np.isnan(margin)] = -np.inf
+    k = int(np.argmax(margin)) if margin.size else 0
+    return nonfinite, (k if margin.size and margin[k] > -np.inf else None)
+
+
 def _margin_certificate(condition: str, margin: np.ndarray,
                         counted: np.ndarray, violations: int, witness,
                         tolerances: dict, grid_summary: dict, details: dict,
@@ -130,15 +141,13 @@ def _margin_certificate(condition: str, margin: np.ndarray,
     the pair strict improvement in scan order keeps. ``details`` gains
     ``nonfinite_margins`` when nonzero.
     """
-    nonfinite = int(np.count_nonzero(counted & ~np.isfinite(margin)))
+    nonfinite, k = _worst_margin(margin, counted)
     if nonfinite:
         details["nonfinite_margins"] = nonfinite
     if failures:
         details["screen_failures"] = list(failures)
-    margin[~counted | np.isnan(margin)] = -np.inf
-    k = int(np.argmax(margin)) if margin.size else 0
     point = t = worst = None
-    if margin.size and margin[k] > -np.inf:
+    if k is not None:
         row, t = witness(k)
         point, worst = tuple(row.tolist()), float(margin[k])
     return Certificate(
@@ -428,6 +437,12 @@ def _stacked(chunks, width: int) -> np.ndarray:
     return np.concatenate([np.empty((width, 0)), *chunks], axis=1).T
 
 
+def _region_count(axes, region: Annulus) -> int:
+    """How many nodes :func:`_region_chunks` yields, from the masks alone."""
+    return sum(int(np.count_nonzero(inside))
+               for *_, inside in _region_masks(axes, region))
+
+
 def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
     """The grid's nodes in annulus(delta, Delta) as ``(chunks, count)``,
     counted by a pass of the annulus test alone. Every axis gains the
@@ -436,45 +451,50 @@ def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
     grid = grid if grid is not None else sys.require_grid()
     radii = (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
     axes = grid.checked_axes(sys.domain, (radii,) * sys.n)
-    count = sum(int(np.count_nonzero(inside))
-                for *_, inside in _region_masks(axes, prob.annulus()))
+    count = _region_count(axes, prob.annulus())
     if not count:
         raise SchemaError("no grid nodes fall inside the annulus")
     return _region_chunks(axes, prob.annulus()), count
+
+
+def _z_parts(prob: MatrosovData) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per z axis, sorted: the uniform nodes over ``[-gamma, gamma]`` and
+    those of -gamma, 0, gamma they miss. The axis is their union, each
+    value at its first occurrence's bits (0.0 or -0.0)."""
+    g, parts = prob.gamma, []
+    for count in prob.z_counts:
+        vals = np.linspace(-g, g, count)
+        if (vals[1:] > vals[:-1]).all():  # distinct and sorted
+            new = [v for v in (-g, 0.0, g)
+                   if v not in vals[np.searchsorted(vals, v):][:1]]
+        else:
+            vals, new = np.concatenate([vals, (-g, 0.0, g)]), []
+            vals = vals[np.unique(vals, return_index=True)[1]]
+        parts.append((vals, np.array(new)))
+    return parts
 
 
 def _matrosov_nodes(prob: MatrosovData, sys: SystemDef, grid=None,
                     every_z: bool = True):
     """:func:`matrosov_grid`; unless ``every_z`` or some Y reads z, the z
     nodes are the first one repeated (a broadcast view): the checks then
-    read only the first, and the reports only the count. That count and
-    first node come from the products of each axis's parts, so no z axis
-    is built with its injected values."""
+    read only the first, and the reports only the count. Those two come
+    from the products of the axes' parts, which tile the z grid, so that
+    no axis is built whole: one long axis would be built twice."""
     x_nodes = _stacked(_annulus_nodes(prob, sys, grid)[0], sys.n)
     check_size(math.prod(prob.z_counts), "matrosov z nodes (z_counts "
                f"{' x '.join(map(str, prob.z_counts))})")
-    g, parts, ball = prob.gamma, [], Annulus(0.0, prob.gamma)
-    for count in prob.z_counts:  # per axis: the linspace, what -g, 0, g add
-        vals = np.linspace(-g, g, count)
-        if (vals[1:] > vals[:-1]).all():  # distinct and sorted
-            new = [v for v in (-g, 0.0, g)
-                   if v not in vals[np.searchsorted(vals, v):][:1]]
-        else:  # sorted, each value at its first occurrence's bits
-            vals, new = np.concatenate([vals, (-g, 0.0, g)]), []
-            vals = vals[np.unique(vals, return_index=True)[1]]
-        parts.append((vals, np.array(new)))
+    parts, ball = _z_parts(prob), Annulus(0.0, prob.gamma)
     if every_z or prob.aux_uses_z():
         axes = [np.insert(a, np.searchsorted(a, b), b) for a, b in parts]
         return _stacked(_region_chunks(axes, ball), prob.m), x_nodes
-    count, first = 0, None  # the products of the parts tile the z grid
-    for axes in itertools.product(*parts):
-        if not all(map(len, axes)):
-            continue
-        for z in _region_chunks(axes, ball):  # first: the least in row order
-            if z.size and (first is None or tuple(z[:, 0]) < tuple(first)):
-                first = z[:, 0]
-            count += z.shape[1]
-    return np.broadcast_to(first, (count, prob.m)), x_nodes
+    count, firsts = 0, []
+    for tile in itertools.product(*parts):
+        if all(map(len, tile)):
+            chunks = (z for z in _region_chunks(tile, ball) if z.size)
+            firsts += [tuple(z[:, 0]) for z in itertools.islice(chunks, 1)]
+            count += _region_count(tile, ball)
+    return np.broadcast_to(min(firsts), (count, prob.m)), x_nodes
 
 
 def matrosov_grid(prob: MatrosovData, sys: SystemDef,
@@ -542,15 +562,13 @@ def _combined_certificate(condition: str, chunks, zeta: float, M: int,
     row order. The witness is labelled t = 0.0."""
     final_bound = -zeta / (2.0 ** (M - 1))
     violations = nonfinite = 0
-    worst = None  # as _margin_certificate picks it, over all chunks
+    worst = None  # strict ">": the earlier chunk keeps a tie
     for combined, points in chunks:
-        margin = combined - final_bound
-        violations += _violations(margin, True, 0.0)
-        if bad := margin.size - int(np.count_nonzero(np.isfinite(margin))):
-            nonfinite += bad
-            margin[np.isnan(margin)] = -np.inf
-        k = int(np.argmax(margin)) if margin.size else 0
-        if margin.size and margin[k] > (worst[1] if worst else -np.inf):
+        margin, counted = combined - final_bound, np.ones(len(combined), bool)
+        violations += _violations(margin, counted, 0.0)
+        bad, k = _worst_margin(margin, counted)
+        nonfinite += bad
+        if k is not None and (worst is None or margin[k] > worst[1]):
             worst = (points[:, k], float(margin[k]))
     details.update(final_bound=final_bound, combination_violations=violations)
     if nonfinite:
@@ -695,10 +713,20 @@ def verify_combined_bound(prob: MatrosovData, constants: Sequence[float],
                            (x[r].T for r in _chunks(len(x))), len(x))
 
 
+def verify_bound_on_grid(prob: MatrosovData, sys: SystemDef,
+                         constants: Sequence[float], zeta: float, z_nodes,
+                         grid: GridSpec) -> Certificate:
+    """:func:`verify_combined_bound` at the annulus nodes of ``grid`` (as
+    :func:`matrosov_grid` picks them), streamed: the x nodes are never
+    built as one array, so memory does not grow with the grid."""
+    return _combined_bound(prob, constants, zeta, z_nodes,
+                           *_annulus_nodes(prob, sys, grid))
+
+
 def _combined_bound(prob: MatrosovData, constants: Sequence[float],
                     zeta: float, z_nodes, x_chunks, x_count: int):
     """:func:`verify_combined_bound` on streamed x nodes: no array outlives
-    a chunk of :func:`_row_chunks`, so memory does not grow with the grid."""
+    a chunk of :func:`_row_chunks`."""
     M = prob.count
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")

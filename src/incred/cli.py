@@ -201,9 +201,8 @@ def cmd_matrosov(args) -> int:
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
         if result.certificate.certified and args.verify_factor != 1:
-            verify = cert._combined_bound(  # streamed: no fine grid is built
-                problem, result.constants, result.zeta, z_nodes,
-                *cert._annulus_nodes(problem, system, fine))
+            verify = cert.verify_bound_on_grid(
+                problem, system, result.constants, result.zeta, z_nodes, fine)
     bounds = cert.matrosov_derivative_bounds(system, problem)
     doc = {"chain": chain.to_dict(),
            "constants": None if result is None else result.to_dict(),

@@ -185,8 +185,6 @@ class TestExitCodes:
     ], ids=["z_nodes", "zx_rows"])
     def test_oversized_matrosov_exits_three(self, tmp_path, capsys,
                                             monkeypatch, phi, z_counts, y1):
-        import numpy as np
-
         import incred.certify as cert
         from incred.setmaps import load_system
 
@@ -207,16 +205,16 @@ class TestExitCodes:
             named = (f"matrosov (z, x) rows ({len(z)} z nodes x {len(x)} "
                      f"x nodes): {len(z) * len(x)} ")
 
-        linspace = np.linspace
+        region_masks = cert._region_masks
 
-        def small_axis(start, stop, num, *args, **kwargs):
-            assert num <= 10 ** 6, "large z axis built"
-            return linspace(start, stop, num, *args, **kwargs)
+        def small_walk(axes, region):
+            assert math.prod(map(len, axes)) <= 10 ** 6, "large grid walked"
+            return region_masks(axes, region)
 
         def no_y(nodes):
             raise AssertionError("Y evaluated before the size check")
 
-        monkeypatch.setattr(np, "linspace", small_axis)
+        monkeypatch.setattr(cert, "_region_masks", small_walk)
         monkeypatch.setattr(cert, "_columns", no_y)
         code = run("matrosov", "-i", str(system), "-o", str(tmp_path))
         err = capsys.readouterr().err

@@ -127,7 +127,7 @@ class TestGrid:
     def test_z_count_and_first_node_match_the_full_grid(self, phi, z_counts,
                                                         gamma):
         """Where no Y reads z, ``matrosov`` keeps the z count and the first
-        z node only, from the products of each axis's parts."""
+        z node only."""
         system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=phi,
                                                 gamma=gamma,
                                                 z_counts=z_counts))
@@ -392,10 +392,8 @@ def test_streamed_verification_equals_the_whole_table(case):
                           z_ref, x_ref)
         z_nodes = certify._matrosov_nodes(problem, system, grid,
                                           every_z=False)[0]
-        streamed = _outcome(
-            lambda: certify._combined_bound(
-                problem, constants, zeta, z_nodes,
-                *certify._annulus_nodes(problem, system, grid)))
+        streamed = _outcome(certify.verify_bound_on_grid, problem, system,
+                            constants, zeta, z_nodes, grid)
         table = _outcome(certify._aux_table, problem, z_ref, x_ref)
         whole = _outcome(_whole_table, problem, z_ref, x_ref)
     finally:
@@ -431,9 +429,8 @@ def test_the_fine_grid_is_never_built():
     fine = system.grid.refined(10)
     tracemalloc.start()
     try:
-        cert = certify._combined_bound(
-            problem, result.constants, result.zeta, z_nodes,
-            *certify._annulus_nodes(problem, system, fine))
+        cert = certify.verify_bound_on_grid(
+            problem, system, result.constants, result.zeta, z_nodes, fine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
