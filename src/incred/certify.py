@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import expr, reduction
-from .derivative import scan_derivative
+from .derivative import _scan, scan_derivative
 from .errors import SchemaError
 from .grids import GridSpec, check_size
 from .intervals import Annulus, IntervalBox, contains
@@ -482,9 +482,11 @@ def _matrosov_nodes(prob: MatrosovData, sys: SystemDef, grid=None,
     from the products of the axes' parts, which tile the z grid, so that
     no axis is built whole: one long axis would be built twice."""
     x_nodes = _stacked(_annulus_nodes(prob, sys, grid)[0], sys.n)
-    check_size(math.prod(prob.z_counts), "matrosov z nodes (z_counts "
-               f"{' x '.join(map(str, prob.z_counts))})")
+    what = ("matrosov z nodes (z_counts "
+            f"{' x '.join(map(str, prob.z_counts))})")
+    check_size(math.prod(prob.z_counts), what)  # before the axes are built
     parts, ball = _z_parts(prob), Annulus(0.0, prob.gamma)
+    check_size(math.prod(len(a) + len(b) for a, b in parts), what)
     if every_z or prob.aux_uses_z():
         axes = [np.insert(a, np.searchsorted(a, b), b) for a, b in parts]
         return _stacked(_region_chunks(axes, ball), prob.m), x_nodes
@@ -749,20 +751,21 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
 
     For each comparison function W_j, checks ``derivative of W_j along
     the inclusion, reduced by its own collection, <= Y_j(phi(x, t), x)``
-    at annulus nodes and time nodes. Informational: the chain and
+    at annulus nodes and time nodes, all W_j in one pass that evaluates
+    the inclusion once for all of them. Informational: the chain and
     constants certificates do not depend on it.
     """
     tol = _number(tol, "tol")
     pts = _stacked(_annulus_nodes(prob, sys)[0], sys.n)  # no z grid
     time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
-    margins, counted, per_function = [], [], []
-    for w, coll, y in zip(prob.functions, prob.collections, prob.aux):
-        scan = scan_derivative(w, sys.inclusion, coll, pts, time_nodes,
-                               [(expr.substitute(y, z), sys.inclusion)])
-        margins.append((scan.value - scan.extras[0]).ravel())
-        counted.append(~scan.minus_inf.ravel())
-        per_function.append(_violations(margins[-1], counted[-1], tol))
+    scans = _scan(sys.inclusion, [
+        (w, coll, [(expr.substitute(y, z), sys.inclusion)])
+        for w, coll, y in zip(prob.functions, prob.collections, prob.aux)],
+        pts, time_nodes)
+    margins = [(scan.value - scan.extras[0]).ravel() for scan in scans]
+    counted = [~scan.minus_inf.ravel() for scan in scans]
+    per_function = [_violations(mg, c, tol) for mg, c in zip(margins, counted)]
     return _margin_certificate(
         "matrosov-derivative-bounds", np.concatenate(margins),
         np.concatenate(counted), sum(per_function),

@@ -15,7 +15,7 @@ function along a box-valued inclusion are computed in closed form:
   derivative ``∩_p p . (F x {1})``, an interval, or None when empty.
 
 :func:`scan_derivative` gives the generalized derivative and any extras at
-every (time node, node) pair of a grid as arrays, flagged rows pointwise.
+every (time node, node) pair of a grid as arrays, flagged cells pointwise.
 
 Because gradients and inclusion values are boxes, both bilinear
 optimizations decompose per axis: the max over a rectangle of ``p q`` is
@@ -241,60 +241,101 @@ def scan_derivative(candidate: RegularFunctionSpec,
 
     ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
     scalar expression with the map whose environment (parameters) it
-    reads. For each time node in turn, nodes are evaluated as numpy
-    arrays in batches of ``reduction._CHUNK``; the nodes the arrays flag
-    (see ``reduction._fill``) are refilled one by one by the pointwise
-    reference, which raises exactly the errors the pointwise API raises.
+    reads. The one-job call of :func:`_scan`, which evaluates the pairs.
+    """
+    return _scan(inclusion, [(candidate, reducers, extras)], nodes,
+                 time_nodes)[0]
+
+
+def _scan(inclusion: PiecewiseBoxMap, jobs, nodes,
+          time_nodes: Sequence[float]) -> list[DerivativeScan]:
+    """:func:`scan_derivative` of each ``(candidate, reducers, extras)``
+    job along one inclusion, in one pass over chunks of
+    ``reduction._CHUNK`` nodes, time nodes inner. Per chunk, what reads
+    neither t nor a parameter runs once (see
+    :meth:`PiecewiseBoxMap.chunk_arrays`); per time node, the rest, each
+    map once for all the jobs. The pointwise reference then refills the
+    flagged cells (``reduction._fill``) job, time node, then node first,
+    raising the errors the pointwise API raises; a parameter without a
+    value at a time node raises at the first cell of that node.
     """
     pts = _node_array(nodes, inclusion.n_in)
-    n = inclusion.n_out
-    maps = [inclusion, candidate.gradient, *(u.gradient for u in reducers),
-            *(m for _, m in extras)]
-    ready = (all(m.n_in == pts.shape[-1] for m in maps)
-             and all(f.n == n and f.regular for f in reducers)
-             and candidate.n == n)
-    array_fns = [(expr.compile_scalar_array(e), m) for e, m in extras]
-    scalar_fns = []  # compiled on the first pointwise row
-    axes = np.ascontiguousarray(pts.T)
-    shape = (len(time_nodes), len(pts))
-    value = np.zeros(shape)
-    minus_inf = np.zeros(shape, dtype=bool)
-    cols = np.zeros((len(extras),) + shape)
+    n, axes = inclusion.n_out, np.ascontiguousarray(pts.T)
+    shape = (len(jobs), len(time_nodes), len(pts))
+    value, minus_inf = np.zeros(shape), np.zeros(shape, dtype=bool)
+    cols = [np.zeros((len(extras),) + shape[1:]) for *_, extras in jobs]
+    ready = [candidate.n == n and all(f.n == n and f.regular for f in us)
+             and all(m.n_in == pts.shape[-1] for m in (
+                 inclusion, candidate.gradient, *(u.gradient for u in us),
+                 *(m for _, m in extras)))
+             for candidate, us, extras in jobs]  # else pointwise
+    x_names = [f"x{i+1}" for i in range(pts.shape[-1])]
+    array_fns = [[(expr.compile_scalar_array(e), m,
+                   expr.free_vars(e) <= set(x_names)) for e, m in extras]
+                 for *_, extras in jobs]
+    scalar_fns = [[] for _ in jobs]  # compiled on the first pointwise cell
+    errors = {}  # (job, time node): the error its array pass raised
 
-    for a, t in enumerate(time_nodes):
-        def arrays(rows):
-            if not ready:  # the pointwise rows raise the error
-                return np.ones(rows.stop - rows.start, dtype=bool)
-            batch = axes[:, rows]
-            value[a, rows], minus_inf[a, rows], bad = _derivative_arrays(
-                candidate, inclusion, reducers, batch, t)
-            for k, (fn, m) in enumerate(array_fns):
-                cols[k, a, rows] = fn(m.env_arrays(batch, t)[0])
-            return bad | ~np.isfinite(cols[:, a, rows]).all(axis=0)
+    def arrays(rows):
+        batch = axes[:, rows]
+        x_env, chunk = dict(zip(x_names, batch)), {}
+        fixed = [[fn(x_env) if state_only else None
+                  for fn, _, state_only in fns] for fns in array_fns]
+        flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
+        for a, t in enumerate(time_nodes):
+            now = {}
 
-        def pointwise(b):
-            if not scalar_fns:
-                scalar_fns.extend((expr.compile_scalar(e), m)
-                                  for e, m in extras)
-            x = pts[b].tolist()
-            d = generalized_derivative(candidate, inclusion, reducers, x, t)
-            minus_inf[a, b] = d.is_minus_inf
-            value[a, b] = 0.0 if d.is_minus_inf else d.value
-            for k, (fn, m) in enumerate(scalar_fns):
-                cols[k, a, b] = fn(m.env(x, t))
+            def at(m):  # m's value on the chunk at t, once for every job
+                if id(m) not in now:
+                    if id(m) not in chunk:
+                        chunk[id(m)] = m.chunk_arrays(batch)
+                    now[id(m)] = chunk[id(m)](m.env((), t), False)
+                return now[id(m)]
 
-        _fill(len(pts), arrays, pointwise)
-    return DerivativeScan(value, minus_inf, tuple(cols))
+            for j, (candidate, reducers, _) in enumerate(jobs):
+                if not ready[j]:
+                    continue
+                try:  # raises the first parameter error, in map order
+                    value[j, a, rows], minus_inf[j, a, rows], bad = \
+                        _derivative_arrays(candidate, inclusion, reducers, at)
+                    for k, (fn, m, state_only) in enumerate(array_fns[j]):
+                        cols[j][k, a, rows] = fixed[j][k] if state_only \
+                            else fn({**m.env((), t), **x_env})
+                except DslEvalError as e:  # flags[j, a] stays set
+                    errors[j, a] = e
+                    continue
+                flags[j, a] = bad | ~np.isfinite(cols[j][:, a, rows]).all(
+                    axis=0)
+        return flags
+
+    def pointwise(j, a, b):
+        if (j, a) in errors:
+            raise errors[j, a]
+        candidate, reducers, extras = jobs[j]
+        if not scalar_fns[j]:
+            scalar_fns[j].extend((expr.compile_scalar(e), m)
+                                 for e, m in extras)
+        x, t = pts[b].tolist(), time_nodes[a]
+        d = generalized_derivative(candidate, inclusion, reducers, x, t)
+        minus_inf[j, a, b] = d.is_minus_inf
+        value[j, a, b] = 0.0 if d.is_minus_inf else d.value
+        for k, (fn, m) in enumerate(scalar_fns[j]):
+            cols[j][k, a, b] = fn(m.env(x, t))
+
+    _fill(shape, arrays, pointwise)
+    return [DerivativeScan(v, d, tuple(c))
+            for v, d, c in zip(value, minus_inf, cols)]
 
 
-def _derivative_arrays(candidate, inclusion, reducers, batch, t):
-    """Array form of generalized_derivative: the reduction kernel, then
-    the bilinear optimization with the pointwise code's operation order
-    and Python's max/min tie rule; a non-finite value is a bad row."""
-    lo, hi, minus_inf, bad = inclusion.value_arrays(batch, t)
+def _derivative_arrays(candidate, inclusion, reducers, value):
+    """Array form of generalized_derivative on ``value(m)``, each map's
+    value arrays: the reduction kernel, then the bilinear optimization
+    with the pointwise code's operation order and Python's max/min tie
+    rule; a non-finite value is a bad row."""
+    lo, hi, minus_inf, bad = value(inclusion)
     lo, hi, minus_inf, _, bad = _reduce_arrays(lo, hi, minus_inf, bad,
-                                               reducers, batch, t)
-    p_lo, p_hi, p_bad = _gradient_arrays(candidate, batch, t)
+                                               reducers, value)
+    p_lo, p_hi, p_bad = _gradient_arrays(candidate, value)
     total = 0.0
     for i in range(len(lo)):
         if candidate.regular:

@@ -101,11 +101,14 @@ class GridSpec:
 
     def checked_axes(self, domain: IntervalBox, extra=None):
         """:meth:`axis_nodes`, after a SchemaError when the grid has more
-        than :data:`MAX_ITEMS` node-time pairs, counting each axis as its
-        uniform count or node-list length."""
+        than :data:`MAX_ITEMS` node-time pairs, counted from the uniform
+        counts and node-list lengths before the axes are built, and from
+        the merged axes (``include`` and ``extra`` too) after."""
         self._check_size([ax if isinstance(ax, int) else len(ax)
                           for ax in self.axes])
-        return self.axis_nodes(domain, extra)
+        axes = self.axis_nodes(domain, extra)
+        self._check_size(list(map(len, axes)))
+        return axes
 
     def _check_size(self, sizes: list[int]) -> None:
         check_size(math.prod(sizes) * len(self.time_nodes),

@@ -113,19 +113,22 @@ def _chunks(count: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK, count))
 
 
-def _fill(count: int, arrays: Callable[[slice], np.ndarray],
-          pointwise: Callable[[int], None]) -> None:
-    """Fill ``count`` rows: ``arrays(rows)`` on each :func:`_chunks` slice
-    in order writes the slice and returns the mask of rows it may not
-    reproduce; ``pointwise(r)``, the reference, then rewrites every column
-    of each flagged row, in order. Every row whose pointwise fill could
-    raise is flagged, so the first error raised is the first error of an
-    all-pointwise fill, and the columns carry the same bits.
+def _fill(shape, arrays: Callable[[slice], np.ndarray],
+          pointwise: Callable[..., None]) -> None:
+    """Fill the cells of ``shape``, a row count or a tuple ending in one:
+    ``arrays(rows)`` on each :func:`_chunks` slice in order writes it and
+    returns the mask (``shape`` with ``len(rows)`` rows) of the cells it
+    may not reproduce; then ``pointwise(*cell)``, the reference, rewrites
+    every column of each flagged cell, in C order. Every cell whose
+    pointwise fill could raise is flagged, so the first error raised is
+    the first error of an all-pointwise fill, and the bits are the same.
     """
     with np.errstate(all="ignore"):
-        for rows in _chunks(count):
-            for r in (np.flatnonzero(arrays(rows)) + rows.start).tolist():
-                pointwise(r)
+        count = shape if isinstance(shape, int) else shape[-1]
+        flags = [arrays(rows) for rows in _chunks(count)]
+        for cell in np.argwhere(np.concatenate(flags, axis=-1)).tolist() \
+                if flags else ():
+            pointwise(*cell)
 
 
 def _columns(nodes: Sequence) -> Callable:
@@ -168,18 +171,19 @@ def _node_array(nodes, n: int) -> np.ndarray:
     return pts
 
 
-def _gradient_arrays(f: RegularFunctionSpec, batch, t):
+def _gradient_arrays(f: RegularFunctionSpec, value):
     """Declared gradient endpoint arrays and the bad rows: those of
-    :meth:`~PiecewiseBoxMap.value_arrays`, and an empty piece."""
-    lo, hi, empty, bad = f.gradient.value_arrays(batch, t)
+    ``value(f.gradient)`` (the map's value arrays), and an empty piece."""
+    lo, hi, empty, bad = value(f.gradient)
     return lo, hi, bad | empty
 
 
-def _reduce_arrays(lo, hi, empty, bad, reducers, batch, t):
+def _reduce_arrays(lo, hi, empty, bad, reducers, value):
     """Array form of :func:`_reduce`.
 
     ``lo``, ``hi`` (``(n, rows)``), ``empty`` and ``bad`` are the
-    inclusion value on the batch. The state axes some reducer's gradient
+    inclusion value on the batch, and ``value(m)`` a map's value there
+    (see :func:`_gradient_arrays`). The state axes some reducer's gradient
     moves along are pinched to 0 together; a row is emptied where a
     pinched axis excludes 0 or some gradient's time axis moves. Returns
     the reduced ``(lo, hi, empty)`` (endpoints mean nothing on empty
@@ -187,7 +191,7 @@ def _reduce_arrays(lo, hi, empty, bad, reducers, batch, t):
     """
     constrained = np.zeros(lo.shape, dtype=bool)
     for u in reducers:
-        g_lo, g_hi, g_bad = _gradient_arrays(u, batch, t)
+        g_lo, g_hi, g_bad = _gradient_arrays(u, value)
         moving = g_lo != g_hi
         constrained |= moving[:-1]
         empty = empty | moving[-1]
@@ -369,7 +373,8 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
         batch, t_rows = axes[:, rows], t[rows] if np.ndim(t) else t
         b_lo, b_hi, b_empty, b_bad = inclusion.value_arrays(batch, t_rows)
         r_lo, r_hi, r_empty, r_axes, bad = _reduce_arrays(
-            b_lo, b_hi, b_empty, b_bad, reducers, batch, t_rows)
+            b_lo, b_hi, b_empty, b_bad, reducers,
+            lambda m: m.value_arrays(batch, t_rows))
         base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
         base_empty[rows] = b_empty
         lo[:, rows] = np.where(r_empty, 0.0, r_lo)

@@ -69,7 +69,7 @@ class PiecewiseBoxMap:
 
     __slots__ = ("n_in", "n_out", "pieces", "params", "time_dependent",
                  "_var_names", "_param_fns", "_first", "_sets",
-                 "_array_compiled", "_param_array_fns")
+                 "_array_compiled", "_param_array_fns", "_state_only")
 
     def __init__(self, n_in: int, n_out: int, pieces: Sequence[Piece],
                  params: ParamTable = ()):
@@ -100,11 +100,12 @@ class PiecewiseBoxMap:
         self._sets = tuple(None if p.values is None
                            else expr.compile_sets(p.values) for p in pieces)
         self._array_compiled = self._param_array_fns = None
-        used = set()
-        for p in pieces:
-            used |= expr.free_vars(p.guard)
-            for v in p.values or ():
-                used |= expr.free_vars(v)
+        reads = [(expr.free_vars(p.guard), [expr.free_vars(v) for v in
+                                            p.values or ()]) for p in pieces]
+        x = set(self._var_names)  # what reads only the state: chunk_arrays
+        self._state_only = all(g <= x for g, _ in reads), tuple(
+            tuple(v <= x for v in sets) for _, sets in reads)
+        used = set().union(*(g.union(*sets) for g, sets in reads))
         time_names = {"t"} | {name for name, _ in params}
         self.time_dependent = bool(used & time_names)
 
@@ -113,7 +114,11 @@ class PiecewiseBoxMap:
         for name, v in zip(self._var_names, x):
             env[name] = float(v)
         for name, fn in self._param_fns:
-            env[name] = fn(env)
+            try:
+                env[name] = fn(env)
+            except DslEvalError as e:
+                raise DslEvalError(f"parameter {name} at t={env['t']!r}: "
+                                   f"{e}") from None
         return env
 
     def value(self, x: Sequence[float], t: float) -> IntervalBox:
@@ -150,39 +155,71 @@ class PiecewiseBoxMap:
         the rows to redo pointwise: a NaN parameter, an undecided guard
         (see :mod:`incred.expr`; it takes its piece) or a non-finite
         endpoint. Each guard is tested only on the rows no earlier piece
-        matched, and each piece's sets only on its own rows.
+        matched, and each piece's sets only on its own rows. A scan over
+        several times calls :meth:`chunk_arrays` once per chunk instead.
         """
-        if self._array_compiled is None:
+        return self.chunk_arrays(cols)(*self.env_arrays(cols, t))
+
+    def chunk_arrays(self, cols: Sequence[np.ndarray]):
+        """``at(env, bad)``: :meth:`value_arrays` on the rows of ``cols``
+        at the time of ``env`` (t and the parameters, as :meth:`env`
+        gives them), ``bad`` marking the rows to redo for those.
+
+        When no guard reads t or a parameter, the rows are routed to their
+        pieces here, once for every ``at``, and the sets that read neither
+        are filled here too; ``at`` evaluates the rest. Elementwise array
+        code gives each row the bits of a whole evaluation at each call.
+        """
+        if self._array_compiled is None:  # compiled on first use
             self._array_compiled = tuple(
-                (expr.compile_guard_array(p.guard),
-                 None if p.values is None
-                 else tuple(expr.compile_set_array(v) for v in p.values))
-                for p in self.pieces)
-        rows = len(cols[0])
-        lo = np.zeros((self.n_out, rows))
-        hi = np.zeros((self.n_out, rows))
-        empty = np.zeros(rows, dtype=bool)
-        left = np.arange(rows)
-        env, bad = self.env_arrays(cols, t)
+                (expr.compile_guard_array(p.guard), None if p.values is None
+                 else tuple(zip(map(expr.compile_set_array, p.values), flags)))
+                for p, flags in zip(self.pieces, self._state_only[1]))
+        rows, x_env = len(cols[0]), dict(zip(self._var_names, cols))
+        route = self._state_only[0] and self._route(x_env, rows)
+        lo0, hi0 = np.zeros((self.n_out, rows)), np.zeros((self.n_out, rows))
+        for mine, sub, sets in route[0] if route else ():
+            for j, (fn, state_only) in enumerate(sets):
+                if state_only:
+                    lo0[j][mine], hi0[j][mine] = fn(sub)
+
+        def at(env, bad):
+            pieces, empty, undecided = route or self._route({**env, **x_env},
+                                                            rows)
+            lo, hi = lo0.copy(), hi0.copy()
+            for mine, sub, sets in pieces:
+                for j, (fn, state_only) in enumerate(sets):
+                    if not (route and state_only):
+                        lo[j][mine], hi[j][mine] = fn(
+                            {**_take(env, mine), **sub} if route else sub)
+            bad = bad | undecided
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                bad |= ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0)
+            return lo, hi, empty, bad
+        return at
+
+    def _route(self, env: dict, rows: int):
+        """``(pieces, empty, undecided)``: each matched valued piece's rows
+        (all as a slice), env and set closures, first match first, and the
+        masks of the empty-piece rows and of the undecided-guard rows."""
+        empty, undecided = np.zeros(rows, dtype=bool), np.zeros(rows, bool)
+        left, pieces = np.arange(rows), []
         for guard_fn, set_fns in self._array_compiled:
             hit = np.broadcast_to(guard_fn(env), left.shape)
             if hit.dtype.kind == "f":
-                bad[left[np.isnan(hit)]] = True
+                undecided[left[np.isnan(hit)]] = True
                 hit = hit != 0.0
             mine = left[hit]
             if set_fns is None:
                 empty[mine] = True
             elif mine.size:
-                sub = env if mine.size == left.size else _take(env, hit)
-                for j, fn in enumerate(set_fns):
-                    lo[j, mine], hi[j, mine] = fn(sub)
+                pieces.append((mine if mine.size < rows else slice(None),
+                               env if mine.size == left.size
+                               else _take(env, hit), set_fns))
             if mine.size == left.size:
                 break
-            env = _take(env, ~hit)
-            left = left[~hit]
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            bad |= ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0)
-        return lo, hi, empty, bad
+            env, left = _take(env, ~hit), left[~hit]
+        return pieces, empty, undecided
 
 
 def _take(env: dict, rows) -> dict:

@@ -64,6 +64,22 @@ class TestGridSpec:
         fine = grid.refined(2).axis_nodes(IntervalBox.from_bounds([0], [3]))
         assert fine[0] == (0.0, 0.5, 1.0, 2.0, 3.0)
 
+    def test_size_check_counts_include_nodes(self, monkeypatch):
+        """Counts [2, 2] with 4,000 include values per axis: 4 nodes by the
+        counts, 4,002^2 once the include lists are merged."""
+        include = tuple(float(v) for v in range(1, 4001))
+        grid = GridSpec((2, 2), (include, include))
+        domain = IntervalBox.from_bounds([0.0, 0.0], [5000.0, 5000.0])
+
+        def no_product(axes):
+            raise AssertionError("the node product was built")
+
+        monkeypatch.setattr(grids, "product_array", no_product)
+        message = ("grid node-time pairs (4002 x 4002 nodes x 1 time "
+                   "nodes): 16016004 exceeds the limit of 10000000")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            grid.nodes(domain)
+
     def test_validation(self):
         with pytest.raises(SchemaError):
             GridSpec((1,), ((),))

@@ -221,6 +221,34 @@ class TestExitCodes:
         assert code == 3
         assert named + "exceeds the limit of 10000000" in err
 
+    @pytest.mark.parametrize("command", ["certify", "matrosov", "simulate"])
+    def test_raising_parameter_names_itself_and_the_time(self, tmp_path,
+                                                          capsys, command):
+        with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["params"]["g"] = "0.5*exp(-t) + 1/(t - 1)"  # no value at t = 1
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command, "-i", str(system), "-o", str(tmp_path / "out"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: parameter g at t=1.0: division by near-zero "
+            "denominator 0.0\n")
+
+    def test_include_nodes_count_toward_the_grid_size(self, tmp_path,
+                                                      capsys):
+        include = [-2 + 4 * k / 4001 for k in range(1, 4001)]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"counts": [2, 2],
+                                    "include": [include, include]}),
+                        encoding="utf-8")
+        code = run("certify", "-i", fixture_path("example2"),
+                   "-o", str(tmp_path / "out"), "--grid-file", str(grid))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: grid node-time pairs (4002 x 4002 nodes x 1 time "
+            "nodes): 16016004 exceeds the limit of 10000000\n")
+
     @pytest.mark.parametrize("value, shown", [
         ("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
     def test_zeta_target_must_be_finite_and_positive(self, tmp_path, capsys,

@@ -109,11 +109,12 @@ def _at(doc, path):
     return doc
 
 
-def _all_pointwise(count, arrays, pointwise):
-    """``reduction._fill`` with every row sent to the pointwise reference."""
+def _all_pointwise(shape, arrays, pointwise):
+    """``reduction._fill`` with every cell sent to the pointwise reference,
+    in C order."""
     with np.errstate(all="ignore"):
-        for r in range(count):
-            pointwise(r)
+        for cell in np.ndindex(shape):
+            pointwise(*cell)
 
 
 def _run(argv, out_dir: Path, pointwise: bool):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -81,6 +82,26 @@ class TestGrid:
         assert (2.0, 0.0) in x_rows
         assert all(abs(z[0]) <= 1.0 for z in z_rows)
         assert (0.0,) in z_rows and (1.0,) in z_rows
+
+    @pytest.mark.parametrize("every_z", [True, False])
+    def test_z_size_check_counts_the_injected_values(self, monkeypatch,
+                                                      every_z):
+        """``z_counts`` [2] * 15: 2^15 = 32,768 nodes by the counts, but
+        each axis gains 0, so the z grid has 3^15 = 14,348,907 nodes."""
+        system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=("0",) * 15,
+                                                z_counts=[2] * 15))
+        problem = build_matrosov_problem(system)
+        region_masks = certify._region_masks
+
+        def no_z_walk(axes, region):
+            assert len(axes) == system.n, "the z grid was walked"
+            return region_masks(axes, region)
+
+        monkeypatch.setattr(certify, "_region_masks", no_z_walk)
+        message = (f"matrosov z nodes (z_counts {' x '.join(['2'] * 15)}): "
+                   f"{3 ** 15} exceeds the limit of 10000000")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            certify._matrosov_nodes(problem, system, every_z=every_z)
 
     @pytest.mark.parametrize("source, factor", [
         *((name, f) for name in ("example6", "example6_broken_y2")

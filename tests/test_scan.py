@@ -8,11 +8,13 @@ function with the same call forced through the pointwise rows alone: the
 columns must carry the same bits, and the errors must be the same.
 """
 
+import collections
 import csv
 import io
 import json
 import math
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,7 +154,7 @@ def _set(draw, risky: bool, depth: int = 1):
 
 
 def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
-               still=(True, False)):
+               still=(True, False), params=PARAMS):
     """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
 
     Half of the maps, risky or not, start with a piece guarded by
@@ -176,7 +178,7 @@ def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
     if draw(st.booleans()):
         pieces.insert(0, Piece(_hazard_guard(draw), values()))
     pieces.append(Piece(ex.TrueGuard(), values()))
-    return PiecewiseBoxMap(2, n_out, pieces, PARAMS)
+    return PiecewiseBoxMap(2, n_out, pieces, params)
 
 
 @st.composite
@@ -208,10 +210,11 @@ def cases(draw):
 FILLS = (red, deriv)  # every module that binds reduction._fill
 
 
-def _pointwise_fill(count, arrays, pointwise):
-    """A ``reduction._fill`` that fills every row with the pointwise rows."""
-    for r in range(count):
-        pointwise(r)
+def _pointwise_fill(shape, arrays, pointwise):
+    """A ``reduction._fill`` that fills every cell with the pointwise
+    reference, in C order."""
+    for cell in np.ndindex(shape):
+        pointwise(*cell)
 
 
 def _pointwise_only(monkeypatch):
@@ -223,12 +226,12 @@ def _arrays_only(monkeypatch):
     """Make any pointwise row fail: every chunk must pass the array fill."""
     fill = red._fill
 
-    def no_fallback(r):
-        raise AssertionError(f"row {r} fell back to the pointwise path")
+    def no_fallback(*cell):
+        raise AssertionError(f"cell {cell} fell back to the pointwise path")
 
     for module in FILLS:
-        monkeypatch.setattr(module, "_fill", lambda count, arrays, _: fill(
-            count, arrays, no_fallback))
+        monkeypatch.setattr(module, "_fill", lambda shape, arrays, _: fill(
+            shape, arrays, no_fallback))
 
 
 def _forced(fn, *args):
@@ -271,6 +274,193 @@ def test_array_scan_is_bit_identical_to_pointwise(case):
     finally:
         red._CHUNK = saved
     assert _same(public, reference)
+
+
+def _planted(nodes, time_nodes, early: int, late: int) -> ex.ScalarExpr:
+    """``1/d(x, t; a, s) + 1/-d(x, t; b, u)`` with ``d`` the l1 distance of
+    (x, t) from (a, s): it raises at (a, s) with a denominator of 0.0 and
+    at (b, u) with -0.0, told apart by the message. ``a`` is the last
+    node and ``s`` the ``early``-th time node, ``b`` the first node and
+    ``u`` the ``late``-th time node: with early < late, the cell in the
+    last chunk comes first in scan order."""
+    def distance(point, t):
+        terms = [ex.Call("abs", (ex.BinOp("-", var, ex.Num(v)),))
+                 for var, v in ((X1, point[0]), (X2, point[1]),
+                                (ex.Var("t"), t))]
+        return ex.BinOp("+", ex.BinOp("+", terms[0], terms[1]), terms[2])
+    return ex.BinOp("+", ex.BinOp("/", ex.Num(1.0), distance(
+        nodes[-1], time_nodes[early])), ex.BinOp("/", ex.Num(1.0), ex.Neg(
+            distance(nodes[0], time_nodes[late]))))
+
+
+@st.composite
+def job_cases(draw):
+    """A scan of one or two jobs (candidate, reducers, extras) along one
+    inclusion: 1 to 4 time nodes, chunks that split the rows, guards and
+    sets that read t and g or not, extras with a planted hazard
+    (:func:`_planted`, at different cells per job), and a parameter g
+    that raises at one of the time nodes."""
+    risky = draw(st.booleans())
+    time_nodes = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+                               min_size=1, max_size=4))
+    pole = draw(st.sampled_from([None, *time_nodes]))  # where g raises
+    params = PARAMS if pole is None else (("g", ex.parse_scalar(
+        f"0.5*exp(-t) + 1/(t - {pole!r})")),)
+    nodes = draw(st.lists(st.tuples(st.sampled_from(COORDS),
+                                    st.sampled_from(COORDS)),
+                          min_size=1, max_size=14, unique=True))
+
+    def function(regular):
+        return RegularFunctionSpec("f", 2, ex.Num(0.0), _piecewise(
+            draw, risky, 3, risky, params=params), regular)
+
+    inclusion = _piecewise(draw, risky, 2, True, params=params)
+    jobs = []
+    for _ in range(draw(st.integers(1, 2))):
+        extras = [(_scalar(draw, risky), inclusion)
+                  for _ in range(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            early = draw(st.integers(0, len(time_nodes) - 1))
+            late = draw(st.integers(early, len(time_nodes) - 1))
+            extras.insert(draw(st.integers(0, len(extras))), (
+                _planted(nodes, time_nodes, early, late), inclusion))
+        jobs.append((function(draw(st.booleans())),
+                     [function(True) for _ in range(draw(st.integers(0, 2)))],
+                     extras))
+    return {"inclusion": inclusion, "jobs": jobs, "nodes": nodes,
+            "time_nodes": time_nodes,
+            "chunk": draw(st.sampled_from([1, 2, 3, 5, 4096]))}
+
+
+def _loop_scans(inclusion, jobs, nodes, time_nodes):
+    """Each job's scan by a plain loop, written here as the reference:
+    job, then time node, then node, through ``generalized_derivative``
+    and the extras' scalar closures."""
+    scans = []
+    for candidate, reducers, extras in jobs:
+        fns = [(ex.compile_scalar(e), m) for e, m in extras]
+        shape = (len(time_nodes), len(nodes))
+        value, minus_inf = np.zeros(shape), np.zeros(shape, dtype=bool)
+        cols = np.zeros((len(extras),) + shape)
+        for a, t in enumerate(time_nodes):
+            for b, x in enumerate(nodes):
+                d = deriv.generalized_derivative(candidate, inclusion,
+                                                 reducers, list(x), t)
+                minus_inf[a, b] = d.is_minus_inf
+                value[a, b] = 0.0 if d.is_minus_inf else d.value
+                for k, (fn, m) in enumerate(fns):
+                    cols[k, a, b] = fn(m.env(list(x), t))
+        scans.append(deriv.DerivativeScan(value, minus_inf, tuple(cols)))
+    return scans
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=job_cases())
+def test_chunk_outer_scan_equals_the_time_then_node_loop(case):
+    """The kernel walks chunks outer and time nodes inner, and refills the
+    flagged cells after the array pass: its bits, or its first error, are
+    those of the loop over time nodes, then nodes."""
+    inclusion, jobs = case["inclusion"], case["jobs"]
+    args = (np.array(case["nodes"]), case["time_nodes"])
+    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    try:
+        public = _outcome(deriv._scan, inclusion, jobs, *args)
+        (candidate, reducers, extras), *more = jobs
+        single = _outcome(deriv.scan_derivative, candidate, inclusion,
+                          reducers, *args, extras)
+    finally:
+        red._CHUNK = saved
+    reference = _outcome(_loop_scans, inclusion, jobs, case["nodes"],
+                         case["time_nodes"])
+    if isinstance(reference, tuple) or isinstance(public, tuple):
+        assert public == reference
+    else:
+        assert all(map(_same, public, reference))
+    if not more:  # the one-job call
+        assert _same(single, public if isinstance(public, tuple)
+                     else public[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_first_error_is_the_first_in_scan_order(chunk, jobs,
+                                                    monkeypatch):
+    """example6's F along a line of 5 nodes at time nodes 0, 1, 5:
+    hazards at (t=1, last node) and (t=5, first node), alone or with a
+    second job's at (t=0, node 2) and (t=0, node 3). Job 0's cell in the
+    last chunk raises first, whatever the chunk size."""
+    system = load_fixture("example6")
+    nodes = [(-1.5 + 0.75 * k, 0.25) for k in range(5)]
+    times = [0.0, 1.0, 5.0]
+    job = (system.candidate, system.reducers,
+           [(_planted(nodes, times, 1, 2), system.inclusion)])
+    later = (system.candidate, (), [(_planted(nodes[2:4], [0.0], 0, 0),
+                                     system.inclusion)])
+    monkeypatch.setattr(red, "_CHUNK", chunk)
+    with pytest.raises(ex.DslEvalError, match="denominator 0.0$"):
+        deriv._scan(system.inclusion, [job, later][:jobs], nodes, times)
+    with pytest.raises(ex.DslEvalError, match="denominator -0.0$"):
+        deriv._scan(system.inclusion, [later], nodes, times)  # alone
+
+
+def _counting(monkeypatch):
+    """Count each call of the array closures compiled from here on, by the
+    ``id`` of the expression compiled."""
+    calls = collections.Counter()
+    for name in ("compile_guard_array", "compile_set_array",
+                 "compile_scalar_array"):
+        def compile_counted(node, compile_fn=getattr(ex, name)):
+            fn = compile_fn(node)
+
+            def counted(env):
+                calls[id(node)] += 1
+                return fn(env)
+            return counted
+        monkeypatch.setattr(ex, name, compile_counted)
+    return calls
+
+
+def test_state_only_work_runs_once_per_chunk(monkeypatch):
+    """``certify example6 --grid 201``: 201^2 nodes in 10 chunks at 3 time
+    nodes. Every closure of the square_ramp gradient and every guard of F
+    reads only the state, so each runs at most once per chunk (30 times
+    when time nodes were the outer loop); F's sets run once per time node
+    where they read g, once per chunk where they do not."""
+    calls = _counting(monkeypatch)
+    system = load_fixture("example6")
+    system = replace(system, grid=system.require_grid().with_uniform_counts(
+        201))
+    certify_semidefinite(system, system.checks.semidef_bound)
+    chunks = -(-len(system.grid.nodes(system.domain)) // red._CHUNK)
+    assert chunks == 10
+    ramp, f = system.reducers[0].gradient, system.inclusion
+    ramp_nodes = [n for p in ramp.pieces for n in (p.guard, *p.values)]
+    assert calls[id(ramp.pieces[0].guard)] == chunks
+    assert max(calls[id(n)] for n in ramp_nodes) == chunks
+    assert calls[id(f.pieces[0].guard)] == chunks
+    assert max(calls[id(p.guard)] for p in f.pieces) == chunks
+    reads_g, state_only = f.pieces[0].values  # {x2*(1 + g)}, {-x1 - x2}
+    assert (calls[id(reads_g)], calls[id(state_only)]) == (3 * chunks, chunks)
+    assert calls[id(system.checks.semidef_bound)] == chunks  # 2*x2*x2
+
+
+def test_matrosov_bounds_evaluate_f_once_for_every_function(monkeypatch):
+    """One pass for both of example6's comparison functions: the annulus
+    nodes fit one chunk, so F's guards run once and its sets that read g
+    3 times (6 with a scan per function), and each collection gradient
+    once (3 times per time node)."""
+    calls = _counting(monkeypatch)
+    system = load_fixture("example6")
+    problem = build_matrosov_problem(system)
+    assert certify._annulus_nodes(problem, system)[1] <= red._CHUNK
+    matrosov_derivative_bounds(system, problem)
+    f = system.inclusion
+    assert calls[id(f.pieces[0].guard)] == 1
+    assert calls[id(f.pieces[0].values[0])] == 3
+    gradients = [u.gradient for coll in problem.collections for u in coll]
+    assert [calls[id(m.pieces[0].guard)] for m in gradients] == [1, 1]
 
 
 def _fixture_scans(system):

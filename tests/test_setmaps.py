@@ -88,6 +88,20 @@ class TestPiecewiseBoxMap:
         with pytest.raises(DslEvalError, match=f"^{re.escape(message)}$"):
             eval_map(m, (1.0,), 0.0)
 
+    def test_a_raising_parameter_names_itself_and_the_time(self):
+        params = (("g", ex.parse_scalar("0.5*exp(-t)")),
+                  ("h", ex.parse_scalar("1/(t - 1)", {"t"})))
+        m = PiecewiseBoxMap(1, 1, _pieces(("otherwise", ["{h}"]),
+                                          variables={"x1", "t", "g", "h"}),
+                            params)
+        assert eval_map(m, (0.5,), 2.0).axes[0].lo == 1.0
+        message = "parameter h at t=1.0: division by near-zero denominator 0.0"
+        for call in (lambda: eval_map(m, (0.5,), 1.0),
+                     lambda: m.env((), 1),
+                     lambda: m.value_arrays([np.zeros(3)], 1.0)):
+            with pytest.raises(DslEvalError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_dimension_mismatch_at_eval(self):
         m = PiecewiseBoxMap(2, 2, _pieces(("otherwise", ["{0}", "{0}"])))
         with pytest.raises(DimensionMismatchError):
