@@ -16,13 +16,13 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import shutil
 import sys as _sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DslSyntaxError, IncredError, SchemaError
 from .grids import GridSpec
@@ -113,34 +113,31 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_deriv(args) -> int:
-    from .derivative import (baseline_interval_derivative,
-                             baseline_max_derivative, generalized_derivative)
+    from .derivative import tabulate_derivatives
+    from .reduction import _chunks, _reprs
     system = _load(args)
     grid = system.require_grid()
-    t0 = grid.time_nodes[0]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    n = system.n
-    writer.writerow([f"x{i+1}" for i in range(n)] + ["t", "generalized",
-                    "baseline_max", "baseline_lo", "baseline_hi"])
-    for x in grid.nodes(system.domain).tolist():
-        gen = generalized_derivative(system.candidate, system.inclusion,
-                                     system.reducers, x, t0)
-        bmax = baseline_max_derivative(system.candidate, system.inclusion,
-                                       x, t0)
-        bint = baseline_interval_derivative(system.candidate,
-                                            system.inclusion, x, t0)
-        row = [repr(v) for v in x] + [repr(t0)]
-        row.append("-inf" if gen.is_minus_inf else repr(gen.value))
-        row.append("-inf" if bmax.is_minus_inf else repr(bmax.value))
-        if bint.value is None:
-            row += ["", ""]
-        else:
-            row += [repr(bint.value.lo), repr(bint.value.hi)]
-        writer.writerow(row)
-    out = _outdir(args)
-    _write_text(out / "derivatives.csv", buf.getvalue())
-    _report(args, f"deriv: wrote {out / 'derivatives.csv'}")
+    t0, nodes, n = grid.time_nodes[0], grid.nodes(system.domain), system.n
+    value, minus_inf, top, top_inf, lo, hi, empty = tabulate_derivatives(
+        system.candidate, system.inclusion, system.reducers, nodes, t0)
+    path = _outdir(args) / "derivatives.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join([f"x{i+1}" for i in range(n)] + [
+            "t", "generalized", "baseline_max", "baseline_lo",
+            "baseline_hi"]) + "\n")
+        for rows in _chunks(len(nodes)):  # as ReductionTable._report_chunk
+            text, where = _reprs(np.concatenate([nodes[rows].T, [
+                value[rows], top[rows], lo[rows], hi[rows]]]))
+            where, comma = where.T, text + ","
+            cells = np.empty((len(where), n + 5), dtype=object)
+            cells[:, :n], cells[:, n] = comma[where[:, :n]], repr(t0) + ","
+            cells[:, n + 1:-1] = comma[where[:, n:-1]]
+            cells[:, -1] = (text + "\n")[where[:, -1]]
+            cells[minus_inf[rows], n + 1] = "-inf,"
+            cells[top_inf[rows], n + 2] = "-inf,"
+            cells[empty[rows], n + 3:] = ",", "\n"
+            fh.write("".join(cells.ravel().tolist()))
+    _report(args, f"deriv: wrote {path}")
     return EXIT_OK
 
 

@@ -15,7 +15,10 @@ function along a box-valued inclusion are computed in closed form:
   derivative ``∩_p p . (F x {1})``, an interval, or None when empty.
 
 :func:`scan_derivative` gives the generalized derivative and any extras at
-every (time node, node) pair of a grid as arrays, flagged cells pointwise.
+every (time node, node) pair of a grid, and :func:`tabulate_derivatives`
+all three at every node: jobs of ``reduction._scan``, whose array forms
+here share the pointwise code's operation order and tie rule, and whose
+flagged cells the pointwise functions refill.
 
 Because gradients and inclusion values are boxes, both bilinear
 optimizations decompose per axis: the max over a rectangle of ``p q`` is
@@ -34,24 +37,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
 
-from . import expr
+from . import expr, reduction
 from .expr import _array_max as _max, _array_min as _min
 from .errors import (DimensionMismatchError, DslEvalError, EmptySetError,
                      SchemaError)
 from .intervals import Interval, IntervalBox
-from .reduction import (_fill, _gradient_arrays, _node_array,
-                        _reduce_arrays, reduce_collection)
+from .reduction import (_gradient_arrays, _node_array, _reduce_arrays,
+                        reduce_collection)
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
 
 __all__ = [
     "DerivativeValue", "bilinear_maxmax", "bilinear_minmax",
     "generalized_derivative", "baseline_max_derivative",
     "baseline_interval_derivative",
-    "DerivativeScan", "scan_derivative",
+    "DerivativeScan", "scan_derivative", "tabulate_derivatives",
 ]
 
 @dataclass(frozen=True)
@@ -241,7 +245,7 @@ def scan_derivative(candidate: RegularFunctionSpec,
 
     ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
     scalar expression with the map whose environment (parameters) it
-    reads. The one-job call of :func:`_scan`, which evaluates the pairs.
+    reads. The one-job call of :func:`_scan`.
     """
     return _scan(inclusion, [(candidate, reducers, extras)], nodes,
                  time_nodes)[0]
@@ -250,105 +254,129 @@ def scan_derivative(candidate: RegularFunctionSpec,
 def _scan(inclusion: PiecewiseBoxMap, jobs, nodes,
           time_nodes: Sequence[float]) -> list[DerivativeScan]:
     """:func:`scan_derivative` of each ``(candidate, reducers, extras)``
-    job along one inclusion, in one pass over chunks of
-    ``reduction._CHUNK`` nodes, time nodes inner. Per chunk, what reads
-    neither t nor a parameter runs once (see
-    :meth:`PiecewiseBoxMap.chunk_arrays`); per time node, the rest, each
-    map once for all the jobs. The pointwise reference then refills the
-    flagged cells (``reduction._fill``) job, time node, then node first,
-    raising the errors the pointwise API raises; a parameter without a
-    value at a time node raises at the first cell of that node.
-    """
+    job along one inclusion, in one ``reduction._scan`` pass."""
     pts = _node_array(nodes, inclusion.n_in)
-    n, axes = inclusion.n_out, np.ascontiguousarray(pts.T)
-    shape = (len(jobs), len(time_nodes), len(pts))
-    value, minus_inf = np.zeros(shape), np.zeros(shape, dtype=bool)
-    cols = [np.zeros((len(extras),) + shape[1:]) for *_, extras in jobs]
-    ready = [candidate.n == n and all(f.n == n and f.regular for f in us)
-             and all(m.n_in == pts.shape[-1] for m in (
-                 inclusion, candidate.gradient, *(u.gradient for u in us),
-                 *(m for _, m in extras)))
-             for candidate, us, extras in jobs]  # else pointwise
-    x_names = [f"x{i+1}" for i in range(pts.shape[-1])]
-    array_fns = [[(expr.compile_scalar_array(e), m,
-                   expr.free_vars(e) <= set(x_names)) for e, m in extras]
-                 for *_, extras in jobs]
-    scalar_fns = [[] for _ in jobs]  # compiled on the first pointwise cell
-    errors = {}  # (job, time node): the error its array pass raised
+    scans = reduction._scan([_derivative_job(inclusion, *job, pts.shape[-1])
+                             for job in jobs], pts, time_nodes)
+    return [DerivativeScan(v, d, tuple(extras)) for v, d, *extras in scans]
 
-    def arrays(rows):
-        batch = axes[:, rows]
-        x_env, chunk = dict(zip(x_names, batch)), {}
-        fixed = [[fn(x_env) if state_only else None
-                  for fn, _, state_only in fns] for fns in array_fns]
-        flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
-        for a, t in enumerate(time_nodes):
-            now = {}
 
-            def at(m):  # m's value on the chunk at t, once for every job
-                if id(m) not in now:
-                    if id(m) not in chunk:
-                        chunk[id(m)] = m.chunk_arrays(batch)
-                    now[id(m)] = chunk[id(m)](m.env((), t), False)
-                return now[id(m)]
+def _derivative_job(inclusion, candidate, reducers, extras, width: int):
+    """The ``reduction._scan`` job of :func:`generalized_derivative` (the
+    value, 0.0 at minus infinity, and the minus-infinity flags) and of
+    each extra, on nodes of ``width`` coordinates."""
+    n, maps = inclusion.n_out, [_extra(e, m) for e, m in extras]
+    fits = (candidate.n == n and all(f.n == n and f.regular for f in reducers)
+            and all(m.n_in == width for m in (
+                inclusion, candidate.gradient, *(u.gradient for u in reducers),
+                *(m for _, m in extras))))
+    scalar_fns = []  # compiled on the first pointwise cell
 
-            for j, (candidate, reducers, _) in enumerate(jobs):
-                if not ready[j]:
-                    continue
-                try:  # raises the first parameter error, in map order
-                    value[j, a, rows], minus_inf[j, a, rows], bad = \
-                        _derivative_arrays(candidate, inclusion, reducers, at)
-                    for k, (fn, m, state_only) in enumerate(array_fns[j]):
-                        cols[j][k, a, rows] = fixed[j][k] if state_only \
-                            else fn({**m.env((), t), **x_env})
-                except DslEvalError as e:  # flags[j, a] stays set
-                    errors[j, a] = e
-                    continue
-                flags[j, a] = bad | ~np.isfinite(cols[j][:, a, rows]).all(
-                    axis=0)
-        return flags
+    def arrays(at):
+        value, minus_inf, bad = _derivative_arrays(candidate, inclusion,
+                                                   reducers, at)
+        values = [at(m) for m in maps]
+        for v in values:
+            bad = bad | ~np.isfinite(v)
+        return (value, minus_inf, *values), bad
 
-    def pointwise(j, a, b):
-        if (j, a) in errors:
-            raise errors[j, a]
-        candidate, reducers, extras = jobs[j]
-        if not scalar_fns[j]:
-            scalar_fns[j].extend((expr.compile_scalar(e), m)
-                                 for e, m in extras)
-        x, t = pts[b].tolist(), time_nodes[a]
+    def pointwise(x, t):
+        if not scalar_fns:
+            scalar_fns.extend((expr.compile_scalar(e), m) for e, m in extras)
         d = generalized_derivative(candidate, inclusion, reducers, x, t)
-        minus_inf[j, a, b] = d.is_minus_inf
-        value[j, a, b] = 0.0 if d.is_minus_inf else d.value
-        for k, (fn, m) in enumerate(scalar_fns[j]):
-            cols[j][k, a, b] = fn(m.env(x, t))
+        return (*_cells(d), *(fn(m.env(x, t)) for fn, m in scalar_fns))
 
-    _fill(shape, arrays, pointwise)
-    return [DerivativeScan(v, d, tuple(c))
-            for v, d, c in zip(value, minus_inf, cols)]
+    return (0.0, False) + (0.0,) * len(extras), fits and arrays, pointwise
+
+
+def _cells(d: DerivativeValue) -> tuple[float, bool]:
+    return 0.0 if d.is_minus_inf else d.value, d.is_minus_inf
+
+
+def _extra(e: expr.ScalarExpr, m: PiecewiseBoxMap) -> SimpleNamespace:
+    """``e`` in ``m``'s environment, as a map to the scan's ``at``: once
+    per chunk if it reads only the state."""
+    fn, x = expr.compile_scalar_array(e), [f"x{i+1}" for i in range(m.n_in)]
+    fixed = expr.free_vars(e) <= set(x)
+
+    def chunk_arrays(cols):
+        x_env = dict(zip(x, cols))
+        value = fn(x_env) if fixed else None
+        return lambda env, bad: value if fixed else fn({**env, **x_env})
+    return SimpleNamespace(env=m.env, env_arrays=m.env_arrays,
+                           chunk_arrays=chunk_arrays)
+
+
+def tabulate_derivatives(candidate: RegularFunctionSpec,
+                         inclusion: PiecewiseBoxMap,
+                         reducers: Sequence[RegularFunctionSpec],
+                         nodes, t: float) -> list[np.ndarray]:
+    """The ``deriv`` columns at every node at time ``t``: the generalized
+    and the common-value max derivatives (values and minus-infinity
+    flags), then the intersection derivative's ends and empty flags. The
+    reference runs the three pointwise functions in this order per node,
+    so the first error is that of a loop over the nodes."""
+    pts = _node_array(nodes, inclusion.n_in)
+    (_, gen, _), (_, top, _) = (
+        _derivative_job(inclusion, candidate, us, (), pts.shape[-1])
+        for us in (reducers, (candidate,)))
+
+    def arrays(at):
+        (value, minus_inf), bad = gen(at)
+        (top_value, top_inf), top_bad = top(at)
+        *ends, ends_bad = _interval_derivative_arrays(candidate, inclusion,
+                                                      at)
+        return (value, minus_inf, top_value, top_inf, *ends), \
+            bad | top_bad | ends_bad
+
+    def pointwise(x, t):
+        d = generalized_derivative(candidate, inclusion, reducers, x, t)
+        d_max = baseline_max_derivative(candidate, inclusion, x, t)
+        ends = baseline_interval_derivative(candidate, inclusion, x, t).value
+        return (*_cells(d), *_cells(d_max), *((0.0, 0.0, True) if ends is None
+                                              else (ends.lo, ends.hi, False)))
+
+    job = (0.0, False, 0.0, False, 0.0, 0.0, False), gen and top and arrays, \
+        pointwise
+    return [c[0] for c in reduction._scan([job], pts, [t])[0]]
 
 
 def _derivative_arrays(candidate, inclusion, reducers, value):
     """Array form of generalized_derivative on ``value(m)``, each map's
-    value arrays: the reduction kernel, then the bilinear optimization
-    with the pointwise code's operation order and Python's max/min tie
-    rule; a non-finite value is a bad row."""
+    value arrays: the reduction kernel, then the bilinear optimization;
+    a non-finite value is a bad row."""
     lo, hi, minus_inf, bad = value(inclusion)
     lo, hi, minus_inf, _, bad = _reduce_arrays(lo, hi, minus_inf, bad,
                                                reducers, value)
     p_lo, p_hi, p_bad = _gradient_arrays(candidate, value)
-    total = 0.0
-    for i in range(len(lo)):
-        if candidate.regular:
-            best = [_max(c * lo[i], c * hi[i])
-                    for c in (p_lo[i], p_hi[i], 0.0)]
-            term = _min(best[0], best[1])
-            straddles = (p_lo[i] < 0.0) & (0.0 < p_hi[i])
-            term = np.where(straddles & (best[2] < term), best[2], term)
-        else:
-            term = p_lo[i] * lo[i]
-            for v in (p_lo[i] * hi[i], p_hi[i] * lo[i], p_hi[i] * hi[i]):
-                term = _max(term, v)
-        total = total + term
-    total = total + (p_lo[-1] if candidate.regular else p_hi[-1])
+    total = _optima(lo, hi, p_lo, p_hi, _max, _min, True) + p_lo[-1] \
+        if candidate.regular else \
+        _optima(lo, hi, p_lo, p_hi, _max, _max, False) + p_hi[-1]
     bad = bad | p_bad | ~(np.isfinite(total) | minus_inf)
     return np.where(minus_inf, 0.0, total), minus_inf, bad
+
+
+def _interval_derivative_arrays(candidate, inclusion, value):
+    """Array form of baseline_interval_derivative: the intersection's
+    ends and empty rows; a non-finite end is a bad row."""
+    lo, hi, empty, bad = value(inclusion)
+    p_lo, p_hi, p_bad = _gradient_arrays(candidate, value)
+    inf_hi = _optima(lo, hi, p_lo, p_hi, _max, _min, True) + p_lo[-1]
+    sup_lo = _optima(lo, hi, p_lo, p_hi, _min, _max, True) + p_hi[-1]
+    bad = bad | p_bad | ~(empty | np.isfinite(sup_lo) & np.isfinite(inf_hi))
+    return sup_lo, inf_hi, empty | (sup_lo > inf_hi), bad
+
+
+def _optima(lo, hi, p_lo, p_hi, inner, outer, breakpoint: bool):
+    """Sum over the state axes of ``outer`` over c in p's endpoints (and 0
+    where ``breakpoint`` and p straddles 0) of ``inner(c*lo, c*hi)``: the
+    bilinear optima of ``_products``, in the pointwise order and with
+    Python's max/min tie rule (no product is NaN where ends are finite)."""
+    total = 0.0
+    for i in range(len(lo)):
+        term = outer(*(inner(c * lo[i], c * hi[i]) for c in (p_lo[i], p_hi[i])))
+        if breakpoint:
+            term = np.where((p_lo[i] < 0.0) & (0.0 < p_hi[i]), outer(
+                term, inner(0.0 * lo[i], 0.0 * hi[i])), term)
+        total = total + term
+    return total

@@ -16,11 +16,11 @@ boxes is one pinch on the union of the state axes the gradients move
 along; any moving time axis empties the result. Every reducer's gradient
 is evaluated, even where another one already empties the set.
 
-The same rule also runs on numpy arrays of nodes
-(:func:`_reduce_arrays`), for the reduction table here and for the
-derivative scan in :mod:`incred.derivative`; the pointwise functions
-remain the reference they are tested against, and :func:`_fill` runs
-them on the rows the arrays flag.
+The same rule also runs on numpy arrays of nodes (:func:`_reduce_arrays`).
+:func:`_scan`, the one driver of the grid tables (the reduction table
+here, the derivative scans and the ``deriv`` table), runs array jobs on
+chunks of nodes; the pointwise functions remain the reference they are
+tested against, and :func:`_fill` runs them on the cells the arrays flag.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, SchemaError
+from .errors import DimensionMismatchError, DslEvalError, SchemaError
 from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -101,9 +101,8 @@ def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
             for i, ax in enumerate(base.axes, start=1)), obstructed)
 
 
-# Nodes per numpy batch in the array evaluators (here and in
-# derivative.scan_derivative), and rows per report chunk. Bounds the
-# temporaries to a few hundred kilobytes whatever the grid size.
+# Nodes per numpy batch of _scan and _columns, and rows per report chunk.
+# Bounds the temporaries to a few hundred kilobytes whatever the grid size.
 _CHUNK = 4096
 
 
@@ -125,10 +124,68 @@ def _fill(shape, arrays: Callable[[slice], np.ndarray],
     """
     with np.errstate(all="ignore"):
         count = shape if isinstance(shape, int) else shape[-1]
-        flags = [arrays(rows) for rows in _chunks(count)]
-        for cell in np.argwhere(np.concatenate(flags, axis=-1)).tolist() \
-                if flags else ():
+        mask = np.concatenate([arrays(rows) for rows in _chunks(count)]
+                              or [np.zeros(0, bool)], axis=-1)
+        # np.argwhere is 10-30x slower than this on an n-d mask
+        for cell in np.transpose(np.unravel_index(
+                np.flatnonzero(mask), mask.shape)).tolist():
             pointwise(*cell)
+
+
+def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
+    """The one driver of the grid tables: each ``(zero, arrays, pointwise)``
+    job's columns at every (time node, node) pair, chunks outer, time
+    nodes inner. A time node is one time or an ``(N,)`` array of them.
+
+    ``zero`` is a cell of zeros; column k has shape ``np.shape(zero[k]) +
+    (len(times), len(pts))``. ``arrays(at)`` returns a chunk's columns at
+    a time node and the rows it may not reproduce; ``at(m)`` is map m's
+    value arrays there (:meth:`PiecewiseBoxMap.chunk_arrays`), evaluated
+    once for every job, and once per chunk where they read neither t nor
+    a parameter. A falsy ``arrays`` flags every cell. :func:`_fill` then
+    refills the flagged cells by ``pointwise(x, t)``, job, time node,
+    then node first; a parameter error of the array pass is raised at the
+    first cell of its (job, time node).
+    """
+    shape = (len(jobs), len(times), len(pts))
+    out = [[np.zeros(np.shape(v) + shape[1:], np.asarray(v).dtype)
+            for v in zero] for zero, *_ in jobs]
+    axes, errors = np.ascontiguousarray(pts.T), {}
+
+    def arrays(rows):
+        batch, chunk = axes[:, rows], {}
+        flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
+        for a, t in enumerate(times):
+            now = {}
+
+            def at(m):  # m's value on the chunk at t, once for every job
+                if id(m) not in now:
+                    if id(m) not in chunk:
+                        chunk[id(m)] = m.chunk_arrays(batch)
+                    now[id(m)] = chunk[id(m)](*m.env_arrays(batch, t[rows])) \
+                        if np.ndim(t) else chunk[id(m)](m.env((), t), False)
+                return now[id(m)]
+
+            for j, (_, step, _) in enumerate(jobs):
+                try:  # raises the first parameter error, in map order
+                    values, flags[j, a] = step(at) if step else ((), True)
+                except DslEvalError as e:  # flags[j, a] stays set
+                    errors[j, a] = e
+                    continue
+                for column, v in zip(out[j], values):
+                    column[..., a, rows] = v
+        return flags
+
+    def pointwise(j, a, b):
+        if (j, a) in errors:
+            raise errors[j, a]
+        t = times[a]
+        cell = jobs[j][2](pts[b].tolist(), float(t[b]) if np.ndim(t) else t)
+        for column, v in zip(out[j], cell):
+            column[..., a, b] = v
+
+    _fill(shape, arrays, pointwise)
+    return out
 
 
 def _columns(nodes: Sequence) -> Callable:
@@ -347,54 +404,46 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
     """Reduction table at every node at time ``t``, in node order.
 
     ``nodes`` is an ``(N, n)`` array-like of points, and ``t`` one time or
-    an ``(N,)`` array-like of one time per node. Nodes are evaluated
-    as numpy arrays in batches of ``_CHUNK``, the inclusion and each
-    reducer gradient once per batch; the nodes the arrays flag (see
-    :func:`_fill`) are refilled one by one by the pointwise reference,
-    which raises exactly the errors the pointwise API raises.
+    an ``(N,)`` array-like of one time per node. The :func:`_scan` of one
+    job, whose arrays are :func:`_reduce_arrays` on F and whose reference
+    is ``_reduce(eval_map(...))``: F and each reducer gradient are
+    evaluated once per chunk, and the pointwise rows raise exactly the
+    errors the pointwise API raises.
     """
     pts = _node_array(nodes, inclusion.n_in)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     if np.ndim(t) and t.shape != (len(pts),):
         raise DimensionMismatchError(
             f"t must be one time or one per node, got shape {t.shape}")
+    columns = _scan([_reduction_job(inclusion, reducers, pts.shape[-1])],
+                    pts, [t])[0]
+    return ReductionTable(pts, t, *(c[..., 0, :] for c in columns))
+
+
+def _reduction_job(inclusion: PiecewiseBoxMap,
+                   reducers: Sequence[RegularFunctionSpec], width: int):
+    """The :func:`_scan` job of the reduction table on nodes of ``width``
+    coordinates: F's lo, hi and empty flags, the reduction's, and the
+    pinched-axes mask."""
     n = inclusion.n_out
-    base_lo, base_hi, lo, hi = (np.zeros((n, len(pts))) for _ in range(4))
-    base_empty, empty = (np.zeros(len(pts), dtype=bool) for _ in range(2))
-    constrained = np.zeros((n, len(pts)), dtype=bool)
-    axes = np.ascontiguousarray(pts.T)
-    ready = (all(m.n_in == pts.shape[-1] for m in
-                 (inclusion, *(u.gradient for u in reducers)))
-             and all(u.n == n and u.regular for u in reducers))
+    fits = (all(m.n_in == width for m in
+                (inclusion, *(u.gradient for u in reducers)))
+            and all(u.n == n and u.regular for u in reducers))
 
-    def arrays(rows):
-        if not ready:  # the pointwise rows raise the matching error
-            return np.ones(rows.stop - rows.start, dtype=bool)
-        batch, t_rows = axes[:, rows], t[rows] if np.ndim(t) else t
-        b_lo, b_hi, b_empty, b_bad = inclusion.value_arrays(batch, t_rows)
-        r_lo, r_hi, r_empty, r_axes, bad = _reduce_arrays(
-            b_lo, b_hi, b_empty, b_bad, reducers,
-            lambda m: m.value_arrays(batch, t_rows))
-        base_lo[:, rows], base_hi[:, rows] = b_lo, b_hi
-        base_empty[rows] = b_empty
-        lo[:, rows] = np.where(r_empty, 0.0, r_lo)
-        hi[:, rows] = np.where(r_empty, 0.0, r_hi)
-        empty[rows] = r_empty
-        constrained[:, rows] = r_axes
-        return bad
+    def arrays(at):
+        lo, hi, empty, axes, bad = _reduce_arrays(*at(inclusion), reducers, at)
+        return (*at(inclusion)[:3], np.where(empty, 0.0, lo),
+                np.where(empty, 0.0, hi), empty, axes), bad
 
-    def pointwise(b):
-        # the inclusion and each reducer gradient once per node
-        x, t_b = pts[b].tolist(), float(t[b]) if np.ndim(t) else t
-        rv = _reduce(eval_map(inclusion, x, t_b), reducers, x, t_b)
-        constrained[:, b] = [i in rv.constrained_axes for i in range(1, n + 1)]
-        for box, box_lo, box_hi, box_empty in (
-                (rv.base, base_lo, base_hi, base_empty),
-                (rv.result, lo, hi, empty)):
-            box_empty[b] = box.is_empty
-            box_lo[:, b] = 0.0 if box.is_empty else box.lo_corner()
-            box_hi[:, b] = 0.0 if box.is_empty else box.hi_corner()
+    def pointwise(x, t):  # the inclusion and each reducer gradient once
+        rv = _reduce(eval_map(inclusion, x, t), reducers, x, t)
+        return (*_cells(rv.base), *_cells(rv.result),
+                [i in rv.constrained_axes for i in range(1, n + 1)])
 
-    _fill(len(pts), arrays, pointwise)
-    return ReductionTable(pts, t, base_lo, base_hi, base_empty, lo, hi,
-                          empty, constrained)
+    box = (np.zeros(n), np.zeros(n), False)
+    return box + box + (np.zeros(n, bool),), fits and arrays, pointwise
+
+
+def _cells(box: IntervalBox) -> tuple:
+    return (0.0, 0.0, True) if box.is_empty else (
+        box.lo_corner(), box.hi_corner(), False)

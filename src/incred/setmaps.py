@@ -147,23 +147,15 @@ class PiecewiseBoxMap:
         env.update(zip(self._var_names, cols))
         return env, bad
 
-    def value_arrays(self, cols: Sequence[np.ndarray], t):
-        """:meth:`value` at every row of ``cols`` (one array per axis).
-
-        Returns ``(lo, hi, empty, bad)``: endpoint arrays of shape
-        ``(n_out, rows)`` (zeros on empty rows), the empty-piece mask and
-        the rows to redo pointwise: a NaN parameter, an undecided guard
-        (see :mod:`incred.expr`; it takes its piece) or a non-finite
-        endpoint. Each guard is tested only on the rows no earlier piece
-        matched, and each piece's sets only on its own rows. A scan over
-        several times calls :meth:`chunk_arrays` once per chunk instead.
-        """
-        return self.chunk_arrays(cols)(*self.env_arrays(cols, t))
-
     def chunk_arrays(self, cols: Sequence[np.ndarray]):
-        """``at(env, bad)``: :meth:`value_arrays` on the rows of ``cols``
-        at the time of ``env`` (t and the parameters, as :meth:`env`
-        gives them), ``bad`` marking the rows to redo for those.
+        """``at(env, bad)``: :meth:`value` at every row of ``cols`` (one
+        array per axis) at the time of ``env`` (as :meth:`env` or
+        :meth:`env_arrays` gives it), as ``(lo, hi, empty, bad)``:
+        ``(n_out, rows)`` endpoints (zeros on empty rows), the empty-piece
+        rows, and ``bad`` with the rows of an undecided guard (see
+        :mod:`incred.expr`; it takes its piece) or a non-finite endpoint.
+        Each guard is tested only on the rows no earlier piece matched,
+        and each piece's sets only on its own rows.
 
         When no guard reads t or a parameter, the rows are routed to their
         pieces here, once for every ``at``, and the sets that read neither

@@ -498,6 +498,21 @@ class TestDeriv:
         assert rows[0.0]["generalized"] == "-inf"
         assert rows[0.5]["baseline_lo"] == rows[0.5]["baseline_hi"]
 
+    def test_non_regular_candidate_exits_three(self, tmp_path, capsys):
+        # the common-value column needs a regular candidate: the first
+        # node raises, after its generalized derivative is computed
+        with open(fixture_path("example2"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["V"]["regular"] = False
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("deriv", "-i", str(system), "-o",
+                   str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "error: quad_half: the common-value derivative requires a "
+            "regular candidate\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCertify:
     def test_reports_written(self, tmp_path):

@@ -147,11 +147,13 @@ class TestSet:
         with pytest.raises(DslEvalError, match=re.escape(message)):
             ex.compile_sets((node,))({"x1": 1.0, "t": 0.5})
         # the array closure keeps the NaN (scaled sets and hulls too, whose
-        # min/max would skip it), and value_arrays flags the rows as bad
+        # min/max would skip it), and chunk_arrays flags the rows as bad
         lo, hi = ex.compile_set_array(node)({"x1": np.ones(2), "t": 0.5})
         assert np.isnan([lo, hi]).any()
         m = PiecewiseBoxMap(1, 1, [Piece(ex.TrueGuard(), (node,))])
-        assert m.value_arrays([np.ones(2)], 0.5)[3].tolist() == [True, True]
+        cols = [np.ones(2)]
+        assert m.chunk_arrays(cols)(*m.env_arrays(cols, 0.5))[3].tolist() \
+            == [True, True]
 
     @pytest.mark.parametrize("srcs, named", [
         (["{x1}", "{(1e308*10) - (1e308*10)}", "[0, 1]"], 1),

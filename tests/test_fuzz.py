@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from incred import derivative, reduction
+from incred import reduction
 from incred.cli import main
 from incred.fixtures import available_fixtures, fixture_path
 
@@ -124,7 +124,6 @@ def _run(argv, out_dir: Path, pointwise: bool):
     fill = _all_pointwise if pointwise else reduction._fill
     with mock.patch.object(reduction, "_CHUNK", 3), \
             mock.patch.object(reduction, "_fill", fill), \
-            mock.patch.object(derivative, "_fill", fill), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     reports = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))} \

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -11,10 +12,11 @@ import incred.expr as ex
 import incred.reduction as red
 from incred.derivative import scan_derivative
 from incred.errors import DimensionMismatchError, DslEvalError, SchemaError
+from incred.fixtures import fixture_path
 from incred.intervals import Interval, IntervalBox
 from incred.reduction import reduce_collection, reduce_once, tabulate_reduction
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
-                            eval_map)
+                            eval_map, system_from_dict)
 
 
 def constant_map(box: IntervalBox) -> PiecewiseBoxMap:
@@ -345,8 +347,8 @@ class TestTabulate:
         monkeypatch.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
             calls.append(m), value(m, x, t))[1])
         with monkeypatch.context() as mp:  # every node through the reference
-            mp.setattr(red, "_fill", lambda count, arrays, pointwise: [
-                pointwise(r) for r in range(count)])
+            mp.setattr(red, "_fill", lambda shape, arrays, pointwise: [
+                pointwise(*cell) for cell in np.ndindex(shape)])
             tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
         assert [calls.count(m) for m in maps] == [len(nodes)] * 3
         calls.clear()
@@ -355,9 +357,9 @@ class TestTabulate:
 
         # the array path: once per chunk, and never pointwise
         calls.clear()
-        value_arrays = PiecewiseBoxMap.value_arrays
-        monkeypatch.setattr(PiecewiseBoxMap, "value_arrays", lambda m, c, t: (
-            calls.append(m), value_arrays(m, c, t))[1])
+        chunk_arrays = PiecewiseBoxMap.chunk_arrays
+        monkeypatch.setattr(PiecewiseBoxMap, "chunk_arrays", lambda m, c: (
+            calls.append(m), chunk_arrays(m, c))[1])
         for chunk, batches in ((4096, 1), (2, 2), (1, 3)):
             monkeypatch.setattr(red, "_CHUNK", chunk)
             tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
@@ -399,6 +401,33 @@ class TestTabulate:
             count, arrays, no_fallback))
         tabulate_reduction(example4.inclusion, example4.reducers, nodes,
                            times)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["params"].update(g="0.5*exp(-t) + 1/(t - 2)"),
+        lambda d: d["F"]["pieces"].insert(0, {
+            "guard": "1/(t - 2) > 100", "value": ["{x1}", "{x2}"]})],
+        ids=["parameter", "guard"])
+    def test_per_row_time_raises_at_its_row(self, edit, monkeypatch):
+        """The membership path: a parameter or a guard that raises at the
+        time of one row (t = 2, the fifth) raises there the error of the
+        pointwise API, whatever the chunks."""
+        with open(fixture_path("example4"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        system = system_from_dict(doc)
+        nodes = [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (-0.5, 1.0),
+                 (0.25, -1.0), (1.0, 1.0), (0.0, 0.0)]
+        times = [0.0, 0.5, 1.0, 5.0, 2.0, 2.0, 10.0]
+        with pytest.raises(DslEvalError) as pointwise:
+            reduce_collection(system.inclusion, system.reducers, nodes[4], 2.0)
+        for chunk in (1, 3, 4096):
+            monkeypatch.setattr(red, "_CHUNK", chunk)
+            with pytest.raises(DslEvalError) as table:
+                tabulate_reduction(system.inclusion, system.reducers, nodes,
+                                   times)
+            assert str(table.value) == str(pointwise.value)
+        assert str(pointwise.value).endswith(
+            "division by near-zero denominator 0.0")
 
     @pytest.mark.parametrize("times", [[0.0], [0.0] * 4, [[0.0, 1.0, 2.0]]])
     def test_per_row_time_needs_one_time_per_node(self, example4, times):

@@ -1,11 +1,12 @@
 """The array evaluators against the pointwise reference evaluators.
 
-``scan_derivative``, ``tabulate_reduction``, the Matrosov Y table and
-the trajectory checks evaluate batches of nodes as numpy arrays through
-``reduction._fill``, which refills the rows the arrays flag one by one
-with the pointwise reference. These tests compare each public
-function with the same call forced through the pointwise rows alone: the
-columns must carry the same bits, and the errors must be the same.
+``scan_derivative``, ``tabulate_reduction``, the ``deriv`` table, the
+Matrosov Y table and the trajectory checks evaluate batches of nodes as
+numpy arrays through ``reduction._fill``, which refills the rows the
+arrays flag one by one with the pointwise reference. These tests compare
+each public function with the same call forced through the pointwise
+rows alone, or with a loop written here: the columns must carry the same
+bits, and the errors must be the same.
 """
 
 import collections
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import struct
+import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -23,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import incred.certify as certify
+import incred.cli as cli
 import incred.derivative as deriv
 import incred.expr as ex
 import incred.reduction as red
@@ -207,7 +210,7 @@ def cases(draw):
     }
 
 
-FILLS = (red, deriv)  # every module that binds reduction._fill
+FILLS = (red,)  # every module that binds reduction._fill
 
 
 def _pointwise_fill(shape, arrays, pointwise):
@@ -632,9 +635,10 @@ def test_fixture_tables_take_the_array_path(name, tmp_path, monkeypatch):
     system = load_fixture(name)
     _arrays_only(monkeypatch)
     flags = [[]] + [["--baseline"]] * system.candidate.regular
-    for extra in flags:
-        assert main(["reduce", "-i", str(fixture_path(name)),
-                     "-o", str(tmp_path), *extra]) == 0
+    for command in ("reduce", "deriv"):
+        for extra in flags:
+            assert main([command, "-i", str(fixture_path(name)),
+                         "-o", str(tmp_path), *extra]) == 0
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3",
@@ -717,6 +721,127 @@ def test_all_empty_chunk_reports_equal_the_row_by_row_reports(
     assert (csv_text, text) == _row_reports(table)
     assert f"F=IntervalBox.empty({n})  reduced=empty" in text
     assert "," * (4 * n + 1) + "1\n" in csv_text  # F and reduction blank
+
+
+# --- the deriv table -------------------------------------------------------
+
+def _loop_deriv_csv(system, nodes, t0) -> str:
+    """``derivatives.csv`` by a loop over the nodes, written here as the
+    reference: the three pointwise derivatives in column order, each row
+    by ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x1", "x2", "t", "generalized", "baseline_max",
+                     "baseline_lo", "baseline_hi"])
+    for x in nodes:
+        gen = deriv.generalized_derivative(system.candidate, system.inclusion,
+                                           system.reducers, list(x), t0)
+        bmax = deriv.baseline_max_derivative(system.candidate,
+                                             system.inclusion, list(x), t0)
+        bint = deriv.baseline_interval_derivative(
+            system.candidate, system.inclusion, list(x), t0)
+        row = [repr(v) for v in x] + [repr(t0)]
+        row.append("-inf" if gen.is_minus_inf else repr(gen.value))
+        row.append("-inf" if bmax.is_minus_inf else repr(bmax.value))
+        row += ["", ""] if bint.value is None else [repr(bint.value.lo),
+                                                    repr(bint.value.hi)]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _cli_deriv_csv(system, nodes, t0, chunk: int) -> str:
+    """``derivatives.csv`` as ``incred deriv`` writes it for ``system`` on
+    ``nodes`` at ``t0``, in chunks of ``chunk`` rows."""
+    grid = SimpleNamespace(time_nodes=(t0,),
+                           nodes=lambda domain: np.array(nodes, dtype=float))
+    loaded = SimpleNamespace(n=2, domain=None, require_grid=lambda: grid,
+                             **vars(system))
+    with tempfile.TemporaryDirectory() as out, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_load", lambda args: loaded)
+        mp.setattr(red, "_CHUNK", chunk)
+        cli.cmd_deriv(SimpleNamespace(out=out))
+        with open(f"{out}/derivatives.csv", "rb") as fh:
+            return fh.read().decode()
+
+
+@st.composite
+def deriv_cases(draw):
+    """A ``deriv`` input: F often widened by [-2, 2] (so that pinches keep
+    rows), sometimes with infinite or empty pieces (minus-infinity rows
+    and blank cells), the candidate rarely non-regular, ``--baseline``
+    (the candidate its only reducer) half the time; risky cases raise on
+    some nodes mid-grid."""
+    risky = draw(st.booleans())
+
+    def widened(value):
+        kind = draw(st.sampled_from(["as is", "widened"] * 2 + ["infinite"]))
+        if kind == "as is":
+            return value
+        return ex.SumSet((value, ex.IntervalSet(
+            ex.Num(-2.0), ex.Num(2.0) if kind == "widened" else ex.BinOp(
+                "*", ex.Num(1e308), ex.Num(10.0)))))
+
+    def function(regular):
+        return RegularFunctionSpec("f", 2, ex.Num(0.0), _piecewise(
+            draw, risky, 3, risky), regular)
+
+    inclusion = PiecewiseBoxMap(2, 2, [
+        Piece(p.guard, p.values and tuple(map(widened, p.values)))
+        for p in _piecewise(draw, risky, 2, True).pieces], PARAMS)
+    candidate = function(draw(st.integers(0, 7)) > 0)
+    reducers = [candidate] if draw(st.booleans()) else [
+        function(True) for _ in range(draw(st.integers(0, 2)))]
+    return {"system": SimpleNamespace(candidate=candidate,
+                                      inclusion=inclusion, reducers=reducers),
+            "nodes": draw(st.lists(st.tuples(st.sampled_from(COORDS),
+                                             st.sampled_from(COORDS)),
+                                   min_size=1, max_size=12)),
+            "t": draw(st.sampled_from([0.0, -0.0, 1.0])),
+            "chunk": draw(st.sampled_from([1, 2, 3, 4096]))}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=deriv_cases())
+def test_deriv_table_equals_the_node_by_node_loop(case):
+    """The bytes of ``derivatives.csv``, or the first error, are those of
+    the loop over the nodes through the three pointwise derivatives."""
+    args = case["system"], case["nodes"], case["t"]
+    assert _outcome(_cli_deriv_csv, *args, case["chunk"]) \
+        == _outcome(_loop_deriv_csv, *args)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+def test_the_interval_column_raises_first_at_an_earlier_node(chunk):
+    """F's first axis is [-inf, 1] and V's gradient straddles 0 there: the
+    intersection derivative is NaN (0 * inf) at every node, the
+    generalized one only where the reducer's gradient stops pinching the
+    axis, at the second node. The loop over the nodes raises the first
+    node's interval error, which a column-by-column refill would not."""
+    def gradient(first_axis_moves: str):
+        return PiecewiseBoxMap(2, 3, [
+            Piece(ex.parse_guard(first_axis_moves), (
+                ex.parse_set("[-1, 1]"), ex.parse_set("{0}"),
+                ex.parse_set("{0}"))),
+            Piece(ex.TrueGuard(), tuple(
+                ex.parse_set("{0}") for _ in range(3)))])
+
+    system = SimpleNamespace(
+        inclusion=PiecewiseBoxMap(2, 2, [Piece(ex.TrueGuard(), (
+            ex.parse_set("[-1e308*10, 1]"),
+            ex.parse_set("{0}")))]),
+        candidate=RegularFunctionSpec("V", 2, ex.Num(0.0),
+                                      gradient("x1 < 5"), True),
+        reducers=[RegularFunctionSpec("U", 2, ex.Num(0.0),
+                                      gradient("x1 < 0"), True)])
+    nodes = [(-1.0, 0.0), (1.0, 0.0)]
+    message = "V: the baseline interval derivative is NaN at x=(-1.0, 0.0)"
+    assert _outcome(_loop_deriv_csv, system, nodes, 0.0)[1].startswith(
+        message)
+    assert _outcome(_cli_deriv_csv, system, nodes, 0.0, chunk) \
+        == _outcome(_loop_deriv_csv, system, nodes, 0.0)
 
 
 # --- the Matrosov Y table -------------------------------------------------

@@ -96,9 +96,10 @@ class TestPiecewiseBoxMap:
                             params)
         assert eval_map(m, (0.5,), 2.0).axes[0].lo == 1.0
         message = "parameter h at t=1.0: division by near-zero denominator 0.0"
+        cols = [np.zeros(3)]
         for call in (lambda: eval_map(m, (0.5,), 1.0),
                      lambda: m.env((), 1),
-                     lambda: m.value_arrays([np.zeros(3)], 1.0)):
+                     lambda: m.chunk_arrays(cols)(*m.env_arrays(cols, 1.0))):
             with pytest.raises(DslEvalError, match=f"^{re.escape(message)}$"):
                 call()
 
