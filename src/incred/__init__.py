@@ -18,14 +18,13 @@ _EXPORTS = {name: module for module, names in {
                "matrosov_chain matrosov_constants matrosov_derivative_bounds "
                "matrosov_grid verify_combined_bound",
     "derivative": "DerivativeValue baseline_interval_derivative "
-                  "baseline_max_derivative bilinear_maxmax bilinear_minmax "
-                  "generalized_derivative",
+                  "bilinear_maxmax bilinear_minmax generalized_derivative",
     "errors": "DimensionMismatchError DslEvalError DslSyntaxError "
               "EmptySetError IncredError SchemaError SimulationError",
     "fixtures": "available_fixtures fixture_path load_fixture",
     "grids": "GridSpec",
-    "intervals": "Annulus Interval IntervalBox contains direction_axes",
-    "reduction": "ReducedValue ReductionTable reduce_collection reduce_once "
+    "intervals": "Annulus Interval IntervalBox contains",
+    "reduction": "ReducedValue ReductionTable reduce_collection "
                  "tabulate_reduction",
     "setmaps": "CheckSpec GradientValidationReport MatrosovData Piece "
                "PiecewiseBoxMap RegularFunctionSpec SimSpec SystemDef "

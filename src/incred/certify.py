@@ -49,8 +49,7 @@ __all__ = [
     "InvarianceReport", "CandidateCheck", "invariance_data",
     "build_matrosov_problem", "matrosov_grid",
     "matrosov_chain", "matrosov_constants", "MatrosovConstantsResult",
-    "verify_combined_bound", "verify_bound_on_grid",
-    "matrosov_derivative_bounds",
+    "verify_combined_bound", "matrosov_derivative_bounds",
 ]
 
 CERTIFIED = "CERTIFIED"
@@ -474,20 +473,26 @@ def _z_parts(prob: MatrosovData) -> list[tuple[np.ndarray, np.ndarray]]:
     return parts
 
 
-def _matrosov_nodes(prob: MatrosovData, sys: SystemDef, grid=None,
-                    every_z: bool = True):
-    """:func:`matrosov_grid`; unless ``every_z`` or some Y reads z, the z
-    nodes are the first one repeated (a broadcast view): the checks then
-    read only the first, and the reports only the count. Those two come
-    from the products of the axes' parts, which tile the z grid, so that
-    no axis is built whole: one long axis would be built twice."""
+def matrosov_grid(prob: MatrosovData, sys: SystemDef,
+                  grid: GridSpec | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta),
+    both row-major: the x nodes of :func:`_annulus_nodes`, and per z axis
+    uniform nodes over ``[-gamma, gamma]`` and -gamma, 0, gamma, filtered
+    to the ball. Both stack the chunks that the Matrosov checks stream.
+
+    Unless some Y reads z, the z nodes are the first one repeated (a
+    broadcast view): the checks then read only the first, and the reports
+    only the count. Those two come from the products of the axes' parts,
+    which tile the z grid, so that no axis is built whole: one long axis
+    would be built twice."""
     x_nodes = _stacked(_annulus_nodes(prob, sys, grid)[0], sys.n)
     what = ("matrosov z nodes (z_counts "
             f"{' x '.join(map(str, prob.z_counts))})")
     check_size(math.prod(prob.z_counts), what)  # before the axes are built
     parts, ball = _z_parts(prob), Annulus(0.0, prob.gamma)
     check_size(math.prod(len(a) + len(b) for a, b in parts), what)
-    if every_z or prob.aux_uses_z():
+    if prob.aux_uses_z():
         axes = [np.insert(a, np.searchsorted(a, b), b) for a, b in parts]
         return _stacked(_region_chunks(axes, ball), prob.m), x_nodes
     count, firsts = 0, []
@@ -497,16 +502,6 @@ def _matrosov_nodes(prob: MatrosovData, sys: SystemDef, grid=None,
             firsts += [tuple(z[:, 0]) for z in itertools.islice(chunks, 1)]
             count += _region_count(tile, ball)
     return np.broadcast_to(min(firsts), (count, prob.m)), x_nodes
-
-
-def matrosov_grid(prob: MatrosovData, sys: SystemDef,
-                  grid: GridSpec | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta),
-    both row-major: the x nodes of :func:`_annulus_nodes`, and per z axis
-    uniform nodes over ``[-gamma, gamma]`` and -gamma, 0, gamma, filtered
-    to the ball. Both stack the chunks that the Matrosov checks stream."""
-    return _matrosov_nodes(prob, sys, grid)
 
 
 def _row_chunks(prob: MatrosovData, z_nodes, x_chunks, x_count: int):
@@ -702,36 +697,21 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     return MatrosovConstantsResult(constants, zeta, epsilon, cert)
 
 
-def verify_combined_bound(prob: MatrosovData, constants: Sequence[float],
-                          zeta: float, z_nodes, x_nodes) -> Certificate:
-    """Re-check ``Z = Y_M + sum K_j Y_j <= -zeta / 2^(M-1)`` on a grid,
-    a chunk of rows at a time (see :func:`_combined_bound`).
+def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
+                          constants: Sequence[float], zeta: float, z_nodes,
+                          grid: GridSpec) -> Certificate:
+    """Re-check ``Z = Y_M + sum K_j Y_j <= -zeta / 2^(M-1)`` at the
+    annulus nodes of ``grid`` (as :func:`matrosov_grid` picks them) and
+    ``z_nodes``, streamed: no array outlives a chunk of
+    :func:`_row_chunks`, so memory does not grow with the grid.
 
     Used to confirm searched constants on a finer verification grid than
     the one that produced them.
     """
-    x = np.asarray(x_nodes, dtype=float)
-    return _combined_bound(prob, constants, zeta, z_nodes,
-                           (x[r].T for r in _chunks(len(x))), len(x))
-
-
-def verify_bound_on_grid(prob: MatrosovData, sys: SystemDef,
-                         constants: Sequence[float], zeta: float, z_nodes,
-                         grid: GridSpec) -> Certificate:
-    """:func:`verify_combined_bound` at the annulus nodes of ``grid`` (as
-    :func:`matrosov_grid` picks them), streamed: the x nodes are never
-    built as one array, so memory does not grow with the grid."""
-    return _combined_bound(prob, constants, zeta, z_nodes,
-                           *_annulus_nodes(prob, sys, grid))
-
-
-def _combined_bound(prob: MatrosovData, constants: Sequence[float],
-                    zeta: float, z_nodes, x_chunks, x_count: int):
-    """:func:`verify_combined_bound` on streamed x nodes: no array outlives
-    a chunk of :func:`_row_chunks`."""
     M = prob.count
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
+    x_chunks, x_count = _annulus_nodes(prob, sys, grid)
 
     def combined():
         for points, y in _row_chunks(prob, z_nodes, x_chunks, x_count):

@@ -190,7 +190,7 @@ def cmd_matrosov(args) -> int:
     eq_tol = _tol(args, "eq_tol")  # every flag is checked before the chain
     cert._check_zeta_target(args.zeta_target)
     fine = grid.refined(args.verify_factor)
-    z_nodes, x_nodes = cert._matrosov_nodes(problem, system, every_z=False)
+    z_nodes, x_nodes = cert.matrosov_grid(problem, system)
     chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
     result = verify = None
     if chain.certified:
@@ -198,7 +198,7 @@ def cmd_matrosov(args) -> int:
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
         if result.certificate.certified and args.verify_factor != 1:
-            verify = cert.verify_bound_on_grid(
+            verify = cert.verify_combined_bound(
                 problem, system, result.constants, result.zeta, z_nodes, fine)
     bounds = cert.matrosov_derivative_bounds(system, problem)
     doc = {"chain": chain.to_dict(),

@@ -7,10 +7,10 @@ function along a box-valued inclusion are computed in closed form:
   the max over reduced directions ``q`` of ``p . [q; 1]`` (max-max when
   the candidate is not regular), with a distinguished minus-infinity
   marker when the reduced set is empty;
-* :func:`baseline_max_derivative` -- the classical "common value"
-  derivative: the max of the values attained simultaneously by every
-  gradient element, which is the generalized derivative reduced by the
-  candidate alone;
+* the classical "common value" derivative of a regular candidate: the
+  max of the values attained simultaneously by every gradient element,
+  which is :func:`generalized_derivative` with the candidate as the only
+  reducer (the ``deriv`` table's middle column);
 * :func:`baseline_interval_derivative` -- the classical intersection
   derivative ``∩_p p . (F x {1})``, an interval, or None when empty.
 
@@ -36,7 +36,7 @@ certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence, Union
 
@@ -53,8 +53,7 @@ from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_m
 
 __all__ = [
     "DerivativeValue", "bilinear_maxmax", "bilinear_minmax",
-    "generalized_derivative", "baseline_max_derivative",
-    "baseline_interval_derivative",
+    "generalized_derivative", "baseline_interval_derivative",
     "DerivativeScan", "scan_derivative", "tabulate_derivatives",
 ]
 
@@ -62,11 +61,11 @@ __all__ = [
 class DerivativeValue:
     """One evaluated derivative.
 
-    ``kind`` is ``"generalized"``, ``"baseline-max"`` or
-    ``"baseline-interval"``. For the scalar kinds ``value`` is a float,
-    or None as the minus-infinity marker (empty reduced set, flagged by
-    ``empty_reduction``). For the interval kind ``value`` is an
-    :class:`Interval`, or None when the intersection is empty.
+    ``kind`` is ``"generalized"`` or ``"baseline-interval"``. For the
+    generalized kind ``value`` is a float, or None as the minus-infinity
+    marker (empty reduced set, flagged by ``empty_reduction``). For the
+    interval kind ``value`` is an :class:`Interval`, or None when the
+    intersection is empty.
     """
     kind: str
     value: Union[float, Interval, None]
@@ -75,17 +74,6 @@ class DerivativeValue:
     @property
     def is_minus_inf(self) -> bool:
         return self.value is None
-
-    def upper(self) -> float | None:
-        """Largest value, or None when the set is empty / minus infinity."""
-        if isinstance(self.value, Interval):
-            return self.value.hi
-        return self.value
-
-    def leq(self, bound: float, tol: float = 0.0) -> bool:
-        """Does the derivative certify ``<= bound`` (within ``tol``)?"""
-        up = self.upper()
-        return True if up is None else up <= bound + tol
 
 
 def _check_pq(p: IntervalBox, q: IntervalBox) -> None:
@@ -169,25 +157,6 @@ def generalized_derivative(candidate: RegularFunctionSpec,
         raise DslEvalError(f"{candidate.name}: the generalized derivative "
                            f"is NaN at x={tuple(x)}, t={t}") from None
     return DerivativeValue("generalized", value)
-
-
-def baseline_max_derivative(candidate: RegularFunctionSpec,
-                            inclusion: PiecewiseBoxMap,
-                            x: Sequence[float], t: float) -> DerivativeValue:
-    """Max of the common-value derivative set of a regular candidate.
-
-    The feasible directions are those of the candidate's own reduction;
-    on them ``p . [q; 1]`` does not depend on ``p``, so the max equals
-    :func:`generalized_derivative` with the candidate as the only
-    reducer, which is what is computed. Empty reduction => minus-infinity
-    marker.
-    """
-    if not candidate.regular:
-        raise SchemaError(
-            f"{candidate.name}: the common-value derivative requires a "
-            "regular candidate")
-    d = generalized_derivative(candidate, inclusion, (candidate,), x, t)
-    return replace(d, kind="baseline-max")
 
 
 def baseline_interval_derivative(candidate: RegularFunctionSpec,
@@ -314,8 +283,10 @@ def tabulate_derivatives(candidate: RegularFunctionSpec,
     """The ``deriv`` columns at every node at time ``t``: the generalized
     and the common-value max derivatives (values and minus-infinity
     flags), then the intersection derivative's ends and empty flags. The
-    reference runs the three pointwise functions in this order per node,
-    so the first error is that of a loop over the nodes."""
+    reference computes the three in this order per node, so the first
+    error is that of a loop over the nodes. The common-value derivative
+    is :func:`generalized_derivative` with the candidate as the only
+    reducer, for a regular candidate only."""
     pts = _node_array(nodes, inclusion.n_in)
     (_, gen, _), (_, top, _) = (
         _derivative_job(inclusion, candidate, us, (), pts.shape[-1])
@@ -331,7 +302,12 @@ def tabulate_derivatives(candidate: RegularFunctionSpec,
 
     def pointwise(x, t):
         d = generalized_derivative(candidate, inclusion, reducers, x, t)
-        d_max = baseline_max_derivative(candidate, inclusion, x, t)
+        if not candidate.regular:
+            raise SchemaError(
+                f"{candidate.name}: the common-value derivative requires a "
+                "regular candidate")
+        d_max = generalized_derivative(candidate, inclusion, (candidate,),
+                                       x, t)
         ends = baseline_interval_derivative(candidate, inclusion, x, t).value
         return (*_cells(d), *_cells(d_max), *((0.0, 0.0, True) if ends is None
                                               else (ends.lo, ends.hi, False)))

@@ -11,9 +11,9 @@ its dimension (never encoded as inverted endpoints). Degeneracy is
 exact equality of endpoints, because the systems of interest are
 defined with exactly representable constants.
 
-Axis indices reported by :func:`direction_axes` (and consumed elsewhere)
-are 1-based, matching the variable names ``x1..xn``; a box of dimension
-``n + 1`` uses index ``n + 1`` for its trailing time axis.
+Axis indices (``ReducedValue.constrained_axes`` among them) are 1-based,
+matching the variable names ``x1..xn``; a box of dimension ``n + 1``
+uses index ``n + 1`` for its trailing time axis.
 
 Extension point: general convex polytopes, zonotopes and ellipsoids are
 deliberately out of scope; the box structure is what makes the reduction
@@ -35,7 +35,6 @@ __all__ = [
     "IntervalBox",
     "Annulus",
     "contains",
-    "direction_axes",
 ]
 
 
@@ -216,18 +215,6 @@ def contains(b: IntervalBox, p: Sequence[float]) -> bool:
         raise DimensionMismatchError(
             f"point has {len(p)} coordinates, box has {b.dims} axes")
     return all(ax.contains(v) for ax, v in zip(b.axes, p))
-
-
-def direction_axes(b: IntervalBox) -> frozenset[int]:
-    """1-based indices of the nondegenerate axes of a non-empty box.
-
-    These are the coordinate directions spanning the affine hull of the
-    box; a linear functional is constant on the box iff it annihilates
-    every one of them.
-    """
-    if b.is_empty:
-        raise EmptySetError("direction_axes is undefined for the empty box")
-    return frozenset(i + 1 for i, ax in enumerate(b.axes) if not ax.is_degenerate)
 
 
 class Annulus:

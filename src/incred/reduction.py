@@ -37,7 +37,7 @@ from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
 
 __all__ = [
-    "ReducedValue", "reduce_once", "reduce_collection",
+    "ReducedValue", "reduce_collection",
     "ReductionTable", "tabulate_reduction",
 ]
 
@@ -56,16 +56,6 @@ class ReducedValue:
     constrained_axes: frozenset[int]
     result: IntervalBox
     time_obstruction: bool
-
-
-def reduce_once(inclusion: PiecewiseBoxMap, reducer: RegularFunctionSpec,
-                x: Sequence[float], t: float) -> ReducedValue:
-    """Directions of ``inclusion(x, t)`` feasible for ``reducer``.
-
-    The reducer must be flagged regular; reduction by a nonregular
-    function is unsound and rejected.
-    """
-    return _reduce(eval_map(inclusion, x, t), (reducer,), x, t)
 
 
 def reduce_collection(inclusion: PiecewiseBoxMap,
@@ -258,15 +248,6 @@ def _reduce_arrays(lo, hi, empty, bad, reducers, value):
             empty, constrained, bad)
 
 
-@dataclass(frozen=True)
-class ReductionRow:
-    x: tuple[float, ...]
-    t: float
-    base: IntervalBox
-    reduced: IntervalBox
-    constrained_axes: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ReductionTable:
     """The inclusion and its reduction at N nodes, as columns.
@@ -291,26 +272,6 @@ class ReductionTable:
     @property
     def n(self) -> int:
         return len(self.base_lo)
-
-    @property
-    def rows(self) -> tuple[ReductionRow, ...]:
-        """The table as one :class:`ReductionRow` per node."""
-        def box(lo, hi, empty):
-            if empty:
-                return IntervalBox.empty(self.n)
-            return IntervalBox.from_bounds(lo, hi)
-
-        return tuple(
-            ReductionRow(tuple(x), t, box(b_lo, b_hi, b_empty),
-                         box(lo, hi, empty),
-                         tuple(i for i, c in enumerate(axes, 1) if c))
-            for x, t, b_lo, b_hi, b_empty, lo, hi, empty, axes in zip(
-                self.x.tolist(),
-                np.broadcast_to(self.t, len(self.x)).tolist(),
-                self.base_lo.T.tolist(),
-                self.base_hi.T.tolist(), self.base_empty.tolist(),
-                self.lo.T.tolist(), self.hi.T.tolist(), self.empty.tolist(),
-                self.constrained.T.tolist()))
 
     def report_chunks(self) -> Iterator[tuple[str, str]]:
         """The CSV and text reports as ``(csv, text)`` pieces: the CSV

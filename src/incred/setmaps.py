@@ -161,6 +161,8 @@ class PiecewiseBoxMap:
         pieces here, once for every ``at``, and the sets that read neither
         are filled here too; ``at`` evaluates the rest. Elementwise array
         code gives each row the bits of a whole evaluation at each call.
+        When no set reads t or a parameter either, every ``at`` returns
+        the same read-only endpoint arrays, uncopied.
         """
         if self._array_compiled is None:  # compiled on first use
             self._array_compiled = tuple(
@@ -174,11 +176,14 @@ class PiecewiseBoxMap:
             for j, (fn, state_only) in enumerate(sets):
                 if state_only:
                     lo0[j][mine], hi0[j][mine] = fn(sub)
+        shared = route and all(s for *_, sets in route[0] for _, s in sets)
+        if shared:
+            lo0.flags.writeable = hi0.flags.writeable = False
 
         def at(env, bad):
             pieces, empty, undecided = route or self._route({**env, **x_env},
                                                             rows)
-            lo, hi = lo0.copy(), hi0.copy()
+            lo, hi = (lo0, hi0) if shared else (lo0.copy(), hi0.copy())
             for mine, sub, sets in pieces:
                 for j, (fn, state_only) in enumerate(sets):
                     if not (route and state_only):

@@ -14,10 +14,10 @@ from incred.certify import (CERTIFIED, build_matrosov_problem,
                             matrosov_constants, matrosov_grid,
                             verify_combined_bound)
 from incred.derivative import (baseline_interval_derivative,
-                               baseline_max_derivative, bilinear_maxmax,
-                               bilinear_minmax, generalized_derivative)
+                               bilinear_maxmax, bilinear_minmax,
+                               generalized_derivative)
 from incred.intervals import Interval
-from incred.reduction import reduce_collection, reduce_once, tabulate_reduction
+from incred.reduction import reduce_collection, tabulate_reduction
 from incred.setmaps import eval_map, validate_gradient
 from incred.simulate import (SelectionStrategy, check_reduction_membership,
                              integrate)
@@ -25,9 +25,11 @@ from incred.simulate import (SelectionStrategy, check_reduction_membership,
 from conftest import (KINK_RADIUS, PROBES_1D, PROBES_SMOOTH_2D,
                       PROBES_SQUARE_PYRAMID, PROBES_SQUARE_RAMP,
                       SMOOTH_RADIUS)
-from test_derivative import _random_box, brute_maxmax, brute_minmax
+from test_derivative import (_random_box, brute_maxmax, brute_minmax,
+                             common_value_max)
 from test_reduction import (box, constant_map, constant_spec, corner_distance,
-                            random_reduction_case, reduction_oracle_hull)
+                            random_reduction_case, reduce_once,
+                            reduction_oracle_hull, rows)
 
 
 def _report(n, text):
@@ -43,7 +45,7 @@ def test_criterion_1_reduction_table_is_exact(example1):
         -0.5: Interval(-2, -2), 0.0: None, 0.5: Interval(-2, -2),
         1.0: Interval(0, 0), 2.0: Interval(2, 2),
     }
-    for row in table.rows:
+    for row in rows(table):
         want = expected[row.x[0]]
         if want is None:
             assert row.reduced.is_empty
@@ -77,8 +79,8 @@ def test_criterion_2_planar_derivative_closed_form(example2):
         assert d.is_minus_inf
 
     for corner in ((1.0, 1.0), (1.0, -1.0)):
-        bmax = baseline_max_derivative(example2.candidate, example2.inclusion,
-                                       corner, 0.0)
+        bmax = common_value_max(example2.candidate, example2.inclusion,
+                                corner, 0.0)
         pint = baseline_interval_derivative(example2.candidate,
                                             example2.inclusion, corner, 0.0)
         assert abs(bmax.value) <= 1e-9
@@ -93,13 +95,13 @@ def test_criterion_3_invariance_example(example3):
              (-1.0, -1.0), (0.5, 0.5), (-0.3, 0.7), (2.0, 0.0)]
     table = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
                                0.0)
-    rows = {row.x: row for row in table.rows}
-    assert rows[(1.0, 0.0)].reduced == box((0.0, 0.0), (-1.5, -0.5))
-    assert rows[(-1.0, 0.0)].reduced == box((0.0, 0.0), (0.5, 1.5))
+    by_x = {row.x: row for row in rows(table)}
+    assert by_x[(1.0, 0.0)].reduced == box((0.0, 0.0), (-1.5, -0.5))
+    assert by_x[(-1.0, 0.0)].reduced == box((0.0, 0.0), (0.5, 1.5))
     for corner in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-        assert rows[corner].reduced.is_empty
+        assert by_x[corner].reduced.is_empty
     for interior in ((0.5, 0.5), (-0.3, 0.7), (2.0, 0.0)):
-        assert rows[interior].reduced == rows[interior].base
+        assert by_x[interior].reduced == by_x[interior].base
 
     report = invariance_data(example3)
     assert report.semidefinite.verdict == CERTIFIED
@@ -143,13 +145,12 @@ def test_criterion_5_matrosov_certificates(example6):
     assert result.zeta >= 0.009
 
     fine = example6.grid.refined(10)
-    zf, xf = matrosov_grid(problem, example6, fine)
-    verify = verify_combined_bound(problem, result.constants, result.zeta,
-                                   zf, xf)
+    verify = verify_combined_bound(problem, example6, result.constants,
+                                   result.zeta, z_nodes, fine)
     assert verify.verdict == CERTIFIED  # Z <= -zeta/2 on the 10x finer grid
     _report(5, f"chain certified on the annulus; K={result.constants[0]}, "
                f"zeta={result.zeta:.4f} >= 0.009, combination holds on a "
-               f"10x finer grid ({len(xf)} nodes)")
+               f"10x finer grid ({verify.grid_summary['x_nodes']} nodes)")
 
 
 def test_criterion_6_simulation_decay_oracle(example2):
@@ -249,8 +250,8 @@ def test_criterion_9_structural_properties(example1, example2, example3,
             t = float(rng.uniform(0.0, 5.0))
             via = generalized_derivative(system.candidate, system.inclusion,
                                          (system.candidate,), x, t)
-            direct = baseline_max_derivative(system.candidate,
-                                             system.inclusion, x, t)
+            direct = common_value_max(system.candidate, system.inclusion,
+                                      x, t)
             assert via.is_minus_inf == direct.is_minus_inf
             if not via.is_minus_inf:
                 assert via.value == direct.value

@@ -8,12 +8,14 @@ import incred.expr as ex
 import incred.grids as grids
 from incred.certify import (CERTIFIED, VIOLATED, certify_lyapunov,
                             certify_semidefinite, invariance_data)
-from incred.derivative import baseline_max_derivative, generalized_derivative
+from incred.derivative import generalized_derivative
 from incred.errors import DslEvalError, SchemaError
 from incred.fixtures import available_fixtures, load_fixture
 from incred.grids import GridSpec
 from incred.intervals import IntervalBox
 from incred.setmaps import system_from_dict
+
+from test_derivative import common_value_max
 
 
 def _decay_1d(value_at_zero: str = "{0}", time_nodes=(0,), at="0"):
@@ -108,8 +110,8 @@ class TestCertifyLyapunov:
         cert = certify_lyapunov(example2_baseline,
                                 example2_baseline.checks.decrease_bound)
         x, t = cert.worst_point, cert.worst_t
-        d = baseline_max_derivative(example2_baseline.candidate,
-                                    example2_baseline.inclusion, x, t)
+        d = common_value_max(example2_baseline.candidate,
+                             example2_baseline.inclusion, x, t)
         w = ex.compile_scalar(example2_baseline.checks.decrease_bound)(
             example2_baseline.inclusion.env(x, t))
         assert d.value + w == pytest.approx(cert.worst_margin, abs=1e-12)

@@ -610,6 +610,26 @@ class TestMatrosov:
         # informational screen; exit code ignores it
         assert doc["derivative_bounds"]["verdict"] == "VIOLATED"
 
+    def test_runs_the_public_api(self, tmp_path, monkeypatch):
+        """``matrosov -i example6.json`` calls each public Matrosov
+        function once: a wrapper of the public names sees every step."""
+        import incred.certify as cert
+        names = ("matrosov_grid", "matrosov_chain", "matrosov_constants",
+                 "verify_combined_bound", "matrosov_derivative_bounds")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cert, name, counted(name, getattr(cert, name)))
+        assert run("matrosov", "-i", fixture_path("example6"),
+                   "-o", str(tmp_path)) == 0
+        assert calls == dict.fromkeys(names, 1)
+
     def test_broken_bound_exits_one(self, tmp_path):
         assert run("matrosov", "-i", fixture_path("example6_broken_y2"),
                    "-o", str(tmp_path)) == 1

@@ -3,8 +3,7 @@ import pytest
 
 from incred import expr
 from incred.errors import DimensionMismatchError, EmptySetError
-from incred.intervals import (Annulus, Interval, IntervalBox, contains,
-                              direction_axes)
+from incred.intervals import Annulus, Interval, IntervalBox, contains
 
 TOL = 1e-9
 MAX = 1.7976931348623157e308
@@ -180,26 +179,6 @@ class TestContains:
             assert outer.intersect(inner) == inner
             p = [rng.uniform(iv.lo, iv.hi) for iv in inner.axes]
             assert contains(inner, p) and contains(outer, p)
-
-
-class TestDirectionAxes:
-    def test_one_based_indices(self):
-        assert direction_axes(box((1, 2), (0, 0))) == {1}
-        assert direction_axes(box((3, 3), (4, 4))) == set()
-        assert direction_axes(box((-1, 1), (-1, 1), (0, 0))) == {1, 2}
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySetError):
-            direction_axes(IntervalBox.empty(2))
-
-    def test_empty_iff_singleton(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            lo = rng.uniform(-5, 5, 3)
-            w = rng.uniform(0, 2, 3) * rng.integers(0, 2, 3)
-            b = box(*[(l, l + ww) for l, ww in zip(lo, w)])
-            singleton = all(iv.is_degenerate for iv in b.axes)
-            assert (direction_axes(b) == set()) == singleton
 
 
 class TestAnnulus:

@@ -29,6 +29,10 @@ def annulus_problem(request):
     return system, problem, z_nodes, x_nodes
 
 
+# a Y that reads z without changing its values
+Y_READS_Z = "-x1*x1 + 0*z1"
+
+
 def _matrosov_doc(y_exprs, delta=0.1, big=2.0, gamma=1.0, phi=("0",),
                   z_counts=None):
     with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
@@ -71,9 +75,20 @@ def _reference_grid(problem, system, grid):
     return z_nodes, x_nodes
 
 
+def _fixture_reading_z(name):
+    """A fixture whose every Y also reads z1, with unchanged values."""
+    with open(fixture_path(name), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["matrosov"]["Y"] = [f"{y} + 0*z1" for y in doc["matrosov"]["Y"]]
+    return system_from_dict(doc)
+
+
 class TestGrid:
-    def test_annulus_filter_and_radius_nodes(self, annulus_problem):
-        system, problem, z_nodes, x_nodes = annulus_problem
+    def test_annulus_filter_and_radius_nodes(self):
+        """example6 with Y reading z, so the whole z grid is built."""
+        system = _fixture_reading_z("example6")
+        problem = build_matrosov_problem(system)
+        z_nodes, x_nodes = matrosov_grid(problem, system)
         ann = problem.annulus()
         x_rows = list(map(tuple, x_nodes.tolist()))
         z_rows = list(map(tuple, z_nodes.tolist()))
@@ -83,12 +98,13 @@ class TestGrid:
         assert all(abs(z[0]) <= 1.0 for z in z_rows)
         assert (0.0,) in z_rows and (1.0,) in z_rows
 
-    @pytest.mark.parametrize("every_z", [True, False])
+    @pytest.mark.parametrize("reads_z", [True, False])
     def test_z_size_check_counts_the_injected_values(self, monkeypatch,
-                                                      every_z):
+                                                      reads_z):
         """``z_counts`` [2] * 15: 2^15 = 32,768 nodes by the counts, but
         each axis gains 0, so the z grid has 3^15 = 14,348,907 nodes."""
-        system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=("0",) * 15,
+        y = Y_READS_Z if reads_z else "-x1*x1"
+        system = system_from_dict(_matrosov_doc([y], phi=("0",) * 15,
                                                 z_counts=[2] * 15))
         problem = build_matrosov_problem(system)
         region_masks = certify._region_masks
@@ -101,7 +117,7 @@ class TestGrid:
         message = (f"matrosov z nodes (z_counts {' x '.join(['2'] * 15)}): "
                    f"{3 ** 15} exceeds the limit of 10000000")
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            certify._matrosov_nodes(problem, system, every_z=every_z)
+            matrosov_grid(problem, system)
 
     @pytest.mark.parametrize("source, factor", [
         *((name, f) for name in ("example6", "example6_broken_y2")
@@ -109,14 +125,15 @@ class TestGrid:
         ("m2", 1), ("m3", 3),
     ])
     def test_matches_the_product_reference(self, source, factor):
+        """Every Y reads z, so the whole z grid is built."""
         if source == "m2":
             system = system_from_dict(_matrosov_doc(
-                ["-x1*x1"], phi=("0", "x1"), z_counts=[4, 5]))
+                [Y_READS_Z], phi=("0", "x1"), z_counts=[4, 5]))
         elif source == "m3":
             system = system_from_dict(_matrosov_doc(
-                ["-x1*x1"], phi=("0", "x1", "x2"), z_counts=[3, 4, 6]))
+                [Y_READS_Z], phi=("0", "x1", "x2"), z_counts=[3, 4, 6]))
         else:
-            system = load_fixture(source)
+            system = _fixture_reading_z(source)
         problem = build_matrosov_problem(system)
         grid = system.grid.refined(factor)
         z_nodes, x_nodes = matrosov_grid(problem, system, grid)
@@ -127,10 +144,12 @@ class TestGrid:
             assert got.tobytes() == np.array(ref, dtype=float).tobytes()
 
     @pytest.mark.parametrize("gamma", [1.0, 0.1, 0.3, 2.5, 1e-300, 3e150])
-    def test_z_axis_matches_the_set_reference(self, annulus_problem, gamma):
+    def test_z_axis_matches_the_set_reference(self, gamma):
         """Each z axis is the sorted set of the linspace and (-g, 0, g),
-        compared bit for bit, so also in which zero it keeps."""
-        system, problem, _, _ = annulus_problem
+        compared bit for bit, so also in which zero it keeps (Y reads z,
+        so the whole axis is built)."""
+        system = system_from_dict(_matrosov_doc([Y_READS_Z]))
+        problem = build_matrosov_problem(system)
         for count in range(1, 51):
             prob = replace(problem, gamma=gamma, z_counts=(count,))
             z_nodes, _ = matrosov_grid(prob, system)
@@ -147,18 +166,17 @@ class TestGrid:
     ])
     def test_z_count_and_first_node_match_the_full_grid(self, phi, z_counts,
                                                         gamma):
-        """Where no Y reads z, ``matrosov`` keeps the z count and the first
-        z node only."""
+        """Where no Y reads z, ``matrosov_grid`` keeps the z count and the
+        first z node only."""
         system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=phi,
                                                 gamma=gamma,
                                                 z_counts=z_counts))
         problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        z_kept, x_kept = certify._matrosov_nodes(problem, system,
-                                                 every_z=False)
-        assert z_kept.shape == z_nodes.shape
-        assert z_kept[:1].tobytes() == z_nodes[:1].tobytes()
-        assert x_kept.tobytes() == x_nodes.tobytes()
+        z_ref, x_ref = _reference_grid(problem, system, system.grid)
+        z_kept, x_kept = matrosov_grid(problem, system)
+        assert z_kept.shape == (len(z_ref), problem.m)
+        assert z_kept[:1].tobytes() == np.array(z_ref[:1]).tobytes()
+        assert x_kept.tobytes() == np.array(x_ref, dtype=float).tobytes()
 
     def test_inverted_radii_rejected(self):
         with pytest.raises(SchemaError):
@@ -211,9 +229,9 @@ class TestConstants:
         system, problem, z_nodes, x_nodes = annulus_problem
         result = matrosov_constants(problem, z_nodes, x_nodes)
         fine = system.grid.refined(10)
-        zf, xf = matrosov_grid(problem, system, fine)
-        cert = verify_combined_bound(problem, result.constants, result.zeta,
-                                     zf, xf)
+        zf, _ = matrosov_grid(problem, system, fine)
+        cert = verify_combined_bound(problem, system, result.constants,
+                                     result.zeta, zf, fine)
         assert cert.verdict == CERTIFIED
 
     def test_single_function_needs_no_constants(self):
@@ -261,21 +279,21 @@ NAN_Y = "(1e308*10)*x1 - (1e308*10)*x1"
 def _problem(y_exprs):
     system = system_from_dict(_matrosov_doc(y_exprs))
     problem = build_matrosov_problem(system)
-    return (problem, *matrosov_grid(problem, system))
+    return (system, problem, *matrosov_grid(problem, system))
 
 
 class TestNonFiniteBounds:
     """A NaN Y value never counts as a pass."""
 
     def test_chain_fails_closed(self):
-        problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
+        _, problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
         cert = matrosov_chain(problem, z_nodes, x_nodes)
         assert cert.verdict == VIOLATED
         assert cert.details["nonfinite_margins"] == len(x_nodes)
         assert cert.worst_margin is None
 
     def test_constants_fail_closed(self):
-        problem, z_nodes, x_nodes = _problem([NAN_Y])
+        _, problem, z_nodes, x_nodes = _problem([NAN_Y])
         auto = matrosov_constants(problem, z_nodes, x_nodes)
         assert auto.certificate.verdict != CERTIFIED
         fixed = matrosov_constants(problem, z_nodes, x_nodes,
@@ -284,8 +302,9 @@ class TestNonFiniteBounds:
         assert fixed.certificate.details["nonfinite_margins"] == len(x_nodes)
 
     def test_combined_bound_fails_closed(self):
-        problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
-        cert = verify_combined_bound(problem, (1.0,), 1e-3, z_nodes, x_nodes)
+        system, problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
+        cert = verify_combined_bound(problem, system, (1.0,), 1e-3, z_nodes,
+                                     system.grid)
         assert cert.verdict == VIOLATED
         assert cert.details["nonfinite_margins"] == len(x_nodes)
 
@@ -395,11 +414,12 @@ def combined_cases(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=combined_cases())
 def test_streamed_verification_equals_the_whole_table(case):
-    """verify_combined_bound, and the stream ``matrosov`` runs on a refined
-    grid, give the whole-table certificate, witness bits included, or its
-    error, whatever the chunk size: grids smaller than one chunk, (z, x)
-    blocks and grid runs split across chunks, NaN, infinite and raising
-    rows, and ties for the worst margin across chunks."""
+    """verify_combined_bound on a refined grid, with the reference's z
+    nodes and with those ``matrosov`` runs it on, gives the whole-table
+    certificate, witness bits included, or its error, whatever the chunk
+    size: grids smaller than one chunk, (z, x) blocks and grid runs split
+    across chunks, NaN, infinite and raising rows, and ties for the worst
+    margin across chunks."""
     doc, factor, chunk, constants, zeta = case
     system = system_from_dict(doc)
     problem = build_matrosov_problem(system)
@@ -409,11 +429,10 @@ def test_streamed_verification_equals_the_whole_table(case):
     try:
         expected = _outcome(_whole_table_bound, problem, constants, zeta,
                             z_ref, x_ref)
-        public = _outcome(verify_combined_bound, problem, constants, zeta,
-                          z_ref, x_ref)
-        z_nodes = certify._matrosov_nodes(problem, system, grid,
-                                          every_z=False)[0]
-        streamed = _outcome(certify.verify_bound_on_grid, problem, system,
+        public = _outcome(verify_combined_bound, problem, system, constants,
+                          zeta, z_ref, grid)
+        z_nodes = matrosov_grid(problem, system, grid)[0]
+        streamed = _outcome(verify_combined_bound, problem, system,
                             constants, zeta, z_nodes, grid)
         table = _outcome(certify._aux_table, problem, z_ref, x_ref)
         whole = _outcome(_whole_table, problem, z_ref, x_ref)
@@ -434,7 +453,8 @@ def test_a_tie_across_chunks_keeps_the_earlier_row(monkeypatch):
     problem = build_matrosov_problem(system)
     z_nodes, x_nodes = matrosov_grid(problem, system)
     monkeypatch.setattr(red, "_CHUNK", 5)
-    cert = verify_combined_bound(problem, (), 1.0, z_nodes, x_nodes)
+    cert = verify_combined_bound(problem, system, (), 1.0, z_nodes,
+                                 system.grid)
     assert cert.worst_margin == 0.0
     assert cert.worst_point == tuple(z_nodes[0]) + tuple(x_nodes[0])
 
@@ -444,13 +464,12 @@ def test_the_fine_grid_is_never_built():
     allocations stay far below one fine (z, x) table at factor 10."""
     system = load_fixture("example6")
     problem = build_matrosov_problem(system)
-    z_nodes, x_nodes = certify._matrosov_nodes(problem, system,
-                                               every_z=False)
+    z_nodes, x_nodes = matrosov_grid(problem, system)
     result = matrosov_constants(problem, z_nodes, x_nodes)
     fine = system.grid.refined(10)
     tracemalloc.start()
     try:
-        cert = certify.verify_bound_on_grid(
+        cert = verify_combined_bound(
             problem, system, result.constants, result.zeta, z_nodes, fine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -33,6 +33,7 @@ from incred.certify import (build_matrosov_problem, certify_lyapunov,
                             certify_semidefinite, invariance_data,
                             matrosov_derivative_bounds)
 from incred.cli import main
+from incred.errors import SchemaError
 from incred.fixtures import available_fixtures, fixture_path, load_fixture
 from incred.setmaps import (MatrosovData, Piece, PiecewiseBoxMap,
                             RegularFunctionSpec, eval_map)
@@ -41,6 +42,8 @@ from incred.simulate import (DescentReport, MembershipReport,
                              check_lyapunov_descent,
                              check_partial_convergence,
                              check_reduction_membership, trajectory_csv)
+
+from test_reduction import rows
 
 # Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
 COORDS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
@@ -577,7 +580,7 @@ def table_cases(draw):
 
 
 def _row_reports(table):
-    """CSV and text reports built row by row from ``table.rows``."""
+    """CSV and text reports built row by row from ``rows(table)``."""
     n = table.n
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -586,7 +589,7 @@ def _row_reports(table):
                                             "Fred_hi") for i in range(n)]
                     + ["empty_flag"])
     lines = []
-    for row in table.rows:
+    for row in rows(table):
         cells = [repr(v) for v in row.x] + [repr(row.t)]
         for b in (row.base, row.reduced):
             cells += ([""] * (2 * n) if b.is_empty else
@@ -727,8 +730,9 @@ def test_all_empty_chunk_reports_equal_the_row_by_row_reports(
 
 def _loop_deriv_csv(system, nodes, t0) -> str:
     """``derivatives.csv`` by a loop over the nodes, written here as the
-    reference: the three pointwise derivatives in column order, each row
-    by ``csv.writer``."""
+    reference: the three pointwise derivatives in column order (the
+    common-value one is the generalized derivative with the candidate
+    alone, for a regular candidate), each row by ``csv.writer``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x1", "x2", "t", "generalized", "baseline_max",
@@ -736,8 +740,12 @@ def _loop_deriv_csv(system, nodes, t0) -> str:
     for x in nodes:
         gen = deriv.generalized_derivative(system.candidate, system.inclusion,
                                            system.reducers, list(x), t0)
-        bmax = deriv.baseline_max_derivative(system.candidate,
-                                             system.inclusion, list(x), t0)
+        if not system.candidate.regular:
+            raise SchemaError(f"{system.candidate.name}: the common-value "
+                              "derivative requires a regular candidate")
+        bmax = deriv.generalized_derivative(
+            system.candidate, system.inclusion, (system.candidate,), list(x),
+            t0)
         bint = deriv.baseline_interval_derivative(
             system.candidate, system.inclusion, list(x), t0)
         row = [repr(v) for v in x] + [repr(t0)]

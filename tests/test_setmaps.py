@@ -103,6 +103,30 @@ class TestPiecewiseBoxMap:
             with pytest.raises(DslEvalError, match=f"^{re.escape(message)}$"):
                 call()
 
+    def test_state_only_sets_are_shared_read_only(self):
+        """Where no guard or set reads t or a parameter, every ``at`` of a
+        chunk returns the same read-only endpoint arrays, with the bits
+        of the copying path (forced here by a factor ``1 + 0*t``)."""
+        def piecewise(factor):
+            return PiecewiseBoxMap(2, 2, _pieces(
+                ("x1 == 0", ["[-1, 1]", "{x2}"]),
+                ("x2 > 0.5", None),
+                ("otherwise", [f"{{-x1{factor}}}", "[x2 - 1, x2 + 0.5]"])))
+        cols = [np.array([0.0, -0.0, 1.5, 0.25, -2.0, 3.0]),
+                np.array([0.3, 2.0, -1.0, 0.75, 0.0, -0.0])]
+        got, want = [], []
+        for m, out in ((piecewise(""), got),
+                       (piecewise("*(1 + 0*t)"), want)):
+            at = m.chunk_arrays(cols)
+            out += [at(*m.env_arrays(cols, t)) for t in (0.0, 1.0)]
+        for g, w in zip(got, want):
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+        for k in (0, 1):  # lo and hi
+            assert got[0][k] is got[1][k] and not got[0][k].flags.writeable
+            assert want[0][k] is not want[1][k] and want[0][k].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0][0][0, 0] = 7.0
+
     def test_dimension_mismatch_at_eval(self):
         m = PiecewiseBoxMap(2, 2, _pieces(("otherwise", ["{0}", "{0}"])))
         with pytest.raises(DimensionMismatchError):

@@ -27,17 +27,16 @@ EXPORTS = {
                 "matrosov_derivative_bounds", "matrosov_grid",
                 "verify_combined_bound"],
     "derivative": ["DerivativeValue", "baseline_interval_derivative",
-                   "baseline_max_derivative", "bilinear_maxmax",
-                   "bilinear_minmax", "generalized_derivative"],
+                   "bilinear_maxmax", "bilinear_minmax",
+                   "generalized_derivative"],
     "errors": ["DimensionMismatchError", "DslEvalError", "DslSyntaxError",
                "EmptySetError", "IncredError", "SchemaError",
                "SimulationError"],
     "fixtures": ["available_fixtures", "fixture_path", "load_fixture"],
     "grids": ["GridSpec"],
-    "intervals": ["Annulus", "Interval", "IntervalBox", "contains",
-                  "direction_axes"],
+    "intervals": ["Annulus", "Interval", "IntervalBox", "contains"],
     "reduction": ["ReducedValue", "ReductionTable", "reduce_collection",
-                  "reduce_once", "tabulate_reduction"],
+                  "tabulate_reduction"],
     "setmaps": ["CheckSpec", "GradientValidationReport", "MatrosovData",
                 "Piece", "PiecewiseBoxMap", "RegularFunctionSpec", "SimSpec",
                 "SystemDef", "eval_gradient", "eval_map", "load_system",
