@@ -31,16 +31,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import expr, reduction
+from . import expr
 from .derivative import _scan, scan_derivative
 from .errors import SchemaError
-from .grids import GridSpec, check_size
+from .grids import (GridSpec, _chunks, _region_chunks, _region_count,
+                    _stacked, check_size)
 from .intervals import Annulus, IntervalBox, contains
-from .reduction import _chunks, _columns
+from .reduction import _columns
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
 
 __all__ = [
@@ -103,12 +104,13 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-# --- verdict reducers over margin columns ----------------------------------
+# --- the verdict reducer ---------------------------------------------------
 #
-# Margins are flat in scan order, so "first in scan order" is the lowest
-# flat index. scan_derivative columns have shape (time nodes, nodes):
-# time outer, nodes row-major. Matrosov columns follow the (z, x) rows of
-# _row_chunks.
+# Every certificate reduces its margins by _margin_certificate, a chunk at
+# a time. Margins are flat in scan order, so "first in scan order" is the
+# lowest flat index of the earliest chunk. scan_derivative columns have
+# shape (time nodes, nodes): time outer, nodes row-major. Matrosov columns
+# follow the (z, x) rows of _row_chunks.
 
 def _violations(margin: np.ndarray, counted: np.ndarray,
                 tol: float) -> int:
@@ -127,41 +129,46 @@ def _worst_margin(margin: np.ndarray, counted: np.ndarray):
     return nonfinite, (k if margin.size and margin[k] > -np.inf else None)
 
 
-def _margin_certificate(condition: str, margin: np.ndarray,
-                        counted: np.ndarray, violations: int, witness,
+def _margin_certificate(condition: str, chunks, tol: float,
                         tolerances: dict, grid_summary: dict, details: dict,
-                        failures: Sequence[str] = ()) -> Certificate:
-    """Verdict from ``violations`` (see :func:`_violations`) and screen
-    ``failures``, with the worst counted margin as witness.
+                        failures: Sequence[str] = (),
+                        count: str | None = None) -> Certificate:
+    """Verdict on ``margin <= tol`` at every counted margin of ``chunks``
+    (see :func:`_violations`) and on the screen ``failures``, with the
+    worst counted margin as witness.
 
-    ``margin`` and ``counted`` are flat in scan order; ``margin`` is
-    overwritten. ``witness(k)`` gives the point row and the ``t`` label
-    of flat index ``k``. The witness is the first maximal non-NaN margin,
-    the pair strict improvement in scan order keeps. ``details`` gains
-    ``nonfinite_margins`` when nonzero.
+    Each chunk is ``(margin, counted, witness)``: the margins, flat in scan
+    order (overwritten), their mask, and ``witness(k)``, the point row and
+    ``t`` label of the k-th. The witness is the first maximal non-NaN
+    margin, which strict improvement in scan order keeps across chunks.
+    ``details[count]`` gets the violation total, and ``nonfinite_margins``
+    the nonfinite count when nonzero.
     """
-    nonfinite, k = _worst_margin(margin, counted)
+    violations = nonfinite = 0
+    worst = (None, None, None)  # point, t, margin
+    for margin, counted, witness in chunks:
+        violations += _violations(margin, counted, tol)
+        bad, k = _worst_margin(margin, counted)
+        nonfinite += bad
+        if k is not None and (worst[2] is None or margin[k] > worst[2]):
+            row, t = witness(k)
+            worst = (tuple(row.tolist()), t, float(margin[k]))
+    if count is not None:
+        details[count] = violations
     if nonfinite:
         details["nonfinite_margins"] = nonfinite
     if failures:
         details["screen_failures"] = list(failures)
-    point = t = worst = None
-    if k is not None:
-        row, t = witness(k)
-        point, worst = tuple(row.tolist()), float(margin[k])
     return Certificate(
-        verdict=CERTIFIED if not violations and not failures else VIOLATED,
-        condition=condition, worst_point=point, worst_t=t,
-        worst_margin=worst, tolerances=tolerances,
-        grid_summary=grid_summary, details=details)
+        CERTIFIED if not violations and not failures else VIOLATED,
+        condition, *worst, tolerances, grid_summary, details)
 
 
 def _scan_witness(pts: np.ndarray, time_nodes):
-    """Witness lookup for scan columns flattened time outer, possibly
-    repeated over a further outer index."""
+    """Witness lookup for scan columns flattened time outer."""
     def witness(k):
         a, b = divmod(k, len(pts))
-        return pts[b], time_nodes[a % len(time_nodes)]
+        return pts[b], time_nodes[a]
     return witness
 
 
@@ -254,16 +261,14 @@ def _decrease_check(sys: SystemDef, bound: expr.ScalarExpr,
                          tol, failures, details)
     margin = scan.value.ravel()
     margin += w.ravel()
-    counted = ~scan.minus_inf.ravel()
-    violations = _violations(margin, counted, tol)
     details.update(note=_GRID_NOTE,
                    minus_inf_nodes=int(np.count_nonzero(scan.minus_inf)),
-                   derivative_violations=violations,
                    reducers=[u.name for u in sys.reducers])
     return _margin_certificate(
         "lyapunov-decrease" if definite else "semidefinite-decrease",
-        margin, counted, violations, _scan_witness(pts, time_nodes),
-        {"margin_tol": tol}, grid.summary(sys.domain), details, failures)
+        [(margin, ~scan.minus_inf.ravel(), _scan_witness(pts, time_nodes))],
+        tol, {"margin_tol": tol}, grid.summary(sys.domain), details,
+        failures, "derivative_violations")
 
 
 def certify_lyapunov(sys: SystemDef, bound: expr.ScalarExpr, *,
@@ -335,8 +340,8 @@ class InvarianceReport:
         }
 
 
-def invariance_data(sys: SystemDef, *, zero_tol: float | None = None,
-                    tol: float = _TOL) -> InvarianceReport:
+def invariance_data(sys: SystemDef, *,
+                    zero_tol: float | None = None) -> InvarianceReport:
     """Discrete data for invariance-principle arguments.
 
     Returns the grid nodes where the generalized derivative is finite
@@ -351,8 +356,7 @@ def invariance_data(sys: SystemDef, *, zero_tol: float | None = None,
     """
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
-    grid, tol = sys.require_grid(), _number(tol, "tol")
-    checks = sys.checks or CheckSpec()
+    grid, checks = sys.require_grid(), sys.checks or CheckSpec()
     zero_tol = _number(checks.zero_tol if zero_tol is None else zero_tol,
                        "zero_tol")
     pts = grid.nodes(sys.domain)
@@ -362,14 +366,12 @@ def invariance_data(sys: SystemDef, *, zero_tol: float | None = None,
     d, counted = scan.value[0], ~scan.minus_inf[0]
     vanishing = pts[counted & (np.abs(d) <= zero_tol)]
     e_nodes = [tuple(x) for x in vanishing.tolist()]
-    violations = _violations(d, counted, tol)
     cert = _margin_certificate(
-        "derivative-nonpositive", d, counted, violations,
-        _scan_witness(pts, (t0,)), {"margin_tol": tol},
-        grid.summary(sys.domain),
+        "derivative-nonpositive", [(d, counted, _scan_witness(pts, (t0,)))],
+        _TOL, {"margin_tol": _TOL}, grid.summary(sys.domain),
         {"note": _GRID_NOTE,
-         "minus_inf_nodes": int(np.count_nonzero(scan.minus_inf)),
-         "derivative_violations": violations})
+         "minus_inf_nodes": int(np.count_nonzero(scan.minus_inf))},
+        count="derivative_violations")
 
     screened = []
     zero = (0.0,) * sys.n
@@ -397,50 +399,8 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
     return data
 
 
-# Node sets stream as (chunks, count): ``chunks`` yields the nodes in order
-# as (dims, k) column arrays, ``count`` of them in all.
-
-def _region_masks(axes, region: Annulus):
-    """The row-major product of ``axes``, at most ``_CHUNK`` nodes at a
-    time: whole runs of the last axis, or pieces of one. Yields ``(lead,
-    tail, inside)``: the runs' other coordinates by index arithmetic on
-    the run index, the last axis's piece, and the ``(runs, len(tail))``
-    mask of ``region``, squares summed axis by axis as in ``contains``."""
-    *head, last = [np.asarray(a, dtype=float) for a in axes]
-    runs, size = math.prod(map(len, head)), reduction._CHUNK
-    per, width = max(1, size // len(last)), min(size, len(last))
-    for start in range(0, runs, per):
-        run = np.arange(start, min(start + per, runs))
-        lead, sq = np.empty((len(head), len(run))), np.zeros(len(run))
-        for i in range(len(head) - 1, -1, -1):
-            run, j = np.divmod(run, len(head[i]))
-            lead[i] = head[i][j]
-        for coord in lead:
-            sq = sq + coord * coord
-        for piece in range(0, len(last), width):
-            tail = last[piece:piece + width]
-            yield lead, tail, region.contains_sq(sq[:, None] + tail * tail)
-
-
-def _region_chunks(axes, region: Annulus) -> Iterator[np.ndarray]:
-    """The nodes of :func:`_region_masks` in ``region``, as ``(len(axes),
-    k)`` arrays in row-major order."""
-    for lead, tail, inside in _region_masks(axes, region):
-        nodes = np.empty((len(lead) + 1, lead.shape[1], len(tail)))
-        nodes[:-1], nodes[-1] = lead[:, :, None], tail
-        yield nodes.reshape(len(nodes), -1).compress(inside.ravel(), axis=1)
-
-
-def _stacked(chunks, width: int) -> np.ndarray:
-    """``(width, k)`` chunks as one ``(N, width)`` array of rows."""
-    return np.concatenate([np.empty((width, 0)), *chunks], axis=1).T
-
-
-def _region_count(axes, region: Annulus) -> int:
-    """How many nodes :func:`_region_chunks` yields, from the masks alone."""
-    return sum(int(np.count_nonzero(inside))
-               for *_, inside in _region_masks(axes, region))
-
+# Node sets stream as (chunks, count): ``count`` nodes in order, as the
+# (dims, k) column arrays of grids._region_chunks.
 
 def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
     """The grid's nodes in annulus(delta, Delta) as ``(chunks, count)``,
@@ -551,30 +511,6 @@ def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
                       np.logical_and.accumulate(small, axis=0)])
 
 
-def _combined_certificate(condition: str, chunks, zeta: float, M: int,
-                          tolerances: dict, grid_summary: dict,
-                          details: dict) -> Certificate:
-    """Verdict on ``Z <= -zeta / 2^(M-1)`` at every (z, x) row, reduced a
-    chunk at a time: ``chunks`` yields Z and its ``(m + n, k)`` points in
-    row order. The witness is labelled t = 0.0."""
-    final_bound = -zeta / (2.0 ** (M - 1))
-    violations = nonfinite = 0
-    worst = None  # strict ">": the earlier chunk keeps a tie
-    for combined, points in chunks:
-        margin, counted = combined - final_bound, np.ones(len(combined), bool)
-        violations += _violations(margin, counted, 0.0)
-        bad, k = _worst_margin(margin, counted)
-        nonfinite += bad
-        if k is not None and (worst is None or margin[k] > worst[1]):
-            worst = (points[:, k], float(margin[k]))
-    details.update(final_bound=final_bound, combination_violations=violations)
-    if nonfinite:
-        details["nonfinite_margins"] = nonfinite
-    return Certificate(CERTIFIED if not violations else VIOLATED, condition,
-                       worst and tuple(worst[0].tolist()), worst and 0.0,
-                       worst and worst[1], tolerances, grid_summary, details)
-
-
 def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
                    eq_tol: float = _EQ_TOL) -> Certificate:
     """Screen the nested chain: Y_1..Y_j all ~ 0 forces Y_{j+1} <= 0.
@@ -588,12 +524,11 @@ def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
     trig = _chain_triggers(y, eq_tol)
     nxt = np.vstack([y, np.ones((1, y.shape[1]))])
     # flat index r * (M + 1) + j: row outer, chain index inner
-    margin = (nxt - eq_tol).T.ravel()
-    counted = trig.T.ravel()
     width = len(trig)
     return _margin_certificate(
-        "matrosov-chain", margin, counted, _violations(margin, counted, 0.0),
-        lambda k: (points[k // width], float(k % width)), {"eq_tol": eq_tol},
+        "matrosov-chain", [((nxt - eq_tol).T.ravel(), trig.T.ravel(),
+                            lambda k: (points[k // width], float(k % width)))],
+        0.0, {"eq_tol": eq_tol},
         {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
         {"note": _GRID_NOTE + "; worst_t is the chain index j, "
          "worst_point is (z, x)",
@@ -689,18 +624,23 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
         running = k * yl + running
     constants = tuple(reversed(constants_rev))
 
-    cert = _combined_certificate(
-        "matrosov-constants", [(running, points.T)], zeta, M, tolerances,
-        grid_summary,
+    final_bound = -zeta / (2.0 ** (M - 1))
+    cert = _margin_certificate(
+        "matrosov-constants", [(running - final_bound,
+                                np.ones(len(running), bool),
+                                lambda k: (points[k], 0.0))],
+        0.0, tolerances, grid_summary,
         {"note": _GRID_NOTE + "; worst_point is (z, x), margin is "
-         "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon})
+         "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon,
+         "final_bound": final_bound}, count="combination_violations")
     return MatrosovConstantsResult(constants, zeta, epsilon, cert)
 
 
 def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
                           constants: Sequence[float], zeta: float, z_nodes,
                           grid: GridSpec) -> Certificate:
-    """Re-check ``Z = Y_M + sum K_j Y_j <= -zeta / 2^(M-1)`` at the
+    """Re-check ``Z = K_1 Y_1 + (K_2 Y_2 + (... + Y_M)) <= -zeta /
+    2^(M-1)``, summed as :func:`matrosov_constants` sums it, at the
     annulus nodes of ``grid`` (as :func:`matrosov_grid` picks them) and
     ``z_nodes``, streamed: no array outlives a chunk of
     :func:`_row_chunks`, so memory does not grow with the grid.
@@ -712,21 +652,24 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
     x_chunks, x_count = _annulus_nodes(prob, sys, grid)
+    final_bound = -zeta / (2.0 ** (M - 1))
 
-    def combined():
+    def margins():
         for points, y in _row_chunks(prob, z_nodes, x_chunks, x_count):
             with np.errstate(all="ignore"):  # NaN and inf are counted
                 z = y[M - 1]
-                for k, yj in zip(constants, y):
-                    z = z + k * yj
-            yield z, points
-    return _combined_certificate(
-        "matrosov-combined-bound", combined(), zeta, M, {"zeta": zeta},
-        {"z_nodes": len(z_nodes), "x_nodes": x_count}, {})
+                for k, yj in reversed(list(zip(constants, y))):
+                    z = k * yj + z
+            yield (z - final_bound, np.ones(len(z), bool),
+                   lambda k: (points[:, k], 0.0))
+    return _margin_certificate(
+        "matrosov-combined-bound", margins(), 0.0, {"zeta": zeta},
+        {"z_nodes": len(z_nodes), "x_nodes": x_count},
+        {"final_bound": final_bound}, count="combination_violations")
 
 
-def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
-                               tol: float = _TOL) -> Certificate:
+def matrosov_derivative_bounds(sys: SystemDef,
+                               prob: MatrosovData) -> Certificate:
     """Screen the per-function derivative bounds on the annulus.
 
     For each comparison function W_j, checks ``derivative of W_j along
@@ -735,7 +678,6 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
     the inclusion once for all of them. Informational: the chain and
     constants certificates do not depend on it.
     """
-    tol = _number(tol, "tol")
     pts = _stacked(_annulus_nodes(prob, sys)[0], sys.n)  # no z grid
     time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
@@ -743,13 +685,12 @@ def matrosov_derivative_bounds(sys: SystemDef, prob: MatrosovData, *,
         (w, coll, [(expr.substitute(y, z), sys.inclusion)])
         for w, coll, y in zip(prob.functions, prob.collections, prob.aux)],
         pts, time_nodes)
-    margins = [(scan.value - scan.extras[0]).ravel() for scan in scans]
-    counted = [~scan.minus_inf.ravel() for scan in scans]
-    per_function = [_violations(mg, c, tol) for mg, c in zip(margins, counted)]
+    witness = _scan_witness(pts, time_nodes)
+    chunks = [((scan.value - scan.extras[0]).ravel(),
+               ~scan.minus_inf.ravel(), witness) for scan in scans]
+    per_function = [_violations(mg, c, _TOL) for mg, c, _ in chunks]
     return _margin_certificate(
-        "matrosov-derivative-bounds", np.concatenate(margins),
-        np.concatenate(counted), sum(per_function),
-        _scan_witness(pts, time_nodes), {"margin_tol": tol},
+        "matrosov-derivative-bounds", chunks, _TOL, {"margin_tol": _TOL},
         {"x_nodes": len(pts), "time_nodes": list(time_nodes)},
         {"note": "informational screen; the chain and constants "
                  "certificates do not depend on it",

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DslSyntaxError, IncredError, SchemaError
-from .grids import GridSpec
+from .grids import GridSpec, _chunks
 from .setmaps import (SimSpec, SystemDef, load_system,
                       validate_gradient, _number, _parse_grid, _STRATEGY_KINDS)
 # each subcommand imports the analysis modules it uses, and only those
@@ -114,7 +114,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_deriv(args) -> int:
     from .derivative import tabulate_derivatives
-    from .reduction import _chunks, _reprs
+    from .reduction import _reprs
     system = _load(args)
     grid = system.require_grid()
     t0, nodes, n = grid.time_nodes[0], grid.nodes(system.domain), system.n

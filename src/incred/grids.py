@@ -6,21 +6,23 @@ explicit list of nodes or a uniform count over the domain box; the
 annulus radii) that uniform spacing would miss. Guard comparisons are
 exact, so guard-surface nodes must be supplied verbatim here; they are
 merged and deduplicated by exact float equality and therefore survive
-into the final nodes unchanged. Nodes are an ``(N, dims)`` float array in
-row-major order.
+into the final nodes unchanged. Every node set is one walk, the
+row-major product of the axes ``_CHUNK`` nodes at a time, kept whole or
+filtered to an annulus or ball (:func:`_region_chunks`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import SchemaError
 from .intervals import IntervalBox
 
-__all__ = ["GridSpec", "product_array", "MAX_ITEMS", "check_size"]
+__all__ = ["GridSpec", "MAX_ITEMS", "check_size"]
 
 # The most node-time pairs a grid may have and the most steps a
 # simulation may take. 1001^2 nodes at 6 time nodes, the most any bundled
@@ -36,15 +38,66 @@ def check_size(count, what: str) -> None:
                           f"{MAX_ITEMS}")
 
 
-def product_array(axes) -> np.ndarray:
-    """The Cartesian product of per-axis node lists as an ``(N, len(axes))``
-    float array in row-major (lexicographic) order.
+# Nodes per batch of the walk, the scans and _columns, and rows per report
+# chunk, read at call time. Bounds the temporaries to a few hundred
+# kilobytes whatever the grid size.
+_CHUNK = 4096
 
-    The array is the transpose of a C-contiguous ``(len(axes), N)`` one,
-    so each axis's coordinates are contiguous.
-    """
-    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
-    return np.stack(mesh).reshape(len(axes), -1).T
+
+def _chunks(count: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_CHUNK`` rows covering ``count``."""
+    for start in range(0, count, _CHUNK):
+        yield slice(start, min(start + _CHUNK, count))
+
+
+def _region_masks(axes, region=None):
+    """The row-major product of ``axes``, at most ``_CHUNK`` nodes at a
+    time: whole runs of the last axis, or pieces of one. Yields ``(lead,
+    tail, inside)``: the runs' other coordinates by index arithmetic on
+    the run index, the last axis's piece, and the ``(runs, len(tail))``
+    mask of ``region`` (an :class:`~incred.intervals.Annulus`), squares
+    summed axis by axis as in ``contains``; None, with no squares, for
+    ``region=None``, which keeps every node."""
+    *head, last = [np.asarray(a, dtype=float) for a in axes]
+    runs = math.prod(map(len, head))
+    per, width = max(1, _CHUNK // len(last)), min(_CHUNK, len(last))
+    for start in range(0, runs, per):
+        run = np.arange(start, min(start + per, runs))
+        lead = np.empty((len(head), len(run)))
+        for i in range(len(head) - 1, -1, -1):
+            run, j = np.divmod(run, len(head[i]))
+            lead[i] = head[i][j]
+        for piece in range(0, len(last), width):  # > 1 only when per is 1
+            tail, inside = last[piece:piece + width], None
+            if region is not None:
+                # an infinite square lies outside every annulus and ball
+                with np.errstate(over="ignore"):
+                    sq = sum((c * c for c in lead), np.zeros(lead.shape[1]))
+                    inside = region.contains_sq(sq[:, None] + tail * tail)
+            yield lead, tail, inside
+
+
+def _region_chunks(axes, region=None) -> Iterator[np.ndarray]:
+    """The nodes of :func:`_region_masks` in ``region`` (every node for
+    None), as ``(len(axes), k)`` arrays in row-major order."""
+    for lead, tail, inside in _region_masks(axes, region):
+        nodes = np.empty((len(lead) + 1, lead.shape[1], len(tail)))
+        nodes[:-1], nodes[-1] = lead[:, :, None], tail
+        nodes = nodes.reshape(len(nodes), -1)
+        yield nodes if inside is None else nodes.compress(inside.ravel(),
+                                                          axis=1)
+
+
+def _region_count(axes, region) -> int:
+    """How many nodes :func:`_region_chunks` yields, from the masks alone."""
+    return sum(int(np.count_nonzero(inside))
+               for *_, inside in _region_masks(axes, region))
+
+
+def _stacked(chunks, width: int) -> np.ndarray:
+    """``(width, k)`` chunks as one ``(N, width)`` array of rows, the
+    transpose of a C-contiguous one, so each column is contiguous."""
+    return np.concatenate([np.empty((width, 0)), *chunks], axis=1).T
 
 
 @dataclass(frozen=True)
@@ -75,7 +128,8 @@ class GridSpec:
         """Sorted, deduplicated node list per axis.
 
         Explicit and ``include`` nodes outside the domain raise
-        SchemaError. ``extra`` appends further exact coordinates per axis
+        SchemaError, as does a uniform axis whose width ``hi - lo``
+        overflows. ``extra`` appends further exact coordinates per axis
         (used by the annulus grids to pin the radii).
         """
         if domain.dims != self.dims:
@@ -84,6 +138,10 @@ class GridSpec:
         out = []
         for i, (ax, iv) in enumerate(zip(self.axes, domain.axes)):
             if isinstance(ax, int):
+                if not math.isfinite(iv.hi - iv.lo):
+                    raise SchemaError(f"grid: the x{i + 1} axis of the domain "
+                                      f"[{iv.lo!r}, {iv.hi!r}] is too wide for"
+                                      " uniform nodes (its width overflows)")
                 base = [float(v) for v in np.linspace(iv.lo, iv.hi, ax)]
             else:
                 base = _in_domain(ax, iv, i)
@@ -96,8 +154,8 @@ class GridSpec:
 
     def nodes(self, domain: IntervalBox) -> np.ndarray:
         """All grid points as an ``(N, dims)`` array in row-major order,
-        built after the size check of :meth:`checked_axes`."""
-        return product_array(self.checked_axes(domain))
+        walked after the size check of :meth:`checked_axes`."""
+        return _stacked(_region_chunks(self.checked_axes(domain)), self.dims)
 
     def checked_axes(self, domain: IntervalBox, extra=None):
         """:meth:`axis_nodes`, after a SchemaError when the grid has more

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import expr
 from .errors import DimensionMismatchError, DslEvalError, SchemaError
+from .grids import _chunks
 from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -89,17 +90,6 @@ def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
         base.dims) if empty else IntervalBox(
             Interval(0.0, 0.0) if i in pinched else ax
             for i, ax in enumerate(base.axes, start=1)), obstructed)
-
-
-# Nodes per numpy batch of _scan and _columns, and rows per report chunk.
-# Bounds the temporaries to a few hundred kilobytes whatever the grid size.
-_CHUNK = 4096
-
-
-def _chunks(count: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_CHUNK`` rows covering ``count``."""
-    for start in range(0, count, _CHUNK):
-        yield slice(start, min(start + _CHUNK, count))
 
 
 def _fill(shape, arrays: Callable[[slice], np.ndarray],

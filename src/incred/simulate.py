@@ -42,9 +42,9 @@ import numpy as np
 from . import expr
 from .errors import EmptySetError, SchemaError, SimulationError
 from .expr import _array_max as _max
-from .grids import check_size
+from .grids import _chunks, check_size
 from .intervals import center, contains
-from .reduction import _chunks, _columns, _reduce, _reprs, tabulate_reduction
+from .reduction import _columns, _reduce, _reprs, tabulate_reduction
 from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SimSpec,
                       SystemDef, _number, eval_gradient, eval_map)
 

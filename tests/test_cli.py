@@ -186,6 +186,7 @@ class TestExitCodes:
     def test_oversized_matrosov_exits_three(self, tmp_path, capsys,
                                             monkeypatch, phi, z_counts, y1):
         import incred.certify as cert
+        import incred.grids as grids
         from incred.setmaps import load_system
 
         with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
@@ -205,7 +206,7 @@ class TestExitCodes:
             named = (f"matrosov (z, x) rows ({len(z)} z nodes x {len(x)} "
                      f"x nodes): {len(z) * len(x)} ")
 
-        region_masks = cert._region_masks
+        region_masks = grids._region_masks
 
         def small_walk(axes, region):
             assert math.prod(map(len, axes)) <= 10 ** 6, "large grid walked"
@@ -214,7 +215,7 @@ class TestExitCodes:
         def no_y(nodes):
             raise AssertionError("Y evaluated before the size check")
 
-        monkeypatch.setattr(cert, "_region_masks", small_walk)
+        monkeypatch.setattr(grids, "_region_masks", small_walk)
         monkeypatch.setattr(cert, "_columns", no_y)
         code = run("matrosov", "-i", str(system), "-o", str(tmp_path))
         err = capsys.readouterr().err
@@ -410,6 +411,22 @@ class TestExitCodes:
         assert run(*argv) == 3
         assert ("grid: the x1 node 1e+308 lies outside the domain "
                 "[-3.0, 3.0]") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "reduce", "matrosov"])
+    def test_overflowing_domain_width_exits_three(self, tmp_path, capsys,
+                                                  command):
+        """On [-1e308, 1e308]^2, hi - lo overflows and uniform nodes would
+        be NaN and infinite: the grid is rejected, naming axis and domain."""
+        with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["domain"] = {"lo": [-1e308, -1e308], "hi": [1e308, 1e308]}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(command, "-i", str(system),
+                   "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "error: grid: the x1 axis of the domain [-1e+308, 1e+308] is "
+            "too wide for uniform nodes (its width overflows)\n")
 
     @pytest.mark.parametrize("command",
                              ["certify", "reduce", "deriv", "simulate"])
@@ -629,6 +646,22 @@ class TestMatrosov:
         assert run("matrosov", "-i", fixture_path("example6"),
                    "-o", str(tmp_path)) == 0
         assert calls == dict.fromkeys(names, 1)
+
+    def test_overflowing_squares_warn_nothing(self, tmp_path, capsys):
+        """On [-1e200, 1e200]^2 the far nodes' squared norms overflow to
+        inf, which lies outside every annulus and ball: the verdict
+        stands, and no numpy warning reaches stderr."""
+        with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["domain"] = {"lo": [-1e200, -1e200], "hi": [1e200, 1e200]}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("matrosov", "-i", str(system), "-o", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ("matrosov: chain CERTIFIED, constants "
+                                f"CERTIFIED ({out / 'matrosov.json'})\n")
+        assert captured.err == ""
 
     def test_broken_bound_exits_one(self, tmp_path):
         assert run("matrosov", "-i", fixture_path("example6_broken_y2"),

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from incred import reduction
+from incred import grids, reduction
 from incred.cli import main
 from incred.fixtures import available_fixtures, fixture_path
 
@@ -122,7 +122,7 @@ def _run(argv, out_dir: Path, pointwise: bool):
     shutil.rmtree(out_dir, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
     fill = _all_pointwise if pointwise else reduction._fill
-    with mock.patch.object(reduction, "_CHUNK", 3), \
+    with mock.patch.object(grids, "_CHUNK", 3), \
             mock.patch.object(reduction, "_fill", fill), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import incred.certify as certify
+import incred.grids as grids
 import incred.reduction as red
 from incred.certify import (CERTIFIED, INCONCLUSIVE, VIOLATED,
                             build_matrosov_problem, matrosov_chain,
@@ -107,13 +108,13 @@ class TestGrid:
         system = system_from_dict(_matrosov_doc([y], phi=("0",) * 15,
                                                 z_counts=[2] * 15))
         problem = build_matrosov_problem(system)
-        region_masks = certify._region_masks
+        region_masks = grids._region_masks
 
         def no_z_walk(axes, region):
             assert len(axes) == system.n, "the z grid was walked"
             return region_masks(axes, region)
 
-        monkeypatch.setattr(certify, "_region_masks", no_z_walk)
+        monkeypatch.setattr(grids, "_region_masks", no_z_walk)
         message = (f"matrosov z nodes (z_counts {' x '.join(['2'] * 15)}): "
                    f"{3 ** 15} exceeds the limit of 10000000")
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
@@ -348,23 +349,23 @@ def _whole_table(prob, z_nodes, x_nodes):
 
 
 def _whole_table_bound(prob, constants, zeta, z_nodes, x_nodes):
-    """``verify_combined_bound`` on the whole table, one margin array. An
-    overflowing or NaN Z is counted, not warned."""
+    """``verify_combined_bound`` on the whole table, one margin array, Z
+    summed as ``matrosov_constants`` sums it: K_1 Y_1 + (K_2 Y_2 + (... +
+    Y_M)). An overflowing or NaN Z is counted, not warned."""
     M = prob.count
     points, y = _whole_table(prob, z_nodes, x_nodes)
     combined = y[M - 1]
     with np.errstate(all="ignore"):
-        for k, yj in zip(constants, y):
-            combined = combined + k * yj
+        for k, yj in reversed(list(zip(constants, y))):
+            combined = k * yj + combined
     final_bound = -zeta / (2.0 ** (M - 1))
     margin = combined - final_bound
-    counted = np.ones(margin.size, dtype=bool)
-    violations = certify._violations(margin, counted, 0.0)
     return certify._margin_certificate(
-        "matrosov-combined-bound", margin, counted, violations,
-        lambda k: (points[k], 0.0), {"zeta": zeta},
+        "matrosov-combined-bound",
+        [(margin, np.ones(margin.size, dtype=bool),
+          lambda k: (points[k], 0.0))], 0.0, {"zeta": zeta},
         {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
-        {"final_bound": final_bound, "combination_violations": violations})
+        {"final_bound": final_bound}, count="combination_violations")
 
 
 def _outcome(fn, *args):
@@ -425,7 +426,7 @@ def test_streamed_verification_equals_the_whole_table(case):
     problem = build_matrosov_problem(system)
     grid = system.grid.refined(factor)
     z_ref, x_ref = _reference_grid(problem, system, grid)
-    saved, red._CHUNK = red._CHUNK, chunk
+    saved, grids._CHUNK = grids._CHUNK, chunk
     try:
         expected = _outcome(_whole_table_bound, problem, constants, zeta,
                             z_ref, x_ref)
@@ -437,7 +438,7 @@ def test_streamed_verification_equals_the_whole_table(case):
         table = _outcome(certify._aux_table, problem, z_ref, x_ref)
         whole = _outcome(_whole_table, problem, z_ref, x_ref)
     finally:
-        red._CHUNK = saved
+        grids._CHUNK = saved
     assert _key(public) == _key(expected)
     assert _key(streamed) == _key(expected)
     if isinstance(whole[0], type):  # an error
@@ -448,11 +449,32 @@ def test_streamed_verification_equals_the_whole_table(case):
             assert got.tobytes() == ref.tobytes()
 
 
+def test_verification_sums_z_as_the_constants_do():
+    """M = 3: on the constants' own grid, the verification's Z is summed
+    K_1 Y_1 + (K_2 Y_2 + Y_3) as the constants' search sums it, so its
+    count, witness and margin bits are the constants certificate's. Here
+    ((Y_3 + K_1 Y_1) + K_2 Y_2) differs in the last bit at the witness."""
+    system = system_from_dict(_matrosov_doc(
+        ["-0.1*(x1*x1 + x2*x2)", "-0.1*x1*x1 - 0.3", "-0.7 - 0.1*x2*x2"]))
+    problem = build_matrosov_problem(system)
+    z_nodes, x_nodes = matrosov_grid(problem, system)
+    result = matrosov_constants(problem, z_nodes, x_nodes, zeta_target=0.5)
+    assert result.constants == (1.0, 1.0)
+    verify = verify_combined_bound(problem, system, result.constants,
+                                   result.zeta, z_nodes,
+                                   system.grid.refined(1))
+    for key in ("combination_violations", "final_bound"):
+        assert verify.details[key] == result.certificate.details[key]
+    assert verify.worst_point == result.certificate.worst_point
+    assert struct.pack("d", verify.worst_margin) == struct.pack(
+        "d", result.certificate.worst_margin)
+
+
 def test_a_tie_across_chunks_keeps_the_earlier_row(monkeypatch):
     system = system_from_dict(_matrosov_doc(["-1"]))
     problem = build_matrosov_problem(system)
     z_nodes, x_nodes = matrosov_grid(problem, system)
-    monkeypatch.setattr(red, "_CHUNK", 5)
+    monkeypatch.setattr(grids, "_CHUNK", 5)
     cert = verify_combined_bound(problem, system, (), 1.0, z_nodes,
                                  system.grid)
     assert cert.worst_margin == 0.0

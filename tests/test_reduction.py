@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incred.expr as ex
+import incred.grids as grids
 import incred.reduction as red
 from incred.derivative import scan_derivative
 from incred.errors import DimensionMismatchError, DslEvalError, SchemaError
@@ -389,7 +390,7 @@ class TestTabulate:
         monkeypatch.setattr(PiecewiseBoxMap, "chunk_arrays", lambda m, c: (
             calls.append(m), chunk_arrays(m, c))[1])
         for chunk, batches in ((4096, 1), (2, 2), (1, 3)):
-            monkeypatch.setattr(red, "_CHUNK", chunk)
+            monkeypatch.setattr(grids, "_CHUNK", chunk)
             tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
             assert [calls.count(m) for m in maps] == [batches] * 3
             calls.clear()
@@ -405,12 +406,12 @@ class TestTabulate:
         columns = ("base_lo", "base_hi", "base_empty", "lo", "hi", "empty",
                    "constrained")
         for chunk in (1, 7, 4096):
-            red._CHUNK, saved = chunk, red._CHUNK
+            grids._CHUNK, saved = chunk, grids._CHUNK
             try:
                 table = tabulate_reduction(example4.inclusion,
                                            example4.reducers, nodes, times)
             finally:
-                red._CHUNK = saved
+                grids._CHUNK = saved
             assert table.t.tolist() == times.tolist()
             for b, (x, t) in enumerate(zip(nodes, times.tolist())):
                 one = tabulate_reduction(example4.inclusion,
@@ -449,7 +450,7 @@ class TestTabulate:
         with pytest.raises(DslEvalError) as pointwise:
             reduce_collection(system.inclusion, system.reducers, nodes[4], 2.0)
         for chunk in (1, 3, 4096):
-            monkeypatch.setattr(red, "_CHUNK", chunk)
+            monkeypatch.setattr(grids, "_CHUNK", chunk)
             with pytest.raises(DslEvalError) as table:
                 tabulate_reduction(system.inclusion, system.reducers, nodes,
                                    times)

@@ -28,6 +28,7 @@ import incred.certify as certify
 import incred.cli as cli
 import incred.derivative as deriv
 import incred.expr as ex
+import incred.grids as grids
 import incred.reduction as red
 from incred.certify import (build_matrosov_problem, certify_lyapunov,
                             certify_semidefinite, invariance_data,
@@ -273,12 +274,12 @@ def _same(a, b) -> bool:
 def test_array_scan_is_bit_identical_to_pointwise(case):
     args = (case["candidate"], case["inclusion"], case["reducers"],
             np.array(case["nodes"]), case["time_nodes"], case["extras"])
-    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
         reference = _forced(deriv.scan_derivative, *args)
         public = _outcome(deriv.scan_derivative, *args)
     finally:
-        red._CHUNK = saved
+        grids._CHUNK = saved
     assert _same(public, reference)
 
 
@@ -370,14 +371,14 @@ def test_chunk_outer_scan_equals_the_time_then_node_loop(case):
     those of the loop over time nodes, then nodes."""
     inclusion, jobs = case["inclusion"], case["jobs"]
     args = (np.array(case["nodes"]), case["time_nodes"])
-    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
         public = _outcome(deriv._scan, inclusion, jobs, *args)
         (candidate, reducers, extras), *more = jobs
         single = _outcome(deriv.scan_derivative, candidate, inclusion,
                           reducers, *args, extras)
     finally:
-        red._CHUNK = saved
+        grids._CHUNK = saved
     reference = _outcome(_loop_scans, inclusion, jobs, case["nodes"],
                          case["time_nodes"])
     if isinstance(reference, tuple) or isinstance(public, tuple):
@@ -404,7 +405,7 @@ def test_the_first_error_is_the_first_in_scan_order(chunk, jobs,
            [(_planted(nodes, times, 1, 2), system.inclusion)])
     later = (system.candidate, (), [(_planted(nodes[2:4], [0.0], 0, 0),
                                      system.inclusion)])
-    monkeypatch.setattr(red, "_CHUNK", chunk)
+    monkeypatch.setattr(grids, "_CHUNK", chunk)
     with pytest.raises(ex.DslEvalError, match="denominator 0.0$"):
         deriv._scan(system.inclusion, [job, later][:jobs], nodes, times)
     with pytest.raises(ex.DslEvalError, match="denominator -0.0$"):
@@ -439,7 +440,7 @@ def test_state_only_work_runs_once_per_chunk(monkeypatch):
     system = replace(system, grid=system.require_grid().with_uniform_counts(
         201))
     certify_semidefinite(system, system.checks.semidef_bound)
-    chunks = -(-len(system.grid.nodes(system.domain)) // red._CHUNK)
+    chunks = -(-len(system.grid.nodes(system.domain)) // grids._CHUNK)
     assert chunks == 10
     ramp, f = system.reducers[0].gradient, system.inclusion
     ramp_nodes = [n for p in ramp.pieces for n in (p.guard, *p.values)]
@@ -460,7 +461,7 @@ def test_matrosov_bounds_evaluate_f_once_for_every_function(monkeypatch):
     calls = _counting(monkeypatch)
     system = load_fixture("example6")
     problem = build_matrosov_problem(system)
-    assert certify._annulus_nodes(problem, system)[1] <= red._CHUNK
+    assert certify._annulus_nodes(problem, system)[1] <= grids._CHUNK
     matrosov_derivative_bounds(system, problem)
     f = system.inclusion
     assert calls[id(f.pieces[0].guard)] == 1
@@ -513,7 +514,7 @@ def test_a_hazard_refills_only_its_own_rows(var, tmp_path, monkeypatch):
                                   "value": ["{-x1 + x2}", "{-x1 - x2}"]})
     path = tmp_path / "cliff.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setattr(red, "_CHUNK", 16)
+    monkeypatch.setattr(grids, "_CHUNK", 16)
     system = load_fixture("example2")
     nodes = system.require_grid().with_uniform_counts(11).nodes(
         system.domain).tolist()
@@ -620,12 +621,12 @@ def _table_key(table) -> dict:
 def test_array_table_is_bit_identical_to_pointwise(case):
     args = (case["inclusion"], case["reducers"], np.array(case["nodes"]),
             case["t"])
-    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
         reference = _forced(red.tabulate_reduction, *args)
         public = _outcome(red.tabulate_reduction, *args)
     finally:
-        red._CHUNK = saved
+        grids._CHUNK = saved
     if isinstance(reference, tuple):
         assert public == reference
     else:
@@ -704,7 +705,7 @@ def report_cases(draw):
 def test_reports_equal_the_row_by_row_reports(case):
     table, chunk = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(red, "_CHUNK", chunk)
+        mp.setattr(grids, "_CHUNK", chunk)
         assert (table.to_csv(), table.to_text()) == _row_reports(table)
 
 
@@ -719,7 +720,7 @@ def test_all_empty_chunk_reports_equal_the_row_by_row_reports(
     constrained = [(True,) * n, (False,) * n] * 4
     table = _table(n, [(float(r),) * n for r in range(8)], 0.0, base,
                    reduced, constrained)
-    monkeypatch.setattr(red, "_CHUNK", 3)
+    monkeypatch.setattr(grids, "_CHUNK", 3)
     csv_text, text = table.to_csv(), table.to_text()
     assert (csv_text, text) == _row_reports(table)
     assert f"F=IntervalBox.empty({n})  reduced=empty" in text
@@ -767,7 +768,7 @@ def _cli_deriv_csv(system, nodes, t0, chunk: int) -> str:
     with tempfile.TemporaryDirectory() as out, \
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_load", lambda args: loaded)
-        mp.setattr(red, "_CHUNK", chunk)
+        mp.setattr(grids, "_CHUNK", chunk)
         cli.cmd_deriv(SimpleNamespace(out=out))
         with open(f"{out}/derivatives.csv", "rb") as fh:
             return fh.read().decode()
@@ -908,12 +909,12 @@ def test_array_aux_table_is_bit_identical_to_pointwise(case):
         delta=0.1, big_delta=2.0, gamma=1.0, phi=(ex.Num(0.0),), aux=aux,
         functions=(), collections=(), z_counts=(3,))
     args = (prob, z_nodes, x_nodes)
-    saved, red._CHUNK = red._CHUNK, chunk
+    saved, grids._CHUNK = grids._CHUNK, chunk
     try:
         reference = _forced(certify._aux_table, *args)
         public = _outcome(certify._aux_table, *args)
     finally:
-        red._CHUNK = saved
+        grids._CHUNK = saved
     assert _table_bits(public) == _table_bits(reference)
     rows, expected = _aux_reference(aux, z_nodes, x_nodes)
     if isinstance(expected, tuple):
@@ -1060,14 +1061,14 @@ def _scalar_checks(case):
                                  HealthCheck.data_too_large])
 @given(case=trajectory_cases())
 def test_array_trajectory_checks_are_bit_identical_to_pointwise(case):
-    saved, red._CHUNK = red._CHUNK, case["chunk"]
+    saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
         with pytest.MonkeyPatch.context() as mp:
             _pointwise_only(mp)
             reference = _checks(case)
         public = _checks(case)
     finally:
-        red._CHUNK = saved
+        grids._CHUNK = saved
     assert public == reference
     # the pointwise API agrees wherever it does not raise
     for got, want in zip(public, _scalar_checks(case)):
