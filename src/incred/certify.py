@@ -35,13 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import expr
+from . import expr, reduction
 from .derivative import _scan, scan_derivative
 from .errors import SchemaError
 from .grids import (GridSpec, _chunks, _region_chunks, _region_count,
                     _stacked, check_size)
 from .intervals import Annulus, IntervalBox, contains
-from .reduction import _columns
+from .reduction import _expression_job
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
 
 __all__ = [
@@ -464,33 +464,31 @@ def matrosov_grid(prob: MatrosovData, sys: SystemDef,
     return np.broadcast_to(min(firsts), (count, prob.m)), x_nodes
 
 
-def _row_chunks(prob: MatrosovData, z_nodes, x_chunks, x_count: int):
+def _row_chunks(prob: MatrosovData, z_nodes, x_chunks, x_count: int,
+                n: int):
     """The (z, x) rows, x outer and z inner, as ``(points, y)`` per chunk
-    of at most ``_CHUNK`` rows: the ``(m + n, k)`` columns of ``z + x`` and
-    Y_1..Y_M there as ``(M, k)`` by ``reduction._columns``.
-
-    When no Y reads z only the first z is used (the checks are then
-    z-independent). The row count is checked before any Y is evaluated.
-    """
+    of at most ``_CHUNK`` rows: the ``(m + n, k)`` columns of ``z + x``
+    (``n`` state axes) and Y_1..Y_M there, M ``(k,)`` columns of one
+    ``reduction._scan``. Only the first z is used when no Y reads z (the
+    checks are then z-independent). The row count is checked before any
+    Y is evaluated."""
     z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
                    dtype=float).reshape(-1, prob.m).T
     check_size(x_count * z.shape[1], f"matrosov (z, x) rows ({z.shape[1]} "
                f"z nodes x {x_count} x nodes)")
-    fill = _columns(prob.aux)
+    job = _expression_job([(y, None) for y in prob.aux],
+                          [f"z{i+1}" for i in range(prob.m)]
+                          + [f"x{i+1}" for i in range(n)])
     nz = z.shape[1]
     for x in x_chunks:
-        names = ([f"z{i+1}" for i in range(prob.m)]
-                 + [f"x{i+1}" for i in range(len(x))])
         for rows in _chunks(x.shape[1] * nz):
             lo, hi = rows.start // nz, -(-rows.stop // nz)  # the x nodes met
             points = np.empty((len(z) + len(x), hi - lo, nz))
             points[:len(z)], points[len(z):] = z[:, None], x[:, lo:hi, None]
             points = points.reshape(len(points), -1)[
                 :, rows.start - lo * nz:rows.stop - lo * nz]
-            yield points, fill(
-                points.shape[1],
-                lambda r: (dict(zip(names, points[:, r])), False),
-                lambda r: dict(zip(names, points[:, r].tolist())))
+            yield points, [c[0] for c in reduction._scan([job], points.T,
+                                                          [0.0])[0]]
 
 
 def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
@@ -498,7 +496,7 @@ def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
     array of ``z + x`` and Y_1..Y_M there as ``(M, R)``."""
     x = np.asarray(x_nodes, dtype=float)
     table = list(_row_chunks(prob, z_nodes, (x[r].T for r in _chunks(len(x))),
-                             len(x)))
+                             len(x), x.shape[1]))
     return (_stacked((points for points, _ in table), prob.m + x.shape[1]),
             _stacked((y for _, y in table), prob.count).T)
 
@@ -655,7 +653,7 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
     final_bound = -zeta / (2.0 ** (M - 1))
 
     def margins():
-        for points, y in _row_chunks(prob, z_nodes, x_chunks, x_count):
+        for points, y in _row_chunks(prob, z_nodes, x_chunks, x_count, sys.n):
             with np.errstate(all="ignore"):  # NaN and inf are counted
                 z = y[M - 1]
                 for k, yj in reversed(list(zip(constants, y))):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
@@ -232,48 +231,30 @@ def _scan(inclusion: PiecewiseBoxMap, jobs, nodes,
 
 def _derivative_job(inclusion, candidate, reducers, extras, width: int):
     """The ``reduction._scan`` job of :func:`generalized_derivative` (the
-    value, 0.0 at minus infinity, and the minus-infinity flags) and of
-    each extra, on nodes of ``width`` coordinates."""
-    n, maps = inclusion.n_out, [_extra(e, m) for e, m in extras]
+    value, 0.0 at minus infinity, and the minus-infinity flags), then the
+    extras' ``reduction._expression_job``, on nodes of ``width`` axes."""
+    n = inclusion.n_out
     fits = (candidate.n == n and all(f.n == n and f.regular for f in reducers)
             and all(m.n_in == width for m in (
                 inclusion, candidate.gradient, *(u.gradient for u in reducers),
                 *(m for _, m in extras))))
-    scalar_fns = []  # compiled on the first pointwise cell
+    zero, extra_arrays, extra_pointwise = reduction._expression_job(extras)
 
     def arrays(at):
         value, minus_inf, bad = _derivative_arrays(candidate, inclusion,
                                                    reducers, at)
-        values = [at(m) for m in maps]
-        for v in values:
-            bad = bad | ~np.isfinite(v)
+        values, bad = extra_arrays(at, bad)
         return (value, minus_inf, *values), bad
 
     def pointwise(x, t):
-        if not scalar_fns:
-            scalar_fns.extend((expr.compile_scalar(e), m) for e, m in extras)
         d = generalized_derivative(candidate, inclusion, reducers, x, t)
-        return (*_cells(d), *(fn(m.env(x, t)) for fn, m in scalar_fns))
+        return (*_cells(d), *extra_pointwise(x, t))
 
-    return (0.0, False) + (0.0,) * len(extras), fits and arrays, pointwise
+    return (0.0, False) + zero, fits and arrays, pointwise
 
 
 def _cells(d: DerivativeValue) -> tuple[float, bool]:
     return 0.0 if d.is_minus_inf else d.value, d.is_minus_inf
-
-
-def _extra(e: expr.ScalarExpr, m: PiecewiseBoxMap) -> SimpleNamespace:
-    """``e`` in ``m``'s environment, as a map to the scan's ``at``: once
-    per chunk if it reads only the state."""
-    fn, x = expr.compile_scalar_array(e), [f"x{i+1}" for i in range(m.n_in)]
-    fixed = expr.free_vars(e) <= set(x)
-
-    def chunk_arrays(cols):
-        x_env = dict(zip(x, cols))
-        value = fn(x_env) if fixed else None
-        return lambda env, bad: value if fixed else fn({**env, **x_env})
-    return SimpleNamespace(env=m.env, env_arrays=m.env_arrays,
-                           chunk_arrays=chunk_arrays)
 
 
 def tabulate_derivatives(candidate: RegularFunctionSpec,

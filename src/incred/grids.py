@@ -38,7 +38,7 @@ def check_size(count, what: str) -> None:
                           f"{MAX_ITEMS}")
 
 
-# Nodes per batch of the walk, the scans and _columns, and rows per report
+# Nodes per batch of the walk and the scans, and rows per report
 # chunk, read at call time. Bounds the temporaries to a few hundred
 # kilobytes whatever the grid size.
 _CHUNK = 4096

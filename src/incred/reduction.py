@@ -17,15 +17,17 @@ along; any moving time axis empties the result. Every reducer's gradient
 is evaluated, even where another one already empties the set.
 
 The same rule also runs on numpy arrays of nodes (:func:`_reduce_arrays`).
-:func:`_scan`, the one driver of the grid tables (the reduction table
-here, the derivative scans and the ``deriv`` table), runs array jobs on
-chunks of nodes; the pointwise functions remain the reference they are
-tested against, and :func:`_fill` runs them on the cells the arrays flag.
+:func:`_scan`, the one array driver, runs jobs on chunks of nodes: the
+reduction table, scalar expressions as columns (:func:`_expression_job`:
+the Matrosov Y table, the trajectory checks' columns and the scans'
+extras), the derivative scans and the ``deriv`` table. The pointwise
+functions remain the reference, run on the cells the arrays flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -94,41 +96,37 @@ def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
 
 def _fill(shape, arrays: Callable[[slice], np.ndarray],
           pointwise: Callable[..., None]) -> None:
-    """Fill the cells of ``shape``, a row count or a tuple ending in one:
-    ``arrays(rows)`` on each :func:`_chunks` slice in order writes it and
-    returns the mask (``shape`` with ``len(rows)`` rows) of the cells it
-    may not reproduce; then ``pointwise(*cell)``, the reference, rewrites
-    every column of each flagged cell, in C order. Every cell whose
-    pointwise fill could raise is flagged, so the first error raised is
-    the first error of an all-pointwise fill, and the bits are the same.
-    """
+    """Fill the cells of ``shape``, a tuple ending in a row count:
+    ``arrays(rows)`` writes each :func:`_chunks` slice in order and returns
+    the mask of its cells it may not reproduce; ``pointwise(*cell)``, the
+    reference, then rewrites every column of each flagged cell, in C order.
+    Every cell whose pointwise fill could raise is flagged, so the first
+    error and the bits are those of an all-pointwise fill."""
     with np.errstate(all="ignore"):
-        count = shape if isinstance(shape, int) else shape[-1]
-        mask = np.concatenate([arrays(rows) for rows in _chunks(count)]
-                              or [np.zeros(0, bool)], axis=-1)
-        # np.argwhere is 10-30x slower than this on an n-d mask
+        mask = np.concatenate([arrays(rows) for rows in _chunks(shape[-1])]
+                              or [np.zeros(shape, bool)], axis=-1)
+        flagged = np.flatnonzero(mask)  # np.argwhere is 10-30x slower
         for cell in np.transpose(np.unravel_index(
-                np.flatnonzero(mask), mask.shape)).tolist():
+                flagged, shape)).tolist() if flagged.size else ():
             pointwise(*cell)
 
 
 def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
-    """The one driver of the grid tables: each ``(zero, arrays, pointwise)``
-    job's columns at every (time node, node) pair, chunks outer, time
-    nodes inner. A time node is one time or an ``(N,)`` array of them.
-
-    ``zero`` is a cell of zeros; column k has shape ``np.shape(zero[k]) +
+    """The one array driver: each ``(zero, arrays, pointwise)`` job's
+    columns at every (time node, node) pair, chunks outer, time nodes
+    inner. A time node is one time or an ``(N,)`` array of them; ``zero``
+    is a cell of zeros, and column k has shape ``np.shape(zero[k]) +
     (len(times), len(pts))``. ``arrays(at)`` returns a chunk's columns at
-    a time node and the rows it may not reproduce; ``at(m)`` is map m's
-    value arrays there (:meth:`PiecewiseBoxMap.chunk_arrays`), evaluated
-    once for every job, and once per chunk where they read neither t nor
-    a parameter. A falsy ``arrays`` flags every cell. :func:`_fill` then
-    refills the flagged cells by ``pointwise(x, t)``, job, time node,
-    then node first; a parameter error of the array pass is raised at the
-    first cell of its (job, time node).
-    """
+    a time node and the rows it may not reproduce (a falsy ``arrays``
+    flags every cell); ``at(m)`` is map m's value arrays there
+    (:meth:`PiecewiseBoxMap.chunk_arrays` on its ``env_arrays``), once for
+    every job, and once per chunk where they read neither t nor a
+    parameter. :func:`_fill` then refills the flagged cells by
+    ``pointwise(x, t)``, job, time node, then node first; a parameter
+    error of the array pass is raised at the first cell of its (job, time
+    node)."""
     shape = (len(jobs), len(times), len(pts))
-    out = [[np.zeros(np.shape(v) + shape[1:], np.asarray(v).dtype)
+    out = [[np.zeros((a := np.asarray(v)).shape + shape[1:], a.dtype)
             for v in zero] for zero, *_ in jobs]
     axes, errors = np.ascontiguousarray(pts.T), {}
 
@@ -136,14 +134,13 @@ def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
         batch, chunk = axes[:, rows], {}
         flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
         for a, t in enumerate(times):
-            now = {}
+            now, t = {}, t[rows] if isinstance(t, np.ndarray) else t
 
             def at(m):  # m's value on the chunk at t, once for every job
                 if id(m) not in now:
                     if id(m) not in chunk:
                         chunk[id(m)] = m.chunk_arrays(batch)
-                    now[id(m)] = chunk[id(m)](*m.env_arrays(batch, t[rows])) \
-                        if np.ndim(t) else chunk[id(m)](m.env((), t), False)
+                    now[id(m)] = chunk[id(m)](*m.env_arrays(batch, t))
                 return now[id(m)]
 
             for j, (_, step, _) in enumerate(jobs):
@@ -168,33 +165,47 @@ def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
     return out
 
 
-def _columns(nodes: Sequence) -> Callable:
-    """``fill(count, env_arrays, env)``: the ``(len(nodes), count)``
-    columns of the scalar expressions by :func:`_fill`, compiled once for
-    every fill. ``env_arrays(rows)`` gives a chunk's environment and its
-    bad rows; a bad row or one with a non-finite value is refilled on
-    ``env(r)`` by the scalar closures."""
-    array_fns = [expr.compile_scalar_array(e) for e in nodes]
-    scalar_fns = []  # compiled on the first pointwise row
+def _expression_job(pairs, names: Sequence[str] = ()):
+    """The :func:`_scan` job of scalar expressions as columns: each
+    ``(expression, map)`` in ``m.env(x, t)``, or, for a None map, in the
+    node axes named ``names``. ``arrays(at, bad)`` adds to the mask
+    ``bad``, if given, the rows of a non-finite value or a NaN parameter
+    (the reference raises its error even where no expression reads it)."""
+    maps = [_extra(e, m, names) for e, m in pairs]
+    scalar_fns = []  # compiled on the first pointwise cell
 
-    def fill(count: int, env_arrays: Callable, env: Callable) -> np.ndarray:
-        out = np.empty((len(nodes), count))
+    def arrays(at, bad=None):
+        values = []
+        for value, m_bad in map(at, maps):
+            values.append(value)
+            m_bad = m_bad | ~np.isfinite(value)
+            bad = m_bad if bad is None else bad | m_bad
+        return values, bad
 
-        def arrays(rows):
-            batch_env, bad = env_arrays(rows)
-            for k, fn in enumerate(array_fns):
-                out[k, rows] = fn(batch_env)
-            return bad | ~np.isfinite(out[:, rows]).all(axis=0)
+    def pointwise(x, t):
+        if not scalar_fns:
+            scalar_fns.extend((expr.compile_scalar(e), m.env)
+                              for (e, _), m in zip(pairs, maps))
+        return [fn(env(x, t)) for fn, env in scalar_fns]
 
-        def pointwise(r):
-            if not scalar_fns:
-                scalar_fns.extend(expr.compile_scalar(e) for e in nodes)
-            row_env = env(r)
-            out[:, r] = [fn(row_env) for fn in scalar_fns]
+    return (0.0,) * len(pairs), arrays, pointwise
 
-        _fill(count, arrays, pointwise)
-        return out
-    return fill
+
+def _extra(e: expr.ScalarExpr, m, names: Sequence[str]) -> SimpleNamespace:
+    """``e`` as a map to :func:`_scan`'s ``at``, valued ``(values, NaN
+    parameter rows)``: once per chunk if it reads only the node axes."""
+    names = names if m is None else [f"x{i+1}" for i in range(m.n_in)]
+    fn, fixed = expr.compile_scalar_array(e), expr.free_vars(e) <= set(names)
+    m = m or SimpleNamespace(  # the node coordinates, no time or parameter
+        env=lambda x, t: dict(zip(names, x)),
+        env_arrays=lambda cols, t: ({}, np.zeros(len(cols[0]), bool)))
+
+    def chunk_arrays(cols):
+        x_env = dict(zip(names, cols))
+        value = fn(x_env) if fixed else None
+        return lambda env, bad: (value if fixed else fn({**env, **x_env}), bad)
+    return SimpleNamespace(env=m.env, env_arrays=m.env_arrays,
+                           chunk_arrays=chunk_arrays)
 
 
 def _node_array(nodes, n: int) -> np.ndarray:

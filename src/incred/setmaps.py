@@ -130,7 +130,8 @@ class PiecewiseBoxMap:
             else IntervalBox(Interval(lo, hi) for lo, hi in sets(env))
 
     def env_arrays(self, cols: Sequence[np.ndarray], t):
-        """:meth:`env` with an array per axis, and its NaN-parameter rows.
+        """The time and parameters of :meth:`env` on the rows of ``cols``
+        (one array per axis), and the NaN-parameter rows.
 
         ``t`` is one time, whose parameters the scalar closures evaluate
         once, or an array of one time per row for the array closures.
@@ -144,7 +145,6 @@ class PiecewiseBoxMap:
         for name, fn in self._param_array_fns if per_row else ():
             env[name] = fn(env)
             bad |= np.isnan(env[name])
-        env.update(zip(self._var_names, cols))
         return env, bad
 
     def chunk_arrays(self, cols: Sequence[np.ndarray]):

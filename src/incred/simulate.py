@@ -25,9 +25,10 @@ semidefinite observable. The integrator is one loop generated per call,
 with every guard chain inline, set endpoints as float locals and one env
 per parameter table; a step that raises, or meets a NaN endpoint or an
 empty piece, is redone by the boxed public calls. The checks run as
-numpy columns over its ``t, x, q, V`` rows (a reduction table with one
-time per row, and array closures), the scalar closures redoing each row
-the arrays flag. A NaN never passes a check. The CSV is written in chunks.
+``reduction._scan`` jobs (a reduction table, or an expression's column)
+over its ``t, x, q, V`` rows, the rows' times as the one time node, the
+scalar closures redoing each row the arrays flag. A NaN never passes a
+check. The CSV is written in chunks.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .errors import EmptySetError, SchemaError, SimulationError
 from .expr import _array_max as _max
 from .grids import _chunks, check_size
 from .intervals import center, contains
-from .reduction import _columns, _reduce, _reprs, tabulate_reduction
+from .reduction import (_expression_job, _reduce, _reprs, _scan,
+                        tabulate_reduction)
 from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SimSpec,
                       SystemDef, _number, eval_gradient, eval_map)
 
@@ -351,10 +353,7 @@ def check_partial_convergence(traj: Trajectory, sys: SystemDef,
 
 def _column(node: expr.ScalarExpr, m: PiecewiseBoxMap, x, t) -> np.ndarray:
     """``node`` in ``m``'s environment at the rows ``(x[r], t[r])``."""
-    cols = np.ascontiguousarray(x.T)
-    return _columns([node])(len(x),
-                            lambda rows: m.env_arrays(cols[:, rows], t[rows]),
-                            lambda r: m.env(x[r].tolist(), float(t[r])))[0]
+    return _scan([_expression_job([(node, m)])], x, [t])[0][0][0]
 
 
 def _first_max(values: np.ndarray, start: float) -> float:

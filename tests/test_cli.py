@@ -212,11 +212,11 @@ class TestExitCodes:
             assert math.prod(map(len, axes)) <= 10 ** 6, "large grid walked"
             return region_masks(axes, region)
 
-        def no_y(nodes):
+        def no_y(pairs, names):
             raise AssertionError("Y evaluated before the size check")
 
         monkeypatch.setattr(grids, "_region_masks", small_walk)
-        monkeypatch.setattr(cert, "_columns", no_y)
+        monkeypatch.setattr(cert, "_expression_job", no_y)
         code = run("matrosov", "-i", str(system), "-o", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 3

@@ -342,10 +342,8 @@ def _whole_table(prob, z_nodes, x_nodes):
                         np.repeat(x, len(z), axis=0)])
     names = ([f"z{i+1}" for i in range(prob.m)]
              + [f"x{i+1}" for i in range(x.shape[1])])
-    y = red._columns(prob.aux)(
-        len(points), lambda rows: (dict(zip(names, points[rows].T)), False),
-        lambda r: dict(zip(names, points[r].tolist())))
-    return points, y
+    job = red._expression_job([(y, None) for y in prob.aux], names)
+    return points, np.concatenate(red._scan([job], points, [0.0])[0])
 
 
 def _whole_table_bound(prob, constants, zeta, z_nodes, x_nodes):

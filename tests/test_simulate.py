@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import struct
@@ -283,6 +284,23 @@ class TestFailClosed:
             report = check_reduction_membership(traj, system, tol)
             assert report.violations == report.nonfinite == 1
             assert not report.passed and report.max_distance == 0.0
+
+    def test_unread_raising_parameter_still_raises(self, example6):
+        # k has no value at t = 0.5; neither expression reads it, but the
+        # reference evaluates each in the whole environment of the row
+        with open(fixture_path("example6"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["params"]["k"] = "1/(t - 0.5)"
+        system = system_from_dict(doc)
+        traj = integrate(example6, (0.5, 0.5), 0.0, 0.25, 1.0,
+                         SelectionStrategy())
+        w = ex.parse_scalar("x1*x1 + x2*x2")
+        message = ("parameter k at t=0.5: division by near-zero "
+                   "denominator 0.0")
+        with pytest.raises(DslEvalError, match=re.escape(message)):
+            check_lyapunov_descent(traj, system, w)
+        with pytest.raises(DslEvalError, match=re.escape(message)):
+            check_partial_convergence(traj, system, w, 0.9)
 
     def test_finite_reports_have_no_nonfinite_key(self, example3):
         traj = integrate(example3, (1.0, 0.0), 0.0, 0.01, 1.0,
