@@ -22,8 +22,9 @@ Checks provided:
   auxiliary-function chain on an annulus and the explicit combination
   constants obtained by doubling search.
 
-Node scans are deterministic: nodes are visited in row-major order and
-worst-case tracking uses strict improvement, so reports are byte-stable.
+Node scans are deterministic: nodes are visited in row-major order, and
+the witness is the first maximal margin in that order whatever order
+the chunks are folded in, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from . import expr, reduction
-from .derivative import _scan, scan_derivative
+from .derivative import _derivative_job
 from .errors import SchemaError
-from .grids import (GridSpec, _chunks, _region_chunks, _region_count,
-                    _stacked, check_size)
+from .grids import (GridSpec, _chunks, _region, _region_chunks,
+                    _region_count, _stacked, check_size)
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _expression_job
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
@@ -106,11 +107,11 @@ class Certificate:
 
 # --- the verdict reducer ---------------------------------------------------
 #
-# Every certificate reduces its margins by _margin_certificate, a chunk at
-# a time. Margins are flat in scan order, so "first in scan order" is the
-# lowest flat index of the earliest chunk. scan_derivative columns have
-# shape (time nodes, nodes): time outer, nodes row-major. Matrosov columns
-# follow the (z, x) rows of _row_chunks.
+# Every certificate folds its margins into a _Verdict, a chunk at a time
+# in any order: each margin has a key, its flat index in scan order, and
+# the witness is the largest margin, the lowest key on ties. The grid scans
+# are flat (job, time node, node) with nodes row-major (_cell_witness); the
+# Matrosov rows follow the (z, x) rows of _row_chunks.
 
 def _violations(margin: np.ndarray, counted: np.ndarray,
                 tol: float) -> int:
@@ -119,66 +120,68 @@ def _violations(margin: np.ndarray, counted: np.ndarray,
         counted & ~(np.isfinite(margin) & (margin <= tol))))
 
 
-def _worst_margin(margin: np.ndarray, counted: np.ndarray):
-    """``(nonfinite, k)``: how many counted margins are NaN or infinite,
-    and the flat index of the first maximal non-NaN counted margin (None
-    when there is none). ``margin`` is overwritten."""
-    nonfinite = int(np.count_nonzero(counted & ~np.isfinite(margin)))
-    margin[~counted | np.isnan(margin)] = -np.inf
-    k = int(np.argmax(margin)) if margin.size else 0
-    return nonfinite, (k if margin.size and margin[k] > -np.inf else None)
+class _Verdict:
+    """The running verdict on ``margin <= tol`` (see :func:`_violations`):
+    the violations, the nonfinite count, and the first maximal non-NaN
+    counted margin in scan order as witness."""
+
+    def __init__(self, tol: float):
+        self.tol, self.violations, self.nonfinite = tol, 0, 0
+        self.worst = None  # (margin, -key, point, t)
+
+    def add(self, margin, counted, witness) -> _Verdict:
+        """Fold in one chunk: flat margins (overwritten) whose keys rise
+        with the flat index, their mask, and ``witness(k)``, the key,
+        point row and ``t`` label of the k-th."""
+        self.violations += _violations(margin, counted, self.tol)
+        self.nonfinite += int(np.count_nonzero(counted & ~np.isfinite(margin)))
+        margin[~counted | np.isnan(margin)] = -np.inf
+        k = int(np.argmax(margin)) if margin.size else 0
+        if margin.size and margin[k] > -np.inf and (
+                self.worst is None or margin[k] >= self.worst[0]):
+            key, row, t = witness(k)
+            if self.worst is None or (margin[k], -key) > self.worst[:2]:
+                self.worst = float(margin[k]), -key, tuple(row.tolist()), t
+        return self
 
 
-def _margin_certificate(condition: str, chunks, tol: float,
-                        tolerances: dict, grid_summary: dict, details: dict,
+def _margin_certificate(condition: str, verdict: _Verdict, tolerances: dict,
+                        grid_summary: dict, details: dict,
                         failures: Sequence[str] = (),
                         count: str | None = None) -> Certificate:
-    """Verdict on ``margin <= tol`` at every counted margin of ``chunks``
-    (see :func:`_violations`) and on the screen ``failures``, with the
-    worst counted margin as witness.
-
-    Each chunk is ``(margin, counted, witness)``: the margins, flat in scan
-    order (overwritten), their mask, and ``witness(k)``, the point row and
-    ``t`` label of the k-th. The witness is the first maximal non-NaN
-    margin, which strict improvement in scan order keeps across chunks.
-    ``details[count]`` gets the violation total, and ``nonfinite_margins``
-    the nonfinite count when nonzero.
-    """
-    violations = nonfinite = 0
-    worst = (None, None, None)  # point, t, margin
-    for margin, counted, witness in chunks:
-        violations += _violations(margin, counted, tol)
-        bad, k = _worst_margin(margin, counted)
-        nonfinite += bad
-        if k is not None and (worst[2] is None or margin[k] > worst[2]):
-            row, t = witness(k)
-            worst = (tuple(row.tolist()), t, float(margin[k]))
+    """The certificate of ``verdict`` and the screen ``failures``:
+    ``details[count]`` gets the violation total, and
+    ``nonfinite_margins`` the nonfinite count when nonzero."""
     if count is not None:
-        details[count] = violations
-    if nonfinite:
-        details["nonfinite_margins"] = nonfinite
+        details[count] = verdict.violations
+    if verdict.nonfinite:
+        details["nonfinite_margins"] = verdict.nonfinite
     if failures:
         details["screen_failures"] = list(failures)
+    margin, _, point, t = verdict.worst or (None,) * 4
     return Certificate(
-        CERTIFIED if not violations and not failures else VIOLATED,
-        condition, *worst, tolerances, grid_summary, details)
+        CERTIFIED if not verdict.violations and not failures else VIOLATED,
+        condition, point, t, margin, tolerances, grid_summary, details)
 
 
-def _scan_witness(pts: np.ndarray, time_nodes):
-    """Witness lookup for scan columns flattened time outer."""
+def _cell_witness(rows, x: np.ndarray, count: int, time_nodes, job: int = 0):
+    """``witness(k)`` of a ``reduction._stream`` chunk of ``count`` nodes,
+    flat time node outer: its key in (job, time node, node), node, time."""
     def witness(k):
-        a, b = divmod(k, len(pts))
-        return pts[b], time_nodes[a]
+        a, i = divmod(k, x.shape[1])
+        key = (job * len(time_nodes) + a) * count + rows.start + i
+        return key, x[:, i], time_nodes[a]
     return witness
 
 
-def _first_failure(bad: np.ndarray, column: np.ndarray, pts: np.ndarray,
-                   time_nodes):
-    """``(x, t, value)`` at the first flagged pair in scan order, or None."""
-    if not bad.any():
-        return None
-    a, b = divmod(int(np.argmax(bad)), len(pts))
-    return pts[b].tolist(), time_nodes[a], float(column[a, b])
+def _earliest(first, hit: np.ndarray, column: np.ndarray, witness):
+    """The earlier of ``first`` and the first cell of ``hit`` (flat, keys
+    rising), as a screen's first failure ``(key, x, t, value)``."""
+    if hit.any():
+        key, row, t = witness(k := int(np.argmax(hit)))
+        if first is None or key < first[0]:
+            return key, row.tolist(), t, float(column[k])
+    return first
 
 
 def _origin_value_screen(name: str, value: expr.ScalarExpr, m, time_nodes,
@@ -193,81 +196,77 @@ def _origin_value_screen(name: str, value: expr.ScalarExpr, m, time_nodes,
             return
 
 
-def _positive_screen(name: str, column: np.ndarray, pts: np.ndarray,
-                     time_nodes, failures: list) -> None:
-    """Require value > 0 at every nonzero node; NaN fails."""
-    nonzero = np.any(pts != 0.0, axis=1)
-    hit = _first_failure(~(column > 0.0) & nonzero, column, pts, time_nodes)
-    if hit is not None:
-        x, t, v = hit
-        failures.append(f"{name}({x}) = {v!r} at t={t!r} fails positivity")
-
-
-def _sandwich_screen(sys: SystemDef,
-                     sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr],
-                     columns, pts: np.ndarray, time_nodes, tol: float,
-                     failures: list, details: dict) -> None:
-    """Screen ``lower <= V <= upper`` within ``tol`` at every pair, and
-    each envelope for exactly 0 at the origin and positive at nonzero
-    nodes. ``columns`` are the scan's V, lower and upper columns."""
-    v, lower, upper = columns
-    names = ("lower envelope", "upper envelope")
-    for name, e in zip(names, sandwich):
-        _origin_value_screen(name, e, sys.inclusion, time_nodes, failures)
-    for name, column in zip(names, (lower, upper)):
-        _positive_screen(name, column, pts, time_nodes, failures)
-    violations = int(np.count_nonzero(
-        ~((lower - tol <= v) & (v <= upper + tol))))
-    if violations:
-        failures.append(f"candidate escapes the envelopes at {violations} "
-                        "node/time pairs")
-    details["sandwich_checked"] = True
-    details["sandwich_violations"] = violations
-
-
 def _decrease_check(sys: SystemDef, bound: expr.ScalarExpr,
                     sandwich: tuple[expr.ScalarExpr, expr.ScalarExpr] | None,
                     tol: float, definite: bool) -> Certificate:
     """Screen ``derivative + bound <= tol`` on the system's grid with its
     reducers, after the positive-definite candidate screen (``definite``)
-    or the ``bound >= 0`` screen, and the envelope screen."""
+    or the ``bound >= 0`` screen, and the envelope screens: ``lower <= V
+    <= upper`` within ``tol`` at every pair, and each envelope exactly 0
+    at the origin and positive at nonzero nodes. One streamed scan."""
     tol, grid = _number(tol, "tol"), sys.require_grid()
-    pts = grid.nodes(sys.domain)
-    time_nodes = grid.time_nodes
+    nodes, time_nodes = _region(grid.checked_axes(sys.domain)), grid.time_nodes
     candidate = sys.candidate
     extras = [(bound, sys.inclusion)]
     if definite or sandwich is not None:
         extras += [(candidate.value, candidate.gradient)]
     extras += [(e, sys.inclusion) for e in sandwich or ()]
-    scan = scan_derivative(candidate, sys.inclusion, sys.reducers, pts,
-                           time_nodes, extras)
-    w = scan.extras[0]
+    # (extra, name) per screen: value > 0 at nonzero nodes (NaN fails), or
+    # for the name None bound >= -tol; each keeps its first failure
+    screens = [(1, candidate.name) if definite else (0, None)]
+    screens += [(2, "lower envelope"), (3, "upper envelope")] * bool(sandwich)
+    first, verdict = [None] * len(screens), _Verdict(tol)
+    tally = {"minus_inf": 0, "sandwich": 0}
 
+    def fold(j, rows, x, columns, keep):
+        value, minus_inf, *extra = columns
+        witness = _cell_witness(rows, x, nodes[1], time_nodes)
+        for s, (c, name) in enumerate(screens):
+            fails = ~(extra[c] >= -tol) if name is None else \
+                ~(extra[c] > 0.0) & (x != 0.0).any(axis=0)
+            first[s] = _earliest(first[s], (fails & keep).ravel(),
+                                 extra[c].ravel(), witness)
+        if sandwich is not None:
+            v, lower, upper = extra[1:]
+            tally["sandwich"] += int(np.count_nonzero(
+                ~((lower - tol <= v) & (v <= upper + tol)) & keep))
+        tally["minus_inf"] += int(np.count_nonzero(minus_inf & keep))
+        verdict.add((value + extra[0]).ravel(), (~minus_inf & keep).ravel(),
+                    witness)
+
+    reduction._stream([_derivative_job(sys.inclusion, candidate, sys.reducers,
+                                       extras, grid.dims)],
+                      nodes, time_nodes, fold)
     failures: list[str] = []
     details: dict = {}
+
+    def report(s):  # screen s's first failure, if any
+        if first[s] is not None:
+            _, x, t, v = first[s]
+            failures.append(f"bound({x}) = {v!r} at t={t!r} is negative"
+                            if screens[s][1] is None else f"{screens[s][1]}"
+                            f"({x}) = {v!r} at t={t!r} fails positivity")
+
     if definite:
         _origin_value_screen(candidate.name, candidate.value,
                              candidate.gradient, time_nodes, failures)
-        _positive_screen(candidate.name, scan.extras[1], pts, time_nodes,
-                         failures)
-        details["nodes_checked"] = scan.minus_inf.size
-    else:
-        hit = _first_failure(~(w >= -tol), w, pts, time_nodes)
-        if hit is not None:
-            x, t, value = hit
-            failures.append(f"bound({x}) = {value!r} at t={t!r} is negative")
+        details["nodes_checked"] = nodes[1] * len(time_nodes)
+    report(0)
+    for e, (_, name) in zip(sandwich or (), screens[1:]):
+        _origin_value_screen(name, e, sys.inclusion, time_nodes, failures)
+    for s in range(1, len(screens)):
+        report(s)
     if sandwich is not None:
-        _sandwich_screen(sys, sandwich, scan.extras[1:], pts, time_nodes,
-                         tol, failures, details)
-    margin = scan.value.ravel()
-    margin += w.ravel()
-    details.update(note=_GRID_NOTE,
-                   minus_inf_nodes=int(np.count_nonzero(scan.minus_inf)),
+        if tally["sandwich"]:
+            failures.append(f"candidate escapes the envelopes at "
+                            f"{tally['sandwich']} node/time pairs")
+        details.update(sandwich_checked=True,
+                       sandwich_violations=tally["sandwich"])
+    details.update(note=_GRID_NOTE, minus_inf_nodes=tally["minus_inf"],
                    reducers=[u.name for u in sys.reducers])
     return _margin_certificate(
         "lyapunov-decrease" if definite else "semidefinite-decrease",
-        [(margin, ~scan.minus_inf.ravel(), _scan_witness(pts, time_nodes))],
-        tol, {"margin_tol": tol}, grid.summary(sys.domain), details,
+        verdict, {"margin_tol": tol}, grid.summary(sys.domain), details,
         failures, "derivative_violations")
 
 
@@ -359,18 +358,26 @@ def invariance_data(sys: SystemDef, *,
     grid, checks = sys.require_grid(), sys.checks or CheckSpec()
     zero_tol = _number(checks.zero_tol if zero_tol is None else zero_tol,
                        "zero_tol")
-    pts = grid.nodes(sys.domain)
-    t0 = grid.time_nodes[0]
-    scan = scan_derivative(sys.candidate, sys.inclusion, sys.reducers, pts,
-                           (t0,))
-    d, counted = scan.value[0], ~scan.minus_inf[0]
-    vanishing = pts[counted & (np.abs(d) <= zero_tol)]
-    e_nodes = [tuple(x) for x in vanishing.tolist()]
+    nodes, t0 = _region(grid.checked_axes(sys.domain)), grid.time_nodes[0]
+    verdict, vanishing, minus_inf = _Verdict(_TOL), {}, [0]
+
+    def fold(j, rows, x, columns, keep):
+        (d,), (inf,) = columns  # one time node
+        counted = ~inf & keep[0]
+        minus_inf[0] += int(np.count_nonzero(inf & keep[0]))
+        hit = counted & (np.abs(d) <= zero_tol)
+        vanishing.update(zip((rows.start + np.flatnonzero(hit)).tolist(),
+                             map(tuple, x[:, hit].T.tolist())))
+        verdict.add(d, counted, _cell_witness(rows, x, nodes[1], (t0,)))
+
+    reduction._stream([_derivative_job(sys.inclusion, sys.candidate,
+                                       sys.reducers, (), grid.dims)],
+                      nodes, (t0,), fold)
+    e_nodes = [vanishing[b] for b in sorted(vanishing)]
     cert = _margin_certificate(
-        "derivative-nonpositive", [(d, counted, _scan_witness(pts, (t0,)))],
-        _TOL, {"margin_tol": _TOL}, grid.summary(sys.domain),
-        {"note": _GRID_NOTE,
-         "minus_inf_nodes": int(np.count_nonzero(scan.minus_inf))},
+        "derivative-nonpositive", verdict, {"margin_tol": _TOL},
+        grid.summary(sys.domain),
+        {"note": _GRID_NOTE, "minus_inf_nodes": minus_inf[0]},
         count="derivative_violations")
 
     screened = []
@@ -399,21 +406,21 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
     return data
 
 
-# Node sets stream as (chunks, count): ``count`` nodes in order, as the
-# (dims, k) column arrays of grids._region_chunks.
+# Node sets stream as (walk, count): ``count`` nodes in order, as the
+# (dims, k) column arrays of grids._region_chunks (see grids._region).
 
 def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
-    """The grid's nodes in annulus(delta, Delta) as ``(chunks, count)``,
-    counted by a pass of the annulus test alone. Every axis gains the
-    radii ``+/-delta``, ``+/-Delta`` and 0, so that the closest-to-origin
-    annulus points are hit exactly."""
+    """The grid's nodes in annulus(delta, Delta) as a node set ``(walk,
+    count)``, counted by a pass of the annulus test alone. Every axis
+    gains the radii ``+/-delta``, ``+/-Delta`` and 0, so that the
+    closest-to-origin annulus points are hit exactly."""
     grid = grid if grid is not None else sys.require_grid()
     radii = (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
     axes = grid.checked_axes(sys.domain, (radii,) * sys.n)
-    count = _region_count(axes, prob.annulus())
-    if not count:
+    nodes = _region(axes, prob.annulus())
+    if not nodes[1]:
         raise SchemaError("no grid nodes fall inside the annulus")
-    return _region_chunks(axes, prob.annulus()), count
+    return nodes
 
 
 def _z_parts(prob: MatrosovData) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -446,7 +453,7 @@ def matrosov_grid(prob: MatrosovData, sys: SystemDef,
     only the count. Those two come from the products of the axes' parts,
     which tile the z grid, so that no axis is built whole: one long axis
     would be built twice."""
-    x_nodes = _stacked(_annulus_nodes(prob, sys, grid)[0], sys.n)
+    x_nodes = _stacked(_annulus_nodes(prob, sys, grid), sys.n)
     what = ("matrosov z nodes (z_counts "
             f"{' x '.join(map(str, prob.z_counts))})")
     check_size(math.prod(prob.z_counts), what)  # before the axes are built
@@ -454,7 +461,7 @@ def matrosov_grid(prob: MatrosovData, sys: SystemDef,
     check_size(math.prod(len(a) + len(b) for a, b in parts), what)
     if prob.aux_uses_z():
         axes = [np.insert(a, np.searchsorted(a, b), b) for a, b in parts]
-        return _stacked(_region_chunks(axes, ball), prob.m), x_nodes
+        return _stacked(_region(axes, ball), prob.m), x_nodes
     count, firsts = 0, []
     for tile in itertools.product(*parts):
         if all(map(len, tile)):
@@ -464,41 +471,40 @@ def matrosov_grid(prob: MatrosovData, sys: SystemDef,
     return np.broadcast_to(min(firsts), (count, prob.m)), x_nodes
 
 
-def _row_chunks(prob: MatrosovData, z_nodes, x_chunks, x_count: int,
-                n: int):
-    """The (z, x) rows, x outer and z inner, as ``(points, y)`` per chunk
-    of at most ``_CHUNK`` rows: the ``(m + n, k)`` columns of ``z + x``
-    (``n`` state axes) and Y_1..Y_M there, M ``(k,)`` columns of one
-    ``reduction._scan``. Only the first z is used when no Y reads z (the
-    checks are then z-independent). The row count is checked before any
-    Y is evaluated."""
+def _row_chunks(prob: MatrosovData, z_nodes, x_nodes, n: int):
+    """The (z, x) rows, x outer and z inner, as a node set of ``(m + n,
+    k)`` chunks of ``z + x`` (``x_nodes`` a node set of ``n`` state axes),
+    at most ``_CHUNK`` rows each, and the ``reduction._stream`` job of
+    Y_1..Y_M there. Only the first z is used when no Y reads z (the
+    checks are then z-independent). The row count is checked first."""
     z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
                    dtype=float).reshape(-1, prob.m).T
-    check_size(x_count * z.shape[1], f"matrosov (z, x) rows ({z.shape[1]} "
-               f"z nodes x {x_count} x nodes)")
-    job = _expression_job([(y, None) for y in prob.aux],
-                          [f"z{i+1}" for i in range(prob.m)]
-                          + [f"x{i+1}" for i in range(n)])
-    nz = z.shape[1]
-    for x in x_chunks:
-        for rows in _chunks(x.shape[1] * nz):
-            lo, hi = rows.start // nz, -(-rows.stop // nz)  # the x nodes met
-            points = np.empty((len(z) + len(x), hi - lo, nz))
-            points[:len(z)], points[len(z):] = z[:, None], x[:, lo:hi, None]
-            points = points.reshape(len(points), -1)[
-                :, rows.start - lo * nz:rows.stop - lo * nz]
-            yield points, [c[0] for c in reduction._scan([job], points.T,
-                                                          [0.0])[0]]
+    (walk, x_count), nz = x_nodes, z.shape[1]
+    check_size(x_count * nz, f"matrosov (z, x) rows ({nz} z nodes x "
+               f"{x_count} x nodes)")
+
+    def chunks():
+        for x in walk():
+            for rows in _chunks(x.shape[1] * nz):
+                lo, hi = rows.start // nz, -(-rows.stop // nz)  # x nodes met
+                points = np.empty((len(z) + len(x), hi - lo, nz))
+                points[:len(z)] = z[:, None]
+                points[len(z):] = x[:, lo:hi, None]
+                yield points.reshape(len(points), -1)[
+                    :, rows.start - lo * nz:rows.stop - lo * nz]
+    return (chunks, x_count * nz), _expression_job(
+        [(y, None) for y in prob.aux],
+        [f"z{i+1}" for i in range(prob.m)] + [f"x{i+1}" for i in range(n)])
 
 
 def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
-    """``(points, y)``: :func:`_row_chunks` stacked, as an ``(R, m + n)``
-    array of ``z + x`` and Y_1..Y_M there as ``(M, R)``."""
+    """``(points, y)``: the rows of :func:`_row_chunks` as an ``(R, m +
+    n)`` array of ``z + x``, and Y_1..Y_M there as ``(M, R)``."""
     x = np.asarray(x_nodes, dtype=float)
-    table = list(_row_chunks(prob, z_nodes, (x[r].T for r in _chunks(len(x))),
-                             len(x), x.shape[1]))
-    return (_stacked((points for points, _ in table), prob.m + x.shape[1]),
-            _stacked((y for _, y in table), prob.count).T)
+    rows, job = _row_chunks(prob, z_nodes, (
+        lambda: (x[r].T for r in _chunks(len(x))), len(x)), x.shape[1])
+    points = _stacked(rows, prob.m + x.shape[1])
+    return points, np.concatenate(reduction._scan([job], points, [0.0])[0])
 
 
 def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
@@ -524,9 +530,10 @@ def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
     # flat index r * (M + 1) + j: row outer, chain index inner
     width = len(trig)
     return _margin_certificate(
-        "matrosov-chain", [((nxt - eq_tol).T.ravel(), trig.T.ravel(),
-                            lambda k: (points[k // width], float(k % width)))],
-        0.0, {"eq_tol": eq_tol},
+        "matrosov-chain", _Verdict(0.0).add(
+            (nxt - eq_tol).T.ravel(), trig.T.ravel(),
+            lambda k: (k, points[k // width], float(k % width))),
+        {"eq_tol": eq_tol},
         {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
         {"note": _GRID_NOTE + "; worst_t is the chain index j, "
          "worst_point is (z, x)",
@@ -624,10 +631,9 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
 
     final_bound = -zeta / (2.0 ** (M - 1))
     cert = _margin_certificate(
-        "matrosov-constants", [(running - final_bound,
-                                np.ones(len(running), bool),
-                                lambda k: (points[k], 0.0))],
-        0.0, tolerances, grid_summary,
+        "matrosov-constants", _Verdict(0.0).add(
+            running - final_bound, np.ones(len(running), bool),
+            lambda k: (k, points[k], 0.0)), tolerances, grid_summary,
         {"note": _GRID_NOTE + "; worst_point is (z, x), margin is "
          "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon,
          "final_bound": final_bound}, count="combination_violations")
@@ -649,20 +655,21 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
     M = prob.count
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
-    x_chunks, x_count = _annulus_nodes(prob, sys, grid)
-    final_bound = -zeta / (2.0 ** (M - 1))
+    x_nodes = _annulus_nodes(prob, sys, grid)
+    rows, job = _row_chunks(prob, z_nodes, x_nodes, sys.n)
+    final_bound, verdict = -zeta / (2.0 ** (M - 1)), _Verdict(0.0)
 
-    def margins():
-        for points, y in _row_chunks(prob, z_nodes, x_chunks, x_count, sys.n):
-            with np.errstate(all="ignore"):  # NaN and inf are counted
-                z = y[M - 1]
-                for k, yj in reversed(list(zip(constants, y))):
-                    z = k * yj + z
-            yield (z - final_bound, np.ones(len(z), bool),
-                   lambda k: (points[:, k], 0.0))
+    def fold(j, rows, points, y, keep):  # NaN and inf are counted
+        z = y[M - 1][0]
+        for k, yj in reversed(list(zip(constants, y))):
+            z = k * yj[0] + z
+        verdict.add(z - final_bound, keep[0],
+                    lambda k: (rows.start + k, points[:, k], 0.0))
+
+    reduction._stream([job], rows, [0.0], fold)
     return _margin_certificate(
-        "matrosov-combined-bound", margins(), 0.0, {"zeta": zeta},
-        {"z_nodes": len(z_nodes), "x_nodes": x_count},
+        "matrosov-combined-bound", verdict, {"zeta": zeta},
+        {"z_nodes": len(z_nodes), "x_nodes": x_nodes[1]},
         {"final_bound": final_bound}, count="combination_violations")
 
 
@@ -676,20 +683,25 @@ def matrosov_derivative_bounds(sys: SystemDef,
     the inclusion once for all of them. Informational: the chain and
     constants certificates do not depend on it.
     """
-    pts = _stacked(_annulus_nodes(prob, sys)[0], sys.n)  # no z grid
+    nodes = _annulus_nodes(prob, sys)  # no z grid
     time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
-    scans = _scan(sys.inclusion, [
-        (w, coll, [(expr.substitute(y, z), sys.inclusion)])
-        for w, coll, y in zip(prob.functions, prob.collections, prob.aux)],
-        pts, time_nodes)
-    witness = _scan_witness(pts, time_nodes)
-    chunks = [((scan.value - scan.extras[0]).ravel(),
-               ~scan.minus_inf.ravel(), witness) for scan in scans]
-    per_function = [_violations(mg, c, _TOL) for mg, c, _ in chunks]
+    jobs = [_derivative_job(sys.inclusion, w, coll, [
+        (expr.substitute(y, z), sys.inclusion)], sys.n)
+        for w, coll, y in zip(prob.functions, prob.collections, prob.aux)]
+    verdict, per_function = _Verdict(_TOL), [0] * len(jobs)
+
+    def fold(j, rows, x, columns, keep):
+        value, minus_inf, y = columns
+        margin, counted = (value - y).ravel(), (~minus_inf & keep).ravel()
+        per_function[j] += _violations(margin, counted, _TOL)
+        verdict.add(margin, counted,
+                    _cell_witness(rows, x, nodes[1], time_nodes, j))
+
+    reduction._stream(jobs, nodes, time_nodes, fold)
     return _margin_certificate(
-        "matrosov-derivative-bounds", chunks, _TOL, {"margin_tol": _TOL},
-        {"x_nodes": len(pts), "time_nodes": list(time_nodes)},
+        "matrosov-derivative-bounds", verdict, {"margin_tol": _TOL},
+        {"x_nodes": nodes[1], "time_nodes": list(time_nodes)},
         {"note": "informational screen; the chain and constants "
                  "certificates do not depend on it",
          "violations_per_function": per_function})

@@ -16,7 +16,7 @@ function along a box-valued inclusion are computed in closed form:
 
 :func:`scan_derivative` gives the generalized derivative and any extras at
 every (time node, node) pair of a grid, and :func:`tabulate_derivatives`
-all three at every node: jobs of ``reduction._scan``, whose array forms
+all three at every node: jobs of ``reduction._stream``, whose array forms
 here share the pointwise code's operation order and tie rule, and whose
 flagged cells the pointwise functions refill.
 
@@ -230,7 +230,7 @@ def _scan(inclusion: PiecewiseBoxMap, jobs, nodes,
 
 
 def _derivative_job(inclusion, candidate, reducers, extras, width: int):
-    """The ``reduction._scan`` job of :func:`generalized_derivative` (the
+    """The ``reduction._stream`` job of :func:`generalized_derivative` (the
     value, 0.0 at minus infinity, and the minus-infinity flags), then the
     extras' ``reduction._expression_job``, on nodes of ``width`` axes."""
     n = inclusion.n_out

@@ -8,13 +8,15 @@ exact, so guard-surface nodes must be supplied verbatim here; they are
 merged and deduplicated by exact float equality and therefore survive
 into the final nodes unchanged. Every node set is one walk, the
 row-major product of the axes ``_CHUNK`` nodes at a time, kept whole or
-filtered to an annulus or ball (:func:`_region_chunks`).
+filtered to an annulus or ball (:func:`_region_chunks`), which the
+scans fold chunk by chunk (see :func:`_region`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -50,42 +52,59 @@ def _chunks(count: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK, count))
 
 
-def _region_masks(axes, region=None):
+def _region_masks(axes, region):
     """The row-major product of ``axes``, at most ``_CHUNK`` nodes at a
     time: whole runs of the last axis, or pieces of one. Yields ``(lead,
     tail, inside)``: the runs' other coordinates by index arithmetic on
     the run index, the last axis's piece, and the ``(runs, len(tail))``
     mask of ``region`` (an :class:`~incred.intervals.Annulus`), squares
-    summed axis by axis as in ``contains``; None, with no squares, for
-    ``region=None``, which keeps every node."""
+    summed axis by axis as in ``contains``."""
     *head, last = [np.asarray(a, dtype=float) for a in axes]
     runs = math.prod(map(len, head))
     per, width = max(1, _CHUNK // len(last)), min(_CHUNK, len(last))
     for start in range(0, runs, per):
-        run = np.arange(start, min(start + per, runs))
-        lead = np.empty((len(head), len(run)))
-        for i in range(len(head) - 1, -1, -1):
-            run, j = np.divmod(run, len(head[i]))
-            lead[i] = head[i][j]
+        lead = _lead(head, np.arange(start, min(start + per, runs)))
         for piece in range(0, len(last), width):  # > 1 only when per is 1
-            tail, inside = last[piece:piece + width], None
-            if region is not None:
-                # an infinite square lies outside every annulus and ball
-                with np.errstate(over="ignore"):
-                    sq = sum((c * c for c in lead), np.zeros(lead.shape[1]))
-                    inside = region.contains_sq(sq[:, None] + tail * tail)
+            tail = last[piece:piece + width]
+            # an infinite square lies outside every annulus and ball
+            with np.errstate(over="ignore"):
+                sq = sum((c * c for c in lead), np.zeros(lead.shape[1]))
+                inside = region.contains_sq(sq[:, None] + tail * tail)
             yield lead, tail, inside
 
 
+def _lead(head, run: np.ndarray) -> np.ndarray:
+    """The ``head`` axes' coordinates of the runs numbered ``run``."""
+    lead = np.empty((len(head), len(run)))
+    for i in range(len(head) - 1, -1, -1):
+        run, j = np.divmod(run, len(head[i]))
+        lead[i] = head[i][j]
+    return lead
+
+
 def _region_chunks(axes, region=None) -> Iterator[np.ndarray]:
-    """The nodes of :func:`_region_masks` in ``region`` (every node for
-    None), as ``(len(axes), k)`` arrays in row-major order."""
+    """The nodes of :func:`_region_masks` in ``region`` as ``(len(axes),
+    k)`` arrays in row-major order; for None every node, in the
+    :func:`_chunks` slices of the product, by index arithmetic."""
+    if region is None:  # from node a of run r0 to node b of run r1
+        *head, last = [np.asarray(a, dtype=float) for a in axes]
+        for rows in _chunks(math.prod(map(len, axes))):
+            (r0, a), (r1, b) = (divmod(i, len(last))
+                                for i in (rows.start, rows.stop - 1))
+            counts = np.full(r1 - r0 + 1, len(last))
+            counts[0] -= a
+            counts[-1] -= len(last) - 1 - b
+            nodes = np.empty((len(axes), rows.stop - rows.start))
+            nodes[:-1] = np.repeat(_lead(head, np.arange(r0, r1 + 1)), counts,
+                                   axis=1)
+            nodes[-1] = last[a:b + 1] if r0 == r1 else np.concatenate(
+                (last[a:], np.tile(last, r1 - r0 - 1), last[:b + 1]))
+            yield nodes
+        return
     for lead, tail, inside in _region_masks(axes, region):
         nodes = np.empty((len(lead) + 1, lead.shape[1], len(tail)))
         nodes[:-1], nodes[-1] = lead[:, :, None], tail
-        nodes = nodes.reshape(len(nodes), -1)
-        yield nodes if inside is None else nodes.compress(inside.ravel(),
-                                                          axis=1)
+        yield nodes.reshape(len(nodes), -1).compress(inside.ravel(), axis=1)
 
 
 def _region_count(axes, region) -> int:
@@ -94,10 +113,23 @@ def _region_count(axes, region) -> int:
                for *_, inside in _region_masks(axes, region))
 
 
-def _stacked(chunks, width: int) -> np.ndarray:
-    """``(width, k)`` chunks as one ``(N, width)`` array of rows, the
-    transpose of a C-contiguous one, so each column is contiguous."""
-    return np.concatenate([np.empty((width, 0)), *chunks], axis=1).T
+def _region(axes, region=None):
+    """The node set ``(walk, count)``: ``walk()`` yields the chunks of
+    :func:`_region_chunks` afresh, ``count`` nodes in all."""
+    count = (math.prod(map(len, axes)) if region is None
+             else _region_count(axes, region))
+    return partial(_region_chunks, axes, region), count
+
+
+def _stacked(nodes, width: int) -> np.ndarray:
+    """The node set ``nodes`` as one ``(N, width)`` array of rows, the
+    transpose of a C-contiguous one that each chunk is written into."""
+    walk, count = nodes
+    out, start = np.empty((width, count)), 0
+    for chunk in walk():
+        out[:, start:start + chunk.shape[1]] = chunk
+        start += chunk.shape[1]
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -155,7 +187,7 @@ class GridSpec:
     def nodes(self, domain: IntervalBox) -> np.ndarray:
         """All grid points as an ``(N, dims)`` array in row-major order,
         walked after the size check of :meth:`checked_axes`."""
-        return _stacked(_region_chunks(self.checked_axes(domain)), self.dims)
+        return _stacked(_region(self.checked_axes(domain)), self.dims)
 
     def checked_axes(self, domain: IntervalBox, extra=None):
         """:meth:`axis_nodes`, after a SchemaError when the grid has more

@@ -17,7 +17,8 @@ along; any moving time axis empties the result. Every reducer's gradient
 is evaluated, even where another one already empties the set.
 
 The same rule also runs on numpy arrays of nodes (:func:`_reduce_arrays`).
-:func:`_scan`, the one array driver, runs jobs on chunks of nodes: the
+:func:`_stream`, the one array driver, runs jobs on chunks of nodes and
+hands each chunk's columns to a fold (:func:`_scan` collects them): the
 reduction table, scalar expressions as columns (:func:`_expression_job`:
 the Matrosov Y table, the trajectory checks' columns and the scans'
 extras), the derivative scans and the ``deriv`` table. The pointwise
@@ -26,6 +27,7 @@ functions remain the reference, run on the cells the arrays flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
@@ -94,79 +96,122 @@ def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
             for i, ax in enumerate(base.axes, start=1)), obstructed)
 
 
-def _fill(shape, arrays: Callable[[slice], np.ndarray],
-          pointwise: Callable[..., None]) -> None:
-    """Fill the cells of ``shape``, a tuple ending in a row count:
-    ``arrays(rows)`` writes each :func:`_chunks` slice in order and returns
-    the mask of its cells it may not reproduce; ``pointwise(*cell)``, the
-    reference, then rewrites every column of each flagged cell, in C order.
+def _fill(shape, arrays, pointwise: Callable[..., None]) -> None:
+    """Fill the cells of ``shape``, ``(jobs, time nodes, nodes)``:
+    ``arrays`` yields, a chunk of nodes at a time in order, the ``(jobs,
+    time nodes, k)`` mask of the cells its array pass may not reproduce;
+    ``pointwise(*cell)``, the reference, then fills each flagged cell, in
+    C order. Flagged cells are kept as flat indices, not as a whole mask.
     Every cell whose pointwise fill could raise is flagged, so the first
     error and the bits are those of an all-pointwise fill."""
     with np.errstate(all="ignore"):
-        mask = np.concatenate([arrays(rows) for rows in _chunks(shape[-1])]
-                              or [np.zeros(shape, bool)], axis=-1)
-        flagged = np.flatnonzero(mask)  # np.argwhere is 10-30x slower
+        flagged, start = [np.zeros(0, np.intp)], 0
+        for mask in arrays:  # (job, time node) outer, node inner
+            outer, b = np.divmod(np.flatnonzero(mask), mask.shape[-1])
+            flagged.append(outer * shape[2] + start + b)
+            start += mask.shape[-1]
+        flagged = np.sort(np.concatenate(flagged))  # argwhere is 10-30x slower
         for cell in np.transpose(np.unravel_index(
                 flagged, shape)).tolist() if flagged.size else ():
             pointwise(*cell)
 
 
-def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
+def _stream(jobs, nodes, times: Sequence, fold) -> None:
     """The one array driver: each ``(zero, arrays, pointwise)`` job's
-    columns at every (time node, node) pair, chunks outer, time nodes
-    inner. A time node is one time or an ``(N,)`` array of them; ``zero``
-    is a cell of zeros, and column k has shape ``np.shape(zero[k]) +
-    (len(times), len(pts))``. ``arrays(at)`` returns a chunk's columns at
-    a time node and the rows it may not reproduce (a falsy ``arrays``
-    flags every cell); ``at(m)`` is map m's value arrays there
-    (:meth:`PiecewiseBoxMap.chunk_arrays` on its ``env_arrays``), once for
-    every job, and once per chunk where they read neither t nor a
-    parameter. :func:`_fill` then refills the flagged cells by
-    ``pointwise(x, t)``, job, time node, then node first; a parameter
+    columns at every (time node, node) pair of the node set ``nodes``,
+    handed a chunk of nodes at a time to ``fold(j, rows, x, columns,
+    keep)``: job j's columns (``np.shape(zero[c]) + (len(times), k)``),
+    which hold its values where ``keep`` and anything elsewhere, at the k
+    nodes of the slice ``rows``, of coordinates ``x``. A time node is one
+    time or one per node. ``arrays(at)`` returns a chunk's columns at a
+    time node and the rows it may not reproduce (a falsy ``arrays`` flags
+    every cell); ``at(m)`` is map m's value arrays there, once for every
+    job, and ``at(m, f)`` ``f`` of them, once per chunk if m reads
+    neither t nor a parameter and the time is scalar. :func:`_fill` then
+    refills each flagged cell by ``pointwise(x, t)`` and folds it as a
+    chunk of its own, so folds must not depend on order; a parameter
     error of the array pass is raised at the first cell of its (job, time
     node)."""
-    shape = (len(jobs), len(times), len(pts))
-    out = [[np.zeros((a := np.asarray(v)).shape + shape[1:], a.dtype)
-            for v in zero] for zero, *_ in jobs]
-    axes, errors = np.ascontiguousarray(pts.T), {}
+    walk, count = nodes
+    shape, errors, cursor = (len(jobs), len(times), count), {}, [math.inf]
+    zeros = [[np.asarray(v) for v in zero] for zero, *_ in jobs]
 
-    def arrays(rows):
-        batch, chunk = axes[:, rows], {}
-        flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
-        for a, t in enumerate(times):
-            now, t = {}, t[rows] if isinstance(t, np.ndarray) else t
+    # A chunk's arrays stay bound here until the next chunk's replace them,
+    # so the allocator reuses their pages: freed at the chunk's end, they
+    # went back to the system and were faulted in again.
+    def arrays():
+        start = 0
+        for batch in walk():
+            rows, chunk = slice(start, start + batch.shape[1]), {}
+            start = rows.stop
+            flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
+            out = [[np.empty(z.shape + flags.shape[1:], z.dtype) for z in zs]
+                   for zs in zeros]
+            for a, t in enumerate(times):
+                now, t = {}, t[rows] if isinstance(t, np.ndarray) else t
 
-            def at(m):  # m's value on the chunk at t, once for every job
-                if id(m) not in now:
-                    if id(m) not in chunk:
-                        chunk[id(m)] = m.chunk_arrays(batch)
-                    now[id(m)] = chunk[id(m)](*m.env_arrays(batch, t))
-                return now[id(m)]
+                def at(m, derive=None):  # once for every job
+                    if id(m) not in now:
+                        if id(m) not in chunk:
+                            chunk[id(m)] = m.chunk_arrays(batch)
+                        now[id(m)] = chunk[id(m)](*m.env_arrays(batch, t))
+                    if not derive:
+                        return now[id(m)]
+                    memo = now if m.time_dependent or np.ndim(t) else chunk
+                    if (id(m), derive) not in memo:
+                        memo[id(m), derive] = derive(now[id(m)])
+                    return memo[id(m), derive]
 
-            for j, (_, step, _) in enumerate(jobs):
-                try:  # raises the first parameter error, in map order
-                    values, flags[j, a] = step(at) if step else ((), True)
-                except DslEvalError as e:  # flags[j, a] stays set
-                    errors[j, a] = e
-                    continue
-                for column, v in zip(out[j], values):
-                    column[..., a, rows] = v
-        return flags
+                for j, (_, step, _) in enumerate(jobs):
+                    try:  # raises the first parameter error, in map order
+                        values, flags[j, a] = step(at) if step else ((), True)
+                    except DslEvalError as e:  # flags[j, a] stays set
+                        errors[j, a] = e
+                        continue
+                    for column, v in zip(out[j], values):
+                        column[..., a, :] = v
+            for j, columns in enumerate(out):
+                fold(j, rows, batch, columns, ~flags[j])
+            yield flags
 
     def pointwise(j, a, b):
         if (j, a) in errors:
             raise errors[j, a]
-        t = times[a]
-        cell = jobs[j][2](pts[b].tolist(), float(t[b]) if np.ndim(t) else t)
-        for column, v in zip(out[j], cell):
-            column[..., a, b] = v
+        if b < cursor[0]:  # walk the nodes again to find node b
+            cursor[:] = 0, np.empty((0, 0)), walk()
+        while b >= cursor[0] + cursor[1].shape[1]:
+            cursor[:2] = cursor[0] + cursor[1].shape[1], next(cursor[2])
+        x, t = cursor[1][:, b - cursor[0]], times[a]
+        cell = jobs[j][2](x.tolist(), float(t[b]) if np.ndim(t) else t)
+        columns = [np.zeros(z.shape + (len(times), 1), z.dtype)
+                   for z in zeros[j]]
+        for column, v in zip(columns, cell):
+            column[..., a, 0] = v
+        fold(j, slice(b, b + 1), x[:, None], columns,
+             np.arange(len(times))[:, None] == a)
 
-    _fill(shape, arrays, pointwise)
+    with np.errstate(all="ignore"):
+        _fill(shape, arrays(), pointwise)
+
+
+def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
+    """:func:`_stream` on the rows of ``pts``, collected: column k of job
+    j has shape ``np.shape(zero[k]) + (len(times), len(pts))``."""
+    out = [[np.zeros(np.shape(v) + (len(times), len(pts)),
+                     np.asarray(v).dtype) for v in zero] for zero, *_ in jobs]
+    axes = np.ascontiguousarray(pts.T)
+
+    def collect(j, rows, x, columns, keep):
+        for column, values in zip(out[j], columns):
+            np.copyto(column[..., rows], values, where=keep)
+
+    _stream(jobs, (lambda: (axes[:, r] for r in _chunks(len(pts))),
+                   len(pts)), times, collect)
     return out
 
 
 def _expression_job(pairs, names: Sequence[str] = ()):
-    """The :func:`_scan` job of scalar expressions as columns: each
+    """The :func:`_stream` job of scalar expressions as columns: each
     ``(expression, map)`` in ``m.env(x, t)``, or, for a None map, in the
     node axes named ``names``. ``arrays(at, bad)`` adds to the mask
     ``bad``, if given, the rows of a non-finite value or a NaN parameter
@@ -192,7 +237,7 @@ def _expression_job(pairs, names: Sequence[str] = ()):
 
 
 def _extra(e: expr.ScalarExpr, m, names: Sequence[str]) -> SimpleNamespace:
-    """``e`` as a map to :func:`_scan`'s ``at``, valued ``(values, NaN
+    """``e`` as a map to :func:`_stream`'s ``at``, valued ``(values, NaN
     parameter rows)``: once per chunk if it reads only the node axes."""
     names = names if m is None else [f"x{i+1}" for i in range(m.n_in)]
     fn, fixed = expr.compile_scalar_array(e), expr.free_vars(e) <= set(names)
@@ -226,12 +271,21 @@ def _gradient_arrays(f: RegularFunctionSpec, value):
     return lo, hi, bad | empty
 
 
+def _pinch(gradient):
+    """A gradient's value arrays as the state axes it moves along, the
+    rows where its time axis moves, and its bad and empty rows."""
+    g_lo, g_hi, empty, bad = gradient
+    moving = g_lo != g_hi
+    return moving[:-1], moving[-1], bad | empty
+
+
 def _reduce_arrays(lo, hi, empty, bad, reducers, value):
     """Array form of :func:`_reduce`.
 
     ``lo``, ``hi`` (``(n, rows)``), ``empty`` and ``bad`` are the
-    inclusion value on the batch, and ``value(m)`` a map's value there
-    (see :func:`_gradient_arrays`). The state axes some reducer's gradient
+    inclusion value on the batch, and ``value`` :func:`_stream`'s ``at``
+    (a gradient's :func:`_pinch` comes once per chunk where it reads
+    neither t nor a parameter). The state axes some reducer's gradient
     moves along are pinched to 0 together; a row is emptied where a
     pinched axis excludes 0 or some gradient's time axis moves. Returns
     the reduced ``(lo, hi, empty)`` (endpoints mean nothing on empty
@@ -239,10 +293,9 @@ def _reduce_arrays(lo, hi, empty, bad, reducers, value):
     """
     constrained = np.zeros(lo.shape, dtype=bool)
     for u in reducers:
-        g_lo, g_hi, g_bad = _gradient_arrays(u, value)
-        moving = g_lo != g_hi
-        constrained |= moving[:-1]
-        empty = empty | moving[-1]
+        moving, obstructed, g_bad = value(u.gradient, _pinch)
+        constrained |= moving
+        empty = empty | obstructed
         bad = bad | g_bad
     empty = empty | (constrained & ~((lo <= 0.0) & (0.0 <= hi))).any(axis=0)
     return (np.where(constrained, 0.0, lo), np.where(constrained, 0.0, hi),
@@ -384,7 +437,7 @@ def tabulate_reduction(inclusion: PiecewiseBoxMap,
 
 def _reduction_job(inclusion: PiecewiseBoxMap,
                    reducers: Sequence[RegularFunctionSpec], width: int):
-    """The :func:`_scan` job of the reduction table on nodes of ``width``
+    """The :func:`_stream` job of the reduction table on nodes of ``width``
     coordinates: F's lo, hi and empty flags, the reduction's, and the
     pinched-axes mask."""
     n = inclusion.n_out

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,20 @@ class TestGridSpec:
         assert pts.shape == expected.shape
         assert pts.tobytes() == expected.tobytes()
         assert pts.T.flags.c_contiguous
+
+    def test_nodes_are_built_in_place(self, example6):
+        """The chunks of the walk are written into the result, so the
+        peak is the result itself, not the chunks and the result alive
+        together: 1001^2 nodes (15.3 MiB)."""
+        grid = example6.require_grid().with_uniform_counts(1001)
+        tracemalloc.start()
+        try:
+            pts = grid.nodes(example6.domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) > 10 ** 6
+        assert peak <= 1.1 * pts.nbytes
 
     def test_include_nodes_survive_verbatim(self, example2):
         nodes = example2.grid.axis_nodes(example2.domain)

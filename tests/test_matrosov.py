@@ -359,9 +359,9 @@ def _whole_table_bound(prob, constants, zeta, z_nodes, x_nodes):
     final_bound = -zeta / (2.0 ** (M - 1))
     margin = combined - final_bound
     return certify._margin_certificate(
-        "matrosov-combined-bound",
-        [(margin, np.ones(margin.size, dtype=bool),
-          lambda k: (points[k], 0.0))], 0.0, {"zeta": zeta},
+        "matrosov-combined-bound", certify._Verdict(0.0).add(
+            margin, np.ones(margin.size, dtype=bool),
+            lambda k: (k, points[k], 0.0)), {"zeta": zeta},
         {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
         {"final_bound": final_bound}, count="combination_violations")
 
