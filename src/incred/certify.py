@@ -40,7 +40,7 @@ from . import expr, reduction
 from .derivative import _derivative_job
 from .errors import SchemaError
 from .grids import (GridSpec, _chunks, _region, _region_chunks,
-                    _region_count, _stacked, check_size)
+                    _region_count, _rows, _stacked, check_size)
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _expression_job
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
@@ -218,21 +218,20 @@ def _decrease_check(sys: SystemDef, bound: expr.ScalarExpr,
     first, verdict = [None] * len(screens), _Verdict(tol)
     tally = {"minus_inf": 0, "sandwich": 0}
 
-    def fold(j, rows, x, columns, keep):
+    def fold(j, rows, x, columns):
         value, minus_inf, *extra = columns
         witness = _cell_witness(rows, x, nodes[1], time_nodes)
         for s, (c, name) in enumerate(screens):
             fails = ~(extra[c] >= -tol) if name is None else \
                 ~(extra[c] > 0.0) & (x != 0.0).any(axis=0)
-            first[s] = _earliest(first[s], (fails & keep).ravel(),
-                                 extra[c].ravel(), witness)
+            first[s] = _earliest(first[s], fails.ravel(), extra[c].ravel(),
+                                 witness)
         if sandwich is not None:
             v, lower, upper = extra[1:]
             tally["sandwich"] += int(np.count_nonzero(
-                ~((lower - tol <= v) & (v <= upper + tol)) & keep))
-        tally["minus_inf"] += int(np.count_nonzero(minus_inf & keep))
-        verdict.add((value + extra[0]).ravel(), (~minus_inf & keep).ravel(),
-                    witness)
+                ~((lower - tol <= v) & (v <= upper + tol))))
+        tally["minus_inf"] += int(np.count_nonzero(minus_inf))
+        verdict.add((value + extra[0]).ravel(), ~minus_inf.ravel(), witness)
 
     reduction._stream([_derivative_job(sys.inclusion, candidate, sys.reducers,
                                        extras, grid.dims)],
@@ -359,21 +358,18 @@ def invariance_data(sys: SystemDef, *,
     zero_tol = _number(checks.zero_tol if zero_tol is None else zero_tol,
                        "zero_tol")
     nodes, t0 = _region(grid.checked_axes(sys.domain)), grid.time_nodes[0]
-    verdict, vanishing, minus_inf = _Verdict(_TOL), {}, [0]
+    verdict, e_nodes, minus_inf = _Verdict(_TOL), [], [0]
 
-    def fold(j, rows, x, columns, keep):
+    def fold(j, rows, x, columns):  # the chunks come in node order
         (d,), (inf,) = columns  # one time node
-        counted = ~inf & keep[0]
-        minus_inf[0] += int(np.count_nonzero(inf & keep[0]))
-        hit = counted & (np.abs(d) <= zero_tol)
-        vanishing.update(zip((rows.start + np.flatnonzero(hit)).tolist(),
-                             map(tuple, x[:, hit].T.tolist())))
-        verdict.add(d, counted, _cell_witness(rows, x, nodes[1], (t0,)))
+        minus_inf[0] += int(np.count_nonzero(inf))
+        e_nodes.extend(map(tuple, x[:, ~inf & (np.abs(d) <= zero_tol)]
+                           .T.tolist()))
+        verdict.add(d, ~inf, _cell_witness(rows, x, nodes[1], (t0,)))
 
     reduction._stream([_derivative_job(sys.inclusion, sys.candidate,
                                        sys.reducers, (), grid.dims)],
                       nodes, (t0,), fold)
-    e_nodes = [vanishing[b] for b in sorted(vanishing)]
     cert = _margin_certificate(
         "derivative-nonpositive", verdict, {"margin_tol": _TOL},
         grid.summary(sys.domain),
@@ -501,8 +497,7 @@ def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
     """``(points, y)``: the rows of :func:`_row_chunks` as an ``(R, m +
     n)`` array of ``z + x``, and Y_1..Y_M there as ``(M, R)``."""
     x = np.asarray(x_nodes, dtype=float)
-    rows, job = _row_chunks(prob, z_nodes, (
-        lambda: (x[r].T for r in _chunks(len(x))), len(x)), x.shape[1])
+    rows, job = _row_chunks(prob, z_nodes, _rows(x), x.shape[1])
     points = _stacked(rows, prob.m + x.shape[1])
     return points, np.concatenate(reduction._scan([job], points, [0.0])[0])
 
@@ -659,11 +654,11 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
     rows, job = _row_chunks(prob, z_nodes, x_nodes, sys.n)
     final_bound, verdict = -zeta / (2.0 ** (M - 1)), _Verdict(0.0)
 
-    def fold(j, rows, points, y, keep):  # NaN and inf are counted
+    def fold(j, rows, points, y):  # NaN and inf are counted
         z = y[M - 1][0]
         for k, yj in reversed(list(zip(constants, y))):
             z = k * yj[0] + z
-        verdict.add(z - final_bound, keep[0],
+        verdict.add(z - final_bound, np.ones(len(z), bool),
                     lambda k: (rows.start + k, points[:, k], 0.0))
 
     reduction._stream([job], rows, [0.0], fold)
@@ -691,9 +686,9 @@ def matrosov_derivative_bounds(sys: SystemDef,
         for w, coll, y in zip(prob.functions, prob.collections, prob.aux)]
     verdict, per_function = _Verdict(_TOL), [0] * len(jobs)
 
-    def fold(j, rows, x, columns, keep):
+    def fold(j, rows, x, columns):
         value, minus_inf, y = columns
-        margin, counted = (value - y).ravel(), (~minus_inf & keep).ravel()
+        margin, counted = (value - y).ravel(), ~minus_inf.ravel()
         per_function[j] += _violations(margin, counted, _TOL)
         verdict.add(margin, counted,
                     _cell_witness(rows, x, nodes[1], time_nodes, j))

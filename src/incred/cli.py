@@ -16,7 +16,9 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import shutil
 import sys as _sys
 from dataclasses import replace
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DslSyntaxError, IncredError, SchemaError
-from .grids import GridSpec, _chunks
+from .grids import GridSpec, _region
 from .setmaps import (SimSpec, SystemDef, load_system,
                       validate_gradient, _number, _parse_grid, _STRATEGY_KINDS)
 # each subcommand imports the analysis modules it uses, and only those
@@ -90,54 +92,87 @@ def _report(args, line: str, text: str | None = None) -> None:
         print(text, end="")
 
 
+@contextlib.contextmanager
+def _writing(args, *names: str):
+    """Text handles for the reports ``names`` in the output directory,
+    each written under a ``.part`` name and renamed into place once the
+    block ends. A block that raises leaves the directory as it found it:
+    its ``.part`` files are removed, and so is each directory made for
+    them, so no report is left half written and none of an earlier run is
+    touched."""
+    out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    parts = [out / f"{name}.part" for name in names]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(p, "w", encoding="utf-8",
+                                            newline="")) for p in parts]
+    except BaseException:
+        for p in parts:
+            p.unlink(missing_ok=True)
+        for d in made:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    for p, name in zip(parts, names):
+        os.replace(p, out / name)
+
+
 def cmd_reduce(args) -> int:
-    from .reduction import tabulate_reduction
+    from .reduction import _csv_header, _reduction_job, _reporter, _stream
     system = _load(args)
     grid = system.require_grid()
-    table = tabulate_reduction(system.inclusion, system.reducers,
-                               grid.nodes(system.domain), grid.time_nodes[0])
-    out = _outdir(args)
-    csv_path = out / "reduction_table.csv"
-    text_path = out / "reduction_table.txt"
+    nodes, t0 = _region(grid.checked_axes(system.domain)), grid.time_nodes[0]
+    report = _reporter(system.n, t0)
     # streamed: the two reports together are about 13 MB at 201^2 nodes
-    with open(csv_path, "w", encoding="utf-8", newline="") as csv_fh, \
-            open(text_path, "w", encoding="utf-8", newline="") as text_fh:
-        for csv_chunk, text_chunk in table.report_chunks():
-            csv_fh.write(csv_chunk)
-            text_fh.write(text_chunk)
-    _report(args, f"reduce: {len(table.x)} probes -> {csv_path}")
+    with _writing(args, "reduction_table.csv",
+                  "reduction_table.txt") as (csv_fh, text_fh):
+        csv_fh.write(_csv_header(system.n))
+
+        def fold(j, rows, x, columns):
+            csv, text = report(x, *(c[..., 0, :] for c in columns))
+            csv_fh.write(csv)
+            text_fh.write(text)
+
+        _stream([_reduction_job(system.inclusion, system.reducers,
+                                grid.dims)], nodes, (t0,), fold)
+    out = Path(args.out) / "reduction_table"
+    _report(args, f"reduce: {nodes[1]} probes -> {out}.csv")
     if args.verbose:
-        with open(text_path, "r", encoding="utf-8", newline="") as fh:
+        with open(f"{out}.txt", "r", encoding="utf-8", newline="") as fh:
             shutil.copyfileobj(fh, _sys.stdout)
     return EXIT_OK
 
 
 def cmd_deriv(args) -> int:
-    from .derivative import tabulate_derivatives
-    from .reduction import _reprs
+    from .derivative import _table_job
+    from .reduction import _reprs, _stream
     system = _load(args)
-    grid = system.require_grid()
-    t0, nodes, n = grid.time_nodes[0], grid.nodes(system.domain), system.n
-    value, minus_inf, top, top_inf, lo, hi, empty = tabulate_derivatives(
-        system.candidate, system.inclusion, system.reducers, nodes, t0)
-    path = _outdir(args) / "derivatives.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    grid, n = system.require_grid(), system.n
+    nodes, t0 = _region(grid.checked_axes(system.domain)), grid.time_nodes[0]
+    with _writing(args, "derivatives.csv") as (fh,):
         fh.write(",".join([f"x{i+1}" for i in range(n)] + [
             "t", "generalized", "baseline_max", "baseline_lo",
             "baseline_hi"]) + "\n")
-        for rows in _chunks(len(nodes)):  # as ReductionTable._report_chunk
-            text, where = _reprs(np.concatenate([nodes[rows].T, [
-                value[rows], top[rows], lo[rows], hi[rows]]]))
+
+        def fold(j, rows, x, columns):  # as reduction._reporter
+            value, minus_inf, top, top_inf, lo, hi, empty = (
+                c[0] for c in columns)
+            text, where = _reprs(np.concatenate([x, [value, top, lo, hi]]))
             where, comma = where.T, text + ","
             cells = np.empty((len(where), n + 5), dtype=object)
             cells[:, :n], cells[:, n] = comma[where[:, :n]], repr(t0) + ","
             cells[:, n + 1:-1] = comma[where[:, n:-1]]
             cells[:, -1] = (text + "\n")[where[:, -1]]
-            cells[minus_inf[rows], n + 1] = "-inf,"
-            cells[top_inf[rows], n + 2] = "-inf,"
-            cells[empty[rows], n + 3:] = ",", "\n"
+            cells[minus_inf, n + 1] = "-inf,"
+            cells[top_inf, n + 2] = "-inf,"
+            cells[empty, n + 3:] = ",", "\n"
             fh.write("".join(cells.ravel().tolist()))
-    _report(args, f"deriv: wrote {path}")
+
+        _stream([_table_job(system.candidate, system.inclusion,
+                            system.reducers, grid.dims)], nodes, (t0,), fold)
+    _report(args, f"deriv: wrote {Path(args.out) / 'derivatives.csv'}")
     return EXIT_OK
 
 

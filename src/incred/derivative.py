@@ -14,11 +14,12 @@ function along a box-valued inclusion are computed in closed form:
 * :func:`baseline_interval_derivative` -- the classical intersection
   derivative ``∩_p p . (F x {1})``, an interval, or None when empty.
 
-:func:`scan_derivative` gives the generalized derivative and any extras at
-every (time node, node) pair of a grid, and :func:`tabulate_derivatives`
-all three at every node: jobs of ``reduction._stream``, whose array forms
-here share the pointwise code's operation order and tie rule, and whose
-flagged cells the pointwise functions refill.
+:func:`_derivative_job` gives the generalized derivative and any extras
+at every (time node, node) pair of a node set, the job of the
+certificate scans, and :func:`_table_job` all three at every node, the
+``deriv`` table: jobs of ``reduction._stream``, whose array forms here
+share the pointwise code's operation order and tie rule, and whose
+flagged cells the pointwise functions refill chunk by chunk.
 
 Because gradients and inclusion values are boxes, both bilinear
 optimizations decompose per axis: the max over a rectangle of ``p q`` is
@@ -41,19 +42,17 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import expr, reduction
+from . import reduction
 from .expr import _array_max as _max, _array_min as _min
 from .errors import (DimensionMismatchError, DslEvalError, EmptySetError,
                      SchemaError)
 from .intervals import Interval, IntervalBox
-from .reduction import (_gradient_arrays, _node_array, _reduce_arrays,
-                        reduce_collection)
+from .reduction import _gradient_arrays, _reduce_arrays, reduce_collection
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
 
 __all__ = [
     "DerivativeValue", "bilinear_maxmax", "bilinear_minmax",
     "generalized_derivative", "baseline_interval_derivative",
-    "DerivativeScan", "scan_derivative", "tabulate_derivatives",
 ]
 
 @dataclass(frozen=True)
@@ -189,46 +188,6 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     return DerivativeValue("baseline-interval", value)
 
 
-@dataclass(frozen=True)
-class DerivativeScan:
-    """Per-pair columns of one scan, each of shape (time nodes, nodes).
-
-    ``value`` is the generalized derivative, 0.0 where ``minus_inf``
-    flags the minus-infinity marker; ``extras[k]`` is the k-th extra
-    expression evaluated in its map's environment at every pair.
-    """
-    value: np.ndarray
-    minus_inf: np.ndarray
-    extras: tuple[np.ndarray, ...]
-
-
-def scan_derivative(candidate: RegularFunctionSpec,
-                    inclusion: PiecewiseBoxMap,
-                    reducers: Sequence[RegularFunctionSpec],
-                    nodes, time_nodes: Sequence[float],
-                    extras: Sequence[tuple[expr.ScalarExpr,
-                                           PiecewiseBoxMap]] = (),
-                    ) -> DerivativeScan:
-    """:func:`generalized_derivative` at every (t, x) pair, plus extras.
-
-    ``nodes`` is an ``(N, n)`` array-like of points; ``extras`` pairs a
-    scalar expression with the map whose environment (parameters) it
-    reads. The one-job call of :func:`_scan`.
-    """
-    return _scan(inclusion, [(candidate, reducers, extras)], nodes,
-                 time_nodes)[0]
-
-
-def _scan(inclusion: PiecewiseBoxMap, jobs, nodes,
-          time_nodes: Sequence[float]) -> list[DerivativeScan]:
-    """:func:`scan_derivative` of each ``(candidate, reducers, extras)``
-    job along one inclusion, in one ``reduction._scan`` pass."""
-    pts = _node_array(nodes, inclusion.n_in)
-    scans = reduction._scan([_derivative_job(inclusion, *job, pts.shape[-1])
-                             for job in jobs], pts, time_nodes)
-    return [DerivativeScan(v, d, tuple(extras)) for v, d, *extras in scans]
-
-
 def _derivative_job(inclusion, candidate, reducers, extras, width: int):
     """The ``reduction._stream`` job of :func:`generalized_derivative` (the
     value, 0.0 at minus infinity, and the minus-infinity flags), then the
@@ -257,20 +216,17 @@ def _cells(d: DerivativeValue) -> tuple[float, bool]:
     return 0.0 if d.is_minus_inf else d.value, d.is_minus_inf
 
 
-def tabulate_derivatives(candidate: RegularFunctionSpec,
-                         inclusion: PiecewiseBoxMap,
-                         reducers: Sequence[RegularFunctionSpec],
-                         nodes, t: float) -> list[np.ndarray]:
-    """The ``deriv`` columns at every node at time ``t``: the generalized
-    and the common-value max derivatives (values and minus-infinity
-    flags), then the intersection derivative's ends and empty flags. The
-    reference computes the three in this order per node, so the first
-    error is that of a loop over the nodes. The common-value derivative
-    is :func:`generalized_derivative` with the candidate as the only
-    reducer, for a regular candidate only."""
-    pts = _node_array(nodes, inclusion.n_in)
+def _table_job(candidate: RegularFunctionSpec, inclusion: PiecewiseBoxMap,
+               reducers: Sequence[RegularFunctionSpec], width: int):
+    """The ``reduction._stream`` job of the ``deriv`` table on nodes of
+    ``width`` axes: the generalized and the common-value max derivatives
+    (values and minus-infinity flags), then the intersection derivative's
+    ends and empty flags. The reference computes the three in this order
+    per node, so the first error is that of a loop over the nodes. The
+    common-value derivative is :func:`generalized_derivative` with the
+    candidate as the only reducer, for a regular candidate only."""
     (_, gen, _), (_, top, _) = (
-        _derivative_job(inclusion, candidate, us, (), pts.shape[-1])
+        _derivative_job(inclusion, candidate, us, (), width)
         for us in (reducers, (candidate,)))
 
     def arrays(at):
@@ -293,9 +249,8 @@ def tabulate_derivatives(candidate: RegularFunctionSpec,
         return (*_cells(d), *_cells(d_max), *((0.0, 0.0, True) if ends is None
                                               else (ends.lo, ends.hi, False)))
 
-    job = (0.0, False, 0.0, False, 0.0, 0.0, False), gen and top and arrays, \
-        pointwise
-    return [c[0] for c in reduction._scan([job], pts, [t])[0]]
+    return (0.0, False, 0.0, False, 0.0, 0.0, False), \
+        gen and top and arrays, pointwise
 
 
 def _derivative_arrays(candidate, inclusion, reducers, value):

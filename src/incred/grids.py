@@ -121,6 +121,12 @@ def _region(axes, region=None):
     return partial(_region_chunks, axes, region), count
 
 
+def _rows(pts: np.ndarray):
+    """The rows of an ``(N, n)`` array as a node set ``(walk, count)``."""
+    axes = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
+    return (lambda: (axes[:, r] for r in _chunks(len(pts)))), len(pts)
+
+
 def _stacked(nodes, width: int) -> np.ndarray:
     """The node set ``nodes`` as one ``(N, width)`` array of rows, the
     transpose of a C-contiguous one that each chunk is written into."""

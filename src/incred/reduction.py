@@ -17,26 +17,28 @@ along; any moving time axis empties the result. Every reducer's gradient
 is evaluated, even where another one already empties the set.
 
 The same rule also runs on numpy arrays of nodes (:func:`_reduce_arrays`).
-:func:`_stream`, the one array driver, runs jobs on chunks of nodes and
-hands each chunk's columns to a fold (:func:`_scan` collects them): the
-reduction table, scalar expressions as columns (:func:`_expression_job`:
-the Matrosov Y table, the trajectory checks' columns and the scans'
-extras), the derivative scans and the ``deriv`` table. The pointwise
-functions remain the reference, run on the cells the arrays flag.
+:func:`_stream`, the one array driver, runs jobs on chunks of nodes,
+refills the cells the arrays flag with the pointwise functions, which
+remain the reference, and hands each finished chunk's columns, in node
+order, to a fold: the reduction table (whose reports :func:`_reporter`
+writes a chunk at a time), scalar expressions as columns
+(:func:`_expression_job`: the Matrosov Y table, the trajectory checks'
+columns and the scans' extras), the derivative scans and the ``deriv``
+table. :func:`_scan` is the fold that collects whole columns, for the
+callers that read them whole.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import expr
 from .errors import DimensionMismatchError, DslEvalError, SchemaError
-from .grids import _chunks
+from .grids import _chunks, _rows
 from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -96,55 +98,44 @@ def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
             for i, ax in enumerate(base.axes, start=1)), obstructed)
 
 
-def _fill(shape, arrays, pointwise: Callable[..., None]) -> None:
-    """Fill the cells of ``shape``, ``(jobs, time nodes, nodes)``:
-    ``arrays`` yields, a chunk of nodes at a time in order, the ``(jobs,
-    time nodes, k)`` mask of the cells its array pass may not reproduce;
-    ``pointwise(*cell)``, the reference, then fills each flagged cell, in
-    C order. Flagged cells are kept as flat indices, not as a whole mask.
-    Every cell whose pointwise fill could raise is flagged, so the first
-    error and the bits are those of an all-pointwise fill."""
-    with np.errstate(all="ignore"):
-        flagged, start = [np.zeros(0, np.intp)], 0
-        for mask in arrays:  # (job, time node) outer, node inner
-            outer, b = np.divmod(np.flatnonzero(mask), mask.shape[-1])
-            flagged.append(outer * shape[2] + start + b)
-            start += mask.shape[-1]
-        flagged = np.sort(np.concatenate(flagged))  # argwhere is 10-30x slower
-        for cell in np.transpose(np.unravel_index(
-                flagged, shape)).tolist() if flagged.size else ():
-            pointwise(*cell)
+def _flagged(flags: np.ndarray) -> list[list[int]]:
+    """The cells of a chunk that its ``(jobs, time nodes, nodes)`` mask
+    ``flags`` hands to the pointwise reference, in C order."""
+    return np.transpose(np.unravel_index(  # np.argwhere costs 50 us a chunk
+        np.flatnonzero(flags), flags.shape)).tolist()
 
 
 def _stream(jobs, nodes, times: Sequence, fold) -> None:
     """The one array driver: each ``(zero, arrays, pointwise)`` job's
     columns at every (time node, node) pair of the node set ``nodes``,
-    handed a chunk of nodes at a time to ``fold(j, rows, x, columns,
-    keep)``: job j's columns (``np.shape(zero[c]) + (len(times), k)``),
-    which hold its values where ``keep`` and anything elsewhere, at the k
-    nodes of the slice ``rows``, of coordinates ``x``. A time node is one
-    time or one per node. ``arrays(at)`` returns a chunk's columns at a
-    time node and the rows it may not reproduce (a falsy ``arrays`` flags
-    every cell); ``at(m)`` is map m's value arrays there, once for every
-    job, and ``at(m, f)`` ``f`` of them, once per chunk if m reads
-    neither t nor a parameter and the time is scalar. :func:`_fill` then
-    refills each flagged cell by ``pointwise(x, t)`` and folds it as a
-    chunk of its own, so folds must not depend on order; a parameter
-    error of the array pass is raised at the first cell of its (job, time
-    node)."""
-    walk, count = nodes
-    shape, errors, cursor = (len(jobs), len(times), count), {}, [math.inf]
-    zeros = [[np.asarray(v) for v in zero] for zero, *_ in jobs]
+    handed a chunk of nodes at a time, in order, to ``fold(j, rows, x,
+    columns)``: job j's columns (``np.shape(zero[c]) + (len(times), k)``)
+    at the k nodes of the slice ``rows``, of coordinates ``x``. A time
+    node is one time or one per node. ``arrays(at)`` returns a chunk's
+    columns at a time node and the rows it may not reproduce (a falsy
+    ``arrays`` flags every cell); ``at(m)`` is map m's value arrays there,
+    once for every job, and ``at(m, f)`` ``f`` of them, once per chunk if
+    m reads neither t nor a parameter and the time is scalar.
 
+    Each flagged cell is refilled by ``pointwise(x, t)`` before its chunk
+    is folded, in C order (:func:`_flagged`); a parameter error of the
+    array pass stands for the cells of its (job, time node). Every cell
+    whose pointwise fill could raise is flagged, so the bits are those of
+    an all-pointwise run, and so is the error: the first in (job, time
+    node, node) order is held, no fold is called from its chunk on, the
+    walk stops once no later chunk can hold an earlier cell, and the held
+    error is raised at the end."""
+    walk, _ = nodes
+    zeros = [[np.asarray(v) for v in zero] for zero, *_ in jobs]
+    held, start = None, 0  # ((job, time node, node), the first error)
     # A chunk's arrays stay bound here until the next chunk's replace them,
     # so the allocator reuses their pages: freed at the chunk's end, they
     # went back to the system and were faulted in again.
-    def arrays():
-        start = 0
+    with np.errstate(all="ignore"):
         for batch in walk():
-            rows, chunk = slice(start, start + batch.shape[1]), {}
+            rows, chunk, errors = slice(start, start + batch.shape[1]), {}, {}
             start = rows.stop
-            flags = np.ones(shape[:2] + (batch.shape[1],), dtype=bool)
+            flags = np.ones((len(jobs), len(times), batch.shape[1]), bool)
             out = [[np.empty(z.shape + flags.shape[1:], z.dtype) for z in zs]
                    for zs in zeros]
             for a, t in enumerate(times):
@@ -170,43 +161,40 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
                         continue
                     for column, v in zip(out[j], values):
                         column[..., a, :] = v
-            for j, columns in enumerate(out):
-                fold(j, rows, batch, columns, ~flags[j])
-            yield flags
-
-    def pointwise(j, a, b):
-        if (j, a) in errors:
-            raise errors[j, a]
-        if b < cursor[0]:  # walk the nodes again to find node b
-            cursor[:] = 0, np.empty((0, 0)), walk()
-        while b >= cursor[0] + cursor[1].shape[1]:
-            cursor[:2] = cursor[0] + cursor[1].shape[1], next(cursor[2])
-        x, t = cursor[1][:, b - cursor[0]], times[a]
-        cell = jobs[j][2](x.tolist(), float(t[b]) if np.ndim(t) else t)
-        columns = [np.zeros(z.shape + (len(times), 1), z.dtype)
-                   for z in zeros[j]]
-        for column, v in zip(columns, cell):
-            column[..., a, 0] = v
-        fold(j, slice(b, b + 1), x[:, None], columns,
-             np.arange(len(times))[:, None] == a)
-
-    with np.errstate(all="ignore"):
-        _fill(shape, arrays(), pointwise)
+            for j, a, b in _flagged(flags):
+                if held and held[0] < (j, a, rows.start + b):
+                    break
+                t = times[a]
+                try:
+                    if (j, a) in errors:
+                        raise errors[j, a]
+                    cell = jobs[j][2](batch[:, b].tolist(), float(
+                        t[rows.start + b]) if np.ndim(t) else t)
+                except Exception as e:  # any type: a loop would raise it
+                    held = (j, a, rows.start + b), e
+                    break
+                for column, v in zip(out[j], cell):
+                    column[..., a, b] = v
+            if held is None:
+                for j, columns in enumerate(out):
+                    fold(j, rows, batch, columns)
+            elif held[0] < (0, 0, start):  # before every later cell
+                break
+    if held:
+        raise held[1]
 
 
 def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
     """:func:`_stream` on the rows of ``pts``, collected: column k of job
     j has shape ``np.shape(zero[k]) + (len(times), len(pts))``."""
-    out = [[np.zeros(np.shape(v) + (len(times), len(pts)),
+    out = [[np.empty(np.shape(v) + (len(times), len(pts)),
                      np.asarray(v).dtype) for v in zero] for zero, *_ in jobs]
-    axes = np.ascontiguousarray(pts.T)
 
-    def collect(j, rows, x, columns, keep):
+    def collect(j, rows, x, columns):
         for column, values in zip(out[j], columns):
-            np.copyto(column[..., rows], values, where=keep)
+            column[..., rows] = values
 
-    _stream(jobs, (lambda: (axes[:, r] for r in _chunks(len(pts))),
-                   len(pts)), times, collect)
+    _stream(jobs, _rows(pts), times, collect)
     return out
 
 
@@ -329,41 +317,57 @@ class ReductionTable:
 
     def report_chunks(self) -> Iterator[tuple[str, str]]:
         """The CSV and text reports as ``(csv, text)`` pieces: the CSV
-        header, then ``_CHUNK`` rows at a time. The reports state one time.
-
-        Each report's chunk is a C-ordered ``(rows, cells)`` object array
-        of finished text pieces, separators included, joined once. The
-        value pieces come from role tables such as ``r + ","`` or ``"[" +
-        r`` over the chunk's distinct reprs (see :func:`_reprs`), indexed
-        by ``np.unique``'s inverse; fixed text fills constant columns, and
-        the cells of an empty box are overwritten by masked assignment.
-        """
+        header, then ``_CHUNK`` rows at a time (see :func:`_reporter`).
+        The reports state one time."""
         if np.ndim(self.t):
             raise ValueError("a table with one time per row has no report")
-        n = self.n
-        yield ",".join(
-            [f"x{i+1}" for i in range(n)] + ["t"]
-            + [f"{k}{i+1}" for k in ("F_lo", "F_hi", "Fred_lo", "Fred_hi")
-               for i in range(n)] + ["empty_flag"]) + "\n", ""
+        yield _csv_header(self.n), ""
         if not len(self.x):
             yield "", "\n"  # the text report of no rows is one newline
             return
-        # a pinched_axes label per bit code of the mask (n <= 9: 512 at most)
-        labels = "  pinched_axes=" + np.array(
-            [",".join(str(i + 1) for i in range(n) if c >> i & 1) or "-"
-             for c in range(1 << n)], dtype=object) + "\n"
+        report = _reporter(self.n, self.t)
         for rows in _chunks(len(self.x)):
-            yield self._report_chunk(rows, labels)
+            yield report(self.x[rows].T, *(c[..., rows] for c in (
+                self.base_lo, self.base_hi, self.base_empty, self.lo,
+                self.hi, self.empty, self.constrained)))
 
-    def _report_chunk(self, rows: slice, labels) -> tuple[str, str]:
-        """The CSV and text of one chunk of rows. A function of its own, so
-        that none of its arrays outlives the chunk in the generator."""
-        n, t, k = self.n, repr(self.t), self.x.shape[1]
-        text, where = _reprs(np.concatenate([
-            self.x[rows].T, self.base_lo[:, rows], self.base_hi[:, rows],
-            self.lo[:, rows], self.hi[:, rows]]))
+    def to_csv(self) -> str:
+        return "".join(csv for csv, _ in self.report_chunks())
+
+    def to_text(self) -> str:
+        return "".join(text for _, text in self.report_chunks())
+
+
+def _csv_header(n: int) -> str:
+    return ",".join(
+        [f"x{i+1}" for i in range(n)] + ["t"]
+        + [f"{k}{i+1}" for k in ("F_lo", "F_hi", "Fred_lo", "Fred_hi")
+           for i in range(n)] + ["empty_flag"]) + "\n"
+
+
+def _reporter(n: int, t: float):
+    """``report(x, base_lo, base_hi, base_empty, lo, hi, empty,
+    constrained)``: the CSV and text rows of a chunk of the reduction
+    table at time ``t``, its nodes ``x`` as ``(dims, k)`` and its columns
+    as :class:`ReductionTable` holds them.
+
+    Each report's chunk is a C-ordered ``(rows, cells)`` object array of
+    finished text pieces, separators included, joined once. The value
+    pieces come from role tables such as ``r + ","`` or ``"[" + r`` over
+    the chunk's distinct reprs (see :func:`_reprs`), indexed by
+    ``np.unique``'s inverse; fixed text fills constant columns, and the
+    cells of an empty box are overwritten by masked assignment.
+    """
+    # a pinched_axes label per bit code of the mask (n <= 9: 512 at most)
+    labels = "  pinched_axes=" + np.array(
+        [",".join(str(i + 1) for i in range(n) if c >> i & 1) or "-"
+         for c in range(1 << n)], dtype=object) + "\n"
+    t = repr(t)
+
+    def report(x, base_lo, base_hi, base_empty, lo, hi, empty, constrained):
+        k = len(x)
+        text, where = _reprs(np.concatenate([x, base_lo, base_hi, lo, hi]))
         where = where.T  # per row: x, then F_lo, F_hi, Fred_lo, Fred_hi
-        base_empty, empty = self.base_empty[rows], self.empty[rows]
         # x1,...,t,F_lo1,...,F_hi1,...,Fred_lo1,...,Fred_hi1,...,empty_flag
         comma = text + ","
         cells = np.empty((len(where), k + 4 * n + 2), dtype=object)
@@ -390,14 +394,9 @@ class ReductionTable:
             box[:, 0], box[:, 2::2] = first[lo[:, 0]], text[lo[:, 1:]]
             box[:, 1:-1:2], box[:, -1] = inner[hi[:, :-1]], last[hi[:, -1]]
             box[box_empty, 0], box[box_empty, 1:] = no_box, ""
-        cells[:, -1] = labels[(1 << np.arange(n)) @ self.constrained[:, rows]]
+        cells[:, -1] = labels[(1 << np.arange(n)) @ constrained]
         return csv, "".join(cells.ravel().tolist())
-
-    def to_csv(self) -> str:
-        return "".join(csv for csv, _ in self.report_chunks())
-
-    def to_text(self) -> str:
-        return "".join(text for _, text in self.report_chunks())
+    return report
 
 
 def _reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

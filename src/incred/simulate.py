@@ -25,10 +25,11 @@ semidefinite observable. The integrator is one loop generated per call,
 with every guard chain inline, set endpoints as float locals and one env
 per parameter table; a step that raises, or meets a NaN endpoint or an
 empty piece, is redone by the boxed public calls. The checks run as
-``reduction._scan`` jobs (a reduction table, or an expression's column)
-over its ``t, x, q, V`` rows, the rows' times as the one time node, the
-scalar closures redoing each row the arrays flag. A NaN never passes a
-check. The CSV is written in chunks.
+``reduction._stream`` jobs collected whole by ``reduction._scan`` (a
+reduction table, or an expression's column) over its ``t, x, q, V``
+rows, the rows' times as the one time node; the scalar closures redo
+each row the arrays flag before its chunk is collected. A NaN never
+passes a check. The CSV is written in chunks.
 """
 
 from __future__ import annotations

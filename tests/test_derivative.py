@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from incred.derivative import (DerivativeValue,
                                baseline_interval_derivative, bilinear_maxmax,
-                               bilinear_minmax, generalized_derivative,
-                               tabulate_derivatives)
+                               bilinear_minmax, generalized_derivative)
 from incred.errors import (DimensionMismatchError, DslEvalError,
                            EmptySetError, SchemaError)
 from incred.intervals import Interval, IntervalBox
@@ -259,12 +258,6 @@ class TestBaselines:
         # endpoint arithmetic: max over [0.5,1.5] + max over [-2.5,-1.5]
         # under gradient (1, 1): 1.5 - 1.5 = 0
         assert d.value == 0.0
-
-    def test_common_value_requires_regular(self):
-        f = constant_spec(box((0, 1), (0, 0)), regular=False)
-        with pytest.raises(SchemaError, match="requires a regular candidate"):
-            tabulate_derivatives(f, constant_map(box((0, 1))), (), [(0.0,)],
-                                 0.0)
 
     def test_interval_derivative_smooth(self, example2):
         d = baseline_interval_derivative(example2.candidate,

@@ -6,8 +6,8 @@ result. Exit 1 comes only with the subcommand's verdict line.
 
 Each case runs twice, with chunks of 3 rows so that one grid mixes
 array-filled chunks and rows refilled pointwise: once as it is, and once
-with every fill sending all rows pointwise. The two runs must agree on
-the exit code, stdout, stderr and every report byte.
+with every chunk's cells sent to the pointwise reference. The two runs
+must agree on the exit code, stdout, stderr and every report byte.
 """
 
 import contextlib
@@ -109,21 +109,19 @@ def _at(doc, path):
     return doc
 
 
-def _all_pointwise(shape, arrays, pointwise):
-    """``reduction._fill`` with every cell sent to the pointwise reference,
-    in C order."""
-    with np.errstate(all="ignore"):
-        for cell in np.ndindex(shape):
-            pointwise(*cell)
+def _all_pointwise(flags):
+    """``reduction._flagged`` with every cell of the chunk sent to the
+    pointwise reference, in C order."""
+    return np.argwhere(np.ones_like(flags)).tolist()
 
 
 def _run(argv, out_dir: Path, pointwise: bool):
     """Exit code, stdout, stderr and the report files of one CLI call."""
     shutil.rmtree(out_dir, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
-    fill = _all_pointwise if pointwise else reduction._fill
+    flagged = _all_pointwise if pointwise else reduction._flagged
     with mock.patch.object(grids, "_CHUNK", 3), \
-            mock.patch.object(reduction, "_fill", fill), \
+            mock.patch.object(reduction, "_flagged", flagged), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     reports = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))} \

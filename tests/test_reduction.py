@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 import incred.expr as ex
 import incred.grids as grids
 import incred.reduction as red
-from incred.derivative import scan_derivative
 from incred.errors import DimensionMismatchError, DslEvalError, SchemaError
 from incred.fixtures import fixture_path
 from incred.intervals import Interval, IntervalBox
 from incred.reduction import reduce_collection, tabulate_reduction
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             eval_map, system_from_dict)
+
+from scans import derivative_scans
 
 
 def reduce_once(inclusion, reducer, x, t):
@@ -359,8 +360,8 @@ class TestTabulate:
         calls = (
             lambda: tabulate_reduction(example1.inclusion, example1.reducers,
                                        nodes, 0.0),
-            lambda: scan_derivative(example1.candidate, example1.inclusion,
-                                    example1.reducers, nodes, (0.0,)))
+            lambda: derivative_scans(example1.inclusion, [(
+                example1.candidate, example1.reducers, ())], nodes, (0.0,)))
         for call in calls:
             with pytest.raises(DimensionMismatchError,
                                match=re.escape("an (N, 1) array")):
@@ -376,8 +377,8 @@ class TestTabulate:
         monkeypatch.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
             calls.append(m), value(m, x, t))[1])
         with monkeypatch.context() as mp:  # every node through the reference
-            mp.setattr(red, "_fill", lambda shape, arrays, pointwise: [
-                pointwise(*cell) for cell in np.ndindex(shape)])
+            mp.setattr(red, "_flagged", lambda flags: np.argwhere(
+                np.ones_like(flags)).tolist())
             tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
         assert [calls.count(m) for m in maps] == [len(nodes)] * 3
         calls.clear()
@@ -422,12 +423,13 @@ class TestTabulate:
                     assert got.tobytes() == want.tobytes(), (name, b)
             assert [row.t for row in rows(table)] == times.tolist()
 
-        def no_fallback(r):
-            raise AssertionError(f"row {r} fell back to the pointwise path")
+        def no_fallback(flags):  # and the per-row table took the array path
+            if flags.any():
+                raise AssertionError(f"rows {np.argwhere(flags).tolist()} "
+                                     "fell back to the pointwise path")
+            return []
 
-        fill = red._fill  # and the per-row table took the array path
-        monkeypatch.setattr(red, "_fill", lambda count, arrays, _: fill(
-            count, arrays, no_fallback))
+        monkeypatch.setattr(red, "_flagged", no_fallback)
         tabulate_reduction(example4.inclusion, example4.reducers, nodes,
                            times)
 

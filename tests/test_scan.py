@@ -1,9 +1,10 @@
 """The array evaluators against the pointwise reference evaluators.
 
-``scan_derivative``, ``tabulate_reduction``, the ``deriv`` table, the
+The derivative scan, ``tabulate_reduction``, the ``deriv`` table, the
 Matrosov Y table and the trajectory checks evaluate batches of nodes as
-numpy arrays through ``reduction._fill``, which refills the rows the
-arrays flag one by one with the pointwise reference. These tests compare
+numpy arrays through ``reduction._stream``, which refills the cells the
+arrays flag (``reduction._flagged``) one by one with the pointwise
+reference before it folds their chunk. These tests compare
 each public function with the same call forced through the pointwise
 rows alone, or with a loop written here: the columns must carry the same
 bits, and the errors must be the same.
@@ -44,6 +45,7 @@ from incred.simulate import (DescentReport, MembershipReport,
                              check_partial_convergence,
                              check_reduction_membership, trajectory_csv)
 
+from scans import Scan, derivative_scans
 from test_reduction import rows
 
 # Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
@@ -214,31 +216,21 @@ def cases(draw):
     }
 
 
-FILLS = (red,)  # every module that binds reduction._fill
-
-
-def _pointwise_fill(shape, arrays, pointwise):
-    """A ``reduction._fill`` that fills every cell with the pointwise
-    reference, in C order."""
-    for cell in np.ndindex(shape):
-        pointwise(*cell)
-
-
 def _pointwise_only(monkeypatch):
-    for module in FILLS:
-        monkeypatch.setattr(module, "_fill", _pointwise_fill)
+    """Refill every cell of every chunk with the pointwise reference."""
+    monkeypatch.setattr(red, "_flagged", lambda flags: np.argwhere(
+        np.ones_like(flags)).tolist())
 
 
 def _arrays_only(monkeypatch):
-    """Make any pointwise row fail: every chunk must pass the array fill."""
-    fill = red._fill
+    """Make any flagged cell fail: every chunk must pass the array path."""
+    def no_fallback(flags):
+        if flags.any():
+            raise AssertionError(f"cells {np.argwhere(flags).tolist()} fell "
+                                 "back to the pointwise path")
+        return []
 
-    def no_fallback(*cell):
-        raise AssertionError(f"cell {cell} fell back to the pointwise path")
-
-    for module in FILLS:
-        monkeypatch.setattr(module, "_fill", lambda shape, arrays, _: fill(
-            shape, arrays, no_fallback))
+    monkeypatch.setattr(red, "_flagged", no_fallback)
 
 
 def _forced(fn, *args):
@@ -267,17 +259,22 @@ def _same(a, b) -> bool:
             and np.array_equal(a.minus_inf, b.minus_inf))
 
 
+def _one_scan(*args):
+    return derivative_scans(*args)[0]
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(case=cases())
 def test_array_scan_is_bit_identical_to_pointwise(case):
-    args = (case["candidate"], case["inclusion"], case["reducers"],
-            np.array(case["nodes"]), case["time_nodes"], case["extras"])
+    args = (case["inclusion"], [(case["candidate"], case["reducers"],
+                                 case["extras"])],
+            np.array(case["nodes"]), case["time_nodes"])
     saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
-        reference = _forced(deriv.scan_derivative, *args)
-        public = _outcome(deriv.scan_derivative, *args)
+        reference = _forced(_one_scan, *args)
+        public = _outcome(_one_scan, *args)
     finally:
         grids._CHUNK = saved
     assert _same(public, reference)
@@ -357,7 +354,7 @@ def _loop_scans(inclusion, jobs, nodes, time_nodes):
                 value[a, b] = 0.0 if d.is_minus_inf else d.value
                 for k, (fn, m) in enumerate(fns):
                     cols[k, a, b] = fn(m.env(list(x), t))
-        scans.append(deriv.DerivativeScan(value, minus_inf, tuple(cols)))
+        scans.append(Scan(value, minus_inf, tuple(cols)))
     return scans
 
 
@@ -366,17 +363,14 @@ def _loop_scans(inclusion, jobs, nodes, time_nodes):
                                  HealthCheck.data_too_large])
 @given(case=job_cases())
 def test_chunk_outer_scan_equals_the_time_then_node_loop(case):
-    """The kernel walks chunks outer and time nodes inner, and refills the
-    flagged cells after the array pass: its bits, or its first error, are
-    those of the loop over time nodes, then nodes."""
+    """The kernel walks chunks outer and time nodes inner, and refills each
+    chunk's flagged cells before its fold: its bits, or its first error,
+    are those of the loop over time nodes, then nodes."""
     inclusion, jobs = case["inclusion"], case["jobs"]
     args = (np.array(case["nodes"]), case["time_nodes"])
     saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
-        public = _outcome(deriv._scan, inclusion, jobs, *args)
-        (candidate, reducers, extras), *more = jobs
-        single = _outcome(deriv.scan_derivative, candidate, inclusion,
-                          reducers, *args, extras)
+        public = _outcome(derivative_scans, inclusion, jobs, *args)
     finally:
         grids._CHUNK = saved
     reference = _outcome(_loop_scans, inclusion, jobs, case["nodes"],
@@ -385,9 +379,6 @@ def test_chunk_outer_scan_equals_the_time_then_node_loop(case):
         assert public == reference
     else:
         assert all(map(_same, public, reference))
-    if not more:  # the one-job call
-        assert _same(single, public if isinstance(public, tuple)
-                     else public[0])
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
@@ -407,9 +398,9 @@ def test_the_first_error_is_the_first_in_scan_order(chunk, jobs,
                                      system.inclusion)])
     monkeypatch.setattr(grids, "_CHUNK", chunk)
     with pytest.raises(ex.DslEvalError, match="denominator 0.0$"):
-        deriv._scan(system.inclusion, [job, later][:jobs], nodes, times)
+        derivative_scans(system.inclusion, [job, later][:jobs], nodes, times)
     with pytest.raises(ex.DslEvalError, match="denominator -0.0$"):
-        deriv._scan(system.inclusion, [later], nodes, times)  # alone
+        derivative_scans(system.inclusion, [later], nodes, times)  # alone
 
 
 def _counting(monkeypatch):
@@ -496,7 +487,7 @@ def test_matrosov_bounds_evaluate_f_once_for_every_function(monkeypatch):
 
 
 def _fixture_scans(system):
-    """Every check of the CLI that goes through scan_derivative."""
+    """Every check of the CLI that goes through the derivative scan."""
     runs = []
     checks = system.checks
     if checks is not None and checks.decrease_bound is not None:
@@ -786,13 +777,14 @@ def _loop_deriv_csv(system, nodes, t0) -> str:
 def _cli_deriv_csv(system, nodes, t0, chunk: int) -> str:
     """``derivatives.csv`` as ``incred deriv`` writes it for ``system`` on
     ``nodes`` at ``t0``, in chunks of ``chunk`` rows."""
-    grid = SimpleNamespace(time_nodes=(t0,),
-                           nodes=lambda domain: np.array(nodes, dtype=float))
+    grid = SimpleNamespace(time_nodes=(t0,), dims=2,
+                           checked_axes=lambda domain: nodes)
     loaded = SimpleNamespace(n=2, domain=None, require_grid=lambda: grid,
                              **vars(system))
     with tempfile.TemporaryDirectory() as out, \
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_load", lambda args: loaded)
+        mp.setattr(cli, "_region", grids._rows)  # the nodes as they are
         mp.setattr(grids, "_CHUNK", chunk)
         cli.cmd_deriv(SimpleNamespace(out=out))
         with open(f"{out}/derivatives.csv", "rb") as fh:

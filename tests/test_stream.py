@@ -1,12 +1,13 @@
-"""The streamed certificate scans against whole-column references.
+"""The streamed scans against whole-column references, and the streamed
+``reduce`` and ``deriv`` reports.
 
 ``certify_lyapunov``, ``certify_semidefinite``, ``invariance_data`` and
 ``matrosov_derivative_bounds`` fold each chunk of nodes into their verdict
-as ``reduction._stream`` hands it over, and the cells the arrays flag
-last, one at a time. The references here evaluate the whole columns
-first (``scan_derivative`` on ``GridSpec.nodes``) and reduce them in scan
-order, as the scans did before they streamed: the dicts must agree, the
-witness's bits included, whatever the chunk size.
+as ``reduction._stream`` hands it over, in node order, the cells the
+arrays flag refilled in it. The references here evaluate the whole
+columns first (the derivative scan on ``GridSpec.nodes``) and reduce them
+in scan order, as the scans did before they streamed: the dicts must
+agree, the witness's bits included, whatever the chunk size.
 """
 
 import json
@@ -16,19 +17,24 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import incred.certify as certify
-import incred.derivative as deriv
 import incred.grids as grids
+import incred.reduction as reduction
 from incred.certify import (CERTIFIED, VIOLATED, Certificate,
                             build_matrosov_problem, certify_lyapunov,
                             certify_semidefinite, invariance_data,
                             matrosov_derivative_bounds)
+from incred.cli import main
+from incred.errors import DslEvalError
 from incred.expr import DEFAULT_VARIABLES, parse_scalar
 from incred.fixtures import fixture_path, load_fixture
 from incred.setmaps import CheckSpec, system_from_dict
+
+from scans import derivative_scans
 
 TOL = 1e-9
 DOCS = {}
@@ -75,8 +81,8 @@ def _reference_decrease(sys, bound, sandwich, definite):
     if definite or sandwich is not None:
         extras += [(candidate.value, candidate.gradient)]
     extras += [(e, sys.inclusion) for e in sandwich or ()]
-    scan = deriv.scan_derivative(candidate, sys.inclusion, sys.reducers, pts,
-                                 times, extras)
+    scan, = derivative_scans(sys.inclusion, [(candidate, sys.reducers,
+                                               extras)], pts, times)
     w, nonzero = scan.extras[0], (pts != 0.0).any(axis=1)
     failures, details = [], {}
 
@@ -127,8 +133,8 @@ def _reference_invariance(sys):
         return invariance_data(sys)  # raises
     grid, checks = sys.require_grid(), sys.checks or CheckSpec()
     pts, t0 = grid.nodes(sys.domain), grid.time_nodes[0]
-    scan = deriv.scan_derivative(sys.candidate, sys.inclusion, sys.reducers,
-                                 pts, (t0,))
+    scan, = derivative_scans(sys.inclusion, [(sys.candidate, sys.reducers,
+                                               ())], pts, (t0,))
     d, counted = scan.value[0], ~scan.minus_inf[0]
     e_nodes = [tuple(x) for x in pts[counted & (np.abs(d) <= checks.zero_tol)]
                .tolist()]
@@ -146,7 +152,7 @@ def _reference_bounds(sys, prob):
     pts = grids._stacked(certify._annulus_nodes(prob, sys), sys.n)
     times = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
-    scans = deriv._scan(sys.inclusion, [
+    scans = derivative_scans(sys.inclusion, [
         (w, coll, [(certify.expr.substitute(y, z), sys.inclusion)])
         for w, coll, y in zip(prob.functions, prob.collections, prob.aux)],
         pts, times)
@@ -305,3 +311,75 @@ def test_invariance_memory_does_not_grow_with_the_grid():
     assert peaks[1] <= 1.2 * peaks[0], peaks
     assert math.prod(large.grid.summary(large.domain)["axis_node_counts"]) \
         > 16 * 10_000
+
+
+def test_table_memory_does_not_grow_with_the_grid(tmp_path):
+    """``reduce`` and ``deriv`` on example2 at 101^2 and 401^2 nodes: each
+    chunk's report rows are written before the next chunk is evaluated."""
+    for command in ("reduce", "deriv"):
+        peaks = [_peak(lambda n=n: main([
+            command, "-i", str(fixture_path("example2")), "--grid", str(n),
+            "-o", str(tmp_path / command)])) for n in (101, 401)]
+        assert peaks[1] <= 1.2 * peaks[0], (command, peaks)
+
+
+# --- a cell that raises -----------------------------------------------------
+
+def _files(path):
+    """Every directory and file under ``path``, with each file's bytes."""
+    return {str(p.relative_to(path)): p.is_file() and p.read_bytes()
+            for p in sorted(path.rglob("*"))}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("command", ["reduce", "deriv"])
+def test_a_raising_last_cell_leaves_the_output_as_it_was(
+        command, chunk, tmp_path, monkeypatch, capsys):
+    """example2 behind a front piece of F whose guard divides by the l1
+    distance from (2, 2): of the 13^2 nodes of ``--grid 11`` only the last
+    raises, in the last chunk. The run exits 3 with the pointwise error;
+    the reports of an earlier run keep their bytes, no report is left
+    behind, and no output directory is made."""
+    doc = _doc("example2")
+    doc["F"]["pieces"].insert(0, {
+        "guard": "1/(abs(x1 - 2) + abs(x2 - 2)) > 100",
+        "value": ["{x2}", "{-x1 - x2}"]})
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(doc), encoding="utf-8")
+    earlier = tmp_path / "earlier"
+    assert main([command, "-i", str(fixture_path("example2")), "--grid",
+                 "11", "-o", str(earlier)]) == 0
+    before = _files(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr(grids, "_CHUNK", chunk)
+    for out in (earlier, tmp_path / "new" / "deeper"):
+        assert main([command, "-i", str(planted), "--grid", "11",
+                     "-o", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: division by near-zero denominator 0.0\n")
+        assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_no_chunk_is_folded_from_the_raising_one_on(chunk, monkeypatch):
+    """Ten nodes along x1 and one expression that divides by ``x1 - 6``:
+    node 6's cell raises. The fold sees the chunks before node 6's and no
+    other, and the walk ends with node 6's chunk."""
+    monkeypatch.setattr(grids, "_CHUNK", chunk)
+    walk, count = grids._rows(np.array([(float(k), 0.0) for k in range(10)]))
+    walked, folded = [], []
+
+    def recorded_walk():
+        for x in walk():
+            walked.append(x.shape[1])
+            yield x
+
+    job = reduction._expression_job([(parse_scalar("1/(x1 - 6)"), None)],
+                                    ("x1", "x2"))
+    with pytest.raises(DslEvalError, match="denominator 0.0$"):
+        reduction._stream([job], (recorded_walk, count), [0.0],
+                          lambda j, rows, x, columns: folded.append(
+                              (rows.start, rows.stop)))
+    first = 6 // chunk * chunk  # the raising chunk's first node
+    assert folded == [(a, a + chunk) for a in range(0, first, chunk)]
+    assert sum(walked) == min(first + chunk, 10)
