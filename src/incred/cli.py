@@ -38,8 +38,12 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 
 
+def _open(path: Path):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -75,12 +79,6 @@ def _load(args) -> SystemDef:
     return system
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _tol(args, name: str) -> dict:
     """``{name: --tol}``, a finite number, or ``{}`` to keep the default."""
     return {} if args.tol is None else {name: _number(args.tol, "--tol")}
@@ -94,20 +92,17 @@ def _report(args, line: str, text: str | None = None) -> None:
 
 @contextlib.contextmanager
 def _writing(args, *names: str):
-    """Text handles for the reports ``names`` in the output directory,
-    each written under a ``.part`` name and renamed into place once the
-    block ends. A block that raises leaves the directory as it found it:
-    its ``.part`` files are removed, and so is each directory made for
-    them, so no report is left half written and none of an earlier run is
-    touched."""
+    """The paths to write the reports ``names`` of the output directory
+    to: ``.part`` names, renamed into place once the block ends. A block
+    that raises leaves the directory as it found it: its ``.part`` files
+    are removed, and so is each directory made for them, so no report is
+    left half written and none of an earlier run is touched."""
     out = Path(args.out)
     made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     parts = [out / f"{name}.part" for name in names]
     try:
-        with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(p, "w", encoding="utf-8",
-                                            newline="")) for p in parts]
+        yield parts
     except BaseException:
         for p in parts:
             p.unlink(missing_ok=True)
@@ -126,8 +121,9 @@ def cmd_reduce(args) -> int:
     nodes, t0 = _region(grid.checked_axes(system.domain)), grid.time_nodes[0]
     report = _reporter(system.n, t0)
     # streamed: the two reports together are about 13 MB at 201^2 nodes
-    with _writing(args, "reduction_table.csv",
-                  "reduction_table.txt") as (csv_fh, text_fh):
+    with _writing(args, "reduction_table.csv", "reduction_table.txt") as (
+            csv_part, text_part), _open(csv_part) as csv_fh, \
+            _open(text_part) as text_fh:
         csv_fh.write(_csv_header(system.n))
 
         def fold(j, rows, x, columns):
@@ -151,7 +147,7 @@ def cmd_deriv(args) -> int:
     system = _load(args)
     grid, n = system.require_grid(), system.n
     nodes, t0 = _region(grid.checked_axes(system.domain)), grid.time_nodes[0]
-    with _writing(args, "derivatives.csv") as (fh,):
+    with _writing(args, "derivatives.csv") as (part,), _open(part) as fh:
         fh.write(",".join([f"x{i+1}" for i in range(n)] + [
             "t", "generalized", "baseline_max", "baseline_lo",
             "baseline_hi"]) + "\n")
@@ -190,10 +186,10 @@ def cmd_certify(args) -> int:
             "expression")
     certificate = check(system, bound, sandwich=checks.sandwich,
                         **_tol(args, "tol"))
-    out = _outdir(args)
-    text = certificate.to_text()
-    _write_json(out / "certificate.json", certificate.to_dict())
-    _write_text(out / "certificate.txt", text)
+    out, text = Path(args.out), certificate.to_text()
+    with _writing(args, "certificate.json", "certificate.txt") as (js, txt):
+        _write_json(js, certificate.to_dict())
+        _write_text(txt, text)
     _report(args, f"certify: {certificate.verdict} "
             f"({out / 'certificate.json'})", text)
     return EXIT_OK if certificate.certified else EXIT_NEGATIVE
@@ -202,15 +198,16 @@ def cmd_certify(args) -> int:
 def cmd_invariance(args) -> int:
     from . import certify as cert
     report = cert.invariance_data(_load(args), **_tol(args, "zero_tol"))
-    out = _outdir(args)
-    _write_json(out / "invariance.json", report.to_dict())
+    out = Path(args.out)
     lines = [report.semidefinite.to_text(),
              f"vanishing-derivative nodes: {len(report.e_nodes)}"]
     for c in report.candidates:
         word = "equilibrium" if c.is_equilibrium else "not an equilibrium"
         lines.append(f"candidate {list(c.point)}: {word}")
     text = "\n".join(lines) + "\n"
-    _write_text(out / "invariance.txt", text)
+    with _writing(args, "invariance.json", "invariance.txt") as (js, txt):
+        _write_json(js, report.to_dict())
+        _write_text(txt, text)
     _report(args, f"invariance: {report.semidefinite.verdict}, "
             f"{len(report.e_nodes)} vanishing nodes "
             f"({out / 'invariance.json'})", text)
@@ -240,8 +237,7 @@ def cmd_matrosov(args) -> int:
            "constants": None if result is None else result.to_dict(),
            "verification": None if verify is None else verify.to_dict(),
            "derivative_bounds": bounds.to_dict()}
-    out = _outdir(args)
-    _write_json(out / "matrosov.json", doc)
+    out = Path(args.out)
     pieces = [chain.to_text()]
     if result is not None:
         pieces.append(f"constants: {list(result.constants)} "
@@ -251,7 +247,9 @@ def cmd_matrosov(args) -> int:
         pieces.append(verify.to_text())
     pieces.append(bounds.to_text())
     text = "".join(pieces)
-    _write_text(out / "matrosov.txt", text)
+    with _writing(args, "matrosov.json", "matrosov.txt") as (js, txt):
+        _write_json(js, doc)
+        _write_text(txt, text)
     ok = chain.certified and result is not None \
         and result.certificate.certified \
         and (verify is None or verify.certified)
@@ -283,9 +281,6 @@ def cmd_simulate(args) -> int:
     strategy = SelectionStrategy(kind=sim.strategy, seed=sim.seed)
 
     traj = integrate(system, sim.x0, sim.t0, sim.h, sim.horizon, strategy)
-    out = _outdir(args)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-
     membership = check_reduction_membership(traj, system, **tol)
 
     diagnostics = {
@@ -307,7 +302,11 @@ def cmd_simulate(args) -> int:
         diagnostics["tail"] = tail.to_dict()
         passed = passed and tail.passed
     diagnostics["checks_passed"] = passed
-    _write_json(out / "diagnostics.json", diagnostics)
+    out = Path(args.out)
+    with _writing(args, "trajectory.csv",
+                  "diagnostics.json") as (traj_csv, js):
+        write_trajectory_csv(traj, traj_csv)
+        _write_json(js, diagnostics)
     _report(args, f"simulate: {len(traj.rows)} steps, final norm "
             f"{traj.final_norm:.6g}, checks_passed={passed} "
             f"({out / 'diagnostics.json'})")
@@ -330,10 +329,10 @@ def cmd_validate_gradient(args) -> int:
                                     samples=args.samples, seed=args.seed or 0)
             reports.append(rep.to_dict())
             all_passed = all_passed and rep.passed
-    out = _outdir(args)
-    _write_json(out / "gradient_validation.json",
-                {"passed": all_passed, "radius": args.radius,
-                 "samples": args.samples, "reports": reports})
+    out = Path(args.out)
+    with _writing(args, "gradient_validation.json") as (part,):
+        _write_json(part, {"passed": all_passed, "radius": args.radius,
+                           "samples": args.samples, "reports": reports})
     _report(args, f"validate-gradient: {'PASS' if all_passed else 'FAIL'} "
             f"over {len(reports)} probes "
             f"({out / 'gradient_validation.json'})")

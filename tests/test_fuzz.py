@@ -6,8 +6,8 @@ result. Exit 1 comes only with the subcommand's verdict line.
 
 Each case runs twice, with chunks of 3 rows so that one grid mixes
 array-filled chunks and rows refilled pointwise: once as it is, and once
-with every chunk's cells sent to the pointwise reference. The two runs
-must agree on the exit code, stdout, stderr and every report byte.
+with no array code, every cell from the pointwise reference. The two
+runs must agree on the exit code, stdout, stderr and every report byte.
 """
 
 import contextlib
@@ -18,7 +18,6 @@ import shutil
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 from incred import grids, reduction
 from incred.cli import main
 from incred.fixtures import available_fixtures, fixture_path
+from incred.reduction import _stream
 
 # small grids and few steps, so that one case takes milliseconds; the
 # grid subcommands also get --grid 5 to 9
@@ -109,19 +109,20 @@ def _at(doc, path):
     return doc
 
 
-def _all_pointwise(flags):
-    """``reduction._flagged`` with every cell of the chunk sent to the
-    pointwise reference, in C order."""
-    return np.argwhere(np.ones_like(flags)).tolist()
+def _all_pointwise(jobs, *args):
+    """``reduction._stream`` with no array code: every job's cells come
+    from its pointwise reference alone (a falsy ``arrays`` flags them all)."""
+    return _stream([(zero, None, pointwise) for zero, _, pointwise in jobs],
+                   *args)
 
 
 def _run(argv, out_dir: Path, pointwise: bool):
     """Exit code, stdout, stderr and the report files of one CLI call."""
     shutil.rmtree(out_dir, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
-    flagged = _all_pointwise if pointwise else reduction._flagged
+    stream = _all_pointwise if pointwise else _stream
     with mock.patch.object(grids, "_CHUNK", 3), \
-            mock.patch.object(reduction, "_flagged", flagged), \
+            mock.patch.object(reduction, "_stream", stream), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     reports = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))} \

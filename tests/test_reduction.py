@@ -377,8 +377,10 @@ class TestTabulate:
         monkeypatch.setattr(PiecewiseBoxMap, "value", lambda m, x, t: (
             calls.append(m), value(m, x, t))[1])
         with monkeypatch.context() as mp:  # every node through the reference
-            mp.setattr(red, "_flagged", lambda flags: np.argwhere(
-                np.ones_like(flags)).tolist())
+            stream = red._stream
+            mp.setattr(red, "_stream", lambda jobs, *args: stream(
+                [(zero, None, pointwise) for zero, _, pointwise in jobs],
+                *args))
             tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
         assert [calls.count(m) for m in maps] == [len(nodes)] * 3
         calls.clear()

@@ -6,8 +6,8 @@ numpy arrays through ``reduction._stream``, which refills the cells the
 arrays flag (``reduction._flagged``) one by one with the pointwise
 reference before it folds their chunk. These tests compare
 each public function with the same call forced through the pointwise
-rows alone, or with a loop written here: the columns must carry the same
-bits, and the errors must be the same.
+reference alone, with no array code run, or with a loop written here:
+the columns must carry the same bits, and the errors must be the same.
 """
 
 import collections
@@ -217,9 +217,11 @@ def cases(draw):
 
 
 def _pointwise_only(monkeypatch):
-    """Refill every cell of every chunk with the pointwise reference."""
-    monkeypatch.setattr(red, "_flagged", lambda flags: np.argwhere(
-        np.ones_like(flags)).tolist())
+    """Run no array code: every job's cells come from its pointwise
+    reference alone (``_stream`` flags every cell of a falsy ``arrays``)."""
+    stream = red._stream
+    monkeypatch.setattr(red, "_stream", lambda jobs, *args: stream(
+        [(zero, None, pointwise) for zero, _, pointwise in jobs], *args))
 
 
 def _arrays_only(monkeypatch):
