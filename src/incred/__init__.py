@@ -24,8 +24,7 @@ _EXPORTS = {name: module for module, names in {
     "fixtures": "available_fixtures fixture_path load_fixture",
     "grids": "GridSpec",
     "intervals": "Annulus Interval IntervalBox contains",
-    "reduction": "ReducedValue ReductionTable reduce_collection "
-                 "tabulate_reduction",
+    "reduction": "ReducedValue reduce_collection",
     "setmaps": "CheckSpec GradientValidationReport MatrosovData Piece "
                "PiecewiseBoxMap RegularFunctionSpec SimSpec SystemDef "
                "eval_gradient eval_map load_system system_from_dict "

@@ -7,7 +7,7 @@ JSON / text reports into the output directory.
 
 Exit codes: 0 success (and CERTIFIED / checks passed), 1 analysis
 negative (VIOLATED, INCONCLUSIVE, or a failed trajectory check), 2 input
-parse error, 3 semantic error.
+parse error or a file that cannot be read or written, 3 semantic error.
 
 Runs are deterministic: identical inputs, flags and seed produce
 byte-identical outputs.
@@ -99,9 +99,9 @@ def _writing(args, *names: str):
     left half written and none of an earlier run is touched."""
     out = Path(args.out)
     made = [p for p in (out, *out.parents) if not p.exists()]
-    out.mkdir(parents=True, exist_ok=True)
     parts = [out / f"{name}.part" for name in names]
     try:
+        out.mkdir(parents=True, exist_ok=True)
         yield parts
     except BaseException:
         for p in parts:
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=_sys.stderr)
         return EXIT_PARSE
-    except (DslSyntaxError, FileNotFoundError) as e:
+    except (DslSyntaxError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_PARSE
     except IncredError as e:

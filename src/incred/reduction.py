@@ -20,8 +20,10 @@ The same rule also runs on numpy arrays of nodes (:func:`_reduce_arrays`).
 :func:`_stream`, the one array driver, runs jobs on chunks of nodes,
 refills the cells the arrays flag with the pointwise functions, which
 remain the reference, and hands each finished chunk's columns, in node
-order, to a fold: the reduction table (whose reports :func:`_reporter`
-writes a chunk at a time), scalar expressions as columns
+order, to a fold. The reduction table is one such job
+(:func:`_reduction_job`), folded into ``reduce``'s reports (written a
+chunk at a time by :func:`_reporter`) and into the simulator's
+membership distances; so are scalar expressions as columns
 (:func:`_expression_job`: the Matrosov Y table, the trajectory checks'
 columns and the scans' extras), the derivative scans and the ``deriv``
 table. :func:`_scan` is the fold that collects whole columns, for the
@@ -32,21 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, DslEvalError, SchemaError
-from .grids import _chunks, _rows
+from .errors import DslEvalError, SchemaError
+from .grids import _rows
 from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
 
-__all__ = [
-    "ReducedValue", "reduce_collection",
-    "ReductionTable", "tabulate_reduction",
-]
+__all__ = ["ReducedValue", "reduce_collection"]
 
 
 @dataclass(frozen=True)
@@ -241,17 +240,6 @@ def _extra(e: expr.ScalarExpr, m, names: Sequence[str]) -> SimpleNamespace:
                            chunk_arrays=chunk_arrays)
 
 
-def _node_array(nodes, n: int) -> np.ndarray:
-    """``nodes`` as a float array, which must be ``(N, n)``-shaped unless
-    it is empty; a row's width is checked where the row is evaluated."""
-    pts = np.asarray(nodes, dtype=float)
-    if pts.ndim != 2 and pts.size:
-        raise DimensionMismatchError(
-            f"nodes must be an (N, {n}) array of points, got shape "
-            f"{pts.shape}")
-    return pts
-
-
 def _gradient_arrays(f: RegularFunctionSpec, value):
     """Declared gradient endpoint arrays and the bad rows: those of
     ``value(f.gradient)`` (the map's value arrays), and an empty piece."""
@@ -290,54 +278,6 @@ def _reduce_arrays(lo, hi, empty, bad, reducers, value):
             empty, constrained, bad)
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionTable:
-    """The inclusion and its reduction at N nodes, as columns.
-
-    ``x`` holds the nodes, one per row, and ``t`` their time: one float,
-    or an ``(N,)`` array of one time per row. ``base_lo``/``base_hi`` and
-    ``lo``/``hi`` are ``(n, N)`` endpoint arrays of the inclusion value
-    and of its reduction, 0.0 on the rows that ``base_empty`` and
-    ``empty`` flag as empty; ``constrained`` is the ``(n, N)`` mask of the
-    state axes some reducer pinches.
-    """
-    x: np.ndarray
-    t: float | np.ndarray
-    base_lo: np.ndarray
-    base_hi: np.ndarray
-    base_empty: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    empty: np.ndarray
-    constrained: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.base_lo)
-
-    def report_chunks(self) -> Iterator[tuple[str, str]]:
-        """The CSV and text reports as ``(csv, text)`` pieces: the CSV
-        header, then ``_CHUNK`` rows at a time (see :func:`_reporter`).
-        The reports state one time."""
-        if np.ndim(self.t):
-            raise ValueError("a table with one time per row has no report")
-        yield _csv_header(self.n), ""
-        if not len(self.x):
-            yield "", "\n"  # the text report of no rows is one newline
-            return
-        report = _reporter(self.n, self.t)
-        for rows in _chunks(len(self.x)):
-            yield report(self.x[rows].T, *(c[..., rows] for c in (
-                self.base_lo, self.base_hi, self.base_empty, self.lo,
-                self.hi, self.empty, self.constrained)))
-
-    def to_csv(self) -> str:
-        return "".join(csv for csv, _ in self.report_chunks())
-
-    def to_text(self) -> str:
-        return "".join(text for _, text in self.report_chunks())
-
-
 def _csv_header(n: int) -> str:
     return ",".join(
         [f"x{i+1}" for i in range(n)] + ["t"]
@@ -349,7 +289,7 @@ def _reporter(n: int, t: float):
     """``report(x, base_lo, base_hi, base_empty, lo, hi, empty,
     constrained)``: the CSV and text rows of a chunk of the reduction
     table at time ``t``, its nodes ``x`` as ``(dims, k)`` and its columns
-    as :class:`ReductionTable` holds them.
+    those of :func:`_reduction_job` at the one time node.
 
     Each report's chunk is a C-ordered ``(rows, cells)`` object array of
     finished text pieces, separators included, joined once. The value
@@ -412,33 +352,14 @@ def _reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, where.reshape(values.shape)
 
 
-def tabulate_reduction(inclusion: PiecewiseBoxMap,
-                       reducers: Sequence[RegularFunctionSpec],
-                       nodes, t) -> ReductionTable:
-    """Reduction table at every node at time ``t``, in node order.
-
-    ``nodes`` is an ``(N, n)`` array-like of points, and ``t`` one time or
-    an ``(N,)`` array-like of one time per node. The :func:`_scan` of one
-    job, whose arrays are :func:`_reduce_arrays` on F and whose reference
-    is ``_reduce(eval_map(...))``: F and each reducer gradient are
-    evaluated once per chunk, and the pointwise rows raise exactly the
-    errors the pointwise API raises.
-    """
-    pts = _node_array(nodes, inclusion.n_in)
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    if np.ndim(t) and t.shape != (len(pts),):
-        raise DimensionMismatchError(
-            f"t must be one time or one per node, got shape {t.shape}")
-    columns = _scan([_reduction_job(inclusion, reducers, pts.shape[-1])],
-                    pts, [t])[0]
-    return ReductionTable(pts, t, *(c[..., 0, :] for c in columns))
-
-
 def _reduction_job(inclusion: PiecewiseBoxMap,
                    reducers: Sequence[RegularFunctionSpec], width: int):
     """The :func:`_stream` job of the reduction table on nodes of ``width``
     coordinates: F's lo, hi and empty flags, the reduction's, and the
-    pinched-axes mask."""
+    pinched-axes mask. Endpoints are ``(n, ...)`` and 0.0 on empty rows.
+    F and each reducer gradient are evaluated once per chunk; the
+    reference, ``_reduce(eval_map(...))``, raises what the pointwise API
+    raises."""
     n = inclusion.n_out
     fits = (all(m.n_in == width for m in
                 (inclusion, *(u.gradient for u in reducers)))

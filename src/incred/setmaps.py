@@ -454,7 +454,6 @@ class SystemDef:
     candidate: RegularFunctionSpec
     reducers: tuple[RegularFunctionSpec, ...]
     domain: IntervalBox
-    params: ParamTable = ()
     grid: GridSpec | None = None
     matrosov: MatrosovData | None = None
     checks: CheckSpec | None = None
@@ -745,8 +744,8 @@ def system_from_dict(doc: dict) -> SystemDef:
         else None
 
     return SystemDef(n=n, inclusion=inclusion, candidate=candidate,
-                     reducers=reducers, domain=domain, params=params_t,
-                     grid=grid, matrosov=matrosov, checks=checks, sim=sim)
+                     reducers=reducers, domain=domain, grid=grid,
+                     matrosov=matrosov, checks=checks, sim=sim)
 
 
 def load_system(path) -> SystemDef:

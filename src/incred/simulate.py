@@ -25,11 +25,13 @@ semidefinite observable. The integrator is one loop generated per call,
 with every guard chain inline, set endpoints as float locals and one env
 per parameter table; a step that raises, or meets a NaN endpoint or an
 empty piece, is redone by the boxed public calls. The checks run as
-``reduction._stream`` jobs collected whole by ``reduction._scan`` (a
-reduction table, or an expression's column) over its ``t, x, q, V``
-rows, the rows' times as the one time node; the scalar closures redo
-each row the arrays flag before its chunk is collected. A NaN never
-passes a check. The CSV is written in chunks.
+``reduction._stream`` jobs over its ``t, x, q, V`` rows, the rows' times
+as the one time node; the scalar closures redo each row the arrays flag
+before its chunk is folded. The membership check folds the reduction
+table's job into two columns, each row's distance and F's largest
+vertex norm; the descent and tail checks collect an expression's column
+with ``reduction._scan``. A NaN never passes a check. The CSV is written
+in chunks.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ import numpy as np
 from . import expr
 from .errors import EmptySetError, SchemaError, SimulationError
 from .expr import _array_max as _max
-from .grids import _chunks, check_size
+from .grids import _chunks, _rows, check_size
 from .intervals import center, contains
-from .reduction import (_expression_job, _reduce, _reprs, _scan,
-                        tabulate_reduction)
+from .reduction import (_expression_job, _reduce, _reduction_job, _reprs,
+                        _scan, _stream)
 from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SimSpec,
                       SystemDef, _number, eval_gradient, eval_map)
 
@@ -268,17 +270,25 @@ def check_reduction_membership(traj: Trajectory, sys: SystemDef,
     """
     tol = tol if tol is None else _number(tol, "tol")
     x = traj.states()
-    table = tabulate_reduction(sys.inclusion, sys.reducers, x[:-1],
-                               traj.rows[:, 0])
-    if tol is None:  # IntervalBox.max_vertex_norm, axis by axis
-        scale = np.sqrt(sum(_max(lo * lo, hi * hi) for lo, hi in
-                            zip(table.base_lo, table.base_hi)))
+    quotient = (x[1:] - x[:-1]) / traj.h
+    dist, scale = np.empty(len(quotient)), np.empty(len(quotient))
+
+    def fold(j, rows, pts, columns):  # each chunk's rows of the two columns
+        f_lo, f_hi, _, red_lo, red_hi, empty, _ = (c[..., 0, :]
+                                                   for c in columns)
+        # IntervalBox.max_vertex_norm, axis by axis
+        scale[rows] = np.sqrt(sum(_max(lo * lo, hi * hi)
+                                  for lo, hi in zip(f_lo, f_hi)))
+        acc = 0.0  # IntervalBox.distance_to, axis by axis
+        for lo, hi, v in zip(red_lo, red_hi, quotient[rows].T):
+            gap = _max(_max(lo - v, v - hi), 0.0)
+            acc = acc + gap * gap
+        dist[rows] = np.where(empty, np.inf, np.sqrt(acc))
+
+    _stream([_reduction_job(sys.inclusion, sys.reducers, x.shape[1])],
+            _rows(x[:-1]), (traj.rows[:, 0],), fold)
+    if tol is None:
         tol = 1e-2 * max(1.0, float(np.max(scale, initial=0.0)))
-    acc = 0.0  # IntervalBox.distance_to, axis by axis
-    for lo, hi, v in zip(table.lo, table.hi, ((x[1:] - x[:-1]) / traj.h).T):
-        gap = _max(_max(lo - v, v - hi), 0.0)
-        acc = acc + gap * gap
-    dist = np.where(table.empty, np.inf, np.sqrt(acc))
     violations = int(np.count_nonzero(~(dist <= tol)))
     fraction = violations / len(dist) if len(dist) else 0.0
     return MembershipReport(

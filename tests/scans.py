@@ -1,13 +1,14 @@
-"""The generalized-derivative scan as whole columns, for the tests that
-compare it with references: the jobs of the certificate scans, collected
-by ``reduction._scan``."""
+"""The streamed tables as whole columns, for the tests that compare them
+with references: the jobs of the certificate scans and of the reduction
+table, collected by ``reduction._scan``."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from incred import reduction
+from incred import grids, reduction
 from incred.derivative import _derivative_job
+from incred.errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -17,13 +18,66 @@ class Scan:
     extras: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class Table:
+    """The reduction table at the nodes ``x``, one per row, at time ``t``:
+    ``(n, N)`` endpoints of F and of its reduction, 0.0 on the rows that
+    ``base_empty`` and ``empty`` flag, and the pinched-axes mask."""
+    x: np.ndarray
+    t: float
+    base_lo: np.ndarray
+    base_hi: np.ndarray
+    base_empty: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray
+    constrained: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.base_lo)
+
+
+def _node_array(nodes, n: int) -> np.ndarray:
+    """``nodes`` as a float array, which must be ``(N, n)``-shaped unless
+    it is empty; a row's width is checked where the row is evaluated."""
+    pts = np.asarray(nodes, dtype=float)
+    if pts.ndim != 2 and pts.size:
+        raise DimensionMismatchError(
+            f"nodes must be an (N, {n}) array of points, got shape "
+            f"{pts.shape}")
+    return pts
+
+
 def derivative_scans(inclusion, jobs, nodes, time_nodes) -> list[Scan]:
     """Each ``(candidate, reducers, extras)`` job along ``inclusion`` at
     every (time node, node) pair, in one pass: the generalized derivative
     (0.0 where ``minus_inf`` flags minus infinity), and each extra
     expression in its map's environment, each ``(time nodes, nodes)``."""
-    pts = reduction._node_array(nodes, inclusion.n_in)
+    pts = _node_array(nodes, inclusion.n_in)
     columns = reduction._scan([_derivative_job(inclusion, *job, pts.shape[-1])
                                for job in jobs], pts, time_nodes)
     return [Scan(value, minus_inf, tuple(extras))
             for value, minus_inf, *extras in columns]
+
+
+def reduction_table(inclusion, reducers, nodes, t: float) -> Table:
+    """The reduction table's job at every node at time ``t``, collected."""
+    pts = _node_array(nodes, inclusion.n_in)
+    columns = reduction._scan([reduction._reduction_job(
+        inclusion, reducers, pts.shape[-1])], pts, [t])[0]
+    return Table(pts, t, *(c[..., 0, :] for c in columns))
+
+
+def table_reports(table: Table) -> tuple[str, str]:
+    """The CSV and text reports of ``table`` as ``reduce`` writes them:
+    the header, then ``reduction._reporter`` on ``_CHUNK`` rows at a
+    time."""
+    report = reduction._reporter(table.n, table.t)
+    pieces = [(reduction._csv_header(table.n), "")] + [
+        report(table.x[rows].T, *(c[..., rows] for c in (
+            table.base_lo, table.base_hi, table.base_empty, table.lo,
+            table.hi, table.empty, table.constrained)))
+        for rows in grids._chunks(len(table.x))]
+    return "".join(csv for csv, _ in pieces), "".join(
+        text for _, text in pieces)

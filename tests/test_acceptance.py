@@ -17,7 +17,7 @@ from incred.derivative import (baseline_interval_derivative,
                                bilinear_maxmax, bilinear_minmax,
                                generalized_derivative)
 from incred.intervals import Interval
-from incred.reduction import reduce_collection, tabulate_reduction
+from incred.reduction import reduce_collection
 from incred.setmaps import eval_map, validate_gradient
 from incred.simulate import (SelectionStrategy, check_reduction_membership,
                              integrate)
@@ -25,6 +25,7 @@ from incred.simulate import (SelectionStrategy, check_reduction_membership,
 from conftest import (KINK_RADIUS, PROBES_1D, PROBES_SMOOTH_2D,
                       PROBES_SQUARE_PYRAMID, PROBES_SQUARE_RAMP,
                       SMOOTH_RADIUS)
+from scans import reduction_table
 from test_derivative import (_random_box, brute_maxmax, brute_minmax,
                              common_value_max)
 from test_reduction import (box, constant_map, constant_spec, corner_distance,
@@ -38,8 +39,8 @@ def _report(n, text):
 
 def test_criterion_1_reduction_table_is_exact(example1):
     nodes = [(float(x),) for x in (-2, -1, -0.5, 0, 0.5, 1, 2)]
-    table = tabulate_reduction(example1.inclusion, example1.reducers, nodes,
-                               0.0)
+    table = reduction_table(example1.inclusion, example1.reducers, nodes,
+                            0.0)
     expected = {
         -2.0: Interval(-2, -2), -1.0: Interval(0, 0),
         -0.5: Interval(-2, -2), 0.0: None, 0.5: Interval(-2, -2),
@@ -93,8 +94,8 @@ def test_criterion_2_planar_derivative_closed_form(example2):
 def test_criterion_3_invariance_example(example3):
     nodes = [(1.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
              (-1.0, -1.0), (0.5, 0.5), (-0.3, 0.7), (2.0, 0.0)]
-    table = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
-                               0.0)
+    table = reduction_table(example3.inclusion, example3.reducers, nodes,
+                            0.0)
     by_x = {row.x: row for row in rows(table)}
     assert by_x[(1.0, 0.0)].reduced == box((0.0, 0.0), (-1.5, -0.5))
     assert by_x[(-1.0, 0.0)].reduced == box((0.0, 0.0), (0.5, 1.5))

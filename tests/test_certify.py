@@ -177,7 +177,7 @@ class TestCertifyLyapunov:
         system = type(example2)(
             n=2, inclusion=example2.inclusion, candidate=shifted,
             reducers=example2.reducers, domain=example2.domain,
-            params=example2.params, grid=example2.grid)
+            grid=example2.grid)
         cert = certify_lyapunov(system, ex.parse_scalar("0"))
         assert cert.verdict == VIOLATED
         assert any("positivity" in s for s in cert.details["screen_failures"])

@@ -459,6 +459,27 @@ class TestExitCodes:
         assert "division by near-zero denominator" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", [
+        "-o file", "-o file/sub", "-i dir", "--grid-file dir",
+        "-i non-utf-8", "--grid-file non-utf-8"])
+    @pytest.mark.parametrize("command", ["certify", "reduce"])
+    def test_unreadable_or_unwritable_path_exits_two(self, tmp_path, capsys,
+                                                     command, case):
+        (tmp_path / "file").write_bytes(b"an earlier report\n")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "non-utf-8").write_bytes(b'{"n": 1, "\xff": 0}')
+        flag, path = case.split()
+        argv = {"-i": fixture_path("example2"), "-o": str(tmp_path / "out")}
+        argv[flag] = str(tmp_path / path)
+        before = sorted(tmp_path.rglob("*"))
+        code = run(command, *(a for kv in argv.items() for a in kv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_bytes() == b"an earlier report\n"
+        assert sorted(tmp_path.rglob("*")) == before  # no directory made
+
     @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
                              ids=[f"{c} {f[0]}" for c, f in _UNREAD_FLAGS])
     def test_unread_flag_is_a_usage_error(self, tmp_path, command, flag):

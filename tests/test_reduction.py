@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import struct
 from collections import namedtuple
 
 import numpy as np
@@ -15,11 +16,13 @@ import incred.reduction as red
 from incred.errors import DimensionMismatchError, DslEvalError, SchemaError
 from incred.fixtures import fixture_path
 from incred.intervals import Interval, IntervalBox
-from incred.reduction import reduce_collection, tabulate_reduction
+from incred.reduction import reduce_collection
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             eval_map, system_from_dict)
+from incred.simulate import (SelectionStrategy, Trajectory,
+                             check_reduction_membership)
 
-from scans import derivative_scans
+from scans import derivative_scans, reduction_table, table_reports
 
 
 def reduce_once(inclusion, reducer, x, t):
@@ -32,8 +35,8 @@ Row = namedtuple("Row", "x t base reduced constrained_axes")
 
 
 def rows(table):
-    """A ``ReductionTable`` as one :class:`Row` per node: boxes (the empty
-    box on empty rows) and the 1-based pinched axes."""
+    """A reduction table (``scans.Table``) as one :class:`Row` per node:
+    boxes (the empty box on empty rows) and the 1-based pinched axes."""
     def box_of(lo, hi, empty):
         return (IntervalBox.empty(table.n) if empty
                 else IntervalBox.from_bounds(lo, hi))
@@ -339,8 +342,8 @@ class TestBruteForceOracle:
 class TestTabulate:
     def test_example1_table(self, example1):
         nodes = [(x,) for x in (-2, -1, -0.5, 0, 0.5, 1, 2)]
-        table = tabulate_reduction(example1.inclusion, example1.reducers,
-                                   nodes, 0.0)
+        table = reduction_table(example1.inclusion, example1.reducers,
+                                nodes, 0.0)
         assert len(rows(table)) == 7
         by_x = {row.x[0]: row for row in rows(table)}
         assert by_x[1.0].reduced == box((0, 0))
@@ -349,23 +352,12 @@ class TestTabulate:
         for x in (-2.0, -0.5, 0.5, 2.0):
             assert by_x[x].reduced == by_x[x].base
 
-    def test_empty_probe_list(self, example1):
-        table = tabulate_reduction(example1.inclusion, example1.reducers, [],
-                                   0.0)
-        assert rows(table) == ()
-        assert "empty_flag" in table.to_csv().splitlines()[0]
-
     @pytest.mark.parametrize("nodes", [[0.5], 0.5, [[[0.5]]]])
     def test_nodes_must_be_a_two_dimensional_array(self, example1, nodes):
-        calls = (
-            lambda: tabulate_reduction(example1.inclusion, example1.reducers,
-                                       nodes, 0.0),
-            lambda: derivative_scans(example1.inclusion, [(
-                example1.candidate, example1.reducers, ())], nodes, (0.0,)))
-        for call in calls:
-            with pytest.raises(DimensionMismatchError,
-                               match=re.escape("an (N, 1) array")):
-                call()
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape("an (N, 1) array")):
+            derivative_scans(example1.inclusion, [(
+                example1.candidate, example1.reducers, ())], nodes, (0.0,))
 
     def test_each_map_evaluated_once_per_probe(self, example3, monkeypatch):
         # two reducers, so the per-reducer evaluations would show
@@ -381,7 +373,7 @@ class TestTabulate:
             mp.setattr(red, "_stream", lambda jobs, *args: stream(
                 [(zero, None, pointwise) for zero, _, pointwise in jobs],
                 *args))
-            tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
+            reduction_table(example3.inclusion, reducers, nodes, 0.0)
         assert [calls.count(m) for m in maps] == [len(nodes)] * 3
         calls.clear()
         reduce_collection(example3.inclusion, reducers, (1.0, 0.0), 0.0)
@@ -394,46 +386,51 @@ class TestTabulate:
             calls.append(m), chunk_arrays(m, c))[1])
         for chunk, batches in ((4096, 1), (2, 2), (1, 3)):
             monkeypatch.setattr(grids, "_CHUNK", chunk)
-            tabulate_reduction(example3.inclusion, reducers, nodes, 0.0)
+            reduction_table(example3.inclusion, reducers, nodes, 0.0)
             assert [calls.count(m) for m in maps] == [batches] * 3
             calls.clear()
 
     def test_per_row_time_is_one_scalar_call_per_row(self, example4,
                                                       monkeypatch):
+        """The membership check reduces each trajectory row at the row's
+        own time: its report is the one the pointwise API gives row by
+        row, whatever the chunks, and no row leaves the array path."""
         # example4's F and its reducer read the parameter g = 0.5*exp(-t)
         grid = example4.require_grid().with_uniform_counts(9)
         nodes = grid.nodes(example4.domain)
         rng = np.random.default_rng(7)
         times = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 0.3],
-                           size=len(nodes))
-        columns = ("base_lo", "base_hi", "base_empty", "lo", "hi", "empty",
-                   "constrained")
+                           size=len(nodes) - 1)
+        traj = _trajectory(nodes, times)
+        steps = traj.steps
+        dists = [reduce_collection(example4.inclusion, example4.reducers,
+                                   s.x, s.t).distance_to(
+                     [(b - a) / traj.h for a, b in zip(s.x, nodes[k + 1])])
+                 for k, s in enumerate(steps)]
+        assert [s.t for s in steps] == times.tolist()
+        tol = 1e-2 * max(1.0, max(
+            eval_map(example4.inclusion, s.x, s.t).max_vertex_norm()
+            for s in steps))
+        bad = sum(not d <= tol for d in dists)
+        want = {"n_steps": len(steps), "violations": bad,
+                "fraction": bad / len(steps),
+                "max_distance": max([0.0, *(d for d in dists
+                                            if d != math.inf)]),
+                "tol": tol, "budget": 0.01, "passed": bad / len(steps) <= 0.01}
+        assert 0 < bad < len(steps)  # the times move the reduced boxes
         for chunk in (1, 7, 4096):
-            grids._CHUNK, saved = chunk, grids._CHUNK
-            try:
-                table = tabulate_reduction(example4.inclusion,
-                                           example4.reducers, nodes, times)
-            finally:
-                grids._CHUNK = saved
-            assert table.t.tolist() == times.tolist()
-            for b, (x, t) in enumerate(zip(nodes, times.tolist())):
-                one = tabulate_reduction(example4.inclusion,
-                                         example4.reducers, [x], t)
-                for name in columns:
-                    got = getattr(table, name)[..., b]
-                    want = getattr(one, name)[..., 0]
-                    assert got.tobytes() == want.tobytes(), (name, b)
-            assert [row.t for row in rows(table)] == times.tolist()
+            monkeypatch.setattr(grids, "_CHUNK", chunk)
+            got = check_reduction_membership(traj, example4).to_dict()
+            assert _float_bits(got) == _float_bits(want)
 
-        def no_fallback(flags):  # and the per-row table took the array path
+        def no_fallback(flags):  # and the per-row times took the array path
             if flags.any():
                 raise AssertionError(f"rows {np.argwhere(flags).tolist()} "
                                      "fell back to the pointwise path")
             return []
 
         monkeypatch.setattr(red, "_flagged", no_fallback)
-        tabulate_reduction(example4.inclusion, example4.reducers, nodes,
-                           times)
+        check_reduction_membership(traj, example4)
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["params"].update(g="0.5*exp(-t) + 1/(t - 2)"),
@@ -450,37 +447,38 @@ class TestTabulate:
         system = system_from_dict(doc)
         nodes = [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (-0.5, 1.0),
                  (0.25, -1.0), (1.0, 1.0), (0.0, 0.0)]
-        times = [0.0, 0.5, 1.0, 5.0, 2.0, 2.0, 10.0]
+        times = [0.0, 0.5, 1.0, 5.0, 2.0, 2.0]
         with pytest.raises(DslEvalError) as pointwise:
             reduce_collection(system.inclusion, system.reducers, nodes[4], 2.0)
         for chunk in (1, 3, 4096):
             monkeypatch.setattr(grids, "_CHUNK", chunk)
             with pytest.raises(DslEvalError) as table:
-                tabulate_reduction(system.inclusion, system.reducers, nodes,
-                                   times)
+                check_reduction_membership(_trajectory(nodes, times), system)
             assert str(table.value) == str(pointwise.value)
         assert str(pointwise.value).endswith(
             "division by near-zero denominator 0.0")
 
-    @pytest.mark.parametrize("times", [[0.0], [0.0] * 4, [[0.0, 1.0, 2.0]]])
-    def test_per_row_time_needs_one_time_per_node(self, example4, times):
-        with pytest.raises(DimensionMismatchError,
-                           match=re.escape("one time or one per node")):
-            tabulate_reduction(example4.inclusion, example4.reducers,
-                               [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)], times)
-
-    def test_per_row_time_table_has_no_report(self, example4):
-        table = tabulate_reduction(example4.inclusion, example4.reducers,
-                                   [(0.5, 0.5), (1.0, 0.0)], [0.0, 1.0])
-        for report in (table.to_csv, table.to_text):
-            with pytest.raises(ValueError, match="one time per row"):
-                report()
-
     def test_csv_is_deterministic(self, example3):
         nodes = [(1.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
-        t1 = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
-                                0.0)
-        t2 = tabulate_reduction(example3.inclusion, example3.reducers, nodes,
-                                0.0)
-        assert t1.to_csv() == t2.to_csv()
-        assert t1.to_csv().count("\n") == 4
+        t1 = reduction_table(example3.inclusion, example3.reducers, nodes,
+                             0.0)
+        t2 = reduction_table(example3.inclusion, example3.reducers, nodes,
+                             0.0)
+        assert table_reports(t1)[0] == table_reports(t2)[0]
+        assert table_reports(t1)[0].count("\n") == 4
+
+
+def _trajectory(states, times) -> Trajectory:
+    """A trajectory whose steps start at ``states[:-1]`` at ``times`` and
+    which ends at ``states[-1]``; its selections and V values are 0."""
+    states = np.asarray(states, dtype=float)
+    n, k = states.shape[1], len(times)
+    rows = np.column_stack([times, states[:-1], np.zeros((k, n + 1))])
+    return Trajectory(0.0, 0.5, 1.0, SelectionStrategy(), rows, 1.0,
+                      tuple(states[-1].tolist()), 0.0, False)
+
+
+def _float_bits(report: dict) -> dict:
+    return {k: struct.pack("d", v) if isinstance(v, float) else v
+            for k, v in report.items()}
+

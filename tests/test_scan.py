@@ -1,6 +1,6 @@
 """The array evaluators against the pointwise reference evaluators.
 
-The derivative scan, ``tabulate_reduction``, the ``deriv`` table, the
+The derivative scan, the reduction table, the ``deriv`` table, the
 Matrosov Y table and the trajectory checks evaluate batches of nodes as
 numpy arrays through ``reduction._stream``, which refills the cells the
 arrays flag (``reduction._flagged``) one by one with the pointwise
@@ -45,7 +45,8 @@ from incred.simulate import (DescentReport, MembershipReport,
                              check_partial_convergence,
                              check_reduction_membership, trajectory_csv)
 
-from scans import Scan, derivative_scans
+from scans import (Scan, Table, derivative_scans, reduction_table,
+                   table_reports)
 from test_reduction import rows
 
 # Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
@@ -629,7 +630,7 @@ def _table_key(table) -> dict:
                      for v in np.ravel(c).tolist()],
             "flags": (table.base_empty.tolist(), table.empty.tolist(),
                       table.constrained.tolist()),
-            "reports": (table.to_csv(), table.to_text())}
+            "reports": table_reports(table)}
 
 
 @settings(max_examples=200, deadline=None,
@@ -641,8 +642,8 @@ def test_array_table_is_bit_identical_to_pointwise(case):
             case["t"])
     saved, grids._CHUNK = grids._CHUNK, case["chunk"]
     try:
-        reference = _forced(red.tabulate_reduction, *args)
-        public = _outcome(red.tabulate_reduction, *args)
+        reference = _forced(reduction_table, *args)
+        public = _outcome(reduction_table, *args)
     finally:
         grids._CHUNK = saved
     if isinstance(reference, tuple):
@@ -670,11 +671,10 @@ def test_fine_grid_reports_equal_the_pointwise_table(name, tmp_path):
                  "-o", str(tmp_path)]) == 0
     system = load_fixture(name)
     grid = system.require_grid().with_uniform_counts(201)
-    table = _forced(red.tabulate_reduction, system.inclusion,
-                    system.reducers, grid.nodes(system.domain),
-                    grid.time_nodes[0])
-    for path, report in (("reduction_table.csv", table.to_csv()),
-                         ("reduction_table.txt", table.to_text())):
+    table = _forced(reduction_table, system.inclusion, system.reducers,
+                    grid.nodes(system.domain), grid.time_nodes[0])
+    for path, report in zip(("reduction_table.csv", "reduction_table.txt"),
+                            table_reports(table)):
         assert (tmp_path / path).read_bytes() == report.encode()
 
 
@@ -684,18 +684,17 @@ ENDPOINTS = (0.0, -0.0, 0.5, -2.5, 1e308, 5e-324, float("inf"),
 
 
 def _table(n, x, t, base, reduced, constrained):
-    """A ReductionTable from per-row ``(lo, hi)`` corner pairs, ``None``
-    for an empty box, with 0.0 endpoints on empty rows as
-    ``tabulate_reduction`` stores them."""
+    """A reduction table from per-row ``(lo, hi)`` corner pairs, ``None``
+    for an empty box, with 0.0 endpoints on empty rows as the reduction
+    job gives them."""
     def columns(boxes):
         lo = np.array([b[0] if b else (0.0,) * n for b in boxes]).T
         hi = np.array([b[1] if b else (0.0,) * n for b in boxes]).T
         return (lo.reshape(n, len(boxes)), hi.reshape(n, len(boxes)),
                 np.array([b is None for b in boxes], dtype=bool))
-    return red.ReductionTable(np.array(x, dtype=float).reshape(len(x), n),
-                              t, *columns(base), *columns(reduced),
-                              np.array(constrained, dtype=bool).reshape(
-                                  len(x), n).T)
+    return Table(np.array(x, dtype=float).reshape(len(x), n), t,
+                 *columns(base), *columns(reduced),
+                 np.array(constrained, dtype=bool).reshape(len(x), n).T)
 
 
 @st.composite
@@ -724,7 +723,7 @@ def test_reports_equal_the_row_by_row_reports(case):
     table, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grids, "_CHUNK", chunk)
-        assert (table.to_csv(), table.to_text()) == _row_reports(table)
+        assert table_reports(table) == _row_reports(table)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -739,7 +738,7 @@ def test_all_empty_chunk_reports_equal_the_row_by_row_reports(
     table = _table(n, [(float(r),) * n for r in range(8)], 0.0, base,
                    reduced, constrained)
     monkeypatch.setattr(grids, "_CHUNK", 3)
-    csv_text, text = table.to_csv(), table.to_text()
+    csv_text, text = table_reports(table)
     assert (csv_text, text) == _row_reports(table)
     assert f"F=IntervalBox.empty({n})  reduced=empty" in text
     assert "," * (4 * n + 1) + "1\n" in csv_text  # F and reduction blank

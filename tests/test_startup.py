@@ -35,8 +35,7 @@ EXPORTS = {
     "fixtures": ["available_fixtures", "fixture_path", "load_fixture"],
     "grids": ["GridSpec"],
     "intervals": ["Annulus", "Interval", "IntervalBox", "contains"],
-    "reduction": ["ReducedValue", "ReductionTable", "reduce_collection",
-                  "tabulate_reduction"],
+    "reduction": ["ReducedValue", "reduce_collection"],
     "setmaps": ["CheckSpec", "GradientValidationReport", "MatrosovData",
                 "Piece", "PiecewiseBoxMap", "RegularFunctionSpec", "SimSpec",
                 "SystemDef", "eval_gradient", "eval_map", "load_system",
@@ -111,9 +110,9 @@ def test_an_unknown_name_raises_attribute_error():
 
 def test_a_patched_submodule_name_shows_and_unpatches(monkeypatch):
     # the package keeps no binding of its own, so nothing is left stale
-    original = incred.reduction.tabulate_reduction
-    monkeypatch.setattr(incred.reduction, "tabulate_reduction", len)
-    assert incred.tabulate_reduction is len
+    original = incred.reduction.reduce_collection
+    monkeypatch.setattr(incred.reduction, "reduce_collection", len)
+    assert incred.reduce_collection is len
     monkeypatch.undo()
-    assert incred.tabulate_reduction is original
-    assert "tabulate_reduction" not in vars(incred)
+    assert incred.reduce_collection is original
+    assert "reduce_collection" not in vars(incred)
