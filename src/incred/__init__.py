@@ -17,8 +17,8 @@ _EXPORTS = {name: module for module, names in {
                "certify_lyapunov certify_semidefinite invariance_data "
                "matrosov_chain matrosov_constants matrosov_derivative_bounds "
                "matrosov_grid verify_combined_bound",
-    "derivative": "DerivativeValue baseline_interval_derivative "
-                  "bilinear_maxmax bilinear_minmax generalized_derivative",
+    "derivative": "baseline_interval_derivative bilinear_maxmax "
+                  "bilinear_minmax generalized_derivative",
     "errors": "DimensionMismatchError DslEvalError DslSyntaxError "
               "EmptySetError IncredError SchemaError SimulationError",
     "fixtures": "available_fixtures fixture_path load_fixture",

@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DslSyntaxError, IncredError, SchemaError
+from .errors import DslSyntaxError, IncredError, InputFileError, SchemaError
 from .grids import GridSpec, _region
-from .setmaps import (SimSpec, SystemDef, load_system,
-                      validate_gradient, _number, _parse_grid, _STRATEGY_KINDS)
+from .setmaps import (SimSpec, SystemDef, load_system, validate_gradient,
+                      _number, _parse_grid, _read_json, _STRATEGY_KINDS)
 # each subcommand imports the analysis modules it uses, and only those
 
 EXIT_OK = 0
@@ -70,8 +70,7 @@ def _load(args) -> SystemDef:
             base = GridSpec((count,) * system.n, ((),) * system.n)
         system = replace(system, grid=base.with_uniform_counts(count))
     elif path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
         if not isinstance(doc, dict):
             raise SchemaError(f"--grid-file {path}: expected a JSON object")
         grid = _parse_grid(doc.get("grid", doc), system.n, "grid")
@@ -429,11 +428,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        out = Path(args.out)  # a file in -o's way fails before the analysis
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"-o {out}: {found} is not a directory")
         return args.func(args)
-    except json.JSONDecodeError as e:
-        print(f"error: malformed JSON: {e}", file=_sys.stderr)
-        return EXIT_PARSE
-    except (DslSyntaxError, OSError, UnicodeDecodeError) as e:
+    except (DslSyntaxError, InputFileError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_PARSE
     except IncredError as e:

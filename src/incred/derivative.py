@@ -5,8 +5,8 @@ function along a box-valued inclusion are computed in closed form:
 
 * :func:`generalized_derivative` -- min over gradient elements ``p`` of
   the max over reduced directions ``q`` of ``p . [q; 1]`` (max-max when
-  the candidate is not regular), with a distinguished minus-infinity
-  marker when the reduced set is empty;
+  the candidate is not regular), or None for minus infinity when the
+  reduced set is empty;
 * the classical "common value" derivative of a regular candidate: the
   max of the values attained simultaneously by every gradient element,
   which is :func:`generalized_derivative` with the candidate as the only
@@ -28,17 +28,15 @@ convex piecewise-linear ``p -> max(p qlo, p qhi)`` is attained at an
 endpoint or at the breakpoint 0. No LP solver and no tolerance are
 involved.
 
-The minus-infinity marker is ``value is None`` on the returned
-:class:`DerivativeValue`, never a floating-point ``-inf``, so report
-serialization stays unambiguous; it compares below every real bound in
-certification.
+Minus infinity is a None return, never a floating-point ``-inf``, so
+report serialization stays unambiguous; it compares below every real
+bound in certification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -50,28 +48,8 @@ from .intervals import Interval, IntervalBox
 from .reduction import _gradient_arrays, _reduce_arrays, reduce_collection
 from .setmaps import PiecewiseBoxMap, RegularFunctionSpec, eval_gradient, eval_map
 
-__all__ = [
-    "DerivativeValue", "bilinear_maxmax", "bilinear_minmax",
-    "generalized_derivative", "baseline_interval_derivative",
-]
-
-@dataclass(frozen=True)
-class DerivativeValue:
-    """One evaluated derivative.
-
-    ``kind`` is ``"generalized"`` or ``"baseline-interval"``. For the
-    generalized kind ``value`` is a float, or None as the minus-infinity
-    marker (empty reduced set, flagged by ``empty_reduction``). For the
-    interval kind ``value`` is an :class:`Interval`, or None when the
-    intersection is empty.
-    """
-    kind: str
-    value: Union[float, Interval, None]
-    empty_reduction: bool = False
-
-    @property
-    def is_minus_inf(self) -> bool:
-        return self.value is None
+__all__ = ["bilinear_maxmax", "bilinear_minmax", "generalized_derivative",
+           "baseline_interval_derivative"]
 
 
 def _check_pq(p: IntervalBox, q: IntervalBox) -> None:
@@ -137,30 +115,29 @@ def bilinear_minmax(p: IntervalBox, q: IntervalBox) -> float:
 def generalized_derivative(candidate: RegularFunctionSpec,
                            inclusion: PiecewiseBoxMap,
                            reducers: Sequence[RegularFunctionSpec],
-                           x: Sequence[float], t: float) -> DerivativeValue:
+                           x: Sequence[float], t: float) -> float | None:
     """Derivative of the candidate along the reduced inclusion.
 
-    Empty reduced set => minus-infinity marker. Otherwise min-max over
+    Empty reduced set => None (minus infinity). Otherwise min-max over
     (gradient, reduced directions) when the candidate is regular,
     max-max when it is not.
     """
     reduced = reduce_collection(inclusion, reducers, x, t)
     if reduced.is_empty:
-        return DerivativeValue("generalized", None, empty_reduction=True)
+        return None
     grad = eval_gradient(candidate, x, t)
     optimum = bilinear_minmax if candidate.regular else bilinear_maxmax
     try:
-        value = optimum(grad, reduced)
+        return optimum(grad, reduced)
     except DslEvalError:
         raise DslEvalError(f"{candidate.name}: the generalized derivative "
                            f"is NaN at x={tuple(x)}, t={t}") from None
-    return DerivativeValue("generalized", value)
 
 
 def baseline_interval_derivative(candidate: RegularFunctionSpec,
                                  inclusion: PiecewiseBoxMap,
                                  x: Sequence[float], t: float,
-                                 ) -> DerivativeValue:
+                                 ) -> Interval | None:
     """Intersection derivative over the *unreduced* inclusion.
 
     For each gradient element ``p``, ``p . (F x {1})`` is the interval
@@ -173,7 +150,7 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
     grad = eval_gradient(candidate, x, t)
     base = eval_map(inclusion, x, t)
     if base.is_empty:
-        return DerivativeValue("baseline-interval", None)
+        return None
     sup_lo = 0.0
     try:
         inf_hi = bilinear_minmax(grad, base)
@@ -184,8 +161,7 @@ def baseline_interval_derivative(candidate: RegularFunctionSpec,
         raise DslEvalError(
             f"{candidate.name}: the baseline interval derivative is NaN "
             f"at x={tuple(x)}, t={t}") from None
-    value = None if sup_lo > inf_hi else Interval(sup_lo, inf_hi)
-    return DerivativeValue("baseline-interval", value)
+    return None if sup_lo > inf_hi else Interval(sup_lo, inf_hi)
 
 
 def _derivative_job(inclusion, candidate, reducers, extras, width: int):
@@ -212,8 +188,8 @@ def _derivative_job(inclusion, candidate, reducers, extras, width: int):
     return (0.0, False) + zero, fits and arrays, pointwise
 
 
-def _cells(d: DerivativeValue) -> tuple[float, bool]:
-    return 0.0 if d.is_minus_inf else d.value, d.is_minus_inf
+def _cells(d: float | None) -> tuple[float, bool]:
+    return (0.0, True) if d is None else (d, False)
 
 
 def _table_job(candidate: RegularFunctionSpec, inclusion: PiecewiseBoxMap,
@@ -245,7 +221,7 @@ def _table_job(candidate: RegularFunctionSpec, inclusion: PiecewiseBoxMap,
                 "regular candidate")
         d_max = generalized_derivative(candidate, inclusion, (candidate,),
                                        x, t)
-        ends = baseline_interval_derivative(candidate, inclusion, x, t).value
+        ends = baseline_interval_derivative(candidate, inclusion, x, t)
         return (*_cells(d), *_cells(d_max), *((0.0, 0.0, True) if ends is None
                                               else (ends.lo, ends.hi, False)))
 

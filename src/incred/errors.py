@@ -22,6 +22,10 @@ class DslSyntaxError(IncredError):
         super().__init__(f"{message} (at offset {offset})")
 
 
+class InputFileError(IncredError, ValueError):
+    """An input file is not UTF-8 text or not well-formed JSON."""
+
+
 class DslEvalError(IncredError):
     """Expression evaluation failed: division by a near-zero denominator,
     an inverted interval literal, exp/sin/cos without a finite value, or a

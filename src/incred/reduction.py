@@ -113,8 +113,7 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
     node is one time or one per node. ``arrays(at)`` returns a chunk's
     columns at a time node and the rows it may not reproduce (a falsy
     ``arrays`` flags every cell); ``at(m)`` is map m's value arrays there,
-    once for every job, and ``at(m, f)`` ``f`` of them, once per chunk if
-    m reads neither t nor a parameter and the time is scalar.
+    evaluated once for every job.
 
     Each flagged cell is refilled by ``pointwise(x, t)`` before its chunk
     is folded, in C order (:func:`_flagged`); a parameter error of the
@@ -140,17 +139,12 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
             for a, t in enumerate(times):
                 now, t = {}, t[rows] if isinstance(t, np.ndarray) else t
 
-                def at(m, derive=None):  # once for every job
+                def at(m):  # once for every job
                     if id(m) not in now:
                         if id(m) not in chunk:
                             chunk[id(m)] = m.chunk_arrays(batch)
                         now[id(m)] = chunk[id(m)](*m.env_arrays(batch, t))
-                    if not derive:
-                        return now[id(m)]
-                    memo = now if m.time_dependent or np.ndim(t) else chunk
-                    if (id(m), derive) not in memo:
-                        memo[id(m), derive] = derive(now[id(m)])
-                    return memo[id(m), derive]
+                    return now[id(m)]
 
                 for j, (_, step, _) in enumerate(jobs):
                     try:  # raises the first parameter error, in map order
@@ -259,17 +253,16 @@ def _reduce_arrays(lo, hi, empty, bad, reducers, value):
     """Array form of :func:`_reduce`.
 
     ``lo``, ``hi`` (``(n, rows)``), ``empty`` and ``bad`` are the
-    inclusion value on the batch, and ``value`` :func:`_stream`'s ``at``
-    (a gradient's :func:`_pinch` comes once per chunk where it reads
-    neither t nor a parameter). The state axes some reducer's gradient
-    moves along are pinched to 0 together; a row is emptied where a
+    inclusion value on the batch, and ``value`` :func:`_stream`'s ``at``.
+    The state axes some reducer's gradient moves along (its
+    :func:`_pinch`) are pinched to 0 together; a row is emptied where a
     pinched axis excludes 0 or some gradient's time axis moves. Returns
     the reduced ``(lo, hi, empty)`` (endpoints mean nothing on empty
     rows), the pinched-axes mask, and ``bad`` | the reducers' bad rows.
     """
     constrained = np.zeros(lo.shape, dtype=bool)
     for u in reducers:
-        moving, obstructed, g_bad = value(u.gradient, _pinch)
+        moving, obstructed, g_bad = _pinch(value(u.gradient))
         constrained |= moving
         empty = empty | obstructed
         bad = bad | g_bad

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import expr
 from .errors import (DimensionMismatchError, DslEvalError, DslSyntaxError,
-                     EmptySetError, SchemaError)
+                     EmptySetError, InputFileError, SchemaError)
 from .expr import GuardExpr, ScalarExpr, SetExpr, TrueGuard
 from .grids import GridSpec, check_size
 from .intervals import Annulus, Interval, IntervalBox
@@ -279,7 +279,6 @@ class GradientValidationReport:
     point: tuple[float, ...]
     t: float
     radius: float
-    step: float
     samples: int
     fraction_inside: float
     estimate_hull: IntervalBox
@@ -369,7 +368,7 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     hull = IntervalBox.from_bounds(lo, hi)
     return GradientValidationReport(
         name=f.name, point=tuple(float(v) for v in x), t=float(t),
-        radius=radius, step=step, samples=samples, fraction_inside=fraction,
+        radius=radius, samples=samples, fraction_inside=fraction,
         estimate_hull=hull, declared=declared,
         passed=fraction >= _PASS_FRACTION)
 
@@ -748,7 +747,17 @@ def system_from_dict(doc: dict) -> SystemDef:
                      matrosov=matrosov, checks=checks, sim=sim)
 
 
+def _read_json(path):
+    """The JSON document in the file ``path``; a file that is not UTF-8
+    or not JSON raises InputFileError, which names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise InputFileError(f"{path}: malformed JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputFileError(f"{path}: {e}") from None
+
+
 def load_system(path) -> SystemDef:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return system_from_dict(doc)
+    return system_from_dict(_read_json(path))

@@ -67,8 +67,8 @@ def test_criterion_2_planar_derivative_closed_form(example2):
         for x2 in uniform:
             d = generalized_derivative(example2.candidate, example2.inclusion,
                                        example2.reducers, (x1, x2), 0.0)
-            assert not d.is_minus_inf
-            worst = max(worst, abs(d.value - (-(x1 * x1) - x2 * x2)))
+            assert d is not None
+            worst = max(worst, abs(d - (-(x1 * x1) - x2 * x2)))
     assert worst <= 1e-9
 
     axis_nodes = example2.grid.axis_nodes(example2.domain)
@@ -77,15 +77,15 @@ def test_criterion_2_planar_derivative_closed_form(example2):
     for node in guard_nodes:
         d = generalized_derivative(example2.candidate, example2.inclusion,
                                    example2.reducers, node, 0.0)
-        assert d.is_minus_inf
+        assert d is None
 
     for corner in ((1.0, 1.0), (1.0, -1.0)):
         bmax = common_value_max(example2.candidate, example2.inclusion,
                                 corner, 0.0)
         pint = baseline_interval_derivative(example2.candidate,
                                             example2.inclusion, corner, 0.0)
-        assert abs(bmax.value) <= 1e-9
-        assert abs(pint.value.hi) <= 1e-9
+        assert abs(bmax) <= 1e-9
+        assert abs(pint.hi) <= 1e-9
     _report(2, f"reduced derivative equals -|x|^2 off the guards "
                f"(worst error {worst:.2e} <= 1e-9), -inf on guards, and "
                f"both baseline maxima are 0 at the corners")
@@ -238,9 +238,9 @@ def test_criterion_9_structural_properties(example1, example2, example3,
                                        example6.reducers, x, 0.5)
         large = generalized_derivative(example6.candidate, example6.inclusion,
                                        (*example6.reducers, pyramid), x, 0.5)
-        if not large.is_minus_inf:
-            assert not small.is_minus_inf
-            assert large.value <= small.value + 1e-12
+        if large is not None:
+            assert small is not None
+            assert large <= small + 1e-12
 
     # the candidate as the only reducer reproduces the common-value max
     for system in (example2, example3, example4):
@@ -253,9 +253,9 @@ def test_criterion_9_structural_properties(example1, example2, example3,
                                          (system.candidate,), x, t)
             direct = common_value_max(system.candidate, system.inclusion,
                                       x, t)
-            assert via.is_minus_inf == direct.is_minus_inf
-            if not via.is_minus_inf:
-                assert via.value == direct.value
+            assert (via is None) == (direct is None)
+            if via is not None:
+                assert via == direct
 
     # declared gradients validate at 20 deterministic probes per function
     cases = [

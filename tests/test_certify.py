@@ -152,8 +152,8 @@ class TestCertifyLyapunov:
                              example2_baseline.inclusion, x, t)
         w = ex.compile_scalar(example2_baseline.checks.decrease_bound)(
             example2_baseline.inclusion.env(x, t))
-        assert d.value + w == pytest.approx(cert.worst_margin, abs=1e-12)
-        assert d.value + w > 1e-9
+        assert d + w == pytest.approx(cert.worst_margin, abs=1e-12)
+        assert d + w > 1e-9
 
     def test_trivial_zero_field(self, trivial_zero):
         cert = certify_lyapunov(trivial_zero, trivial_zero.checks.decrease_bound)
@@ -267,7 +267,7 @@ class TestCertifySemidefinite:
         # witness fidelity
         d = generalized_derivative(example5.candidate, example5.inclusion,
                                    example5.reducers, x, cert.worst_t)
-        assert d.value + 2 * (x[0] ** 2 + x[1] ** 2) == pytest.approx(
+        assert d + 2 * (x[0] ** 2 + x[1] ** 2) == pytest.approx(
             cert.worst_margin, abs=1e-12)
 
     def test_negative_bound_rejected_by_screen(self, example5):

@@ -461,13 +461,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "-o file", "-o file/sub", "-i dir", "--grid-file dir",
-        "-i non-utf-8", "--grid-file non-utf-8"])
+        "-i non-utf-8", "--grid-file non-utf-8", "-i truncated",
+        "--grid-file truncated"])
     @pytest.mark.parametrize("command", ["certify", "reduce"])
     def test_unreadable_or_unwritable_path_exits_two(self, tmp_path, capsys,
                                                      command, case):
         (tmp_path / "file").write_bytes(b"an earlier report\n")
         (tmp_path / "dir").mkdir()
         (tmp_path / "non-utf-8").write_bytes(b'{"n": 1, "\xff": 0}')
+        (tmp_path / "truncated").write_bytes(b'{\n  "n": 2,\n')
         flag, path = case.split()
         argv = {"-i": fixture_path("example2"), "-o": str(tmp_path / "out")}
         argv[flag] = str(tmp_path / path)
@@ -477,8 +479,32 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert str(tmp_path / path) in err  # the file at fault is named
         assert (tmp_path / "file").read_bytes() == b"an earlier report\n"
         assert sorted(tmp_path.rglob("*")) == before  # no directory made
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    @pytest.mark.parametrize("command", [
+        "reduce", "deriv", "certify", "invariance", "matrosov", "simulate",
+        "validate-gradient"])
+    def test_an_out_that_cannot_be_a_directory_exits_before_loading(
+            self, tmp_path, capsys, monkeypatch, command, out):
+        import incred.cli as cli
+
+        def no_load(path):
+            raise AssertionError("the system was loaded")
+
+        monkeypatch.setattr(cli, "load_system", no_load)
+        (tmp_path / "file").write_bytes(b"an earlier report\n")
+        before = sorted(tmp_path.rglob("*"))
+        code = run(command, "-i", fixture_path("example6"),
+                   "-o", str(tmp_path / out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: -o {tmp_path / out}: {tmp_path / 'file'} "
+                       "is not a directory\n")
+        assert (tmp_path / "file").read_bytes() == b"an earlier report\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
                              ids=[f"{c} {f[0]}" for c, f in _UNREAD_FLAGS])

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incred.derivative import (DerivativeValue,
-                               baseline_interval_derivative, bilinear_maxmax,
+from incred.derivative import (baseline_interval_derivative, bilinear_maxmax,
                                bilinear_minmax, generalized_derivative)
 from incred.errors import (DimensionMismatchError, DslEvalError,
                            EmptySetError, SchemaError)
@@ -22,19 +21,19 @@ def common_value_max(candidate, inclusion, x, t):
     """The max of the common-value derivative set, from its definition:
     the directions q of F(x, t) on which ``p . [q; 1]`` takes one value
     for every gradient element p (the candidate's own reduction), and
-    that value's max, read at p's lower corner. No such q is the
-    minus-infinity marker (``value`` None)."""
+    that value's max, read at p's lower corner. No such q is minus
+    infinity (None)."""
     if not candidate.regular:
         raise SchemaError(f"{candidate.name}: the common-value derivative "
                           "requires a regular candidate")
     q = reduce_collection(inclusion, (candidate,), x, t)
     if q.is_empty:
-        return DerivativeValue("generalized", None, empty_reduction=True)
+        return None
     p = eval_gradient(candidate, x, t)
     total = 0.0
     for pi, qi in zip(p.axes, q.axes):
         total += max(pi.lo * qi.lo, pi.lo * qi.hi)
-    return DerivativeValue("generalized", total + p.axes[-1].lo)
+    return total + p.axes[-1].lo
 
 
 def brute_maxmax(p, q, grid=201):
@@ -153,13 +152,13 @@ class TestGeneralizedDerivative:
     def test_interior_value(self, example2):
         d = generalized_derivative(example2.candidate, example2.inclusion,
                                    example2.reducers, (0.5, 0.5), 0.0)
-        assert d.value == -0.5
-        assert not d.empty_reduction
+        assert d == -0.5
+        assert d is not None
 
     def test_minus_inf_on_guard(self, example2):
         d = generalized_derivative(example2.candidate, example2.inclusion,
                                    example2.reducers, (1.0, 1.0), 0.0)
-        assert d.is_minus_inf and d.empty_reduction
+        assert d is None
 
     def test_time_varying_value_meets_bound(self, example4):
         x = (0.5, 0.5)
@@ -171,8 +170,8 @@ class TestGeneralizedDerivative:
         h = 1.0 + g
         expected = (2 * x[0] * (-x[0] + x[1] * h)
                     + 2 * x[1] * h * (-x[0] - x[1]) + gdot * x[1] ** 2)
-        assert d.value == pytest.approx(expected, abs=1e-12)
-        assert d.value <= -2 * (x[0] ** 2 + x[1] ** 2)
+        assert d == pytest.approx(expected, abs=1e-12)
+        assert d <= -2 * (x[0] ** 2 + x[1] ** 2)
 
     def test_nonregular_candidate_uses_max_max(self):
         grad = box((-1, 1), (0, 0))
@@ -182,8 +181,8 @@ class TestGeneralizedDerivative:
         nonreg = constant_spec(grad, name="nonreg", regular=False)
         d_reg = generalized_derivative(reg, inclusion, (), (0.0,), 0.0)
         d_non = generalized_derivative(nonreg, inclusion, (), (0.0,), 0.0)
-        assert d_reg.value == bilinear_minmax(grad, fbox) == -2.0
-        assert d_non.value == bilinear_maxmax(grad, fbox) == 3.0
+        assert d_reg == bilinear_minmax(grad, fbox) == -2.0
+        assert d_non == bilinear_maxmax(grad, fbox) == 3.0
 
     def test_nan_value_names_the_candidate_and_point(self):
         inclusion = constant_map(box((-math.inf, 1)))
@@ -237,32 +236,32 @@ class TestBaselines:
                 baseline_interval_derivative(spec, fmap, x, 0.0)
             return
         d = baseline_interval_derivative(spec, fmap, x, 0.0)
-        got = None if d.value is None else (d.value.lo, d.value.hi)
+        got = None if d is None else (d.lo, d.hi)
         assert repr(got) == repr(want)
         if want is not None:
-            assert repr(d.value.hi) == repr(bilinear_minmax(grad, fbox))
+            assert repr(d.hi) == repr(bilinear_minmax(grad, fbox))
 
     def test_common_value_max_at_corner(self, example2):
         d = common_value_max(example2.candidate, example2.inclusion,
                              (1.0, 1.0), 0.0)
-        assert d.value == 0.0
+        assert d == 0.0
 
     def test_common_value_max_smooth_singleton(self, trivial_zero):
         d = common_value_max(trivial_zero.candidate,
                              trivial_zero.inclusion, (0.3, -0.4), 0.0)
-        assert d.value == 0.0  # gradient . 0
+        assert d == 0.0  # gradient . 0
 
     def test_common_value_max_example3_corner(self, example3):
         d = common_value_max(example3.candidate, example3.inclusion,
                              (1.0, 1.0), 0.0)
         # endpoint arithmetic: max over [0.5,1.5] + max over [-2.5,-1.5]
         # under gradient (1, 1): 1.5 - 1.5 = 0
-        assert d.value == 0.0
+        assert d == 0.0
 
     def test_interval_derivative_smooth(self, example2):
         d = baseline_interval_derivative(example2.candidate,
                                          example2.inclusion, (1.0, 1.0), 0.0)
-        assert d.value == Interval(-4.0, 0.0)
+        assert d == Interval(-4.0, 0.0)
 
     def test_interval_derivative_singletons(self):
         grad = box((0.7, 0.7), (-0.2, -0.2), (0, 0))
@@ -270,7 +269,7 @@ class TestBaselines:
         d = baseline_interval_derivative(
             constant_spec(grad, name="s"), constant_map(fbox), (0.0, 0.0),
             0.0)
-        assert d.value == Interval(0.7 * 2 - 0.2 * 5, 0.7 * 2 - 0.2 * 5)
+        assert d == Interval(0.7 * 2 - 0.2 * 5, 0.7 * 2 - 0.2 * 5)
 
     def test_interval_derivative_empty_intersection(self):
         # gradient [-1,1], singleton direction {1}: the per-element values
@@ -279,7 +278,7 @@ class TestBaselines:
         d = baseline_interval_derivative(
             constant_spec(grad, name="s"), constant_map(box((1, 1))), (0.0,),
             0.0)
-        assert d.value is None
+        assert d is None
 
     def test_interval_derivative_sampled_oracle(self):
         # intersect the per-element value intervals over an enumeration of
@@ -310,11 +309,11 @@ class TestBaselines:
                 M = sum(max(pi * qi.lo, pi * qi.hi)
                         for pi, qi in zip(p, fbox.axes)) + p[-1]
                 lo, hi = max(lo, m), min(hi, M)
-            if d.value is None:
+            if d is None:
                 assert lo > hi - 1e-9
             else:
-                assert d.value.lo == pytest.approx(lo, abs=1e-9)
-                assert d.value.hi == pytest.approx(hi, abs=1e-9)
+                assert d.lo == pytest.approx(lo, abs=1e-9)
+                assert d.hi == pytest.approx(hi, abs=1e-9)
 
 
 class TestOrderingProperties:
@@ -332,9 +331,9 @@ class TestOrderingProperties:
                     x, t)
                 direct = common_value_max(system.candidate,
                                           system.inclusion, x, t)
-                assert via_reducer.is_minus_inf == direct.is_minus_inf
-                if not direct.is_minus_inf:
-                    assert via_reducer.value == direct.value  # exact
+                assert (via_reducer is None) == (direct is None)
+                if direct is not None:
+                    assert via_reducer == direct  # exact
 
     def test_larger_collections_never_increase_the_value(self, example6):
         pyramid = example6.matrosov.collections[1][0]
@@ -349,10 +348,10 @@ class TestOrderingProperties:
                                            example6.inclusion,
                                            (*example6.reducers, pyramid), x,
                                            0.5)
-            if large.is_minus_inf:
+            if large is None:
                 continue
-            assert not small.is_minus_inf
-            assert large.value <= small.value + 1e-12
+            assert small is not None
+            assert large <= small + 1e-12
 
     def test_common_value_max_below_interval_max(self, example2, example3):
         rng = np.random.default_rng(29)
@@ -365,6 +364,6 @@ class TestOrderingProperties:
                                           system.inclusion, x, 0.0)
                 interval = baseline_interval_derivative(
                     system.candidate, system.inclusion, x, 0.0)
-                if common.is_minus_inf or interval.value is None:
+                if common is None or interval is None:
                     continue
-                assert common.value <= interval.value.hi + 1e-12
+                assert common <= interval.hi + 1e-12

@@ -38,7 +38,7 @@ from incred.cli import main
 from incred.errors import SchemaError
 from incred.fixtures import available_fixtures, fixture_path, load_fixture
 from incred.setmaps import (MatrosovData, Piece, PiecewiseBoxMap,
-                            RegularFunctionSpec, eval_map, system_from_dict)
+                            RegularFunctionSpec, eval_map)
 from incred.simulate import (DescentReport, MembershipReport,
                              SelectionStrategy, TailReport, Trajectory,
                              check_lyapunov_descent,
@@ -353,8 +353,8 @@ def _loop_scans(inclusion, jobs, nodes, time_nodes):
             for b, x in enumerate(nodes):
                 d = deriv.generalized_derivative(candidate, inclusion,
                                                  reducers, list(x), t)
-                minus_inf[a, b] = d.is_minus_inf
-                value[a, b] = 0.0 if d.is_minus_inf else d.value
+                minus_inf[a, b] = d is None
+                value[a, b] = 0.0 if d is None else d
                 for k, (fn, m) in enumerate(fns):
                     cols[k, a, b] = fn(m.env(list(x), t))
         scans.append(Scan(value, minus_inf, tuple(cols)))
@@ -445,31 +445,6 @@ def test_state_only_work_runs_once_per_chunk(monkeypatch):
     reads_g, state_only = f.pieces[0].values  # {x2*(1 + g)}, {-x1 - x2}
     assert (calls[id(reads_g)], calls[id(state_only)]) == (3 * chunks, chunks)
     assert calls[id(system.checks.semidef_bound)] == chunks  # 2*x2*x2
-
-
-def test_a_state_only_pinch_runs_once_per_chunk(monkeypatch):
-    """``certify example6 --grid 201``, 10 chunks at 3 time nodes: the
-    square_ramp gradient reads only the state, so its moving axes, time
-    obstruction and bad rows (``reduction._pinch``) come once per chunk,
-    10 times where the time-node loop made 30. A copy whose ramp gradient
-    reads g pinches once per time node."""
-    calls = []
-    pinch = red._pinch
-    monkeypatch.setattr(red, "_pinch",
-                        lambda g: (calls.append(g), pinch(g))[1])
-    with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for reads_g in (False, True):
-        if reads_g:
-            for piece in doc["U"][0]["gradient"]:
-                piece["value"][0] = "(1 + 0*g)*" + piece["value"][0]
-        system = system_from_dict(doc)
-        system = replace(system, grid=system.require_grid()
-                         .with_uniform_counts(201))
-        calls.clear()
-        certify_semidefinite(system, system.checks.semidef_bound)
-        assert system.reducers[0].gradient.time_dependent == reads_g
-        assert len(calls) == (30 if reads_g else 10)
 
 
 def test_matrosov_bounds_evaluate_f_once_for_every_function(monkeypatch):
@@ -767,10 +742,9 @@ def _loop_deriv_csv(system, nodes, t0) -> str:
         bint = deriv.baseline_interval_derivative(
             system.candidate, system.inclusion, list(x), t0)
         row = [repr(v) for v in x] + [repr(t0)]
-        row.append("-inf" if gen.is_minus_inf else repr(gen.value))
-        row.append("-inf" if bmax.is_minus_inf else repr(bmax.value))
-        row += ["", ""] if bint.value is None else [repr(bint.value.lo),
-                                                    repr(bint.value.hi)]
+        row.append("-inf" if gen is None else repr(gen))
+        row.append("-inf" if bmax is None else repr(bmax))
+        row += ["", ""] if bint is None else [repr(bint.lo), repr(bint.hi)]
         writer.writerow(row)
     return buf.getvalue()
 

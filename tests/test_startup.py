@@ -26,9 +26,8 @@ EXPORTS = {
                 "invariance_data", "matrosov_chain", "matrosov_constants",
                 "matrosov_derivative_bounds", "matrosov_grid",
                 "verify_combined_bound"],
-    "derivative": ["DerivativeValue", "baseline_interval_derivative",
-                   "bilinear_maxmax", "bilinear_minmax",
-                   "generalized_derivative"],
+    "derivative": ["baseline_interval_derivative", "bilinear_maxmax",
+                   "bilinear_minmax", "generalized_derivative"],
     "errors": ["DimensionMismatchError", "DslEvalError", "DslSyntaxError",
                "EmptySetError", "IncredError", "SchemaError",
                "SimulationError"],
