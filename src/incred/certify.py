@@ -39,7 +39,7 @@ import numpy as np
 from . import expr, reduction
 from .derivative import _derivative_job
 from .errors import SchemaError
-from .grids import (GridSpec, _chunks, _region, _region_chunks,
+from .grids import (MAX_ITEMS, GridSpec, _chunks, _region, _region_chunks,
                     _region_count, _rows, _stacked, check_size)
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _expression_job
@@ -405,15 +405,18 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
 # Node sets stream as (walk, count): ``count`` nodes in order, as the
 # (dims, k) column arrays of grids._region_chunks (see grids._region).
 
-def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
-    """The grid's nodes in annulus(delta, Delta) as a node set ``(walk,
-    count)``, counted by a pass of the annulus test alone. Every axis
-    gains the radii ``+/-delta``, ``+/-Delta`` and 0, so that the
-    closest-to-origin annulus points are hit exactly."""
+def _annulus_axes(prob: MatrosovData, sys: SystemDef, grid=None):
+    """The grid's axes (the system's by default) with the radii ``+/-delta``,
+    ``+/-Delta`` and 0, so the closest-to-origin annulus points are hit."""
     grid = grid if grid is not None else sys.require_grid()
     radii = (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
-    axes = grid.checked_axes(sys.domain, (radii,) * sys.n)
-    nodes = _region(axes, prob.annulus())
+    return grid.checked_axes(sys.domain, (radii,) * sys.n)
+
+
+def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
+    """:func:`_annulus_axes`' nodes in annulus(delta, Delta) as a node set
+    ``(walk, count)``, counted by a pass of the annulus test alone."""
+    nodes = _region(_annulus_axes(prob, sys, grid), prob.annulus())
     if not nodes[1]:
         raise SchemaError("no grid nodes fall inside the annulus")
     return nodes
@@ -436,9 +439,8 @@ def _z_parts(prob: MatrosovData) -> list[tuple[np.ndarray, np.ndarray]]:
     return parts
 
 
-def matrosov_grid(prob: MatrosovData, sys: SystemDef,
-                  grid: GridSpec | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def matrosov_grid(prob: MatrosovData,
+                  sys: SystemDef) -> tuple[np.ndarray, np.ndarray]:
     """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta),
     both row-major: the x nodes of :func:`_annulus_nodes`, and per z axis
     uniform nodes over ``[-gamma, gamma]`` and -gamma, 0, gamma, filtered
@@ -449,7 +451,7 @@ def matrosov_grid(prob: MatrosovData, sys: SystemDef,
     only the count. Those two come from the products of the axes' parts,
     which tile the z grid, so that no axis is built whole: one long axis
     would be built twice."""
-    x_nodes = _stacked(_annulus_nodes(prob, sys, grid), sys.n)
+    x_nodes = _stacked(_annulus_nodes(prob, sys), sys.n)
     what = ("matrosov z nodes (z_counts "
             f"{' x '.join(map(str, prob.z_counts))})")
     check_size(math.prod(prob.z_counts), what)  # before the axes are built
@@ -476,8 +478,7 @@ def _row_chunks(prob: MatrosovData, z_nodes, x_nodes, n: int):
     z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
                    dtype=float).reshape(-1, prob.m).T
     (walk, x_count), nz = x_nodes, z.shape[1]
-    check_size(x_count * nz, f"matrosov (z, x) rows ({nz} z nodes x "
-               f"{x_count} x nodes)")
+    _check_row_count(nz, x_count)
 
     def chunks():
         for x in walk():
@@ -491,6 +492,23 @@ def _row_chunks(prob: MatrosovData, z_nodes, x_nodes, n: int):
     return (chunks, x_count * nz), _expression_job(
         [(y, None) for y in prob.aux],
         [f"z{i+1}" for i in range(prob.m)] + [f"x{i+1}" for i in range(n)])
+
+
+def _check_row_count(nz: int, x_count: int) -> None:
+    check_size(x_count * nz, f"matrosov (z, x) rows ({nz} z nodes x "
+               f"{x_count} x nodes)")
+
+
+def _check_matrosov_rows(prob: MatrosovData, sys: SystemDef, z_nodes,
+                         x_nodes, fine: GridSpec | None) -> None:
+    """The row checks of :func:`matrosov_chain` and of the verification on
+    the grid ``fine`` (or None), before any Y is evaluated; ``fine``'s
+    annulus is counted only if its node product could exceed the limit."""
+    nz = len(z_nodes) if prob.aux_uses_z() else 1
+    _check_row_count(nz, len(x_nodes))
+    if fine is not None and nz * math.prod(
+            map(len, _annulus_axes(prob, sys, fine))) > MAX_ITEMS:
+        _check_row_count(nz, _annulus_nodes(prob, sys, fine)[1])
 
 
 def _aux_table(prob: MatrosovData, z_nodes, x_nodes):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import shutil
@@ -220,15 +221,17 @@ def cmd_matrosov(args) -> int:
     grid = system.require_grid()
     eq_tol = _tol(args, "eq_tol")  # every flag is checked before the chain
     cert._check_zeta_target(args.zeta_target)
-    fine = grid.refined(args.verify_factor)
+    fine = None if args.verify_factor == 1 else grid.refined(
+        args.verify_factor)
     z_nodes, x_nodes = cert.matrosov_grid(problem, system)
+    cert._check_matrosov_rows(problem, system, z_nodes, x_nodes, fine)
     chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
     result = verify = None
     if chain.certified:
         result = cert.matrosov_constants(problem, z_nodes, x_nodes,
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
-        if result.certificate.certified and args.verify_factor != 1:
+        if result.certificate.certified and fine is not None:
             verify = cert.verify_combined_bound(
                 problem, system, result.constants, result.zeta, z_nodes, fine)
     bounds = cert.matrosov_derivative_bounds(system, problem)
@@ -320,14 +323,13 @@ def cmd_validate_gradient(args) -> int:
         for coll in system.matrosov.collections:
             functions.extend(coll)
     probes = _default_probes(system)
-    reports = []
-    all_passed = True
-    for f in functions:
-        for x in probes:
-            rep = validate_gradient(f, x, 0.0, radius=args.radius,
-                                    samples=args.samples, seed=args.seed or 0)
-            reports.append(rep.to_dict())
-            all_passed = all_passed and rep.passed
+    times = system.grid.time_nodes if system.grid else (0.0,)
+    reports, all_passed = [], True
+    for f, t, x in itertools.product(functions, times, probes):
+        rep = validate_gradient(f, x, t, radius=args.radius,
+                                samples=args.samples, seed=args.seed or 0)
+        reports.append(rep.to_dict())
+        all_passed = all_passed and rep.passed
     out = Path(args.out)
     with _writing(args, "gradient_validation.json") as (part,):
         _write_json(part, {"passed": all_passed, "radius": args.radius,

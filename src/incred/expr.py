@@ -72,7 +72,7 @@ __all__ = [
     "parse_scalar", "parse_set", "parse_guard",
     "compile_scalar", "compile_sets", "compile_guard",
     "compile_scalar_array", "compile_set_array", "compile_guard_array",
-    "pretty_scalar", "pretty_set", "pretty_guard",
+    "pretty_scalar", "pretty_set",
     "free_vars", "substitute", "DEFAULT_VARIABLES",
 ]
 
@@ -804,24 +804,3 @@ def pretty_set(node: SetExpr) -> str:
     if isinstance(node, ScaledSet):
         return f"{_wrap_scalar(node.coeff, 3)}*{_set_atom_str(node.operand)}"
     raise TypeError(f"not a set expression: {node!r}")
-
-
-def pretty_guard(node: GuardExpr) -> str:
-    if isinstance(node, TrueGuard):
-        return "otherwise"
-    if isinstance(node, Comparison):
-        return f"{pretty_scalar(node.left)} {node.op} {pretty_scalar(node.right)}"
-    if isinstance(node, AndGuard):
-        parts = []
-        for t in node.terms:
-            s = pretty_guard(t)
-            parts.append(f"({s})" if isinstance(t, OrGuard) else s)
-        return " and ".join(parts)
-    if isinstance(node, OrGuard):
-        return " or ".join(pretty_guard(t) for t in node.terms)
-    if isinstance(node, NotGuard):
-        s = pretty_guard(node.operand)
-        if isinstance(node.operand, (AndGuard, OrGuard, Comparison)):
-            return f"not ({s})"
-        return f"not {s}"
-    raise TypeError(f"not a guard expression: {node!r}")

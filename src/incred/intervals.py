@@ -11,7 +11,7 @@ its dimension (never encoded as inverted endpoints). Degeneracy is
 exact equality of endpoints, because the systems of interest are
 defined with exactly representable constants.
 
-Axis indices (``ReducedValue.constrained_axes`` among them) are 1-based,
+Axis indices (the reduction's pinched axes among them) are 1-based,
 matching the variable names ``x1..xn``; a box of dimension ``n + 1``
 uses index ``n + 1`` for its trailing time axis.
 
@@ -121,10 +121,6 @@ class IntervalBox:
         return box
 
     @classmethod
-    def point(cls, coords: Sequence[float]) -> IntervalBox:
-        return cls(Interval(c, c) for c in coords)
-
-    @classmethod
     def from_bounds(cls, lo: Sequence[float], hi: Sequence[float]) -> IntervalBox:
         if len(lo) != len(hi):
             raise DimensionMismatchError("lo and hi lengths differ")
@@ -154,44 +150,10 @@ class IntervalBox:
     def hi_corner(self) -> tuple[float, ...]:
         return tuple(a.hi for a in self.axes)
 
-    def intersect(self, other: IntervalBox) -> IntervalBox:
-        if self.dims != other.dims:
-            raise DimensionMismatchError(
-                f"box dimensions differ: {self.dims} vs {other.dims}")
-        if self.is_empty or other.is_empty:
-            return IntervalBox.empty(self.dims)
-        lo = [max(a.lo, b.lo) for a, b in zip(self._axes, other.axes)]
-        hi = [min(a.hi, b.hi) for a, b in zip(self._axes, other.axes)]
-        if any(a > b for a, b in zip(lo, hi)):
-            return IntervalBox.empty(self.dims)
-        return IntervalBox.from_bounds(lo, hi)
-
     def inflate(self, margin: float) -> IntervalBox:
         if self.is_empty:
             return self
         return IntervalBox(a.inflate(margin) for a in self._axes)
-
-    def distance_to(self, p: Sequence[float]) -> float:
-        """Euclidean distance from a point to the box; inf when empty."""
-        if self.is_empty:
-            return math.inf
-        if len(p) != self.dims:
-            raise DimensionMismatchError(
-                f"point has {len(p)} coordinates, box has {self.dims} axes")
-        acc = 0.0
-        for v, ax in zip(p, self._axes):
-            gap = max(ax.lo - v, v - ax.hi, 0.0)
-            acc += gap * gap
-        return math.sqrt(acc)
-
-    def max_vertex_norm(self) -> float:
-        """Largest Euclidean norm over the box (attained at a vertex)."""
-        if self.is_empty:
-            return 0.0
-        acc = 0.0
-        for ax in self._axes:
-            acc += max(ax.lo * ax.lo, ax.hi * ax.hi)
-        return math.sqrt(acc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalBox):

@@ -32,7 +32,6 @@ callers that read them whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -45,23 +44,7 @@ from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
 
-__all__ = ["ReducedValue", "reduce_collection"]
-
-
-@dataclass(frozen=True)
-class ReducedValue:
-    """Result of reducing one inclusion value by regular functions.
-
-    ``constrained_axes`` holds the 1-based state axes some reducer's
-    gradient moves along; they are pinched to zero together, once.
-    ``time_obstruction`` is True when some gradient's time axis was
-    nondegenerate, which empties the result regardless of the base box.
-    Whenever ``result`` is nonempty it is a subset of ``base``.
-    """
-    base: IntervalBox
-    constrained_axes: frozenset[int]
-    result: IntervalBox
-    time_obstruction: bool
+__all__ = ["reduce_collection"]
 
 
 def reduce_collection(inclusion: PiecewiseBoxMap,
@@ -72,13 +55,16 @@ def reduce_collection(inclusion: PiecewiseBoxMap,
     An empty collection imposes no constraint and returns the inclusion
     value itself. The inclusion is evaluated once.
     """
-    return _reduce(eval_map(inclusion, x, t), reducers, x, t).result
+    return _reduce(eval_map(inclusion, x, t), reducers, x, t)[0]
 
 
 def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
-            x: Sequence[float], t: float) -> ReducedValue:
+            x: Sequence[float], t: float) -> tuple[IntervalBox, frozenset]:
     """The one reduction rule: ``base`` (F at x, t) pinched to {0} on the
-    state axes that each regular reducer's gradient, in order, moves along."""
+    state axes that each regular reducer's gradient, in order, moves along,
+    and those 1-based axes. A moving time axis empties the result, as does
+    a pinched axis that excludes 0; a nonempty result is a subset of
+    ``base``."""
     pinched, obstructed = set(), False
     for u in reducers:
         if not u.regular:
@@ -91,10 +77,9 @@ def _reduce(base: IntervalBox, reducers: Sequence[RegularFunctionSpec],
                     pinched.add(i)
     empty = obstructed or base.is_empty or not all(
         base.axes[i - 1].contains(0.0) for i in pinched)
-    return ReducedValue(base, frozenset(pinched), IntervalBox.empty(
-        base.dims) if empty else IntervalBox(
-            Interval(0.0, 0.0) if i in pinched else ax
-            for i, ax in enumerate(base.axes, start=1)), obstructed)
+    return IntervalBox.empty(base.dims) if empty else IntervalBox(
+        Interval(0.0, 0.0) if i in pinched else ax
+        for i, ax in enumerate(base.axes, start=1)), frozenset(pinched)
 
 
 def _flagged(flags: np.ndarray) -> list[list[int]]:
@@ -364,9 +349,10 @@ def _reduction_job(inclusion: PiecewiseBoxMap,
                 np.where(empty, 0.0, hi), empty, axes), bad
 
     def pointwise(x, t):  # the inclusion and each reducer gradient once
-        rv = _reduce(eval_map(inclusion, x, t), reducers, x, t)
-        return (*_cells(rv.base), *_cells(rv.result),
-                [i in rv.constrained_axes for i in range(1, n + 1)])
+        base = eval_map(inclusion, x, t)
+        reduced, pinched = _reduce(base, reducers, x, t)
+        return (*_cells(base), *_cells(reduced),
+                [i in pinched for i in range(1, n + 1)])
 
     box = (np.zeros(n), np.zeros(n), False)
     return box + box + (np.zeros(n, bool),), fits and arrays, pointwise

@@ -559,6 +559,21 @@ def _parse_function(doc, n: int, variables, params: ParamTable,
     return RegularFunctionSpec(name, n, value, gradient, regular)
 
 
+def _parse_collection(doc, n: int, variables, params: ParamTable,
+                      where: str, name: str) -> tuple:
+    """A reduction collection: a list of regular function specs, the k-th
+    named ``f"{name}{k}"`` unless it names itself."""
+    if not isinstance(doc, list):
+        raise SchemaError(f"{where}: expected a list of function specs")
+    coll = tuple(_parse_function(u, n, variables, params, f"{where}[{j}]",
+                                 f"{name}{j+1}") for j, u in enumerate(doc))
+    for u in coll:
+        if not u.regular:
+            raise SchemaError(f"{where}: reduction collection entries must "
+                              f"be regular ({u.name})")
+    return coll
+
+
 def _parse_grid(doc, n: int, where: str) -> GridSpec:
     _check_keys(doc, {"counts", "nodes", "include", "time_nodes"},
                 {"include"}, where)
@@ -618,15 +633,9 @@ def _parse_matrosov(doc, n: int, variables, params: ParamTable,
         fw = f"{where}.W[{k}]"
         spec = _parse_function(entry, n, variables, params, fw, f"W{k+1}",
                                allow_collection=True)
-        u_doc = entry.get("U", [])
-        if not isinstance(u_doc, list):
-            raise SchemaError(f"{fw}.U: expected a list of function specs")
-        coll = tuple(
-            _parse_function(u, n, variables, params, f"{fw}.U[{j}]",
-                            f"W{k+1}_U{j+1}")
-            for j, u in enumerate(u_doc))
         functions.append(spec)
-        collections.append(coll)
+        collections.append(_parse_collection(
+            entry.get("U", []), n, variables, params, f"{fw}.U", f"W{k+1}_U"))
     z_counts = doc.get("z_counts", [5] * m)
     if not isinstance(z_counts, list) or len(z_counts) != m or \
             not all(isinstance(c, int) and c >= 2 for c in z_counts):
@@ -710,16 +719,8 @@ def system_from_dict(doc: dict) -> SystemDef:
 
     candidate = _parse_function(doc["V"], n, variables, params_t, "V", "V")
 
-    u_doc = doc.get("U", [])
-    if not isinstance(u_doc, list):
-        raise SchemaError("U: expected a list of function specs")
-    reducers = tuple(
-        _parse_function(u, n, variables, params_t, f"U[{k}]", f"U{k+1}")
-        for k, u in enumerate(u_doc))
-    for u in reducers:
-        if not u.regular:
-            raise SchemaError(
-                f"U: reduction collection entries must be regular ({u.name})")
+    reducers = _parse_collection(doc.get("U", []), n, variables, params_t,
+                                 "U", "U")
 
     dom_doc = doc["domain"]
     if not isinstance(dom_doc, dict):

@@ -58,7 +58,7 @@ __all__ = [
     "MembershipReport", "check_reduction_membership",
     "DescentReport", "check_lyapunov_descent",
     "TailReport", "check_partial_convergence",
-    "write_trajectory_csv", "trajectory_csv",
+    "write_trajectory_csv",
 ]
 
 _BUDGET = 0.01  # the share of steps allowed outside the membership tol
@@ -164,7 +164,7 @@ def _boxed_step(sys: SystemDef, kind: str, rng, x, t) -> tuple:
         q = tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
                   else ax.hi for ax in fbox.axes)
     else:  # the reduced set, or F where it is empty
-        base = _reduce(fbox, sys.reducers, x, t).result
+        base = _reduce(fbox, sys.reducers, x, t)[0]
         q = tuple(ax.lo if p > 0.0 else ax.hi if p < 0.0 else ax.center
                   for p, ax in zip(eval_gradient(sys.candidate, x, t).center,
                                    (fbox if base.is_empty else base).axes))
@@ -276,10 +276,10 @@ def check_reduction_membership(traj: Trajectory, sys: SystemDef,
     def fold(j, rows, pts, columns):  # each chunk's rows of the two columns
         f_lo, f_hi, _, red_lo, red_hi, empty, _ = (c[..., 0, :]
                                                    for c in columns)
-        # IntervalBox.max_vertex_norm, axis by axis
+        # F's largest vertex norm, axis by axis
         scale[rows] = np.sqrt(sum(_max(lo * lo, hi * hi)
                                   for lo, hi in zip(f_lo, f_hi)))
-        acc = 0.0  # IntervalBox.distance_to, axis by axis
+        acc = 0.0  # the distance to the reduced box, axis by axis
         for lo, hi, v in zip(red_lo, red_hi, quotient[rows].T):
             gap = _max(_max(lo - v, v - hi), 0.0)
             acc = acc + gap * gap
@@ -374,7 +374,9 @@ def _first_max(values: np.ndarray, start: float) -> float:
 
 
 def _csv_chunks(traj: Trajectory) -> Iterator[str]:
-    """:func:`trajectory_csv` in pieces of ``_CHUNK`` rows."""
+    """CSV text with header ``t,x1..xn,q1..qn,V`` in pieces of ``_CHUNK``
+    rows. The final state appears as a last row with empty selection cells
+    (no step leaves it)."""
     n = len(traj.final_x)
     yield ",".join(["t"] + [f"x{i+1}" for i in range(n)]
                    + [f"q{i+1}" for i in range(n)] + ["V"]) + "\n"
@@ -384,15 +386,6 @@ def _csv_chunks(traj: Trajectory) -> Iterator[str]:
             *_reprs(traj.rows[rows].T)).tolist()))) + "\n"
     yield ",".join([repr(traj.final_t), *map(repr, traj.final_x),
                     *[""] * n, repr(traj.final_v)]) + "\n"
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV text with header ``t,x1..xn,q1..qn,V``.
-
-    The final state appears as a last row with empty selection cells (no
-    step leaves it).
-    """
-    return "".join(_csv_chunks(traj))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

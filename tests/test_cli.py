@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -179,12 +180,17 @@ class TestExitCodes:
         assert code == 3
         assert named + "exceeds the limit of 10000000" in err
 
-    @pytest.mark.parametrize("phi, z_counts, y1", [
-        (["0", "0"], [10 ** 4, 10 ** 4], None),
-        (["0"], [5001], "-2*x2*x2 + 0*z1"),
-    ], ids=["z_nodes", "zx_rows"])
+    @pytest.mark.parametrize("phi, z_counts, reads_z, factor", [
+        (["0", "0"], [10 ** 4, 10 ** 4], (), None),
+        (["0"], [5001], (0,), 1),
+        (["0"], [400], (0, 1), 10),
+    ], ids=["z_nodes", "zx_rows", "verification_rows"])
     def test_oversized_matrosov_exits_three(self, tmp_path, capsys,
-                                            monkeypatch, phi, z_counts, y1):
+                                            monkeypatch, phi, z_counts,
+                                            reads_z, factor):
+        """The z node count, and the (z, x) row counts of the chain and of
+        the verification on the grid ``factor`` times finer, are checked
+        before any Y is evaluated and before a large grid is walked."""
         import incred.certify as cert
         import incred.grids as grids
         from incred.setmaps import load_system
@@ -192,17 +198,18 @@ class TestExitCodes:
         with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["matrosov"].update(phi=phi, z_counts=z_counts)
-        if y1 is not None:  # one Y reads z, so every z node is tabulated
-            doc["matrosov"]["Y"][0] = y1
+        for k in reads_z:  # a Y reads z, so every z node is tabulated
+            doc["matrosov"]["Y"][k] += " + 0*z1"
         system = tmp_path / "system.json"
         system.write_text(json.dumps(doc), encoding="utf-8")
-        if y1 is None:
+        if factor is None:
             named = (f"matrosov z nodes (z_counts 10000 x 10000): "
                      f"{10 ** 8} ")
         else:
             sys_def = load_system(str(system))
             z, x = cert.matrosov_grid(cert.build_matrosov_problem(sys_def),
-                                      sys_def)
+                                      replace(sys_def, grid=sys_def.grid
+                                              .refined(factor)))
             named = (f"matrosov (z, x) rows ({len(z)} z nodes x {len(x)} "
                      f"x nodes): {len(z) * len(x)} ")
 
@@ -756,6 +763,43 @@ class TestValidateGradient:
                    "-o", str(tmp_path), "--samples", "50") == 0
         doc = json.loads((tmp_path / "gradient_validation.json").read_text())
         assert doc["passed"] and len(doc["reports"]) > 0
+
+    def test_probes_every_time_node(self, tmp_path, capsys):
+        """A time gradient that is right only at t = 0 fails: the probes
+        run at each of example4's six time nodes."""
+        with open(fixture_path("example4"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        gradient = doc["V"]["gradient"][0]["value"]
+        assert gradient[2] == "{gdot*x2*x2}"  # gdot = -0.5*exp(-t)
+        gradient[2] = "{-0.5*exp(-2*t)*x2*x2}"
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("validate-gradient", "-i", str(system), "-o",
+                   str(tmp_path / "out"), "--samples", "20") == 1
+        assert capsys.readouterr().out.startswith(
+            "validate-gradient: FAIL over 300 probes")
+        reports = json.loads((tmp_path / "out" / "gradient_validation.json")
+                             .read_text())["reports"]
+        times = sorted({r["t"] for r in reports})
+        assert times == [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
+        assert all(r["passed"] for r in reports if r["t"] == 0.0)
+        assert not all(r["passed"] for r in reports if r["t"] == 0.5)
+
+    def test_nonregular_matrosov_reducer_exits_three(self, tmp_path, capsys):
+        """A W[k].U entry not flagged regular is rejected at load, as a
+        top-level U entry is, by every subcommand."""
+        with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["matrosov"]["W"][1]["U"][0]["regular"] = False
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("matrosov", "certify", "validate-gradient"):
+            assert run(command, "-i", str(system), "-o",
+                       str(tmp_path / "out")) == 3
+            assert capsys.readouterr().err == (
+                "error: matrosov.W[1].U: reduction collection entries must "
+                "be regular (square_pyramid)\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

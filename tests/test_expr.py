@@ -346,16 +346,6 @@ class TestRoundTrip:
             assert _strip(printed) == _strip(src), src
             assert ex.pretty_set(ex.parse_set(printed, issue_vars)) == printed
 
-    def test_guard_round_trip(self):
-        _, _, guards = _fixture_strings()
-        issue_vars = set(ex.DEFAULT_VARIABLES) | {"g", "gdot"}
-        for src in set(guards) | set(EXTRA_GUARDS):
-            node = ex.parse_guard(src, issue_vars)
-            printed = ex.pretty_guard(node)
-            assert _strip(printed) == _strip(src), src
-            assert ex.pretty_guard(ex.parse_guard(printed, issue_vars)) \
-                == printed
-
     def test_dropping_any_closing_paren_fails(self):
         scalars, sets, guards = _fixture_strings()
         issue_vars = set(ex.DEFAULT_VARIABLES) | {"g", "gdot", "z1"}

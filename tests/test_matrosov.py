@@ -137,7 +137,8 @@ class TestGrid:
             system = _fixture_reading_z(source)
         problem = build_matrosov_problem(system)
         grid = system.grid.refined(factor)
-        z_nodes, x_nodes = matrosov_grid(problem, system, grid)
+        z_nodes, x_nodes = matrosov_grid(problem,
+                                         replace(system, grid=grid))
         z_ref, x_ref = _reference_grid(problem, system, grid)
         for got, ref, width in ((z_nodes, z_ref, problem.m),
                                 (x_nodes, x_ref, system.n)):
@@ -230,7 +231,7 @@ class TestConstants:
         system, problem, z_nodes, x_nodes = annulus_problem
         result = matrosov_constants(problem, z_nodes, x_nodes)
         fine = system.grid.refined(10)
-        zf, _ = matrosov_grid(problem, system, fine)
+        zf, _ = matrosov_grid(problem, replace(system, grid=fine))
         cert = verify_combined_bound(problem, system, result.constants,
                                      result.zeta, zf, fine)
         assert cert.verdict == CERTIFIED
@@ -430,7 +431,7 @@ def test_streamed_verification_equals_the_whole_table(case):
                             z_ref, x_ref)
         public = _outcome(verify_combined_bound, problem, system, constants,
                           zeta, z_ref, grid)
-        z_nodes = matrosov_grid(problem, system, grid)[0]
+        z_nodes = matrosov_grid(problem, replace(system, grid=grid))[0]
         streamed = _outcome(verify_combined_bound, problem, system,
                             constants, zeta, z_nodes, grid)
         table = _outcome(certify._aux_table, problem, z_ref, x_ref)

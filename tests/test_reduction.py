@@ -18,16 +18,17 @@ from incred.fixtures import fixture_path
 from incred.intervals import Interval, IntervalBox
 from incred.reduction import reduce_collection
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
-                            eval_map, system_from_dict)
+                            eval_gradient, eval_map, system_from_dict)
 from incred.simulate import (SelectionStrategy, Trajectory,
                              check_reduction_membership)
 
+from boxes import distance_to, intersect, max_vertex_norm
 from scans import derivative_scans, reduction_table, table_reports
 
 
 def reduce_once(inclusion, reducer, x, t):
-    """The reduction of ``inclusion(x, t)`` by one regular function, as a
-    ``ReducedValue``: the library's one reduction rule on F's value."""
+    """The reduction of ``inclusion(x, t)`` by one regular function and
+    its pinched axes: the library's one reduction rule on F's value."""
     return red._reduce(eval_map(inclusion, x, t), (reducer,), x, t)
 
 
@@ -84,28 +85,29 @@ def corner_distance(a: IntervalBox, b: IntervalBox) -> float:
 
 class TestReduceOnce:
     def test_example1_pinch_on_switch(self, example1):
-        rv = reduce_once(example1.inclusion, example1.reducers[0], (1.0,), 0.0)
-        assert rv.base == box((-2, 5))
-        assert rv.result == box((0, 0))
-        assert rv.constrained_axes == {1}
-        assert not rv.time_obstruction
+        out, axes = reduce_once(example1.inclusion, example1.reducers[0],
+                                (1.0,), 0.0)
+        assert eval_map(example1.inclusion, (1.0,), 0.0) == box((-2, 5))
+        assert out == box((0, 0))
+        assert axes == {1}
 
     def test_example1_empty_at_origin(self, example1):
-        rv = reduce_once(example1.inclusion, example1.reducers[0], (0.0,), 0.0)
-        assert rv.base == box((-2, -2))
-        assert rv.result.is_empty
-        assert rv.constrained_axes == {1}
+        out, axes = reduce_once(example1.inclusion, example1.reducers[0],
+                                (0.0,), 0.0)
+        assert eval_map(example1.inclusion, (0.0,), 0.0) == box((-2, -2))
+        assert out.is_empty
+        assert axes == {1}
 
     def test_singleton_gradient_leaves_inclusion_unchanged(self, example2):
         smooth = example2.candidate  # gradient is a singleton everywhere
-        rv = reduce_once(example2.inclusion, smooth, (1.0, 1.0), 0.0)
-        assert rv.result == rv.base
-        assert rv.constrained_axes == set()
+        out, axes = reduce_once(example2.inclusion, smooth, (1.0, 1.0), 0.0)
+        assert out == eval_map(example2.inclusion, (1.0, 1.0), 0.0)
+        assert axes == set()
 
     def test_example3_edge_value(self, example3):
-        rv = reduce_once(example3.inclusion, example3.reducers[0], (1.0, 0.0),
-                         0.0)
-        assert rv.result == box((0, 0), (-1.5, -0.5))
+        out, _ = reduce_once(example3.inclusion, example3.reducers[0],
+                             (1.0, 0.0), 0.0)
+        assert out == box((0, 0), (-1.5, -0.5))
 
     def test_nonregular_reducer_rejected(self):
         f = constant_spec(box((0, 1), (0, 0)), regular=False)
@@ -117,22 +119,23 @@ class TestReduceOnce:
         # nondegenerate time axis: no direction can keep the form constant
         f = constant_spec(box((1, 1), (0.5, 1.0)))
         m = constant_map(box((-1, 1)))
-        rv = reduce_once(m, f, (0.0,), 0.0)
-        assert rv.time_obstruction
-        assert rv.result.is_empty
+        out, axes = reduce_once(m, f, (0.0,), 0.0)
+        # the state axis does not move, so only the time axis empties it
+        assert axes == set() and eval_map(m, (0.0,), 0.0) == box((-1, 1))
+        assert out == IntervalBox.empty(1)
 
     def test_empty_base_stays_empty(self):
         m = PiecewiseBoxMap(1, 1, [Piece(ex.TrueGuard(), None)])
         f = constant_spec(box((1, 1), (0, 0)))
-        rv = reduce_once(m, f, (0.0,), 0.0)
-        assert rv.base.is_empty and rv.result.is_empty
+        out, _ = reduce_once(m, f, (0.0,), 0.0)
+        assert eval_map(m, (0.0,), 0.0).is_empty and out.is_empty
 
 
 class TestReduceCollection:
     def test_singleton_collection_equals_reduce_once(self, example3):
         for x in [(1.0, 0.0), (0.5, 0.5), (1.0, 1.0), (-1.0, 0.0)]:
             once = reduce_once(example3.inclusion, example3.reducers[0], x,
-                               0.0).result
+                               0.0)[0]
             coll = reduce_collection(example3.inclusion, example3.reducers, x,
                                      0.0)
             assert coll == once
@@ -167,7 +170,7 @@ class TestReduceCollection:
                 base = eval_map(system.inclusion, x, t)
                 red = reduce_collection(system.inclusion, system.reducers, x,
                                         t)
-                assert base.intersect(red) == red
+                assert intersect(base, red) == red
 
     def test_monotone_in_the_collection(self, example6):
         pyramid = example6.matrosov.collections[1][0]
@@ -185,7 +188,7 @@ class TestReduceCollection:
         for x in probes:
             out_small = reduce_collection(example6.inclusion, small, x, 0.7)
             out_large = reduce_collection(example6.inclusion, large, x, 0.7)
-            assert out_small.intersect(out_large) == out_large
+            assert intersect(out_small, out_large) == out_large
             if out_small != out_large:
                 shrank += 1
         assert shrank >= 3  # the larger collection actually bites somewhere
@@ -247,16 +250,15 @@ def test_one_pinch_is_the_intersection_of_single_reductions(case):
         with pytest.raises(type(err), match=re.escape(str(err))):
             red._reduce(base, reducers, x, t)
         return
-    out = red._reduce(base, reducers, x, t)
+    out, axes = red._reduce(base, reducers, x, t)
     expected = base
-    for single in singles:
-        expected = expected.intersect(single.result)
-    assert out.result == expected
-    assert out.base == base
-    assert out.constrained_axes == frozenset().union(
-        *(single.constrained_axes for single in singles))
-    assert out.time_obstruction == any(
-        single.time_obstruction for single in singles)
+    for single, _ in singles:
+        expected = intersect(expected, single)
+    assert out == expected
+    assert axes == frozenset().union(*(a for _, a in singles))
+    # a moving time axis empties the collection's result
+    assert out.is_empty or all(
+        eval_gradient(u, x, t).axes[-1].is_degenerate for u in reducers)
     assert reduce_collection(inclusion, reducers, x, t) == expected
 
 
@@ -332,11 +334,11 @@ class TestBruteForceOracle:
         for case in range(1000):
             fbox, gbox = random_reduction_case(rng)
             n = fbox.dims
-            rv = reduce_once(constant_map(fbox), constant_spec(gbox),
-                             (0.0,) * n, 0.0)
+            out, _ = reduce_once(constant_map(fbox), constant_spec(gbox),
+                                 (0.0,) * n, 0.0)
             hull = reduction_oracle_hull(fbox, gbox, rng)
-            assert corner_distance(rv.result, hull) <= 1e-6, \
-                (case, fbox, gbox, rv.result, hull)
+            assert corner_distance(out, hull) <= 1e-6, \
+                (case, fbox, gbox, out, hull)
 
 
 class TestTabulate:
@@ -403,13 +405,13 @@ class TestTabulate:
                            size=len(nodes) - 1)
         traj = _trajectory(nodes, times)
         steps = traj.steps
-        dists = [reduce_collection(example4.inclusion, example4.reducers,
-                                   s.x, s.t).distance_to(
+        dists = [distance_to(reduce_collection(
+                     example4.inclusion, example4.reducers, s.x, s.t),
                      [(b - a) / traj.h for a, b in zip(s.x, nodes[k + 1])])
                  for k, s in enumerate(steps)]
         assert [s.t for s in steps] == times.tolist()
         tol = 1e-2 * max(1.0, max(
-            eval_map(example4.inclusion, s.x, s.t).max_vertex_norm()
+            max_vertex_norm(eval_map(example4.inclusion, s.x, s.t))
             for s in steps))
         bad = sum(not d <= tol for d in dists)
         want = {"n_steps": len(steps), "violations": bad,

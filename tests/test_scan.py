@@ -41,10 +41,11 @@ from incred.setmaps import (MatrosovData, Piece, PiecewiseBoxMap,
                             RegularFunctionSpec, eval_map)
 from incred.simulate import (DescentReport, MembershipReport,
                              SelectionStrategy, TailReport, Trajectory,
-                             check_lyapunov_descent,
+                             _csv_chunks, check_lyapunov_descent,
                              check_partial_convergence,
-                             check_reduction_membership, trajectory_csv)
+                             check_reduction_membership)
 
+from boxes import distance_to, max_vertex_norm
 from scans import (Scan, Table, derivative_scans, reduction_table,
                    table_reports)
 from test_reduction import rows
@@ -973,7 +974,7 @@ def _checks(case):
                              case["bound"])),
         _report_key(_outcome(check_partial_convergence, traj, system,
                              case["observable"], case["tail_fraction"])),
-        trajectory_csv(traj)]
+        "".join(_csv_chunks(traj))]
 
 
 def _report_key(report):
@@ -991,13 +992,13 @@ def _scalar_checks(case):
     states, h = traj.states().tolist(), traj.h
     out = []
     try:
-        dists = [red.reduce_collection(sys.inclusion, sys.reducers, s.x,
-                                       s.t).distance_to(
+        dists = [distance_to(red.reduce_collection(
+                     sys.inclusion, sys.reducers, s.x, s.t),
                      [(b - a) / h for a, b in zip(s.x, states[k + 1])])
                  for k, s in enumerate(traj.steps)]
         tol = case["tol"]
         if tol is None:
-            scale = max(eval_map(sys.inclusion, s.x, s.t).max_vertex_norm()
+            scale = max(max_vertex_norm(eval_map(sys.inclusion, s.x, s.t))
                         for s in traj.steps)
             tol = 1e-2 * max(1.0, scale)
         bad = sum(not d <= tol for d in dists)

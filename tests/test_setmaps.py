@@ -17,6 +17,11 @@ from conftest import (KINK_RADIUS, PROBES_1D, PROBES_SMOOTH_2D,
                       SMOOTH_RADIUS)
 
 
+def point(coords):
+    """The degenerate box at ``coords``."""
+    return IntervalBox.from_bounds(coords, coords)
+
+
 def _pieces(*entries, variables=None):
     out = []
     for guard, values in entries:
@@ -34,9 +39,9 @@ class TestPiecewiseBoxMap:
             ("x1 > -1", ["{2}"]),
             ("otherwise", ["{3}"]),
         ))
-        assert eval_map(m, (0.5,), 0.0) == IntervalBox.point((1.0,))
-        assert eval_map(m, (-0.5,), 0.0) == IntervalBox.point((2.0,))
-        assert eval_map(m, (-2.0,), 0.0) == IntervalBox.point((3.0,))
+        assert eval_map(m, (0.5,), 0.0) == point((1.0,))
+        assert eval_map(m, (-0.5,), 0.0) == point((2.0,))
+        assert eval_map(m, (-2.0,), 0.0) == point((3.0,))
 
     def test_otherwise_is_mandatory_and_last(self):
         with pytest.raises(SchemaError):
@@ -53,7 +58,7 @@ class TestPiecewiseBoxMap:
             ("otherwise", ["{x1}"]),
         ))
         assert eval_map(m, (0.0,), 0.0).is_empty
-        assert eval_map(m, (2.0,), 0.0) == IntervalBox.point((2.0,))
+        assert eval_map(m, (2.0,), 0.0) == point((2.0,))
 
     def test_component_count_checked(self):
         with pytest.raises(SchemaError):
@@ -65,8 +70,8 @@ class TestPiecewiseBoxMap:
             ("1/x1 > 0", ["{2}"]),  # would divide by zero at x1 == 0
             ("otherwise", ["{3}"]),
         ))
-        assert eval_map(m, (0.0,), 0.0) == IntervalBox.point((1.0,))
-        assert eval_map(m, (-1.0,), 0.0) == IntervalBox.point((3.0,))
+        assert eval_map(m, (0.0,), 0.0) == point((1.0,))
+        assert eval_map(m, (-1.0,), 0.0) == point((3.0,))
 
     def test_guard_chain_raises_the_guard_error(self):
         guard = "1/x1 > 0"
@@ -136,7 +141,7 @@ class TestPiecewiseBoxMap:
 class TestEvalMapExamples:
     def test_example1_off_switch(self, example1):
         assert eval_map(example1.inclusion, (0.5,), 0.0) \
-            == IntervalBox.point((-2.0,))
+            == point((-2.0,))
 
     def test_example1_on_switch(self, example1):
         out = eval_map(example1.inclusion, (1.0,), 0.0)
@@ -144,7 +149,7 @@ class TestEvalMapExamples:
 
     def test_single_otherwise_origin(self, trivial_zero):
         assert eval_map(trivial_zero.inclusion, (0.7, -0.3), 3.0) \
-            == IntervalBox.point((0.0, 0.0))
+            == point((0.0, 0.0))
 
     def test_piece_coverage_under_fuzz(self, example1, example2, example3,
                                        example4, example5, example6):
@@ -172,7 +177,7 @@ class TestEvalGradient:
 
     def test_smooth_quadratic(self, example2):
         out = eval_gradient(example2.candidate, (0.5, 0.5), 0.0)
-        assert out == IntervalBox.point((0.5, 0.5, 0.0))
+        assert out == point((0.5, 0.5, 0.0))
 
     def test_abs_kink_at_origin(self, example1):
         out = eval_gradient(example1.reducers[0], (0.0,), 0.0)
@@ -341,6 +346,15 @@ class TestSystemLoading:
                      "regular": False}]
         with pytest.raises(SchemaError):
             system_from_dict(doc)
+        # a Matrosov function's collection is held to the same rule
+        doc = self._minimal()
+        doc["matrosov"] = {"delta": 0.5, "Delta": 1.0, "gamma": 1.0,
+                           "phi": ["0"], "Y": ["-x1*x1"], "W": [dict(
+                               doc["V"], U=[dict(doc["V"], regular=False)])]}
+        with pytest.raises(SchemaError, match=re.escape(
+                "matrosov.W[0].U: reduction collection entries must be "
+                "regular (W1_U1)")):
+            system_from_dict(doc)
 
     def test_invalid_param_name(self):
         doc = self._minimal()
@@ -355,7 +369,7 @@ class TestSystemLoading:
         system = system_from_dict(doc)
         assert system.time_dependent
         out = eval_map(system.inclusion, (1.0,), 0.0)
-        assert out == IntervalBox.point((2.0,))
+        assert out == point((2.0,))
 
     def test_matrosov_block_shape_checked(self):
         doc = self._minimal()

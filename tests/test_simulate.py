@@ -23,7 +23,7 @@ from incred.simulate import (SelectionStrategy, Trajectory,
                              check_lyapunov_descent,
                              check_partial_convergence,
                              check_reduction_membership, integrate,
-                             trajectory_csv)
+                             write_trajectory_csv)
 
 from test_scan import COORDS, _outcome, _piecewise, _scalar
 
@@ -313,10 +313,12 @@ class TestFailClosed:
             assert "nonfinite" not in report.to_dict()
 
 
-def test_csv_layout(trivial_zero):
+def test_csv_layout(trivial_zero, tmp_path):
     traj = integrate(trivial_zero, (0.3, -0.2), 0.0, 0.25, 1.0,
                      SelectionStrategy())
-    lines = trajectory_csv(traj).splitlines()
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    lines = (tmp_path / "trajectory.csv").read_text(
+        encoding="utf-8").splitlines()
     assert lines[0] == "t,x1,x2,q1,q2,V"
     assert len(lines) == 1 + len(traj.steps) + 1
     assert lines[-1].split(",")[3] == ""  # no selection on the final row
@@ -344,7 +346,7 @@ def _boxed_integrate(system, x0, t0, h, horizon, strategy):
             q = tuple(ax.lo if (ax.is_degenerate or rng.integers(2) == 0)
                       else ax.hi for ax in fbox.axes)
         else:
-            reduced = red._reduce(fbox, system.reducers, x, t).result
+            reduced = red._reduce(fbox, system.reducers, x, t)[0]
             base = fbox if reduced.is_empty else reduced
             p = eval_gradient(system.candidate, x, t).center
             q = tuple(ax.lo if c > 0.0 else ax.hi if c < 0.0 else ax.center

@@ -34,7 +34,7 @@ EXPORTS = {
     "fixtures": ["available_fixtures", "fixture_path", "load_fixture"],
     "grids": ["GridSpec"],
     "intervals": ["Annulus", "Interval", "IntervalBox", "contains"],
-    "reduction": ["ReducedValue", "reduce_collection"],
+    "reduction": ["reduce_collection"],
     "setmaps": ["CheckSpec", "GradientValidationReport", "MatrosovData",
                 "Piece", "PiecewiseBoxMap", "RegularFunctionSpec", "SimSpec",
                 "SystemDef", "eval_gradient", "eval_map", "load_system",
