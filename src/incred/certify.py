@@ -29,7 +29,6 @@ the chunks are folded in, so reports are byte-stable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,8 +38,8 @@ import numpy as np
 from . import expr, reduction
 from .derivative import _derivative_job
 from .errors import SchemaError
-from .grids import (MAX_ITEMS, GridSpec, _chunks, _region, _region_chunks,
-                    _region_count, _rows, _stacked, check_size)
+from .grids import (MAX_ITEMS, GridSpec, _chunks, _region, _rows, _stacked,
+                    check_size)
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _expression_job
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
@@ -422,21 +421,22 @@ def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
     return nodes
 
 
-def _z_parts(prob: MatrosovData) -> list[tuple[np.ndarray, np.ndarray]]:
+def _z_axes(prob: MatrosovData) -> list[np.ndarray]:
     """Per z axis, sorted: the uniform nodes over ``[-gamma, gamma]`` and
-    those of -gamma, 0, gamma they miss. The axis is their union, each
-    value at its first occurrence's bits (0.0 or -0.0)."""
-    g, parts = prob.gamma, []
+    those of -gamma, 0, gamma they miss, each value at its first
+    occurrence's bits (0.0 or -0.0)."""
+    g, axes = prob.gamma, []
     for count in prob.z_counts:
         vals = np.linspace(-g, g, count)
-        if (vals[1:] > vals[:-1]).all():  # distinct and sorted
+        if (vals[1:] > vals[:-1]).all():  # distinct and sorted: no sort
             new = [v for v in (-g, 0.0, g)
                    if v not in vals[np.searchsorted(vals, v):][:1]]
+            vals = np.insert(vals, np.searchsorted(vals, new), new)
         else:
-            vals, new = np.concatenate([vals, (-g, 0.0, g)]), []
+            vals = np.concatenate([vals, (-g, 0.0, g)])
             vals = vals[np.unique(vals, return_index=True)[1]]
-        parts.append((vals, np.array(new)))
-    return parts
+        axes.append(vals)
+    return axes
 
 
 def matrosov_grid(prob: MatrosovData,
@@ -448,25 +448,18 @@ def matrosov_grid(prob: MatrosovData,
 
     Unless some Y reads z, the z nodes are the first one repeated (a
     broadcast view): the checks then read only the first, and the reports
-    only the count. Those two come from the products of the axes' parts,
-    which tile the z grid, so that no axis is built whole: one long axis
-    would be built twice."""
+    only the count, both from the same walk of the built z axes."""
     x_nodes = _stacked(_annulus_nodes(prob, sys), sys.n)
     what = ("matrosov z nodes (z_counts "
             f"{' x '.join(map(str, prob.z_counts))})")
     check_size(math.prod(prob.z_counts), what)  # before the axes are built
-    parts, ball = _z_parts(prob), Annulus(0.0, prob.gamma)
-    check_size(math.prod(len(a) + len(b) for a, b in parts), what)
+    axes = _z_axes(prob)
+    check_size(math.prod(map(len, axes)), what)
+    z_nodes = _region(axes, Annulus(0.0, prob.gamma))
     if prob.aux_uses_z():
-        axes = [np.insert(a, np.searchsorted(a, b), b) for a, b in parts]
-        return _stacked(_region(axes, ball), prob.m), x_nodes
-    count, firsts = 0, []
-    for tile in itertools.product(*parts):
-        if all(map(len, tile)):
-            chunks = (z for z in _region_chunks(tile, ball) if z.size)
-            firsts += [tuple(z[:, 0]) for z in itertools.islice(chunks, 1)]
-            count += _region_count(tile, ball)
-    return np.broadcast_to(min(firsts), (count, prob.m)), x_nodes
+        return _stacked(z_nodes, prob.m), x_nodes
+    first = next(tuple(z[:, 0]) for z in z_nodes[0]() if z.size)
+    return np.broadcast_to(first, (z_nodes[1], prob.m)), x_nodes
 
 
 def _row_chunks(prob: MatrosovData, z_nodes, x_nodes, n: int):

@@ -341,12 +341,14 @@ def cmd_validate_gradient(args) -> int:
 
 
 def _default_probes(system: SystemDef) -> list[list[float]]:
-    """The first 64 nodes of the grid whose axes are each domain axis's
-    ends and center plus the system grid's include coordinates."""
+    """The first 64 nodes of the walk of the grid whose axes are each
+    domain axis's ends and center plus the system grid's includes."""
     include = system.grid.include if system.grid else ((),) * system.n
     probes = GridSpec(tuple((iv.lo, iv.center, iv.hi)
                             for iv in system.domain.axes), include)
-    return probes.nodes(system.domain)[:64].tolist()
+    walk, _ = _region(probes.axis_nodes(system.domain))
+    return list(itertools.islice(itertools.chain.from_iterable(
+        chunk.T.tolist() for chunk in walk()), 64))
 
 
 # Options several subcommands share; each declares only those it reads.

@@ -102,12 +102,12 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
 
     Each flagged cell is refilled by ``pointwise(x, t)`` before its chunk
     is folded, in C order (:func:`_flagged`); a parameter error of the
-    array pass stands for the cells of its (job, time node). Every cell
-    whose pointwise fill could raise is flagged, so the bits are those of
-    an all-pointwise run, and so is the error: the first in (job, time
-    node, node) order is held, no fold is called from its chunk on, the
-    walk stops once no later chunk can hold an earlier cell, and the held
-    error is raised at the end."""
+    array pass flags every cell of its (job, time node), as a NaN
+    parameter flags its rows. Every cell whose pointwise fill could raise
+    is flagged, so the bits are those of an all-pointwise run, and so is
+    the error: the first in (job, time node, node) order is held, no fold
+    is called from its chunk on, the walk stops once no later chunk can
+    hold an earlier cell, and the held error is raised at the end."""
     walk, _ = nodes
     zeros = [[np.asarray(v) for v in zero] for zero, *_ in jobs]
     held, start = None, 0  # ((job, time node, node), the first error)
@@ -116,7 +116,7 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
     # went back to the system and were faulted in again.
     with np.errstate(all="ignore"):
         for batch in walk():
-            rows, chunk, errors = slice(start, start + batch.shape[1]), {}, {}
+            rows, chunk = slice(start, start + batch.shape[1]), {}
             start = rows.stop
             flags = np.ones((len(jobs), len(times), batch.shape[1]), bool)
             out = [[np.empty(z.shape + flags.shape[1:], z.dtype) for z in zs]
@@ -132,10 +132,9 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
                     return now[id(m)]
 
                 for j, (_, step, _) in enumerate(jobs):
-                    try:  # raises the first parameter error, in map order
+                    try:  # the reference raises or skips a parameter error
                         values, flags[j, a] = step(at) if step else ((), True)
-                    except DslEvalError as e:  # flags[j, a] stays set
-                        errors[j, a] = e
+                    except DslEvalError:  # flags[j, a] stays set
                         continue
                     for column, v in zip(out[j], values):
                         column[..., a, :] = v
@@ -144,8 +143,6 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
                     break
                 t = times[a]
                 try:
-                    if (j, a) in errors:
-                        raise errors[j, a]
                     cell = jobs[j][2](batch[:, b].tolist(), float(
                         t[rows.start + b]) if np.ndim(t) else t)
                 except Exception as e:  # any type: a loop would raise it

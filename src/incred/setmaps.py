@@ -311,7 +311,8 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     each by central differences with step ``radius / 100``, and reports
     the fraction of estimates inside the *declared* box at ``(x, t)``
     inflated by 1e-4, together with the hull of the estimates. PASS
-    requires the fraction to reach 0.99.
+    requires the fraction to reach 0.99. A step that rounding changes by
+    over a thousandth near a sample raises, as a NaN estimate does.
 
     Near kink surfaces the difference quotient straddles two smooth
     pieces and lands between their slopes, which is inside the declared
@@ -346,7 +347,7 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     lo = [math.inf] * dims
     hi = [-math.inf] * dims
     for p in points:
-        estimate = []
+        estimate, spans = [], []
         for j in range(dims):
             fwd = p.copy()
             bwd = p.copy()
@@ -355,9 +356,13 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
             vf = f.value_at(fwd[:n], fwd[n])
             vb = f.value_at(bwd[:n], bwd[n])
             estimate.append((vf - vb) / (2.0 * step))
+            spans.append(fwd[j] - bwd[j])
         if any(map(math.isnan, estimate)):  # min and max would drop it
             raise DslEvalError(f"{f.name}: a finite-difference gradient "
                                f"estimate is NaN near x={tuple(x)}, t={t}")
+        if not all(abs(s - 2.0 * step) <= step / 1e3 for s in spans):
+            raise DslEvalError(f"{f.name}: the step {step!r} is lost in "
+                               f"rounding near x={tuple(x)}, t={t}")
         if all(iv.lo <= e <= iv.hi for e, iv in zip(estimate, inflated.axes)):
             inside += 1
         for j, e in enumerate(estimate):

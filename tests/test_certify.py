@@ -16,7 +16,8 @@ from incred.errors import DslEvalError, SchemaError
 from incred.fixtures import available_fixtures, load_fixture
 from incred.grids import GridSpec
 from incred.intervals import IntervalBox
-from incred.setmaps import system_from_dict
+from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
+                            SystemDef, system_from_dict)
 
 from test_derivative import common_value_max
 
@@ -283,6 +284,32 @@ class TestCertifySemidefinite:
         assert cert.details["derivative_violations"] == 0
         assert cert.details["screen_failures"] == [
             "bound([-1.0]) = -4.0 at t=5.0 is negative"]
+
+    def test_a_parameter_that_raises_where_no_gradient_is_read(self):
+        """F = [1, 2] reduced by a gradient that moves along x1 is empty
+        everywhere, so V's gradient, whose own parameter g = 1/(t - 1)
+        raises at t = 1, is never read: the derivative is minus infinity
+        at every node-time pair, and the scan certifies."""
+        def box_map(sets, params=()):
+            return PiecewiseBoxMap(1, len(sets), [Piece(ex.TrueGuard(), tuple(
+                ex.parse_set(v, ("x1", "g")) for v in sets))], params)
+
+        reducer = RegularFunctionSpec("U", 1, ex.Num(0.0),
+                                      box_map(["[-1, 1]", "{0}"]), True)
+        candidate = RegularFunctionSpec(
+            "V", 1, ex.parse_scalar("x1*x1", ("x1",)), box_map(
+                ["{g*x1}", "{0}"],
+                (("g", ex.parse_scalar("1/(t - 1)", ("t",))),)),
+            True)
+        system = SystemDef(1, box_map(["[1, 2]"]), candidate, (reducer,),
+                           IntervalBox.from_bounds([0.0], [2.0]),
+                           GridSpec(((0.5, 1.0),), ((),), (0.0, 1.0)))
+        assert all(generalized_derivative(candidate, system.inclusion,
+                                          [reducer], [x], t) is None
+                   for x in (0.5, 1.0) for t in (0.0, 1.0))
+        cert = certify_semidefinite(system, ex.Num(0.0))
+        assert cert.verdict == CERTIFIED
+        assert cert.details["minus_inf_nodes"] == 4
 
 
 class TestInvarianceData:

@@ -801,6 +801,74 @@ class TestValidateGradient:
                 "be regular (square_pyramid)\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("declared", ["{0}", "{1}"])
+    def test_a_step_lost_in_rounding_exits_three(self, declared, tmp_path,
+                                                 capsys):
+        """Near 1e10 the step radius/100 = 2e-7 is below the float spacing
+        (about 1.9e-6), so x +/- step rounds to x and every central
+        difference reads 0: the run stops, whether V = x1 declares a
+        wrong gradient ({0}) or the right one ({1})."""
+        doc = {"n": 1, "domain": {"lo": [1e10], "hi": [2e10]},
+               "F": {"pieces": [{"guard": "otherwise", "value": ["{-1}"]}]},
+               "V": {"name": "lin", "value": "x1", "regular": True,
+                     "gradient": [{"guard": "otherwise",
+                                   "value": [declared, "{0}"]}]}}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("validate-gradient", "-i", str(system), "-o",
+                   str(tmp_path / "out"), "--samples", "20") == 3
+        assert capsys.readouterr().err == (
+            "error: lin: the step 2.0000000000000002e-07 is lost in rounding"
+            " near x=(10000000000.0,), t=0.0\n")
+
+    def test_probes_are_the_first_nodes_of_the_probe_grid(self,
+                                                          monkeypatch):
+        """On every fixture, at any chunk size, the probes are the first 64
+        rows of the probe grid's stacked nodes."""
+        import incred.cli as cli
+        import incred.grids as grids
+        from incred.fixtures import available_fixtures, load_fixture
+        for name in available_fixtures():
+            system = load_fixture(name)
+            include = system.grid.include if system.grid else ((),) * system.n
+            expected = grids.GridSpec(tuple(
+                (iv.lo, iv.center, iv.hi) for iv in system.domain.axes),
+                include).nodes(system.domain)[:64].tolist()
+            for chunk in (1, 3, 4096):
+                monkeypatch.setattr(grids, "_CHUNK", chunk)
+                assert cli._default_probes(system) == expected, (name, chunk)
+
+    @pytest.mark.parametrize("include", [[-1, 1], [-1.5, -1, 1, 1.5]])
+    def test_probes_of_a_large_probe_grid(self, include, tmp_path):
+        """x' = -x in n = 9 with V = |x|^2/2: the probe grid has 5^9 (or
+        7^9, over the grid size limit) nodes, and the probes are read off
+        its walk, which is never stacked."""
+        import tracemalloc
+
+        import incred.cli as cli
+        from incred.setmaps import system_from_dict
+        x = [f"x{i + 1}" for i in range(9)]
+        doc = {"n": 9, "domain": {"lo": [-2] * 9, "hi": [2] * 9},
+               "F": {"pieces": [{"guard": "otherwise",
+                                 "value": [f"{{-{v}}}" for v in x]}]},
+               "V": {"name": "half_norm", "regular": True, "value": "0.5*("
+                     + " + ".join(f"{v}*{v}" for v in x) + ")",
+                     "gradient": [{"guard": "otherwise", "value": [
+                         f"{{{v}}}" for v in x] + ["{0}"]}]},
+               "grid": {"counts": [3] * 9, "include": [include] * 9}}
+        system = system_from_dict(doc)
+        tracemalloc.start()
+        try:
+            probes = cli._default_probes(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(probes) == 64 and peak < 4 * 2 ** 20
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("validate-gradient", "-i", str(path), "-o",
+                   str(tmp_path / "out"), "--samples", "20") == 0
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):

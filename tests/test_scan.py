@@ -126,7 +126,7 @@ def _hazard_guard(draw):
     return unless_zero if kind == "or" else ex.NotGuard(unless_zero)
 
 
-def _guard(draw, risky: bool, depth: int = 1):
+def _guard(draw, risky: bool, depth: int = 1, leaves=LEAVES):
     kind = _kind(draw, ("surface", "compare")
                  + (("hazard-guard",) if risky else ()),
                  ("not", "and", "or"), depth)
@@ -137,54 +137,58 @@ def _guard(draw, risky: bool, depth: int = 1):
                              ex.Call("abs", (var,)), level)
     if kind == "compare":
         return ex.Comparison(draw(st.sampled_from(CMP)),
-                             _scalar(draw, risky), _scalar(draw, risky))
+                             _scalar(draw, risky, leaves=leaves),
+                             _scalar(draw, risky, leaves=leaves))
     if kind == "hazard-guard":
         return _hazard_guard(draw)
     if kind == "not":
-        return ex.NotGuard(_guard(draw, risky, depth - 1))
-    terms = (_guard(draw, risky, depth - 1), _guard(draw, risky, depth - 1))
+        return ex.NotGuard(_guard(draw, risky, depth - 1, leaves))
+    terms = (_guard(draw, risky, depth - 1, leaves),
+             _guard(draw, risky, depth - 1, leaves))
     return ex.AndGuard(terms) if kind == "and" else ex.OrGuard(terms)
 
 
-def _set(draw, risky: bool, depth: int = 1):
+def _set(draw, risky: bool, depth: int = 1, leaves=LEAVES):
     kind = _kind(draw, ("point", "ordered", "hull")
                  + (("literal",) if risky else ()), ("sum", "scaled"), depth)
     if kind == "point":
-        return ex.SingletonSet(_scalar(draw, risky))
+        return ex.SingletonSet(_scalar(draw, risky, leaves=leaves))
     if kind == "ordered":
-        a = _scalar(draw, risky)
+        a = _scalar(draw, risky, leaves=leaves)
         return ex.IntervalSet(ex.BinOp("-", a, ex.Num(1.0)),
                               ex.BinOp("+", a, ex.Num(1.0)))
     if kind in ("hull", "literal"):  # a literal inverts on some rows
         build = ex.HullSet if kind == "hull" else ex.IntervalSet
-        return build(_scalar(draw, risky), _scalar(draw, risky))
+        return build(_scalar(draw, risky, leaves=leaves),
+                     _scalar(draw, risky, leaves=leaves))
     if kind == "sum":
-        return ex.SumSet((_set(draw, risky, depth - 1),
-                          _set(draw, risky, depth - 1)))
-    return ex.ScaledSet(_scalar(draw, risky, 1), _set(draw, risky, depth - 1))
+        return ex.SumSet((_set(draw, risky, depth - 1, leaves),
+                          _set(draw, risky, depth - 1, leaves)))
+    return ex.ScaledSet(_scalar(draw, risky, 1, leaves),
+                        _set(draw, risky, depth - 1, leaves))
 
 
 def _piecewise(draw, risky: bool, n_out: int, empty_pieces: bool,
-               still=(True, False), params=PARAMS):
+               still=(True, False), params=PARAMS, leaves=LEAVES):
     """A map over (x1, x2): up to two guarded pieces, then ``otherwise``.
 
     Half of the maps, risky or not, start with a piece guarded by
     :func:`_hazard_guard`, so that flagged rows sit among array rows. With
     three outputs (a gradient) the last axis is time; it is often
     degenerate (when a draw from ``still`` is True), so reducers do not
-    always empty the reduced set.
+    always empty the reduced set. Its expressions read the ``leaves``.
     """
     def values():
-        out = [_set(draw, risky) for _ in range(n_out)]
+        out = [_set(draw, risky, leaves=leaves) for _ in range(n_out)]
         if n_out == 3 and draw(st.sampled_from(still)):
             out[2] = ex.SingletonSet(draw(st.sampled_from(
-                [ex.Num(0.0), ex.Var("g")])))
+                [ex.Num(0.0), ex.Var("g")][:1 + (ex.Var("g") in leaves)])))
         return tuple(out)
 
     pieces = []
     for _ in range(draw(st.integers(0, 2))):
         empty = empty_pieces and draw(st.integers(0, 3)) == 0
-        pieces.append(Piece(_guard(draw, risky),
+        pieces.append(Piece(_guard(draw, risky, leaves=leaves),
                             None if empty else values()))
     if draw(st.booleans()):
         pieces.insert(0, Piece(_hazard_guard(draw), values()))
@@ -383,6 +387,77 @@ def test_chunk_outer_scan_equals_the_time_then_node_loop(case):
         assert public == reference
     else:
         assert all(map(_same, public, reference))
+
+
+def _own_table(draw, time_nodes):
+    """A map's own parameter table, and the leaves its expressions read:
+    none, or a g that is 0.5*exp(-t) but raises, or is NaN, at a drawn
+    time node."""
+    kind = draw(st.sampled_from(["none", "raises", "nan"]))
+    if kind == "none":
+        return (), LEAVES[:-1]  # all but g
+    pole = draw(st.sampled_from(time_nodes))
+    g = (f"0.5*exp(-t) + 1/(t - {pole!r})" if kind == "raises"
+         else f"min(abs(t - {pole!r})*1e999, 0.5*exp(-t))")
+    return (("g", ex.parse_scalar(g, ["t"])),), LEAVES
+
+
+@st.composite
+def own_table_cases(draw):
+    """A scan of one or two jobs in which the inclusion, each candidate
+    gradient, each reducer gradient and each extra's map draw their own
+    parameter table (:func:`_own_table`)."""
+    risky = draw(st.booleans())
+    time_nodes = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+                               min_size=1, max_size=3))
+
+    def piecewise(n_out):
+        params, leaves = _own_table(draw, time_nodes)
+        return _piecewise(draw, risky, n_out, risky or n_out == 2,
+                          params=params, leaves=leaves), leaves
+
+    def function(regular):
+        return RegularFunctionSpec("f", 2, ex.Num(0.0), piecewise(3)[0],
+                                   regular)
+
+    def extra():
+        m, leaves = piecewise(2)
+        return _scalar(draw, risky, leaves=leaves), m
+
+    jobs = [(function(draw(st.booleans())),
+             [function(True) for _ in range(draw(st.integers(0, 2)))],
+             [extra() for _ in range(draw(st.integers(0, 2)))])
+            for _ in range(draw(st.integers(1, 2)))]
+    return {"inclusion": piecewise(2)[0], "jobs": jobs,
+            "nodes": draw(st.lists(st.tuples(st.sampled_from(COORDS),
+                                             st.sampled_from(COORDS)),
+                                   min_size=1, max_size=12)),
+            "time_nodes": time_nodes}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=own_table_cases())
+def test_a_parameter_error_is_decided_by_the_reference(case):
+    """A parameter that raises at a time node flags that time node's cells,
+    as a NaN one flags its rows: the pointwise reference refills them, so
+    the bits, or the first error, are those of the all-pointwise run,
+    whatever the chunk size, also where the reference never evaluates
+    the map whose parameter raises."""
+    args = (case["inclusion"], case["jobs"], np.array(case["nodes"]),
+            case["time_nodes"])
+    reference = _forced(derivative_scans, *args)
+    for chunk in (1, 2, 3, 4096):
+        saved, grids._CHUNK = grids._CHUNK, chunk
+        try:
+            public = _outcome(derivative_scans, *args)
+        finally:
+            grids._CHUNK = saved
+        if isinstance(reference, tuple) or isinstance(public, tuple):
+            assert public == reference
+        else:
+            assert all(map(_same, public, reference))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
