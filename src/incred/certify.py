@@ -38,8 +38,7 @@ import numpy as np
 from . import expr, reduction
 from .derivative import _derivative_job
 from .errors import SchemaError
-from .grids import (MAX_ITEMS, GridSpec, _chunks, _region, _rows, _stacked,
-                    check_size)
+from .grids import MAX_ITEMS, GridSpec, _chunks, _region, check_size
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _expression_job
 from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
@@ -439,39 +438,34 @@ def _z_axes(prob: MatrosovData) -> list[np.ndarray]:
     return axes
 
 
-def matrosov_grid(prob: MatrosovData,
-                  sys: SystemDef) -> tuple[np.ndarray, np.ndarray]:
-    """``(z, x)`` node arrays over ball(0, gamma) x annulus(delta, Delta),
-    both row-major: the x nodes of :func:`_annulus_nodes`, and per z axis
-    uniform nodes over ``[-gamma, gamma]`` and -gamma, 0, gamma, filtered
-    to the ball. Both stack the chunks that the Matrosov checks stream.
-
-    Unless some Y reads z, the z nodes are the first one repeated (a
-    broadcast view): the checks then read only the first, and the reports
-    only the count, both from the same walk of the built z axes."""
-    x_nodes = _stacked(_annulus_nodes(prob, sys), sys.n)
+def matrosov_grid(prob: MatrosovData, sys: SystemDef):
+    """Node sets ``(walk, count)``, row-major: the z nodes, per z axis
+    uniform over ``[-gamma, gamma]`` with -gamma, 0, gamma, in ball(0,
+    gamma), and the x nodes of :func:`_annulus_nodes`. Unless some Y
+    reads z the checks read only the first z node, the reports all."""
+    x_nodes = _annulus_nodes(prob, sys)
     what = ("matrosov z nodes (z_counts "
             f"{' x '.join(map(str, prob.z_counts))})")
     check_size(math.prod(prob.z_counts), what)  # before the axes are built
     axes = _z_axes(prob)
     check_size(math.prod(map(len, axes)), what)
-    z_nodes = _region(axes, Annulus(0.0, prob.gamma))
-    if prob.aux_uses_z():
-        return _stacked(z_nodes, prob.m), x_nodes
-    first = next(tuple(z[:, 0]) for z in z_nodes[0]() if z.size)
-    return np.broadcast_to(first, (z_nodes[1], prob.m)), x_nodes
+    return _region(axes, Annulus(0.0, prob.gamma)), x_nodes
 
 
-def _row_chunks(prob: MatrosovData, z_nodes, x_nodes, n: int):
+def _row_chunks(prob: MatrosovData, z_nodes, x_nodes):
     """The (z, x) rows, x outer and z inner, as a node set of ``(m + n,
-    k)`` chunks of ``z + x`` (``x_nodes`` a node set of ``n`` state axes),
-    at most ``_CHUNK`` rows each, and the ``reduction._stream`` job of
-    Y_1..Y_M there. Only the first z is used when no Y reads z (the
-    checks are then z-independent). The row count is checked first."""
-    z = np.asarray(z_nodes if prob.aux_uses_z() else z_nodes[:1],
-                   dtype=float).reshape(-1, prob.m).T
-    (walk, x_count), nz = x_nodes, z.shape[1]
-    _check_row_count(nz, x_count)
+    k)`` chunks of ``z + x``, at most ``_CHUNK`` rows each, and the
+    ``reduction._stream`` job of Y_1..Y_M there. Only the first z is used
+    when no Y reads z; the row count is checked before z is stacked."""
+    (z_walk, nz), (walk, x_count) = z_nodes, x_nodes
+    if prob.aux_uses_z():
+        _check_row_count(nz, x_count)
+        z = np.concatenate([np.empty((prob.m, 0)), *z_walk()], axis=1)
+    else:
+        z = next((c[:, :1] for c in z_walk() if c.size),
+                 np.empty((prob.m, 0)))
+        _check_row_count(nz := z.shape[1], x_count)
+    n = len(next(walk(), ()))  # the state axes of the first x chunk
 
     def chunks():
         for x in walk():
@@ -497,28 +491,45 @@ def _check_matrosov_rows(prob: MatrosovData, sys: SystemDef, z_nodes,
     """The row checks of :func:`matrosov_chain` and of the verification on
     the grid ``fine`` (or None), before any Y is evaluated; ``fine``'s
     annulus is counted only if its node product could exceed the limit."""
-    nz = len(z_nodes) if prob.aux_uses_z() else 1
-    _check_row_count(nz, len(x_nodes))
+    nz = z_nodes[1] if prob.aux_uses_z() else 1
+    _check_row_count(nz, x_nodes[1])
     if fine is not None and nz * math.prod(
             map(len, _annulus_axes(prob, sys, fine))) > MAX_ITEMS:
         _check_row_count(nz, _annulus_nodes(prob, sys, fine)[1])
 
 
-def _aux_table(prob: MatrosovData, z_nodes, x_nodes):
-    """``(points, y)``: the rows of :func:`_row_chunks` as an ``(R, m +
-    n)`` array of ``z + x``, and Y_1..Y_M there as ``(M, R)``."""
-    x = np.asarray(x_nodes, dtype=float)
-    rows, job = _row_chunks(prob, z_nodes, _rows(x), x.shape[1])
-    points = _stacked(rows, prob.m + x.shape[1])
-    return points, np.concatenate(reduction._scan([job], points, [0.0])[0])
+# The chain (one pass) and the constants (M + 1 passes) fold the Y stream of
+# _row_chunks, a chunk's Y_1..Y_M as the (M, k) array ``y``.
+
+_TRIES = 2.0 ** np.arange(21)  # the doubling search's k = 1, 2, ..., 2**20
 
 
-def _chain_triggers(y: np.ndarray, eq_tol: float) -> np.ndarray:
-    """``(M + 1, R)`` mask: row j flags where Y_1..Y_j all lie within
-    ``eq_tol`` of 0 (row 0 everywhere)."""
-    small = np.abs(y) <= _number(eq_tol, "eq_tol")
-    return np.vstack([np.ones((1, y.shape[1]), dtype=bool),
-                      np.logical_and.accumulate(small, axis=0)])
+def _chain_triggers(y: np.ndarray, tol: float) -> np.ndarray:
+    """``(M + 1, k)`` mask: row j flags where Y_1..Y_j all lie within
+    ``tol`` of 0 (row 0 everywhere)."""
+    trig = np.ones((len(y) + 1, y.shape[1]), dtype=bool)
+    for j, yj in enumerate(y):
+        trig[j + 1] = trig[j] & (np.abs(yj) <= tol)
+    return trig
+
+
+def _first_argmax(best, values: np.ndarray, point):
+    """The earlier of ``best`` and the first maximum of ``values``, NaN
+    first as ``np.argmax`` picks it, as ``(value, point(k))``."""
+    if values.size:
+        k = int(np.argmax(values))
+        if best is None or not (values[k] <= best[0] or np.isnan(best[0])):
+            return float(values[k]), point(k)
+    return best
+
+
+def _combined(y, constants) -> np.ndarray:
+    """``K_1 Y_1 + (K_2 Y_2 + (... + Y_M))`` over the last
+    ``len(constants) + 1`` rows of ``y``, in this order of operations."""
+    z = y[-1]
+    for k, yj in zip(reversed(constants), y[-2::-1]):
+        z = k * yj + z
+    return z
 
 
 def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
@@ -528,23 +539,29 @@ def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
     The conventions Y_0 = 0 (so Y_1 <= 0 must hold unconditionally) and
     Y_{M+1} = 1 (so the full chain must never be simultaneously ~ 0 on
     the annulus) are applied here. Equality triggers use ``|Y_i| <=
-    eq_tol``; the same tolerance bounds the required sign.
+    eq_tol``; the same tolerance bounds the required sign. ``z_nodes``
+    and ``x_nodes`` are the node sets of :func:`matrosov_grid`, streamed.
     """
-    points, y = _aux_table(prob, z_nodes, x_nodes)
-    trig = _chain_triggers(y, eq_tol)
-    nxt = np.vstack([y, np.ones((1, y.shape[1]))])
-    # flat index r * (M + 1) + j: row outer, chain index inner
-    width = len(trig)
+    tol, width = _number(eq_tol, "eq_tol"), prob.count + 1
+    verdict, counts = _Verdict(0.0), np.zeros(width, dtype=np.int64)
+
+    def fold(j, rows, points, columns):  # key row * (M + 1) + j
+        y = np.concatenate(columns)
+        trig = _chain_triggers(y, tol)
+        counts[:] += trig.sum(axis=1)
+        verdict.add((np.vstack([y, np.ones((1, y.shape[1]))]) - eq_tol)
+                    .T.ravel(), trig.T.ravel(), lambda k: (
+                        rows.start * width + k, points[:, k // width],
+                        float(k % width)))
+
+    rows, job = _row_chunks(prob, z_nodes, x_nodes)
+    reduction._stream([job], rows, [0.0], fold)
     return _margin_certificate(
-        "matrosov-chain", _Verdict(0.0).add(
-            (nxt - eq_tol).T.ravel(), trig.T.ravel(),
-            lambda k: (k, points[k // width], float(k % width))),
-        {"eq_tol": eq_tol},
-        {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
+        "matrosov-chain", verdict, {"eq_tol": eq_tol},
+        {"z_nodes": z_nodes[1], "x_nodes": x_nodes[1]},
         {"note": _GRID_NOTE + "; worst_t is the chain index j, "
          "worst_point is (z, x)",
-         "trigger_counts": trig.sum(axis=1).tolist(),
-         "aux_uses_z": prob.aux_uses_z()})
+         "trigger_counts": counts.tolist(), "aux_uses_z": prob.aux_uses_z()})
 
 
 @dataclass(frozen=True)
@@ -580,70 +597,90 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     doubling from 1 (cap ``2**20``) until the partial combination meets
     its halved budget on its trigger set; the final certificate checks
     ``Z <= -zeta / 2^{M-1}`` at every node. A given ``zeta_target``
-    must be finite and > 0.
+    must be finite and > 0. Streamed: M passes over the rows find zeta
+    and the constants, one more checks, and nothing but the constants is
+    held between passes.
     """
     _check_zeta_target(zeta_target)
-    M = prob.count
-    points, y = _aux_table(prob, z_nodes, x_nodes)
-    trig = _chain_triggers(y, eq_tol)
-    grid_summary = {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}
+    tol, M, constants = _number(eq_tol, "eq_tol"), prob.count, []
+    rows, job = _row_chunks(prob, z_nodes, x_nodes)
+
+    def search(level):
+        """One pass: the first maximal Y_M where Y_1..Y_{M-1} trigger;
+        for level >= 2, on the triggers of Y_1..Y_{level-2}, per try k
+        the largest ``k * Y_{level-1} + running`` (NaN if any), and the
+        first maximal ``Y_{level-1} + running`` and its point."""
+        found = [None, np.full(len(_TRIES), -np.inf), None]
+
+        def fold(j, rows, points, columns):
+            y = np.concatenate(columns)
+            trig = _chain_triggers(y, tol)
+            found[0] = _first_argmax(found[0], y[M - 1, trig[M - 1]], int)
+            if level > 1:
+                on = trig[level - 2]
+                yl, running = y[level - 2, on], _combined(y, constants)[on]
+                tries = np.multiply.outer(_TRIES, yl)
+                tries += running
+                np.maximum(found[1], tries.max(axis=1, initial=-np.inf),
+                           out=found[1])
+                found[2] = _first_argmax(found[2], yl + running, lambda k: (
+                    points[:, np.flatnonzero(on)[k]].tolist()))
+
+        reduction._stream([job], rows, [0.0], fold)
+        return found
+
+    last, top, worst = search(M)
+    summary = {"z_nodes": z_nodes[1], "x_nodes": x_nodes[1]}
     tolerances = {"eq_tol": eq_tol, "cap": _CONSTANT_CAP}
 
     def inconclusive(reason: str, diagnostics: dict) -> MatrosovConstantsResult:
-        cert = Certificate(
-            verdict=INCONCLUSIVE, condition="matrosov-constants",
-            worst_point=None, worst_t=None, worst_margin=None,
-            tolerances=tolerances, grid_summary=grid_summary,
-            details={"reason": reason, **diagnostics})
-        return MatrosovConstantsResult((), None, None, cert)
+        return MatrosovConstantsResult((), None, None, Certificate(
+            INCONCLUSIVE, "matrosov-constants", None, None, None, tolerances,
+            summary, {"reason": reason, **diagnostics}))
 
-    epsilon = None
-    last = y[M - 1, trig[M - 1]]
-    if last.size:  # the first maximal value, NaN if any
-        epsilon = -float(last[np.argmax(last)])
-    if zeta_target is not None:
-        zeta = float(zeta_target)
-    else:
-        if epsilon is None:
-            return inconclusive(
-                "no node triggers the full chain; supply zeta_target", {})
-        if not epsilon > 0.0:
-            return inconclusive(
-                "triggered nodes do not leave a negative gap "
-                "(is the chain certificate CERTIFIED?)",
-                {"epsilon_estimate": epsilon})
-        zeta = epsilon
-
-    running = y[M - 1]
-    budget = zeta
-    constants_rev: list[float] = []
+    epsilon = None if last is None else -last[0]
+    if zeta_target is None and epsilon is None:
+        return inconclusive(
+            "no node triggers the full chain; supply zeta_target", {})
+    if zeta_target is None and not epsilon > 0.0:
+        return inconclusive("triggered nodes do not leave a negative gap "
+                            "(is the chain certificate CERTIFIED?)",
+                            {"epsilon_estimate": epsilon})
+    budget = zeta = epsilon if zeta_target is None else float(zeta_target)
     for level in range(M, 1, -1):
         budget /= 2.0
-        on = trig[level - 2]
-        yl = y[level - 2]
-        k = 1.0
-        while not np.all(k * yl[on] + running[on] <= -budget):
-            k *= 2.0
-            if k > _CONSTANT_CAP:
-                worst = np.flatnonzero(on)[np.argmax(yl[on] + running[on])]
-                return inconclusive(
-                    f"doubling search exceeded the cap at level {level}",
-                    {"level": level, "budget": budget,
-                     "worst_point": points[worst].tolist(),
-                     "epsilon_estimate": epsilon, "zeta": zeta})
-        constants_rev.append(k)
-        running = k * yl + running
-    constants = tuple(reversed(constants_rev))
+        if level < M:  # the running sum holds the constants found
+            _, top, worst = search(level)
+        passed = top <= -budget
+        if not passed.any():
+            return inconclusive(
+                f"doubling search exceeded the cap at level {level}",
+                {"level": level, "budget": budget, "worst_point": worst[1],
+                 "epsilon_estimate": epsilon, "zeta": zeta})
+        constants.insert(0, float(_TRIES[np.argmax(passed)]))
 
     final_bound = -zeta / (2.0 ** (M - 1))
     cert = _margin_certificate(
-        "matrosov-constants", _Verdict(0.0).add(
-            running - final_bound, np.ones(len(running), bool),
-            lambda k: (k, points[k], 0.0)), tolerances, grid_summary,
+        "matrosov-constants", _bound_verdict(rows, job, constants,
+                                             final_bound), tolerances, summary,
         {"note": _GRID_NOTE + "; worst_point is (z, x), margin is "
          "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon,
          "final_bound": final_bound}, count="combination_violations")
-    return MatrosovConstantsResult(constants, zeta, epsilon, cert)
+    return MatrosovConstantsResult(tuple(constants), zeta, epsilon, cert)
+
+
+def _bound_verdict(nodes, job, constants, final_bound: float) -> _Verdict:
+    """One pass over the rows ``nodes``: ``Z - final_bound`` at each
+    (:func:`_combined`), NaN and inf counted, as a _Verdict keyed by row."""
+    verdict = _Verdict(0.0)
+
+    def fold(j, rows, points, columns):
+        margin = _combined(np.concatenate(columns), constants) - final_bound
+        verdict.add(margin, np.ones(len(margin), bool),
+                    lambda k: (rows.start + k, points[:, k], 0.0))
+
+    reduction._stream([job], nodes, [0.0], fold)
+    return verdict
 
 
 def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
@@ -652,7 +689,7 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
     """Re-check ``Z = K_1 Y_1 + (K_2 Y_2 + (... + Y_M)) <= -zeta /
     2^(M-1)``, summed as :func:`matrosov_constants` sums it, at the
     annulus nodes of ``grid`` (as :func:`matrosov_grid` picks them) and
-    ``z_nodes``, streamed: no array outlives a chunk of
+    the node set ``z_nodes``, streamed: no array outlives a chunk of
     :func:`_row_chunks`, so memory does not grow with the grid.
 
     Used to confirm searched constants on a finer verification grid than
@@ -662,20 +699,11 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
     x_nodes = _annulus_nodes(prob, sys, grid)
-    rows, job = _row_chunks(prob, z_nodes, x_nodes, sys.n)
-    final_bound, verdict = -zeta / (2.0 ** (M - 1)), _Verdict(0.0)
-
-    def fold(j, rows, points, y):  # NaN and inf are counted
-        z = y[M - 1][0]
-        for k, yj in reversed(list(zip(constants, y))):
-            z = k * yj[0] + z
-        verdict.add(z - final_bound, np.ones(len(z), bool),
-                    lambda k: (rows.start + k, points[:, k], 0.0))
-
-    reduction._stream([job], rows, [0.0], fold)
+    final_bound = -zeta / (2.0 ** (M - 1))
     return _margin_certificate(
-        "matrosov-combined-bound", verdict, {"zeta": zeta},
-        {"z_nodes": len(z_nodes), "x_nodes": x_nodes[1]},
+        "matrosov-combined-bound", _bound_verdict(
+            *_row_chunks(prob, z_nodes, x_nodes), constants, final_bound),
+        {"zeta": zeta}, {"z_nodes": z_nodes[1], "x_nodes": x_nodes[1]},
         {"final_bound": final_bound}, count="combination_violations")
 
 

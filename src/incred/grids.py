@@ -107,17 +107,13 @@ def _region_chunks(axes, region=None) -> Iterator[np.ndarray]:
         yield nodes.reshape(len(nodes), -1).compress(inside.ravel(), axis=1)
 
 
-def _region_count(axes, region) -> int:
-    """How many nodes :func:`_region_chunks` yields, from the masks alone."""
-    return sum(int(np.count_nonzero(inside))
-               for *_, inside in _region_masks(axes, region))
-
-
 def _region(axes, region=None):
     """The node set ``(walk, count)``: ``walk()`` yields the chunks of
-    :func:`_region_chunks` afresh, ``count`` nodes in all."""
-    count = (math.prod(map(len, axes)) if region is None
-             else _region_count(axes, region))
+    :func:`_region_chunks` afresh, ``count`` nodes in all, counted from
+    the masks alone."""
+    count = math.prod(map(len, axes)) if region is None else sum(
+        int(np.count_nonzero(inside))
+        for *_, inside in _region_masks(axes, region))
     return partial(_region_chunks, axes, region), count
 
 
@@ -125,17 +121,6 @@ def _rows(pts: np.ndarray):
     """The rows of an ``(N, n)`` array as a node set ``(walk, count)``."""
     axes = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
     return (lambda: (axes[:, r] for r in _chunks(len(pts)))), len(pts)
-
-
-def _stacked(nodes, width: int) -> np.ndarray:
-    """The node set ``nodes`` as one ``(N, width)`` array of rows, the
-    transpose of a C-contiguous one that each chunk is written into."""
-    walk, count = nodes
-    out, start = np.empty((width, count)), 0
-    for chunk in walk():
-        out[:, start:start + chunk.shape[1]] = chunk
-        start += chunk.shape[1]
-    return out.T
 
 
 @dataclass(frozen=True)
@@ -189,11 +174,6 @@ class GridSpec:
                 merged.update(float(v) for v in extra[i])
             out.append(tuple(sorted(merged)))
         return tuple(out)
-
-    def nodes(self, domain: IntervalBox) -> np.ndarray:
-        """All grid points as an ``(N, dims)`` array in row-major order,
-        walked after the size check of :meth:`checked_axes`."""
-        return _stacked(_region(self.checked_axes(domain)), self.dims)
 
     def checked_axes(self, domain: IntervalBox, extra=None):
         """:meth:`axis_nodes`, after a SchemaError when the grid has more

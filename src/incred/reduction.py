@@ -24,10 +24,9 @@ order, to a fold. The reduction table is one such job
 (:func:`_reduction_job`), folded into ``reduce``'s reports (written a
 chunk at a time by :func:`_reporter`) and into the simulator's
 membership distances; so are scalar expressions as columns
-(:func:`_expression_job`: the Matrosov Y table, the trajectory checks'
+(:func:`_expression_job`: the Matrosov Y stream, the trajectory checks'
 columns and the scans' extras), the derivative scans and the ``deriv``
-table. :func:`_scan` is the fold that collects whole columns, for the
-callers that read them whole.
+table. No caller collects a whole table.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 
 from . import expr
 from .errors import DslEvalError, SchemaError
-from .grids import _rows
 from .intervals import Interval, IntervalBox
 from .setmaps import (PiecewiseBoxMap, RegularFunctionSpec, eval_gradient,
                       eval_map)
@@ -157,20 +155,6 @@ def _stream(jobs, nodes, times: Sequence, fold) -> None:
                 break
     if held:
         raise held[1]
-
-
-def _scan(jobs, pts: np.ndarray, times: Sequence) -> list[list[np.ndarray]]:
-    """:func:`_stream` on the rows of ``pts``, collected: column k of job
-    j has shape ``np.shape(zero[k]) + (len(times), len(pts))``."""
-    out = [[np.empty(np.shape(v) + (len(times), len(pts)),
-                     np.asarray(v).dtype) for v in zero] for zero, *_ in jobs]
-
-    def collect(j, rows, x, columns):
-        for column, values in zip(out[j], columns):
-            column[..., rows] = values
-
-    _stream(jobs, _rows(pts), times, collect)
-    return out
 
 
 def _expression_job(pairs, names: Sequence[str] = ()):

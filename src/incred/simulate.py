@@ -29,9 +29,9 @@ empty piece, is redone by the boxed public calls. The checks run as
 as the one time node; the scalar closures redo each row the arrays flag
 before its chunk is folded. The membership check folds the reduction
 table's job into two columns, each row's distance and F's largest
-vertex norm; the descent and tail checks collect an expression's column
-with ``reduction._scan``. A NaN never passes a check. The CSV is written
-in chunks.
+vertex norm; the descent and tail checks write an expression's values
+into one column, chunk by chunk. A NaN never passes a check. The CSV is
+written in chunks.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .expr import _array_max as _max
 from .grids import _chunks, _rows, check_size
 from .intervals import center, contains
 from .reduction import (_expression_job, _reduce, _reduction_job, _reprs,
-                        _scan, _stream)
+                        _stream)
 from .setmaps import (_STRATEGY_KINDS, PiecewiseBoxMap, SimSpec,
                       SystemDef, _number, eval_gradient, eval_map)
 
@@ -363,8 +363,15 @@ def check_partial_convergence(traj: Trajectory, sys: SystemDef,
 
 
 def _column(node: expr.ScalarExpr, m: PiecewiseBoxMap, x, t) -> np.ndarray:
-    """``node`` in ``m``'s environment at the rows ``(x[r], t[r])``."""
-    return _scan([_expression_job([(node, m)])], x, [t])[0][0][0]
+    """``node`` in ``m``'s environment at the rows ``(x[r], t[r])``, each
+    chunk's values written into the column as it is folded."""
+    out = np.empty(len(x))
+
+    def fold(j, rows, pts, columns):
+        out[rows] = columns[0][0]
+
+    _stream([_expression_job([(node, m)])], _rows(x), [t], fold)
+    return out
 
 
 def _first_max(values: np.ndarray, start: float) -> float:

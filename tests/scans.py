@@ -1,14 +1,64 @@
 """The streamed tables as whole columns, for the tests that compare them
-with references: the jobs of the certificate scans and of the reduction
-table, collected by ``reduction._scan``."""
+with references: the jobs of the certificate scans, of the reduction
+table and of the Matrosov Y table, collected by :func:`scan`, and node
+sets stacked into arrays by :func:`stacked`."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from incred import grids, reduction
+from incred import certify, grids, reduction
 from incred.derivative import _derivative_job
 from incred.errors import DimensionMismatchError
+
+
+def scan(jobs, pts: np.ndarray, times) -> list[list[np.ndarray]]:
+    """``reduction._stream`` on the rows of ``pts``, collected: column k
+    of job j has shape ``np.shape(zero[k]) + (len(times), len(pts))``."""
+    out = [[np.empty(np.shape(v) + (len(times), len(pts)),
+                     np.asarray(v).dtype) for v in zero] for zero, *_ in jobs]
+
+    def collect(j, rows, x, columns):
+        for column, values in zip(out[j], columns):
+            column[..., rows] = values
+
+    reduction._stream(jobs, grids._rows(pts), times, collect)
+    return out
+
+
+def stacked(nodes, width: int) -> np.ndarray:
+    """The node set ``nodes`` (``(walk, count)``) as one ``(N, width)``
+    array of rows, the transpose of a C-contiguous one that each chunk
+    is written into."""
+    walk, count = nodes
+    out, start = np.empty((width, count)), 0
+    for chunk in walk():
+        out[:, start:start + chunk.shape[1]] = chunk
+        start += chunk.shape[1]
+    return out.T
+
+
+def grid_nodes(grid, domain) -> np.ndarray:
+    """All nodes of ``grid`` as an ``(N, dims)`` array in row-major
+    order, walked after the size check of ``GridSpec.checked_axes``."""
+    return stacked(grids._region(grid.checked_axes(domain)), grid.dims)
+
+
+def row_table(prob, z_nodes, x_nodes):
+    """``(points, y)``: the (z, x) rows that ``certify._row_chunks``
+    streams for the node arrays ``z_nodes`` and ``x_nodes``, as an ``(R,
+    m + n)`` array, and Y_1..Y_M there as ``(M, R)``, collected from
+    that stream."""
+    rows, job = certify._row_chunks(prob, *(
+        grids._rows(np.asarray(v, dtype=float)) for v in (z_nodes, x_nodes)))
+    points, y = [], []
+
+    def collect(j, rows, x, columns):
+        points.append(x.T)
+        y.append(np.concatenate(columns))
+
+    reduction._stream([job], rows, [0.0], collect)
+    return np.concatenate(points), np.concatenate(y, axis=1)
 
 
 @dataclass(frozen=True)
@@ -55,8 +105,8 @@ def derivative_scans(inclusion, jobs, nodes, time_nodes) -> list[Scan]:
     (0.0 where ``minus_inf`` flags minus infinity), and each extra
     expression in its map's environment, each ``(time nodes, nodes)``."""
     pts = _node_array(nodes, inclusion.n_in)
-    columns = reduction._scan([_derivative_job(inclusion, *job, pts.shape[-1])
-                               for job in jobs], pts, time_nodes)
+    columns = scan([_derivative_job(inclusion, *job, pts.shape[-1])
+                    for job in jobs], pts, time_nodes)
     return [Scan(value, minus_inf, tuple(extras))
             for value, minus_inf, *extras in columns]
 
@@ -64,7 +114,7 @@ def derivative_scans(inclusion, jobs, nodes, time_nodes) -> list[Scan]:
 def reduction_table(inclusion, reducers, nodes, t: float) -> Table:
     """The reduction table's job at every node at time ``t``, collected."""
     pts = _node_array(nodes, inclusion.n_in)
-    columns = reduction._scan([reduction._reduction_job(
+    columns = scan([reduction._reduction_job(
         inclusion, reducers, pts.shape[-1])], pts, [t])[0]
     return Table(pts, t, *(c[..., 0, :] for c in columns))
 

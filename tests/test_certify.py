@@ -19,6 +19,7 @@ from incred.intervals import IntervalBox
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             SystemDef, system_from_dict)
 
+from scans import grid_nodes
 from test_derivative import common_value_max
 
 
@@ -38,15 +39,13 @@ def _decay_1d(value_at_zero: str = "{0}", time_nodes=(0,), at="0"):
 
 
 class TestGridSpec:
-    def test_size_limit_admits_fine_grids_and_every_fixture(self,
-                                                           monkeypatch):
-        # nodes() checks the size, then would stack the walk
-        monkeypatch.setattr(grids, "_stacked", lambda chunks, width: width)
+    def test_size_limit_admits_fine_grids_and_every_fixture(self):
+        # checked_axes checks the size; no node product is walked
         for name in available_fixtures():
             system = load_fixture(name)
             grid = system.require_grid()
             for g in (grid, grid.refined(10), grid.with_uniform_counts(1001)):
-                assert g.nodes(system.domain) == system.n
+                assert len(g.checked_axes(system.domain)) == system.n
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 4096])
     @pytest.mark.parametrize("axes, include", [
@@ -64,7 +63,7 @@ class TestGridSpec:
         expected = np.array(list(itertools.product(
             *grid.axis_nodes(domain)))).reshape(-1, len(axes))
         monkeypatch.setattr(grids, "_CHUNK", chunk)
-        pts = grid.nodes(domain)
+        pts = grid_nodes(grid, domain)
         assert pts.shape == expected.shape
         assert pts.tobytes() == expected.tobytes()
         assert pts.T.flags.c_contiguous
@@ -76,7 +75,7 @@ class TestGridSpec:
         grid = example6.require_grid().with_uniform_counts(1001)
         tracemalloc.start()
         try:
-            pts = grid.nodes(example6.domain)
+            pts = grid_nodes(grid, example6.domain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,7 +118,7 @@ class TestGridSpec:
         message = ("grid node-time pairs (4002 x 4002 nodes x 1 time "
                    "nodes): 16016004 exceeds the limit of 10000000")
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            grid.nodes(domain)
+            grid_nodes(grid, domain)
 
     def test_validation(self):
         with pytest.raises(SchemaError):

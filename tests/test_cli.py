@@ -11,6 +11,8 @@ import pytest
 from incred.cli import main
 from incred.fixtures import fixture_path
 
+from scans import grid_nodes
+
 
 def run(*argv):
     return main(list(argv))
@@ -210,8 +212,8 @@ class TestExitCodes:
             z, x = cert.matrosov_grid(cert.build_matrosov_problem(sys_def),
                                       replace(sys_def, grid=sys_def.grid
                                               .refined(factor)))
-            named = (f"matrosov (z, x) rows ({len(z)} z nodes x {len(x)} "
-                     f"x nodes): {len(z) * len(x)} ")
+            named = (f"matrosov (z, x) rows ({z[1]} z nodes x {x[1]} "
+                     f"x nodes): {z[1] * x[1]} ")
 
         region_masks = grids._region_masks
 
@@ -831,9 +833,9 @@ class TestValidateGradient:
         for name in available_fixtures():
             system = load_fixture(name)
             include = system.grid.include if system.grid else ((),) * system.n
-            expected = grids.GridSpec(tuple(
+            expected = grid_nodes(grids.GridSpec(tuple(
                 (iv.lo, iv.center, iv.hi) for iv in system.domain.axes),
-                include).nodes(system.domain)[:64].tolist()
+                include), system.domain)[:64].tolist()
             for chunk in (1, 3, 4096):
                 monkeypatch.setattr(grids, "_CHUNK", chunk)
                 assert cli._default_probes(system) == expected, (name, chunk)

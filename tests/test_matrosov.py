@@ -7,19 +7,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import incred.certify as certify
 import incred.grids as grids
 import incred.reduction as red
-from incred.certify import (CERTIFIED, INCONCLUSIVE, VIOLATED,
+from incred.certify import (CERTIFIED, INCONCLUSIVE, VIOLATED, Certificate,
                             build_matrosov_problem, matrosov_chain,
                             matrosov_constants, matrosov_derivative_bounds,
                             matrosov_grid, verify_combined_bound)
 from incred.errors import SchemaError
 from incred.fixtures import fixture_path, load_fixture
 from incred.setmaps import system_from_dict
+
+from scans import row_table, scan, stacked
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +93,8 @@ class TestGrid:
         problem = build_matrosov_problem(system)
         z_nodes, x_nodes = matrosov_grid(problem, system)
         ann = problem.annulus()
-        x_rows = list(map(tuple, x_nodes.tolist()))
-        z_rows = list(map(tuple, z_nodes.tolist()))
+        x_rows = list(map(tuple, stacked(x_nodes, system.n).tolist()))
+        z_rows = list(map(tuple, stacked(z_nodes, problem.m).tolist()))
         assert all(ann.contains(x) for x in x_rows)
         assert (0.1, 0.0) in x_rows and (-0.1, 0.0) in x_rows
         assert (2.0, 0.0) in x_rows
@@ -142,6 +144,7 @@ class TestGrid:
         z_ref, x_ref = _reference_grid(problem, system, grid)
         for got, ref, width in ((z_nodes, z_ref, problem.m),
                                 (x_nodes, x_ref, system.n)):
+            got = stacked(got, width)
             assert got.shape == (len(ref), width)
             assert got.tobytes() == np.array(ref, dtype=float).tobytes()
 
@@ -154,7 +157,7 @@ class TestGrid:
         problem = build_matrosov_problem(system)
         for count in range(1, 51):
             prob = replace(problem, gamma=gamma, z_counts=(count,))
-            z_nodes, _ = matrosov_grid(prob, system)
+            z_nodes = stacked(matrosov_grid(prob, system)[0], 1)
             vals = {float(v) for v in np.linspace(-gamma, gamma, count)}
             vals.update((-gamma, 0.0, gamma))
             assert z_nodes.shape == (len(vals), 1)
@@ -168,17 +171,19 @@ class TestGrid:
     ])
     def test_z_count_and_first_node_match_the_full_grid(self, phi, z_counts,
                                                         gamma):
-        """Where no Y reads z, ``matrosov_grid`` keeps the z count and the
-        first z node only."""
+        """Where no Y reads z, the checks read the z count and the first z
+        node only."""
         system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=phi,
                                                 gamma=gamma,
                                                 z_counts=z_counts))
         problem = build_matrosov_problem(system)
         z_ref, x_ref = _reference_grid(problem, system, system.grid)
         z_kept, x_kept = matrosov_grid(problem, system)
-        assert z_kept.shape == (len(z_ref), problem.m)
-        assert z_kept[:1].tobytes() == np.array(z_ref[:1]).tobytes()
-        assert x_kept.tobytes() == np.array(x_ref, dtype=float).tobytes()
+        assert z_kept[1] == len(z_ref)
+        assert stacked(z_kept, problem.m)[:1].tobytes() == np.array(
+            z_ref[:1]).tobytes()
+        assert stacked(x_kept, system.n).tobytes() == np.array(
+            x_ref, dtype=float).tobytes()
 
     def test_inverted_radii_rejected(self):
         with pytest.raises(SchemaError):
@@ -291,7 +296,7 @@ class TestNonFiniteBounds:
         _, problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
         cert = matrosov_chain(problem, z_nodes, x_nodes)
         assert cert.verdict == VIOLATED
-        assert cert.details["nonfinite_margins"] == len(x_nodes)
+        assert cert.details["nonfinite_margins"] == x_nodes[1]
         assert cert.worst_margin is None
 
     def test_constants_fail_closed(self):
@@ -301,14 +306,14 @@ class TestNonFiniteBounds:
         fixed = matrosov_constants(problem, z_nodes, x_nodes,
                                    zeta_target=1e-3)
         assert fixed.certificate.verdict == VIOLATED
-        assert fixed.certificate.details["nonfinite_margins"] == len(x_nodes)
+        assert fixed.certificate.details["nonfinite_margins"] == x_nodes[1]
 
     def test_combined_bound_fails_closed(self):
         system, problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
         cert = verify_combined_bound(problem, system, (1.0,), 1e-3, z_nodes,
                                      system.grid)
         assert cert.verdict == VIOLATED
-        assert cert.details["nonfinite_margins"] == len(x_nodes)
+        assert cert.details["nonfinite_margins"] == x_nodes[1]
 
 
 class TestDerivativeBounds:
@@ -344,7 +349,7 @@ def _whole_table(prob, z_nodes, x_nodes):
     names = ([f"z{i+1}" for i in range(prob.m)]
              + [f"x{i+1}" for i in range(x.shape[1])])
     job = red._expression_job([(y, None) for y in prob.aux], names)
-    return points, np.concatenate(red._scan([job], points, [0.0])[0])
+    return points, np.concatenate(scan([job], points, [0.0])[0])
 
 
 def _whole_table_bound(prob, constants, zeta, z_nodes, x_nodes):
@@ -430,11 +435,11 @@ def test_streamed_verification_equals_the_whole_table(case):
         expected = _outcome(_whole_table_bound, problem, constants, zeta,
                             z_ref, x_ref)
         public = _outcome(verify_combined_bound, problem, system, constants,
-                          zeta, z_ref, grid)
+                          zeta, grids._rows(np.array(z_ref)), grid)
         z_nodes = matrosov_grid(problem, replace(system, grid=grid))[0]
         streamed = _outcome(verify_combined_bound, problem, system,
                             constants, zeta, z_nodes, grid)
-        table = _outcome(certify._aux_table, problem, z_ref, x_ref)
+        table = _outcome(row_table, problem, z_ref, x_ref)
         whole = _outcome(_whole_table, problem, z_ref, x_ref)
     finally:
         grids._CHUNK = saved
@@ -446,6 +451,174 @@ def test_streamed_verification_equals_the_whole_table(case):
         for got, ref in zip(table, whole):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+# --- the streamed chain and constants against the whole table -------------
+
+def _whole_table_triggers(y, eq_tol):
+    small = np.abs(y) <= certify._number(eq_tol, "eq_tol")
+    return np.vstack([np.ones((1, y.shape[1]), dtype=bool),
+                      np.logical_and.accumulate(small, axis=0)])
+
+
+def _whole_table_chain(prob, z_nodes, x_nodes, eq_tol):
+    """``matrosov_chain`` on the whole table: one margin array keyed
+    ``row * (M + 1) + j``, row outer."""
+    points, y = _whole_table(prob, z_nodes, x_nodes)
+    trig = _whole_table_triggers(y, eq_tol)
+    nxt = np.vstack([y, np.ones((1, y.shape[1]))])
+    width = len(trig)
+    return certify._margin_certificate(
+        "matrosov-chain", certify._Verdict(0.0).add(
+            (nxt - eq_tol).T.ravel(), trig.T.ravel(),
+            lambda k: (k, points[k // width], float(k % width))),
+        {"eq_tol": eq_tol}, {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)},
+        {"note": certify._GRID_NOTE + "; worst_t is the chain index j, "
+         "worst_point is (z, x)",
+         "trigger_counts": trig.sum(axis=1).tolist(),
+         "aux_uses_z": prob.aux_uses_z()})
+
+
+@np.errstate(all="ignore")  # overflowing tries are compared, not warned
+def _whole_table_constants(prob, z_nodes, x_nodes, zeta_target, eq_tol):
+    """``matrosov_constants`` on the whole table: epsilon from one
+    ``np.argmax``, and each constant doubled from 1 until every trigger
+    row meets the budget, or the cap."""
+    certify._check_zeta_target(zeta_target)
+    M = prob.count
+    points, y = _whole_table(prob, z_nodes, x_nodes)
+    trig = _whole_table_triggers(y, eq_tol)
+    summary = {"z_nodes": len(z_nodes), "x_nodes": len(x_nodes)}
+    tolerances = {"eq_tol": eq_tol, "cap": certify._CONSTANT_CAP}
+
+    def inconclusive(reason, diagnostics):
+        return certify.MatrosovConstantsResult((), None, None, Certificate(
+            INCONCLUSIVE, "matrosov-constants", None, None, None, tolerances,
+            summary, {"reason": reason, **diagnostics}))
+
+    last = y[M - 1, trig[M - 1]]
+    epsilon = -float(last[np.argmax(last)]) if last.size else None
+    if zeta_target is not None:
+        zeta = float(zeta_target)
+    elif epsilon is None:
+        return inconclusive(
+            "no node triggers the full chain; supply zeta_target", {})
+    elif not epsilon > 0.0:
+        return inconclusive("triggered nodes do not leave a negative gap "
+                            "(is the chain certificate CERTIFIED?)",
+                            {"epsilon_estimate": epsilon})
+    else:
+        zeta = epsilon
+    running, budget, constants = y[M - 1], zeta, []
+    for level in range(M, 1, -1):
+        budget /= 2.0
+        on, yl, k = trig[level - 2], y[level - 2], 1.0
+        while not np.all(k * yl[on] + running[on] <= -budget):
+            k *= 2.0
+            if k > certify._CONSTANT_CAP:
+                worst = np.flatnonzero(on)[np.argmax(yl[on] + running[on])]
+                return inconclusive(
+                    f"doubling search exceeded the cap at level {level}",
+                    {"level": level, "budget": budget,
+                     "worst_point": points[worst].tolist(),
+                     "epsilon_estimate": epsilon, "zeta": zeta})
+        constants.insert(0, k)
+        running = k * yl + running
+    final_bound = -zeta / (2.0 ** (M - 1))
+    cert = certify._margin_certificate(
+        "matrosov-constants", certify._Verdict(0.0).add(
+            running - final_bound, np.ones(len(running), bool),
+            lambda k: (k, points[k], 0.0)), tolerances, summary,
+        {"note": certify._GRID_NOTE + "; worst_point is (z, x), margin is "
+         "Z - (-zeta / 2^(M-1))", "epsilon_estimate": epsilon,
+         "final_bound": final_bound}, count="combination_violations")
+    return certify.MatrosovConstantsResult(tuple(constants), zeta, epsilon,
+                                           cert)
+
+
+def _as_bits(outcome):
+    """A result's dict with every float as its bits, or an error."""
+    if isinstance(outcome, tuple):
+        return outcome
+    def bits(v):
+        if isinstance(v, dict):
+            return {k: bits(w) for k, w in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [bits(w) for w in v]
+        return struct.pack("d", v) if isinstance(v, float) else v
+    return bits(outcome.to_dict())
+
+
+# Y that trigger the chain where x2 or x1 is 0, a bound too weak for any
+# constant below the cap, and NaN only where x1 >= 0.9, after finite rows
+Y_LATE_NAN = "1e308*max(x1, 0)*2 - 1e308*max(x1, 0)*2"
+Y_CHAIN = ("-x2*x2", "-x1*x1", "-x1*x1 - x2*x1 + 2*x2*x2",
+           "-0.000000001*x1*x1", "0*x1", Y_LATE_NAN)
+
+
+def _chain_doc(y, counts=3, m=1, z_counts=(3,)):
+    doc = _matrosov_doc(y, phi=("0", "x1")[:m], z_counts=list(z_counts))
+    doc["grid"]["counts"] = [counts] * 2
+    return doc
+
+
+@st.composite
+def chain_cases(draw):
+    """A Matrosov block on example6 with drawn Y, z grid and state grid,
+    a chunk size (7 puts equal chain margins at falling offsets in
+    successive chunks), eq_tol and zeta_target."""
+    m = draw(st.sampled_from([1, 2]))
+    y = draw(st.lists(st.sampled_from(Y_PLAIN + Y_HAZARDS + Y_CHAIN),
+                      min_size=1, max_size=3))
+    if draw(st.booleans()):  # one Y reads z
+        y[draw(st.integers(0, len(y) - 1))] = draw(st.sampled_from(
+            ["-z1*z1", "x1*z1 - 1", f"-z{m}*z{m} - x2*x2"]))
+    doc = _chain_doc(y, draw(st.integers(2, 4)), m,
+                     draw(st.lists(st.integers(2, 3), min_size=m,
+                                   max_size=m)))
+    return (doc, draw(st.sampled_from([1, 3, 7, 4096])),
+            draw(st.sampled_from([1e-6, 0.01, 0.5])),
+            draw(st.sampled_from([None, 1e-3, 0.5])))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=chain_cases())
+@example(case=(_chain_doc(["-2*x2*x2", "-0.000000001*x1*x1"]), 3, 1e-6,
+               1e-3))  # the cap
+@example(case=(_chain_doc(["-1", "-x1*x1"]), 1, 1e-6, None))  # no trigger
+@example(case=(_chain_doc([NAN_Y, "-x1*x1"]), 3, 1e-6, 0.5))  # NaN
+@example(case=(_chain_doc(["-x2*x2", Y_LATE_NAN]), 3, 1e-6, None))
+@example(case=(_chain_doc(["-x2*x2", Y_LATE_NAN]), 4096, 1e-6, 0.5))
+@example(case=(_chain_doc(["-x2*x2", "1e308*x1*2", "-x1*x1"]), 4096, 0.5,
+               None))  # +-inf
+@example(case=(_chain_doc(["-z1*z1", "-x2*x2", "-x1*x1"], 4), 1, 1e-6,
+               None))  # z read, three levels
+@example(case=(_chain_doc(["-z1*z1"], 2), 7, 1e-6, None))  # ties by chunk
+def test_streamed_chain_and_constants_equal_the_whole_table(case):
+    """matrosov_chain and matrosov_constants on the node sets of
+    ``matrosov_grid`` give the whole-table certificates, constants, zeta
+    and epsilon, witnesses as bits, or its error, at any chunk size:
+    NaN, infinite and raising Y, the cap failure, no full-chain trigger,
+    and Y that read z. A NaN after finite rows is still the first maximum
+    that epsilon and the cap failure's worst point read."""
+    doc, chunk, eq_tol, zeta_target = case
+    system = system_from_dict(doc)
+    problem = build_matrosov_problem(system)
+    z_ref, x_ref = _reference_grid(problem, system, system.grid)
+    saved, grids._CHUNK = grids._CHUNK, chunk
+    try:
+        z_nodes, x_nodes = matrosov_grid(problem, system)
+        chain = _outcome(matrosov_chain, problem, z_nodes, x_nodes, eq_tol)
+        constants = _outcome(lambda: matrosov_constants(
+            problem, z_nodes, x_nodes, zeta_target=zeta_target,
+            eq_tol=eq_tol))
+    finally:
+        grids._CHUNK = saved
+    assert _as_bits(chain) == _as_bits(_outcome(
+        _whole_table_chain, problem, z_ref, x_ref, eq_tol))
+    assert _as_bits(constants) == _as_bits(_outcome(
+        _whole_table_constants, problem, z_ref, x_ref, zeta_target, eq_tol))
 
 
 def test_verification_sums_z_as_the_constants_do():
@@ -477,7 +650,8 @@ def test_a_tie_across_chunks_keeps_the_earlier_row(monkeypatch):
     cert = verify_combined_bound(problem, system, (), 1.0, z_nodes,
                                  system.grid)
     assert cert.worst_margin == 0.0
-    assert cert.worst_point == tuple(z_nodes[0]) + tuple(x_nodes[0])
+    assert cert.worst_point == tuple(stacked(z_nodes, 1)[0]) + tuple(
+        stacked(x_nodes, system.n)[0])
 
 
 def test_the_fine_grid_is_never_built():

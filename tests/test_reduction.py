@@ -23,7 +23,8 @@ from incred.simulate import (SelectionStrategy, Trajectory,
                              check_reduction_membership)
 
 from boxes import distance_to, intersect, max_vertex_norm
-from scans import derivative_scans, reduction_table, table_reports
+from scans import (derivative_scans, grid_nodes, reduction_table,
+                   table_reports)
 
 
 def reduce_once(inclusion, reducer, x, t):
@@ -399,7 +400,7 @@ class TestTabulate:
         row, whatever the chunks, and no row leaves the array path."""
         # example4's F and its reducer read the parameter g = 0.5*exp(-t)
         grid = example4.require_grid().with_uniform_counts(9)
-        nodes = grid.nodes(example4.domain)
+        nodes = grid_nodes(grid, example4.domain)
         rng = np.random.default_rng(7)
         times = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 0.3],
                            size=len(nodes) - 1)

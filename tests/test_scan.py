@@ -46,8 +46,8 @@ from incred.simulate import (DescentReport, MembershipReport,
                              check_reduction_membership)
 
 from boxes import distance_to, max_vertex_norm
-from scans import (Scan, Table, derivative_scans, reduction_table,
-                   table_reports)
+from scans import (Scan, Table, derivative_scans, grid_nodes,
+                   reduction_table, row_table, table_reports)
 from test_reduction import rows
 
 # Grid coordinates include the guard surfaces 0 and +-1 and both zeros.
@@ -510,7 +510,7 @@ def test_state_only_work_runs_once_per_chunk(monkeypatch):
     system = replace(system, grid=system.require_grid().with_uniform_counts(
         201))
     certify_semidefinite(system, system.checks.semidef_bound)
-    chunks = -(-len(system.grid.nodes(system.domain)) // grids._CHUNK)
+    chunks = -(-len(grid_nodes(system.grid, system.domain)) // grids._CHUNK)
     assert chunks == 10
     ramp, f = system.reducers[0].gradient, system.inclusion
     ramp_nodes = [n for p in ramp.pieces for n in (p.guard, *p.values)]
@@ -586,8 +586,8 @@ def test_a_hazard_refills_only_its_own_rows(var, tmp_path, monkeypatch):
     path.write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.setattr(grids, "_CHUNK", 16)
     system = load_fixture("example2")
-    nodes = system.require_grid().with_uniform_counts(11).nodes(
-        system.domain).tolist()
+    nodes = grid_nodes(system.require_grid().with_uniform_counts(11),
+                       system.domain).tolist()
     axis = int(var[1:]) - 1
     zero_rows = {k for k, x in enumerate(nodes) if x[axis] == 0.0}
     chunks, zero_chunks = -(-len(nodes) // 16), {k // 16 for k in zero_rows}
@@ -723,7 +723,7 @@ def test_fine_grid_reports_equal_the_pointwise_table(name, tmp_path):
     system = load_fixture(name)
     grid = system.require_grid().with_uniform_counts(201)
     table = _forced(reduction_table, system.inclusion, system.reducers,
-                    grid.nodes(system.domain), grid.time_nodes[0])
+                    grid_nodes(grid, system.domain), grid.time_nodes[0])
     for path, report in zip(("reduction_table.csv", "reduction_table.txt"),
                             table_reports(table)):
         assert (tmp_path / path).read_bytes() == report.encode()
@@ -979,8 +979,8 @@ def test_array_aux_table_is_bit_identical_to_pointwise(case):
     args = (prob, z_nodes, x_nodes)
     saved, grids._CHUNK = grids._CHUNK, chunk
     try:
-        reference = _forced(certify._aux_table, *args)
-        public = _outcome(certify._aux_table, *args)
+        reference = _forced(row_table, *args)
+        public = _outcome(row_table, *args)
     finally:
         grids._CHUNK = saved
     assert _table_bits(public) == _table_bits(reference)

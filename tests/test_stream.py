@@ -34,7 +34,7 @@ from incred.expr import DEFAULT_VARIABLES, parse_scalar
 from incred.fixtures import fixture_path, load_fixture
 from incred.setmaps import CheckSpec, system_from_dict
 
-from scans import derivative_scans
+from scans import derivative_scans, grid_nodes, stacked
 
 TOL = 1e-9
 DOCS = {}
@@ -76,7 +76,7 @@ def _certificate(condition, margin, counted, pts, times, tolerances,
 
 def _reference_decrease(sys, bound, sandwich, definite):
     grid, candidate = sys.require_grid(), sys.candidate
-    pts, times = grid.nodes(sys.domain), grid.time_nodes
+    pts, times = grid_nodes(grid, sys.domain), grid.time_nodes
     extras = [(bound, sys.inclusion)]
     if definite or sandwich is not None:
         extras += [(candidate.value, candidate.gradient)]
@@ -132,7 +132,7 @@ def _reference_invariance(sys):
     if sys.time_dependent:
         return invariance_data(sys)  # raises
     grid, checks = sys.require_grid(), sys.checks or CheckSpec()
-    pts, t0 = grid.nodes(sys.domain), grid.time_nodes[0]
+    pts, t0 = grid_nodes(grid, sys.domain), grid.time_nodes[0]
     scan, = derivative_scans(sys.inclusion, [(sys.candidate, sys.reducers,
                                                ())], pts, (t0,))
     d, counted = scan.value[0], ~scan.minus_inf[0]
@@ -149,7 +149,7 @@ def _reference_invariance(sys):
 
 
 def _reference_bounds(sys, prob):
-    pts = grids._stacked(certify._annulus_nodes(prob, sys), sys.n)
+    pts = stacked(certify._annulus_nodes(prob, sys), sys.n)
     times = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
     scans = derivative_scans(sys.inclusion, [
@@ -265,7 +265,7 @@ def test_a_tie_across_time_nodes_and_a_refill_keeps_the_first_cell():
                                   "value": ["{0}", "{0}"]})
     doc["grid"].update(counts=[3, 3], include=[[], []], time_nodes=[5, 0])
     system = system_from_dict(doc)
-    first = tuple(system.grid.nodes(system.domain)[0].tolist())
+    first = tuple(grid_nodes(system.grid, system.domain)[0].tolist())
     for chunk in (1, 2, 4096):
         saved, grids._CHUNK = grids._CHUNK, chunk
         try:
