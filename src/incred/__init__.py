@@ -13,8 +13,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {name: module for module, names in {
-    "certify": "Certificate InvarianceReport build_matrosov_problem "
-               "certify_lyapunov certify_semidefinite invariance_data "
+    "certify": "Certificate InvarianceReport certify_lyapunov "
+               "certify_semidefinite invariance_data "
                "matrosov_chain matrosov_constants matrosov_derivative_bounds "
                "matrosov_grid verify_combined_bound",
     "derivative": "baseline_interval_derivative bilinear_maxmax "

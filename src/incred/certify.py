@@ -38,16 +38,17 @@ import numpy as np
 from . import expr, reduction
 from .derivative import _derivative_job
 from .errors import SchemaError
-from .grids import MAX_ITEMS, GridSpec, _chunks, _region, check_size
+from .grids import GridSpec, _chunks, _region, check_size
 from .intervals import Annulus, IntervalBox, contains
 from .reduction import _expression_job
-from .setmaps import CheckSpec, MatrosovData, SystemDef, _number, eval_map
+from .setmaps import (CheckSpec, MatrosovData, SystemDef, _number,
+                      _tolerance, eval_map)
 
 __all__ = [
     "CERTIFIED", "VIOLATED", "INCONCLUSIVE", "GridSpec",
     "Certificate", "certify_lyapunov", "certify_semidefinite",
     "InvarianceReport", "CandidateCheck", "invariance_data",
-    "build_matrosov_problem", "matrosov_grid",
+    "matrosov_grid",
     "matrosov_chain", "matrosov_constants", "MatrosovConstantsResult",
     "verify_combined_bound", "matrosov_derivative_bounds",
 ]
@@ -353,8 +354,8 @@ def invariance_data(sys: SystemDef, *,
     if sys.time_dependent:
         raise SchemaError("invariance analysis requires an autonomous system")
     grid, checks = sys.require_grid(), sys.checks or CheckSpec()
-    zero_tol = _number(checks.zero_tol if zero_tol is None else zero_tol,
-                       "zero_tol")
+    zero_tol = _tolerance(checks.zero_tol if zero_tol is None else zero_tol,
+                          "zero_tol")
     nodes, t0 = _region(grid.checked_axes(sys.domain)), grid.time_nodes[0]
     verdict, e_nodes, minus_inf = _Verdict(_TOL), [], [0]
 
@@ -384,9 +385,13 @@ def invariance_data(sys: SystemDef, *,
 
 
 # --- Matrosov machinery --------------------------------------------------
+#
+# Every public stage takes the system first, then the node sets of
+# matrosov_grid it walks. Node sets stream as (walk, count): ``count`` nodes
+# in order, as the (dims, k) column arrays of grids._region_chunks (see
+# grids._region).
 
-
-def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
+def _problem(sys: SystemDef) -> MatrosovData:
     """The system's Matrosov block, once its annulus lies in the domain."""
     data = sys.matrosov
     if data is None:
@@ -400,21 +405,15 @@ def build_matrosov_problem(sys: SystemDef) -> MatrosovData:
     return data
 
 
-# Node sets stream as (walk, count): ``count`` nodes in order, as the
-# (dims, k) column arrays of grids._region_chunks (see grids._region).
-
-def _annulus_axes(prob: MatrosovData, sys: SystemDef, grid=None):
-    """The grid's axes (the system's by default) with the radii ``+/-delta``,
-    ``+/-Delta`` and 0, so the closest-to-origin annulus points are hit."""
-    grid = grid if grid is not None else sys.require_grid()
+def _annulus_nodes(sys: SystemDef):
+    """The system grid's nodes in annulus(delta, Delta), counted by a pass
+    of the annulus test alone, on axes that gain the radii ``+/-delta``,
+    ``+/-Delta`` and 0 to hit the closest-to-origin annulus points: no
+    other code widens them, so the annulus is checked here."""
+    prob = _problem(sys)
     radii = (prob.delta, -prob.delta, prob.big_delta, -prob.big_delta, 0.0)
-    return grid.checked_axes(sys.domain, (radii,) * sys.n)
-
-
-def _annulus_nodes(prob: MatrosovData, sys: SystemDef, grid=None):
-    """:func:`_annulus_axes`' nodes in annulus(delta, Delta) as a node set
-    ``(walk, count)``, counted by a pass of the annulus test alone."""
-    nodes = _region(_annulus_axes(prob, sys, grid), prob.annulus())
+    nodes = _region(sys.require_grid().checked_axes(
+        sys.domain, (radii,) * sys.n), prob.annulus())
     if not nodes[1]:
         raise SchemaError("no grid nodes fall inside the annulus")
     return nodes
@@ -438,34 +437,37 @@ def _z_axes(prob: MatrosovData) -> list[np.ndarray]:
     return axes
 
 
-def matrosov_grid(prob: MatrosovData, sys: SystemDef):
-    """Node sets ``(walk, count)``, row-major: the z nodes, per z axis
-    uniform over ``[-gamma, gamma]`` with -gamma, 0, gamma, in ball(0,
-    gamma), and the x nodes of :func:`_annulus_nodes`. Unless some Y
-    reads z the checks read only the first z node, the reports all."""
-    x_nodes = _annulus_nodes(prob, sys)
+def matrosov_grid(sys: SystemDef):
+    """The Matrosov node sets of the system's grid, row-major: the z
+    nodes, per z axis uniform over ``[-gamma, gamma]`` with -gamma, 0,
+    gamma, in ball(0, gamma), and the x nodes of :func:`_annulus_nodes`.
+    Unless some Y reads z the checks read only the first z node, the
+    reports all; the (z, x) rows read are size-checked here."""
+    x_nodes, prob = _annulus_nodes(sys), sys.matrosov
     what = ("matrosov z nodes (z_counts "
             f"{' x '.join(map(str, prob.z_counts))})")
     check_size(math.prod(prob.z_counts), what)  # before the axes are built
     axes = _z_axes(prob)
     check_size(math.prod(map(len, axes)), what)
-    return _region(axes, Annulus(0.0, prob.gamma)), x_nodes
+    z_nodes = _region(axes, Annulus(0.0, prob.gamma))
+    nz = z_nodes[1] if prob.aux_uses_z() else 1
+    check_size(x_nodes[1] * nz, f"matrosov (z, x) rows ({nz} z nodes x "
+               f"{x_nodes[1]} x nodes)")
+    return z_nodes, x_nodes
 
 
 def _row_chunks(prob: MatrosovData, z_nodes, x_nodes):
     """The (z, x) rows, x outer and z inner, as a node set of ``(m + n,
     k)`` chunks of ``z + x``, at most ``_CHUNK`` rows each, and the
     ``reduction._stream`` job of Y_1..Y_M there. Only the first z is used
-    when no Y reads z; the row count is checked before z is stacked."""
-    (z_walk, nz), (walk, x_count) = z_nodes, x_nodes
+    when no Y reads z; :func:`matrosov_grid` checked the row count."""
+    (z_walk, _), (walk, x_count) = z_nodes, x_nodes
     if prob.aux_uses_z():
-        _check_row_count(nz, x_count)
         z = np.concatenate([np.empty((prob.m, 0)), *z_walk()], axis=1)
     else:
         z = next((c[:, :1] for c in z_walk() if c.size),
                  np.empty((prob.m, 0)))
-        _check_row_count(nz := z.shape[1], x_count)
-    n = len(next(walk(), ()))  # the state axes of the first x chunk
+    nz, n = z.shape[1], len(next(walk(), ()))  # n state axes
 
     def chunks():
         for x in walk():
@@ -481,25 +483,8 @@ def _row_chunks(prob: MatrosovData, z_nodes, x_nodes):
         [f"z{i+1}" for i in range(prob.m)] + [f"x{i+1}" for i in range(n)])
 
 
-def _check_row_count(nz: int, x_count: int) -> None:
-    check_size(x_count * nz, f"matrosov (z, x) rows ({nz} z nodes x "
-               f"{x_count} x nodes)")
-
-
-def _check_matrosov_rows(prob: MatrosovData, sys: SystemDef, z_nodes,
-                         x_nodes, fine: GridSpec | None) -> None:
-    """The row checks of :func:`matrosov_chain` and of the verification on
-    the grid ``fine`` (or None), before any Y is evaluated; ``fine``'s
-    annulus is counted only if its node product could exceed the limit."""
-    nz = z_nodes[1] if prob.aux_uses_z() else 1
-    _check_row_count(nz, x_nodes[1])
-    if fine is not None and nz * math.prod(
-            map(len, _annulus_axes(prob, sys, fine))) > MAX_ITEMS:
-        _check_row_count(nz, _annulus_nodes(prob, sys, fine)[1])
-
-
-# The chain (one pass) and the constants (M + 1 passes) fold the Y stream of
-# _row_chunks, a chunk's Y_1..Y_M as the (M, k) array ``y``.
+# The chain (one pass) and the constants (M passes, 2 if M = 1) fold the Y
+# stream of _row_chunks, a chunk's Y_1..Y_M as the (M, k) array ``y``.
 
 _TRIES = 2.0 ** np.arange(21)  # the doubling search's k = 1, 2, ..., 2**20
 
@@ -532,7 +517,7 @@ def _combined(y, constants) -> np.ndarray:
     return z
 
 
-def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
+def matrosov_chain(sys: SystemDef, z_nodes, x_nodes,
                    eq_tol: float = _EQ_TOL) -> Certificate:
     """Screen the nested chain: Y_1..Y_j all ~ 0 forces Y_{j+1} <= 0.
 
@@ -542,7 +527,8 @@ def matrosov_chain(prob: MatrosovData, z_nodes, x_nodes,
     eq_tol``; the same tolerance bounds the required sign. ``z_nodes``
     and ``x_nodes`` are the node sets of :func:`matrosov_grid`, streamed.
     """
-    tol, width = _number(eq_tol, "eq_tol"), prob.count + 1
+    prob, tol = _problem(sys), _tolerance(eq_tol, "eq_tol")
+    width = prob.count + 1
     verdict, counts = _Verdict(0.0), np.zeros(width, dtype=np.int64)
 
     def fold(j, rows, points, columns):  # key row * (M + 1) + j
@@ -586,7 +572,7 @@ def _check_zeta_target(zeta_target: float | None) -> None:
             f"zeta_target must be finite and > 0, got {zeta_target!r}")
 
 
-def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
+def matrosov_constants(sys: SystemDef, z_nodes, x_nodes, *,
                        zeta_target: float | None = None,
                        eq_tol: float = _EQ_TOL) -> MatrosovConstantsResult:
     """Combination constants K_1..K_{M-1} and the decay level zeta.
@@ -597,12 +583,13 @@ def matrosov_constants(prob: MatrosovData, z_nodes, x_nodes, *,
     doubling from 1 (cap ``2**20``) until the partial combination meets
     its halved budget on its trigger set; the final certificate checks
     ``Z <= -zeta / 2^{M-1}`` at every node. A given ``zeta_target``
-    must be finite and > 0. Streamed: M passes over the rows find zeta
-    and the constants, one more checks, and nothing but the constants is
-    held between passes.
+    must be finite and > 0. Streamed: M passes over the rows (two for M
+    = 1), M - 1 that search (the first also finds epsilon) and one that
+    checks; nothing but the constants is held between passes.
     """
     _check_zeta_target(zeta_target)
-    tol, M, constants = _number(eq_tol, "eq_tol"), prob.count, []
+    prob, tol = _problem(sys), _tolerance(eq_tol, "eq_tol")
+    M, constants = prob.count, []
     rows, job = _row_chunks(prob, z_nodes, x_nodes)
 
     def search(level):
@@ -683,22 +670,20 @@ def _bound_verdict(nodes, job, constants, final_bound: float) -> _Verdict:
     return verdict
 
 
-def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
-                          constants: Sequence[float], zeta: float, z_nodes,
-                          grid: GridSpec) -> Certificate:
+def verify_combined_bound(sys: SystemDef, constants: Sequence[float],
+                          zeta: float, z_nodes, x_nodes) -> Certificate:
     """Re-check ``Z = K_1 Y_1 + (K_2 Y_2 + (... + Y_M)) <= -zeta /
-    2^(M-1)``, summed as :func:`matrosov_constants` sums it, at the
-    annulus nodes of ``grid`` (as :func:`matrosov_grid` picks them) and
-    the node set ``z_nodes``, streamed: no array outlives a chunk of
+    2^(M-1)``, summed as :func:`matrosov_constants` sums it, at the node
+    sets of :func:`matrosov_grid`, streamed: no array outlives a chunk of
     :func:`_row_chunks`, so memory does not grow with the grid.
 
-    Used to confirm searched constants on a finer verification grid than
-    the one that produced them.
+    Confirms searched constants on a finer verification grid than the
+    one that found them: ``matrosov_grid(replace(sys, grid=finer))``.
     """
+    prob = _problem(sys)
     M = prob.count
     if len(constants) != M - 1:
         raise SchemaError(f"expected {M - 1} constants, got {len(constants)}")
-    x_nodes = _annulus_nodes(prob, sys, grid)
     final_bound = -zeta / (2.0 ** (M - 1))
     return _margin_certificate(
         "matrosov-combined-bound", _bound_verdict(
@@ -707,17 +692,16 @@ def verify_combined_bound(prob: MatrosovData, sys: SystemDef,
         {"final_bound": final_bound}, count="combination_violations")
 
 
-def matrosov_derivative_bounds(sys: SystemDef,
-                               prob: MatrosovData) -> Certificate:
+def matrosov_derivative_bounds(sys: SystemDef, x_nodes) -> Certificate:
     """Screen the per-function derivative bounds on the annulus.
 
     For each comparison function W_j, checks ``derivative of W_j along
     the inclusion, reduced by its own collection, <= Y_j(phi(x, t), x)``
-    at annulus nodes and time nodes, all W_j in one pass that evaluates
-    the inclusion once for all of them. Informational: the chain and
-    constants certificates do not depend on it.
+    at the x nodes of :func:`matrosov_grid` and time nodes, all W_j in
+    one pass that evaluates the inclusion once for all of them.
+    Informational: the chain and constants certificates do not rely on it.
     """
-    nodes = _annulus_nodes(prob, sys)  # no z grid
+    prob = _problem(sys)
     time_nodes = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
     jobs = [_derivative_job(sys.inclusion, w, coll, [
@@ -730,12 +714,12 @@ def matrosov_derivative_bounds(sys: SystemDef,
         margin, counted = (value - y).ravel(), ~minus_inf.ravel()
         per_function[j] += _violations(margin, counted, _TOL)
         verdict.add(margin, counted,
-                    _cell_witness(rows, x, nodes[1], time_nodes, j))
+                    _cell_witness(rows, x, x_nodes[1], time_nodes, j))
 
-    reduction._stream(jobs, nodes, time_nodes, fold)
+    reduction._stream(jobs, x_nodes, time_nodes, fold)
     return _margin_certificate(
         "matrosov-derivative-bounds", verdict, {"margin_tol": _TOL},
-        {"x_nodes": nodes[1], "time_nodes": list(time_nodes)},
+        {"x_nodes": x_nodes[1], "time_nodes": list(time_nodes)},
         {"note": "informational screen; the chain and constants "
                  "certificates do not depend on it",
          "violations_per_function": per_function})

@@ -30,7 +30,8 @@ import numpy as np
 from .errors import DslSyntaxError, IncredError, InputFileError, SchemaError
 from .grids import GridSpec, _region
 from .setmaps import (SimSpec, SystemDef, load_system, validate_gradient,
-                      _number, _parse_grid, _read_json, _STRATEGY_KINDS)
+                      _number, _parse_grid, _read_json, _tolerance,
+                      _STRATEGY_KINDS)
 # each subcommand imports the analysis modules it uses, and only those
 
 EXIT_OK = 0
@@ -79,9 +80,10 @@ def _load(args) -> SystemDef:
     return system
 
 
-def _tol(args, name: str) -> dict:
-    """``{name: --tol}``, a finite number, or ``{}`` to keep the default."""
-    return {} if args.tol is None else {name: _number(args.tol, "--tol")}
+def _tol(args, name: str, check=_number) -> dict:
+    """``{name: --tol}`` as ``check`` passes it (a finite number; a
+    tolerance is >= 0 too), or ``{}`` to keep the default."""
+    return {} if args.tol is None else {name: check(args.tol, "--tol")}
 
 
 def _report(args, line: str, text: str | None = None) -> None:
@@ -197,7 +199,8 @@ def cmd_certify(args) -> int:
 
 def cmd_invariance(args) -> int:
     from . import certify as cert
-    report = cert.invariance_data(_load(args), **_tol(args, "zero_tol"))
+    report = cert.invariance_data(_load(args),
+                                  **_tol(args, "zero_tol", _tolerance))
     out = Path(args.out)
     lines = [report.semidefinite.to_text(),
              f"vanishing-derivative nodes: {len(report.e_nodes)}"]
@@ -217,24 +220,23 @@ def cmd_invariance(args) -> int:
 def cmd_matrosov(args) -> int:
     from . import certify as cert
     system = _load(args)
-    problem = cert.build_matrosov_problem(system)
-    grid = system.require_grid()
-    eq_tol = _tol(args, "eq_tol")  # every flag is checked before the chain
+    eq_tol = _tol(args, "eq_tol", _tolerance)  # every flag before a walk
     cert._check_zeta_target(args.zeta_target)
-    fine = None if args.verify_factor == 1 else grid.refined(
-        args.verify_factor)
-    z_nodes, x_nodes = cert.matrosov_grid(problem, system)
-    cert._check_matrosov_rows(problem, system, z_nodes, x_nodes, fine)
-    chain = cert.matrosov_chain(problem, z_nodes, x_nodes, **eq_tol)
+    fine = None if args.verify_factor == 1 else replace(
+        system, grid=system.require_grid().refined(args.verify_factor))
+    # fine first: its z nodes are the system's, and only one copy is held
+    fine_x = None if fine is None else cert.matrosov_grid(fine)[1]
+    z_nodes, x_nodes = cert.matrosov_grid(system)
+    chain = cert.matrosov_chain(system, z_nodes, x_nodes, **eq_tol)
     result = verify = None
     if chain.certified:
-        result = cert.matrosov_constants(problem, z_nodes, x_nodes,
+        result = cert.matrosov_constants(system, z_nodes, x_nodes,
                                          zeta_target=args.zeta_target,
                                          **eq_tol)
         if result.certificate.certified and fine is not None:
             verify = cert.verify_combined_bound(
-                problem, system, result.constants, result.zeta, z_nodes, fine)
-    bounds = cert.matrosov_derivative_bounds(system, problem)
+                fine, result.constants, result.zeta, z_nodes, fine_x)
+    bounds = cert.matrosov_derivative_bounds(system, x_nodes)
     doc = {"chain": chain.to_dict(),
            "constants": None if result is None else result.to_dict(),
            "verification": None if verify is None else verify.to_dict(),

@@ -514,6 +514,13 @@ def _number(value, where: str, kind: type = float):
     return kind(value)
 
 
+def _tolerance(value, where: str) -> float:
+    """A :func:`_number` that is not negative, as a tolerance must be."""
+    if (value := _number(value, where)) < 0:
+        raise SchemaError(f"{where}: expected a number >= 0")
+    return value
+
+
 def _float_list(values, length: int | None, where: str) -> tuple[float, ...]:
     """A JSON list of numbers, of ``length`` entries unless None."""
     if not isinstance(values, list) or length not in (None, len(values)):
@@ -671,8 +678,8 @@ def _parse_checks(doc, n: int, variables, where: str) -> CheckSpec:
         semidef_bound=opt("W_semidef"),
         lower_envelope=opt("Wlower"),
         upper_envelope=opt("Wupper"),
-        zero_tol=_number(doc.get("zero_tol", CheckSpec.zero_tol),
-                         f"{where}.zero_tol"),
+        zero_tol=_tolerance(doc.get("zero_tol", CheckSpec.zero_tol),
+                            f"{where}.zero_tol"),
         candidates=candidates)
 
 

@@ -7,11 +7,11 @@ each assertion and are final.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
-from incred.certify import (CERTIFIED, build_matrosov_problem,
-                            certify_lyapunov, invariance_data, matrosov_chain,
-                            matrosov_constants, matrosov_grid,
+from incred.certify import (CERTIFIED, certify_lyapunov, invariance_data,
+                            matrosov_chain, matrosov_constants, matrosov_grid,
                             verify_combined_bound)
 from incred.derivative import (baseline_interval_derivative,
                                bilinear_maxmax, bilinear_minmax,
@@ -134,21 +134,21 @@ def test_criterion_4_time_varying_certificate(example4):
 
 
 def test_criterion_5_matrosov_certificates(example6):
-    problem = build_matrosov_problem(example6)
+    problem = example6.matrosov
     assert (problem.delta, problem.big_delta, problem.gamma) == (0.1, 2.0, 1.0)
-    z_nodes, x_nodes = matrosov_grid(problem, example6)
-    chain = matrosov_chain(problem, z_nodes, x_nodes, eq_tol=1e-6)
+    z_nodes, x_nodes = matrosov_grid(example6)
+    chain = matrosov_chain(example6, z_nodes, x_nodes, eq_tol=1e-6)
     assert chain.verdict == CERTIFIED
 
-    result = matrosov_constants(problem, z_nodes, x_nodes, eq_tol=1e-6)
+    result = matrosov_constants(example6, z_nodes, x_nodes, eq_tol=1e-6)
     assert result.certificate.verdict == CERTIFIED
     assert len(result.constants) == 1
     assert result.constants[0] <= 2.0 ** 20
     assert result.zeta >= 0.009
 
-    fine = example6.grid.refined(10)
-    verify = verify_combined_bound(problem, example6, result.constants,
-                                   result.zeta, z_nodes, fine)
+    fine = replace(example6, grid=example6.grid.refined(10))
+    verify = verify_combined_bound(fine, result.constants, result.zeta,
+                                   *matrosov_grid(fine))
     assert verify.verdict == CERTIFIED  # Z <= -zeta/2 on the 10x finer grid
     _report(5, f"chain certified on the annulus; K={result.constants[0]}, "
                f"zeta={result.zeta:.4f} >= 0.009, combination holds on a "

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ from incred.certify import (CERTIFIED, VIOLATED, certify_lyapunov,
                             certify_semidefinite, invariance_data)
 from incred.derivative import generalized_derivative
 from incred.errors import DslEvalError, SchemaError
-from incred.fixtures import available_fixtures, load_fixture
+from incred.fixtures import available_fixtures, fixture_path, load_fixture
 from incred.grids import GridSpec
 from incred.intervals import IntervalBox
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
@@ -350,6 +351,27 @@ class TestInvarianceData:
             invariance_data(example4)
 
 
+def _tolerance_call(call: str):
+    """The library call ``call``, taking its tolerance keyword."""
+    import incred.certify as cert
+    from incred.simulate import (SelectionStrategy,
+                                 check_reduction_membership, integrate)
+
+    example2 = load_fixture("example2_baseline")
+    bound = example2.checks.decrease_bound
+    if call.startswith("matrosov"):
+        example6 = load_fixture("example6")
+        nodes = cert.matrosov_grid(example6)
+        return lambda **kw: getattr(cert, call)(example6, *nodes, **kw)
+    if call == "check_reduction_membership":
+        return lambda **kw: check_reduction_membership(integrate(
+            example2, (0.5, 0.5), 0.0, 0.1, 1.0, SelectionStrategy()),
+            example2, **kw)
+    if call == "invariance_data":
+        return lambda **kw: invariance_data(example2, **kw)
+    return lambda **kw: getattr(cert, call)(example2, bound, **kw)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call, keyword", [
     ("certify_lyapunov", "tol"), ("certify_semidefinite", "tol"),
@@ -358,30 +380,33 @@ class TestInvarianceData:
     ("check_reduction_membership", "tol")])
 def test_tolerance_keywords_must_be_finite(call, keyword, value):
     # the library's rule for the values the CLI's --tol passes on
-    import incred.certify as cert
-    from incred.simulate import (SelectionStrategy,
-                                 check_reduction_membership, integrate)
-
-    example6 = load_fixture("example6")
-    problem = cert.build_matrosov_problem(example6)
-    nodes = cert.matrosov_grid(problem, example6)
-    example2 = load_fixture("example2_baseline")
-    bound = example2.checks.decrease_bound
-    calls = {
-        "certify_lyapunov": lambda **kw: certify_lyapunov(example2, bound,
-                                                          **kw),
-        "certify_semidefinite": lambda **kw: certify_semidefinite(
-            example2, bound, **kw),
-        "invariance_data": lambda **kw: invariance_data(example2, **kw),
-        "matrosov_chain": lambda **kw: cert.matrosov_chain(problem, *nodes,
-                                                           **kw),
-        "matrosov_constants": lambda **kw: cert.matrosov_constants(
-            problem, *nodes, **kw),
-        "check_reduction_membership": lambda **kw:
-            check_reduction_membership(integrate(
-                example2, (0.5, 0.5), 0.0, 0.1, 1.0, SelectionStrategy()),
-                example2, **kw),
-    }
     with pytest.raises(SchemaError,
                        match=f"^{keyword}: expected a finite number$"):
-        calls[call](**{keyword: value})
+        _tolerance_call(call)(**{keyword: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300])
+@pytest.mark.parametrize("call, keyword", [
+    ("invariance_data", "zero_tol"),
+    ("matrosov_chain", "eq_tol"), ("matrosov_constants", "eq_tol")])
+def test_vanishing_tolerances_must_not_be_negative(call, keyword, value):
+    # |d| <= tol never holds for tol < 0: the set it picks would be empty
+    with pytest.raises(SchemaError,
+                       match=f"^{keyword}: expected a number >= 0$"):
+        _tolerance_call(call)(**{keyword: value})
+
+
+@pytest.mark.parametrize("call", ["certify_lyapunov", "certify_semidefinite",
+                                  "check_reduction_membership"])
+def test_margin_tolerances_may_be_negative(call):
+    # a margin below 0 only makes the check stricter
+    assert _tolerance_call(call)(tol=-1e-3) is not None
+
+
+def test_negative_zero_tol_is_rejected_at_load():
+    with open(fixture_path("example2"), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.setdefault("certify", {})["zero_tol"] = -1
+    with pytest.raises(SchemaError,
+                       match=r"^certify\.zero_tol: expected a number >= 0$"):
+        system_from_dict(doc)

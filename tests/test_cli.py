@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from incred.cli import main
-from incred.fixtures import fixture_path
+from incred.fixtures import fixture_path, load_fixture
 
 from scans import grid_nodes
 
@@ -192,28 +192,29 @@ class TestExitCodes:
                                             reads_z, factor):
         """The z node count, and the (z, x) row counts of the chain and of
         the verification on the grid ``factor`` times finer, are checked
-        before any Y is evaluated and before a large grid is walked."""
+        before any Y is evaluated and before a large grid is walked. The
+        run verifies on that grid: at factor 1 only the chain's rows are
+        checked, else the verification's rows are checked first."""
         import incred.certify as cert
         import incred.grids as grids
-        from incred.setmaps import load_system
+        from incred.setmaps import system_from_dict
 
         with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["matrosov"].update(phi=phi, z_counts=z_counts)
+        if factor is None:
+            named = (f"matrosov z nodes (z_counts 10000 x 10000): "
+                     f"{10 ** 8} ")
+        else:  # counted while no Y reads z, so one z node per x node
+            sys_def = system_from_dict(doc)
+            z, x = cert.matrosov_grid(replace(
+                sys_def, grid=sys_def.grid.refined(factor)))
+            named = (f"matrosov (z, x) rows ({z[1]} z nodes x {x[1]} "
+                     f"x nodes): {z[1] * x[1]} ")
         for k in reads_z:  # a Y reads z, so every z node is tabulated
             doc["matrosov"]["Y"][k] += " + 0*z1"
         system = tmp_path / "system.json"
         system.write_text(json.dumps(doc), encoding="utf-8")
-        if factor is None:
-            named = (f"matrosov z nodes (z_counts 10000 x 10000): "
-                     f"{10 ** 8} ")
-        else:
-            sys_def = load_system(str(system))
-            z, x = cert.matrosov_grid(cert.build_matrosov_problem(sys_def),
-                                      replace(sys_def, grid=sys_def.grid
-                                              .refined(factor)))
-            named = (f"matrosov (z, x) rows ({z[1]} z nodes x {x[1]} "
-                     f"x nodes): {z[1] * x[1]} ")
 
         region_masks = grids._region_masks
 
@@ -226,7 +227,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(grids, "_region_masks", small_walk)
         monkeypatch.setattr(cert, "_expression_job", no_y)
-        code = run("matrosov", "-i", str(system), "-o", str(tmp_path))
+        code = run("matrosov", "-i", str(system), "-o", str(tmp_path),
+                   *([f"--verify-factor={factor}"] if factor else []))
         err = capsys.readouterr().err
         assert code == 3
         assert named + "exceeds the limit of 10000000" in err
@@ -293,6 +295,19 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: --tol: expected a finite number\n")
+        assert not list(tmp_path.iterdir())  # checked before any analysis
+
+    @pytest.mark.parametrize("command, name, value", [
+        ("invariance", "example2", "-1"), ("matrosov", "example6", "-1e-300")])
+    def test_negative_tol_exits_three(self, tmp_path, capsys, command, name,
+                                      value):
+        # |d| <= tol never holds below 0: the vanishing set, or every
+        # trigger set, would be empty
+        code = run(command, "-i", fixture_path(name), "-o", str(tmp_path),
+                   f"--tol={value}")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: --tol: expected a number >= 0\n")
         assert not list(tmp_path.iterdir())  # checked before any analysis
 
     @pytest.mark.parametrize("flag, message", [
@@ -685,7 +700,9 @@ class TestMatrosov:
 
     def test_runs_the_public_api(self, tmp_path, monkeypatch):
         """``matrosov -i example6.json`` calls each public Matrosov
-        function once: a wrapper of the public names sees every step."""
+        function once, ``matrosov_grid`` once per grid: the system's and
+        the verification grid's. A wrapper of the public names sees every
+        step."""
         import incred.certify as cert
         names = ("matrosov_grid", "matrosov_chain", "matrosov_constants",
                  "verify_combined_bound", "matrosov_derivative_bounds")
@@ -701,7 +718,38 @@ class TestMatrosov:
             monkeypatch.setattr(cert, name, counted(name, getattr(cert, name)))
         assert run("matrosov", "-i", fixture_path("example6"),
                    "-o", str(tmp_path)) == 0
-        assert calls == dict.fromkeys(names, 1)
+        assert calls == {**dict.fromkeys(names, 1), "matrosov_grid": 2}
+
+    @pytest.mark.parametrize("factor", [1, 3, 10])
+    def test_builds_each_annulus_once(self, tmp_path, monkeypatch, factor):
+        """One annulus per grid: the verification grid's unless
+        ``--verify-factor`` is 1, then the system's."""
+        import incred.certify as cert
+        built, annulus_nodes = [], cert._annulus_nodes
+
+        def counted(sys):
+            built.append(sys.grid)
+            return annulus_nodes(sys)
+
+        monkeypatch.setattr(cert, "_annulus_nodes", counted)
+        assert run("matrosov", "-i", fixture_path("example6"),
+                   "-o", str(tmp_path), f"--verify-factor={factor}") == 0
+        grid = load_fixture("example6").grid
+        assert built == [grid.refined(factor)] * (factor > 1) + [grid]
+
+    def test_annulus_outside_the_domain_exits_three(self, tmp_path, capsys):
+        with open(fixture_path("example6"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["domain"] = {"lo": [-1.5, -1.5], "hi": [1.5, 1.5]}
+        doc["grid"].update(counts=[21, 21], include=[[], []])
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("matrosov", "-i", str(system), "-o", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "error: the annulus must lie inside the domain box (need every "
+            "axis to cover [-2.0, 2.0])\n")
+        assert not out.exists()
 
     def test_overflowing_squares_warn_nothing(self, tmp_path, capsys):
         """On [-1e200, 1e200]^2 the far nodes' squared norms overflow to

@@ -14,9 +14,9 @@ import incred.certify as certify
 import incred.grids as grids
 import incred.reduction as red
 from incred.certify import (CERTIFIED, INCONCLUSIVE, VIOLATED, Certificate,
-                            build_matrosov_problem, matrosov_chain,
-                            matrosov_constants, matrosov_derivative_bounds,
-                            matrosov_grid, verify_combined_bound)
+                            matrosov_chain, matrosov_constants,
+                            matrosov_derivative_bounds, matrosov_grid,
+                            verify_combined_bound)
 from incred.errors import SchemaError
 from incred.fixtures import fixture_path, load_fixture
 from incred.setmaps import system_from_dict
@@ -27,9 +27,7 @@ from scans import row_table, scan, stacked
 @pytest.fixture(scope="module")
 def annulus_problem(request):
     system = load_fixture("example6")
-    problem = build_matrosov_problem(system)
-    z_nodes, x_nodes = matrosov_grid(problem, system)
-    return system, problem, z_nodes, x_nodes
+    return (system, *matrosov_grid(system))
 
 
 # a Y that reads z without changing its values
@@ -90,8 +88,8 @@ class TestGrid:
     def test_annulus_filter_and_radius_nodes(self):
         """example6 with Y reading z, so the whole z grid is built."""
         system = _fixture_reading_z("example6")
-        problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
+        problem = system.matrosov
+        z_nodes, x_nodes = matrosov_grid(system)
         ann = problem.annulus()
         x_rows = list(map(tuple, stacked(x_nodes, system.n).tolist()))
         z_rows = list(map(tuple, stacked(z_nodes, problem.m).tolist()))
@@ -109,7 +107,6 @@ class TestGrid:
         y = Y_READS_Z if reads_z else "-x1*x1"
         system = system_from_dict(_matrosov_doc([y], phi=("0",) * 15,
                                                 z_counts=[2] * 15))
-        problem = build_matrosov_problem(system)
         region_masks = grids._region_masks
 
         def no_z_walk(axes, region):
@@ -120,7 +117,7 @@ class TestGrid:
         message = (f"matrosov z nodes (z_counts {' x '.join(['2'] * 15)}): "
                    f"{3 ** 15} exceeds the limit of 10000000")
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            matrosov_grid(problem, system)
+            matrosov_grid(system)
 
     @pytest.mark.parametrize("source, factor", [
         *((name, f) for name in ("example6", "example6_broken_y2")
@@ -137,10 +134,9 @@ class TestGrid:
                 [Y_READS_Z], phi=("0", "x1", "x2"), z_counts=[3, 4, 6]))
         else:
             system = _fixture_reading_z(source)
-        problem = build_matrosov_problem(system)
+        problem = system.matrosov
         grid = system.grid.refined(factor)
-        z_nodes, x_nodes = matrosov_grid(problem,
-                                         replace(system, grid=grid))
+        z_nodes, x_nodes = matrosov_grid(replace(system, grid=grid))
         z_ref, x_ref = _reference_grid(problem, system, grid)
         for got, ref, width in ((z_nodes, z_ref, problem.m),
                                 (x_nodes, x_ref, system.n)):
@@ -154,10 +150,10 @@ class TestGrid:
         compared bit for bit, so also in which zero it keeps (Y reads z,
         so the whole axis is built)."""
         system = system_from_dict(_matrosov_doc([Y_READS_Z]))
-        problem = build_matrosov_problem(system)
         for count in range(1, 51):
-            prob = replace(problem, gamma=gamma, z_counts=(count,))
-            z_nodes = stacked(matrosov_grid(prob, system)[0], 1)
+            prob = replace(system.matrosov, gamma=gamma, z_counts=(count,))
+            z_nodes = stacked(matrosov_grid(replace(system,
+                                                    matrosov=prob))[0], 1)
             vals = {float(v) for v in np.linspace(-gamma, gamma, count)}
             vals.update((-gamma, 0.0, gamma))
             assert z_nodes.shape == (len(vals), 1)
@@ -176,9 +172,9 @@ class TestGrid:
         system = system_from_dict(_matrosov_doc(["-x1*x1"], phi=phi,
                                                 gamma=gamma,
                                                 z_counts=z_counts))
-        problem = build_matrosov_problem(system)
+        problem = system.matrosov
         z_ref, x_ref = _reference_grid(problem, system, system.grid)
-        z_kept, x_kept = matrosov_grid(problem, system)
+        z_kept, x_kept = matrosov_grid(system)
         assert z_kept[1] == len(z_ref)
         assert stacked(z_kept, problem.m)[:1].tobytes() == np.array(
             z_ref[:1]).tobytes()
@@ -191,30 +187,53 @@ class TestGrid:
 
     def test_annulus_must_fit_the_domain(self):
         system = system_from_dict(_matrosov_doc(["-x1*x1"], big=3.0))
-        with pytest.raises(SchemaError):
-            build_matrosov_problem(system)
+        with pytest.raises(SchemaError, match=r"^the annulus must lie "
+                           r"inside the domain box \(need every axis to "
+                           r"cover \[-3\.0, 3\.0\]\)$"):
+            matrosov_grid(system)
+
+    def test_every_stage_checks_the_annulus_against_the_domain(self):
+        """On [-1.5, 1.5]^2 the radii +/-Delta = +/-2 would put annulus
+        nodes outside the domain: each stage raises instead of walking
+        them, given node sets of a system where the annulus fits too."""
+        doc = _matrosov_doc(["-x1*x1"])
+        doc["domain"] = {"lo": [-1.5, -1.5], "hi": [1.5, 1.5]}
+        doc["grid"].update(counts=[21, 21], include=[[], []])
+        system = system_from_dict(doc)
+        nodes = matrosov_grid(system_from_dict(_matrosov_doc(["-x1*x1"])))
+        stages = [lambda: matrosov_grid(system),
+                  lambda: matrosov_chain(system, *nodes),
+                  lambda: matrosov_constants(system, *nodes),
+                  lambda: verify_combined_bound(system, (), 1.0, *nodes),
+                  lambda: matrosov_derivative_bounds(system, nodes[1])]
+        for stage in stages:
+            with pytest.raises(SchemaError, match=re.escape(
+                    "the annulus must lie inside the domain box (need "
+                    "every axis to cover [-2.0, 2.0])")):
+                stage()
+
+    def test_a_system_without_a_matrosov_block_is_rejected(self):
+        with pytest.raises(SchemaError,
+                           match="^the system definition has no matrosov "
+                                 "block$"):
+            matrosov_grid(load_fixture("example2"))
 
 
 class TestChain:
     def test_paired_bounds_certify(self, annulus_problem):
-        _, problem, z_nodes, x_nodes = annulus_problem
-        cert = matrosov_chain(problem, z_nodes, x_nodes)
+        cert = matrosov_chain(*annulus_problem)
         assert cert.verdict == CERTIFIED
         # the full chain never triggers on the annulus
         assert cert.details["trigger_counts"][2] == 0
 
     def test_single_strictly_negative_bound(self):
         system = system_from_dict(_matrosov_doc(["-1"]))
-        problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        cert = matrosov_chain(problem, z_nodes, x_nodes)
+        cert = matrosov_chain(system, *matrosov_grid(system))
         assert cert.verdict == CERTIFIED
 
     def test_positive_second_bound_is_caught(self):
         system = load_fixture("example6_broken_y2")
-        problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        cert = matrosov_chain(problem, z_nodes, x_nodes)
+        cert = matrosov_chain(system, *matrosov_grid(system))
         assert cert.verdict == VIOLATED
         # witness: a trigger node with x2 ~ 0 where x1^2 > 0
         z_and_x = cert.worst_point
@@ -224,8 +243,7 @@ class TestChain:
 
 class TestConstants:
     def test_doubling_search_on_the_worked_system(self, annulus_problem):
-        _, problem, z_nodes, x_nodes = annulus_problem
-        result = matrosov_constants(problem, z_nodes, x_nodes)
+        result = matrosov_constants(*annulus_problem)
         assert result.certificate.verdict == CERTIFIED
         assert len(result.constants) == 1
         assert 1.0 <= result.constants[0] <= 2.0 ** 20
@@ -233,19 +251,16 @@ class TestConstants:
         assert result.epsilon_estimate == pytest.approx(0.01, rel=1e-2)
 
     def test_constants_hold_on_a_finer_grid(self, annulus_problem):
-        system, problem, z_nodes, x_nodes = annulus_problem
-        result = matrosov_constants(problem, z_nodes, x_nodes)
-        fine = system.grid.refined(10)
-        zf, _ = matrosov_grid(problem, replace(system, grid=fine))
-        cert = verify_combined_bound(problem, system, result.constants,
-                                     result.zeta, zf, fine)
+        system = annulus_problem[0]
+        result = matrosov_constants(*annulus_problem)
+        fine = replace(system, grid=system.grid.refined(10))
+        cert = verify_combined_bound(fine, result.constants, result.zeta,
+                                     *matrosov_grid(fine))
         assert cert.verdict == CERTIFIED
 
     def test_single_function_needs_no_constants(self):
         system = system_from_dict(_matrosov_doc(["-1"]))
-        problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        result = matrosov_constants(problem, z_nodes, x_nodes)
+        result = matrosov_constants(system, *matrosov_grid(system))
         assert result.constants == ()
         assert result.zeta == pytest.approx(1.0)
         assert result.certificate.verdict == CERTIFIED
@@ -255,14 +270,13 @@ class TestConstants:
         # finite constant can reach a meaningful decay target
         system = system_from_dict(
             _matrosov_doc(["-2*x2*x2", "-0.000000001*x1*x1"]))
-        problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        result = matrosov_constants(problem, z_nodes, x_nodes,
+        z_nodes, x_nodes = matrosov_grid(system)
+        result = matrosov_constants(system, z_nodes, x_nodes,
                                     zeta_target=1e-3)
         assert result.certificate.verdict == INCONCLUSIVE
         assert "cap" in result.certificate.details["reason"]
         # with the self-estimated decay level it still certifies
-        auto = matrosov_constants(problem, z_nodes, x_nodes)
+        auto = matrosov_constants(system, z_nodes, x_nodes)
         assert auto.certificate.verdict == CERTIFIED
         assert auto.zeta <= 1e-10
 
@@ -270,11 +284,10 @@ class TestConstants:
         # z-dependent first bound exercises the nested doubling loop
         doc = _matrosov_doc(["-z1*z1", "-x2*x2", "-x1*x1"])
         system = system_from_dict(doc)
-        problem = build_matrosov_problem(system)
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        chain = matrosov_chain(problem, z_nodes, x_nodes)
+        z_nodes, x_nodes = matrosov_grid(system)
+        chain = matrosov_chain(system, z_nodes, x_nodes)
         assert chain.verdict == CERTIFIED
-        result = matrosov_constants(problem, z_nodes, x_nodes)
+        result = matrosov_constants(system, z_nodes, x_nodes)
         assert result.certificate.verdict == CERTIFIED
         assert len(result.constants) == 2
 
@@ -285,33 +298,31 @@ NAN_Y = "(1e308*10)*x1 - (1e308*10)*x1"
 
 def _problem(y_exprs):
     system = system_from_dict(_matrosov_doc(y_exprs))
-    problem = build_matrosov_problem(system)
-    return (system, problem, *matrosov_grid(problem, system))
+    return (system, *matrosov_grid(system))
 
 
 class TestNonFiniteBounds:
     """A NaN Y value never counts as a pass."""
 
     def test_chain_fails_closed(self):
-        _, problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
-        cert = matrosov_chain(problem, z_nodes, x_nodes)
+        system, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
+        cert = matrosov_chain(system, z_nodes, x_nodes)
         assert cert.verdict == VIOLATED
         assert cert.details["nonfinite_margins"] == x_nodes[1]
         assert cert.worst_margin is None
 
     def test_constants_fail_closed(self):
-        _, problem, z_nodes, x_nodes = _problem([NAN_Y])
-        auto = matrosov_constants(problem, z_nodes, x_nodes)
+        system, z_nodes, x_nodes = _problem([NAN_Y])
+        auto = matrosov_constants(system, z_nodes, x_nodes)
         assert auto.certificate.verdict != CERTIFIED
-        fixed = matrosov_constants(problem, z_nodes, x_nodes,
+        fixed = matrosov_constants(system, z_nodes, x_nodes,
                                    zeta_target=1e-3)
         assert fixed.certificate.verdict == VIOLATED
         assert fixed.certificate.details["nonfinite_margins"] == x_nodes[1]
 
     def test_combined_bound_fails_closed(self):
-        system, problem, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
-        cert = verify_combined_bound(problem, system, (1.0,), 1e-3, z_nodes,
-                                     system.grid)
+        system, z_nodes, x_nodes = _problem([NAN_Y, "-x1*x1"])
+        cert = verify_combined_bound(system, (1.0,), 1e-3, z_nodes, x_nodes)
         assert cert.verdict == VIOLATED
         assert cert.details["nonfinite_margins"] == x_nodes[1]
 
@@ -321,8 +332,8 @@ class TestDerivativeBounds:
         # the second comparison function's declared bound fails exactly at
         # (+/-1, 0): the reduction by the pyramid has the nonempty value
         # {0} x (-/+1 + [-1/2, 1/2]) there, giving derivative -1/2 > -1
-        system, problem, _, _ = annulus_problem
-        cert = matrosov_derivative_bounds(system, problem)
+        system, _, x_nodes = annulus_problem
+        cert = matrosov_derivative_bounds(system, x_nodes)
         assert cert.verdict == VIOLATED
         assert cert.details["violations_per_function"][0] == 0
         per_point = cert.details["violations_per_function"][1]
@@ -331,8 +342,8 @@ class TestDerivativeBounds:
         assert cert.worst_margin == pytest.approx(0.5, abs=1e-12)
 
     def test_first_function_bound_holds(self, annulus_problem):
-        system, problem, _, _ = annulus_problem
-        cert = matrosov_derivative_bounds(system, problem)
+        system, _, x_nodes = annulus_problem
+        cert = matrosov_derivative_bounds(system, x_nodes)
         assert cert.details["violations_per_function"][0] == 0
 
 
@@ -427,18 +438,18 @@ def test_streamed_verification_equals_the_whole_table(case):
     margin across chunks."""
     doc, factor, chunk, constants, zeta = case
     system = system_from_dict(doc)
-    problem = build_matrosov_problem(system)
-    grid = system.grid.refined(factor)
+    problem, grid = system.matrosov, system.grid.refined(factor)
+    fine = replace(system, grid=grid)
     z_ref, x_ref = _reference_grid(problem, system, grid)
     saved, grids._CHUNK = grids._CHUNK, chunk
     try:
         expected = _outcome(_whole_table_bound, problem, constants, zeta,
                             z_ref, x_ref)
-        public = _outcome(verify_combined_bound, problem, system, constants,
-                          zeta, grids._rows(np.array(z_ref)), grid)
-        z_nodes = matrosov_grid(problem, replace(system, grid=grid))[0]
-        streamed = _outcome(verify_combined_bound, problem, system,
-                            constants, zeta, z_nodes, grid)
+        public = _outcome(lambda: verify_combined_bound(
+            fine, constants, zeta, grids._rows(np.array(z_ref)),
+            matrosov_grid(fine)[1]))
+        streamed = _outcome(lambda: verify_combined_bound(
+            fine, constants, zeta, *matrosov_grid(fine)))
         table = _outcome(row_table, problem, z_ref, x_ref)
         whole = _outcome(_whole_table, problem, z_ref, x_ref)
     finally:
@@ -604,14 +615,14 @@ def test_streamed_chain_and_constants_equal_the_whole_table(case):
     that epsilon and the cap failure's worst point read."""
     doc, chunk, eq_tol, zeta_target = case
     system = system_from_dict(doc)
-    problem = build_matrosov_problem(system)
+    problem = system.matrosov
     z_ref, x_ref = _reference_grid(problem, system, system.grid)
     saved, grids._CHUNK = grids._CHUNK, chunk
     try:
-        z_nodes, x_nodes = matrosov_grid(problem, system)
-        chain = _outcome(matrosov_chain, problem, z_nodes, x_nodes, eq_tol)
+        z_nodes, x_nodes = matrosov_grid(system)
+        chain = _outcome(matrosov_chain, system, z_nodes, x_nodes, eq_tol)
         constants = _outcome(lambda: matrosov_constants(
-            problem, z_nodes, x_nodes, zeta_target=zeta_target,
+            system, z_nodes, x_nodes, zeta_target=zeta_target,
             eq_tol=eq_tol))
     finally:
         grids._CHUNK = saved
@@ -628,13 +639,11 @@ def test_verification_sums_z_as_the_constants_do():
     ((Y_3 + K_1 Y_1) + K_2 Y_2) differs in the last bit at the witness."""
     system = system_from_dict(_matrosov_doc(
         ["-0.1*(x1*x1 + x2*x2)", "-0.1*x1*x1 - 0.3", "-0.7 - 0.1*x2*x2"]))
-    problem = build_matrosov_problem(system)
-    z_nodes, x_nodes = matrosov_grid(problem, system)
-    result = matrosov_constants(problem, z_nodes, x_nodes, zeta_target=0.5)
+    z_nodes, x_nodes = matrosov_grid(system)
+    result = matrosov_constants(system, z_nodes, x_nodes, zeta_target=0.5)
     assert result.constants == (1.0, 1.0)
-    verify = verify_combined_bound(problem, system, result.constants,
-                                   result.zeta, z_nodes,
-                                   system.grid.refined(1))
+    verify = verify_combined_bound(system, result.constants, result.zeta,
+                                   z_nodes, x_nodes)
     for key in ("combination_violations", "final_bound"):
         assert verify.details[key] == result.certificate.details[key]
     assert verify.worst_point == result.certificate.worst_point
@@ -644,11 +653,9 @@ def test_verification_sums_z_as_the_constants_do():
 
 def test_a_tie_across_chunks_keeps_the_earlier_row(monkeypatch):
     system = system_from_dict(_matrosov_doc(["-1"]))
-    problem = build_matrosov_problem(system)
-    z_nodes, x_nodes = matrosov_grid(problem, system)
+    z_nodes, x_nodes = matrosov_grid(system)
     monkeypatch.setattr(grids, "_CHUNK", 5)
-    cert = verify_combined_bound(problem, system, (), 1.0, z_nodes,
-                                 system.grid)
+    cert = verify_combined_bound(system, (), 1.0, z_nodes, x_nodes)
     assert cert.worst_margin == 0.0
     assert cert.worst_point == tuple(stacked(z_nodes, 1)[0]) + tuple(
         stacked(x_nodes, system.n)[0])
@@ -658,14 +665,12 @@ def test_the_fine_grid_is_never_built():
     """The verification ``matrosov`` runs streams the refined grid: its
     allocations stay far below one fine (z, x) table at factor 10."""
     system = load_fixture("example6")
-    problem = build_matrosov_problem(system)
-    z_nodes, x_nodes = matrosov_grid(problem, system)
-    result = matrosov_constants(problem, z_nodes, x_nodes)
-    fine = system.grid.refined(10)
+    result = matrosov_constants(system, *matrosov_grid(system))
+    fine = replace(system, grid=system.grid.refined(10))
     tracemalloc.start()
     try:
-        cert = verify_combined_bound(
-            problem, system, result.constants, result.zeta, z_nodes, fine)
+        cert = verify_combined_bound(fine, result.constants, result.zeta,
+                                     *matrosov_grid(fine))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

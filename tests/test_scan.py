@@ -31,9 +31,9 @@ import incred.derivative as deriv
 import incred.expr as ex
 import incred.grids as grids
 import incred.reduction as red
-from incred.certify import (build_matrosov_problem, certify_lyapunov,
-                            certify_semidefinite, invariance_data,
-                            matrosov_derivative_bounds)
+from incred.certify import (certify_lyapunov, certify_semidefinite,
+                            invariance_data, matrosov_derivative_bounds,
+                            matrosov_grid)
 from incred.cli import main
 from incred.errors import SchemaError
 from incred.fixtures import available_fixtures, fixture_path, load_fixture
@@ -530,13 +530,14 @@ def test_matrosov_bounds_evaluate_f_once_for_every_function(monkeypatch):
     once (3 times per time node)."""
     calls = _counting(monkeypatch)
     system = load_fixture("example6")
-    problem = build_matrosov_problem(system)
-    assert certify._annulus_nodes(problem, system)[1] <= grids._CHUNK
-    matrosov_derivative_bounds(system, problem)
+    x_nodes = certify._annulus_nodes(system)
+    assert x_nodes[1] <= grids._CHUNK
+    matrosov_derivative_bounds(system, x_nodes)
     f = system.inclusion
     assert calls[id(f.pieces[0].guard)] == 1
     assert calls[id(f.pieces[0].values[0])] == 3
-    gradients = [u.gradient for coll in problem.collections for u in coll]
+    gradients = [u.gradient for coll in system.matrosov.collections
+                 for u in coll]
     assert [calls[id(m.pieces[0].guard)] for m in gradients] == [1, 1]
 
 
@@ -556,7 +557,7 @@ def _fixture_scans(system):
         runs.append(lambda: invariance_data(system))
     if system.matrosov is not None:
         runs.append(lambda: matrosov_derivative_bounds(
-            system, build_matrosov_problem(system)))
+            system, matrosov_grid(system)[1]))
     return runs
 
 

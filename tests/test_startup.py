@@ -21,11 +21,10 @@ from incred.fixtures import fixture_path
 
 # every name the package exported when it imported all of its submodules
 EXPORTS = {
-    "certify": ["Certificate", "InvarianceReport", "build_matrosov_problem",
-                "certify_lyapunov", "certify_semidefinite",
-                "invariance_data", "matrosov_chain", "matrosov_constants",
-                "matrosov_derivative_bounds", "matrosov_grid",
-                "verify_combined_bound"],
+    "certify": ["Certificate", "InvarianceReport", "certify_lyapunov",
+                "certify_semidefinite", "invariance_data", "matrosov_chain",
+                "matrosov_constants", "matrosov_derivative_bounds",
+                "matrosov_grid", "verify_combined_bound"],
     "derivative": ["baseline_interval_derivative", "bilinear_maxmax",
                    "bilinear_minmax", "generalized_derivative"],
     "errors": ["DimensionMismatchError", "DslEvalError", "DslSyntaxError",

@@ -25,9 +25,9 @@ import incred.certify as certify
 import incred.grids as grids
 import incred.reduction as reduction
 from incred.certify import (CERTIFIED, VIOLATED, Certificate,
-                            build_matrosov_problem, certify_lyapunov,
-                            certify_semidefinite, invariance_data,
-                            matrosov_derivative_bounds)
+                            certify_lyapunov, certify_semidefinite,
+                            invariance_data, matrosov_derivative_bounds,
+                            matrosov_grid)
 from incred.cli import main
 from incred.errors import DslEvalError
 from incred.expr import DEFAULT_VARIABLES, parse_scalar
@@ -148,8 +148,8 @@ def _reference_invariance(sys):
                    semidefinite=cert)
 
 
-def _reference_bounds(sys, prob):
-    pts = stacked(certify._annulus_nodes(prob, sys), sys.n)
+def _reference_bounds(sys):
+    prob, pts = sys.matrosov, stacked(certify._annulus_nodes(sys), sys.n)
     times = sys.require_grid().time_nodes
     z = {f"z{i+1}": phi for i, phi in enumerate(prob.phi)}
     scans = derivative_scans(sys.inclusion, [
@@ -240,17 +240,16 @@ def test_streamed_verdicts_equal_the_whole_columns(case):
     expected = [_outcome(ref, system, bound, sandwich, definite)
                 for _, ref, definite in calls]
     expected.append(_outcome(_reference_invariance, system))
-    problem = system.matrosov and build_matrosov_problem(system)
-    if problem:
-        expected.append(_outcome(_reference_bounds, system, problem))
+    if system.matrosov:
+        expected.append(_outcome(_reference_bounds, system))
     saved, grids._CHUNK = grids._CHUNK, chunk
     try:
         public = [_outcome(lambda s, fn=fn: fn(s, bound, sandwich=sandwich),
                            system) for fn, *_ in calls]
         public.append(_outcome(invariance_data, system))
-        if problem:
-            public.append(_outcome(matrosov_derivative_bounds, system,
-                                   problem))
+        if system.matrosov:
+            public.append(_outcome(lambda: matrosov_derivative_bounds(
+                system, matrosov_grid(system)[1])))
     finally:
         grids._CHUNK = saved
     assert public == expected
