@@ -59,7 +59,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _GRID_NOTE = ("certified on grid: finite screening of a universally "
               "quantified hypothesis, not a proof")
-_CONSTANT_CAP = 2.0 ** 20  # where matrosov_constants' doubling gives up
 _TOL = 1e-9     # default margin tolerance of the derivative screens
 _EQ_TOL = 1e-6  # default |Y_i| <= eq_tol trigger of the Matrosov checks
 
@@ -112,17 +111,10 @@ class Certificate:
 # are flat (job, time node, node) with nodes row-major (_cell_witness); the
 # Matrosov rows follow the (z, x) rows of _row_chunks.
 
-def _violations(margin: np.ndarray, counted: np.ndarray,
-                tol: float) -> int:
-    """Counted margins that fail: above ``tol``, NaN or infinite."""
-    return int(np.count_nonzero(
-        counted & ~(np.isfinite(margin) & (margin <= tol))))
-
-
 class _Verdict:
-    """The running verdict on ``margin <= tol`` (see :func:`_violations`):
-    the violations, the nonfinite count, and the first maximal non-NaN
-    counted margin in scan order as witness."""
+    """The running verdict on ``margin <= tol``: the violations (counted
+    margins above ``tol``, NaN or infinite), the nonfinite count, and the
+    first maximal non-NaN counted margin in scan order as witness."""
 
     def __init__(self, tol: float):
         self.tol, self.violations, self.nonfinite = tol, 0, 0
@@ -132,8 +124,10 @@ class _Verdict:
         """Fold in one chunk: flat margins (overwritten) whose keys rise
         with the flat index, their mask, and ``witness(k)``, the key,
         point row and ``t`` label of the k-th."""
-        self.violations += _violations(margin, counted, self.tol)
-        self.nonfinite += int(np.count_nonzero(counted & ~np.isfinite(margin)))
+        finite = np.isfinite(margin)
+        self.violations += int(np.count_nonzero(
+            counted & ~(finite & (margin <= self.tol))))
+        self.nonfinite += int(np.count_nonzero(counted & ~finite))
         margin[~counted | np.isnan(margin)] = -np.inf
         k = int(np.argmax(margin)) if margin.size else 0
         if margin.size and margin[k] > -np.inf and (
@@ -487,6 +481,7 @@ def _row_chunks(prob: MatrosovData, z_nodes, x_nodes):
 # stream of _row_chunks, a chunk's Y_1..Y_M as the (M, k) array ``y``.
 
 _TRIES = 2.0 ** np.arange(21)  # the doubling search's k = 1, 2, ..., 2**20
+_CONSTANT_CAP = float(_TRIES[-1])  # where it gives up; reports print its repr
 
 
 def _chain_triggers(y: np.ndarray, tol: float) -> np.ndarray:
@@ -712,9 +707,10 @@ def matrosov_derivative_bounds(sys: SystemDef, x_nodes) -> Certificate:
     def fold(j, rows, x, columns):
         value, minus_inf, y = columns
         margin, counted = (value - y).ravel(), ~minus_inf.ravel()
-        per_function[j] += _violations(margin, counted, _TOL)
+        before = verdict.violations
         verdict.add(margin, counted,
                     _cell_witness(rows, x, x_nodes[1], time_nodes, j))
+        per_function[j] += verdict.violations - before
 
     reduction._stream(jobs, x_nodes, time_nodes, fold)
     return _margin_certificate(

@@ -7,9 +7,10 @@ annulus radii) that uniform spacing would miss. Guard comparisons are
 exact, so guard-surface nodes must be supplied verbatim here; they are
 merged and deduplicated by exact float equality and therefore survive
 into the final nodes unchanged. Every node set is one walk, the
-row-major product of the axes ``_CHUNK`` nodes at a time, kept whole or
-filtered to an annulus or ball (:func:`_region_chunks`), which the
-scans fold chunk by chunk (see :func:`_region`).
+row-major product of the axes in runs of the last axis, at most
+``_CHUNK`` nodes at a time, kept whole or filtered to an annulus or ball
+(:func:`_region_chunks`), which the scans fold chunk by chunk (see
+:func:`_region`).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def check_size(count, what: str) -> None:
                           f"{MAX_ITEMS}")
 
 
-# Nodes per batch of the walk and the scans, and rows per report
-# chunk, read at call time. Bounds the temporaries to a few hundred
-# kilobytes whatever the grid size.
+# The most nodes in a chunk of a walk and rows in a report chunk, read
+# at call time. Bounds the temporaries to a few hundred kilobytes
+# whatever the grid size.
 _CHUNK = 4096
 
 
@@ -52,24 +53,25 @@ def _chunks(count: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK, count))
 
 
-def _region_masks(axes, region):
+def _region_masks(axes, region=None):
     """The row-major product of ``axes``, at most ``_CHUNK`` nodes at a
     time: whole runs of the last axis, or pieces of one. Yields ``(lead,
     tail, inside)``: the runs' other coordinates by index arithmetic on
     the run index, the last axis's piece, and the ``(runs, len(tail))``
     mask of ``region`` (an :class:`~incred.intervals.Annulus`), squares
-    summed axis by axis as in ``contains``."""
+    summed axis by axis as in ``contains``; None for no region."""
     *head, last = [np.asarray(a, dtype=float) for a in axes]
     runs = math.prod(map(len, head))
     per, width = max(1, _CHUNK // len(last)), min(_CHUNK, len(last))
     for start in range(0, runs, per):
         lead = _lead(head, np.arange(start, min(start + per, runs)))
         for piece in range(0, len(last), width):  # > 1 only when per is 1
-            tail = last[piece:piece + width]
-            # an infinite square lies outside every annulus and ball
-            with np.errstate(over="ignore"):
-                sq = sum((c * c for c in lead), np.zeros(lead.shape[1]))
-                inside = region.contains_sq(sq[:, None] + tail * tail)
+            tail, inside = last[piece:piece + width], None
+            if region is not None:
+                # an infinite square lies outside every annulus and ball
+                with np.errstate(over="ignore"):
+                    sq = sum((c * c for c in lead), np.zeros(lead.shape[1]))
+                    inside = region.contains_sq(sq[:, None] + tail * tail)
             yield lead, tail, inside
 
 
@@ -83,34 +85,21 @@ def _lead(head, run: np.ndarray) -> np.ndarray:
 
 
 def _region_chunks(axes, region=None) -> Iterator[np.ndarray]:
-    """The nodes of :func:`_region_masks` in ``region`` as ``(len(axes),
-    k)`` arrays in row-major order; for None every node, in the
-    :func:`_chunks` slices of the product, by index arithmetic."""
-    if region is None:  # from node a of run r0 to node b of run r1
-        *head, last = [np.asarray(a, dtype=float) for a in axes]
-        for rows in _chunks(math.prod(map(len, axes))):
-            (r0, a), (r1, b) = (divmod(i, len(last))
-                                for i in (rows.start, rows.stop - 1))
-            counts = np.full(r1 - r0 + 1, len(last))
-            counts[0] -= a
-            counts[-1] -= len(last) - 1 - b
-            nodes = np.empty((len(axes), rows.stop - rows.start))
-            nodes[:-1] = np.repeat(_lead(head, np.arange(r0, r1 + 1)), counts,
-                                   axis=1)
-            nodes[-1] = last[a:b + 1] if r0 == r1 else np.concatenate(
-                (last[a:], np.tile(last, r1 - r0 - 1), last[:b + 1]))
-            yield nodes
-        return
+    """The nodes of :func:`_region_masks` in ``region`` (every node for
+    None) as ``(len(axes), k)`` arrays in row-major order."""
     for lead, tail, inside in _region_masks(axes, region):
         nodes = np.empty((len(lead) + 1, lead.shape[1], len(tail)))
         nodes[:-1], nodes[-1] = lead[:, :, None], tail
-        yield nodes.reshape(len(nodes), -1).compress(inside.ravel(), axis=1)
+        nodes = nodes.reshape(len(nodes), -1)
+        if inside is not None:
+            nodes = nodes.compress(inside.ravel(), axis=1)
+        yield nodes
 
 
 def _region(axes, region=None):
     """The node set ``(walk, count)``: ``walk()`` yields the chunks of
     :func:`_region_chunks` afresh, ``count`` nodes in all, counted from
-    the masks alone."""
+    the masks alone for a region."""
     count = math.prod(map(len, axes)) if region is None else sum(
         int(np.count_nonzero(inside))
         for *_, inside in _region_masks(axes, region))

@@ -79,9 +79,6 @@ class Interval:
     def contains(self, v: float) -> bool:
         return self._lo <= v <= self._hi
 
-    def inflate(self, margin: float) -> Interval:
-        return Interval(self._lo - margin, self._hi + margin)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
@@ -149,11 +146,6 @@ class IntervalBox:
 
     def hi_corner(self) -> tuple[float, ...]:
         return tuple(a.hi for a in self.axes)
-
-    def inflate(self, margin: float) -> IntervalBox:
-        if self.is_empty:
-            return self
-        return IntervalBox(a.inflate(margin) for a in self._axes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalBox):

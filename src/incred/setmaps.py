@@ -341,7 +341,6 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
     points = center + directions / norms[:, None] * radii[:, None]
 
     declared = eval_gradient(f, x, t)
-    inflated = declared.inflate(_INFLATE)
 
     inside = 0
     lo = [math.inf] * dims
@@ -363,7 +362,8 @@ def validate_gradient(f: RegularFunctionSpec, x: Sequence[float], t: float,
         if not all(abs(s - 2.0 * step) <= step / 1e3 for s in spans):
             raise DslEvalError(f"{f.name}: the step {step!r} is lost in "
                                f"rounding near x={tuple(x)}, t={t}")
-        if all(iv.lo <= e <= iv.hi for e, iv in zip(estimate, inflated.axes)):
+        if all(iv.lo - _INFLATE <= e <= iv.hi + _INFLATE
+               for e, iv in zip(estimate, declared.axes)):
             inside += 1
         for j, e in enumerate(estimate):
             lo[j] = min(lo[j], e)

@@ -20,7 +20,7 @@ from incred.intervals import IntervalBox
 from incred.setmaps import (Piece, PiecewiseBoxMap, RegularFunctionSpec,
                             SystemDef, system_from_dict)
 
-from scans import grid_nodes
+from scans import grid_nodes, stacked
 from test_derivative import common_value_max
 
 
@@ -68,6 +68,25 @@ class TestGridSpec:
         assert pts.shape == expected.shape
         assert pts.tobytes() == expected.tobytes()
         assert pts.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("chunk, counts", [
+        (chunk, counts) for chunk in (1, 3, 7, 4096)
+        for counts in ((6,), (3, 4), (2, 3, 5), (4, 9))] + [
+        (4096, (5, 20001))])
+    def test_the_whole_grid_walk(self, monkeypatch, chunk, counts):
+        """``_region(axes)`` streams runs of the last axis, or pieces of
+        one longer than ``_CHUNK``: no chunk holds more than ``_CHUNK``
+        nodes, the chunks stacked are the row-major product bit for bit,
+        and the count is the product of the axis lengths."""
+        rng = np.random.default_rng(len(counts))
+        axes = tuple(tuple(rng.standard_normal(k).tolist()) for k in counts)
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        walk, count = grids._region(axes)
+        assert count == math.prod(counts)
+        assert max(c.shape[1] for c in walk()) <= chunk
+        expected = np.array(list(itertools.product(*axes)))
+        assert stacked((walk, count), len(axes)).tobytes() \
+            == expected.tobytes()
 
     def test_nodes_are_built_in_place(self, example6):
         """The chunks of the walk are written into the result, so the

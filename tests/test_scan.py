@@ -500,18 +500,20 @@ def _counting(monkeypatch):
 
 
 def test_state_only_work_runs_once_per_chunk(monkeypatch):
-    """``certify example6 --grid 201``: 201^2 nodes in 10 chunks at 3 time
-    nodes. Every closure of the square_ramp gradient and every guard of F
-    reads only the state, so each runs at most once per chunk (30 times
-    when time nodes were the outer loop); F's sets run once per time node
+    """``certify example6 --grid 201``: 201^2 nodes in 11 chunks of the
+    walk (20 runs of the last axis each, 1 in the last) at 3 time nodes.
+    Every closure of the square_ramp gradient and every guard of F reads
+    only the state, so each runs at most once per chunk (33 times when
+    time nodes were the outer loop); F's sets run once per time node
     where they read g, once per chunk where they do not."""
     calls = _counting(monkeypatch)
     system = load_fixture("example6")
     system = replace(system, grid=system.require_grid().with_uniform_counts(
         201))
     certify_semidefinite(system, system.checks.semidef_bound)
-    chunks = -(-len(grid_nodes(system.grid, system.domain)) // grids._CHUNK)
-    assert chunks == 10
+    walk, _ = grids._region(system.grid.checked_axes(system.domain))
+    chunks = sum(1 for _ in walk())
+    assert chunks == 11
     ramp, f = system.reducers[0].gradient, system.inclusion
     ramp_nodes = [n for p in ramp.pieces for n in (p.guard, *p.values)]
     assert calls[id(ramp.pieces[0].guard)] == chunks
@@ -577,8 +579,9 @@ def test_fixture_scans_take_the_array_path(name, monkeypatch):
 def test_a_hazard_refills_only_its_own_rows(var, tmp_path, monkeypatch):
     """example2 behind a front piece ``x != 0 and 1/x > 100``: the array
     guard divides by x on every row, so it flags the rows with x == 0,
-    while the scalar guard short-circuits there. The x1 == 0 rows fill a
-    few chunks of 16, the x2 == 0 rows sit in every chunk."""
+    while the scalar guard short-circuits there. At a chunk of 16 the
+    walk yields one run of the 13-node x2 axis at a time: the x1 == 0
+    rows fill one chunk, the x2 == 0 rows sit in every chunk."""
     with open(fixture_path("example2"), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["F"]["pieces"].insert(0, {"guard": f"{var} != 0 and 1/{var} > 100",
@@ -587,11 +590,14 @@ def test_a_hazard_refills_only_its_own_rows(var, tmp_path, monkeypatch):
     path.write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.setattr(grids, "_CHUNK", 16)
     system = load_fixture("example2")
-    nodes = grid_nodes(system.require_grid().with_uniform_counts(11),
-                       system.domain).tolist()
+    grid = system.require_grid().with_uniform_counts(11)
+    nodes = grid_nodes(grid, system.domain).tolist()
     axis = int(var[1:]) - 1
     zero_rows = {k for k, x in enumerate(nodes) if x[axis] == 0.0}
-    chunks, zero_chunks = -(-len(nodes) // 16), {k // 16 for k in zero_rows}
+    walk, _ = grids._region(grid.checked_axes(system.domain))
+    sizes = [c.shape[1] for c in walk()]
+    chunk_of = np.repeat(np.arange(len(sizes)), sizes)
+    chunks, zero_chunks = len(sizes), {chunk_of[k] for k in zero_rows}
     assert len(zero_chunks) == chunks if var == "x2" \
         else 0 < len(zero_chunks) < chunks
 
